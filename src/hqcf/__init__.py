@@ -32,6 +32,7 @@ from .polynomials import (
     is_odd_polynomial,
     lift_to_ext,
     scale_variable,
+    taylor_shift,
     to_prime_field,
 )
 from .quartic import (

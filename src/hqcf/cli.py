@@ -217,6 +217,8 @@ def _field_from_args(args) -> PrimeField:
 
 def cmd_expand(args, out) -> int:
     field = _field_from_args(args)
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     if args.quartic:
         if args.p < 5:
             raise UsageError("the quartic needs p >= 5")
@@ -371,6 +373,8 @@ def cmd_verify_conj2(args, out) -> int:
     field = _field_from_args(args)
     if args.p % 3 != 2 or args.p < 5:
         raise UsageError("conj2 needs p = 2 mod 3 and p >= 5")
+    if args.l is not None and args.l < 1:
+        raise UsageError(f"--l must be >= 1, got {args.l}")
     verdict = verify_conjecture2(args.p, args.n if args.n else None, l_override=args.l)
     if args.json:
         print(json.dumps(verdict.to_json_dict()), file=out)

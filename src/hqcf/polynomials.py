@@ -1,11 +1,21 @@
 """Dense univariate polynomials over F_p or F_{p^2}.
 
 Coefficients are stored ascending by degree with no trailing zeros; the
-zero polynomial has an empty coefficient tuple and degree -inf.  Over the
-prime field coefficients are plain ints and multiplication switches to an
-exact numpy convolution once operands are large; over the quadratic
-extension a straightforward schoolbook path is used (extension polynomials
-only ever appear in short variable-scaling computations).
+zero polynomial has an empty coefficient tuple and degree -inf.
+
+Over the prime field the coefficients are a tuple of plain ints in [0, p)
+and the kernel works on those tuples directly.  Addition, subtraction,
+negation and scaling make one comprehension over the overlapping part,
+reduce each result mod p once, reuse the longer operand's tail as a slice
+and build the result with the trusted constructor: no per-coefficient
+field method call and no re-validation.  Trailing zeros can only appear
+when two operands of equal length cancel at the top, so only that case
+strips them.  Multiplication of large operands and the Taylor shift
+P(X) -> P(X + q) of the root expansion run as exact int64 numpy
+convolutions; both are guarded by the one bound _fits_int64, and fall back
+to Python-int arithmetic when it fails.  Over the quadratic extension a
+straightforward schoolbook path is used (extension polynomials only ever
+appear in short variable-scaling computations).
 
 The absolute value |f| = |T|^deg(f) of the ambient power series field is
 represented purely by the integer degree; -inf for the zero polynomial
@@ -23,6 +33,12 @@ NEG_INF = float("-inf")
 _SCHOOLBOOK_CUTOFF = 64
 
 Field = Union[PrimeField, QuadraticExt]
+
+
+def _fits_int64(p: int, terms: int) -> bool:
+    """Whether a sum of `terms` products of residues mod p, plus one more
+    residue, stays inside int64: the guard of every numpy kernel path."""
+    return (p - 1) * (p - 1) * terms < (1 << 62)
 
 
 class Polynomial:
@@ -114,32 +130,58 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Polynomial(f, out)
+        if f.is_extension:
+            out = list(a)
+            for i, c in enumerate(b):
+                out[i] = f.add(out[i], c)
+            return Polynomial(f, out)
+        p = f.p
+        if len(a) > len(b):
+            return Polynomial(
+                f, tuple([(x + y) % p for x, y in zip(a, b)]) + a[len(b):], _trusted=True
+            )
+        return Polynomial._make(f, [(x + y) % p for x, y in zip(a, b)])
 
     def __sub__(self, other):
         f = self.field
         a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        z = f.zero()
-        out = [
-            f.sub(a[i] if i < len(a) else z, b[i] if i < len(b) else z)
-            for i in range(n)
-        ]
-        return Polynomial(f, out)
+        la, lb = len(a), len(b)
+        if f.is_extension:
+            z = f.zero()
+            out = [
+                f.sub(a[i] if i < la else z, b[i] if i < lb else z)
+                for i in range(max(la, lb))
+            ]
+            return Polynomial(f, out)
+        p = f.p
+        if la > lb:
+            return Polynomial(
+                f, tuple([(x - y) % p for x, y in zip(a, b)]) + a[lb:], _trusted=True
+            )
+        if la < lb:
+            return Polynomial(
+                f, tuple([(x - y) % p for x, y in zip(a, b)] + [-y % p for y in b[la:]]),
+                _trusted=True,
+            )
+        return Polynomial._make(f, [(x - y) % p for x, y in zip(a, b)])
 
     def __neg__(self):
         f = self.field
-        return Polynomial(f, tuple(f.neg(c) for c in self.coeffs), _trusted=True)
+        if f.is_extension:
+            return Polynomial(f, tuple(f.neg(c) for c in self.coeffs), _trusted=True)
+        p = f.p
+        return Polynomial(f, tuple([-c % p for c in self.coeffs]), _trusted=True)
 
     def scaled(self, c) -> "Polynomial":
         f = self.field
         c = f(c)
         if f.is_zero(c):
             return Polynomial.zero(f)
-        return Polynomial(f, [f.mul(a, c) for a in self.coeffs])
+        if f.is_extension:
+            return Polynomial(f, [f.mul(a, c) for a in self.coeffs])
+        # c is a unit of F_p, so the product keeps every nonzero coefficient nonzero
+        p = f.p
+        return Polynomial(f, tuple([a * c % p for a in self.coeffs]), _trusted=True)
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
@@ -155,7 +197,7 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         p = self.field.p
         la, lb = len(a), len(b)
-        if la + lb > _SCHOOLBOOK_CUTOFF and (p - 1) * (p - 1) * min(la, lb) < (1 << 62):
+        if la + lb > _SCHOOLBOOK_CUTOFF and _fits_int64(p, min(la, lb)):
             out = np.convolve(
                 np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
             ) % p
@@ -341,6 +383,41 @@ def gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
     while not g.is_zero():
         f, g = g, f % g
     return f.monic()
+
+
+def taylor_shift(coeffs, q: Polynomial) -> list:
+    """X-coefficients of P(X + q), where P = sum coeffs[i] * X^i over F_p[T].
+
+    Synthetic division: for j < n, for k = n-1 .. j, t_k += q * t_{k+1}.
+    Over F_p each coefficient goes to int64 once, every step is one
+    convolution, one in-place add and one reduction mod p, and each result
+    comes back with one tolist().  A step sums at most len(q) products, so
+    one _fits_int64 check covers the triangle; when it fails, or off the
+    prime field, the same triangle runs in exact Polynomial arithmetic.
+    """
+    field = q.field
+    n = len(coeffs) - 1
+    if field.is_extension or not q.coeffs or not _fits_int64(field.p, len(q.coeffs)):
+        t = list(coeffs)
+        for j in range(n):
+            for k in range(n - 1, j - 1, -1):
+                t[k] = t[k] + q * t[k + 1]
+        return t
+    p = field.p
+    qa = np.asarray(q.coeffs, dtype=np.int64)
+    t = [np.asarray(c.coeffs, dtype=np.int64) for c in coeffs]
+    for j in range(n):
+        for k in range(n - 1, j - 1, -1):
+            hi = t[k + 1]
+            if not len(hi):
+                continue
+            s, lo = np.convolve(qa, hi), t[k]
+            if len(lo) > len(s):
+                s, lo = lo, s
+            s[: len(lo)] += lo
+            s %= p
+            t[k] = s
+    return [Polynomial._make(field, c.tolist()) for c in t]
 
 
 def content(polys) -> Polynomial:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 from .cf import ContinuedFraction, rational_to_cf
 from .fields import PrimeField
 from .laurent import Laurent, divide
-from .polynomials import Polynomial, content
+from .polynomials import Polynomial, taylor_shift
 
 
 class DominanceBroken(ArithmeticError):
@@ -53,16 +53,6 @@ class RootState:
         inner = ", ".join(f"X^{i}: {c.format()}" for i, c in enumerate(self.coeffs))
         return f"RootState({inner})"
 
-    def reduced(self) -> "RootState":
-        """Divide out the common polynomial content of the coefficients.
-
-        Scaling by a nonzero element of F_p[T] keeps the roots and the
-        degree comparisons of (*) intact."""
-        g = content(self.coeffs)
-        if g.degree == 0:
-            return self
-        return RootState(tuple(c // g for c in self.coeffs))
-
 
 def dominance_holds(state: RootState) -> bool:
     """Check condition (*) by degree comparison."""
@@ -82,12 +72,9 @@ def step(state: RootState):
     coeffs = state.coeffs
     n = state.degree
     q = -(coeffs[n - 1] // coeffs[n])
-    # Taylor shift P(X + q) by synthetic division, then reverse to obtain
-    # the coefficients of X^n * P(q + 1/X).
-    t = list(coeffs)
-    for j in range(n):
-        for k in range(n - 1, j - 1, -1):
-            t[k] = t[k] + q * t[k + 1]
+    # Taylor shift P(X + q), then reverse to obtain the coefficients of
+    # X^n * P(q + 1/X).
+    t = taylor_shift(coeffs, q)
     if t[0].is_zero():
         return q, None
     nxt = RootState(tuple(reversed(t)))
@@ -98,16 +85,11 @@ def step(state: RootState):
     return q, nxt
 
 
-def expand_root(state: RootState, n: int, *, reduce_content: bool = False) -> ContinuedFraction:
+def expand_root(state: RootState, n: int) -> ContinuedFraction:
     """First n partial quotients of the unique root with |root| >= |T|.
 
     The input must satisfy (*).  If the root turns out rational the finite
-    expansion is returned (shorter than n).  reduce_content divides each
-    new state by its coefficient content after every step; the quotient
-    sequence is unchanged either way.  It is off by default: measured over
-    the quartic at 5 <= p <= 43 the states stay primitive (content 1), so
-    the gcds only cost time, and coefficient degrees grow linearly in n
-    regardless.
+    expansion is returned (shorter than n).
     """
     if not dominance_holds(state):
         raise ValueError("input polynomial does not satisfy the dominance condition (*)")
@@ -118,8 +100,6 @@ def expand_root(state: RootState, n: int, *, reduce_content: bool = False) -> Co
             break
         q, cur = step(cur)
         quotients.append(q)
-        if cur is not None and reduce_content:
-            cur = cur.reduced()
     return ContinuedFraction(state.field, quotients)
 
 

@@ -90,6 +90,12 @@ class TestExpandCommand:
         code, _ = run(["expand", "--p", "13", "--n", "3"])
         assert code == 2
 
+    @pytest.mark.parametrize("source", [["--quartic"], ["--poly", "X^2 - T*X + 1"]])
+    def test_negative_n_is_usage_error(self, source, capsys):
+        code, out = run(["expand", *source, "--p", "13", "--n", "-5"])
+        assert code == 2 and out == ""
+        assert "--n must be >= 0" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_published_spec_p7(self):
@@ -151,6 +157,12 @@ class TestVerifyCommands:
         code, out = run(["verify", "conj2", "--p", "5", "--n", "14", "--l", "13"])
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("l", ["0", "-3"])
+    def test_conj2_nonpositive_l_is_usage_error(self, l, capsys):
+        code, out = run(["verify", "conj2", "--p", "5", "--l", l])
+        assert code == 2 and out == ""
+        assert "--l must be >= 1" in capsys.readouterr().err
 
     def test_conj1_wrong_residue_is_usage_error(self):
         code, _ = run(["verify", "conj1", "--p", "11", "--n", "20"])

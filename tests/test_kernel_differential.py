@@ -1,0 +1,172 @@
+"""Differential tests of the F_p[T] kernel against sympy's galoistools.
+
+galoistools stores a polynomial as a list of coefficients in [0, p),
+highest degree first; Polynomial stores them lowest degree first.  Every
+kernel result is also checked to be canonical: plain ints in [0, p) and no
+trailing zeros.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+gt = pytest.importorskip("sympy.polys.galoistools")
+ZZ = pytest.importorskip("sympy.polys.domains").ZZ
+
+import hqcf.polynomials as polynomials  # noqa: E402
+from hqcf.fields import GF  # noqa: E402
+from hqcf.polynomials import Polynomial, taylor_shift  # noqa: E402
+
+PRIMES = [3, 5, 7, 13, 97, 65537, 999983]
+
+
+def to_gf(f: Polynomial) -> list:
+    return list(reversed(f.coeffs))
+
+
+def assert_canonical(f: Polynomial, p: int):
+    assert all(type(c) is int and 0 <= c < p for c in f.coeffs)
+    assert not f.coeffs or f.coeffs[-1] != 0
+
+
+def coeff_lists(draw, p, length):
+    return draw(st.lists(st.integers(0, p - 1), min_size=length, max_size=length))
+
+
+def operand_pair(data, p, *, equal_length, cancel):
+    """Two polynomials over GF(p); with cancel, b's top coefficients are
+    chosen so that a + b (cancel="add") or a - b (cancel="sub") loses its
+    leading terms."""
+    la = data.draw(st.integers(0, 80))
+    lb = la if equal_length else data.draw(st.integers(0, 80).filter(lambda n: n != la))
+    a = coeff_lists(data.draw, p, la)
+    b = coeff_lists(data.draw, p, lb)
+    if cancel and la:
+        top = data.draw(st.integers(1, la))
+        for i in range(la - top, la):
+            b[i] = -a[i] % p if cancel == "add" else a[i]
+    field = GF(p)
+    return Polynomial(field, a), Polynomial(field, b)
+
+
+@st.composite
+def kernel_case(draw):
+    p = draw(st.sampled_from(PRIMES))
+    equal_length = draw(st.booleans())
+    cancel = draw(st.sampled_from([None, "add", "sub"])) if equal_length else None
+    return p, equal_length, cancel
+
+
+class TestAddSubNegScale:
+    @given(kernel_case(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_add_matches_gf_add(self, case, data):
+        p, equal_length, cancel = case
+        f, g = operand_pair(data, p, equal_length=equal_length, cancel=cancel)
+        got = f + g
+        assert_canonical(got, p)
+        assert to_gf(got) == gt.gf_add(to_gf(f), to_gf(g), p, ZZ)
+
+    @given(kernel_case(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_sub_matches_gf_sub(self, case, data):
+        p, equal_length, cancel = case
+        f, g = operand_pair(data, p, equal_length=equal_length, cancel=cancel)
+        for x, y in ((f, g), (g, f)):
+            got = x - y
+            assert_canonical(got, p)
+            assert to_gf(got) == gt.gf_sub(to_gf(x), to_gf(y), p, ZZ)
+
+    @given(st.sampled_from(PRIMES), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_neg_matches_gf_neg(self, p, data):
+        f = Polynomial(GF(p), coeff_lists(data.draw, p, data.draw(st.integers(0, 80))))
+        got = -f
+        assert_canonical(got, p)
+        assert to_gf(got) == gt.gf_neg(to_gf(f), p, ZZ)
+
+    @given(st.sampled_from(PRIMES), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_scaled_matches_gf_mul_ground(self, p, data):
+        f = Polynomial(GF(p), coeff_lists(data.draw, p, data.draw(st.integers(0, 80))))
+        # any integer scalar, including multiples of p and negatives
+        c = data.draw(st.integers(-3 * p, 3 * p))
+        got = f.scaled(c)
+        assert_canonical(got, p)
+        assert to_gf(got) == gt.gf_mul_ground(to_gf(f), c % p, p, ZZ)
+
+
+def reference_taylor_shift(coeffs, q, p):
+    """P(X + q) by Horner in X over galoistools coefficient lists: the
+    running value R is multiplied by (X + q) and the next coefficient of P
+    is added, so R_i <- R_{i-1} + q * R_i."""
+    r = []
+    for c in reversed(coeffs):
+        shifted = [[]] + r
+        for i, ri in enumerate(r):
+            shifted[i] = gt.gf_add(shifted[i], gt.gf_mul(q, ri, p, ZZ), p, ZZ)
+        shifted[0] = gt.gf_add(shifted[0], c, p, ZZ)
+        r = shifted
+    return r
+
+
+@st.composite
+def shift_case(draw):
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 5))
+    coeffs = [
+        coeff_lists(draw, p, draw(st.integers(0, 30))) for _ in range(n)
+    ] + [coeff_lists(draw, p, draw(st.integers(1, 30)))]
+    coeffs[-1][-1] = draw(st.integers(1, p - 1))  # nonzero leading X-coefficient
+    q = coeff_lists(draw, p, draw(st.integers(0, 6)))
+    return p, coeffs, q
+
+
+def check_taylor_shift(p, coeffs, q):
+    F = GF(p)
+    polys = [Polynomial(F, c) for c in coeffs]
+    qp = Polynomial(F, q)
+    got = taylor_shift(polys, qp)
+    assert len(got) == len(polys)
+    for g in got:
+        assert_canonical(g, p)
+    want = reference_taylor_shift([to_gf(c) for c in polys], to_gf(qp), p)
+    assert [to_gf(g) for g in got] == want
+
+
+class TestTaylorShift:
+    @given(shift_case())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_horner_over_galoistools(self, case):
+        check_taylor_shift(*case)
+
+    @given(shift_case())
+    @settings(max_examples=60, deadline=None)
+    def test_exact_integer_fallback(self, case):
+        p, coeffs, q = case
+        asked = []
+
+        def does_not_fit(modulus, terms):
+            asked.append((modulus, terms))
+            return False
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomials, "_fits_int64", does_not_fit)
+            check_taylor_shift(p, coeffs, q)
+        if any(q):
+            # the guard was consulted with the longest possible product sum
+            assert (p, len(Polynomial(GF(p), q).coeffs)) in asked
+
+    def test_zero_coefficients_and_zero_shift(self):
+        F = GF(13)
+        one, zero, T = Polynomial.one(F), Polynomial.zero(F), Polynomial.x(F)
+        state = [one, zero, one, -T, Polynomial.constant(F, 1)]
+        assert taylor_shift(state, zero) == state
+        check_taylor_shift(13, [c.coeffs for c in state], [0, 12])
+
+    def test_guard_bound(self):
+        # the int64 guard is shared by multiplication and the Taylor shift
+        p = 999983
+        terms = (1 << 62) // ((p - 1) * (p - 1))
+        assert polynomials._fits_int64(p, terms)
+        assert not polynomials._fits_int64(p, terms + 1)

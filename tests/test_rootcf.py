@@ -99,12 +99,6 @@ class TestQuarticExpansion:
         for F in (F5, F7, F13):
             assert expand_quartic_fixed(F, 40) == expand_root(quartic_state(F), 40)
 
-    def test_reduction_does_not_change_quotients(self):
-        for F in (F7, F13):
-            with_red = expand_root(quartic_state(F), 50, reduce_content=True)
-            without = expand_root(quartic_state(F), 50, reduce_content=False)
-            assert with_red == without
-
     def test_all_quotients_odd(self):
         for F in (F5, F7, F11, F13):
             cf = expand_root(quartic_state(F), 50)
