@@ -1,7 +1,7 @@
 """Exact continued fractions of hyperquadratic power series over F_p(T)."""
 
-from .cf import ContinuedFraction, Moebius, ScalarCFUndefined, eval_scalar_cf, rational_to_cf
-from .fields import GF, ExtElement, PrimeField, QuadraticExt, is_prime
+from .cf import ContinuedFraction, ScalarCFUndefined, eval_scalar_cf, rational_to_cf
+from .fields import GF, ExtElement, PrimeField, is_prime
 from .laurent import Laurent, rational_series
 from .perfect import (
     DeltaMismatchError,
@@ -30,10 +30,7 @@ from .polynomials import (
     gcd_monic,
     is_even_polynomial,
     is_odd_polynomial,
-    lift_to_ext,
-    scale_variable,
     taylor_shift,
-    to_prime_field,
 )
 from .quartic import (
     Conj1Verdict,
@@ -47,7 +44,6 @@ from .quartic import (
     beta_quotient_to_alpha,
     derive_frobenius_relation,
     normalize_to_beta,
-    power_reduce,
     power_vectors,
     verify_conjecture1,
     verify_conjecture2,

@@ -8,7 +8,7 @@ obey the determinant identity x_i*y_{i-1} - x_{i-1}*y_i = (-1)^i, which is
 asserted after every step.
 """
 
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from .laurent import Laurent, rational_series
 from .polynomials import Polynomial
@@ -35,15 +35,6 @@ def eval_scalar_cf(field, entries: Sequence[int]) -> int:
             )
         acc = field.add(field(u), field.inv(acc))
     return acc
-
-
-class Moebius(NamedTuple):
-    """The fractional linear map x -> (a*x + b) / (c*x + d) over F_p[T]."""
-
-    a: Polynomial
-    b: Polynomial
-    c: Polynomial
-    d: Polynomial
 
 
 class ContinuedFraction:
@@ -117,17 +108,6 @@ class ContinuedFraction:
         """The continued fraction as a reduced rational pair (x_n, y_n)."""
         xs, ys = self.continuants()
         return xs[-1], ys[-1]
-
-    def tail_transform(self, l: int) -> Moebius:
-        """Express the tail after l quotients as a Moebius image of the value.
-
-        With alpha = [a_1, ..., a_l, alpha_{l+1}] the tail satisfies
-        alpha_{l+1} = (-y_{l-1}*alpha + x_{l-1}) / (y_l*alpha - x_l).
-        """
-        if not 1 <= l <= len(self.quotients):
-            raise ValueError(f"need 1 <= l <= {len(self.quotients)}, got {l}")
-        xs, ys = self.continuants()
-        return Moebius(-ys[l - 1], xs[l - 1], ys[l], -xs[l])
 
     def value_series(self, floor: int) -> Laurent:
         """Laurent expansion of the value, certified down to the floor.

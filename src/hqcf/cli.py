@@ -38,17 +38,24 @@ class UsageError(ValueError):
     pass
 
 
-def max_workers() -> int:
+def max_workers(cases: int) -> int:
+    """Worker processes for a sweep: HQCF_THREADS (default 4), never more
+    than the CPU count or the number of cases."""
+    wanted = 4
     env = os.environ.get("HQCF_THREADS")
     if env:
         try:
-            return max(1, int(env))
+            wanted = int(env)
         except ValueError:
             raise UsageError(f"HQCF_THREADS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
+    return max(1, min(wanted, os.cpu_count() or 1, cases))
 
 
 # -- polynomial parsing --------------------------------------------------------
+
+# Largest X- or T-degree a parsed product or power may reach; _XPoly
+# multiplies by schoolbook, so the cost is quadratic to cubic in the degree.
+MAX_PARSED_DEGREE = 256
 
 
 class _XPoly:
@@ -86,6 +93,8 @@ class _XPoly:
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return _XPoly(self.field, [])
+        if max(a + b for a, b in zip(self.degrees(), other.degrees())) > MAX_PARSED_DEGREE:
+            raise UsageError(f"product would exceed degree {MAX_PARSED_DEGREE} in X or T")
         z = Polynomial.zero(self.field)
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -93,10 +102,21 @@ class _XPoly:
                 out[i + j] = out[i + j] + a * b
         return _XPoly(self.field, out)
 
+    def degrees(self) -> tuple:
+        """(degree in X, degree in T); (-1, -1) for zero."""
+        if not self.coeffs:
+            return -1, -1
+        return len(self.coeffs) - 1, max(int(c.degree) for c in self.coeffs if c)
+
     def __pow__(self, e):
         out = _XPoly.const(self.field, Polynomial.one(self.field))
-        for _ in range(e):
-            out = out * self
+        base = self
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
         return out
 
     def as_rational_constant(self):
@@ -115,7 +135,8 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
     like 1/12 into the list of F_p[T] coefficients of X^0, X^1, ...
 
     Division is only allowed by nonzero integer constants (the rational is
-    embedded mod p).
+    embedded mod p).  A power or product past MAX_PARSED_DEGREE in X or T
+    is a UsageError, raised before it is expanded.
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
@@ -151,7 +172,12 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
                 e = node.right
                 if not (isinstance(e, ast.Constant) and isinstance(e.value, int) and e.value >= 0):
                     raise UsageError("exponents must be nonnegative integer literals")
-                return ev(node.left) ** e.value
+                base = ev(node.left)
+                if max(base.degrees()) * e.value > MAX_PARSED_DEGREE:
+                    raise UsageError(
+                        f"power ^{e.value} would exceed degree {MAX_PARSED_DEGREE} in X or T"
+                    )
+                return base ** e.value
             raise UsageError(f"unsupported operator {ast.dump(node.op)}")
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
@@ -278,8 +304,9 @@ def cmd_verify_prop1(args, out) -> int:
     for k in ks:
         if not 1 <= k < args.p / 2:
             raise UsageError(f"--k must satisfy 1 <= k < p/2, got {k}")
-    if len(ks) > 1 and max_workers() > 1:
-        with ProcessPoolExecutor(max_workers=max_workers()) as pool:
+    workers = max_workers(len(ks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_prop1_case, [(args.p, k) for k in ks]))
     else:
         results = dict(_prop1_case((args.p, k)) for k in ks)
@@ -312,8 +339,9 @@ def cmd_verify_prop2(args, out) -> int:
     ks = [args.k] if args.k else list(range(1, half + 1))
     iis = [args.i] if args.i else list(range(1, half + 1))
     cases = [(args.p, k, i) for k in ks for i in iis]
-    if len(cases) > 1 and max_workers() > 1:
-        with ProcessPoolExecutor(max_workers=max_workers()) as pool:
+    workers = max_workers(len(cases))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_prop2_case, cases))
     else:
         results = dict(_prop2_case(c) for c in cases)
@@ -398,8 +426,10 @@ def cmd_exponent(args, out) -> int:
         raise UsageError("the quartic needs p >= 5")
     window = args.window or args.n - 1
     if args.p % 3 == 1:
-        # perfect pattern route: derive the relation once, then generate
-        verdict = verify_conjecture1(args.p, min(args.n, 50))
+        # perfect pattern route: confirm the relation, then generate.
+        # The residual check to T^-100 needs p + 14 to p + 33 quotients for
+        # every p = 1 mod 3 below 200 (measured); max(50, 2p) covers them.
+        verdict = verify_conjecture1(args.p, max(50, 2 * args.p))
         if not verdict.passed:
             raise UsageError(
                 f"perfect pattern not confirmed for p={args.p}: {verdict.detail}"

@@ -1,9 +1,11 @@
-"""Arithmetic in the prime field F_p and its quadratic extension F_{p^2}.
+"""Arithmetic in the prime field F_p.
 
 Elements of F_p are plain Python integers in [0, p); a PrimeField instance
-is the context that combines them.  Elements of F_{p^2} are ExtElement
-pairs (a0, a1) standing for a0 + a1*w with w*w = d, where d is a fixed
-quadratic non-residue mod p chosen once per field.
+is the context that combines them.  The one value that can lie outside F_p
+is a square root of a non-residue: sqrt_in_ext returns it as an ExtElement
+record (a0, a1) standing for a0 + a1*w with w*w = d, where d is the field's
+smallest quadratic non-residue.  One of a0, a1 is always zero, so the
+record's square a0^2 + d*a1^2 is computed in F_p.
 
 All operations are pure functions over immutable values, so contexts and
 elements can be shared freely between threads.
@@ -28,13 +30,10 @@ def is_prime(n: int) -> bool:
 
 
 class ExtElement(NamedTuple):
-    """a0 + a1*w with w*w equal to the ambient extension's non-residue."""
+    """a0 + a1*w with w*w equal to the field's smallest non-residue."""
 
     a0: int
     a1: int
-
-    def in_base_field(self) -> bool:
-        return self.a1 == 0
 
 
 _field_cache: dict[int, "PrimeField"] = {}
@@ -52,9 +51,7 @@ def GF(p: int) -> "PrimeField":
 class PrimeField:
     """The field F_p for an odd prime p with 3 <= p <= 10^6."""
 
-    __slots__ = ("p", "_nonresidue", "_ext")
-
-    is_extension = False
+    __slots__ = ("p", "_nonresidue")
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
@@ -63,7 +60,6 @@ class PrimeField:
             raise ValueError(f"modulus {p} exceeds the supported range")
         self.p = p
         self._nonresidue: Optional[int] = None
-        self._ext: Optional[QuadraticExt] = None
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -181,10 +177,11 @@ class PrimeField:
         return min(r, p - r)
 
     def sqrt_in_ext(self, x: int) -> ExtElement:
-        """A square root of x, in F_p when x is a residue, else in F_{p^2}.
+        """A square root of x: (r, 0) with r in F_p when x is a residue,
+        else (0, s) standing for s*w, w*w = d.
 
         Deterministic: residues get the canonical base-field root; for a
-        non-residue x the result is s*w where s is the canonical root of x/d.
+        non-residue x, s is the canonical root of x/d.
         """
         x %= self.p
         r = self.sqrt(x)
@@ -193,101 +190,3 @@ class PrimeField:
         s = self.sqrt(self.div(x, self.smallest_nonresidue()))
         assert s is not None  # x/d is a residue when both are non-residues
         return ExtElement(0, s)
-
-    def ext(self) -> "QuadraticExt":
-        if self._ext is None:
-            self._ext = QuadraticExt(self)
-        return self._ext
-
-
-class QuadraticExt:
-    """F_{p^2} presented as F_p[w] / (w^2 - d) for the field's non-residue d."""
-
-    __slots__ = ("base", "d")
-
-    is_extension = True
-
-    def __init__(self, base: PrimeField, d: Optional[int] = None):
-        self.base = base
-        if d is None:
-            d = base.smallest_nonresidue()
-        elif base.legendre(d) != -1:
-            raise ValueError(f"{d} is a square mod {base.p}; need a non-residue")
-        self.d = d
-
-    @property
-    def p(self) -> int:
-        return self.base.p
-
-    def __repr__(self):
-        return f"GF({self.p}^2; w^2={self.d})"
-
-    def __eq__(self, other):
-        return isinstance(other, QuadraticExt) and other.base == self.base and other.d == self.d
-
-    def __hash__(self):
-        return hash(("QuadraticExt", self.p, self.d))
-
-    def __call__(self, x) -> ExtElement:
-        if isinstance(x, ExtElement):
-            return ExtElement(x.a0 % self.p, x.a1 % self.p)
-        return ExtElement(x % self.p, 0)
-
-    def lift(self, x: int) -> ExtElement:
-        return ExtElement(x % self.p, 0)
-
-    def zero(self) -> ExtElement:
-        return ExtElement(0, 0)
-
-    def one(self) -> ExtElement:
-        return ExtElement(1, 0)
-
-    def add(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        p = self.p
-        return ExtElement((x.a0 + y.a0) % p, (x.a1 + y.a1) % p)
-
-    def sub(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        p = self.p
-        return ExtElement((x.a0 - y.a0) % p, (x.a1 - y.a1) % p)
-
-    def mul(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        p = self.p
-        return ExtElement(
-            (x.a0 * y.a0 + self.d * x.a1 * y.a1) % p,
-            (x.a0 * y.a1 + x.a1 * y.a0) % p,
-        )
-
-    def neg(self, x: ExtElement) -> ExtElement:
-        p = self.p
-        return ExtElement(-x.a0 % p, -x.a1 % p)
-
-    def conj(self, x: ExtElement) -> ExtElement:
-        return ExtElement(x.a0, -x.a1 % self.p)
-
-    def norm(self, x: ExtElement) -> int:
-        return (x.a0 * x.a0 - self.d * x.a1 * x.a1) % self.p
-
-    def inv(self, x: ExtElement) -> ExtElement:
-        n = self.norm(x)
-        if n == 0:
-            raise ZeroDivisionError(f"0 has no inverse in {self!r}")
-        ninv = self.base.inv(n)
-        p = self.p
-        return ExtElement(x.a0 * ninv % p, -x.a1 * ninv % p)
-
-    def div(self, x: ExtElement, y: ExtElement) -> ExtElement:
-        return self.mul(x, self.inv(y))
-
-    def pow(self, x: ExtElement, e: int) -> ExtElement:
-        if e < 0:
-            x, e = self.inv(x), -e
-        out = self.one()
-        while e:
-            if e & 1:
-                out = self.mul(out, x)
-            x = self.mul(x, x)
-            e >>= 1
-        return out
-
-    def is_zero(self, x: ExtElement) -> bool:
-        return x.a0 % self.p == 0 and x.a1 % self.p == 0

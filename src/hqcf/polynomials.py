@@ -1,38 +1,34 @@
-"""Dense univariate polynomials over F_p or F_{p^2}.
+"""Dense univariate polynomials over F_p.
 
 Coefficients are stored ascending by degree with no trailing zeros; the
 zero polynomial has an empty coefficient tuple and degree -inf.
 
-Over the prime field the coefficients are a tuple of plain ints in [0, p)
-and the kernel works on those tuples directly.  Addition, subtraction,
-negation and scaling make one comprehension over the overlapping part,
-reduce each result mod p once, reuse the longer operand's tail as a slice
-and build the result with the trusted constructor: no per-coefficient
-field method call and no re-validation.  Trailing zeros can only appear
-when two operands of equal length cancel at the top, so only that case
-strips them.  Multiplication of large operands and the Taylor shift
-P(X) -> P(X + q) of the root expansion run as exact int64 numpy
-convolutions; both are guarded by the one bound _fits_int64, and fall back
-to Python-int arithmetic when it fails.  Over the quadratic extension a
-straightforward schoolbook path is used (extension polynomials only ever
-appear in short variable-scaling computations).
+The coefficients are a tuple of plain ints in [0, p) and the kernel works
+on those tuples directly.  Addition, subtraction, negation and scaling
+make one comprehension over the overlapping part, reduce each result mod p
+once, reuse the longer operand's tail as a slice and build the result with
+the trusted constructor: no per-coefficient field method call and no
+re-validation.  Trailing zeros can only appear when two operands of equal
+length cancel at the top, so only that case strips them.  Multiplication
+of large operands and the Taylor shift P(X) -> P(X + q) of the root
+expansion run as exact int64 numpy convolutions; both are guarded by the
+one bound _fits_int64, and fall back to Python-int arithmetic when it
+fails.
 
 The absolute value |f| = |T|^deg(f) of the ambient power series field is
 represented purely by the integer degree; -inf for the zero polynomial
 makes max/sum comparisons work unchanged.
 """
 
-from typing import Iterable, Union
+from typing import Iterable
 
 import numpy as np
 
-from .fields import GF, ExtElement, PrimeField, QuadraticExt
+from .fields import GF, PrimeField
 
 NEG_INF = float("-inf")
 
 _SCHOOLBOOK_CUTOFF = 64
-
-Field = Union[PrimeField, QuadraticExt]
 
 
 def _fits_int64(p: int, terms: int) -> bool:
@@ -44,13 +40,14 @@ def _fits_int64(p: int, terms: int) -> bool:
 class Polynomial:
     __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: Field, coeffs: Iterable = (), *, _trusted=False):
+    def __init__(self, field: PrimeField, coeffs: Iterable = (), *, _trusted=False):
         if _trusted:
             self.field = field
             self.coeffs = coeffs
             return
-        cs = [field(c) for c in coeffs]
-        while cs and field.is_zero(cs[-1]):
+        p = field.p
+        cs = [c % p for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
         self.field = field
         self.coeffs = tuple(cs)
@@ -70,7 +67,7 @@ class Polynomial:
 
     @classmethod
     def one(cls, field) -> "Polynomial":
-        return cls(field, (field.one(),), _trusted=True)
+        return cls(field, (1,), _trusted=True)
 
     @classmethod
     def constant(cls, field, c) -> "Polynomial":
@@ -78,14 +75,14 @@ class Polynomial:
 
     @classmethod
     def x(cls, field) -> "Polynomial":
-        return cls(field, (field.zero(), field.one()), _trusted=True)
+        return cls(field, (0, 1), _trusted=True)
 
     @classmethod
     def monomial(cls, field, c, n: int) -> "Polynomial":
-        c = field(c)
-        if field.is_zero(c):
+        c %= field.p
+        if not c:
             return cls.zero(field)
-        return cls(field, (field.zero(),) * n + (c,), _trusted=True)
+        return cls(field, (0,) * n + (c,), _trusted=True)
 
     # -- basics ----------------------------------------------------------------
 
@@ -102,7 +99,7 @@ class Polynomial:
         return self.coeffs[-1]
 
     def constant_coefficient(self):
-        return self.coeffs[0] if self.coeffs else self.field.zero()
+        return self.coeffs[0] if self.coeffs else 0
 
     def __bool__(self):
         return bool(self.coeffs)
@@ -130,11 +127,6 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        if f.is_extension:
-            out = list(a)
-            for i, c in enumerate(b):
-                out[i] = f.add(out[i], c)
-            return Polynomial(f, out)
         p = f.p
         if len(a) > len(b):
             return Polynomial(
@@ -146,13 +138,6 @@ class Polynomial:
         f = self.field
         a, b = self.coeffs, other.coeffs
         la, lb = len(a), len(b)
-        if f.is_extension:
-            z = f.zero()
-            out = [
-                f.sub(a[i] if i < la else z, b[i] if i < lb else z)
-                for i in range(max(la, lb))
-            ]
-            return Polynomial(f, out)
         p = f.p
         if la > lb:
             return Polynomial(
@@ -167,20 +152,16 @@ class Polynomial:
 
     def __neg__(self):
         f = self.field
-        if f.is_extension:
-            return Polynomial(f, tuple(f.neg(c) for c in self.coeffs), _trusted=True)
         p = f.p
         return Polynomial(f, tuple([-c % p for c in self.coeffs]), _trusted=True)
 
     def scaled(self, c) -> "Polynomial":
         f = self.field
-        c = f(c)
-        if f.is_zero(c):
-            return Polynomial.zero(f)
-        if f.is_extension:
-            return Polynomial(f, [f.mul(a, c) for a in self.coeffs])
-        # c is a unit of F_p, so the product keeps every nonzero coefficient nonzero
         p = f.p
+        c %= p
+        if not c:
+            return Polynomial.zero(f)
+        # c is a unit of F_p, so the product keeps every nonzero coefficient nonzero
         return Polynomial(f, tuple([a * c % p for a in self.coeffs]), _trusted=True)
 
     def __mul__(self, other):
@@ -189,12 +170,6 @@ class Polynomial:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Polynomial.zero(self.field)
-        if isinstance(self.field, PrimeField):
-            return self._mul_prime(other)
-        return self._mul_generic(other)
-
-    def _mul_prime(self, other):
-        a, b = self.coeffs, other.coeffs
         p = self.field.p
         la, lb = len(a), len(b)
         if la + lb > _SCHOOLBOOK_CUTOFF and _fits_int64(p, min(la, lb)):
@@ -208,16 +183,6 @@ class Polynomial:
                 for j, bj in enumerate(b):
                     out[i + j] += ai * bj
         return Polynomial._make(self.field, [c % p for c in out])
-
-    def _mul_generic(self, other):
-        f = self.field
-        a, b = self.coeffs, other.coeffs
-        out = [f.zero()] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if not f.is_zero(ai):
-                for j, bj in enumerate(b):
-                    out[i + j] = f.add(out[i + j], f.mul(ai, bj))
-        return Polynomial(f, out)
 
     def __pow__(self, e: int):
         if e < 0:
@@ -233,8 +198,6 @@ class Polynomial:
 
     def pow_frobenius(self) -> "Polynomial":
         """f(T)^p computed as f(T^p); valid because the coefficients lie in F_p."""
-        if not isinstance(self.field, PrimeField):
-            raise TypeError("Frobenius re-indexing requires prime-field coefficients")
         p = self.field.p
         if not self.coeffs:
             return self
@@ -253,19 +216,13 @@ class Polynomial:
         f = self.field
         if len(self.coeffs) < len(other.coeffs):
             return Polynomial.zero(f), self
-        if isinstance(f, PrimeField):
-            return self._divmod_prime(other)
-        return self._divmod_generic(other)
-
-    def _divmod_prime(self, other):
-        f = self.field
         p = f.p
         g = other.coeffs
         m = len(g) - 1
         inv_lc = f.inv(g[-1])
         rem = list(self.coeffs)
         if m >= 128 and len(rem) - m >= 64:
-            return self._divmod_prime_np(other, inv_lc)
+            return self._divmod_np(other, inv_lc)
         q = [0] * (len(rem) - m)
         for i in range(len(rem) - 1, m - 1, -1):
             c = rem[i]
@@ -277,7 +234,7 @@ class Polynomial:
                 rem[i] = 0
         return Polynomial._make(f, q), Polynomial._make(f, rem[:m])
 
-    def _divmod_prime_np(self, other, inv_lc):
+    def _divmod_np(self, other, inv_lc):
         f = self.field
         p = f.p
         g = np.asarray(other.coeffs[:-1], dtype=np.int64)
@@ -292,23 +249,6 @@ class Polynomial:
                 rem[i - m : i] = (rem[i - m : i] - c * g) % p
         return Polynomial._make(f, q), Polynomial._make(f, rem[:m].tolist())
 
-    def _divmod_generic(self, other):
-        f = self.field
-        g = other.coeffs
-        m = len(g) - 1
-        inv_lc = f.inv(g[-1])
-        rem = list(self.coeffs)
-        q = [f.zero()] * (len(rem) - m)
-        for i in range(len(rem) - 1, m - 1, -1):
-            c = rem[i]
-            if not f.is_zero(c):
-                c = f.mul(c, inv_lc)
-                q[i - m] = c
-                for j in range(m):
-                    rem[i - m + j] = f.sub(rem[i - m + j], f.mul(c, g[j]))
-                rem[i] = f.zero()
-        return Polynomial(f, q), Polynomial(f, rem[:m])
-
     def __floordiv__(self, other):
         return divmod(self, other)[0]
 
@@ -318,10 +258,10 @@ class Polynomial:
     # -- evaluation and reshaping ------------------------------------------------------
 
     def __call__(self, x):
-        f = self.field
-        acc = f.zero()
+        p = self.field.p
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, x), c)
+            acc = (acc * x + c) % p
         return acc
 
     def monic(self) -> "Polynomial":
@@ -336,9 +276,9 @@ class Polynomial:
         parts = []
         for n in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[n]
-            if self.field.is_zero(c):
+            if not c:
                 continue
-            cs = _coeff_str(c)
+            cs = str(c)
             if n == 0:
                 parts.append(cs)
             else:
@@ -347,30 +287,14 @@ class Polynomial:
         return " + ".join(parts)
 
     def to_json_dict(self) -> dict:
-        ext = isinstance(self.field, QuadraticExt)
-        if ext:
-            coeffs = [[c.a0, c.a1] for c in self.coeffs]
-        else:
-            coeffs = list(self.coeffs)
-        return {"p": self.field.p, "ext": ext, "coeffs": coeffs}
+        # "ext" stays in the serialized form, always false: the coefficients lie in F_p
+        return {"p": self.field.p, "ext": False, "coeffs": list(self.coeffs)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "Polynomial":
-        base = GF(d["p"])
         if d.get("ext"):
-            field = base.ext()
-            return Polynomial(field, [ExtElement(a0, a1) for a0, a1 in d["coeffs"]])
-        return Polynomial(base, d["coeffs"])
-
-
-def _coeff_str(c) -> str:
-    if isinstance(c, ExtElement):
-        if c.a1 == 0:
-            return str(c.a0)
-        if c.a0 == 0:
-            return f"{c.a1}*w" if c.a1 != 1 else "w"
-        return f"({c.a0} + {c.a1}*w)"
-    return str(c)
+            raise ValueError("extension-field coefficients are not supported")
+        return Polynomial(GF(d["p"]), d["coeffs"])
 
 
 # -- free functions on polynomials ------------------------------------------------
@@ -389,15 +313,15 @@ def taylor_shift(coeffs, q: Polynomial) -> list:
     """X-coefficients of P(X + q), where P = sum coeffs[i] * X^i over F_p[T].
 
     Synthetic division: for j < n, for k = n-1 .. j, t_k += q * t_{k+1}.
-    Over F_p each coefficient goes to int64 once, every step is one
-    convolution, one in-place add and one reduction mod p, and each result
-    comes back with one tolist().  A step sums at most len(q) products, so
-    one _fits_int64 check covers the triangle; when it fails, or off the
-    prime field, the same triangle runs in exact Polynomial arithmetic.
+    Each coefficient goes to int64 once, every step is one convolution, one
+    in-place add and one reduction mod p, and each result comes back with
+    one tolist().  A step sums at most len(q) products, so one _fits_int64
+    check covers the triangle; when it fails the same triangle runs in
+    exact Polynomial arithmetic.
     """
     field = q.field
     n = len(coeffs) - 1
-    if field.is_extension or not q.coeffs or not _fits_int64(field.p, len(q.coeffs)):
+    if not q.coeffs or not _fits_int64(field.p, len(q.coeffs)):
         t = list(coeffs)
         for j in range(n):
             for k in range(n - 1, j - 1, -1):
@@ -436,7 +360,8 @@ def content(polys) -> Polynomial:
 
 def formal_derivative(f: Polynomial) -> Polynomial:
     fld = f.field
-    return Polynomial(fld, [fld.mul(fld(n), c) for n, c in enumerate(f.coeffs)][1:])
+    p = fld.p
+    return Polynomial(fld, [n * c % p for n, c in enumerate(f.coeffs)][1:])
 
 
 def formal_integral(f: Polynomial) -> Polynomial:
@@ -446,8 +371,6 @@ def formal_integral(f: Polynomial) -> Polynomial:
     has no primitive in F_p[T] and raises ValueError.
     """
     fld = f.field
-    if not isinstance(fld, PrimeField):
-        raise TypeError("formal integration is defined over the prime field")
     p = fld.p
     out = [0] * (len(f.coeffs) + 1)
     for n, c in enumerate(f.coeffs):
@@ -458,62 +381,10 @@ def formal_integral(f: Polynomial) -> Polynomial:
     return Polynomial._make(fld, out)
 
 
-def scale_variable(f: Polynomial, v) -> Polynomial:
-    """Substitute T -> v*T, multiplying the T^n coefficient by v^n.
-
-    When v is an ExtElement the result lives over F_{p^2} even if f does
-    not; use to_prime_field to cast back once coefficients are known to
-    land in F_p.
-    """
-    if isinstance(v, ExtElement):
-        if isinstance(f.field, QuadraticExt):
-            ext = f.field
-            coeffs = f.coeffs
-        else:
-            ext = f.field.ext()
-            coeffs = [ext.lift(c) for c in f.coeffs]
-        if ext.is_zero(v):
-            raise ValueError("degenerate scaling by v = 0")
-        out, power = [], ext.one()
-        for c in coeffs:
-            out.append(ext.mul(c, power))
-            power = ext.mul(power, v)
-        return Polynomial(ext, out)
-    fld = f.field
-    v = fld(v)
-    if fld.is_zero(v):
-        raise ValueError("degenerate scaling by v = 0")
-    out, power = [], fld.one()
-    for c in f.coeffs:
-        out.append(fld.mul(c, power))
-        power = fld.mul(power, v)
-    return Polynomial(fld, out)
-
-
-def to_prime_field(f: Polynomial) -> Polynomial:
-    """Cast an F_{p^2} polynomial known to have base-field coefficients down to F_p."""
-    if isinstance(f.field, PrimeField):
-        return f
-    ext = f.field
-    for n, c in enumerate(f.coeffs):
-        if c.a1 % ext.p != 0:
-            raise ValueError(
-                f"coefficient of T^{n} is {c.a0} + {c.a1}*w, not in GF({ext.p})"
-            )
-    return Polynomial(ext.base, [c.a0 for c in f.coeffs])
-
-
-def lift_to_ext(f: Polynomial) -> Polynomial:
-    if isinstance(f.field, QuadraticExt):
-        return f
-    ext = f.field.ext()
-    return Polynomial(ext, [ext.lift(c) for c in f.coeffs], _trusted=True)
-
-
 def is_odd_polynomial(f: Polynomial) -> bool:
     """True when every monomial of f has odd exponent (vacuously for 0)."""
-    return all(f.field.is_zero(c) for c in f.coeffs[0::2])
+    return not any(f.coeffs[0::2])
 
 
 def is_even_polynomial(f: Polynomial) -> bool:
-    return all(f.field.is_zero(c) for c in f.coeffs[1::2])
+    return not any(f.coeffs[1::2])

@@ -36,14 +36,7 @@ from .perfect import (
     relation_residual,
     generate_perfect_expansion,
 )
-from .polynomials import (
-    NEG_INF,
-    Polynomial,
-    formal_integral,
-    gcd_monic,
-    scale_variable,
-    to_prime_field,
-)
+from .polynomials import NEG_INF, Polynomial, formal_integral, gcd_monic
 from .rootcf import alpha_series, expand_root, quartic_state
 
 
@@ -81,12 +74,6 @@ def power_vectors(field: PrimeField, n: int) -> list:
         cur = _alpha_step(field, cur)
         vecs.append(cur)
     return vecs
-
-
-def power_reduce(field: PrimeField, n: int) -> PowerVec:
-    if n < 1:
-        raise ValueError("powers start at alpha^1")
-    return power_vectors(field, n)[n]
 
 
 class DerivationError(ValueError):
@@ -262,23 +249,21 @@ class NormalizedRelation:
 def normalize_to_beta(trace: FrobeniusTrace) -> NormalizedRelation:
     """Transform alpha's relation to beta(T) = v*alpha(v*T) coordinates.
 
-    b_i(T) = v^((-1)^(i+1)) a_i(v*T) must land in F_p[T] (asserted), and
+    b_i(T) = v^((-1)^(i+1)) a_i(v*T) must land in F_p[T] (ValueError
+    otherwise; odd a_i always do), and
       eps1' = (-a)^(k + (p - (-1)^l)/2) eps1
       eps2' = (-a)^(k + (p - 1)/2)     eps2.
     """
     field = GF(trace.p)
     neg_a = field.neg(trace.a)
     v = field.sqrt_in_ext(neg_a)
-    ext = field.ext()
     sign_l = 1 if trace.l % 2 == 0 else -1
     e1 = field.mul(field.pow(neg_a, trace.k + (trace.p - sign_l) // 2), trace.eps1)
     e2 = field.mul(field.pow(neg_a, trace.k + (trace.p - 1) // 2), trace.eps2)
-    b_prefix = []
-    for i, q in enumerate(trace.prefix.quotients, start=1):
-        power = 1 if i % 2 == 1 else -1
-        scaled = scale_variable(q, v)
-        b = Polynomial(ext, [ext.mul(coef, ext.pow(v, power)) for coef in scaled.coeffs])
-        b_prefix.append(to_prime_field(b))
+    b_prefix = [
+        _rescale(field, q, v, 1 if i % 2 == 1 else -1, 1)
+        for i, q in enumerate(trace.prefix.quotients, start=1)
+    ]
     lambdas = tuple(b.leading_coefficient() for b in b_prefix)
     return NormalizedRelation(
         trace.p, trace.l, trace.k, trace.a, v, e1, e2, tuple(b_prefix), lambdas
@@ -287,14 +272,38 @@ def normalize_to_beta(trace: FrobeniusTrace) -> NormalizedRelation:
 
 def beta_quotient_to_alpha(field: PrimeField, b: Polynomial, n: int, v: ExtElement) -> Polynomial:
     """Map the n-th beta quotient back: a_n(T) = v^((-1)^n) * b_n(T/v)."""
-    ext = field.ext()
-    v_inv = ext.inv(v)
-    scaled = scale_variable(b, v_inv)
-    power = 1 if n % 2 == 0 else -1
-    mapped = Polynomial(
-        ext, [ext.mul(c, ext.pow(v, power)) for c in scaled.coeffs]
-    )
-    return to_prime_field(mapped)
+    return _rescale(field, b, v, 1 if n % 2 == 0 else -1, -1)
+
+
+def _rescale(field: PrimeField, f: Polynomial, v: ExtElement, outer: int, inner: int) -> Polynomial:
+    """v^outer * f(v^inner * T), computed in F_p: the T^j coefficient c_j
+    becomes c_j * v^m with m = outer + inner*j.
+
+    v is a square root record from sqrt_in_ext, so s = v^2 = a0^2 + d*a1^2
+    lies in F_p.  An even m gives v^m = s^(m/2); an odd m needs v itself in
+    F_p (a1 = 0).  A nonzero coefficient that would leave F_p raises
+    ValueError; for the odd quotients of the quartic every m is even.
+    """
+    p = field.p
+    if v.a0 % p and v.a1 % p:
+        raise ValueError(f"v = {v.a0} + {v.a1}*w is not a square root of an element of GF({p})")
+    d = field.smallest_nonresidue()
+    s = (v.a0 * v.a0 + d * v.a1 * v.a1) % p
+    if not s:
+        raise ValueError("degenerate scaling by v = 0")
+    out = []
+    for j, c in enumerate(f.coeffs):
+        m = outer + inner * j
+        if c and m % 2:
+            if v.a1 % p:
+                # v^m = a1^m * d^((m-1)/2) * w
+                w_part = c * field.pow(v.a1, m) * field.pow(d, (m - 1) // 2) % p
+                raise ValueError(f"coefficient of T^{j} is 0 + {w_part}*w, not in GF({p})")
+            c = c * field.pow(v.a0, m) % p
+        elif c:
+            c = c * field.pow(s, m // 2) % p
+        out.append(c)
+    return Polynomial(field, out)
 
 
 # -- conjecture verdicts ------------------------------------------------------------

@@ -140,39 +140,6 @@ class TestScalarCF:
         assert eval_scalar_cf(F, [a, b, c]) == expect
 
 
-class TestTailTransform:
-    def test_l1_is_inverse_shift(self):
-        a1 = poly(F7, 0, 2)
-        cf = ContinuedFraction(F7, [a1])
-        m = cf.tail_transform(1)
-        # alpha_2 = 1/(alpha - a_1)
-        assert m.a.is_zero()
-        assert m.b == Polynomial.one(F7)
-        assert m.c == Polynomial.one(F7)
-        assert m.d == -a1
-
-    def test_moebius_inverse_of_convergent_map(self):
-        # f_l(alpha_{l+1}) = alpha means the two matrices multiply to a scalar
-        rng = random.Random(13)
-        for _ in range(20):
-            qs = random_quotients(F13, rng, rng.randrange(1, 7))
-            cf = ContinuedFraction(F13, qs)
-            l = rng.randrange(1, len(qs) + 1)
-            xs, ys = cf.continuants()
-            m = cf.tail_transform(l)
-            # [[x_l, x_{l-1}], [y_l, y_{l-1}]] . [[a, b], [c, d]]
-            prod = (
-                xs[l] * m.a + xs[l - 1] * m.c,
-                xs[l] * m.b + xs[l - 1] * m.d,
-                ys[l] * m.a + ys[l - 1] * m.c,
-                ys[l] * m.b + ys[l - 1] * m.d,
-            )
-            scalar = prod[0]
-            assert prod[1].is_zero() and prod[2].is_zero()
-            assert prod[3] == scalar
-            assert scalar.degree == 0
-
-
 class TestSerialization:
     def test_json_roundtrip(self):
         cf = ContinuedFraction(F13, [poly(F13, 0, 1), poly(F13, 0, 12)])

@@ -1,10 +1,12 @@
 import io
 import json
+import random
+import time
 
 import pytest
 
 from hqcf.cf import ContinuedFraction
-from hqcf.cli import UsageError, main, parse_polynomial
+from hqcf.cli import MAX_PARSED_DEGREE, UsageError, main, parse_polynomial
 from hqcf.fields import GF
 from hqcf.polynomials import Polynomial
 
@@ -50,6 +52,34 @@ class TestParsePolynomial:
     def test_nonconstant_divisor(self):
         with pytest.raises(UsageError):
             parse_polynomial("X/T", F13)
+
+    def test_huge_power_rejected_before_expansion(self):
+        t0 = time.perf_counter()
+        for text in ("(X+T)^100000", "X^2 + T^100000*X", "(X^2 + T)^200"):
+            with pytest.raises(UsageError, match="would exceed degree"):
+                parse_polynomial(text, GF(5))
+        assert time.perf_counter() - t0 < 2.0
+
+    def test_huge_product_rejected(self):
+        with pytest.raises(UsageError, match="would exceed degree"):
+            parse_polynomial("(X+T)^200 * (X+T)^100", GF(5))
+
+    def test_powers_up_to_the_bound_parse(self):
+        coeffs = parse_polynomial(f"(X+T)^{MAX_PARSED_DEGREE}", GF(5))
+        assert len(coeffs) == MAX_PARSED_DEGREE + 1
+        # a constant base has degree 0 at any exponent
+        assert parse_polynomial("X^2 + 2^1000000000*X", GF(5))[1] == poly(GF(5), 1)
+
+    def test_seeded_quartics_parse(self):
+        # the dominance-normalized quartics c4*X^4 + (T + c3)*X^3 + ... + c0
+        rng = random.Random(0)
+        for _ in range(20):
+            c0, c1, c2, c3, c4 = (rng.randrange(1, 13) for _ in range(5))
+            text = f"{c4}*X^4 + (T + {c3})*X^3 + {c2}*X^2 + {c1}*X + {c0}"
+            coeffs = parse_polynomial(text, F13)
+            assert coeffs == [
+                poly(F13, c0), poly(F13, c1), poly(F13, c2), poly(F13, c3, 1), poly(F13, c4),
+            ]
 
 
 class TestExpandCommand:

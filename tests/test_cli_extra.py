@@ -77,7 +77,18 @@ class TestThreadCap:
         assert code == 2
 
     def test_default_cap(self):
-        assert 1 <= max_workers() <= 4
+        assert 1 <= max_workers(100) <= 4
+
+    def test_cap_bounded_by_cpus_and_cases(self, monkeypatch):
+        # only the arithmetic of the cap: no pool is started
+        monkeypatch.setenv("HQCF_THREADS", str(10**9))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert max_workers(100) == 2
+        assert max_workers(1) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert max_workers(100) == 1
+        monkeypatch.setenv("HQCF_THREADS", "0")
+        assert max_workers(100) == 1
 
 
 class TestExponentWindow:
@@ -85,6 +96,13 @@ class TestExponentWindow:
         code, out = run(["exponent", "--p", "7", "--n", "100", "--window", "30", "--json"])
         assert code == 0
         assert json.loads(out)["window"] == 30
+
+    @pytest.mark.parametrize("p", [31, 97])
+    def test_conj1_check_sized_from_p(self, p):
+        # 50 checked quotients cannot certify the relation at these primes
+        code, out = run(["exponent", "--p", str(p), "--n", "500", "--json"])
+        assert code == 0
+        assert json.loads(out)["nu0_closed"] == "2/3"
 
 
 class TestValueSeries:

@@ -1,10 +1,12 @@
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF, ExtElement
 from hqcf.polynomials import (
     NEG_INF,
@@ -15,9 +17,8 @@ from hqcf.polynomials import (
     gcd_monic,
     is_even_polynomial,
     is_odd_polynomial,
-    scale_variable,
-    to_prime_field,
 )
+from hqcf.quartic import beta_quotient_to_alpha, normalize_to_beta
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -202,42 +203,106 @@ class TestCalculus:
         assert formal_derivative(g) == f
 
 
+def random_odd_poly(field, rng, max_deg):
+    """A nonzero polynomial with odd exponents only, degree <= max_deg."""
+    top = rng.randrange(1, max_deg + 1, 2)
+    coeffs = [rng.randrange(field.p) if n % 2 else 0 for n in range(top)]
+    return Polynomial(field, coeffs + [rng.randrange(1, field.p)])
+
+
+def ext_mul(x, y, d, p):
+    # (x0 + x1*w)(y0 + y1*w) with w^2 = d: an oracle independent of hqcf
+    return ((x[0] * y[0] + d * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+
+def ext_pow(v, m, d, p):
+    if m < 0:
+        norm = (v[0] * v[0] - d * v[1] * v[1]) % p
+        ninv = pow(norm, p - 2, p)
+        v, m = (v[0] * ninv % p, -v[1] * ninv % p), -m
+    out = (1, 0)
+    for _ in range(m):
+        out = ext_mul(out, v, d, p)
+    return out
+
+
 class TestScaling:
+    """The two quartic rescalings by v = sqrt(-a), computed in F_p:
+    b_i(T) = v^((-1)^(i+1)) a_i(v*T) (normalize_to_beta) and
+    a_n(T) = v^((-1)^n) b_n(T/v) (beta_quotient_to_alpha)."""
+
     def setup_method(self):
         self.F = F13
-        self.v = self.F.sqrt_in_ext(5)  # v^2 = 5
+        self.v = self.F.sqrt_in_ext(5)  # non-residue: v = a1*w, v^2 = 5
+        self.u = self.F.sqrt_in_ext(4)  # residue: u = 2
+
+    def normalize(self, neg_a, quotients):
+        # normalize_to_beta reads only these fields of a derivation trace
+        trace = SimpleNamespace(
+            p=13, a=-neg_a % 13, l=len(quotients), k=4, eps1=1, eps2=1,
+            prefix=ContinuedFraction(self.F, quotients),
+        )
+        return normalize_to_beta(trace)
 
     def test_scale_x_by_v(self):
-        f = Polynomial.x(self.F)
-        g = scale_variable(f, self.v)
-        assert g.coeffs == (ExtElement(0, 0), self.v)
+        T = Polynomial.x(self.F)
+        # forward: T -> v * (v*T) = 5T for odd i, v^-1 * (v*T) = T for even i
+        assert self.normalize(5, [T, T]).b_prefix == (T.scaled(5), T)
+        # back: T -> v^-1 * (T/v) = T/5 for odd n, v * (T/v) = T for even n
+        assert beta_quotient_to_alpha(self.F, T, 1, self.v) == T.scaled(self.F.inv(5))
+        assert beta_quotient_to_alpha(self.F, T, 2, self.v) == T
 
     def test_scale_even_poly_lands_in_base(self):
-        f = poly(self.F, 8, 0, 1)  # T^2 + 8
-        g = to_prime_field(scale_variable(f, self.v))
-        assert g == poly(self.F, 8, 0, 5)  # 5T^2 + 8
+        # with v in F_p even polynomials stay in F_p too: 2*((T/2)^2 + 8) = 7T^2 + 3
+        f = poly(self.F, 8, 0, 1)
+        assert beta_quotient_to_alpha(self.F, f, 2, self.u) == poly(self.F, 3, 0, 7)
 
     def test_scale_constant(self):
-        f = poly(self.F, 11)
-        assert scale_variable(f, self.v).coeffs == (ExtElement(11, 0),)
+        c = poly(self.F, 11)
+        assert beta_quotient_to_alpha(self.F, c, 2, self.u) == poly(self.F, 22)
+        assert beta_quotient_to_alpha(self.F, c, 1, self.u) == poly(self.F, 11 * 7)
 
     def test_scale_involution(self):
         rng = random.Random(5)
-        ext = self.F.ext()
-        vinv = ext.inv(self.v)
-        for _ in range(25):
-            f = random_poly(self.F, rng, 9)
-            back = to_prime_field(scale_variable(scale_variable(f, self.v), vinv))
-            assert back == f
+        for neg_a in (5, 4):  # -a a non-residue, then a residue mod 13
+            qs = [random_odd_poly(self.F, rng, 9) for _ in range(25)]
+            nr = self.normalize(neg_a, qs)
+            back = [
+                beta_quotient_to_alpha(self.F, b, n, nr.v)
+                for n, b in enumerate(nr.b_prefix, start=1)
+            ]
+            assert back == qs
+
+    def test_matches_extension_arithmetic(self):
+        # the F_p route agrees coefficientwise with v^m computed in F_13[w]
+        rng = random.Random(6)
+        d = self.F.smallest_nonresidue()
+        v = tuple(self.v)
+        for n in range(1, 31):
+            b = random_odd_poly(self.F, rng, 11)
+            outer = 1 if n % 2 == 0 else -1
+            expect = []
+            for j, c in enumerate(b.coeffs):
+                e0, e1 = ext_pow(v, outer - j, d, 13)
+                assert c * e1 % 13 == 0
+                expect.append(c * e0)
+            assert beta_quotient_to_alpha(self.F, b, n, self.v) == Polynomial(self.F, expect)
 
     def test_scale_by_zero_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            scale_variable(Polynomial.x(self.F), 0)
+            beta_quotient_to_alpha(self.F, Polynomial.x(self.F), 1, ExtElement(0, 0))
+
+    def test_mixed_record_rejected(self):
+        # (1 + w)^2 = 1 + d + 2w is not in F_p, so it is no v = sqrt(-a)
+        with pytest.raises(ValueError, match="not a square root"):
+            beta_quotient_to_alpha(self.F, Polynomial.x(self.F), 1, ExtElement(1, 1))
 
     def test_downcast_failure_is_loud(self):
-        f = scale_variable(Polynomial.x(self.F), self.v)
+        # an even polynomial needs odd powers of v = a1*w, which leave F_p
         with pytest.raises(ValueError, match="not in GF"):
-            to_prime_field(f)
+            beta_quotient_to_alpha(self.F, poly(self.F, 8, 0, 1), 2, self.v)
+        with pytest.raises(ValueError, match="not in GF"):
+            self.normalize(5, [poly(self.F, 8, 0, 1)])
 
 
 class TestParity:
@@ -255,9 +320,6 @@ class TestSerialization:
         assert d == {"p": 13, "ext": False, "coeffs": [0, 8, 0, 9]}
         assert Polynomial.from_json_dict(json.loads(json.dumps(d))) == f
 
-    def test_roundtrip_ext(self):
-        ext = F13.ext()
-        f = Polynomial(ext, [ExtElement(1, 2), ExtElement(0, 3)])
-        d = f.to_json_dict()
-        assert d["ext"] is True
-        assert Polynomial.from_json_dict(d) == f
+    def test_ext_form_rejected(self):
+        with pytest.raises(ValueError, match="extension"):
+            Polynomial.from_json_dict({"p": 13, "ext": True, "coeffs": [[1, 2], [0, 3]]})

@@ -12,7 +12,6 @@ from hqcf.quartic import (
     beta_quotient_to_alpha,
     derive_frobenius_relation,
     normalize_to_beta,
-    power_reduce,
     power_vectors,
     verify_conjecture1,
     verify_conjecture2,
@@ -70,14 +69,14 @@ def alpha_power_oracle(field, n):
 
 class TestPowerReduce:
     def test_alpha_4(self):
-        v = power_reduce(F13, 4)
+        v = power_vectors(F13, 4)[4]
         assert v.a == poly(F13, 0, -12)
         assert v.b == poly(F13, 12)
         assert v.c.is_zero()
         assert v.d == poly(F13, 12)
 
     def test_alpha_5(self):
-        v = power_reduce(F13, 5)
+        v = power_vectors(F13, 5)[5]
         assert v.a == poly(F13, 12, 0, 144)  # 144T^2 + 12
         assert v.b == poly(F13, 0, -144)
         assert v.c == poly(F13, 12)
@@ -100,9 +99,9 @@ class TestPowerReduce:
                 d, c, b, a = alpha_power_oracle(F, n)
                 assert vecs[n] == (a, b, c, d)
 
-    def test_rejects_small_n(self):
-        with pytest.raises(ValueError):
-            power_reduce(F13, 0)
+    def test_rejects_small_p(self):
+        with pytest.raises(ValueError, match="p >= 5"):
+            power_vectors(GF(3), 4)
 
 
 class TestDerivation:
@@ -155,7 +154,9 @@ class TestNormalization:
         assert [b.format() for b in nr.b_prefix] == [
             "5*T", "12*T", "9*T", "11*T", "T", "5*T",
         ]
-        assert nr.v.a1 != 0 and F13.ext().mul(nr.v, nr.v) == ExtElement(5, 0)
+        # -a = 5 is a non-residue mod 13: v = a1*w with v^2 = d*a1^2 = 5
+        assert nr.v.a0 == 0 and nr.v.a1 != 0
+        assert F13.smallest_nonresidue() * nr.v.a1 * nr.v.a1 % 13 == 5
 
     def test_p7_identity_transform(self):
         nr = normalize_to_beta(derive_frobenius_relation(7))
