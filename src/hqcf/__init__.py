@@ -22,7 +22,6 @@ from .perfect import (
     verify_prop2,
 )
 from .polynomials import (
-    NEG_INF,
     Polynomial,
     content,
     formal_derivative,

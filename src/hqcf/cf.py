@@ -116,7 +116,7 @@ class ContinuedFraction:
         so the floor must stay above that bound.
         """
         xs, ys = self.continuants()
-        cert = -2 * _int_degree(ys[-1])
+        cert = -2 * ys[-1].degree
         if floor < cert:
             raise ValueError(
                 f"insufficient expansion: floor {floor} below certified {cert}"
@@ -135,11 +135,6 @@ class ContinuedFraction:
         if not qs:
             raise ValueError("continued fraction needs at least one quotient")
         return ContinuedFraction(qs[0].field, qs)
-
-
-def _int_degree(f: Polynomial) -> int:
-    d = f.degree
-    return d if isinstance(d, int) else 0
 
 
 def rational_to_cf(num: Polynomial, den: Polynomial) -> ContinuedFraction:

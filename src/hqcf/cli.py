@@ -106,7 +106,7 @@ class _XPoly:
         """(degree in X, degree in T); (-1, -1) for zero."""
         if not self.coeffs:
             return -1, -1
-        return len(self.coeffs) - 1, max(int(c.degree) for c in self.coeffs if c)
+        return len(self.coeffs) - 1, max(c.degree for c in self.coeffs)
 
     def __pow__(self, e):
         out = _XPoly.const(self.field, Polynomial.one(self.field))
@@ -221,7 +221,7 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
         return
     A = []
     if k is not None and 2 * k < cf.field.p:
-        max_deg = max((int(q.degree) for q in cf.quotients), default=1)
+        max_deg = max((q.degree for q in cf.quotients), default=1)
         A = [Polynomial.x(cf.field)]
         while A[-1].degree < max_deg and len(A) < 40:
             nxt = a_sequence(cf.field, k, len(A))
@@ -269,6 +269,8 @@ def cmd_expand(args, out) -> int:
 
 def cmd_generate(args, out) -> int:
     field = _field_from_args(args)
+    if args.n < 0:
+        raise UsageError(f"--n must be >= 0, got {args.n}")
     for name in ("l", "k", "e1", "e2", "lambdas"):
         if getattr(args, name.replace("-", "_"), None) in (None, ""):
             raise UsageError(f"generate needs --{name}")
@@ -434,10 +436,7 @@ def cmd_exponent(args, out) -> int:
             raise UsageError(
                 f"perfect pattern not confirmed for p={args.p}: {verdict.detail}"
             )
-        from .quartic import derive_frobenius_relation, normalize_to_beta
-
-        spec = normalize_to_beta(derive_frobenius_relation(args.p)).spec()
-        cf = generate_perfect_expansion(spec, args.n).cf
+        cf = generate_perfect_expansion(verdict.spec, args.n).cf
         source = "perfect-expansion generator (degrees match the direct expansion)"
     else:
         cf = expand_root(quartic_state(field), args.n)

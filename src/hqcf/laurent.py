@@ -1,15 +1,23 @@
-"""Truncated Laurent series in 1/T over a prime field.
+"""Truncated Laurent series in 1/T over a prime field, on the F_p[T] kernel.
 
-A Laurent value knows its coefficients for the exponent range (floor, top]:
-`coeffs[i]` is the coefficient of T^(top - i) and everything at or below
-`floor` is unknown.  floor = None marks an exact value (a Laurent
-polynomial).  All arithmetic tracks the floor conservatively, so a
-coefficient the object reports is always the true one.
+A Laurent value is num(T) * T^shift, with num an ascending Polynomial, and
+it knows its coefficients on the exponents above `floor`: everything at or
+below floor is unknown, and floor = None marks an exact value (a Laurent
+polynomial).  The constructor drops the coefficients of num that fall at or
+below the floor, so every stored coefficient is a known one; the stored
+part may stop above floor + 1, and the exponents between are known zeros.
+
+The arithmetic is the polynomial kernel's: * multiplies the two num and
+adds the shifts, frobenius is pow_frobenius, + and - align the offsets
+with << and add the polynomials, truncate drops coefficients, and divide
+is one floor division of polynomials.  The floors are tracked
+conservatively, so a coefficient the object reports is always the true one.
 """
 
+import operator
 from typing import Optional
 
-from .polynomials import NEG_INF, Polynomial
+from .polynomials import Polynomial
 
 
 def _floor_max(*floors):
@@ -18,188 +26,124 @@ def _floor_max(*floors):
 
 
 class Laurent:
-    __slots__ = ("field", "top", "coeffs", "floor")
+    __slots__ = ("num", "shift", "floor")
 
-    def __init__(self, field, top: int, coeffs, floor: Optional[int]):
-        coeffs = [c % field.p for c in coeffs]
-        while coeffs and coeffs[0] == 0:
-            coeffs.pop(0)
-            top -= 1
-        if floor is not None:
-            keep = top - floor
-            if keep <= 0 or not coeffs:
-                coeffs, top = [], floor
-            elif len(coeffs) > keep:
-                coeffs = coeffs[:keep]
-        while coeffs and coeffs[-1] == 0 and floor is None:
-            coeffs.pop()
-        if not coeffs and floor is None:
-            top = 0
-        self.field = field
-        self.top = top
-        self.coeffs = coeffs
+    def __init__(self, num: Polynomial, shift: int = 0, floor: Optional[int] = None):
+        if floor is not None and shift <= floor:
+            num = num << (shift - floor - 1)
+            shift = floor + 1
+        self.num = num
+        self.shift = shift
         self.floor = floor
 
     @classmethod
     def from_polynomial(cls, f: Polynomial, floor: Optional[int] = None) -> "Laurent":
-        if f.is_zero():
-            return cls(f.field, floor if floor is not None else 0, [], floor)
-        return cls(f.field, f.degree, list(reversed(f.coeffs)), floor)
+        return cls(f, 0, floor)
 
     @classmethod
     def zero(cls, field, floor: Optional[int] = None) -> "Laurent":
-        return cls(field, floor if floor is not None else 0, [], floor)
+        return cls(Polynomial.zero(field), 0, floor)
 
     # -- inspection -------------------------------------------------------------
 
-    def degree(self):
-        """Exponent of the leading known nonzero coefficient (-inf if none)."""
-        return self.top if self.coeffs else NEG_INF
+    @property
+    def field(self):
+        return self.num.field
+
+    def degree(self) -> Optional[int]:
+        """Exponent of the leading known nonzero coefficient (None if none)."""
+        return self.shift + self.num.degree if self.num else None
+
+    def _top(self) -> int:
+        # the exponent the floors of * and divide are measured from: the
+        # degree, or for a series that is zero to precision its floor (0 if exact)
+        if self.num:
+            return self.degree()
+        return 0 if self.floor is None else self.floor
 
     def coefficient(self, exponent: int) -> int:
         if self.floor is not None and exponent <= self.floor:
             raise ValueError(f"coefficient of T^{exponent} is below the precision floor")
-        i = self.top - exponent
-        if i < 0 or i >= len(self.coeffs):
-            return 0
-        return self.coeffs[i]
+        i = exponent - self.shift
+        cs = self.num.coeffs
+        return cs[i] if 0 <= i < len(cs) else 0
 
     def is_zero_to_precision(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __repr__(self):
         fl = "exact" if self.floor is None else f"O(T^{self.floor})"
-        terms = ", ".join(
-            f"{c}*T^{self.top - i}" for i, c in enumerate(self.coeffs[:6]) if c
-        )
+        top = reversed(list(enumerate(self.num.coeffs))[-6:])
+        terms = ", ".join(f"{c}*T^{self.shift + i}" for i, c in top if c)
         return f"Laurent({terms or '0'}, {fl})"
 
     # -- arithmetic -------------------------------------------------------------
 
     def truncate(self, floor: int) -> "Laurent":
         new_floor = floor if self.floor is None else max(floor, self.floor)
-        return Laurent(self.field, self.top, list(self.coeffs), new_floor)
+        return Laurent(self.num, self.shift, new_floor)
 
     def __add__(self, other):
-        return self._addsub(other, 1)
+        return self._addsub(other, operator.add)
 
     def __sub__(self, other):
-        return self._addsub(other, -1)
+        return self._addsub(other, operator.sub)
 
-    def _addsub(self, other, sign):
-        field = self.field
+    def _addsub(self, other, op):
         floor = _floor_max(self.floor, other.floor)
-        top = max(self.top, other.top)
-        if floor is not None and top < floor:
-            top = floor
-        lo = floor + 1 if floor is not None else min(
-            self.top - len(self.coeffs), other.top - len(other.coeffs)
-        ) + 1
-        out = []
-        for e in range(top, lo - 1, -1):
-            a = self._raw(e)
-            b = other._raw(e)
-            out.append((a + sign * b) % field.p)
-        return Laurent(field, top, out, floor)
-
-    def _raw(self, exponent: int) -> int:
-        i = self.top - exponent
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return 0
+        s = min(self.shift, other.shift)
+        if floor is not None:
+            s = max(s, floor + 1)
+        return Laurent(op(self.num << (self.shift - s), other.num << (other.shift - s)), s, floor)
 
     def scaled(self, c: int) -> "Laurent":
-        c = c % self.field.p
-        return Laurent(self.field, self.top, [c * a for a in self.coeffs], self.floor)
+        return Laurent(self.num.scaled(c), self.shift, self.floor)
 
     def __mul__(self, other):
-        field = self.field
-        if not self.coeffs or not other.coeffs:
-            # zero to precision; the floor still degrades as usual
-            floor = _floor_max(
-                None if self.floor is None else self.floor + other.top,
-                None if other.floor is None else other.floor + self.top,
-            )
-            return Laurent.zero(field, floor)
         floor = _floor_max(
-            None if self.floor is None else self.floor + other.top,
-            None if other.floor is None else other.floor + self.top,
+            None if self.floor is None else self.floor + other._top(),
+            None if other.floor is None else other.floor + self._top(),
         )
-        top = self.top + other.top
-        n = len(self.coeffs) + len(other.coeffs) - 1
-        out = [0] * n
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return Laurent(field, top, [c % field.p for c in out], floor)
+        return Laurent(self.num * other.num, self.shift + other.shift, floor)
 
     def frobenius(self) -> "Laurent":
-        """Raise to the p-th power via coefficient re-indexing (exponents scale by p)."""
+        """Raise to the p-th power: f^p = f(T^p) over F_p, so the exponents
+        and the floor scale by p."""
         p = self.field.p
-        if not self.coeffs:
-            floor = None if self.floor is None else self.floor * p
-            return Laurent.zero(self.field, floor)
-        out = [0] * ((len(self.coeffs) - 1) * p + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * p] = c
         floor = None if self.floor is None else self.floor * p
-        return Laurent(self.field, self.top * p, out, floor)
-
-    def __truediv__(self, other):
-        return divide(self, other)
+        return Laurent(self.num.pow_frobenius(), self.shift * p, floor)
 
     def first_difference(self, other) -> float:
         """Largest exponent where the two series differ, or -inf when equal
         on the whole mutually known range."""
-        floor = _floor_max(self.floor, other.floor)
-        diff = self - other
-        d = diff.degree()
-        if d is NEG_INF:
-            return NEG_INF
-        if floor is not None and d <= floor:
-            return NEG_INF
-        return d
+        d = (self - other).degree()
+        return float("-inf") if d is None else d
 
 
 def divide(num: Laurent, den: Laurent) -> Laurent:
-    """Laurent division by synthetic long division over the known ranges."""
-    field = num.field
-    if not den.coeffs:
+    """Laurent division, certified down to the floor the two precisions allow.
+
+    With num = N * T^sn and den = D * T^sd the quotient is (N/D) * T^(sn-sd),
+    and its coefficients above the floor are those of the polynomial part
+    (N * T^m) // D, m = sn - sd - floor - 1, placed at T^(floor+1).
+    """
+    if den.is_zero_to_precision():
         raise ZeroDivisionError("division by a series that is zero to precision")
-    p = field.p
-    delta = den.top
-    dn = den.coeffs
-    inv_lc = pow(dn[0], p - 2, p)
-    if not num.coeffs:
-        floor = None if num.floor is None else num.floor - delta
-        return Laurent.zero(field, floor)
+    delta = den.degree()
+    if num.is_zero_to_precision():
+        return Laurent.zero(num.field, None if num.floor is None else num.floor - delta)
     # error analysis: num = N + O(T^fn), den = D + O(T^fd)
     #   num/den - N/D = (eps_n*D - N*eps_d) / (D*(D+eps_d))
     # giving floor = max(fn - delta, fd + deg(N) - 2*delta)
-    floors = []
-    if num.floor is not None:
-        floors.append(num.floor - delta)
-    if den.floor is not None:
-        floors.append(den.floor + num.top - 2 * delta)
-    floor = max(floors) if floors else None
-    top = num.top - delta
+    floor = _floor_max(
+        None if num.floor is None else num.floor - delta,
+        None if den.floor is None else den.floor + num.degree() - 2 * delta,
+    )
     if floor is None:
         # exact inputs still need a cutoff; callers must truncate first
         raise ValueError("dividing two exact values needs an explicit precision floor")
-    count = top - floor
-    if count <= 0:
-        return Laurent.zero(field, floor)
-    rem = list(num.coeffs) + [0] * max(0, count + len(dn) - len(num.coeffs))
-    out = []
-    for k in range(count):
-        c = rem[k] * inv_lc % p
-        out.append(c)
-        if c:
-            for j in range(1, len(dn)):
-                if k + j < len(rem):
-                    rem[k + j] = (rem[k + j] - c * dn[j]) % p
-    return Laurent(field, top, out, floor)
+    m = num.shift - den.shift - floor - 1
+    return Laurent((num.num << m) // den.num, floor + 1, floor)
 
 
 def rational_series(num: Polynomial, den: Polynomial, floor: int) -> Laurent:

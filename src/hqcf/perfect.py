@@ -101,6 +101,24 @@ def family_constants(field: PrimeField, k: int) -> FamilyConstants:
     return FamilyConstants(theta, tuple(v))
 
 
+# Largest closed-form degree deg A_{i,k} = (p^i (p-1-2k) + 2k)/(p-1) the
+# generator builds; a_sequence builds the whole tower A_0 .. A_i, about
+# p/(p-1) times that many coefficients (A_6 at p = 13, k = 1: 4,022,341).
+MAX_A_DEGREE = 10**7
+
+
+def _check_a_index(p: int, k: int, i: int):
+    """Raise ValueError when A_{i,k} is past MAX_A_DEGREE, before any
+    polynomial is built.  An index above log2(MAX_A_DEGREE) is refused
+    without computing p^i: for 2k < p - 1 its degree is at least
+    p^(i-1) > MAX_A_DEGREE, and for 2k = p - 1 (every A_{i,k} of degree 1)
+    the tower would still take i steps."""
+    if i > MAX_A_DEGREE.bit_length() or (
+        p**i * (p - 1 - 2 * k) + 2 * k
+    ) // (p - 1) > MAX_A_DEGREE:
+        raise ValueError(f"index {i} asks for A_({i},k) past degree {MAX_A_DEGREE}")
+
+
 def a_sequence(field: PrimeField, k: int, count: int) -> list:
     """A_{0,k} .. A_{count,k} over the normalized family P_k."""
     P, _ = pq_polynomials(field, k)
@@ -180,6 +198,10 @@ class ExpansionSpec:
             raise ValueError("prefix data must have length l")
         if self.l < 1 or not 1 <= self.k or not 2 * self.k < self.field.p:
             raise ValueError("need l >= 1 and 1 <= k < p/2")
+        if any(i < 0 for i in idx):
+            raise ValueError(f"prefix indices must be >= 0, got {idx}")
+        for i in idx:
+            _check_a_index(self.field.p, self.k, i)
         if any(x == 0 for x in self.lambdas) or self.field(self.eps1) == 0 or self.field(self.eps2) == 0:
             raise ValueError("lambdas and epsilons must be nonzero")
 
@@ -282,6 +304,7 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
                 )
         m += 1
     max_i = max(idx[1 : n + 1], default=0)
+    _check_a_index(p, k, max_i)
     A = a_sequence(f, k, max_i)
     quotients = [A[idx[j]].scaled(lam[j]) for j in range(1, n + 1)]
     cf = ContinuedFraction(

@@ -1,7 +1,7 @@
 """Dense univariate polynomials over F_p.
 
 Coefficients are stored ascending by degree with no trailing zeros; the
-zero polynomial has an empty coefficient tuple and degree -inf.
+zero polynomial has an empty coefficient tuple and degree -1.
 
 The coefficients are a tuple of plain ints in [0, p) and the kernel works
 on those tuples directly.  Addition, subtraction, negation and scaling
@@ -13,11 +13,14 @@ length cancel at the top, so only that case strips them.  Multiplication
 of large operands and the Taylor shift P(X) -> P(X + q) of the root
 expansion run as exact int64 numpy convolutions; both are guarded by the
 one bound _fits_int64, and fall back to Python-int arithmetic when it
-fails.
+fails.  f << n is f * T^n, and for n < 0 the polynomial part of it: the
+offset arithmetic of the Laurent series in hqcf.laurent, which run on
+this kernel.
 
 The absolute value |f| = |T|^deg(f) of the ambient power series field is
-represented purely by the integer degree; -inf for the zero polynomial
-makes max/sum comparisons work unchanged.
+represented by the integer degree.  The zero polynomial's -1 is only a
+sentinel below every real degree, not |0| = 0: callers that must treat
+zero apart test is_zero().
 """
 
 from typing import Iterable
@@ -25,8 +28,6 @@ from typing import Iterable
 import numpy as np
 
 from .fields import GF, PrimeField
-
-NEG_INF = float("-inf")
 
 _SCHOOLBOOK_CUTOFF = 64
 
@@ -87,8 +88,8 @@ class Polynomial:
     # -- basics ----------------------------------------------------------------
 
     @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -205,6 +206,15 @@ class Polynomial:
         for i, c in enumerate(self.coeffs):
             out[i * p] = c
         return Polynomial._make(self.field, out)
+
+    def __lshift__(self, n: int) -> "Polynomial":
+        """The polynomial part of f * T^n: for n >= 0 the product, for n < 0
+        f with its lowest -n coefficients dropped (f // T^-n)."""
+        cs = self.coeffs
+        if n >= 0:
+            return Polynomial(self.field, (0,) * n + cs, _trusted=True) if cs else self
+        # a slice of a canonical tuple keeps its nonzero top, or is empty
+        return Polynomial(self.field, cs[-n:], _trusted=True)
 
     # -- Euclidean structure --------------------------------------------------------
 

@@ -36,7 +36,7 @@ from .perfect import (
     relation_residual,
     generate_perfect_expansion,
 )
-from .polynomials import NEG_INF, Polynomial, formal_integral, gcd_monic
+from .polynomials import Polynomial, formal_integral, gcd_monic
 from .rootcf import alpha_series, expand_root, quartic_state
 
 
@@ -199,9 +199,9 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
         + Laurent.from_polynomial(V_star)
     ).truncate(floor)
     big = lhs.degree()
-    degree_check = big is not NEG_INF and big > a_star_p.degree + W.degree
+    degree_check = big is not None and big > a_star_p.degree + W.degree
     convergent_check = (
-        big is not NEG_INF and W.degree - a_star_p.degree - big < -2 * a_star_p.degree
+        big is not None and W.degree - a_star_p.degree - big < -2 * a_star_p.degree
     )
 
     return FrobeniusTrace(
@@ -321,6 +321,7 @@ class Conj1Verdict:
     a_equals_8_27: Optional[bool] = None
     compared_terms: int = 0
     residual: Optional[float] = None
+    spec: Optional[ExpansionSpec] = None  # the validated spec, on a pass
 
     def to_json_dict(self) -> dict:
         return {
@@ -397,7 +398,7 @@ def verify_conjecture1(p: int, n: int, *, residual_precision: int = 100) -> Conj
             f"n = {n} leaves too few tail quotients to certify the relation to "
             f"T^-{residual_precision} for p = {p}; increase n"
         )
-    ok = residual is NEG_INF and trace.degree_check and trace.convergent_check
+    ok = residual == float("-inf") and trace.degree_check and trace.convergent_check
     return Conj1Verdict(
         p,
         ok,
@@ -409,6 +410,7 @@ def verify_conjecture1(p: int, n: int, *, residual_precision: int = 100) -> Conj
         a_equals_8_27=trace.a == a_827,
         compared_terms=compared,
         residual=residual,
+        spec=spec if ok else None,
     )
 
 
@@ -505,10 +507,7 @@ def _solve_two_unknowns(field: PrimeField, equations):
     T-coefficient is one linear equation.  Returns (eps1, eps2) or None."""
     rows = []
     for A, B, C in equations:
-        top = max(A.degree, B.degree, C.degree)
-        if top is NEG_INF:
-            continue
-        for j in range(int(top) + 1):
+        for j in range(max(A.degree, B.degree, C.degree) + 1):
             a = A.coeffs[j] if j < len(A.coeffs) else 0
             b = B.coeffs[j] if j < len(B.coeffs) else 0
             c = C.coeffs[j] if j < len(C.coeffs) else 0
@@ -571,7 +570,7 @@ def approximation_exponent(cf: ContinuedFraction, window: int) -> ExponentReport
         raise ValueError(
             f"need window+1 = {window + 1} partial quotients, have {len(cf)}"
         )
-    degs = [int(q.degree) for q in cf.quotients[: window + 1]]
+    degs = [q.degree for q in cf.quotients[: window + 1]]
     if any(d < 0 for d in degs):
         raise ValueError("partial quotients must have degree >= 0")
     best = Fraction(0)

@@ -181,7 +181,8 @@ def series_root_quartic(field: PrimeField, terms: int) -> Laurent:
             s4 += u2[r] * u2[m - r]
         u4[m] = s4 % p
         c[m + 1] = (u2[m] + u4[m]) % p
-    return Laurent(field, -1, c[1:], -terms - 1)
+    # ascending from T^-terms up to T^-1
+    return Laurent(Polynomial(field, c[:0:-1]), -terms, -terms - 1)
 
 
 def alpha_series(field: PrimeField, floor: int) -> Laurent:
@@ -195,27 +196,22 @@ def alpha_series(field: PrimeField, floor: int) -> Laurent:
 def cf_from_series(s: Laurent, *, exact: bool = False) -> ContinuedFraction:
     """Continued fraction of a series truncation, certified prefix only.
 
-    The truncation equals a rational function N/T^k; its Euclidean
-    expansion agrees with the expansion of the underlying value on every
-    quotient with 2*deg(y_n) < budget, where budget = -floor is the
-    truncation's error exponent.  With exact=True the input is taken as an
-    exact rational value and the full finite expansion is returned.
+    The truncation is the rational function N(T) * T^shift of the stored
+    part; its Euclidean expansion agrees with the expansion of the
+    underlying value on every quotient with 2*deg(y_n) < budget, where
+    budget = -floor is the truncation's error exponent.  With exact=True
+    (or an exact series) the input is taken as an exact rational value and
+    the full finite expansion is returned.
     """
     if s.is_zero_to_precision():
         raise ValueError("cannot expand a series that is zero to precision")
+    if s.floor is not None and s.degree() - s.floor < 2:
+        raise ValueError("need at least two known series terms")
     field = s.field
-    if s.floor is None:
-        exact = True
-        lowest = s.top - len(s.coeffs) + 1
-    else:
-        if len(s.coeffs) < 2:
-            raise ValueError("need at least two known series terms")
-        lowest = s.floor + 1
-    pad = [field.zero()] * max(0, lowest)
-    num = Polynomial(field, pad + list(reversed(s.coeffs)))
-    den = Polynomial.monomial(field, 1, max(0, -lowest))
+    num = s.num << max(0, s.shift)
+    den = Polynomial.monomial(field, 1, max(0, -s.shift))
     full = rational_to_cf(num, den)
-    if exact:
+    if exact or s.floor is None:
         return full
     budget = -s.floor
     xs, ys = full.continuants()

@@ -23,7 +23,7 @@ from hqcf.perfect import (
     verify_prop1,
     verify_prop2,
 )
-from hqcf.polynomials import NEG_INF, Polynomial, is_odd_polynomial
+from hqcf.polynomials import Polynomial, is_odd_polynomial
 from hqcf.quartic import (
     approximation_exponent,
     beta_quotient_to_alpha,
@@ -148,7 +148,7 @@ def test_criterion_6_oracle_equivalence():
             beta_quotient_to_alpha(F, gen.cf[j], j + 1, v) for j in range(200)
         ]
         ok = ok and mapped == list(direct.quotients)
-        ok = ok and relation_residual(gen.cf, spec.relation(), 100) is NEG_INF
+        ok = ok and relation_residual(gen.cf, spec.relation(), 100) == float("-inf")
     assert report(6, ok, "generator == root expansion for 200 terms; residual -inf at T^-100", t0, 60.0)
 
 

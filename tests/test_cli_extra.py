@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from hqcf import perfect, quartic
 from hqcf.cli import main, max_workers
 from hqcf.fields import GF
 from hqcf.laurent import rational_series
@@ -54,6 +55,63 @@ class TestGenerateIndices:
             "--e1", "3", "--e2", "5", "--lambdas", "2,6,6", "--indices", "0,0",
         ])
         assert code == 2
+
+
+class TestGenerateValidation:
+    @pytest.fixture
+    def no_tower(self, monkeypatch):
+        # a rejected input must fail before any A_{i,k} is built
+        def refuse(*args):
+            raise AssertionError("the A_{i,k} tower was built")
+
+        monkeypatch.setattr(perfect, "a_sequence", refuse)
+
+    def test_negative_n(self):
+        code, out = run([
+            "generate", "--p", "7", "--n", "-3", "--l", "1", "--k", "1",
+            "--e1", "1", "--e2", "1", "--lambdas", "3",
+        ])
+        assert code == 2 and out == ""
+
+    def test_negative_index(self, no_tower):
+        code, out = run([
+            "generate", "--p", "7", "--n", "4", "--l", "1", "--k", "1",
+            "--e1", "2", "--e2", "1", "--lambdas", "1", "--indices", "-1",
+        ])
+        assert code == 2 and out == ""
+
+    def test_index_past_degree_bound(self, no_tower):
+        # a valid spec (theta^30 = 1 mod 7) whose A_{30,1} has degree ~ 7^30/3
+        code, out = run([
+            "generate", "--p", "7", "--n", "4", "--l", "1", "--k", "1",
+            "--e1", "1", "--e2", "1", "--lambdas", "3", "--indices", "30",
+        ])
+        assert code == 2 and out == ""
+
+    def test_generated_index_past_degree_bound(self, no_tower):
+        # indices grow with n: at p = 97, k = 1 quotient 41 is a multiple of
+        # A_{4,1}, of degree about 97^4
+        perfect.ExpansionSpec(GF(97), 1, 1, 49, 1, (2,)).validate()
+        code, out = run([
+            "generate", "--p", "97", "--n", "41", "--l", "1", "--k", "1",
+            "--e1", "49", "--e2", "1", "--lambdas", "2",
+        ])
+        assert code == 2 and out == ""
+
+
+class TestExponentDerivesOnce:
+    def test_relation_derived_once(self, monkeypatch):
+        calls = []
+        derive = quartic.derive_frobenius_relation
+
+        def counted(p):
+            calls.append(p)
+            return derive(p)
+
+        monkeypatch.setattr(quartic, "derive_frobenius_relation", counted)
+        code, _ = run(["exponent", "--p", "7", "--n", "120"])
+        assert code == 0
+        assert calls == [7]
 
 
 class TestThreadCap:

@@ -1,4 +1,5 @@
-"""Differential tests of the F_p[T] kernel against sympy's galoistools.
+"""Differential tests of the F_p[T] kernel against sympy's galoistools,
+and of the Laurent series built on it against a dict reference.
 
 galoistools stores a polynomial as a list of coefficients in [0, p),
 highest degree first; Polynomial stores them lowest degree first.  Every
@@ -15,6 +16,7 @@ ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 
 import hqcf.polynomials as polynomials  # noqa: E402
 from hqcf.fields import GF  # noqa: E402
+from hqcf.laurent import Laurent, divide  # noqa: E402
 from hqcf.polynomials import Polynomial, taylor_shift  # noqa: E402
 
 PRIMES = [3, 5, 7, 13, 97, 65537, 999983]
@@ -170,3 +172,144 @@ class TestTaylorShift:
         terms = (1 << 62) // ((p - 1) * (p - 1))
         assert polynomials._fits_int64(p, terms)
         assert not polynomials._fits_int64(p, terms + 1)
+
+
+# -- Laurent series against a dict reference -----------------------------------
+#
+# A reference series is (coeffs, floor): coeffs maps an exponent to a nonzero
+# coefficient, every key lies above floor, and floor is None for an exact
+# value.  The floor rules are those of the original descending-list
+# implementation: + and - keep the larger floor; * measures each floor from
+# the other operand's top (its degree, or its floor when it is zero to
+# precision, or 0 when it is an exact zero); divide by long division.
+
+LAURENT_PRIMES = [3, 5, 7, 13]
+
+
+def ref_make(coeffs, floor, p):
+    return {
+        e: c % p for e, c in coeffs.items() if c % p and (floor is None or e > floor)
+    }, floor
+
+
+def ref_top(ref):
+    coeffs, floor = ref
+    if coeffs:
+        return max(coeffs)
+    return 0 if floor is None else floor
+
+
+def ref_floor_max(*floors):
+    known = [f for f in floors if f is not None]
+    return max(known) if known else None
+
+
+def ref_addsub(a, b, sign, p):
+    out = dict(a[0])
+    for e, c in b[0].items():
+        out[e] = out.get(e, 0) + sign * c
+    return ref_make(out, ref_floor_max(a[1], b[1]), p)
+
+
+def ref_mul(a, b, p):
+    floor = ref_floor_max(
+        None if a[1] is None else a[1] + ref_top(b),
+        None if b[1] is None else b[1] + ref_top(a),
+    )
+    out = {}
+    for ea, ca in a[0].items():
+        for eb, cb in b[0].items():
+            out[ea + eb] = out.get(ea + eb, 0) + ca * cb
+    return ref_make(out, floor, p)
+
+
+def ref_divide(n, d, p):
+    """Quotient coefficients q_e from the top down: the T^(e+delta)
+    coefficient of n is the sum of d_j * q_(e+delta-j) over d's terms."""
+    delta = max(d[0])
+    if not n[0]:
+        return {}, None if n[1] is None else n[1] - delta
+    floor = ref_floor_max(
+        None if n[1] is None else n[1] - delta,
+        None if d[1] is None else d[1] + ref_top(n) - 2 * delta,
+    )
+    if floor is None:
+        raise ValueError("exact division needs a floor")
+    inv = pow(d[0][delta], p - 2, p)
+    q = {}
+    for e in range(ref_top(n) - delta, floor, -1):
+        acc = n[0].get(e + delta, 0)
+        acc -= sum(c * q.get(e + delta - j, 0) for j, c in d[0].items() if j != delta)
+        q[e] = acc * inv % p
+    return ref_make(q, floor, p)
+
+
+def assert_matches(s, ref, p):
+    coeffs, floor = ref
+    assert s.floor == floor
+    assert s.degree() == (max(coeffs) if coeffs else None)
+    assert_canonical(s.num, p)
+    lo = floor + 1 if floor is not None else min(coeffs, default=0) - 3
+    for e in range(lo, max(coeffs, default=lo) + 4):
+        assert s.coefficient(e) == coeffs.get(e, 0)
+
+
+@st.composite
+def series(draw, p):
+    """A Laurent value and its reference: stored coefficients at any offset,
+    exact or truncated, often zero to precision or stored only well above
+    floor + 1."""
+    cs = draw(st.lists(st.integers(0, p - 1), max_size=12))
+    shift = draw(st.integers(-15, 15))
+    floor = draw(st.one_of(st.none(), st.integers(-25, 15)))
+    s = Laurent(Polynomial(GF(p), cs), shift, floor)
+    return s, ref_make({shift + i: c for i, c in enumerate(cs)}, floor, p)
+
+
+class TestLaurentAgainstReference:
+    @pytest.mark.parametrize(
+        "op", ["add", "sub", "mul", "scaled", "frobenius", "truncate", "divide"]
+    )
+    @given(st.sampled_from(LAURENT_PRIMES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_operation(self, op, p, data):
+        a, ra = data.draw(series(p))
+        b, rb = data.draw(series(p))
+        if op == "add":
+            got, want = a + b, ref_addsub(ra, rb, 1, p)
+        elif op == "sub":
+            got, want = a - b, ref_addsub(ra, rb, -1, p)
+        elif op == "mul":
+            got, want = a * b, ref_mul(ra, rb, p)
+        elif op == "scaled":
+            c = data.draw(st.integers(-2 * p, 2 * p))
+            got, want = a.scaled(c), ref_make({e: c * x for e, x in ra[0].items()}, ra[1], p)
+        elif op == "frobenius":
+            floor = None if ra[1] is None else ra[1] * p
+            got, want = a.frobenius(), ref_make({e * p: x for e, x in ra[0].items()}, floor, p)
+        elif op == "truncate":
+            f = data.draw(st.integers(-30, 20))
+            got, want = a.truncate(f), ref_make(ra[0], ref_floor_max(f, ra[1]), p)
+        elif not rb[0]:
+            with pytest.raises(ZeroDivisionError):
+                divide(a, b)
+            return
+        elif ra[0] and ra[1] is None and rb[1] is None:
+            with pytest.raises(ValueError):
+                divide(a, b)
+            return
+        else:
+            got, want = divide(a, b), ref_divide(ra, rb, p)
+        assert_matches(got, want, p)
+
+    @given(st.sampled_from(LAURENT_PRIMES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_first_difference(self, p, data):
+        a, ra = data.draw(series(p))
+        b, rb = data.draw(series(p))
+        f = data.draw(st.integers(-30, 20))
+        rt = ref_make(ra[0], ref_floor_max(f, ra[1]), p)
+        # a random pair, and a against its own truncation (they agree)
+        for y, ry in ((b, rb), (a.truncate(f), rt)):
+            diff = ref_addsub(ra, ry, -1, p)[0]
+            assert a.first_difference(y) == max(diff, default=float("-inf"))

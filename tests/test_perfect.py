@@ -19,7 +19,7 @@ from hqcf.perfect import (
     verify_prop1,
     verify_prop2,
 )
-from hqcf.polynomials import NEG_INF, Polynomial, is_odd_polynomial
+from hqcf.polynomials import Polynomial, is_odd_polynomial
 from hqcf.rootcf import expand_root, quartic_state
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
@@ -293,13 +293,13 @@ class TestRelationResidual:
 
     def test_generated_expansion_satisfies_relation(self):
         spec, gen = self.make_gen()
-        assert relation_residual(gen.cf, spec.relation(), 40) is NEG_INF
+        assert relation_residual(gen.cf, spec.relation(), 40) == float("-inf")
 
     def test_perturbed_epsilon_fails(self):
         spec, gen = self.make_gen()
         bad = spec.relation()._replace(eps2=spec.relation().eps2 + 1)
         res = relation_residual(gen.cf, bad, 40)
-        assert res is not NEG_INF
+        assert res != float("-inf")
 
     def test_prefix_only_is_insufficient(self):
         spec, gen = self.make_gen()

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF, ExtElement
 from hqcf.polynomials import (
-    NEG_INF,
     Polynomial,
     content,
     formal_derivative,
@@ -52,10 +51,25 @@ def random_poly(field, rng, max_deg, nonzero=False):
 
 
 class TestBasics:
-    def test_zero_degree_is_neg_inf(self):
+    def test_zero_degree_is_minus_one(self):
         z = Polynomial.zero(F7)
-        assert z.degree == NEG_INF
+        assert z.degree == -1
         assert z.is_zero()
+
+    def test_shift_by_powers_of_t(self):
+        f = poly(F7, 3, 0, 5)
+        assert f << 2 == poly(F7, 0, 0, 3, 0, 5)
+        assert f << 0 == f
+        assert f << -1 == poly(F7, 0, 5)
+        assert f << -2 == poly(F7, 5)
+        assert (f << -3).is_zero()
+        assert (Polynomial.zero(F7) << 4).is_zero()
+        rng = random.Random(4)
+        for _ in range(50):
+            g = random_poly(F13, rng, 12)
+            n = rng.randrange(0, 15)
+            assert g << n == g * Polynomial.monomial(F13, 1, n)
+            assert g << -n == g // Polynomial.monomial(F13, 1, n)
 
     def test_degree_additivity(self):
         rng = random.Random(1)

@@ -174,6 +174,21 @@ class TestCfFromSeries:
         true_cf = rational_to_cf(num, den)
         assert list(cf.quotients[: len(true_cf)]) == list(true_cf.quotients)
 
+    def test_stored_part_stopping_above_the_floor(self):
+        # T^2 + 1 + O(T^-10): the stored coefficients end at T^0, and the
+        # known zeros below them still belong to the truncation
+        s = Laurent.from_polynomial(poly(F7, 1, 0, 1), floor=-10)
+        assert list(cf_from_series(s).quotients) == [poly(F7, 1, 0, 1)]
+
+    def test_frobenius_spread_coefficients(self):
+        from hqcf.laurent import rational_series
+
+        # (1/(T - 1))^7 = T^-7 + T^-14 + ... + O(T^-42), whose expansion
+        # starts [0, T^7 - 1, ...]
+        s = rational_series(Polynomial.one(F7), poly(F7, -1, 1), -6).frobenius()
+        expected = [Polynomial.zero(F7), poly(F7, 6, 0, 0, 0, 0, 0, 0, 1)]
+        assert list(cf_from_series(s).quotients) == expected
+
     def test_zero_series_rejected(self):
         with pytest.raises(ValueError):
             cf_from_series(Laurent.zero(F7, -5))
