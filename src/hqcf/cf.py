@@ -38,7 +38,17 @@ def eval_scalar_cf(field, entries: Sequence[int]) -> int:
 
 
 class ContinuedFraction:
-    __slots__ = ("field", "quotients", "first_quotient_constant", "perfect_type")
+    """Partial quotients [a_1, ..., a_n], held either as polynomials or, for
+    a generated perfect expansion, symbolically: a_n = lambdas[n-1] *
+    tower[indices[n-1]].  A symbolic expansion builds its quotients on
+    first use of `quotients`, one Polynomial per distinct (index, lambda)
+    pair shared by every position that carries it, and keeps them; its
+    length and degrees never need them."""
+
+    __slots__ = (
+        "field", "_quotients", "first_quotient_constant", "perfect_type",
+        "tower", "lambdas", "indices",
+    )
 
     def __init__(
         self,
@@ -49,12 +59,45 @@ class ContinuedFraction:
         perfect_type: Optional[tuple] = None,
     ):
         self.field = field
-        self.quotients = tuple(quotients)
+        self._quotients = tuple(quotients)
         self.first_quotient_constant = first_quotient_constant
         self.perfect_type = perfect_type
+        self.tower = self.lambdas = self.indices = None
+
+    @classmethod
+    def symbolic(
+        cls, field, tower: Sequence[Polynomial], lambdas: Sequence[int],
+        indices: Sequence[int], *, perfect_type: Optional[tuple] = None,
+    ) -> "ContinuedFraction":
+        """[lambdas[0] * tower[indices[0]], lambdas[1] * tower[indices[1]], ...]."""
+        if len(lambdas) != len(indices):
+            raise ValueError("need one tower index per lambda")
+        cf = cls(field, (), perfect_type=perfect_type)
+        cf._quotients = None
+        cf.tower, cf.lambdas, cf.indices = tower, tuple(lambdas), tuple(indices)
+        return cf
+
+    @property
+    def quotients(self) -> tuple:
+        if self._quotients is None:
+            tower = self.tower
+            self._quotients = tuple(self.per_pair(lambda i, c: tower[i].scaled(c)))
+        return self._quotients
+
+    def per_pair(self, fn) -> list:
+        """[fn(indices[n], lambdas[n]) for every n] of a symbolic expansion,
+        calling fn once per distinct pair; fn must not return None."""
+        done = {}
+        out = []
+        for key in zip(self.indices, self.lambdas):
+            value = done.get(key)
+            if value is None:
+                value = done[key] = fn(*key)
+            out.append(value)
+        return out
 
     def __len__(self):
-        return len(self.quotients)
+        return len(self.quotients) if self.tower is None else len(self.indices)
 
     def __iter__(self):
         return iter(self.quotients)
@@ -76,6 +119,9 @@ class ContinuedFraction:
         return f"[{inner}]"
 
     def degrees(self) -> list:
+        if self.tower is not None:
+            tower = self.tower
+            return [tower[i].degree for i in self.indices]
         return [q.degree for q in self.quotients]
 
     def continuants(self, check: bool = True):

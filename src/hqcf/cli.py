@@ -215,19 +215,53 @@ def _annotate(q: Polynomial, A: list) -> str:
     return ""
 
 
+def _annotation_tower(field, k: int | None, max_deg: int, levels: list) -> list:
+    """The A[i,k] the annotations may name: A_0, A_1, ... while the degree
+    is below max_deg and still rises, at most 40 entries.  levels, the
+    tower built so far (at least A_0), is extended one level at a time
+    when it runs short."""
+    if k is None or 2 * k >= field.p:
+        return []
+    A = levels[:1]
+    while A[-1].degree < max_deg and len(A) < 40:
+        if len(levels) == len(A):
+            a_sequence(field, k, len(A), levels)
+        if levels[len(A)].degree <= A[-1].degree:
+            break
+        A.append(levels[len(A)])
+    return A
+
+
+def _render_symbolic(cf: ContinuedFraction, as_json: bool, k: int | None) -> str:
+    """The printed form of a generated expansion, each distinct (i, lambda)
+    pair rendered once.  Every tower entry is monic, so lambda*A_i is a
+    multiple of A_j exactly when A_j == A_i, with factor lambda: the
+    annotation _annotate would find, without building a polynomial per
+    line."""
+    A = cf.tower
+    if as_json:
+        parts = cf.per_pair(lambda i, c: json.dumps(A[i].scaled(c).to_json_dict()))
+        return f'{{"p": {cf.field.p}, "pq": [{", ".join(parts)}]}}\n'
+    named = _annotation_tower(cf.field, k, max(cf.degrees(), default=1), list(A))
+
+    def render(i, c):
+        j = next((j for j, a in enumerate(named) if a == A[i]), None)
+        note = "" if j is None else f"  [= {c}*A[{j},k]]"
+        return A[i].scaled(c).format() + note
+
+    parts = cf.per_pair(render)
+    return "".join([f"a_{n} = {t}\n" for n, t in enumerate(parts, start=1)])
+
+
 def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
+    if cf.tower is not None:
+        out.write(_render_symbolic(cf, as_json, k))
+        return
     if as_json:
         print(json.dumps(cf.to_json_dict()), file=out)
         return
-    A = []
-    if k is not None and 2 * k < cf.field.p:
-        max_deg = max((q.degree for q in cf.quotients), default=1)
-        A = [Polynomial.x(cf.field)]
-        while A[-1].degree < max_deg and len(A) < 40:
-            nxt = a_sequence(cf.field, k, len(A))
-            if nxt[-1].degree <= A[-1].degree:
-                break
-            A = nxt
+    max_deg = max((q.degree for q in cf.quotients), default=1)
+    A = _annotation_tower(cf.field, k, max_deg, [Polynomial.x(cf.field)])
     for n, q in enumerate(cf.quotients, start=1):
         print(f"a_{n} = {q.format()}{_annotate(q, A)}", file=out)
 

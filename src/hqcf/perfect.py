@@ -18,19 +18,36 @@ When the scalar continued fractions delta_n all exist in F_p^* and the
 last one equals 2k*eps1/eps2 (the existence and anchor conditions on the
 prefix data), every partial quotient
 is lambda_n * A_{i(n),k} and the lambda/delta sequences extend by explicit
-recurrences; generate_perfect_expansion implements that generator.  verify_prop1
-and verify_prop2 check the exact continued fraction identities satisfied
-by the P/Q pairs against independent Euclidean expansions.
+recurrences; generate_perfect_expansion implements that generator, in
+plain int arithmetic mod p.  Its result keeps the quotients symbolic: a
+ContinuedFraction holding the tower A_{0,k} .. A_{max i,k} and the lambda
+and i sequences, whose length and degrees are read from the tower
+and whose polynomials are built on first use, one per distinct
+(i, lambda) pair.
+
+a_sequence builds the tower by exact division: A_{i,k}^p = A_{i,k}(T^p) is
+divided by P_k = (T^2 - 1)^k as k divisions by T^2 - 1, each the recurrence
+q_j = c_{j+2} + q_{j+2} run as two stride-2 reversed cumulative sums.  The
+remainder is a certificate: at every level built it must equal
+-2k theta_k^{i+1} Q_k, the identity A_{i,k}^p = A_{i+1,k} P_k -
+2k theta_k^{i+1} Q_k of Prop. 1, or ArithmeticError is raised.
+verify_prop1 and verify_prop2 check the exact continued fraction
+identities satisfied by the P/Q pairs against independent Euclidean
+expansions; verify_prop1 also re-checks the first tower levels by generic
+polynomial division.
 """
 
 from dataclasses import dataclass, field as dc_field
 from typing import NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .cf import ContinuedFraction, ScalarCFUndefined, eval_scalar_cf, rational_to_cf
 from .fields import PrimeField
 from .laurent import Laurent, rational_series
 from .polynomials import (
     Polynomial,
+    _fits_int64,
     formal_integral,
     is_odd_polynomial,
 )
@@ -119,13 +136,64 @@ def _check_a_index(p: int, k: int, i: int):
         raise ValueError(f"index {i} asks for A_({i},k) past degree {MAX_A_DEGREE}")
 
 
-def a_sequence(field: PrimeField, k: int, count: int) -> list:
-    """A_{0,k} .. A_{count,k} over the normalized family P_k."""
-    P, _ = pq_polynomials(field, k)
-    seq = [Polynomial.x(field)]
-    for _ in range(count):
-        seq.append(seq[-1].pow_frobenius() // P)
+def a_sequence(
+    field: PrimeField, k: int, count: int, seq: Optional[list] = None
+) -> list:
+    """A_{0,k} .. A_{count,k} over the normalized family P_k = (T^2 - 1)^k.
+
+    A_{i+1,k} is the quotient of the exact division of A_{i,k}^p by P_k.
+    Its remainder must be -2k theta_k^(i+1) Q_k, the identity
+    A_{i,k}^p = A_{i+1,k} P_k - 2k theta_k^(i+1) Q_k of Prop. 1; it is
+    checked at every level built, and a mismatch raises ArithmeticError.
+    seq, a list A_{0,k} .. A_{j,k} from an earlier call, is extended in
+    place and returned.
+    """
+    p = field.p
+    _, Q = pq_polynomials(field, k)
+    theta, _ = family_constants(field, k)
+    if seq is None:
+        seq = [Polynomial.x(field)]
+    while len(seq) <= count:
+        i = len(seq) - 1
+        quo, rem = _frobenius_divmod_pk(seq[i], k)
+        if rem != Q.scaled(-2 * k * pow(theta, i + 1, p)):
+            raise ArithmeticError(
+                f"A_({i},k)^p = A_({i + 1},k) P_k - 2k theta^{i + 1} Q_k fails"
+                f" at k = {k}, p = {p}: remainder {rem.format()}"
+            )
+        seq.append(quo)
     return seq
+
+
+def _frobenius_divmod_pk(a: Polynomial, k: int):
+    """(q, r) with a^p = a(T^p) = (T^2 - 1)^k q + r and deg r < 2k.
+
+    Dividing c by T^2 - 1 is the recurrence q_j = c_(j+2) + q_(j+2): with
+    s_j = c_j + c_(j+2) + c_(j+4) + ..., two stride-2 reversed cumulative
+    sums, the quotient is s_2, s_3, ... and the remainder s_0 + s_1 T.
+    After k such divisions with remainders r_1 .. r_k the remainder by
+    (T^2 - 1)^k is r_1 + (T^2 - 1) r_2 + ... + (T^2 - 1)^(k-1) r_k.  A
+    partial sum of residues stays below (p - 1) deg(a^p), which
+    _fits_int64 bounds; otherwise the same sums run on Python ints.  The
+    top coefficient never changes, so a monic a gives a monic q.
+    """
+    field = a.field
+    p = field.p
+    n = a.degree * p
+    c = np.zeros(n + 1, dtype=np.int64 if _fits_int64(p, n + 1) else object)
+    c[::p] = a.coeffs
+    rems = []
+    for _ in range(k):
+        for start in (0, 1):
+            c[start::2] = np.cumsum(c[start::2][::-1])[::-1]
+        c %= p
+        rems.append(Polynomial(field, c[:2].tolist()))
+        c = c[2:]
+    step = Polynomial(field, (p - 1, 0, 1), _trusted=True)  # T^2 - 1
+    rem = rems.pop()
+    while rems:
+        rem = rem * step + rems.pop()
+    return Polynomial._make(field, c.tolist()), rem
 
 
 # -- index sequences ------------------------------------------------------------
@@ -214,23 +282,24 @@ class ExpansionSpec:
         2k*eps1/eps2.
         """
         f = self.field
+        p = f.p
         theta, _ = family_constants(f, self.k)
-        anchor = f.div(2 * self.k * theta % f.p, f(self.eps2))
+        eps2_inv = f.inv(self.eps2)
         deltas = []
-        prev = anchor
+        prev = 2 * self.k * theta * eps2_inv % p  # the anchor 2k theta / eps2
         for n in range(1, self.l + 1):
             if prev == 0:
                 raise DeltaUndefinedError(
                     n, f"delta undefined at n={n}: zero tail in the scalar continued fraction"
                 )
-            head = f.mul(f.pow(theta, self.indices[n - 1]), self.lambdas[n - 1])
-            prev = f.add(head, f.inv(prev))
+            head = pow(theta, self.indices[n - 1], p) * self.lambdas[n - 1]
+            prev = (head + f.inv(prev)) % p
             if prev == 0 and n < self.l:
                 raise DeltaUndefinedError(n, f"delta undefined at n={n}: delta_{n} = 0")
             deltas.append(prev)
         if deltas[-1] == 0:
             raise DeltaUndefinedError(self.l, f"delta_{self.l} = 0, not in F_p^*")
-        target = f.div(2 * self.k * f(self.eps1) % f.p, f(self.eps2))
+        target = 2 * self.k * self.eps1 * eps2_inv % p
         if deltas[-1] != target:
             raise DeltaMismatchError(
                 f"not a perfect-expansion spec: delta_l = {deltas[-1]} != 2k*eps1/eps2 = {target}"
@@ -272,9 +341,12 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
         lam[j] = spec.lambdas[j - 1]
         dl[j] = base_deltas[j - 1]
         idx[j] = spec.indices[j - 1]
-    eps1 = f(spec.eps1)
+    eps1 = spec.eps1 % p
     eps1_inv = f.inv(eps1)
     two_k_theta = 2 * k * theta % p
+    # -v_i and i v_i / (2k - 2i + 1) for i = 1..2k; |2k - 2i + 1| < p is odd, so a unit
+    neg_v = [-x % p for x in v]
+    coef = [i * v[i - 1] * f.inv(2 * k - 2 * i + 1) % p for i in range(1, 2 * k + 1)]
     m = 1
     while True:
         base = (2 * k + 1) * m + l - 2 * k  # f(m)
@@ -283,10 +355,10 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
         if m > n or lam[m] == 0:
             raise ArithmeticError(f"generation order broken at block f({m})")
         e = eps1 if m % 2 == 0 else eps1_inv
-        lam[base] = f.mul(e, lam[m])
-        dl[base] = f.mul(f.mul(e, dl[m]), theta)
+        lam[base] = e * lam[m] % p
+        dl[base] = e * dl[m] * theta % p
         idx[base] = idx[m] + 1
-        w = f.mul(two_k_theta, dl[m])
+        w = two_k_theta * dl[m] % p
         w_inv = f.inv(w)
         for i in range(1, 2 * k + 1):
             pos = base + i
@@ -294,9 +366,8 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
                 break
             e = eps1 if (m + i) % 2 == 0 else eps1_inv
             ww = w_inv if i % 2 == 1 else w
-            lam[pos] = f.neg(f.mul(f.mul(v[i - 1], e), ww))
-            coef = f.div(i * v[i - 1] % p, (2 * k - 2 * i + 1) % p)
-            dl[pos] = f.mul(f.mul(e, coef), ww)
+            lam[pos] = neg_v[i - 1] * e * ww % p
+            dl[pos] = coef[i - 1] * e * ww % p
             idx[pos] = 0
             if lam[pos] == 0 or dl[pos] == 0:
                 raise ArithmeticError(
@@ -305,10 +376,9 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
         m += 1
     max_i = max(idx[1 : n + 1], default=0)
     _check_a_index(p, k, max_i)
-    A = a_sequence(f, k, max_i)
-    quotients = [A[idx[j]].scaled(lam[j]) for j in range(1, n + 1)]
-    cf = ContinuedFraction(
-        f, quotients, perfect_type=(p, l, k, tuple(spec.indices))
+    cf = ContinuedFraction.symbolic(
+        f, a_sequence(f, k, max_i), lam[1:], idx[1:],
+        perfect_type=(p, l, k, tuple(spec.indices)),
     )
     return GenerationResult(cf, lam, dl, idx)
 
@@ -327,41 +397,43 @@ def generate_perfect_p11(
     data (its delta convention differs by sign).
     """
     f = field
-    eps1, eps2 = f(eps1), f(eps2)
-    disc = f.add(f.mul(eps2, eps2), 2 * eps1 % f.p)
+    p = f.p
+    eps1, eps2 = eps1 % p, eps2 % p
+    disc = (eps2 * eps2 + 2 * eps1) % p
     if disc == 0:
         raise ValueError("excluded by hypothesis: eps2^2 + 2*eps1 = 0")
-    lam1 = f.div(f.mul(disc, f.pow(f(-2), i1)), eps2)
+    eps2_inv = f.inv(eps2)
     lam = [0] * (n + 1)
     dl = [0] * (n + 1)
     idx = [0] * (n + 1)
     if n >= 1:
-        lam[1] = lam1
-        dl[1] = f.div(f(-2 * eps1), eps2)
+        lam[1] = disc * f.pow(-2, i1) * eps2_inv % p
+        dl[1] = -2 * eps1 * eps2_inv % p
         idx[1] = i1
     eps1_inv = f.inv(eps1)
-    half = f.inv(f(2))
+    half = f.inv(2)
     m = 1
     while 3 * m - 1 <= n:
         e = eps1 if m % 2 == 0 else eps1_inv
         b = 3 * m - 1
-        lam[b] = f.mul(e, lam[m])
-        dl[b] = f.neg(f.mul(f.mul(e, dl[m]), half))
+        lam[b] = e * lam[m] % p
+        dl[b] = -e * dl[m] * half % p
         idx[b] = idx[m] + 1
         if b + 1 <= n:
             e2 = eps1_inv if m % 2 == 0 else eps1
-            val = f.neg(f.mul(e2, f.inv(dl[m])))
+            val = -e2 * f.inv(dl[m]) % p
             lam[b + 1] = val
             dl[b + 1] = val
             idx[b + 1] = 0
         if b + 2 <= n:
-            lam[b + 2] = f.neg(f.inv(lam[b + 1]))
-            dl[b + 2] = f.mul(f(2), f.inv(dl[b + 1]))
+            lam[b + 2] = -f.inv(lam[b + 1]) % p
+            dl[b + 2] = 2 * f.inv(dl[b + 1]) % p
             idx[b + 2] = 0
         m += 1
-    A = a_sequence(f, 1, max(idx[1 : n + 1], default=0))
-    quotients = [A[idx[j]].scaled(lam[j]) for j in range(1, n + 1)]
-    cf = ContinuedFraction(f, quotients, perfect_type=(f.p, 1, 1, (i1,)))
+    cf = ContinuedFraction.symbolic(
+        f, a_sequence(f, 1, max(idx[1 : n + 1], default=0)), lam[1:], idx[1:],
+        perfect_type=(p, 1, 1, (i1,)),
+    )
     return GenerationResult(cf, lam, dl, idx)
 
 

@@ -570,19 +570,21 @@ def approximation_exponent(cf: ContinuedFraction, window: int) -> ExponentReport
         raise ValueError(
             f"need window+1 = {window + 1} partial quotients, have {len(cf)}"
         )
-    degs = [q.degree for q in cf.quotients[: window + 1]]
+    degs = cf.degrees()[: window + 1]
     if any(d < 0 for d in degs):
         raise ValueError("partial quotients must have degree >= 0")
-    best = Fraction(0)
-    arg = 0
+    if degs[0] < 1:
+        raise ValueError("the first partial quotient must have degree >= 1")
+    # r_n = degs[n] / total > best_num / best_den, by cross-multiplication
+    best_num, best_den, arg = 0, 1, 0
     total = degs[0]
-    last = Fraction(0)
     for n in range(1, window + 1):
-        r = Fraction(degs[n], total)
-        if r > best:
-            best, arg = r, n
-        total += degs[n]
-        last = r
+        d = degs[n]
+        if d * best_den > best_num * total:
+            best_num, best_den, arg = d, total, n
+        total += d
+    best = Fraction(best_num, best_den)
+    last = Fraction(degs[window], total - degs[window])
     closed = None
     if cf.perfect_type is not None:
         p, l, k, initial = cf.perfect_type

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from hqcf import perfect, quartic
+from hqcf import cli, perfect, quartic
 from hqcf.cli import main, max_workers
 from hqcf.fields import GF
 from hqcf.laurent import rational_series
@@ -176,3 +176,162 @@ class TestValueSeries:
         cf = expand_root(quartic_state(GF(7)), 4)
         with pytest.raises(ValueError, match="insufficient"):
             cf.value_series(-200)
+
+
+def _load_workloads():
+    """perfbench/workloads.py, the benchmark's seeded spec generator."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def spec_with_indices(rng, p, l, k, indices):
+    """A valid type (p, l, k) spec with prescribed prefix indices: draw the
+    lambdas and eps2 until every delta_n exists, then solve eps1 from the
+    anchor condition delta_l = 2k*eps1/eps2."""
+    theta = perfect.family_constants(GF(p), k).theta
+    while True:
+        lambdas = [rng.randrange(1, p) for _ in range(l)]
+        eps2 = rng.randrange(1, p)
+        prev = 2 * k * theta * pow(eps2, -1, p) % p
+        for lam, i in zip(lambdas, indices):
+            if prev == 0:
+                break
+            prev = (pow(theta, i, p) * lam + pow(prev, -1, p)) % p
+        else:
+            if prev:
+                eps1 = prev * eps2 * pow(2 * k, -1, p) % p
+                return {"p": p, "l": l, "k": k, "eps1": eps1, "eps2": eps2,
+                        "lambdas": tuple(lambdas), "indices": tuple(indices)}
+
+
+def reference_render(cf, k, as_json):
+    """The printer before symbolic quotients: every quotient built,
+    formatted and matched against A[i,k] line by line, with the tower
+    rebuilt by generic division (A_i^p // P_k) at every level."""
+    field = cf.field
+    if as_json:
+        return json.dumps({"p": field.p, "pq": [q.to_json_dict() for q in cf.quotients]}) + "\n"
+    A = []
+    if k is not None and 2 * k < field.p:
+        P, _ = perfect.pq_polynomials(field, k)
+        max_deg = max((q.degree for q in cf.quotients), default=1)
+        A = [Polynomial.x(field)]
+        while A[-1].degree < max_deg and len(A) < 40:
+            nxt = [Polynomial.x(field)]
+            for _ in range(len(A)):
+                nxt.append(nxt[-1].pow_frobenius() // P)
+            if nxt[-1].degree <= A[-1].degree:
+                break
+            A = nxt
+    lines = []
+    for n, q in enumerate(cf.quotients, start=1):
+        note = ""
+        for i, a in enumerate(A):
+            if a.degree == q.degree and not a.is_zero():
+                c = field.div(q.leading_coefficient(), a.leading_coefficient())
+                if q == a.scaled(c):
+                    note = f"  [= {c}*A[{i},k]]"
+                    break
+        lines.append(f"a_{n} = {q.format()}{note}\n")
+    return "".join(lines)
+
+
+def generate_argv(spec, n):
+    argv = [
+        "generate", "--p", str(spec["p"]), "--n", str(n), "--l", str(spec["l"]),
+        "--k", str(spec["k"]), "--e1", str(spec["eps1"]), "--e2", str(spec["eps2"]),
+        "--lambdas", ",".join(map(str, spec["lambdas"])),
+    ]
+    if spec.get("indices"):
+        argv += ["--indices", ",".join(map(str, spec["indices"]))]
+    return argv
+
+
+def generated(spec, n):
+    es = perfect.ExpansionSpec(
+        GF(spec["p"]), spec["l"], spec["k"], spec["eps1"], spec["eps2"],
+        spec["lambdas"], spec.get("indices", ()),
+    )
+    return perfect.generate_perfect_expansion(es, n).cf
+
+
+class TestSymbolicPrinter:
+    # (p, l, k, prefix indices or None); 2k = p - 1 for (7, 2, 3) and (11, 1, 5)
+    CASES = [
+        (7, 3, 2, None), (5, 2, 1, None), (13, 2, 3, None), (7, 2, 3, None),
+        (11, 1, 5, None), (7, 3, 2, (1, 0, 2)), (5, 1, 1, (3,)), (7, 2, 3, (2, 1)),
+    ]
+
+    @pytest.fixture(scope="class")
+    def specs(self):
+        import random
+
+        workloads = _load_workloads()
+        rng = random.Random("printer")
+        out = []
+        for p, l, k, indices in self.CASES:
+            if indices is None:
+                out.append(workloads.random_perfect_spec(rng, p, l, k))
+            else:
+                out.append(spec_with_indices(rng, p, l, k, indices))
+        return out
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_matches_line_by_line_render(self, specs, as_json):
+        for spec in specs:
+            argv = generate_argv(spec, 400) + (["--json"] if as_json else [])
+            code, out = run(argv)
+            assert code == 0, spec
+            assert out == reference_render(generated(spec, 400), spec["k"], as_json), spec
+
+    def test_extremal_k_names_a0(self, specs):
+        spec = specs[-1]  # p = 7, k = 3 = (p-1)/2, indices (2, 1)
+        _, out = run(generate_argv(spec, 30))
+        lines = out.splitlines()
+        assert len(lines) == 30
+        assert all(ln.endswith("*A[0,k]]") for ln in lines)
+
+    def test_one_polynomial_per_distinct_pair(self, specs, monkeypatch):
+        real = Polynomial.scaled
+        calls = []
+
+        def spy(self, c):
+            calls.append(c)
+            return real(self, c)
+
+        def refuse(*args):
+            raise AssertionError("the tower was rebuilt for a generated expansion")
+
+        for spec in specs:
+            cf = generated(spec, 600)
+            pairs = len(set(zip(cf.indices, cf.lambdas)))
+            with monkeypatch.context() as mp:
+                mp.setattr(Polynomial, "scaled", spy)
+                mp.setattr(cli, "a_sequence", refuse)
+                for as_json in (False, True):
+                    calls.clear()
+                    cli._print_expansion(cf, as_json, spec["k"], io.StringIO())
+                    assert 0 < len(calls) <= pairs, spec
+
+
+class TestExpandTower:
+    def test_each_level_divided_once(self, monkeypatch):
+        real = perfect._frobenius_divmod_pk
+        divided = []
+
+        def counted(a, k):
+            divided.append(a)
+            return real(a, k)
+
+        monkeypatch.setattr(perfect, "_frobenius_divmod_pk", counted)
+        # at p = 7 the quotients are multiples of A_0 .. A_3: three divisions,
+        # where rebuilding the tower at every level took 1 + 2 + 3
+        code, out = run(["expand", "--quartic", "--p", "7", "--n", "400"])
+        assert code == 0 and "A[3,k]" in out and "A[4,k]" not in out
+        assert len(divided) == len(set(divided)) == 3

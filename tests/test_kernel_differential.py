@@ -1,6 +1,12 @@
 """Differential tests of the F_p[T] kernel against sympy's galoistools,
 and of the Laurent series built on it against a dict reference.
 
+Multiplication, division and gcd draw their degrees on both sides of
+every switch between kernel paths: _SCHOOLBOOK_CUTOFF (schoolbook or
+int64 convolution), the numpy division (divisor degree >= 128 and
+quotient length >= 64) and the _fits_int64 guard, which the tests force
+to fail by monkeypatching.
+
 galoistools stores a polynomial as a list of coefficients in [0, p),
 highest degree first; Polynomial stores them lowest degree first.  Every
 kernel result is also checked to be canonical: plain ints in [0, p) and no
@@ -17,7 +23,7 @@ ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 import hqcf.polynomials as polynomials  # noqa: E402
 from hqcf.fields import GF  # noqa: E402
 from hqcf.laurent import Laurent, divide  # noqa: E402
-from hqcf.polynomials import Polynomial, taylor_shift  # noqa: E402
+from hqcf.polynomials import Polynomial, gcd_monic, taylor_shift  # noqa: E402
 
 PRIMES = [3, 5, 7, 13, 97, 65537, 999983]
 
@@ -96,6 +102,71 @@ class TestAddSubNegScale:
         got = f.scaled(c)
         assert_canonical(got, p)
         assert to_gf(got) == gt.gf_mul_ground(to_gf(f), c % p, p, ZZ)
+
+
+# lengths on both sides of _SCHOOLBOOK_CUTOFF (a product switches to the
+# convolution when la + lb > 64) and of the numpy division switch
+SHORT = st.integers(0, 40)
+LONG = st.integers(50, 150)
+
+
+def poly_of_length(data, p, length, monic_top=False):
+    cs = coeff_lists(data.draw, p, length)
+    if cs and monic_top:
+        cs[-1] = data.draw(st.integers(1, p - 1))
+    return Polynomial(GF(p), cs)
+
+
+class TestMulDivGcd:
+    @given(st.sampled_from(PRIMES), st.booleans(), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_mul_matches_gf_mul(self, p, guard_off, data):
+        f = poly_of_length(data, p, data.draw(st.one_of(SHORT, LONG)))
+        g = poly_of_length(data, p, data.draw(st.one_of(SHORT, LONG)))
+        want = gt.gf_mul(to_gf(f), to_gf(g), p, ZZ)
+        if guard_off:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polynomials, "_fits_int64", lambda modulus, terms: False)
+                got = f * g
+        else:
+            got = f * g
+        assert_canonical(got, p)
+        assert to_gf(got) == want
+
+    @given(st.sampled_from(PRIMES), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_divmod_matches_gf_div(self, p, data):
+        # divisor degree below or at/above 128; quotient length below or
+        # at/above 64; and dividends shorter than the divisor
+        m = data.draw(st.one_of(st.integers(0, 20), st.integers(120, 140)))
+        g = poly_of_length(data, p, m + 1, monic_top=True)
+        f = poly_of_length(data, p, max(0, m + data.draw(st.integers(-5, 100))))
+        q, r = divmod(f, g)
+        assert_canonical(q, p)
+        assert_canonical(r, p)
+        assert (to_gf(q), to_gf(r)) == gt.gf_div(to_gf(f), to_gf(g), p, ZZ)
+        assert f // g == q and f % g == r
+
+    def test_divmod_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            divmod(Polynomial.one(GF(7)), Polynomial.zero(GF(7)))
+
+    @given(st.sampled_from(PRIMES), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_gcd_matches_gf_gcd(self, p, data):
+        # a common factor h makes the gcd nontrivial more often than not
+        h = poly_of_length(data, p, data.draw(st.integers(0, 70)))
+        a = poly_of_length(data, p, data.draw(st.one_of(SHORT, LONG)))
+        b = poly_of_length(data, p, data.draw(st.one_of(SHORT, LONG)))
+        f, g = h * a, h * b
+        if f.is_zero() and g.is_zero():
+            with pytest.raises(ValueError):
+                gcd_monic(f, g)
+            return
+        got = gcd_monic(f, g)
+        assert_canonical(got, p)
+        assert got.leading_coefficient() == 1
+        assert to_gf(got) == gt.gf_gcd(to_gf(f), to_gf(g), p, ZZ)
 
 
 def reference_taylor_shift(coeffs, q, p):

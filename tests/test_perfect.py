@@ -1,5 +1,6 @@
 import pytest
 
+from hqcf import perfect
 from hqcf.cf import ContinuedFraction, rational_to_cf
 from hqcf.fields import GF
 from hqcf.perfect import (
@@ -100,6 +101,78 @@ class TestASequence:
             assert is_odd_polynomial(a)
 
 
+def reference_tower(field, k, max_degree, max_levels=6):
+    """A_0, A_1, ... by A_(i+1) = A_i.pow_frobenius() // P_k, the generic
+    division, while the next degree stays below max_degree."""
+    P, _ = pq_polynomials(field, k)
+    seq = [Polynomial.x(field)]
+    while len(seq) <= max_levels and seq[-1].degree * field.p - 2 * k <= max_degree:
+        seq.append(seq[-1].pow_frobenius() // P)
+    return seq
+
+
+class TestExactDivisionTower:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
+    def test_matches_generic_division(self, p):
+        # every 1 <= k < p/2, including 2k = p - 1 where every A_i is T
+        F = GF(p)
+        for k in range(1, (p - 1) // 2 + 1):
+            ref = reference_tower(F, k, 4000)
+            assert len(ref) >= 2, (p, k)
+            assert a_sequence(F, k, len(ref) - 1) == ref, (p, k)
+
+    def test_exact_integer_fallback(self, monkeypatch):
+        ref = {(p, k): reference_tower(GF(p), k, 4000) for p, k in ((7, 2), (13, 1), (11, 5))}
+        monkeypatch.setattr(perfect, "_fits_int64", lambda p, terms: False)
+        for (p, k), seq in ref.items():
+            assert a_sequence(GF(p), k, len(seq) - 1) == seq
+
+    def test_extends_a_given_prefix(self):
+        seq = a_sequence(F7, 2, 1)
+        assert a_sequence(F7, 2, 3, seq) is seq
+        assert seq == a_sequence(F7, 2, 3)
+
+    def test_corrupted_q_raises(self, monkeypatch):
+        real = perfect.pq_polynomials
+
+        def bad_q(field, k, a=None):
+            P, Q = real(field, k, a)
+            return P, Q + Polynomial.one(field)
+
+        monkeypatch.setattr(perfect, "pq_polynomials", bad_q)
+        with pytest.raises(ArithmeticError, match="A_\\(0,k\\)"):
+            a_sequence(F7, 2, 2)
+
+    def test_corrupted_theta_raises(self, monkeypatch):
+        real = perfect.family_constants
+
+        def bad_theta(field, k):
+            theta, v = real(field, k)
+            return perfect.FamilyConstants((theta + 1) % field.p, v)
+
+        monkeypatch.setattr(perfect, "family_constants", bad_theta)
+        with pytest.raises(ArithmeticError):
+            a_sequence(F13, 4, 1)
+
+    def test_every_level_is_checked(self, monkeypatch):
+        # a remainder that goes wrong only at level 2 is still caught
+        real = perfect._frobenius_divmod_pk
+        calls = []
+
+        def late_fault(a, k):
+            quo, rem = real(a, k)
+            calls.append(a)
+            if len(calls) == 3:
+                rem = rem + Polynomial.one(a.field)
+            return quo, rem
+
+        monkeypatch.setattr(perfect, "_frobenius_divmod_pk", late_fault)
+        assert len(a_sequence(F7, 2, 2)) == 3
+        calls.clear()
+        with pytest.raises(ArithmeticError, match="A_\\(2,k\\)"):
+            a_sequence(F7, 2, 3)
+
+
 class TestIndexSequences:
     def test_recurrence_table_p7(self):
         idx = index_table(3, 2, (0, 0, 0), 30)
@@ -193,6 +266,37 @@ class TestPerfectGeneration:
         gen = generate_perfect_expansion(ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 100)
         direct = expand_root(quartic_state(F7), 100)
         assert list(gen.cf.quotients) == list(direct.quotients)
+
+
+class TestSymbolicQuotients:
+    SPEC = ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
+
+    def test_quotients_are_lambda_times_tower(self):
+        gen = generate_perfect_expansion(self.SPEC, 300)
+        cf = gen.cf
+        assert cf.lambdas == tuple(gen.lambdas[1:]) and cf.indices == tuple(gen.indices[1:])
+        assert list(cf.quotients) == [
+            cf.tower[i].scaled(c) for i, c in zip(cf.indices, cf.lambdas)
+        ]
+
+    def test_length_and_degrees_without_quotients(self, monkeypatch):
+        gen = generate_perfect_expansion(self.SPEC, 300)
+
+        def refuse(*args):
+            raise AssertionError("a quotient was built")
+
+        monkeypatch.setattr(Polynomial, "scaled", refuse)
+        cf = gen.cf
+        assert len(cf) == 300
+        assert cf.degrees() == [cf.tower[i].degree for i in gen.indices[1:]]
+
+    def test_quotients_built_once_and_shared(self):
+        cf = generate_perfect_expansion(self.SPEC, 300).cf
+        qs = cf.quotients
+        assert cf.quotients is qs
+        pairs = set(zip(cf.indices, cf.lambdas))
+        assert len({id(q) for q in qs}) == len(pairs) < len(qs)
+        assert cf.tail(6).quotients == qs[6:]
 
 
 class TestP11Specialization:

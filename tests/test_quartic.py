@@ -219,6 +219,20 @@ class TestConjecture2:
             verify_conjecture2(7)
 
 
+def reference_exponent(cf, window):
+    """The window maximum, its argument and the last ratio of
+    r_n = deg a_(n+1) / sum_(j<=n) deg a_j, one Fraction per step."""
+    degs = [q.degree for q in cf.quotients[: window + 1]]
+    best, arg, total, last = Fraction(0), 0, degs[0], Fraction(0)
+    for n in range(1, window + 1):
+        r = Fraction(degs[n], total)
+        if r > best:
+            best, arg = r, n
+        total += degs[n]
+        last = r
+    return best, arg, last
+
+
 class TestApproximationExponent:
     def gen_cf(self, p, n):
         tr = derive_frobenius_relation(p)
@@ -247,6 +261,36 @@ class TestApproximationExponent:
             approximation_exponent(cf, 0)
         with pytest.raises(ValueError):
             approximation_exponent(cf, 5)
+
+    def test_matches_fraction_reference(self, monkeypatch):
+        rng = random.Random(8)
+        expanded = [expand_root(quartic_state(GF(p)), 300) for p in (5, 11, 13)]
+        expanded.append(ContinuedFraction(F7, [
+            Polynomial.monomial(F7, 1, rng.choice((1, 1, 2, 5, 40))) for _ in range(200)
+        ]))
+        # the reference builds the quotients of a twin of each generated expansion
+        pairs = [(cf, cf) for cf in expanded]
+        pairs += [(self.gen_cf(p, 600), self.gen_cf(p, 600)) for p in (7, 13)]
+        expected = [
+            (cf, window, reference_exponent(twin, window))
+            for cf, twin in pairs
+            for window in (1, 2, 17, len(cf) - 1)
+        ]
+
+        def refuse(*args):
+            raise AssertionError("a generated quotient was built")
+
+        monkeypatch.setattr(Polynomial, "scaled", refuse)
+        for cf, window, (best, arg, last) in expected:
+            rep = approximation_exponent(cf, window)
+            assert (rep.window, rep.nu0_empirical, rep.argmax_index, rep.ratios_tail) == (
+                window, best, arg, last
+            )
+
+    def test_constant_first_quotient_rejected(self):
+        cf = ContinuedFraction(F7, [poly(F7, 3), poly(F7, 0, 1), poly(F7, 0, 1)])
+        with pytest.raises(ValueError, match="first partial quotient"):
+            approximation_exponent(cf, 2)
 
     def test_p11_closed_form(self):
         from hqcf.perfect import generate_perfect_p11
