@@ -4,14 +4,23 @@ continued fractions in F_p.
 A ContinuedFraction holds the partial quotients [a_1, a_2, ..., a_n].  The
 continuant sequences (x_i), (y_i) both satisfy K_i = a_i*K_{i-1} + K_{i-2}
 (x_0 = 1, x_1 = a_1; y_0 = 0, y_1 = 1), give the convergents x_i/y_i, and
-obey the determinant identity x_i*y_{i-1} - x_{i-1}*y_i = (-1)^i, which is
-asserted after every step.
+obey the determinant identity x_i*y_{i-1} - x_{i-1}*y_i = (-1)^i.
+
+Equivalently [[x_n, x_{n-1}], [y_n, y_{n-1}]] is the product of the
+matrices [[a_j, 1], [1, 0]], j = 1..n.  `matrix` builds that product (or
+the one over any range of quotients) as a balanced tree whose leaves are
+blocks of _LEAF quotients run by the plain recurrence, and asserts the
+determinant identity at every node of the tree; `continuants`, which
+keeps every convergent, asserts it at every step.
 """
 
 from typing import Optional, Sequence
 
 from .laurent import Laurent, rational_series
 from .polynomials import Polynomial
+
+# Quotients per leaf of the continuant product tree, run by the recurrence.
+_LEAF = 16
 
 
 class ScalarCFUndefined(ValueError):
@@ -113,8 +122,13 @@ class ContinuedFraction:
         )
 
     def __repr__(self):
-        inner = ", ".join(q.format() for q in self.quotients[:8])
-        if len(self.quotients) > 8:
+        if self._quotients is None:
+            tower = self.tower
+            head = [tower[i].scaled(c) for i, c in zip(self.indices[:8], self.lambdas[:8])]
+        else:
+            head = self._quotients[:8]
+        inner = ", ".join(q.format() for q in head)
+        if len(self) > 8:
             inner += ", ..."
         return f"[{inner}]"
 
@@ -150,10 +164,27 @@ class ContinuedFraction:
                     )
         return xs, ys
 
+    def matrix(self, lo: int = 0, hi: Optional[int] = None) -> tuple:
+        """The product of [[a_j, 1], [1, 0]] for j = lo+1..hi as the tuple
+        (x, x', y, y') of [[x, x'], [y, y']]; for lo = 0 that is
+        (x_hi, x_{hi-1}, y_hi, y_{hi-1}), and hi defaults to n.
+
+        The product is a balanced tree over blocks of _LEAF quotients.  At
+        every node, leaves included, the determinant must be (-1)^(number
+        of quotients); a failure means corrupted quotients or arithmetic
+        and raises ArithmeticError naming the range.
+        """
+        n = len(self)
+        if hi is None:
+            hi = n
+        if not 0 <= lo <= hi <= n:
+            raise ValueError(f"need 0 <= lo <= hi <= {n}, got lo = {lo}, hi = {hi}")
+        return _product(self.quotients, lo, hi, self.field)
+
     def value(self):
         """The continued fraction as a reduced rational pair (x_n, y_n)."""
-        xs, ys = self.continuants()
-        return xs[-1], ys[-1]
+        x, _, y, _ = self.matrix()
+        return x, y
 
     def value_series(self, floor: int) -> Laurent:
         """Laurent expansion of the value, certified down to the floor.
@@ -181,6 +212,32 @@ class ContinuedFraction:
         if not qs:
             raise ValueError("continued fraction needs at least one quotient")
         return ContinuedFraction(qs[0].field, qs)
+
+
+def _product(quotients, lo: int, hi: int, field) -> tuple:
+    """(x, x', y, y') of prod_{j=lo+1..hi} [[a_j, 1], [1, 0]], the a_j being
+    quotients[j-1]; see ContinuedFraction.matrix."""
+    if hi - lo <= _LEAF:
+        one, zero = Polynomial.one(field), Polynomial.zero(field)
+        # start from [[a_{lo+1}, 1], [1, 0]]: every product taken then moves
+        # the determinant if it is wrong, where a product by 1 or 0 would not
+        x, xp, y, yp = (quotients[lo], one, one, zero) if hi > lo else (one, zero, zero, one)
+        for a in quotients[lo + 1 : hi]:
+            x, xp = a * x + xp, x
+            y, yp = a * y + yp, y
+    else:
+        # split on a block boundary so that every leaf but the last is full
+        mid = lo + (hi - lo - 1) // _LEAF // 2 * _LEAF + _LEAF
+        lx, lxp, ly, lyp = _product(quotients, lo, mid, field)
+        rx, rxp, ry, ryp = _product(quotients, mid, hi, field)
+        x, xp = lx * rx + lxp * ry, lx * rxp + lxp * ryp
+        y, yp = ly * rx + lyp * ry, ly * rxp + lyp * ryp
+    det = x * yp - xp * y
+    if det.coeffs != ((1,) if (hi - lo) % 2 == 0 else (field.p - 1,)):
+        raise ArithmeticError(
+            f"continuant determinant broken on quotients {lo + 1}..{hi}"
+        )
+    return x, xp, y, yp
 
 
 def rational_to_cf(num: Polynomial, den: Polynomial) -> ContinuedFraction:

@@ -402,6 +402,8 @@ def generate_perfect_p11(
     disc = (eps2 * eps2 + 2 * eps1) % p
     if disc == 0:
         raise ValueError("excluded by hypothesis: eps2^2 + 2*eps1 = 0")
+    if i1 < 0:
+        raise ValueError(f"the first tower index must be >= 0, got i1 = {i1}")
     eps2_inv = f.inv(eps2)
     lam = [0] * (n + 1)
     dl = [0] * (n + 1)
@@ -430,8 +432,10 @@ def generate_perfect_p11(
             dl[b + 2] = 2 * f.inv(dl[b + 1]) % p
             idx[b + 2] = 0
         m += 1
+    max_i = max(idx[1 : n + 1], default=0)
+    _check_a_index(p, 1, max_i)
     cf = ContinuedFraction.symbolic(
-        f, a_sequence(f, 1, max(idx[1 : n + 1], default=0)), lam[1:], idx[1:],
+        f, a_sequence(f, 1, max_i), lam[1:], idx[1:],
         perfect_type=(p, 1, 1, (i1,)),
     )
     return GenerationResult(cf, lam, dl, idx)
@@ -575,21 +579,20 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
         raise ValueError(
             f"insufficient expansion: need more than l = {l} partial quotients"
         )
-    xs, ys = cf.continuants()
+    x, _, y, _ = cf.matrix()
     floor_cmp = -precision - 1
     # alpha^p needs alpha down to roughly -precision/p
     floor_alpha = -(precision // p + 2)
-    if 2 * ys[-1].degree < -floor_alpha:
+    if 2 * y.degree < -floor_alpha:
         raise ValueError("insufficient expansion for the requested precision")
-    alpha = rational_series(xs[-1], ys[-1], floor_alpha)
+    alpha = rational_series(x, y, floor_alpha)
     lhs = alpha.frobenius().truncate(floor_cmp)
 
-    tail = cf.tail(l)
-    xt, yt = tail.continuants()
+    xt, _, yt, _ = cf.matrix(l)  # the convergent of the tail [a_{l+1}, ..., a_n]
     floor_tail = floor_cmp - rel.P.degree
-    if 2 * yt[-1].degree < -floor_tail:
+    if 2 * yt.degree < -floor_tail:
         raise ValueError("insufficient expansion for the requested precision")
-    tail_series = rational_series(xt[-1], yt[-1], floor_tail)
+    tail_series = rational_series(xt, yt, floor_tail)
     Pser = Laurent.from_polynomial(rel.P)
     Qser = Laurent.from_polynomial(rel.Q)
     rhs = ((Pser * tail_series).scaled(rel.eps1) + Qser.scaled(rel.eps2)).truncate(

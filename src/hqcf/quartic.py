@@ -15,8 +15,9 @@ and alpha^(p+1).  normalize_to_beta rescales by v = sqrt(-a) to the
 normalized family, after which the expansion is a perfect expansion and
 its generator can be cross-checked against the direct root expansion.
 
-For p = 2 mod 3 the analogous relation uses alpha^(p^2); verify_conjecture2
-solves for the scalars exactly instead of deriving them.
+For p = 2 mod 3 the analogous relation uses alpha^(p^2), which
+frobenius_square_vectors reaches from alpha^p by Frobenius powering;
+verify_conjecture2 solves for the scalars exactly instead of deriving them.
 """
 
 from dataclasses import dataclass
@@ -74,6 +75,46 @@ def power_vectors(field: PrimeField, n: int) -> list:
         cur = _alpha_step(field, cur)
         vecs.append(cur)
     return vecs
+
+
+def _ring_mul(field: PrimeField, u: PowerVec, v: PowerVec) -> PowerVec:
+    """u * v in F_p[T][X]/(X^4 + 12T X^3 - 12X^2 - 12), X = alpha."""
+    # ascending in X: c[j] is the coefficient of alpha^j, j = 0..6
+    us, vs = u[::-1], v[::-1]
+    c = [Polynomial.zero(field)] * 7
+    for i, ui in enumerate(us):
+        for j, vj in enumerate(vs):
+            c[i + j] = c[i + j] + ui * vj
+    mT = Polynomial(field, [0, field(-12)])  # -12T
+    twelve = field(12)
+    for j in (6, 5, 4):  # alpha^j = alpha^(j-4) (-12T alpha^3 + 12 alpha^2 + 12)
+        c[j - 1] = c[j - 1] + mT * c[j]
+        c[j - 2] = c[j - 2] + c[j].scaled(twelve)
+        c[j - 4] = c[j - 4] + c[j].scaled(twelve)
+    return PowerVec(c[3], c[2], c[1], c[0])
+
+
+def frobenius_square_vectors(field: PrimeField) -> tuple:
+    """Basis coordinates of (alpha^(p^2), alpha^(p^2 + 1)).
+
+    alpha^p = a alpha^3 + b alpha^2 + c alpha + d takes p - 1 steps from
+    alpha; raising to the p-th power is a ring endomorphism in
+    characteristic p, so
+    alpha^(p^2) = a(T^p) (alpha^p)^3 + b(T^p) (alpha^p)^2 + c(T^p) alpha^p
+    + d(T^p): one pow_frobenius per coordinate and two ring products, in
+    place of the p^2 steps of power_vectors.
+    """
+    zero = Polynomial.zero(field)
+    ap = power_vectors(field, field.p)[-1]
+    ap2 = _ring_mul(field, ap, ap)
+    ap3 = _ring_mul(field, ap2, ap)
+    one = PowerVec(zero, zero, zero, Polynomial.one(field))
+    out = [zero] * 4
+    for coef, vec in zip(ap, (ap3, ap2, ap, one)):
+        coef = coef.pow_frobenius()
+        out = [o + coef * w for o, w in zip(out, vec)]
+    v0 = PowerVec(*out)
+    return v0, _alpha_step(field, v0)
 
 
 class DerivationError(ValueError):
@@ -141,8 +182,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     prefix = expand_root(quartic_state(field), l)
     if len(prefix) < l:
         raise DerivationError("prefix-form", "root expansion terminated early")
-    xs, ys = prefix.continuants()
-    xl, yl = xs[l], ys[l]
+    xl, xl1, yl, yl1 = prefix.matrix(0, l)
     if a_star_p1.degree != xl.degree or xl.is_zero():
         raise DerivationError(
             "convergent", f"deg a*_(p+1) = {a_star_p1.degree} != deg x_l = {xl.degree}"
@@ -167,7 +207,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
 
     sign = field(1) if l % 2 == 0 else field(-1)
     W_signed = W.scaled(sign)
-    G_signed = (xs[l - 1] * V_star - ys[l - 1] * U_star).scaled(sign)
+    G_signed = (xl1 * V_star - yl1 * U_star).scaled(sign)
 
     if W_signed.is_zero() or W_signed.degree % 2 != 0:
         raise DerivationError("W-shape", f"W has degree {W_signed.degree}")
@@ -466,12 +506,9 @@ def verify_conjecture2(p: int, n: Optional[int] = None, *, l_override: Optional[
     direct = expand_root(quartic_state(field), n)
     if len(direct) < l:
         return Conj2Verdict(p, False, l, k_prime, k, detail="expansion terminated early")
-    xs, ys = direct.continuants()
-    xl, yl = xs[l], ys[l]
-    xl1, yl1 = xs[l - 1], ys[l - 1]
+    xl, xl1, yl, yl1 = direct.matrix(0, l)
 
-    vecs = power_vectors(field, p * p + 1)
-    v0, v1 = vecs[p * p], vecs[p * p + 1]
+    v0, v1 = frobenius_square_vectors(field)
     lhs3 = yl * v1.a - xl * v0.a
     lhs2 = yl * v1.b - xl * v0.b
     if not lhs3.is_zero() or not lhs2.is_zero():

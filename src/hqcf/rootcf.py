@@ -213,12 +213,14 @@ def cf_from_series(s: Laurent, *, exact: bool = False) -> ContinuedFraction:
     full = rational_to_cf(num, den)
     if exact or s.floor is None:
         return full
+    # deg y_1 = 0 and deg y_i = deg a_2 + ... + deg a_i: every Euclidean
+    # quotient after the first has degree >= 1, so no leading terms cancel
     budget = -s.floor
-    xs, ys = full.continuants()
-    keep = 0
-    for i in range(1, len(full) + 1):
-        if 2 * ys[i].degree < budget:
-            keep = i
-        else:
+    keep, deg_y = 0, 0
+    for q in full.quotients:
+        if keep:
+            deg_y += q.degree
+        if 2 * deg_y >= budget:
             break
+        keep += 1
     return ContinuedFraction(field, full.quotients[:keep])

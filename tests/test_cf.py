@@ -112,6 +112,65 @@ class TestContinuants:
                 assert ys[-1].degree == sum(q.degree for q in qs[1:])
 
 
+def tree_vs_loop(cf, lo, hi):
+    """matrix(lo, hi) and the same four entries read off the continuants of
+    [a_{lo+1}, ..., a_hi]; K_{-1} = (x, y) = (0, 1) for an empty range."""
+    xs, ys = ContinuedFraction(cf.field, cf.quotients[lo:hi]).continuants()
+    zero, one = Polynomial.zero(cf.field), Polynomial.one(cf.field)
+    xp, yp = (xs[-2], ys[-2]) if len(xs) > 1 else (zero, one)
+    return cf.matrix(lo, hi), (xs[-1], xp, ys[-1], yp)
+
+
+class TestMatrix:
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 33, 300])
+    def test_equals_continuants(self, n):
+        rng = random.Random(n)
+        cf = ContinuedFraction(F13, random_quotients(F13, rng, n))
+        ranges = {(0, n), (0, n // 2), (n // 3, n), (1, n), (n, n)}
+        if n >= 20:
+            ranges |= {(3, n - 2), (16, 32), (5, 21)}
+        for lo, hi in ranges:
+            if lo <= hi:
+                tree, loop = tree_vs_loop(cf, lo, hi)
+                assert tree == loop, (lo, hi)
+        assert cf.matrix() == cf.matrix(0, n)
+
+    def test_value_is_the_last_convergent(self):
+        rng = random.Random(5)
+        cf = ContinuedFraction(F7, random_quotients(F7, rng, 40))
+        xs, ys = cf.continuants()
+        assert cf.value() == (xs[-1], ys[-1])
+
+    @pytest.mark.parametrize("lo, hi", [(-1, 3), (2, 1), (0, 6)])
+    def test_bad_range(self, lo, hi):
+        cf = ContinuedFraction(F7, random_quotients(F7, random.Random(1), 5))
+        with pytest.raises(ValueError):
+            cf.matrix(lo, hi)
+
+    def test_every_corrupted_product_detected(self, monkeypatch):
+        # 40 quotients: three leaves and two tree nodes
+        cf = ContinuedFraction(F13, random_quotients(F13, random.Random(3), 40))
+        real_mul = Polynomial.__mul__
+        calls = [0]
+        bad = [-1]
+
+        def corrupting(self, other):
+            out = real_mul(self, other)
+            if calls[0] == bad[0]:
+                out = out + Polynomial.x(F13)
+            calls[0] += 1
+            return out
+
+        monkeypatch.setattr(Polynomial, "__mul__", corrupting)
+        cf.matrix()  # count the products of a clean run
+        total = calls[0]
+        assert total > 90
+        for bad[0] in range(total):
+            calls[0] = 0
+            with pytest.raises(ArithmeticError, match="continuant determinant broken"):
+                cf.matrix()
+
+
 class TestScalarCF:
     def test_two_terms_mod5(self):
         assert eval_scalar_cf(F5, [2, 3]) == 4

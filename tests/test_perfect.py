@@ -290,6 +290,14 @@ class TestSymbolicQuotients:
         assert len(cf) == 300
         assert cf.degrees() == [cf.tower[i].degree for i in gen.indices[1:]]
 
+    def test_repr_builds_only_the_shown_quotients(self):
+        spec = ExpansionSpec(F7, 3, 2, 2, 4, (4, 2, 3))
+        cf = generate_perfect_expansion(spec, 80000).cf
+        text = repr(cf)
+        assert cf._quotients is None
+        head = ", ".join(q.format() for q in cf.quotients[:8])
+        assert text == f"[{head}, ...]"
+
     def test_quotients_built_once_and_shared(self):
         cf = generate_perfect_expansion(self.SPEC, 300).cf
         qs = cf.quotients
@@ -322,6 +330,20 @@ class TestP11Specialization:
         # eps2^2 + 2*eps1 = 0 mod 7 for (eps1, eps2) = (3, 1)
         with pytest.raises(ValueError, match="excluded"):
             generate_perfect_p11(F7, 0, 3, 1, 10)
+
+    def test_negative_first_index_rejected(self):
+        # -1 would index the tower from its end
+        with pytest.raises(ValueError, match="i1"):
+            generate_perfect_p11(F7, -1, 3, 5, 8)
+
+    def test_tower_past_the_degree_bound_rejected(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the tower was built")
+
+        monkeypatch.setattr(perfect, "a_sequence", refuse)
+        # i(3m-1) = i(m) + 1, so index 12 appears by n = 3 * 8 - 1
+        with pytest.raises(ValueError, match="past degree"):
+            generate_perfect_p11(F7, 12, 3, 5, 23)
 
 
 class TestProp1:

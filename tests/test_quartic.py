@@ -11,6 +11,7 @@ from hqcf.quartic import (
     approximation_exponent,
     beta_quotient_to_alpha,
     derive_frobenius_relation,
+    frobenius_square_vectors,
     normalize_to_beta,
     power_vectors,
     verify_conjecture1,
@@ -102,6 +103,12 @@ class TestPowerReduce:
     def test_rejects_small_p(self):
         with pytest.raises(ValueError, match="p >= 5"):
             power_vectors(GF(3), 4)
+
+    @pytest.mark.parametrize("p", [5, 11, 17, 23])
+    def test_frobenius_square_equals_power_vectors(self, p):
+        F = GF(p)
+        vecs = power_vectors(F, p * p + 1)
+        assert frobenius_square_vectors(F) == (vecs[p * p], vecs[p * p + 1])
 
 
 class TestDerivation:

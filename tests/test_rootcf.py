@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
+from hqcf.cf import rational_to_cf
 from hqcf.fields import GF
 from hqcf.laurent import Laurent
 from hqcf.perfect import all_quotients_odd
@@ -192,3 +195,48 @@ class TestCfFromSeries:
     def test_zero_series_rejected(self):
         with pytest.raises(ValueError):
             cf_from_series(Laurent.zero(F7, -5))
+
+
+def continuant_prefix(s):
+    """The certified prefix as cf_from_series first computed it: from the
+    continuants of the truncation's full expansion, keeping every quotient
+    up to the first i with 2 deg y_i >= -floor."""
+    num = s.num << max(0, s.shift)
+    den = Polynomial.monomial(s.field, 1, max(0, -s.shift))
+    full = rational_to_cf(num, den)
+    xs, ys = full.continuants()
+    keep = 0
+    for i in range(1, len(full) + 1):
+        if 2 * ys[i].degree >= -s.floor:
+            break
+        keep = i
+    return list(full.quotients[:keep]), [y.degree for y in ys]
+
+
+class TestCertifiedPrefixByDegrees:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_continuant_prefix(self, data):
+        F = GF(data.draw(st.sampled_from([5, 7, 13])))
+        coeffs = data.draw(st.lists(st.integers(0, F.p - 1), min_size=1, max_size=14))
+        coeffs.append(data.draw(st.integers(1, F.p - 1)))
+        shift = data.draw(st.integers(-12, 3))
+        s = Laurent(Polynomial(F, coeffs), shift)
+        # every floor from two known terms down to three known zeros below
+        for floor in range(s.degree() - 2, shift - 4, -1):
+            t = s.truncate(floor)
+            expected, y_degrees = continuant_prefix(t)
+            if -floor in [2 * d for d in y_degrees]:
+                event("floor at a 2 deg y_i boundary")
+            assert list(cf_from_series(t).quotients) == expected
+
+    def test_floor_at_the_boundary(self):
+        # T + T^-1 = [T, T]: deg y_1 = 0, deg y_2 = 1, so a floor of exactly
+        # -2 deg y_2 = -2 keeps only a_1, and one more known term keeps a_2
+        s = Laurent(poly(F7, 1, 0, 1), -1)
+        at = s.truncate(-2)
+        assert continuant_prefix(at) == ([poly(F7, 0, 1)], [-1, 0, 1])
+        assert list(cf_from_series(at).quotients) == [poly(F7, 0, 1)]
+        below = s.truncate(-3)
+        assert list(cf_from_series(below).quotients) == [poly(F7, 0, 1)] * 2
+        assert continuant_prefix(below)[0] == [poly(F7, 0, 1)] * 2
