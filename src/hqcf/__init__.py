@@ -1,7 +1,13 @@
 """Exact continued fractions of hyperquadratic power series over F_p(T)."""
 
-from .cf import ContinuedFraction, ScalarCFUndefined, eval_scalar_cf, rational_to_cf
-from .fields import GF, ExtElement, PrimeField, is_prime
+from .cf import (
+    ContinuedFraction,
+    ScalarCFUndefined,
+    matrix_product,
+    rational_to_cf,
+    running_scalar_cf,
+)
+from .fields import GF, PrimeField, is_prime
 from .laurent import Laurent, rational_series
 from .perfect import (
     DeltaMismatchError,
@@ -23,11 +29,8 @@ from .perfect import (
 )
 from .polynomials import (
     Polynomial,
-    content,
-    formal_derivative,
     formal_integral,
     gcd_monic,
-    is_even_polynomial,
     is_odd_polynomial,
     taylor_shift,
 )

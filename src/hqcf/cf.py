@@ -9,9 +9,13 @@ obey the determinant identity x_i*y_{i-1} - x_{i-1}*y_i = (-1)^i.
 Equivalently [[x_n, x_{n-1}], [y_n, y_{n-1}]] is the product of the
 matrices [[a_j, 1], [1, 0]], j = 1..n.  `matrix` builds that product (or
 the one over any range of quotients) as a balanced tree whose leaves are
-blocks of _LEAF quotients run by the plain recurrence, and asserts the
-determinant identity at every node of the tree; `continuants`, which
-keeps every convergent, asserts it at every step.
+blocks of _LEAF quotients run by the plain recurrence; `matrix_product`
+joins two adjacent ranges.  The determinant identity is asserted at every
+node of the tree and at every join; `continuants`, which keeps every
+convergent, asserts it at every step.
+
+running_scalar_cf evaluates the scalar continued fractions
+[h_n, ..., h_2, h_1] in F_p for every n at once, in plain ints mod p.
 """
 
 from typing import Optional, Sequence
@@ -24,26 +28,31 @@ _LEAF = 16
 
 
 class ScalarCFUndefined(ValueError):
-    """A scalar continued fraction hit a zero tail and cannot be evaluated."""
+    """A scalar continued fraction hit a zero tail and cannot be evaluated;
+    index is the n of the running value r_n that is 0."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(message)
+        self.index = index
 
 
-def eval_scalar_cf(field, entries: Sequence[int]) -> int:
-    """Evaluate [u_1, ..., u_m] = u_1 + 1/[u_2, ..., u_m] right to left.
+def running_scalar_cf(field, heads: Sequence[int]) -> list:
+    """[r_1, ..., r_m] with r_1 = h_1 and r_n = h_n + 1/r_(n-1) in F_p: r_n
+    is the scalar continued fraction [h_n, ..., h_2, h_1].
 
-    Every proper tail must evaluate to a nonzero element (otherwise
-    ScalarCFUndefined is raised); the overall value may still be zero and
-    is returned as such for the caller to judge.
+    A running value that is 0 before the last one leaves the next
+    undefined and raises ScalarCFUndefined; the last value may be 0 and is
+    returned for the caller to judge.
     """
-    if not entries:
+    if not heads:
         raise ValueError("empty scalar continued fraction")
-    acc = field(entries[-1])
-    for u in reversed(entries[:-1]):
-        if acc == 0:
-            raise ScalarCFUndefined(
-                "tail of the scalar continued fraction evaluates to 0"
-            )
-        acc = field.add(field(u), field.inv(acc))
-    return acc
+    p = field.p
+    out = [heads[0] % p]
+    for n, h in enumerate(heads[1:], start=1):
+        if not out[-1]:
+            raise ScalarCFUndefined(n, f"running value r_{n} of the scalar continued fraction is 0")
+        out.append((h + field.inv(out[-1])) % p)
+    return out
 
 
 class ContinuedFraction:
@@ -54,22 +63,13 @@ class ContinuedFraction:
     pair shared by every position that carries it, and keeps them; its
     length and degrees never need them."""
 
-    __slots__ = (
-        "field", "_quotients", "first_quotient_constant", "perfect_type",
-        "tower", "lambdas", "indices",
-    )
+    __slots__ = ("field", "_quotients", "perfect_type", "tower", "lambdas", "indices")
 
     def __init__(
-        self,
-        field,
-        quotients: Sequence[Polynomial],
-        *,
-        first_quotient_constant: bool = False,
-        perfect_type: Optional[tuple] = None,
+        self, field, quotients: Sequence[Polynomial], *, perfect_type: Optional[tuple] = None
     ):
         self.field = field
         self._quotients = tuple(quotients)
-        self.first_quotient_constant = first_quotient_constant
         self.perfect_type = perfect_type
         self.tower = self.lambdas = self.indices = None
 
@@ -172,7 +172,8 @@ class ContinuedFraction:
         The product is a balanced tree over blocks of _LEAF quotients.  At
         every node, leaves included, the determinant must be (-1)^(number
         of quotients); a failure means corrupted quotients or arithmetic
-        and raises ArithmeticError naming the range.
+        and raises ArithmeticError naming the range.  matrix(lo, mid) and
+        matrix(mid, hi) join to matrix(lo, hi) by matrix_product.
         """
         n = len(self)
         if hi is None:
@@ -217,23 +218,37 @@ class ContinuedFraction:
 def _product(quotients, lo: int, hi: int, field) -> tuple:
     """(x, x', y, y') of prod_{j=lo+1..hi} [[a_j, 1], [1, 0]], the a_j being
     quotients[j-1]; see ContinuedFraction.matrix."""
-    if hi - lo <= _LEAF:
-        one, zero = Polynomial.one(field), Polynomial.zero(field)
-        # start from [[a_{lo+1}, 1], [1, 0]]: every product taken then moves
-        # the determinant if it is wrong, where a product by 1 or 0 would not
-        x, xp, y, yp = (quotients[lo], one, one, zero) if hi > lo else (one, zero, zero, one)
-        for a in quotients[lo + 1 : hi]:
-            x, xp = a * x + xp, x
-            y, yp = a * y + yp, y
-    else:
+    if hi - lo > _LEAF:
         # split on a block boundary so that every leaf but the last is full
         mid = lo + (hi - lo - 1) // _LEAF // 2 * _LEAF + _LEAF
-        lx, lxp, ly, lyp = _product(quotients, lo, mid, field)
-        rx, rxp, ry, ryp = _product(quotients, mid, hi, field)
-        x, xp = lx * rx + lxp * ry, lx * rxp + lxp * ryp
-        y, yp = ly * rx + lyp * ry, ly * rxp + lyp * ryp
+        return matrix_product(
+            _product(quotients, lo, mid, field), _product(quotients, mid, hi, field), lo, hi
+        )
+    one, zero = Polynomial.one(field), Polynomial.zero(field)
+    # start from [[a_{lo+1}, 1], [1, 0]]: every product taken then moves
+    # the determinant if it is wrong, where a product by 1 or 0 would not
+    x, xp, y, yp = (quotients[lo], one, one, zero) if hi > lo else (one, zero, zero, one)
+    for a in quotients[lo + 1 : hi]:
+        x, xp = a * x + xp, x
+        y, yp = a * y + yp, y
+    return _checked(x, xp, y, yp, lo, hi)
+
+
+def matrix_product(left: tuple, right: tuple, lo: int, hi: int) -> tuple:
+    """left * right as (x, x', y, y'), where left and right are the matrices
+    (ContinuedFraction.matrix) of quotients lo+1..mid and mid+1..hi; the
+    product's determinant must be (-1)^(hi - lo), else ArithmeticError."""
+    lx, lxp, ly, lyp = left
+    rx, rxp, ry, ryp = right
+    return _checked(
+        lx * rx + lxp * ry, lx * rxp + lxp * ryp,
+        ly * rx + lyp * ry, ly * rxp + lyp * ryp, lo, hi,
+    )
+
+
+def _checked(x, xp, y, yp, lo: int, hi: int) -> tuple:
     det = x * yp - xp * y
-    if det.coeffs != ((1,) if (hi - lo) % 2 == 0 else (field.p - 1,)):
+    if det.coeffs != ((1,) if (hi - lo) % 2 == 0 else (x.field.p - 1,)):
         raise ArithmeticError(
             f"continuant determinant broken on quotients {lo + 1}..{hi}"
         )
@@ -245,8 +260,7 @@ def rational_to_cf(num: Polynomial, den: Polynomial) -> ContinuedFraction:
 
     Quotients are taken exactly as polynomial division returns them (no
     sign or monic normalization).  A first quotient of degree < 1 is legal
-    for rational input and flagged on the result; all later quotients have
-    degree >= 1 automatically.
+    for rational input; all later quotients have degree >= 1 automatically.
     """
     if den.is_zero():
         raise ZeroDivisionError("not a rational function: zero denominator")
@@ -256,5 +270,4 @@ def rational_to_cf(num: Polynomial, den: Polynomial) -> ContinuedFraction:
         q, r = divmod(a, b)
         quotients.append(q)
         a, b = b, r
-    flag = bool(quotients) and quotients[0].degree < 1
-    return ContinuedFraction(num.field, quotients, first_quotient_constant=flag)
+    return ContinuedFraction(num.field, quotients)

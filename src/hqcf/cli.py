@@ -68,10 +68,6 @@ class _XPoly:
         self.field = field
         self.coeffs = coeffs  # ascending in X
 
-    @classmethod
-    def const(cls, field, tpoly):
-        return cls(field, [tpoly])
-
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))
         z = Polynomial.zero(self.field)
@@ -109,7 +105,7 @@ class _XPoly:
         return len(self.coeffs) - 1, max(c.degree for c in self.coeffs)
 
     def __pow__(self, e):
-        out = _XPoly.const(self.field, Polynomial.one(self.field))
+        out = _XPoly(self.field, [Polynomial.one(self.field)])
         base = self
         while e:
             if e & 1:
@@ -143,7 +139,7 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
     except SyntaxError as exc:
         raise UsageError(f"cannot parse polynomial: {exc}")
 
-    T = _XPoly.const(field, Polynomial.x(field))
+    T = _XPoly(field, [Polynomial.x(field)])
     X = _XPoly(field, [Polynomial.zero(field), Polynomial.one(field)])
 
     def ev(node) -> _XPoly:
@@ -167,7 +163,7 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
                     )
                 num = ev(node.left)
                 inv = Polynomial.constant(field, field.inv(den))
-                return num * _XPoly.const(field, inv)
+                return num * _XPoly(field, [inv])
             if isinstance(node.op, ast.Pow):
                 e = node.right
                 if not (isinstance(e, ast.Constant) and isinstance(e.value, int) and e.value >= 0):
@@ -193,7 +189,7 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
             raise UsageError(f"unknown symbol {node.id!r} (use T and X)")
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
-                return _XPoly.const(field, Polynomial.constant(field, node.value))
+                return _XPoly(field, [Polynomial.constant(field, node.value)])
             raise UsageError(f"unsupported constant {node.value!r}")
         raise UsageError(f"unsupported syntax: {ast.dump(node)}")
 
@@ -206,22 +202,15 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
 # -- output helpers --------------------------------------------------------------
 
 
-def _annotate(q: Polynomial, A: list) -> str:
-    for i, a in enumerate(A):
-        if a.degree == q.degree and not a.is_zero():
-            c = q.field.div(q.leading_coefficient(), a.leading_coefficient())
-            if q == a.scaled(c):
-                return f"  [= {c}*A[{i},k]]"
-    return ""
-
-
-def _annotation_tower(field, k: int | None, max_deg: int, levels: list) -> list:
-    """The A[i,k] the annotations may name: A_0, A_1, ... while the degree
-    is below max_deg and still rises, at most 40 entries.  levels, the
-    tower built so far (at least A_0), is extended one level at a time
-    when it runs short."""
+def _annotation_index(field, k: int | None, max_deg: int, levels: list) -> dict:
+    """{A_j: j} for the A[j,k] the annotations may name: A_0, A_1, ...
+    while the degree is below max_deg and still rises, at most 40 entries.
+    levels, the tower built so far (at least A_0), is extended one level at
+    a time when it runs short.  The entries are monic and have distinct
+    degrees, so a quotient q is c*A_j exactly when q.monic() == A_j, with
+    c = lc(q): one lookup keyed on the monic quotient."""
     if k is None or 2 * k >= field.p:
-        return []
+        return {}
     A = levels[:1]
     while A[-1].degree < max_deg and len(A) < 40:
         if len(levels) == len(A):
@@ -229,27 +218,24 @@ def _annotation_tower(field, k: int | None, max_deg: int, levels: list) -> list:
         if levels[len(A)].degree <= A[-1].degree:
             break
         A.append(levels[len(A)])
-    return A
+    return {a: j for j, a in enumerate(A)}
+
+
+def _note(c: int, j: int | None) -> str:
+    """The annotation of a quotient c*A[j,k]; "" when j is None."""
+    return "" if j is None else f"  [= {c}*A[{j},k]]"
 
 
 def _render_symbolic(cf: ContinuedFraction, as_json: bool, k: int | None) -> str:
     """The printed form of a generated expansion, each distinct (i, lambda)
-    pair rendered once.  Every tower entry is monic, so lambda*A_i is a
-    multiple of A_j exactly when A_j == A_i, with factor lambda: the
-    annotation _annotate would find, without building a polynomial per
-    line."""
+    pair rendered once.  The monic quotient of lambda*A_i is A_i itself, so
+    its annotation is looked up without building a polynomial per line."""
     A = cf.tower
     if as_json:
         parts = cf.per_pair(lambda i, c: json.dumps(A[i].scaled(c).to_json_dict()))
         return f'{{"p": {cf.field.p}, "pq": [{", ".join(parts)}]}}\n'
-    named = _annotation_tower(cf.field, k, max(cf.degrees(), default=1), list(A))
-
-    def render(i, c):
-        j = next((j for j, a in enumerate(named) if a == A[i]), None)
-        note = "" if j is None else f"  [= {c}*A[{j},k]]"
-        return A[i].scaled(c).format() + note
-
-    parts = cf.per_pair(render)
+    named = _annotation_index(cf.field, k, max(cf.degrees(), default=1), list(A))
+    parts = cf.per_pair(lambda i, c: A[i].scaled(c).format() + _note(c, named.get(A[i])))
     return "".join([f"a_{n} = {t}\n" for n, t in enumerate(parts, start=1)])
 
 
@@ -261,9 +247,11 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
         print(json.dumps(cf.to_json_dict()), file=out)
         return
     max_deg = max((q.degree for q in cf.quotients), default=1)
-    A = _annotation_tower(cf.field, k, max_deg, [Polynomial.x(cf.field)])
+    named = _annotation_index(cf.field, k, max_deg, [Polynomial.x(cf.field)])
+    degrees = {a.degree for a in named}  # q.monic() is built only where it can match
     for n, q in enumerate(cf.quotients, start=1):
-        print(f"a_{n} = {q.format()}{_annotate(q, A)}", file=out)
+        note = _note(q.leading_coefficient(), named.get(q.monic())) if q.degree in degrees else ""
+        print(f"a_{n} = {q.format()}{note}", file=out)
 
 
 # -- subcommands ------------------------------------------------------------------

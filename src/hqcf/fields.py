@@ -1,17 +1,17 @@
-"""Arithmetic in the prime field F_p.
+"""The prime field F_p.
 
-Elements of F_p are plain Python integers in [0, p); a PrimeField instance
-is the context that combines them.  The one value that can lie outside F_p
-is a square root of a non-residue: sqrt_in_ext returns it as an ExtElement
-record (a0, a1) standing for a0 + a1*w with w*w = d, where d is the field's
-smallest quadratic non-residue.  One of a0, a1 is always zero, so the
-record's square a0^2 + d*a1^2 is computed in F_p.
+Elements of F_p are plain Python integers in [0, p), combined with the
+ordinary operators and reduced with % p; pow(x, e, p) raises them to
+powers.  A PrimeField instance only names the modulus and supplies what
+those operators do not: inverses, the residue symbol, canonical square
+roots and the image of a rational.
 
 All operations are pure functions over immutable values, so contexts and
 elements can be shared freely between threads.
 """
 
-from typing import NamedTuple, Optional
+from functools import cache
+from typing import Optional
 
 _MAX_MODULUS = 10**6  # trial division stays cheap; this library targets desk-scale primes
 
@@ -29,29 +29,16 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class ExtElement(NamedTuple):
-    """a0 + a1*w with w*w equal to the field's smallest non-residue."""
-
-    a0: int
-    a1: int
-
-
-_field_cache: dict[int, "PrimeField"] = {}
-
-
+@cache
 def GF(p: int) -> "PrimeField":
     """Return the (cached) prime field context for modulus p."""
-    field = _field_cache.get(p)
-    if field is None:
-        field = PrimeField(p)
-        _field_cache[p] = field
-    return field
+    return PrimeField(p)
 
 
 class PrimeField:
     """The field F_p for an odd prime p with 3 <= p <= 10^6."""
 
-    __slots__ = ("p", "_nonresidue")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
@@ -59,7 +46,6 @@ class PrimeField:
         if p > _MAX_MODULUS:
             raise ValueError(f"modulus {p} exceeds the supported range")
         self.p = p
-        self._nonresidue: Optional[int] = None
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -69,17 +55,6 @@ class PrimeField:
 
     def __hash__(self):
         return hash(("PrimeField", self.p))
-
-    # -- element construction ------------------------------------------------
-
-    def __call__(self, x: int) -> int:
-        return x % self.p
-
-    def zero(self) -> int:
-        return 0
-
-    def one(self) -> int:
-        return 1
 
     def embed_rational(self, num: int, den: int) -> int:
         """Image of the rational num/den in F_p.
@@ -91,37 +66,10 @@ class PrimeField:
             raise ValueError(f"rational {num}/{den} not embeddable mod {self.p}")
         return num * self.inv(den % self.p) % self.p
 
-    # -- ring operations -----------------------------------------------------
-
-    def add(self, x: int, y: int) -> int:
-        return (x + y) % self.p
-
-    def sub(self, x: int, y: int) -> int:
-        return (x - y) % self.p
-
-    def mul(self, x: int, y: int) -> int:
-        return x * y % self.p
-
-    def neg(self, x: int) -> int:
-        return -x % self.p
-
     def inv(self, x: int) -> int:
         if x % self.p == 0:
             raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
         return pow(x, self.p - 2, self.p)
-
-    def div(self, x: int, y: int) -> int:
-        return x * self.inv(y) % self.p
-
-    def pow(self, x: int, e: int) -> int:
-        if e < 0:
-            return pow(self.inv(x), -e, self.p)
-        return pow(x, e, self.p)
-
-    def is_zero(self, x: int) -> bool:
-        return x % self.p == 0
-
-    # -- quadratic structure ---------------------------------------------------
 
     def legendre(self, x: int) -> int:
         """Euler-criterion residue symbol: 1, -1, or 0."""
@@ -130,14 +78,6 @@ class PrimeField:
             return 0
         s = pow(x, (self.p - 1) // 2, self.p)
         return -1 if s == self.p - 1 else s
-
-    def smallest_nonresidue(self) -> int:
-        if self._nonresidue is None:
-            d = 2
-            while self.legendre(d) != -1:
-                d += 1
-            self._nonresidue = d
-        return self._nonresidue
 
     def sqrt(self, x: int) -> Optional[int]:
         """Canonical square root of x in F_p, or None for non-residues.
@@ -159,7 +99,9 @@ class PrimeField:
         while q % 2 == 0:
             q //= 2
             s += 1
-        z = self.smallest_nonresidue()
+        z = 2  # the smallest non-residue
+        while self.legendre(z) != -1:
+            z += 1
         c = pow(z, q, p)
         r = pow(x, (q + 1) // 2, p)
         t = pow(x, q, p)
@@ -175,18 +117,3 @@ class PrimeField:
             t = t * c % p
             m = i
         return min(r, p - r)
-
-    def sqrt_in_ext(self, x: int) -> ExtElement:
-        """A square root of x: (r, 0) with r in F_p when x is a residue,
-        else (0, s) standing for s*w, w*w = d.
-
-        Deterministic: residues get the canonical base-field root; for a
-        non-residue x, s is the canonical root of x/d.
-        """
-        x %= self.p
-        r = self.sqrt(x)
-        if r is not None:
-            return ExtElement(r, 0)
-        s = self.sqrt(self.div(x, self.smallest_nonresidue()))
-        assert s is not None  # x/d is a residue when both are non-residues
-        return ExtElement(0, s)

@@ -37,20 +37,21 @@ expansions; verify_prop1 also re-checks the first tower levels by generic
 polynomial division.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .cf import ContinuedFraction, ScalarCFUndefined, eval_scalar_cf, rational_to_cf
+from .cf import (
+    ContinuedFraction,
+    ScalarCFUndefined,
+    matrix_product,
+    rational_to_cf,
+    running_scalar_cf,
+)
 from .fields import PrimeField
 from .laurent import Laurent, rational_series
-from .polynomials import (
-    Polynomial,
-    _fits_int64,
-    formal_integral,
-    is_odd_polynomial,
-)
+from .polynomials import Polynomial, _fits_int64, formal_integral
 
 
 class DeltaUndefinedError(ValueError):
@@ -73,7 +74,7 @@ def pq_polynomials(field: PrimeField, k: int, a: Optional[int] = None):
     p = field.p
     if not 1 <= k or not 2 * k < p:
         raise ValueError(f"need 1 <= k < p/2, got k={k}, p={p}")
-    a = field(-1 if a is None else a)
+    a = (-1 if a is None else a) % p
     if a == 0:
         raise ValueError("the family parameter a must be nonzero")
     base = Polynomial(field, [a, 0, 1])  # T^2 + a
@@ -88,7 +89,7 @@ def power_p_family(field: PrimeField, k: int, a: Optional[int] = None) -> Polyno
     Used for the left side P_{kp-i} of the product-family expansion, whose
     exponent kp-i exceeds p/2 by design; only Q needs the integration bound.
     """
-    a = field(-1 if a is None else a)
+    a = (-1 if a is None else a) % field.p
     if a == 0:
         raise ValueError("the family parameter a must be nonzero")
     return Polynomial(field, [a, 0, 1]) ** k
@@ -259,7 +260,8 @@ class ExpansionSpec:
     indices: tuple = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(self.field(x) for x in self.lambdas))
+        p = self.field.p
+        object.__setattr__(self, "lambdas", tuple(x % p for x in self.lambdas))
         idx = tuple(self.indices) if self.indices else (0,) * self.l
         object.__setattr__(self, "indices", idx)
         if len(self.lambdas) != self.l or len(idx) != self.l:
@@ -270,7 +272,7 @@ class ExpansionSpec:
             raise ValueError(f"prefix indices must be >= 0, got {idx}")
         for i in idx:
             _check_a_index(self.field.p, self.k, i)
-        if any(x == 0 for x in self.lambdas) or self.field(self.eps1) == 0 or self.field(self.eps2) == 0:
+        if 0 in self.lambdas or self.eps1 % p == 0 or self.eps2 % p == 0:
             raise ValueError("lambdas and epsilons must be nonzero")
 
     def validate(self) -> list:
@@ -285,18 +287,14 @@ class ExpansionSpec:
         p = f.p
         theta, _ = family_constants(f, self.k)
         eps2_inv = f.inv(self.eps2)
-        deltas = []
-        prev = 2 * self.k * theta * eps2_inv % p  # the anchor 2k theta / eps2
-        for n in range(1, self.l + 1):
-            if prev == 0:
-                raise DeltaUndefinedError(
-                    n, f"delta undefined at n={n}: zero tail in the scalar continued fraction"
-                )
-            head = pow(theta, self.indices[n - 1], p) * self.lambdas[n - 1]
-            prev = (head + f.inv(prev)) % p
-            if prev == 0 and n < self.l:
-                raise DeltaUndefinedError(n, f"delta undefined at n={n}: delta_{n} = 0")
-            deltas.append(prev)
+        # delta_n is the running value after the anchor 2k theta / eps2
+        heads = [2 * self.k * theta * eps2_inv]
+        heads += [pow(theta, i, p) * x for i, x in zip(self.indices, self.lambdas)]
+        try:
+            deltas = running_scalar_cf(f, heads)[1:]
+        except ScalarCFUndefined as exc:
+            n = exc.index - 1  # delta_n = 0: the anchor is a unit, as theta and eps2 are
+            raise DeltaUndefinedError(n, f"delta undefined at n={n}: delta_{n} = 0")
         if deltas[-1] == 0:
             raise DeltaUndefinedError(self.l, f"delta_{self.l} = 0, not in F_p^*")
         target = 2 * self.k * self.eps1 * eps2_inv % p
@@ -308,7 +306,7 @@ class ExpansionSpec:
 
     def relation(self) -> FrobeniusRelation:
         P, Q = pq_polynomials(self.field, self.k)
-        return FrobeniusRelation(self.l, self.field(self.eps1), self.field(self.eps2), P, Q)
+        return FrobeniusRelation(self.l, self.eps1 % self.field.p, self.eps2 % self.field.p, P, Q)
 
 
 class GenerationResult(NamedTuple):
@@ -409,7 +407,7 @@ def generate_perfect_p11(
     dl = [0] * (n + 1)
     idx = [0] * (n + 1)
     if n >= 1:
-        lam[1] = disc * f.pow(-2, i1) * eps2_inv % p
+        lam[1] = disc * pow(-2, i1, p) * eps2_inv % p
         dl[1] = -2 * eps1 * eps2_inv % p
         idx[1] = i1
     eps1_inv = f.inv(eps1)
@@ -453,7 +451,6 @@ class Prop1Report:
     cf_matches: bool
     reversal_holds: bool
     power_identity: list  # booleans for i = 0, 1, 2
-    witnesses: dict = dc_field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -467,6 +464,7 @@ def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
       P_k/Q_k = -4 k^2 theta_k^2 [v_{2k} T, ..., v_1 T],
       A_{i,k}^p = A_{i+1,k} P_k - 2k theta_k^{i+1} Q_k   (i = 0, 1, 2).
     """
+    p = field.p
     theta, v = family_constants(field, k)
     P, Q = pq_polynomials(field, k)
     T = Polynomial.x(field)
@@ -476,18 +474,15 @@ def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
 
     rev = ContinuedFraction(field, list(reversed(predicted)))
     xr, yr = rev.value()
-    c = field(-4 * k * k % field.p * theta % field.p * theta % field.p)
-    reversal_holds = P * yr == (xr * Q).scaled(c)
+    reversal_holds = P * yr == (xr * Q).scaled(-4 * k * k * theta * theta)
 
     A = a_sequence(field, k, 3)
     power_identity = []
     for i in range(3):
         quo, rem = divmod(A[i].pow_frobenius(), P)
-        coef = field.neg(2 * k * field.pow(theta, i + 1) % field.p)
+        coef = -2 * k * pow(theta, i + 1, p)
         power_identity.append(quo == A[i + 1] and rem == Q.scaled(coef))
-    return Prop1Report(
-        field.p, k, theta, v, cf_matches, reversal_holds, power_identity
-    )
+    return Prop1Report(p, k, theta, v, cf_matches, reversal_holds, power_identity)
 
 
 @dataclass
@@ -512,23 +507,28 @@ def prop2_predicted_quotients(field: PrimeField, k: int, i: int):
     (m = 1..2i), closed by v_{2k,k} A_{1,i}; here
     delta_j = 2i theta_i [v_{j,k}, ..., v_{1,k}].
 
-    Raises ScalarCFUndefined if some delta_j cannot be formed or is zero.
+    Raises ScalarCFUndefined if some delta_j is zero.
     """
-    theta_k, v_k = family_constants(field, k)
+    p = field.p
+    _, v_k = family_constants(field, k)
     theta_i, v_i = family_constants(field, i)
     A1 = a_sequence(field, i, 1)[1]
     T = Polynomial.x(field)
+    # delta_j / (2i theta_i) is the running value r_j over v_1, v_2, ...; a
+    # trailing head makes r_(2k-1) a tail too, so every zero one raises
+    try:
+        brackets = running_scalar_cf(field, [*v_k[: 2 * k - 1], 0])
+    except ScalarCFUndefined as exc:
+        j = exc.index
+        raise ScalarCFUndefined(j, f"delta_{j} = 0 in the block construction")
     quotients = []
     for j in range(1, 2 * k):
-        bracket = eval_scalar_cf(field, list(reversed(v_k[:j])))
-        delta_j = 2 * i * theta_i % field.p * bracket % field.p
-        if delta_j == 0:
-            raise ScalarCFUndefined(f"delta_{j} = 0 in the block construction")
+        delta_j = 2 * i * theta_i * brackets[j - 1] % p
         dj_inv = field.inv(delta_j)
         quotients.append(A1.scaled(v_k[j - 1]))
         for m in range(1, 2 * i + 1):
             scal = dj_inv if m % 2 == 1 else delta_j
-            quotients.append(T.scaled(field.neg(field.mul(scal, v_i[m - 1]))))
+            quotients.append(T.scaled(-scal * v_i[m - 1]))
     quotients.append(A1.scaled(v_k[2 * k - 1]))
     return quotients
 
@@ -553,8 +553,7 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
 
     rev = ContinuedFraction(field, list(reversed(predicted)))
     xr, yr = rev.value()
-    c = field(-4 * k * k % p * theta_k % p * theta_k % p)
-    reversal_holds = Pk * yr == (xr * Qkp).scaled(c)
+    reversal_holds = Pk * yr == (xr * Qkp).scaled(-4 * k * k * theta_k * theta_k)
     return Prop2Report(p, k, i, True, "", cf_matches, reversal_holds, len(predicted))
 
 
@@ -579,7 +578,9 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
         raise ValueError(
             f"insufficient expansion: need more than l = {l} partial quotients"
         )
-    x, _, y, _ = cf.matrix()
+    # the whole is the head [a_1..a_l] times the tail [a_(l+1)..a_n]
+    head, tail = cf.matrix(0, l), cf.matrix(l)
+    x, _, y, _ = matrix_product(head, tail, 0, len(cf))
     floor_cmp = -precision - 1
     # alpha^p needs alpha down to roughly -precision/p
     floor_alpha = -(precision // p + 2)
@@ -588,7 +589,7 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     alpha = rational_series(x, y, floor_alpha)
     lhs = alpha.frobenius().truncate(floor_cmp)
 
-    xt, _, yt, _ = cf.matrix(l)  # the convergent of the tail [a_{l+1}, ..., a_n]
+    xt, _, yt, _ = tail
     floor_tail = floor_cmp - rel.P.degree
     if 2 * yt.degree < -floor_tail:
         raise ValueError("insufficient expansion for the requested precision")
@@ -599,7 +600,3 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
         floor_cmp
     )
     return lhs.first_difference(rhs)
-
-
-def all_quotients_odd(cf: ContinuedFraction) -> bool:
-    return all(is_odd_polynomial(q) for q in cf.quotients)

@@ -265,14 +265,7 @@ class Polynomial:
     def __mod__(self, other):
         return divmod(self, other)[1]
 
-    # -- evaluation and reshaping ------------------------------------------------------
-
-    def __call__(self, x):
-        p = self.field.p
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = (acc * x + c) % p
-        return acc
+    # -- reshaping -------------------------------------------------------------------
 
     def monic(self) -> "Polynomial":
         if self.is_zero():
@@ -354,26 +347,6 @@ def taylor_shift(coeffs, q: Polynomial) -> list:
     return [Polynomial._make(field, c.tolist()) for c in t]
 
 
-def content(polys) -> Polynomial:
-    """Monic gcd of a family of polynomials, ignoring zeros."""
-    acc = None
-    for f in polys:
-        if f.is_zero():
-            continue
-        acc = f if acc is None else gcd_monic(acc, f)
-        if acc.degree == 0:
-            return Polynomial.one(f.field)
-    if acc is None:
-        raise ValueError("content of an all-zero family is undefined")
-    return acc.monic()
-
-
-def formal_derivative(f: Polynomial) -> Polynomial:
-    fld = f.field
-    p = fld.p
-    return Polynomial(fld, [n * c % p for n, c in enumerate(f.coeffs)][1:])
-
-
 def formal_integral(f: Polynomial) -> Polynomial:
     """The primitive of f with zero constant term.
 
@@ -394,7 +367,3 @@ def formal_integral(f: Polynomial) -> Polynomial:
 def is_odd_polynomial(f: Polynomial) -> bool:
     """True when every monomial of f has odd exponent (vacuously for 0)."""
     return not any(f.coeffs[0::2])
-
-
-def is_even_polynomial(f: Polynomial) -> bool:
-    return not any(f.coeffs[1::2])

@@ -14,6 +14,8 @@ with (l, k) = ((p-1)/2, (p-1)/3), from the basis coordinates of alpha^p
 and alpha^(p+1).  normalize_to_beta rescales by v = sqrt(-a) to the
 normalized family, after which the expansion is a perfect expansion and
 its generator can be cross-checked against the direct root expansion.
+Every step is arithmetic in F_p on plain ints mod p: v is carried as the
+int s = v^2 = -a, and v itself is needed only for an odd power of it.
 
 For p = 2 mod 3 the analogous relation uses alpha^(p^2), which
 frobenius_square_vectors reaches from alpha^p by Frobenius powering;
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .cf import ContinuedFraction
-from .fields import GF, ExtElement, PrimeField
+from .fields import GF, PrimeField
 from .laurent import Laurent
 from .perfect import (
     DeltaMismatchError,
@@ -52,13 +54,12 @@ class PowerVec(NamedTuple):
 
 def _alpha_step(field: PrimeField, vec: PowerVec) -> PowerVec:
     # alpha * (a A^3 + b A^2 + c A + d) with A^4 = -12T A^3 + 12 A^2 + 12
-    twelve = field(12)
-    mT = Polynomial(field, [0, field(-12)])  # -12T
+    mT = Polynomial(field, [0, -12])  # -12T
     return PowerVec(
         vec.b + mT * vec.a,
-        vec.c + vec.a.scaled(twelve),
+        vec.c + vec.a.scaled(12),
         vec.d,
-        vec.a.scaled(twelve),
+        vec.a.scaled(12),
     )
 
 
@@ -85,12 +86,11 @@ def _ring_mul(field: PrimeField, u: PowerVec, v: PowerVec) -> PowerVec:
     for i, ui in enumerate(us):
         for j, vj in enumerate(vs):
             c[i + j] = c[i + j] + ui * vj
-    mT = Polynomial(field, [0, field(-12)])  # -12T
-    twelve = field(12)
+    mT = Polynomial(field, [0, -12])  # -12T
     for j in (6, 5, 4):  # alpha^j = alpha^(j-4) (-12T alpha^3 + 12 alpha^2 + 12)
         c[j - 1] = c[j - 1] + mT * c[j]
-        c[j - 2] = c[j - 2] + c[j].scaled(twelve)
-        c[j - 4] = c[j - 4] + c[j].scaled(twelve)
+        c[j - 2] = c[j - 2] + c[j].scaled(12)
+        c[j - 4] = c[j - 4] + c[j].scaled(12)
     return PowerVec(c[3], c[2], c[1], c[0])
 
 
@@ -187,7 +187,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
         raise DerivationError(
             "convergent", f"deg a*_(p+1) = {a_star_p1.degree} != deg x_l = {xl.degree}"
         )
-    c = field.div(a_star_p1.leading_coefficient(), xl.leading_coefficient())
+    c = a_star_p1.leading_coefficient() * field.inv(xl.leading_coefficient()) % p
     if a_star_p1 != xl.scaled(c) or a_star_p != yl.scaled(c):
         raise DerivationError(
             "convergent", "(a*_(p+1), a*_p) is not proportional to (x_l, y_l)"
@@ -197,7 +197,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
 
     lambdas = []
     for j, q in enumerate(prefix.quotients, start=1):
-        if q.degree != 1 or not field.is_zero(q.constant_coefficient()):
+        if q.degree != 1 or q.constant_coefficient():
             raise DerivationError("prefix-form", f"quotient a_{j} = {q} is not lambda*T")
         lambdas.append(q.leading_coefficient())
 
@@ -205,7 +205,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     V_star = a_star_p1 * vp.c - a_star_p * vp1.c
     W = a_star_p1 * V_star - a_star_p * U_star
 
-    sign = field(1) if l % 2 == 0 else field(-1)
+    sign = 1 if l % 2 == 0 else -1
     W_signed = W.scaled(sign)
     G_signed = (xl1 * V_star - yl1 * U_star).scaled(sign)
 
@@ -216,7 +216,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     monic_w = W_signed.scaled(field.inv(eps1))
     if k == 0:
         raise DerivationError("W-shape", "W is constant")
-    a = field.div(monic_w.coeffs[2 * k - 2], field(k))
+    a = monic_w.coeffs[2 * k - 2] * field.inv(k) % p
     if a == 0 or monic_w != Polynomial(field, [a, 0, 1]) ** k:
         raise DerivationError("W-shape", "W/lc is not of the form (T^2+a)^k")
     if k != k_target:
@@ -226,7 +226,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     Q = formal_integral(Polynomial(field, [a, 0, 1]) ** (k - 1))
     if G_signed.is_zero() or Q.is_zero():
         raise DerivationError("Q-shape", "degenerate Q part")
-    eps2 = field.div(G_signed.leading_coefficient(), Q.leading_coefficient())
+    eps2 = G_signed.leading_coefficient() * field.inv(Q.leading_coefficient()) % p
     if G_signed != Q.scaled(eps2):
         raise DerivationError("Q-shape", "residual part is not proportional to Q_(k,a)")
 
@@ -268,13 +268,14 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
 
 @dataclass
 class NormalizedRelation:
-    """The relation rescaled by v = sqrt(-a) into the a = -1 family."""
+    """The relation rescaled by v = sqrt(-a) into the a = -1 family; v is
+    carried as s = v^2 = -a mod p."""
 
     p: int
     l: int
     k: int
     a: int
-    v: ExtElement
+    s: int
     eps1: int
     eps2: int
     b_prefix: tuple  # polynomials over F_p
@@ -294,54 +295,53 @@ def normalize_to_beta(trace: FrobeniusTrace) -> NormalizedRelation:
       eps1' = (-a)^(k + (p - (-1)^l)/2) eps1
       eps2' = (-a)^(k + (p - 1)/2)     eps2.
     """
-    field = GF(trace.p)
-    neg_a = field.neg(trace.a)
-    v = field.sqrt_in_ext(neg_a)
+    p = trace.p
+    field = GF(p)
+    s = -trace.a % p
     sign_l = 1 if trace.l % 2 == 0 else -1
-    e1 = field.mul(field.pow(neg_a, trace.k + (trace.p - sign_l) // 2), trace.eps1)
-    e2 = field.mul(field.pow(neg_a, trace.k + (trace.p - 1) // 2), trace.eps2)
+    e1 = pow(s, trace.k + (p - sign_l) // 2, p) * trace.eps1 % p
+    e2 = pow(s, trace.k + (p - 1) // 2, p) * trace.eps2 % p
     b_prefix = [
-        _rescale(field, q, v, 1 if i % 2 == 1 else -1, 1)
+        _rescale(field, q, s, 1 if i % 2 == 1 else -1, 1)
         for i, q in enumerate(trace.prefix.quotients, start=1)
     ]
     lambdas = tuple(b.leading_coefficient() for b in b_prefix)
     return NormalizedRelation(
-        trace.p, trace.l, trace.k, trace.a, v, e1, e2, tuple(b_prefix), lambdas
+        p, trace.l, trace.k, trace.a, s, e1, e2, tuple(b_prefix), lambdas
     )
 
 
-def beta_quotient_to_alpha(field: PrimeField, b: Polynomial, n: int, v: ExtElement) -> Polynomial:
-    """Map the n-th beta quotient back: a_n(T) = v^((-1)^n) * b_n(T/v)."""
-    return _rescale(field, b, v, 1 if n % 2 == 0 else -1, -1)
+def beta_quotient_to_alpha(field: PrimeField, b: Polynomial, n: int, s: int) -> Polynomial:
+    """Map the n-th beta quotient back: a_n(T) = v^((-1)^n) * b_n(T/v),
+    where v^2 = s."""
+    return _rescale(field, b, s, 1 if n % 2 == 0 else -1, -1)
 
 
-def _rescale(field: PrimeField, f: Polynomial, v: ExtElement, outer: int, inner: int) -> Polynomial:
-    """v^outer * f(v^inner * T), computed in F_p: the T^j coefficient c_j
-    becomes c_j * v^m with m = outer + inner*j.
+def _rescale(field: PrimeField, f: Polynomial, s: int, outer: int, inner: int) -> Polynomial:
+    """v^outer * f(v^inner * T) with v^2 = s, computed in F_p: the T^j
+    coefficient c_j becomes c_j * v^m with m = outer + inner*j.
 
-    v is a square root record from sqrt_in_ext, so s = v^2 = a0^2 + d*a1^2
-    lies in F_p.  An even m gives v^m = s^(m/2); an odd m needs v itself in
-    F_p (a1 = 0).  A nonzero coefficient that would leave F_p raises
-    ValueError; for the odd quotients of the quartic every m is even.
+    An even m gives v^m = s^(m/2).  An odd m needs v = field.sqrt(s),
+    computed only then; when s is a non-residue v is not in F_p and a
+    nonzero such coefficient raises ValueError.  For the odd quotients of
+    the quartic every m is even.
     """
     p = field.p
-    if v.a0 % p and v.a1 % p:
-        raise ValueError(f"v = {v.a0} + {v.a1}*w is not a square root of an element of GF({p})")
-    d = field.smallest_nonresidue()
-    s = (v.a0 * v.a0 + d * v.a1 * v.a1) % p
-    if not s:
+    if not s % p:
         raise ValueError("degenerate scaling by v = 0")
+    v = None
     out = []
     for j, c in enumerate(f.coeffs):
         m = outer + inner * j
         if c and m % 2:
-            if v.a1 % p:
-                # v^m = a1^m * d^((m-1)/2) * w
-                w_part = c * field.pow(v.a1, m) * field.pow(d, (m - 1) // 2) % p
-                raise ValueError(f"coefficient of T^{j} is 0 + {w_part}*w, not in GF({p})")
-            c = c * field.pow(v.a0, m) % p
+            v = field.sqrt(s) if v is None else v
+            if v is None:
+                raise ValueError(
+                    f"coefficient of T^{j} needs an odd power of v = sqrt({s % p}), not in GF({p})"
+                )
+            c = c * pow(v, m, p) % p
         elif c:
-            c = c * field.pow(s, m // 2) % p
+            c = c * pow(s, m // 2, p) % p
         out.append(c)
     return Polynomial(field, out)
 
@@ -413,7 +413,7 @@ def verify_conjecture1(p: int, n: int, *, residual_precision: int = 100) -> Conj
     direct = expand_root(quartic_state(field), n)
     compared = min(len(direct), n)
     mapped = [
-        beta_quotient_to_alpha(field, gen.cf[j], j + 1, norm.v) for j in range(compared)
+        beta_quotient_to_alpha(field, gen.cf[j], j + 1, norm.s) for j in range(compared)
     ]
     if mapped != list(direct.quotients[:compared]):
         first_bad = next(
@@ -550,23 +550,20 @@ def _solve_two_unknowns(field: PrimeField, equations):
             c = C.coeffs[j] if j < len(C.coeffs) else 0
             if a or b or c:
                 rows.append((a, b, c))
-    pivot = None
-    for r1 in rows:
-        for r2 in rows:
-            det = field.sub(field.mul(r1[0], r2[1]), field.mul(r1[1], r2[0]))
-            if det != 0:
-                pivot = (r1, r2, det)
-                break
-        if pivot:
-            break
+    p = field.p
+
+    def det(r1, r2):
+        return (r1[0] * r2[1] - r1[1] * r2[0]) % p
+
+    pivot = next(((r1, r2) for r1 in rows for r2 in rows if det(r1, r2)), None)
     if pivot is None:
         return None
-    r1, r2, det = pivot
-    inv = field.inv(det)
-    e1 = field.mul(field.sub(field.mul(r1[2], r2[1]), field.mul(r1[1], r2[2])), inv)
-    e2 = field.mul(field.sub(field.mul(r1[0], r2[2]), field.mul(r1[2], r2[0])), inv)
+    r1, r2 = pivot
+    inv = field.inv(det(r1, r2))
+    e1 = (r1[2] * r2[1] - r1[1] * r2[2]) * inv % p
+    e2 = (r1[0] * r2[2] - r1[2] * r2[0]) * inv % p
     for a, b, c in rows:
-        if field.add(field.mul(e1, a), field.mul(e2, b)) != c:
+        if (e1 * a + e2 * b) % p != c:
             return None
     return e1, e2
 

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from hqcf.cf import (
     ContinuedFraction,
     ScalarCFUndefined,
-    eval_scalar_cf,
+    matrix_product,
     rational_to_cf,
+    running_scalar_cf,
 )
 from hqcf.fields import GF
 from hqcf.perfect import pq_polynomials
@@ -35,7 +36,6 @@ class TestRationalToCF:
     def test_t2_minus_1_over_t(self):
         cf = rational_to_cf(poly(F5, -1, 0, 1), Polynomial.x(F5))
         assert [q.format() for q in cf] == ["T", "4*T"]
-        assert not cf.first_quotient_constant
 
     def test_p4_over_q4_leading_quotient(self):
         P, Q = pq_polynomials(F13, 4)
@@ -52,8 +52,11 @@ class TestRationalToCF:
             rational_to_cf(Polynomial.x(F7), Polynomial.zero(F7))
 
     def test_constant_first_quotient_flagged(self):
+        # legal for rational input, and read off as cf[0].degree < 1
         cf = rational_to_cf(poly(F7, 1, 1), poly(F7, 0, 0, 1))
-        assert cf.first_quotient_constant
+        assert cf[0].degree < 1 and all(q.degree >= 1 for q in cf[1:])
+        x, y = cf.value()
+        assert x * poly(F7, 0, 0, 1) == poly(F7, 1, 1) * y
 
     @given(st.data())
     @settings(max_examples=80, deadline=None)
@@ -171,32 +174,79 @@ class TestMatrix:
                 cf.matrix()
 
 
+class TestMatrixProduct:
+    @pytest.mark.parametrize("n, l", [(1, 0), (1, 1), (20, 3), (40, 16), (41, 17), (300, 149)])
+    def test_head_times_tail_is_the_whole(self, n, l):
+        cf = ContinuedFraction(F13, random_quotients(F13, random.Random(n + l), n))
+        head, tail = cf.matrix(0, l), cf.matrix(l)
+        assert matrix_product(head, tail, 0, n) == cf.matrix(0, n)
+
+    def test_corrupted_product_detected(self, monkeypatch):
+        cf = ContinuedFraction(F13, random_quotients(F13, random.Random(4), 30))
+        head, tail = cf.matrix(0, 7), cf.matrix(7)
+        x, xp, y, yp = tail
+        with pytest.raises(ArithmeticError, match="quotients 1..30"):
+            matrix_product(head, (x + Polynomial.one(F13), xp, y, yp), 0, 30)
+        real_mul = Polynomial.__mul__
+        monkeypatch.setattr(
+            Polynomial, "__mul__", lambda f, g: real_mul(f, g) + Polynomial.x(F13)
+        )
+        with pytest.raises(ArithmeticError, match="continuant determinant broken"):
+            matrix_product(head, tail, 0, 30)
+
+    def test_wrong_parity_detected(self):
+        cf = ContinuedFraction(F7, random_quotients(F7, random.Random(2), 6))
+        with pytest.raises(ArithmeticError):
+            matrix_product(cf.matrix(0, 2), cf.matrix(2), 0, 5)
+
+
 class TestScalarCF:
+    """running_scalar_cf(F, [h_1, ..., h_m]) is [r_1, ..., r_m] with
+    r_n = [h_n, ..., h_1] = h_n + 1/r_(n-1)."""
+
     def test_two_terms_mod5(self):
-        assert eval_scalar_cf(F5, [2, 3]) == 4
+        # [2, 3] = 2 + 1/3 = 4 mod 5
+        assert running_scalar_cf(F5, [3, 2]) == [3, 4]
 
     def test_two_terms_mod7_zero_total(self):
         # defined, but the value is 0 (not in F_p^*): returned for the caller
-        assert eval_scalar_cf(F7, [2, 3]) == 0
+        assert running_scalar_cf(F7, [3, 2]) == [3, 0]
 
     def test_singleton(self):
-        assert eval_scalar_cf(F13, [9]) == 9
+        assert running_scalar_cf(F13, [9]) == [9]
+        assert running_scalar_cf(F13, [22]) == [9]
 
     def test_undefined_intermediate(self):
         # [2, 3] = 0 mod 7, so anything in front cannot be evaluated
-        with pytest.raises(ScalarCFUndefined):
-            eval_scalar_cf(F7, [1, 2, 3])
+        with pytest.raises(ScalarCFUndefined) as exc:
+            running_scalar_cf(F7, [3, 2, 1])
+        assert exc.value.index == 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            eval_scalar_cf(F7, [])
+            running_scalar_cf(F7, [])
 
     def test_right_to_left_order(self):
-        # [a, b, c] = a + 1/(b + 1/c)
-        F = F13
+        # [a, b, c] = a + 1/(b + 1/c), and every prefix value on the way
+        p, inv = 13, F13.inv
         a, b, c = 3, 5, 2
-        expect = F.add(a, F.inv(F.add(b, F.inv(c))))
-        assert eval_scalar_cf(F, [a, b, c]) == expect
+        bc = (b + inv(c)) % p
+        assert running_scalar_cf(F13, [c, b, a]) == [c, bc, (a + inv(bc)) % p]
+
+    def test_every_prefix_matches_direct_evaluation(self):
+        rng = random.Random(9)
+        for _ in range(200):
+            heads = [rng.randrange(13) for _ in range(rng.randrange(1, 7))]
+            try:
+                running = running_scalar_cf(F13, heads)
+            except ScalarCFUndefined as exc:
+                assert heads and exc.index < len(heads)
+                continue
+            for n, r in enumerate(running, start=1):
+                acc = heads[0]  # [h_n, ..., h_1] evaluated right to left
+                for h in heads[1:n]:
+                    acc = (h + F13.inv(acc)) % 13
+                assert r == acc
 
 
 class TestSerialization:

@@ -66,10 +66,9 @@ class TestFamilies:
                 assert v[0] == (2 * k - 1) % p
                 assert all(x != 0 for x in v)
                 for i in range(1, 2 * k):
-                    lhs = F.mul(v[i], v[i - 1])
-                    rhs = F.div(
-                        (2 * k - 2 * i - 1) * (2 * k - 2 * i + 1) % p,
-                        i * (2 * k - i) % p,
+                    lhs = v[i] * v[i - 1] % p
+                    rhs = (
+                        (2 * k - 2 * i - 1) * (2 * k - 2 * i + 1) * F.inv(i * (2 * k - i)) % p
                     )
                     assert lhs == rhs
 
@@ -207,7 +206,7 @@ class TestSpecValidation:
         assert deltas7 == [3, 4, 1]  # delta_l = 2k*eps1/eps2 = 1 mod 7
         spec13 = ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
         deltas13 = spec13.validate()
-        assert deltas13[-1] == F13.div(8 * 12 % 13, 9)
+        assert deltas13[-1] == 8 * 12 * F13.inv(9) % 13
 
     def test_delta_mismatch(self):
         # deltas exist (3, 4, 6) but delta_3 = 6 != 2k*eps1/eps2 = 1
@@ -222,7 +221,7 @@ class TestSpecValidation:
         # choose lambda_1 so that delta_1 = 0: lambda_1 = -eps2/(2k theta)
         F = F7
         theta, _ = family_constants(F, 2)
-        lam1 = F.neg(F.div(5, 4 * theta % 7))
+        lam1 = -5 * F.inv(4 * theta) % 7
         with pytest.raises(DeltaUndefinedError) as err:
             ExpansionSpec(F, 3, 2, 3, 5, (lam1, 6, 6)).validate()
         assert err.value.index == 1
@@ -257,7 +256,7 @@ class TestPerfectGeneration:
         # p = 7, k = 3 = (p-1)/2, l = 1: every quotient is c*T
         F = F7
         theta, _ = family_constants(F, 3)
-        lam1 = F.sub(F.div(6, 2), F.div(2, F.mul(6, theta)))
+        lam1 = (6 * F.inv(2) - 2 * F.inv(6 * theta)) % 7
         gen = generate_perfect_expansion(ExpansionSpec(F, 1, 3, 1, 2, (lam1,)), 40)
         assert all(q.degree == 1 for q in gen.cf)
 
@@ -311,10 +310,10 @@ class TestP11Specialization:
     def test_agrees_with_general_generator(self):
         for p, i1, e1, e2 in ((7, 0, 3, 5), (13, 0, 2, 3), (13, 2, 5, 7), (5, 1, 2, 1)):
             F = GF(p)
-            disc = F.add(F.mul(e2, e2), 2 * e1 % p)
+            disc = (e2 * e2 + 2 * e1) % p
             if disc == 0:
                 continue
-            lam1 = F.div(F.mul(disc, F.pow(F(-2), i1)), e2)
+            lam1 = disc * pow(-2, i1, p) * F.inv(e2) % p
             gen_c = generate_perfect_p11(F, i1, e1, e2, 60)
             gen_t = generate_perfect_expansion(
                 ExpansionSpec(F, 1, 1, e1, e2, (lam1,), (i1,)), 60
@@ -398,7 +397,7 @@ class TestProp2:
         xr, yr = rev.value()
         Pk = power_p_family(F, k * 13 - i)
         Qkp = pq_polynomials(F, k)[1].pow_frobenius()
-        c = F(-4 * k * k * theta * theta)
+        c = -4 * k * k * theta * theta % 13
         assert Pk * yr == (xr * Qkp).scaled(c)
 
     def test_sweep_p7(self):
@@ -437,3 +436,20 @@ class TestRelationResidual:
         spec, gen = self.make_gen(20)
         with pytest.raises(ValueError, match="insufficient"):
             relation_residual(gen.cf, spec.relation(), 500)
+
+    def test_each_quotient_enters_one_leaf(self, monkeypatch):
+        # the whole is joined from the head and tail trees, not built again
+        from hqcf import cf as cf_module
+
+        spec, gen = self.make_gen(200)
+        real_product = cf_module._product
+        leaf_quotients = [0]
+
+        def counting(quotients, lo, hi, field):
+            if hi - lo <= cf_module._LEAF:
+                leaf_quotients[0] += hi - lo
+            return real_product(quotients, lo, hi, field)
+
+        monkeypatch.setattr(cf_module, "_product", counting)
+        assert relation_residual(gen.cf, spec.relation(), 40) == float("-inf")
+        assert leaf_quotients[0] == len(gen.cf)

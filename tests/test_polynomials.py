@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from types import SimpleNamespace
@@ -7,16 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hqcf.cf import ContinuedFraction
-from hqcf.fields import GF, ExtElement
-from hqcf.polynomials import (
-    Polynomial,
-    content,
-    formal_derivative,
-    formal_integral,
-    gcd_monic,
-    is_even_polynomial,
-    is_odd_polynomial,
-)
+from hqcf.fields import GF
+from hqcf.polynomials import Polynomial, formal_integral, gcd_monic, is_odd_polynomial
 from hqcf.quartic import beta_quotient_to_alpha, normalize_to_beta
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
@@ -100,8 +93,9 @@ class TestBasics:
         assert poly(F13, 0, 1).format() == "T"
 
     def test_eval(self):
+        # f(c) is the remainder of f by T - c
         f = poly(F7, 1, 0, 1)  # T^2 + 1
-        assert f(3) == (9 + 1) % 7
+        assert f % poly(F7, -3, 1) == poly(F7, 9 + 1)
 
 
 class TestDivmod:
@@ -184,9 +178,11 @@ class TestGcd:
         assert lhs == rhs
 
     def test_content(self):
+        # the monic gcd of a family is gcd_monic folded over it
         base = poly(F13, 1, 1)
         fam = [base * poly(F13, 2), base * Polynomial.x(F13), base * base]
-        assert content(fam) == base.monic()
+        assert functools.reduce(gcd_monic, fam) == base.monic()
+        assert functools.reduce(gcd_monic, fam[1:] + [poly(F13, 5)]) == Polynomial.one(F13)
 
 
 class TestCalculus:
@@ -214,7 +210,8 @@ class TestCalculus:
             g = formal_integral(f)
         except ValueError:
             return
-        assert formal_derivative(g) == f
+        # d/dT of sum c_n T^n is sum n c_n T^(n-1)
+        assert Polynomial(F, [n * c for n, c in enumerate(g.coeffs)][1:]) == f
 
 
 def random_odd_poly(field, rng, max_deg):
@@ -222,6 +219,13 @@ def random_odd_poly(field, rng, max_deg):
     top = rng.randrange(1, max_deg + 1, 2)
     coeffs = [rng.randrange(field.p) if n % 2 else 0 for n in range(top)]
     return Polynomial(field, coeffs + [rng.randrange(1, field.p)])
+
+
+def ext_sqrt(s, p):
+    """(d, a1) with d the smallest non-residue mod p and d*a1^2 = s, so that
+    v = a1*w, w^2 = d, is a square root of the non-residue s in F_p[w]."""
+    d = next(e for e in range(2, p) if pow(e, (p - 1) // 2, p) == p - 1)
+    return d, next(a1 for a1 in range(1, p) if d * a1 * a1 % p == s % p)
 
 
 def ext_mul(x, y, d, p):
@@ -247,8 +251,8 @@ class TestScaling:
 
     def setup_method(self):
         self.F = F13
-        self.v = self.F.sqrt_in_ext(5)  # non-residue: v = a1*w, v^2 = 5
-        self.u = self.F.sqrt_in_ext(4)  # residue: u = 2
+        self.v = 5  # s = v^2, a non-residue: v lies outside F_13
+        self.u = 4  # s = u^2, a residue: u = 2
 
     def normalize(self, neg_a, quotients):
         # normalize_to_beta reads only these fields of a derivation trace
@@ -282,7 +286,7 @@ class TestScaling:
             qs = [random_odd_poly(self.F, rng, 9) for _ in range(25)]
             nr = self.normalize(neg_a, qs)
             back = [
-                beta_quotient_to_alpha(self.F, b, n, nr.v)
+                beta_quotient_to_alpha(self.F, b, n, nr.s)
                 for n, b in enumerate(nr.b_prefix, start=1)
             ]
             assert back == qs
@@ -290,8 +294,8 @@ class TestScaling:
     def test_matches_extension_arithmetic(self):
         # the F_p route agrees coefficientwise with v^m computed in F_13[w]
         rng = random.Random(6)
-        d = self.F.smallest_nonresidue()
-        v = tuple(self.v)
+        d, a1 = ext_sqrt(self.v, 13)
+        v = (0, a1)
         for n in range(1, 31):
             b = random_odd_poly(self.F, rng, 11)
             outer = 1 if n % 2 == 0 else -1
@@ -304,15 +308,12 @@ class TestScaling:
 
     def test_scale_by_zero_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
-            beta_quotient_to_alpha(self.F, Polynomial.x(self.F), 1, ExtElement(0, 0))
-
-    def test_mixed_record_rejected(self):
-        # (1 + w)^2 = 1 + d + 2w is not in F_p, so it is no v = sqrt(-a)
-        with pytest.raises(ValueError, match="not a square root"):
-            beta_quotient_to_alpha(self.F, Polynomial.x(self.F), 1, ExtElement(1, 1))
+            beta_quotient_to_alpha(self.F, Polynomial.x(self.F), 1, 0)
+        with pytest.raises(ValueError, match="degenerate"):
+            beta_quotient_to_alpha(self.F, Polynomial.x(self.F), 1, 13)
 
     def test_downcast_failure_is_loud(self):
-        # an even polynomial needs odd powers of v = a1*w, which leave F_p
+        # an even polynomial needs odd powers of v = sqrt(5), which leave F_p
         with pytest.raises(ValueError, match="not in GF"):
             beta_quotient_to_alpha(self.F, poly(self.F, 8, 0, 1), 2, self.v)
         with pytest.raises(ValueError, match="not in GF"):
@@ -324,7 +325,7 @@ class TestParity:
         assert is_odd_polynomial(poly(F7, 0, 6, 0, 5))  # 5T^3 + 6T
         assert not is_odd_polynomial(poly(F7, 1, 0, 1))
         assert is_odd_polynomial(Polynomial.zero(F7))
-        assert is_even_polynomial(poly(F7, 1, 0, 1))
+        assert not is_odd_polynomial(poly(F7, 0, 1, 1))
 
 
 class TestSerialization:

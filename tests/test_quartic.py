@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hqcf.cf import ContinuedFraction
-from hqcf.fields import GF, ExtElement
+from hqcf.fields import GF
 from hqcf.perfect import relation_residual, generate_perfect_expansion
 from hqcf.polynomials import Polynomial, is_odd_polynomial
 from hqcf.quartic import (
@@ -47,7 +47,7 @@ def xpoly_mulmod(field, f, g, m):
 
 def alpha_power_oracle(field, n):
     # square-and-multiply in F_p[T][X] mod the monic minimal polynomial
-    twelve = field(12)
+    twelve = 12
     m = [
         poly(field, -twelve),
         Polynomial.zero(field),
@@ -150,7 +150,7 @@ class TestDerivation:
     def test_eq7_sign_discipline_negative_control(self):
         tr = derive_frobenius_relation(7)
         cf = expand_root(quartic_state(F7), 120)
-        flipped = tr.relation()._replace(eps1=F7.neg(tr.eps1))
+        flipped = tr.relation()._replace(eps1=-tr.eps1 % 7)
         assert relation_residual(cf, flipped, 60) != float("-inf")
 
 
@@ -161,13 +161,12 @@ class TestNormalization:
         assert [b.format() for b in nr.b_prefix] == [
             "5*T", "12*T", "9*T", "11*T", "T", "5*T",
         ]
-        # -a = 5 is a non-residue mod 13: v = a1*w with v^2 = d*a1^2 = 5
-        assert nr.v.a0 == 0 and nr.v.a1 != 0
-        assert F13.smallest_nonresidue() * nr.v.a1 * nr.v.a1 % 13 == 5
+        # -a = 5 is a non-residue mod 13: v^2 = s = 5 and v lies outside F_13
+        assert nr.s == 5 and F13.sqrt(nr.s) is None
 
     def test_p7_identity_transform(self):
         nr = normalize_to_beta(derive_frobenius_relation(7))
-        assert nr.v == ExtElement(1, 0)
+        assert nr.s == 1 and F7.sqrt(nr.s) == 1  # v = 1
         assert (nr.eps1, nr.eps2) == (3, 5)
         assert [b.format() for b in nr.b_prefix] == ["2*T", "6*T", "6*T"]
 
@@ -177,7 +176,7 @@ class TestNormalization:
             nr = normalize_to_beta(tr)
             F = GF(p)
             back = [
-                beta_quotient_to_alpha(F, b, n, nr.v)
+                beta_quotient_to_alpha(F, b, n, nr.s)
                 for n, b in enumerate(nr.b_prefix, start=1)
             ]
             assert back == list(tr.prefix.quotients)

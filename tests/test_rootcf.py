@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hqcf.cf import rational_to_cf
 from hqcf.fields import GF
 from hqcf.laurent import Laurent
-from hqcf.perfect import all_quotients_odd
-from hqcf.polynomials import Polynomial
+from hqcf.polynomials import Polynomial, is_odd_polynomial
 from hqcf.rootcf import (
     RootState,
     alpha_series,
@@ -105,7 +104,7 @@ class TestQuarticExpansion:
     def test_all_quotients_odd(self):
         for F in (F5, F7, F11, F13):
             cf = expand_root(quartic_state(F), 50)
-            assert all_quotients_odd(cf)
+            assert all(is_odd_polynomial(q) for q in cf)
 
     def test_dominance_and_degree_after_every_step(self):
         cur = quartic_state(F13)
