@@ -1,6 +1,8 @@
 import pytest
 
 from hqcf.fields import GF, PrimeField, is_prime
+from hqcf.polynomials import Polynomial
+from hqcf.quartic import beta_quotient_to_alpha
 
 
 class TestPrimeField:
@@ -100,3 +102,38 @@ class TestLegendreAndSqrt:
                     assert r is not None and r * r % p == x
                 else:
                     assert r is None
+
+    def test_sqrt_in_ext_exhaustive(self):
+        # every x has a root a0 + a1*w in F_p[w], w^2 = d, with a0*a1 = 0:
+        # a0 = sqrt(x) for a residue, a1 = sqrt(x/d) for a non-residue
+        for p in range(3, 32):
+            if not is_prime(p):
+                continue
+            F = GF(p)
+            d = next(e for e in range(2, p) if F.legendre(e) == -1)
+            for x in range(p):
+                a0 = F.sqrt(x)
+                a1 = 0 if a0 is not None else F.sqrt(x * F.inv(d))
+                a0 = a0 or 0
+                assert a1 is not None
+                assert a0 * a1 == 0
+                assert (a0 * a0 + d * a1 * a1) % p == x
+
+    def test_sqrt_in_ext_residue_lands_in_base(self):
+        # v = sqrt(1) = 1 in F_7, so even the odd powers of v an even
+        # polynomial needs stay in F_p: 1 * (T/1)^2 = T^2
+        F = GF(7)
+        assert F.sqrt(1) == 1
+        T2 = Polynomial(F, [0, 0, 1])
+        assert beta_quotient_to_alpha(F, T2, 2, 1) == T2
+
+    def test_sqrt_in_ext_nonresidue_leaves_base(self):
+        # 5 is a non-residue mod 13: its root is a1*w with a1 != 0, not in F_13
+        F = GF(13)
+        assert F.legendre(5) == -1 and F.sqrt(5) is None
+        d = next(e for e in range(2, 13) if F.legendre(e) == -1)
+        a1 = F.sqrt(5 * F.inv(d))
+        assert a1 is not None and a1 != 0
+        assert d * a1 * a1 % 13 == 5
+        with pytest.raises(ValueError, match="not in GF"):
+            beta_quotient_to_alpha(F, Polynomial(F, [0, 0, 1]), 2, 5)
