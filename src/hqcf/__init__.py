@@ -27,13 +27,7 @@ from .perfect import (
     verify_prop1,
     verify_prop2,
 )
-from .polynomials import (
-    Polynomial,
-    formal_integral,
-    gcd_monic,
-    is_odd_polynomial,
-    taylor_shift,
-)
+from .polynomials import Polynomial, formal_integral, gcd_monic
 from .quartic import (
     Conj1Verdict,
     Conj2Verdict,

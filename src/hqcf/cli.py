@@ -19,7 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .cf import ContinuedFraction
-from .fields import GF, PrimeField, is_prime
+from .fields import GF, MAX_MODULUS, PrimeField, is_prime
 from .perfect import (
     DeltaMismatchError,
     DeltaUndefinedError,
@@ -258,6 +258,9 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
 
 
 def _field_from_args(args) -> PrimeField:
+    # the cap comes first: is_prime is trial division, unbounded in --p
+    if args.p > MAX_MODULUS:
+        raise UsageError(f"--p must be at most {MAX_MODULUS}, got {args.p}")
     if not is_prime(args.p) or args.p < 3 or args.p % 2 == 0:
         raise UsageError(f"--p must be an odd prime >= 3, got {args.p}")
     return GF(args.p)

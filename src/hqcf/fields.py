@@ -13,7 +13,9 @@ elements can be shared freely between threads.
 from functools import cache
 from typing import Optional
 
-_MAX_MODULUS = 10**6  # trial division stays cheap; this library targets desk-scale primes
+# The largest supported modulus.  is_prime is trial division, so every
+# caller checks a modulus against this cap before it tests primality.
+MAX_MODULUS = 10**6
 
 
 def is_prime(n: int) -> bool:
@@ -36,15 +38,15 @@ def GF(p: int) -> "PrimeField":
 
 
 class PrimeField:
-    """The field F_p for an odd prime p with 3 <= p <= 10^6."""
+    """The field F_p for an odd prime p with 3 <= p <= MAX_MODULUS (10^6)."""
 
     __slots__ = ("p",)
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p > MAX_MODULUS:
+            raise ValueError(f"modulus {p} exceeds the supported range")
         if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
-        if p > _MAX_MODULUS:
-            raise ValueError(f"modulus {p} exceeds the supported range")
         self.p = p
 
     def __repr__(self):

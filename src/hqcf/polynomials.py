@@ -10,10 +10,10 @@ once, reuse the longer operand's tail as a slice and build the result with
 the trusted constructor: no per-coefficient field method call and no
 re-validation.  Trailing zeros can only appear when two operands of equal
 length cancel at the top, so only that case strips them.  Multiplication
-of large operands and the Taylor shift P(X) -> P(X + q) of the root
-expansion run as exact int64 numpy convolutions; both are guarded by the
-one bound _fits_int64, and fall back to Python-int arithmetic when it
-fails.  f << n is f * T^n, and for n < 0 the polynomial part of it: the
+of large operands runs as an exact int64 numpy convolution, guarded by
+the bound _fits_int64 (shared with the root expansion's Taylor shift in
+hqcf.rootcf), and falls back to Python-int arithmetic when it fails.
+f << n is f * T^n, and for n < 0 the polynomial part of it: the
 offset arithmetic of the Laurent series in hqcf.laurent, which run on
 this kernel.
 
@@ -312,41 +312,6 @@ def gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
     return f.monic()
 
 
-def taylor_shift(coeffs, q: Polynomial) -> list:
-    """X-coefficients of P(X + q), where P = sum coeffs[i] * X^i over F_p[T].
-
-    Synthetic division: for j < n, for k = n-1 .. j, t_k += q * t_{k+1}.
-    Each coefficient goes to int64 once, every step is one convolution, one
-    in-place add and one reduction mod p, and each result comes back with
-    one tolist().  A step sums at most len(q) products, so one _fits_int64
-    check covers the triangle; when it fails the same triangle runs in
-    exact Polynomial arithmetic.
-    """
-    field = q.field
-    n = len(coeffs) - 1
-    if not q.coeffs or not _fits_int64(field.p, len(q.coeffs)):
-        t = list(coeffs)
-        for j in range(n):
-            for k in range(n - 1, j - 1, -1):
-                t[k] = t[k] + q * t[k + 1]
-        return t
-    p = field.p
-    qa = np.asarray(q.coeffs, dtype=np.int64)
-    t = [np.asarray(c.coeffs, dtype=np.int64) for c in coeffs]
-    for j in range(n):
-        for k in range(n - 1, j - 1, -1):
-            hi = t[k + 1]
-            if not len(hi):
-                continue
-            s, lo = np.convolve(qa, hi), t[k]
-            if len(lo) > len(s):
-                s, lo = lo, s
-            s[: len(lo)] += lo
-            s %= p
-            t[k] = s
-    return [Polynomial._make(field, c.tolist()) for c in t]
-
-
 def formal_integral(f: Polynomial) -> Polynomial:
     """The primitive of f with zero constant term.
 
@@ -363,7 +328,3 @@ def formal_integral(f: Polynomial) -> Polynomial:
             out[n + 1] = c * fld.inv((n + 1) % p) % p
     return Polynomial._make(fld, out)
 
-
-def is_odd_polynomial(f: Polynomial) -> bool:
-    """True when every monomial of f has odd exponent (vacuously for 0)."""
-    return not any(f.coeffs[0::2])

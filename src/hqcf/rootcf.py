@@ -10,6 +10,13 @@ P has a unique root u with |u| >= |T| (Mkaouar), its polynomial part is
 analogous root of X^n * P([u] + 1/X), whose coefficients again satisfy (*).
 Iterating yields the partial quotients of u one per step.
 
+A state keeps its coefficients as numpy arrays of residues mod p (int64,
+or Python ints when the _fits_int64 guard fails) from its construction to
+the end of the expansion; a Polynomial is built only for each quotient,
+and for RootState.coeffs when it is read.  A step reads the quotient off
+the top coefficients of a_{n-1} and a_n, and the Taylor shift
+P(X) -> P(X + q) is a triangle of convolutions on the arrays.
+
 An independent slow oracle is provided for cross-checking: expand the root
 as a power series in 1/T by coefficient recursion, truncate to a rational
 function, and take the certified prefix of its Euclidean continued
@@ -18,10 +25,12 @@ fraction.
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .cf import ContinuedFraction, rational_to_cf
 from .fields import PrimeField
 from .laurent import Laurent, divide
-from .polynomials import Polynomial, taylor_shift
+from .polynomials import Polynomial, _fits_int64
 
 
 class DominanceBroken(ArithmeticError):
@@ -29,9 +38,13 @@ class DominanceBroken(ArithmeticError):
 
 
 class RootState:
-    """Coefficients (ascending in X) of one step of the root expansion."""
+    """Coefficients (ascending in X) of one step of the root expansion.
 
-    __slots__ = ("coeffs",)
+    Each coefficient is held as an array of residues, ascending in T, with
+    no trailing zeros, so its degree is its length minus one.
+    """
+
+    __slots__ = ("field", "_t")
 
     def __init__(self, coeffs: Sequence[Polynomial]):
         coeffs = tuple(coeffs)
@@ -39,28 +52,88 @@ class RootState:
             raise ValueError("state needs degree >= 1 in X")
         if coeffs[-1].is_zero():
             raise ValueError("leading coefficient in X must be nonzero")
-        self.coeffs = coeffs
+        self.field = coeffs[-1].field
+        self._t = tuple(np.array(c.coeffs, dtype=np.int64) for c in coeffs)
+
+    @classmethod
+    def _of_arrays(cls, field: PrimeField, t: tuple) -> "RootState":
+        # internal: canonical arrays with a nonzero leading one
+        state = cls.__new__(cls)
+        state.field = field
+        state._t = t
+        return state
 
     @property
-    def field(self):
-        return self.coeffs[-1].field
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        return tuple(_poly(self.field, c) for c in self._t)
 
     def __repr__(self):
         inner = ", ".join(f"X^{i}: {c.format()}" for i, c in enumerate(self.coeffs))
         return f"RootState({inner})"
 
 
+def _poly(field: PrimeField, c) -> Polynomial:
+    """The Polynomial of a canonical residue array (or slice of one)."""
+    return Polynomial(field, tuple(c.tolist()), _trusted=True)
+
+
 def dominance_holds(state: RootState) -> bool:
     """Check condition (*) by degree comparison."""
-    n = state.degree
-    lead = state.coeffs[n - 1].degree
-    return all(
-        state.coeffs[i].degree < lead for i in range(n + 1) if i != n - 1
-    )
+    degrees = [len(c) - 1 for c in state._t]
+    lead = degrees.pop(-2)
+    return all(d < lead for d in degrees)
+
+
+def _top_quotient(field: PrimeField, a, b) -> Polynomial:
+    """a // b for canonical residue arrays, read off their top coefficients.
+
+    With d = deg a - deg b and s = max(0, min(deg b, 2 deg b - deg a)), drop
+    the lowest s coefficients of both: a' = a >> s, b' = b >> s.  If
+    a = q b + r, then a' - q b' = (r + q (b mod T^s) - (a mod T^s)) / T^s
+    has degree below deg b', so q = a' // b', a division of O(d^2) in
+    place of O(d deg b).
+    """
+    da, db = len(a) - 1, len(b) - 1
+    s = max(0, min(db, 2 * db - da))
+    return _poly(field, a[s:]) // _poly(field, b[s:])
+
+
+def _taylor_shift(t, q: tuple, p: int) -> list:
+    """X-coefficients of P(X + q), where P = sum t[i] * X^i over F_p[T].
+
+    t holds canonical residue arrays, which are not modified; q is the
+    coefficient tuple of a polynomial.  Synthetic division: for j < n, for
+    k = n-1 .. j, t_k += q * t_{k+1}, each one convolution, one add and one
+    reduction mod p.  A product of two canonical arrays keeps a nonzero
+    top (F_p has no zero divisors), so only a sum of two equal-length
+    arrays is stripped of trailing zeros.  A convolution sums at most
+    len(q) products, so one _fits_int64 check covers the triangle; when it
+    fails the same triangle runs on arrays of Python ints.
+    """
+    if not q:
+        return list(t)
+    dtype = np.int64 if _fits_int64(p, len(q)) else object
+    qa = np.array(q, dtype=dtype)
+    t = [c.astype(dtype, copy=False) for c in t]
+    n = len(t) - 1
+    for j in range(n):
+        for k in range(n - 1, j - 1, -1):
+            hi, lo = t[k + 1], t[k]
+            if not len(hi):
+                continue
+            s = np.convolve(qa, hi)
+            if len(s) < len(lo):
+                s = np.concatenate(((s + lo[: len(s)]) % p, lo[len(s):]))
+            else:
+                s[: len(lo)] += lo
+                s %= p
+                if len(s) == len(lo):
+                    top = len(s)
+                    while top and not s[top - 1]:
+                        top -= 1
+                    s = s[:top]
+            t[k] = s
+    return t
 
 
 def step(state: RootState):
@@ -69,15 +142,14 @@ def step(state: RootState):
     Returns (q, next_state); next_state is None when P(q) = 0, i.e. the
     root is the rational function q and the expansion terminates here.
     """
-    coeffs = state.coeffs
-    n = state.degree
-    q = -(coeffs[n - 1] // coeffs[n])
+    field, t = state.field, state._t
+    q = -_top_quotient(field, t[-2], t[-1])
     # Taylor shift P(X + q), then reverse to obtain the coefficients of
     # X^n * P(q + 1/X).
-    t = taylor_shift(coeffs, q)
-    if t[0].is_zero():
+    shifted = _taylor_shift(t, q.coeffs, field.p)
+    if not len(shifted[0]):
         return q, None
-    nxt = RootState(tuple(reversed(t)))
+    nxt = RootState._of_arrays(field, tuple(reversed(shifted)))
     if q.degree < 1 or not dominance_holds(nxt):
         raise DominanceBroken(
             "expansion hypothesis broken; the input state did not satisfy (*)"

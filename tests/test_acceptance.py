@@ -23,7 +23,7 @@ from hqcf.perfect import (
     verify_prop1,
     verify_prop2,
 )
-from hqcf.polynomials import Polynomial, is_odd_polynomial
+from hqcf.polynomials import Polynomial
 from hqcf.quartic import (
     approximation_exponent,
     beta_quotient_to_alpha,
@@ -267,7 +267,7 @@ def test_criterion_11_property_suites():
     for p in (5, 7, 11, 13, 19, 31):
         cf = expand_root(quartic_state(GF(p)), 200)
         for q in cf:
-            ok = ok and is_odd_polynomial(q)
+            ok = ok and not any(q.coeffs[0::2])
             odd_checked += 1
     ok = ok and odd_checked >= 1000
 

@@ -5,9 +5,10 @@ import time
 
 import pytest
 
+from hqcf import cli
 from hqcf.cf import ContinuedFraction
 from hqcf.cli import MAX_PARSED_DEGREE, UsageError, main, parse_polynomial
-from hqcf.fields import GF
+from hqcf.fields import GF, MAX_MODULUS
 from hqcf.polynomials import Polynomial
 
 F13 = GF(13)
@@ -107,6 +108,31 @@ class TestExpandCommand:
     def test_composite_p_is_usage_error(self):
         code, _ = run(["expand", "--quartic", "--p", "15", "--n", "3"])
         assert code == 2
+
+    def test_huge_p_is_a_quick_usage_error(self, capsys):
+        # trial division of 10^18 + 3 takes minutes; the cap comes first
+        start = time.perf_counter()
+        code, out = run(["expand", "--quartic", "--p", "1000000000000000003", "--n", "3"])
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert f"--p must be at most {MAX_MODULUS}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["expand", "--quartic", "--n", "3"],
+        ["generate", "--l", "1", "--k", "1", "--e1", "1", "--e2", "1", "--lambdas", "1"],
+        ["verify", "prop1"],
+        ["verify", "prop2"],
+        ["verify", "conj1"],
+        ["verify", "conj2"],
+        ["exponent"],
+    ])
+    def test_every_p_path_caps_before_is_prime(self, argv, monkeypatch):
+        def no_trial_division(n):
+            raise AssertionError("is_prime ran on --p above the cap")
+
+        monkeypatch.setattr(cli, "is_prime", no_trial_division)
+        code, out = run(argv + ["--p", str(MAX_MODULUS + 2)])
+        assert code == 2 and out == ""
 
     def test_even_p_rejected(self):
         code, _ = run(["expand", "--poly", "X/2", "--p", "2", "--n", "3"])

@@ -1,6 +1,7 @@
 import pytest
 
-from hqcf.fields import GF, PrimeField, is_prime
+from hqcf import fields
+from hqcf.fields import GF, MAX_MODULUS, PrimeField, is_prime
 from hqcf.polynomials import Polynomial
 from hqcf.quartic import beta_quotient_to_alpha
 
@@ -14,6 +15,15 @@ class TestPrimeField:
     def test_accepts_odd_primes(self):
         for p in (3, 5, 7, 13, 101, 9973):
             assert GF(p).p == p
+
+    def test_cap_checked_before_the_primality_test(self, monkeypatch):
+        def no_trial_division(n):
+            raise AssertionError("is_prime ran on a modulus above the cap")
+
+        monkeypatch.setattr(fields, "is_prime", no_trial_division)
+        for big in (MAX_MODULUS + 1, 1000000000000000003):
+            with pytest.raises(ValueError, match="supported range"):
+                PrimeField(big)
 
     def test_embed_rational(self):
         assert GF(13).embed_rational(-1, 12) == 1

@@ -5,7 +5,8 @@ Multiplication, division and gcd draw their degrees on both sides of
 every switch between kernel paths: _SCHOOLBOOK_CUTOFF (schoolbook or
 int64 convolution), the numpy division (divisor degree >= 128 and
 quotient length >= 64) and the _fits_int64 guard, which the tests force
-to fail by monkeypatching.
+to fail by monkeypatching.  The root expansion's two array kernels, the
+top-coefficient quotient and the Taylor shift, are tested the same way.
 
 galoistools stores a polynomial as a list of coefficients in [0, p),
 highest degree first; Polynomial stores them lowest degree first.  Every
@@ -20,10 +21,13 @@ from hypothesis import strategies as st
 gt = pytest.importorskip("sympy.polys.galoistools")
 ZZ = pytest.importorskip("sympy.polys.domains").ZZ
 
+import numpy as np  # noqa: E402
+
 import hqcf.polynomials as polynomials  # noqa: E402
+import hqcf.rootcf as rootcf  # noqa: E402
 from hqcf.fields import GF  # noqa: E402
 from hqcf.laurent import Laurent, divide  # noqa: E402
-from hqcf.polynomials import Polynomial, gcd_monic, taylor_shift  # noqa: E402
+from hqcf.polynomials import Polynomial, gcd_monic  # noqa: E402
 
 PRIMES = [3, 5, 7, 13, 97, 65537, 999983]
 
@@ -199,10 +203,13 @@ def check_taylor_shift(p, coeffs, q):
     F = GF(p)
     polys = [Polynomial(F, c) for c in coeffs]
     qp = Polynomial(F, q)
-    got = taylor_shift(polys, qp)
+    arrays = [np.array(c.coeffs, dtype=np.int64) for c in polys]
+    got = [rootcf._poly(F, c) for c in rootcf._taylor_shift(arrays, qp.coeffs, p)]
     assert len(got) == len(polys)
     for g in got:
         assert_canonical(g, p)
+    # the input arrays are shared with the previous state and stay intact
+    assert [c.tolist() for c in arrays] == [list(c.coeffs) for c in polys]
     want = reference_taylor_shift([to_gf(c) for c in polys], to_gf(qp), p)
     assert [to_gf(g) for g in got] == want
 
@@ -224,7 +231,7 @@ class TestTaylorShift:
             return False
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(polynomials, "_fits_int64", does_not_fit)
+            mp.setattr(rootcf, "_fits_int64", does_not_fit)
             check_taylor_shift(p, coeffs, q)
         if any(q):
             # the guard was consulted with the longest possible product sum
@@ -234,15 +241,37 @@ class TestTaylorShift:
         F = GF(13)
         one, zero, T = Polynomial.one(F), Polynomial.zero(F), Polynomial.x(F)
         state = [one, zero, one, -T, Polynomial.constant(F, 1)]
-        assert taylor_shift(state, zero) == state
+        arrays = [np.array(c.coeffs, dtype=np.int64) for c in state]
+        assert rootcf._taylor_shift(arrays, (), 13) == arrays
         check_taylor_shift(13, [c.coeffs for c in state], [0, 12])
 
     def test_guard_bound(self):
         # the int64 guard is shared by multiplication and the Taylor shift
+        assert rootcf._fits_int64 is polynomials._fits_int64
         p = 999983
         terms = (1 << 62) // ((p - 1) * (p - 1))
         assert polynomials._fits_int64(p, terms)
         assert not polynomials._fits_int64(p, terms + 1)
+
+
+class TestTopQuotient:
+    @given(st.sampled_from(PRIMES), st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_full_division_and_gf_div(self, p, s_positive, data):
+        # d = deg a - deg b >= 0 and s = max(0, deg b - d): s > 0 exactly
+        # when d < deg b
+        db = data.draw(st.integers(1, 40) if s_positive else st.integers(0, 40))
+        d = data.draw(st.integers(0, db - 1) if s_positive else st.integers(db, db + 40))
+        b = poly_of_length(data, p, db + 1, monic_top=True)
+        a = poly_of_length(data, p, db + d + 1, monic_top=True)
+        F = GF(p)
+        got = rootcf._top_quotient(
+            F, np.array(a.coeffs, dtype=np.int64), np.array(b.coeffs, dtype=np.int64)
+        )
+        assert_canonical(got, p)
+        assert got == a // b
+        assert to_gf(got) == gt.gf_div(to_gf(a), to_gf(b), p, ZZ)[0]
+        assert got.degree == d
 
 
 # -- Laurent series against a dict reference -----------------------------------

@@ -6,7 +6,7 @@ import pytest
 from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF
 from hqcf.perfect import relation_residual, generate_perfect_expansion
-from hqcf.polynomials import Polynomial, is_odd_polynomial
+from hqcf.polynomials import Polynomial
 from hqcf.quartic import (
     approximation_exponent,
     beta_quotient_to_alpha,
@@ -196,7 +196,7 @@ class TestConjecture1:
 
     def test_oddness_along_the_way(self):
         cf = expand_root(quartic_state(F13), 120)
-        assert all(is_odd_polynomial(q) for q in cf)
+        assert not any(c for q in cf for c in q.coeffs[0::2])
 
 
 class TestConjecture2:

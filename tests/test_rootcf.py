@@ -1,12 +1,19 @@
+import io
+import json
+import random
+
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from hqcf.cf import rational_to_cf
-from hqcf.fields import GF
-from hqcf.laurent import Laurent
-from hqcf.polynomials import Polynomial, is_odd_polynomial
+import hqcf.rootcf as rootcf
+from hqcf.cf import ContinuedFraction, rational_to_cf
+from hqcf.cli import main
+from hqcf.fields import GF, PrimeField
+from hqcf.laurent import Laurent, divide
+from hqcf.polynomials import Polynomial, _fits_int64
 from hqcf.rootcf import (
+    DominanceBroken,
     RootState,
     alpha_series,
     cf_from_series,
@@ -46,6 +53,14 @@ class TestDominance:
         )
         with pytest.raises(ValueError, match="dominance"):
             expand_root(st, 5)
+
+    def test_step_checks_the_next_state(self):
+        # the same violation: q = T^2 and the next state T^4 X^2 + T^2 X + 1
+        st = RootState(
+            (Polynomial.monomial(F7, 1, 4), -Polynomial.monomial(F7, 1, 2), Polynomial.one(F7))
+        )
+        with pytest.raises(DominanceBroken):
+            step(st)
 
 
 class TestStep:
@@ -104,7 +119,7 @@ class TestQuarticExpansion:
     def test_all_quotients_odd(self):
         for F in (F5, F7, F11, F13):
             cf = expand_root(quartic_state(F), 50)
-            assert all(is_odd_polynomial(q) for q in cf)
+            assert not any(c for q in cf for c in q.coeffs[0::2])
 
     def test_dominance_and_degree_after_every_step(self):
         cur = quartic_state(F13)
@@ -112,6 +127,74 @@ class TestQuarticExpansion:
             q, cur = step(cur)
             assert q.degree >= 1
             assert cur is None or dominance_holds(cur)
+
+
+class TestStateArrays:
+    def test_expansion_leaves_the_input_state_intact(self):
+        st = quartic_state(F13)
+        before = st.coeffs
+        first = expand_root(st, 60)
+        assert st.coeffs == before
+        assert expand_root(st, 60) == first
+
+    def test_one_step_call_per_quotient(self, monkeypatch):
+        calls = []
+
+        def counting_step(state):
+            calls.append(state)
+            return step(state)
+
+        monkeypatch.setattr(rootcf, "step", counting_step)
+        assert len(expand_root(quartic_state(F7), 45)) == 45
+        assert len(calls) == 45
+
+    def test_exact_fallback_at_a_mersenne_prime(self):
+        # 2^61 - 1 is prime, but above the modulus cap that keeps is_prime's
+        # trial division cheap, so the field is built without that check.
+        # Products of its residues overflow int64, so every step runs the
+        # shift on arrays of Python ints.
+        p = (1 << 61) - 1
+        F = object.__new__(PrimeField)
+        F.p = p
+        assert not _fits_int64(p, 2)
+        cf = expand_root(quartic_state(F), 30)
+        assert len(cf) == 30
+        assert cf == expand_quartic_fixed(F, 30)
+
+
+def series_root_of_reversed(field, coeffs, floor):
+    """u = 1/alpha for the large root alpha of
+    c4 X^4 + (T + c3) X^3 + c2 X^2 + c1 X + c0, down to the floor: the
+    fixed point of u = -(c4 + c2 u^2 + c1 u^3 + c0 u^4) / (T + c3), which
+    each iteration knows two more coefficients of."""
+    c0, c1, c2, c3, c4 = (Laurent.from_polynomial(poly(field, c)) for c in coeffs)
+    t_plus_c3 = Laurent.from_polynomial(poly(field, coeffs[3], 1))
+    u = Laurent.zero(field, -1)
+    while u.floor > floor:
+        u2 = u * u
+        rhs = c4 + c2 * u2 + c1 * u2 * u + c0 * u2 * u2
+        nxt = divide(Laurent.zero(field) - rhs, t_plus_c3)
+        assert nxt.floor < u.floor
+        u = nxt
+    return u
+
+
+class TestSeededPolyAgainstSeriesRoot:
+    def test_300_quotients(self):
+        rng = random.Random(2009)
+        coeffs = tuple(rng.randrange(1, 13) for _ in range(5))
+        c0, c1, c2, c3, c4 = coeffs
+        text = f"{c4}*X^4 + (T + {c3})*X^3 + {c2}*X^2 + {c1}*X + {c0}"
+        buf = io.StringIO()
+        assert main(["expand", "--poly", text, "--p", "13", "--n", "300", "--json"], out=buf) == 0
+        direct = ContinuedFraction.from_json_dict(json.loads(buf.getvalue()))
+        assert len(direct) == 300
+        total = sum(q.degree for q in direct.quotients)
+        u = series_root_of_reversed(F13, coeffs, -(2 * total + 8))
+        one = Laurent.from_polynomial(Polynomial.one(F13))
+        oracle = cf_from_series(divide(one, u))
+        assert len(oracle) >= 300
+        assert list(oracle.quotients[:300]) == list(direct.quotients)
 
 
 class TestSeriesOracle:
