@@ -18,7 +18,6 @@ from .perfect import (
     a_sequence,
     generate_perfect_p11,
     family_constants,
-    index_table,
     pq_polynomials,
     power_p_family,
     quartic_index,
@@ -27,7 +26,7 @@ from .perfect import (
     verify_prop1,
     verify_prop2,
 )
-from .polynomials import Polynomial, formal_integral, gcd_monic
+from .polynomials import Polynomial, formal_integral
 from .quartic import (
     Conj1Verdict,
     Conj2Verdict,

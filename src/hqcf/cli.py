@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 = success / verification passed, 1 = verification failed,
 2 = usage or input error.  Output is deterministic for a given invocation;
-grid sweeps honour the HQCF_THREADS cap and still print in sorted order.
+grid sweeps honour the HQCF_THREADS cap and still print in sweep order.
 """
 
 import argparse
@@ -19,10 +19,8 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .cf import ContinuedFraction
-from .fields import GF, MAX_MODULUS, PrimeField, is_prime
+from .fields import GF, PrimeField
 from .perfect import (
-    DeltaMismatchError,
-    DeltaUndefinedError,
     ExpansionSpec,
     a_sequence,
     generate_perfect_expansion,
@@ -34,10 +32,6 @@ from .quartic import approximation_exponent, verify_conjecture1, verify_conjectu
 from .rootcf import RootState, expand_root, quartic_state
 
 
-class UsageError(ValueError):
-    pass
-
-
 def max_workers(cases: int) -> int:
     """Worker processes for a sweep: HQCF_THREADS (default 4), never more
     than the CPU count or the number of cases."""
@@ -47,7 +41,7 @@ def max_workers(cases: int) -> int:
         try:
             wanted = int(env)
         except ValueError:
-            raise UsageError(f"HQCF_THREADS must be an integer, got {env!r}")
+            raise ValueError(f"HQCF_THREADS must be an integer, got {env!r}")
     return max(1, min(wanted, os.cpu_count() or 1, cases))
 
 
@@ -90,7 +84,7 @@ class _XPoly:
         if not self.coeffs or not other.coeffs:
             return _XPoly(self.field, [])
         if max(a + b for a, b in zip(self.degrees(), other.degrees())) > MAX_PARSED_DEGREE:
-            raise UsageError(f"product would exceed degree {MAX_PARSED_DEGREE} in X or T")
+            raise ValueError(f"product would exceed degree {MAX_PARSED_DEGREE} in X or T")
         z = Polynomial.zero(self.field)
         out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -132,12 +126,12 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
 
     Division is only allowed by nonzero integer constants (the rational is
     embedded mod p).  A power or product past MAX_PARSED_DEGREE in X or T
-    is a UsageError, raised before it is expanded.
+    is a ValueError, raised before it is expanded.
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
-        raise UsageError(f"cannot parse polynomial: {exc}")
+        raise ValueError(f"cannot parse polynomial: {exc}")
 
     T = _XPoly(field, [Polynomial.x(field)])
     X = _XPoly(field, [Polynomial.zero(field), Polynomial.one(field)])
@@ -155,9 +149,9 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
             if isinstance(node.op, ast.Div):
                 den = ev(node.right).as_rational_constant()
                 if den is None:
-                    raise UsageError("division is only allowed by integer constants")
+                    raise ValueError("division is only allowed by integer constants")
                 if den % field.p == 0:
-                    raise UsageError(
+                    raise ValueError(
                         f"denominator {den} is divisible by p = {field.p}; "
                         "rational not embeddable"
                     )
@@ -167,35 +161,35 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
             if isinstance(node.op, ast.Pow):
                 e = node.right
                 if not (isinstance(e, ast.Constant) and isinstance(e.value, int) and e.value >= 0):
-                    raise UsageError("exponents must be nonnegative integer literals")
+                    raise ValueError("exponents must be nonnegative integer literals")
                 base = ev(node.left)
                 if max(base.degrees()) * e.value > MAX_PARSED_DEGREE:
-                    raise UsageError(
+                    raise ValueError(
                         f"power ^{e.value} would exceed degree {MAX_PARSED_DEGREE} in X or T"
                     )
                 return base ** e.value
-            raise UsageError(f"unsupported operator {ast.dump(node.op)}")
+            raise ValueError(f"unsupported operator {ast.dump(node.op)}")
         if isinstance(node, ast.UnaryOp):
             if isinstance(node.op, ast.USub):
                 return -ev(node.operand)
             if isinstance(node.op, ast.UAdd):
                 return ev(node.operand)
-            raise UsageError("unsupported unary operator")
+            raise ValueError("unsupported unary operator")
         if isinstance(node, ast.Name):
             if node.id == "T":
                 return T
             if node.id == "X":
                 return X
-            raise UsageError(f"unknown symbol {node.id!r} (use T and X)")
+            raise ValueError(f"unknown symbol {node.id!r} (use T and X)")
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
                 return _XPoly(field, [Polynomial.constant(field, node.value)])
-            raise UsageError(f"unsupported constant {node.value!r}")
-        raise UsageError(f"unsupported syntax: {ast.dump(node)}")
+            raise ValueError(f"unsupported constant {node.value!r}")
+        raise ValueError(f"unsupported syntax: {ast.dump(node)}")
 
     poly = ev(tree)
     if len(poly.coeffs) < 2:
-        raise UsageError("polynomial must have degree >= 1 in X")
+        raise ValueError("polynomial must have degree >= 1 in X")
     return poly.coeffs
 
 
@@ -221,197 +215,129 @@ def _annotation_index(field, k: int | None, max_deg: int, levels: list) -> dict:
     return {a: j for j, a in enumerate(A)}
 
 
-def _note(c: int, j: int | None) -> str:
-    """The annotation of a quotient c*A[j,k]; "" when j is None."""
-    return "" if j is None else f"  [= {c}*A[{j},k]]"
-
-
-def _render_symbolic(cf: ContinuedFraction, as_json: bool, k: int | None) -> str:
-    """The printed form of a generated expansion, each distinct (i, lambda)
-    pair rendered once.  The monic quotient of lambda*A_i is A_i itself, so
-    its annotation is looked up without building a polynomial per line."""
-    A = cf.tower
-    if as_json:
-        parts = cf.per_pair(lambda i, c: json.dumps(A[i].scaled(c).to_json_dict()))
-        return f'{{"p": {cf.field.p}, "pq": [{", ".join(parts)}]}}\n'
-    named = _annotation_index(cf.field, k, max(cf.degrees(), default=1), list(A))
-    parts = cf.per_pair(lambda i, c: A[i].scaled(c).format() + _note(c, named.get(A[i])))
-    return "".join([f"a_{n} = {t}\n" for n, t in enumerate(parts, start=1)])
-
-
 def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
-    if cf.tower is not None:
-        out.write(_render_symbolic(cf, as_json, k))
-        return
+    """Write cf once: one JSON object, or lines "a_n = q" with q annotated
+    "[= c*A[j,k]]" when it is c*A_(j,k).  A symbolic expansion renders each
+    distinct (i, lambda) pair once and names lambda*A_i by A_i itself."""
+    named = {}
+    if not as_json:
+        levels = list(cf.tower or [Polynomial.x(cf.field)])
+        named = _annotation_index(cf.field, k, max(cf.degrees(), default=1), levels)
+    degrees = {a.degree for a in named}  # a quotient is looked up only where it can match
+    # form runs on a generated quotient as a temporary: freed before json.dumps
+    form = Polynomial.to_json_dict if as_json else Polynomial.format
+
+    def render(value, c: int, j: int | None) -> str:
+        if as_json:
+            return json.dumps(value)
+        return value if j is None else f"{value}  [= {c}*A[{j},k]]"
+
+    if cf.tower is None:
+        parts = [
+            render(form(q), q.leading_coefficient(),
+                   named.get(q.monic()) if q.degree in degrees else None)
+            for q in cf.quotients
+        ]
+    else:
+        A = cf.tower
+        parts = cf.per_pair(lambda i, c: render(
+            form(A[i].scaled(c)), c, named.get(A[i]) if A[i].degree in degrees else None))
     if as_json:
-        print(json.dumps(cf.to_json_dict()), file=out)
-        return
-    max_deg = max((q.degree for q in cf.quotients), default=1)
-    named = _annotation_index(cf.field, k, max_deg, [Polynomial.x(cf.field)])
-    degrees = {a.degree for a in named}  # q.monic() is built only where it can match
-    for n, q in enumerate(cf.quotients, start=1):
-        note = _note(q.leading_coefficient(), named.get(q.monic())) if q.degree in degrees else ""
-        print(f"a_{n} = {q.format()}{note}", file=out)
+        out.write(f'{{"p": {cf.field.p}, "pq": [{", ".join(parts)}]}}\n')
+    else:
+        out.write("".join(f"a_{n} = {t}\n" for n, t in enumerate(parts, start=1)))
+
+
+def _map(fn, *columns) -> list:
+    """list(map(fn, *columns)), on a pool of max_workers processes if above 1."""
+    workers = max_workers(len(columns[0]))
+    if workers == 1:
+        return list(map(fn, *columns))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *columns))
 
 
 # -- subcommands ------------------------------------------------------------------
-
-
-def _field_from_args(args) -> PrimeField:
-    # the cap comes first: is_prime is trial division, unbounded in --p
-    if args.p > MAX_MODULUS:
-        raise UsageError(f"--p must be at most {MAX_MODULUS}, got {args.p}")
-    if not is_prime(args.p) or args.p < 3 or args.p % 2 == 0:
-        raise UsageError(f"--p must be an odd prime >= 3, got {args.p}")
-    return GF(args.p)
+#
+# Every precondition is checked by the library function that needs it; a
+# ValueError from any of them is a usage error (exit 2).  GF checks the
+# modulus, its cap before any primality test, before any other work.
 
 
 def cmd_expand(args, out) -> int:
-    field = _field_from_args(args)
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
+    field = GF(args.p)
     if args.quartic:
-        if args.p < 5:
-            raise UsageError("the quartic needs p >= 5")
         state = quartic_state(field)
         k = (args.p - 1) // 3 if args.p % 3 == 1 else None
     elif args.poly:
-        coeffs = parse_polynomial(args.poly, field)
-        try:
-            state = RootState(coeffs)
-        except ValueError as exc:
-            raise UsageError(str(exc))
-        k = args.k
+        state, k = RootState(parse_polynomial(args.poly, field)), args.k
     else:
-        raise UsageError("expand needs --quartic or --poly")
-    try:
-        cf = expand_root(state, args.n)
-    except ValueError as exc:
-        raise UsageError(str(exc))
-    _print_expansion(cf, args.json, k, out)
+        raise ValueError("expand needs --quartic or --poly")
+    _print_expansion(expand_root(state, args.n), args.json, k, out)
     return 0
 
 
 def cmd_generate(args, out) -> int:
-    field = _field_from_args(args)
-    if args.n < 0:
-        raise UsageError(f"--n must be >= 0, got {args.n}")
+    field = GF(args.p)
     for name in ("l", "k", "e1", "e2", "lambdas"):
-        if getattr(args, name.replace("-", "_"), None) in (None, ""):
-            raise UsageError(f"generate needs --{name}")
-    lambdas = [int(x) for x in args.lambdas.split(",")]
-    indices = [int(x) for x in args.indices.split(",")] if args.indices else None
-    try:
-        spec = ExpansionSpec(
-            field, args.l, args.k, args.e1, args.e2, tuple(lambdas),
-            tuple(indices) if indices else (),
-        )
-        gen = generate_perfect_expansion(spec, args.n)
-    except (DeltaUndefinedError, DeltaMismatchError, ValueError) as exc:
-        raise UsageError(str(exc))
-    _print_expansion(gen.cf, args.json, args.k, out)
+        if getattr(args, name) in (None, ""):
+            raise ValueError(f"generate needs --{name}")
+    spec = ExpansionSpec(
+        field, args.l, args.k, args.e1, args.e2,
+        tuple(int(x) for x in args.lambdas.split(",")),
+        tuple(int(x) for x in args.indices.split(",")) if args.indices else (),
+    )
+    _print_expansion(generate_perfect_expansion(spec, args.n).cf, args.json, args.k, out)
     return 0
 
 
-def _prop1_case(case):
-    p, k = case
-    r = verify_prop1(GF(p), k)
-    return k, r
-
-
-def _prop2_case(case):
-    p, k, i = case
-    r = verify_prop2(GF(p), k, i)
-    return (k, i), r
-
-
 def cmd_verify_prop1(args, out) -> int:
-    field = _field_from_args(args)
-    ks = [args.k] if args.k else list(range(1, (args.p - 1) // 2 + 1))
-    for k in ks:
-        if not 1 <= k < args.p / 2:
-            raise UsageError(f"--k must satisfy 1 <= k < p/2, got {k}")
-    workers = max_workers(len(ks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_prop1_case, [(args.p, k) for k in ks]))
-    else:
-        results = dict(_prop1_case((args.p, k)) for k in ks)
-    ok = all(r.passed for r in results.values())
+    field = GF(args.p)
+    ks = [args.k] if args.k is not None else range(1, (args.p - 1) // 2 + 1)
+    reports = _map(verify_prop1, [field] * len(ks), ks)
     if args.json:
-        payload = [
-            {
-                "p": args.p,
-                "k": k,
-                "pass": results[k].passed,
-                "theta": results[k].theta,
-                "v": list(results[k].v),
-            }
-            for k in sorted(results)
+        rows = [
+            {"p": r.p, "k": r.k, "pass": r.passed, "theta": r.theta, "v": list(r.v)}
+            for r in reports
         ]
-        print(json.dumps(payload if len(payload) > 1 else payload[0]), file=out)
+        print(json.dumps(rows if len(rows) > 1 else rows[0]), file=out)
     else:
-        for k in sorted(results):
-            r = results[k]
-            verdict = "PASS" if r.passed else "FAIL"
-            print(f"prop1 p={args.p} k={k}: {verdict}", file=out)
+        for r in reports:
+            print(f"prop1 p={r.p} k={r.k}: {'PASS' if r.passed else 'FAIL'}", file=out)
             print(f"  theta = {r.theta}", file=out)
             print(f"  v = {','.join(str(x) for x in r.v)}", file=out)
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in reports) else 1
 
 
 def cmd_verify_prop2(args, out) -> int:
-    field = _field_from_args(args)
-    half = (args.p - 1) // 2
-    ks = [args.k] if args.k else list(range(1, half + 1))
-    iis = [args.i] if args.i else list(range(1, half + 1))
-    cases = [(args.p, k, i) for k in ks for i in iis]
-    workers = max_workers(len(cases))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_prop2_case, cases))
-    else:
-        results = dict(_prop2_case(c) for c in cases)
-    ok = all(r.passed or not r.defined for r in results.values())
-    rows = []
-    for key in sorted(results):
-        r = results[key]
-        if not r.defined:
-            status = "UNDEFINED"
-        else:
-            status = "PASS" if r.passed else "FAIL"
-        rows.append((key, r, status))
+    field = GF(args.p)
+    half = range(1, (args.p - 1) // 2 + 1)
+    ks = [args.k] if args.k is not None else half
+    iis = [args.i] if args.i is not None else half
+    cases = [(k, i) for k in ks for i in iis]
+    reports = _map(verify_prop2, [field] * len(cases), *zip(*cases))
     if args.json:
-        payload = [
+        rows = [
             {
-                "p": args.p,
-                "k": k,
-                "i": i,
-                "pass": r.passed,
-                "defined": r.defined,
-                "entries": r.predicted_length,
-                "reason": r.reason,
+                "p": r.p, "k": r.k, "i": r.i, "pass": r.passed, "defined": r.defined,
+                "entries": r.predicted_length, "reason": r.reason,
             }
-            for (k, i), r, _ in rows
+            for r in reports
         ]
-        print(json.dumps(payload if len(payload) > 1 else payload[0]), file=out)
+        print(json.dumps(rows if len(rows) > 1 else rows[0]), file=out)
     else:
-        for (k, i), r, status in rows:
-            extra = f" ({r.reason})" if status == "UNDEFINED" else ""
-            print(f"prop2 p={args.p} k={k} i={i}: {status}{extra}", file=out)
-    return 0 if ok else 1
+        for r in reports:
+            status = ("PASS" if r.passed else "FAIL") if r.defined else f"UNDEFINED ({r.reason})"
+            print(f"prop2 p={r.p} k={r.k} i={r.i}: {status}", file=out)
+    return 0 if all(r.passed or not r.defined for r in reports) else 1
 
 
 def cmd_verify_conj1(args, out) -> int:
-    field = _field_from_args(args)
-    if args.p % 3 != 1 or args.p < 7:
-        raise UsageError("conj1 needs p = 1 mod 3 and p >= 7")
     verdict = verify_conjecture1(args.p, args.n)
     if args.json:
         print(json.dumps(verdict.to_json_dict()), file=out)
     else:
-        status = "PASS" if verdict.passed else "FAIL"
-        print(f"conj1 p={args.p}: {status}", file=out)
+        print(f"conj1 p={args.p}: {'PASS' if verdict.passed else 'FAIL'}", file=out)
         if verdict.eps1 is not None:
             print(
                 f"  relation: alpha^p = {verdict.eps1}*(T^2+{verdict.a})^k*alpha_(l+1)"
@@ -425,12 +351,7 @@ def cmd_verify_conj1(args, out) -> int:
 
 
 def cmd_verify_conj2(args, out) -> int:
-    field = _field_from_args(args)
-    if args.p % 3 != 2 or args.p < 5:
-        raise UsageError("conj2 needs p = 2 mod 3 and p >= 5")
-    if args.l is not None and args.l < 1:
-        raise UsageError(f"--l must be >= 1, got {args.l}")
-    verdict = verify_conjecture2(args.p, args.n if args.n else None, l_override=args.l)
+    verdict = verify_conjecture2(args.p, args.n, l_override=args.l)
     if args.json:
         print(json.dumps(verdict.to_json_dict()), file=out)
     else:
@@ -448,17 +369,15 @@ def cmd_verify_conj2(args, out) -> int:
 
 
 def cmd_exponent(args, out) -> int:
-    field = _field_from_args(args)
-    if args.p < 5:
-        raise UsageError("the quartic needs p >= 5")
-    window = args.window or args.n - 1
+    field = GF(args.p)
+    window = args.n - 1 if args.window is None else args.window
     if args.p % 3 == 1:
         # perfect pattern route: confirm the relation, then generate.
         # The residual check to T^-100 needs p + 14 to p + 33 quotients for
         # every p = 1 mod 3 below 200 (measured); max(50, 2p) covers them.
         verdict = verify_conjecture1(args.p, max(50, 2 * args.p))
         if not verdict.passed:
-            raise UsageError(
+            raise ValueError(
                 f"perfect pattern not confirmed for p={args.p}: {verdict.detail}"
             )
         cf = generate_perfect_expansion(verdict.spec, args.n).cf
@@ -544,13 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     c2 = vsub.add_parser("conj2", help="degree-p^2 relation for p = 2 mod 3")
     c2.add_argument("--p", type=int, required=True)
-    c2.add_argument("--n", type=int, default=0, help="expansion length (default l+1)")
+    c2.add_argument("--n", type=int, help="expansion length (default l+1)")
     c2.add_argument("--l", type=int, default=None, help="override the tail index (diagnostic)")
     c2.add_argument("--json", action="store_true")
 
     p_exp = sub.add_parser("exponent", help="rational approximation exponent of the quartic root")
     add_common(p_exp, n_default=500)
-    p_exp.add_argument("--window", type=int, default=0, help="ratio window (default n-1)")
+    p_exp.add_argument("--window", type=int, help="ratio window (default n-1)")
     return top
 
 
@@ -567,14 +486,10 @@ _DISPATCH = {
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     handler = _DISPATCH[(args.command, getattr(args, "what", None))]
     try:
         return handler(args, out)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

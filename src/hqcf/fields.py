@@ -13,12 +13,15 @@ elements can be shared freely between threads.
 from functools import cache
 from typing import Optional
 
-# The largest supported modulus.  is_prime is trial division, so every
-# caller checks a modulus against this cap before it tests primality.
+# The largest supported modulus; is_prime refuses anything above it.
 MAX_MODULUS = 10**6
 
 
 def is_prime(n: int) -> bool:
+    """Primality by trial division; an n above MAX_MODULUS is a ValueError,
+    raised before any division (10^18 + 3 would take minutes)."""
+    if n > MAX_MODULUS:
+        raise ValueError(f"modulus {n} exceeds the supported range (at most {MAX_MODULUS})")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -43,9 +46,7 @@ class PrimeField:
     __slots__ = ("p",)
 
     def __init__(self, p: int):
-        if isinstance(p, int) and p > MAX_MODULUS:
-            raise ValueError(f"modulus {p} exceeds the supported range")
-        if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
+        if not isinstance(p, int) or p < 3 or not is_prime(p):
             raise ValueError(f"modulus must be an odd prime >= 3, got {p!r}")
         self.p = p
 

@@ -38,7 +38,7 @@ polynomial division.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -66,28 +66,28 @@ class DeltaMismatchError(ValueError):
     """The anchor condition fails: delta_l != 2k*eps1/eps2."""
 
 
+def _check_k(p: int, k: int, name: str = "k"):
+    """Raise ValueError unless 1 <= k < p/2, the range of every family
+    parameter."""
+    if not 1 <= k or not 2 * k < p:
+        raise ValueError(f"need 1 <= {name} < p/2, got {name}={k}, p={p}")
+
+
 def pq_polynomials(field: PrimeField, k: int, a: Optional[int] = None):
     """The pair (P_{k,a}, Q_{k,a}); a defaults to -1 (the normalized family).
 
     Q requires 2k < p so that every monomial of (T^2+a)^(k-1) integrates.
     """
-    p = field.p
-    if not 1 <= k or not 2 * k < p:
-        raise ValueError(f"need 1 <= k < p/2, got k={k}, p={p}")
-    a = (-1 if a is None else a) % p
-    if a == 0:
-        raise ValueError("the family parameter a must be nonzero")
-    base = Polynomial(field, [a, 0, 1])  # T^2 + a
-    P = base**k
-    Q = formal_integral(base ** (k - 1))
-    return P, Q
+    _check_k(field.p, k)
+    return power_p_family(field, k, a), formal_integral(power_p_family(field, k - 1, a))
 
 
 def power_p_family(field: PrimeField, k: int, a: Optional[int] = None) -> Polynomial:
     """(T^2+a)^k by plain exponentiation, with no 2k < p restriction.
 
-    Used for the left side P_{kp-i} of the product-family expansion, whose
-    exponent kp-i exceeds p/2 by design; only Q needs the integration bound.
+    It gives P and the integrand of Q in pq_polynomials, and the left side
+    P_{kp-i} of the product-family expansion, whose exponent kp-i exceeds
+    p/2 by design; only Q needs the integration bound.
     """
     a = (-1 if a is None else a) % field.p
     if a == 0:
@@ -104,8 +104,7 @@ def family_constants(field: PrimeField, k: int) -> FamilyConstants:
     """theta_k = (-1)^k prod_{j<=k} (1 - 1/(2j)) and the v_{i,k} sequence
     (v_1 = 2k-1, v_{i+1} v_i = (2k-2i-1)(2k-2i+1) / (i(2k-i)))."""
     p = field.p
-    if not 1 <= k or not 2 * k < p:
-        raise ValueError(f"need 1 <= k < p/2, got k={k}, p={p}")
+    _check_k(p, k)
     theta = 1
     for j in range(1, k + 1):
         theta = theta * (1 - field.inv(2 * j % p)) % p
@@ -200,24 +199,6 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
 # -- index sequences ------------------------------------------------------------
 
 
-def index_table(l: int, k: int, initial: Sequence[int], n: int) -> list:
-    """i(1..n) from the block recurrence: i given on 1..l, i(f(m)) = i(m)+1
-    for f(m) = (2k+1)m + l - 2k, and 0 elsewhere past l.  Entry [0] unused."""
-    if len(initial) != l:
-        raise ValueError(f"need {l} initial indices, got {len(initial)}")
-    idx = [0] * (n + 1)
-    for j in range(1, min(l, n) + 1):
-        idx[j] = initial[j - 1]
-    m = 1
-    while True:
-        pos = (2 * k + 1) * m + l - 2 * k
-        if pos > n:
-            break
-        idx[pos] = idx[m] + 1
-        m += 1
-    return idx
-
-
 def quartic_index(p: int, n: int) -> int:
     """i(n) for the quartic's expansion at p = 1 mod 3: the exact power of
     (2p+1)/3 dividing (p-1)(4n-1)/6."""
@@ -266,8 +247,9 @@ class ExpansionSpec:
         object.__setattr__(self, "indices", idx)
         if len(self.lambdas) != self.l or len(idx) != self.l:
             raise ValueError("prefix data must have length l")
-        if self.l < 1 or not 1 <= self.k or not 2 * self.k < self.field.p:
-            raise ValueError("need l >= 1 and 1 <= k < p/2")
+        if self.l < 1:
+            raise ValueError(f"need l >= 1, got l={self.l}")
+        _check_k(p, self.k)
         if any(i < 0 for i in idx):
             raise ValueError(f"prefix indices must be >= 0, got {idx}")
         for i in idx:
@@ -327,6 +309,8 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
       delta_{f(m)}    = eps1^((-1)^m) delta_m theta
       delta_{f(m)+i}  = eps1^((-1)^(m+i)) (i v_i / (2k-2i+1)) (2k theta delta_m)^((-1)^i)
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     f = spec.field
     p = f.p
     base_deltas = spec.validate()
@@ -394,6 +378,8 @@ def generate_perfect_p11(
     with delta_1 = -2*eps1/eps2.  Agrees with generate_perfect_expansion on the same
     data (its delta convention differs by sign).
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     f = field
     p = f.p
     eps1, eps2 = eps1 % p, eps2 % p
@@ -457,6 +443,14 @@ class Prop1Report:
         return self.cf_matches and self.reversal_holds and all(self.power_identity)
 
 
+def _euclid_and_reversal(num: Polynomial, den: Polynomial, predicted: list, k: int, theta: int):
+    """(cf_matches, reversal_holds): the Euclidean expansion of num/den is
+    the predicted list [b_1..b_n], and num/den = -4 k^2 theta^2 [b_n..b_1]."""
+    cf_matches = list(rational_to_cf(num, den).quotients) == predicted
+    xr, yr = ContinuedFraction(num.field, predicted[::-1]).value()
+    return cf_matches, num * yr == (xr * den).scaled(-4 * k * k * theta * theta)
+
+
 def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
     """Check the three exact identities of the normalized pair (P_k, Q_k):
 
@@ -468,13 +462,9 @@ def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
     theta, v = family_constants(field, k)
     P, Q = pq_polynomials(field, k)
     T = Polynomial.x(field)
-    predicted = [T.scaled(c) for c in v]
-    cf = rational_to_cf(P, Q)
-    cf_matches = list(cf.quotients) == predicted
-
-    rev = ContinuedFraction(field, list(reversed(predicted)))
-    xr, yr = rev.value()
-    reversal_holds = P * yr == (xr * Q).scaled(-4 * k * k * theta * theta)
+    cf_matches, reversal_holds = _euclid_and_reversal(
+        P, Q, [T.scaled(c) for c in v], k, theta
+    )
 
     A = a_sequence(field, k, 3)
     power_identity = []
@@ -538,8 +528,8 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
     Euclidean expansion, and check the reversal identity
     [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1]."""
     p = field.p
-    if not (1 <= k and 2 * k < p and 1 <= i and 2 * i < p):
-        raise ValueError("need 1 <= k, i < p/2")
+    _check_k(p, k)
+    _check_k(p, i, "i")
     try:
         predicted = prop2_predicted_quotients(field, k, i)
     except ScalarCFUndefined as exc:
@@ -547,13 +537,9 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
     theta_k, _ = family_constants(field, k)
     Pk = power_p_family(field, k * p - i)
     _, Qk = pq_polynomials(field, k)
-    Qkp = Qk.pow_frobenius()
-    cf = rational_to_cf(Pk, Qkp)
-    cf_matches = list(cf.quotients) == predicted
-
-    rev = ContinuedFraction(field, list(reversed(predicted)))
-    xr, yr = rev.value()
-    reversal_holds = Pk * yr == (xr * Qkp).scaled(-4 * k * k * theta_k * theta_k)
+    cf_matches, reversal_holds = _euclid_and_reversal(
+        Pk, Qk.pow_frobenius(), predicted, k, theta_k
+    )
     return Prop2Report(p, k, i, True, "", cf_matches, reversal_holds, len(predicted))
 
 

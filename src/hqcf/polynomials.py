@@ -303,15 +303,6 @@ class Polynomial:
 # -- free functions on polynomials ------------------------------------------------
 
 
-def gcd_monic(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Monic greatest common divisor; undefined (ValueError) for (0, 0)."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd of two zero polynomials is undefined")
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
-
-
 def formal_integral(f: Polynomial) -> Polynomial:
     """The primitive of f with zero constant term.
 

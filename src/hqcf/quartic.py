@@ -39,7 +39,7 @@ from .perfect import (
     relation_residual,
     generate_perfect_expansion,
 )
-from .polynomials import Polynomial, formal_integral, gcd_monic
+from .polynomials import Polynomial
 from .rootcf import alpha_series, expand_root, quartic_state
 
 
@@ -158,8 +158,10 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
 
     Stages (each failure raises DerivationError with the stage name):
       b-compat     a_p b_{p+1} - a_{p+1} b_p = 0 in F_p[T]
-      convergent   the reduced pair (a*_{p+1}, a*_p) is (x_l, y_l) of the
-                   root expansion, l = (p-1)/2, up to one constant
+      convergent   (a_{p+1}, a_p) = delta * (x_l, y_l) for the convergent
+                   x_l/y_l of the root expansion, l = (p-1)/2: x_l and y_l
+                   are coprime by the determinant identity, so this is
+                   a_{p+1} y_l = a_p x_l with y_l dividing a_p
       prefix-form  the first l quotients are lambda_j * T
       W-shape      (-1)^l W = eps1 * (T^2+a)^k for a single a, k = (p-1)/3
       Q-shape      the residual part matches eps2 * Q_{k,a}
@@ -175,24 +177,15 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     if vp.a * vp1.b != vp1.a * vp.b:
         raise DerivationError("b-compat", f"a_p*b_(p+1) != a_(p+1)*b_p for p = {p}")
 
-    delta = gcd_monic(vp.a, vp1.a)
-    a_star_p = vp.a // delta
-    a_star_p1 = vp1.a // delta
-
     prefix = expand_root(quartic_state(field), l)
     if len(prefix) < l:
         raise DerivationError("prefix-form", "root expansion terminated early")
     xl, xl1, yl, yl1 = prefix.matrix(0, l)
-    if a_star_p1.degree != xl.degree or xl.is_zero():
+    delta, rem = divmod(vp.a, yl)
+    if delta.is_zero() or not rem.is_zero() or vp1.a * yl != vp.a * xl:
         raise DerivationError(
-            "convergent", f"deg a*_(p+1) = {a_star_p1.degree} != deg x_l = {xl.degree}"
+            "convergent", "(a_(p+1), a_p) is not proportional to (x_l, y_l)"
         )
-    c = a_star_p1.leading_coefficient() * field.inv(xl.leading_coefficient()) % p
-    if a_star_p1 != xl.scaled(c) or a_star_p != yl.scaled(c):
-        raise DerivationError(
-            "convergent", "(a*_(p+1), a*_p) is not proportional to (x_l, y_l)"
-        )
-    delta = delta.scaled(c)
     a_star_p, a_star_p1 = yl, xl
 
     lambdas = []
@@ -217,14 +210,13 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     if k == 0:
         raise DerivationError("W-shape", "W is constant")
     a = monic_w.coeffs[2 * k - 2] * field.inv(k) % p
-    if a == 0 or monic_w != Polynomial(field, [a, 0, 1]) ** k:
+    if a == 0 or monic_w != power_p_family(field, k, a):
         raise DerivationError("W-shape", "W/lc is not of the form (T^2+a)^k")
     if k != k_target:
         raise DerivationError("W-shape", f"extracted k = {k}, expected (p-1)/3 = {k_target}")
 
-    P = monic_w
-    Q = formal_integral(Polynomial(field, [a, 0, 1]) ** (k - 1))
-    if G_signed.is_zero() or Q.is_zero():
+    P, Q = pq_polynomials(field, k, a)
+    if G_signed.is_zero():
         raise DerivationError("Q-shape", "degenerate Q part")
     eps2 = G_signed.leading_coefficient() * field.inv(Q.leading_coefficient()) % p
     if G_signed != Q.scaled(eps2):
@@ -377,7 +369,11 @@ class Conj1Verdict:
         }
 
 
-def verify_conjecture1(p: int, n: int, *, residual_precision: int = 100) -> Conj1Verdict:
+# The relation is re-checked as a series identity down to T^-RESIDUAL_PRECISION.
+RESIDUAL_PRECISION = 100
+
+
+def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
     """Full check of the conjectured degree-p pattern for one prime.
 
     Runs the derivation, normalizes, validates the perfect-expansion
@@ -432,11 +428,11 @@ def verify_conjecture1(p: int, n: int, *, residual_precision: int = 100) -> Conj
         )
 
     try:
-        residual = relation_residual(gen.cf, spec.relation(), residual_precision)
+        residual = relation_residual(gen.cf, spec.relation(), RESIDUAL_PRECISION)
     except ValueError:
         raise ValueError(
             f"n = {n} leaves too few tail quotients to certify the relation to "
-            f"T^-{residual_precision} for p = {p}; increase n"
+            f"T^-{RESIDUAL_PRECISION} for p = {p}; increase n"
         )
     ok = residual == float("-inf") and trace.degree_check and trace.convergent_check
     return Conj1Verdict(
@@ -491,13 +487,15 @@ def verify_conjecture2(p: int, n: Optional[int] = None, *, l_override: Optional[
     in the power basis; the two nontrivial ones are solved for (eps1, eps2)
     by exact linear algebra, sweeping a over F_p^* with 8/27 tried first.
     """
+    field = GF(p)
     if p % 3 != 2:
         raise ValueError(f"this relation shape needs p = 2 mod 3, got {p}")
-    field = GF(p)
     l_stated = (p + 1) ** 2 // 3
     k_prime = (p * p - 1) // 3
     k = (p + 1) // 3
     l = l_stated if l_override is None else l_override
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
     if n is None:
         n = l + 1
     if n < l + 1:

@@ -161,8 +161,10 @@ def expand_root(state: RootState, n: int) -> ContinuedFraction:
     """First n partial quotients of the unique root with |root| >= |T|.
 
     The input must satisfy (*).  If the root turns out rational the finite
-    expansion is returned (shorter than n).
+    expansion is returned (shorter than n).  A negative n is a ValueError.
     """
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
     if not dominance_holds(state):
         raise ValueError("input polynomial does not satisfy the dominance condition (*)")
     quotients = []

@@ -17,7 +17,6 @@ from hqcf.fields import GF, is_prime
 from hqcf.perfect import (
     ExpansionSpec,
     quartic_index,
-    index_table,
     relation_residual,
     generate_perfect_expansion,
     verify_prop1,
@@ -156,10 +155,11 @@ def test_criterion_7_index_formula():
     t0 = time.time()
     ok = True
     for p in (7, 13):
-        l, k = (p - 1) // 2, (p - 1) // 3
-        table = index_table(l, k, (0,) * l, 10_000)
-        ok = ok and all(table[n] == quartic_index(p, n) for n in range(1, 10_001))
-    assert report(7, ok, "valuation formula == recurrence for n <= 10^4", t0, 1.0)
+        spec = normalize_to_beta(derive_frobenius_relation(p)).spec()
+        indices = generate_perfect_expansion(spec, 10_000).cf.indices
+        ok = ok and len(indices) == 10_000
+        ok = ok and all(i == quartic_index(p, n) for n, i in enumerate(indices, start=1))
+    assert report(7, ok, "valuation formula == generator's indices for n <= 10^4", t0, 1.0)
 
 
 def test_criterion_8_exponent():

@@ -5,9 +5,8 @@ import time
 
 import pytest
 
-from hqcf import cli
 from hqcf.cf import ContinuedFraction
-from hqcf.cli import MAX_PARSED_DEGREE, UsageError, main, parse_polynomial
+from hqcf.cli import MAX_PARSED_DEGREE, main, parse_polynomial
 from hqcf.fields import GF, MAX_MODULUS
 from hqcf.polynomials import Polynomial
 
@@ -39,30 +38,30 @@ class TestParsePolynomial:
         assert [c.format() for c in coeffs] == ["1", "6*T", "1"]
 
     def test_denominator_divisible_by_p(self):
-        with pytest.raises(UsageError, match="not embeddable"):
+        with pytest.raises(ValueError, match="not embeddable"):
             parse_polynomial("X^2 - X/13", F13)
 
     def test_syntax_error(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_polynomial("X^2 - )", F13)
 
     def test_unknown_symbol(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_polynomial("X^2 - Y", F13)
 
     def test_nonconstant_divisor(self):
-        with pytest.raises(UsageError):
+        with pytest.raises(ValueError):
             parse_polynomial("X/T", F13)
 
     def test_huge_power_rejected_before_expansion(self):
         t0 = time.perf_counter()
         for text in ("(X+T)^100000", "X^2 + T^100000*X", "(X^2 + T)^200"):
-            with pytest.raises(UsageError, match="would exceed degree"):
+            with pytest.raises(ValueError, match="would exceed degree"):
                 parse_polynomial(text, GF(5))
         assert time.perf_counter() - t0 < 2.0
 
     def test_huge_product_rejected(self):
-        with pytest.raises(UsageError, match="would exceed degree"):
+        with pytest.raises(ValueError, match="would exceed degree"):
             parse_polynomial("(X+T)^200 * (X+T)^100", GF(5))
 
     def test_powers_up_to_the_bound_parse(self):
@@ -115,7 +114,7 @@ class TestExpandCommand:
         code, out = run(["expand", "--quartic", "--p", "1000000000000000003", "--n", "3"])
         assert time.perf_counter() - start < 5
         assert code == 2 and out == ""
-        assert f"--p must be at most {MAX_MODULUS}" in capsys.readouterr().err
+        assert f"supported range (at most {MAX_MODULUS})" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["expand", "--quartic", "--n", "3"],
@@ -126,13 +125,13 @@ class TestExpandCommand:
         ["verify", "conj2"],
         ["exponent"],
     ])
-    def test_every_p_path_caps_before_is_prime(self, argv, monkeypatch):
-        def no_trial_division(n):
-            raise AssertionError("is_prime ran on --p above the cap")
-
-        monkeypatch.setattr(cli, "is_prime", no_trial_division)
-        code, out = run(argv + ["--p", str(MAX_MODULUS + 2)])
+    def test_every_p_path_caps_before_is_prime(self, argv, capsys):
+        # a prime far above the cap: trial division would run for minutes
+        start = time.perf_counter()
+        code, out = run(argv + ["--p", "1000000000000000003"])
+        assert time.perf_counter() - start < 5
         assert code == 2 and out == ""
+        assert f"supported range (at most {MAX_MODULUS})" in capsys.readouterr().err
 
     def test_even_p_rejected(self):
         code, _ = run(["expand", "--poly", "X/2", "--p", "2", "--n", "3"])
@@ -150,7 +149,7 @@ class TestExpandCommand:
     def test_negative_n_is_usage_error(self, source, capsys):
         code, out = run(["expand", *source, "--p", "13", "--n", "-5"])
         assert code == 2 and out == ""
-        assert "--n must be >= 0" in capsys.readouterr().err
+        assert "n must be >= 0" in capsys.readouterr().err
 
 
 class TestGenerateCommand:
@@ -218,7 +217,22 @@ class TestVerifyCommands:
     def test_conj2_nonpositive_l_is_usage_error(self, l, capsys):
         code, out = run(["verify", "conj2", "--p", "5", "--l", l])
         assert code == 2 and out == ""
-        assert "--l must be >= 1" in capsys.readouterr().err
+        assert "l must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["prop1", "--k", "0"],
+        ["prop2", "--k", "0", "--i", "1"],
+        ["prop2", "--k", "1", "--i", "0"],
+    ])
+    def test_zero_k_or_i_is_usage_error_not_a_sweep(self, argv, capsys):
+        # 0 is a value, not "not given": the library rejects it
+        code, out = run(["verify", argv[0], "--p", "7", *argv[1:]])
+        assert code == 2 and out == ""
+        assert "< p/2, got" in capsys.readouterr().err
+
+    def test_conj2_zero_n_is_usage_error(self):
+        code, out = run(["verify", "conj2", "--p", "5", "--n", "0"])
+        assert code == 2 and out == ""
 
     def test_conj1_wrong_residue_is_usage_error(self):
         code, _ = run(["verify", "conj1", "--p", "11", "--n", "20"])
@@ -231,6 +245,10 @@ class TestExponentCommand:
         assert code == 0
         d = json.loads(out)
         assert d["nu0_closed"] == "2/3" and d["nu_closed"] == "8/3"
+
+    def test_zero_window_is_usage_error(self):
+        code, out = run(["exponent", "--p", "5", "--n", "40", "--window", "0"])
+        assert code == 2 and out == ""
 
     def test_p5_direct_route(self):
         code, out = run(["exponent", "--p", "5", "--n", "40", "--json"])

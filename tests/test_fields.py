@@ -1,6 +1,5 @@
 import pytest
 
-from hqcf import fields
 from hqcf.fields import GF, MAX_MODULUS, PrimeField, is_prime
 from hqcf.polynomials import Polynomial
 from hqcf.quartic import beta_quotient_to_alpha
@@ -16,14 +15,22 @@ class TestPrimeField:
         for p in (3, 5, 7, 13, 101, 9973):
             assert GF(p).p == p
 
-    def test_cap_checked_before_the_primality_test(self, monkeypatch):
-        def no_trial_division(n):
-            raise AssertionError("is_prime ran on a modulus above the cap")
+    def test_cap_checked_before_the_primality_test(self):
+        # trial division of 10^18 + 3 runs for minutes: is_prime refuses a
+        # modulus above the cap, and so PrimeField, before dividing once
+        class Counted(int):
+            divisions = 0
 
-        monkeypatch.setattr(fields, "is_prime", no_trial_division)
-        for big in (MAX_MODULUS + 1, 1000000000000000003):
-            with pytest.raises(ValueError, match="supported range"):
-                PrimeField(big)
+            def __mod__(self, other):
+                Counted.divisions += 1
+                return int.__mod__(self, other)
+
+        for big in (MAX_MODULUS + 1, 1000000000000000003, 2 * 10**18):
+            for check in (is_prime, PrimeField):
+                with pytest.raises(ValueError, match=f"supported range \\(at most {MAX_MODULUS}\\)"):
+                    check(Counted(big))
+        assert Counted.divisions == 0
+        assert is_prime(999983) and not is_prime(MAX_MODULUS)
 
     def test_embed_rational(self):
         assert GF(13).embed_rational(-1, 12) == 1

@@ -1,7 +1,7 @@
 """Differential tests of the F_p[T] kernel against sympy's galoistools,
 and of the Laurent series built on it against a dict reference.
 
-Multiplication, division and gcd draw their degrees on both sides of
+Multiplication and division draw their degrees on both sides of
 every switch between kernel paths: _SCHOOLBOOK_CUTOFF (schoolbook or
 int64 convolution), the numpy division (divisor degree >= 128 and
 quotient length >= 64) and the _fits_int64 guard, which the tests force
@@ -27,7 +27,7 @@ import hqcf.polynomials as polynomials  # noqa: E402
 import hqcf.rootcf as rootcf  # noqa: E402
 from hqcf.fields import GF  # noqa: E402
 from hqcf.laurent import Laurent, divide  # noqa: E402
-from hqcf.polynomials import Polynomial, gcd_monic  # noqa: E402
+from hqcf.polynomials import Polynomial  # noqa: E402
 
 PRIMES = [3, 5, 7, 13, 97, 65537, 999983]
 
@@ -154,23 +154,6 @@ class TestMulDivGcd:
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             divmod(Polynomial.one(GF(7)), Polynomial.zero(GF(7)))
-
-    @given(st.sampled_from(PRIMES), st.data())
-    @settings(max_examples=80, deadline=None)
-    def test_gcd_matches_gf_gcd(self, p, data):
-        # a common factor h makes the gcd nontrivial more often than not
-        h = poly_of_length(data, p, data.draw(st.integers(0, 70)))
-        a = poly_of_length(data, p, data.draw(st.one_of(SHORT, LONG)))
-        b = poly_of_length(data, p, data.draw(st.one_of(SHORT, LONG)))
-        f, g = h * a, h * b
-        if f.is_zero() and g.is_zero():
-            with pytest.raises(ValueError):
-                gcd_monic(f, g)
-            return
-        got = gcd_monic(f, g)
-        assert_canonical(got, p)
-        assert got.leading_coefficient() == 1
-        assert to_gf(got) == gt.gf_gcd(to_gf(f), to_gf(g), p, ZZ)
 
 
 def reference_taylor_shift(coeffs, q, p):

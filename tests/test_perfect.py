@@ -10,7 +10,6 @@ from hqcf.perfect import (
     a_sequence,
     generate_perfect_p11,
     family_constants,
-    index_table,
     pq_polynomials,
     power_p_family,
     prop2_predicted_quotients,
@@ -172,9 +171,16 @@ class TestExactDivisionTower:
             a_sequence(F7, 2, 3)
 
 
+# the quartic's normalized specs at p = 7 and 13 (test_quartic derives them)
+QUARTIC_SPECS = {
+    7: ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)),
+    13: ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5)),
+}
+
+
 class TestIndexSequences:
     def test_recurrence_table_p7(self):
-        idx = index_table(3, 2, (0, 0, 0), 30)
+        idx = (None, *generate_perfect_expansion(QUARTIC_SPECS[7], 30).cf.indices)
         assert idx[4] == 1 and idx[9] == 1 and idx[19] == 2
 
     def test_valuation_formula_examples(self):
@@ -184,11 +190,11 @@ class TestIndexSequences:
         assert quartic_index(13, 7) == 1
 
     def test_formula_matches_recurrence(self):
-        for p in (7, 13):
-            l, k = (p - 1) // 2, (p - 1) // 3
-            idx = index_table(l, k, (0,) * l, 2000)
-            for n in range(1, 2001):
-                assert idx[n] == quartic_index(p, n), (p, n)
+        for p, spec in QUARTIC_SPECS.items():
+            idx = generate_perfect_expansion(spec, 2000).cf.indices
+            assert len(idx) == 2000
+            for n, i in enumerate(idx, start=1):
+                assert i == quartic_index(p, n), (p, n)
 
     def test_wrong_residue_class(self):
         with pytest.raises(ValueError):
@@ -196,8 +202,8 @@ class TestIndexSequences:
 
     def test_p11_index_prefix(self):
         # l = k = 1, i(1) = 0: (0, 1, 0, 0, 2, 0, 0, 1, 0, 0)
-        idx = index_table(1, 1, (0,), 10)
-        assert idx[1:] == [0, 1, 0, 0, 2, 0, 0, 1, 0, 0]
+        idx = generate_perfect_p11(F7, 0, 3, 5, 10).cf.indices
+        assert idx == (0, 1, 0, 0, 2, 0, 0, 1, 0, 0)
 
 
 class TestSpecValidation:
@@ -265,6 +271,12 @@ class TestPerfectGeneration:
         gen = generate_perfect_expansion(ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 100)
         direct = expand_root(quartic_state(F7), 100)
         assert list(gen.cf.quotients) == list(direct.quotients)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            generate_perfect_expansion(QUARTIC_SPECS[7], -1)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            generate_perfect_p11(F7, 0, 3, 5, -1)
 
 
 class TestSymbolicQuotients:
@@ -409,6 +421,9 @@ class TestProp2:
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             verify_prop2(F7, 4, 1)
+        for k, i, name in ((0, 1, "k"), (1, 0, "i"), (1, 4, "i")):
+            with pytest.raises(ValueError, match=f"1 <= {name} < p/2"):
+                verify_prop2(F7, k, i)
 
 
 class TestRelationResidual:

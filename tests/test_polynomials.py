@@ -1,4 +1,3 @@
-import functools
 import json
 import random
 from types import SimpleNamespace
@@ -9,7 +8,7 @@ from hypothesis import strategies as st
 
 from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF
-from hqcf.polynomials import Polynomial, formal_integral, gcd_monic
+from hqcf.polynomials import Polynomial, formal_integral
 from hqcf.quartic import beta_quotient_to_alpha, normalize_to_beta
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
@@ -141,48 +140,6 @@ class TestDivmod:
         g = random_poly(F13, rng, 150, nonzero=True)
         q, r = divmod(f, g)
         assert q * g + r == f and r.degree < g.degree
-
-
-class TestGcd:
-    def test_simple(self):
-        f = poly(F7, -1, 0, 1)
-        g = poly(F7, -1, 1)
-        assert gcd_monic(f, g) == poly(F7, -1, 1)
-
-    def test_constructed_common_factor(self):
-        base = poly(F13, 8, 0, 1) ** 4
-        f = base * poly(F13, 0, 2, 0, 1)  # (T^2+8)^4 (T^3 + 2T)
-        g = base * poly(F13, 0, 5)  # (T^2+8)^4 (5T)
-        assert gcd_monic(f, g) == base * Polynomial.x(F13)
-
-    def test_coprime(self):
-        assert gcd_monic(Polynomial.x(F7), Polynomial.one(F7)) == Polynomial.one(F7)
-
-    def test_both_zero(self):
-        with pytest.raises(ValueError):
-            gcd_monic(Polynomial.zero(F7), Polynomial.zero(F7))
-
-    @given(st.data())
-    @settings(max_examples=60, deadline=None)
-    def test_associate_invariance(self, data):
-        p = data.draw(st.sampled_from([5, 7, 13]))
-        F = GF(p)
-        mk = lambda lo: Polynomial(
-            F, data.draw(st.lists(st.integers(0, p - 1), min_size=lo, max_size=8))
-        )
-        f, g, h = mk(1), mk(1), mk(2)
-        if f.is_zero() or g.is_zero() or h.is_zero() or h.degree < 1:
-            return
-        lhs = gcd_monic(f * h, g * h)
-        rhs = (gcd_monic(f, g) * h).monic()
-        assert lhs == rhs
-
-    def test_content(self):
-        # the monic gcd of a family is gcd_monic folded over it
-        base = poly(F13, 1, 1)
-        fam = [base * poly(F13, 2), base * Polynomial.x(F13), base * base]
-        assert functools.reduce(gcd_monic, fam) == base.monic()
-        assert functools.reduce(gcd_monic, fam[1:] + [poly(F13, 5)]) == Polynomial.one(F13)
 
 
 class TestCalculus:

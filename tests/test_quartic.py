@@ -7,7 +7,9 @@ from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF
 from hqcf.perfect import relation_residual, generate_perfect_expansion
 from hqcf.polynomials import Polynomial
+from hqcf import quartic
 from hqcf.quartic import (
+    DerivationError,
     approximation_exponent,
     beta_quotient_to_alpha,
     derive_frobenius_relation,
@@ -135,6 +137,23 @@ class TestDerivation:
         xs, ys = tr.prefix.continuants()
         assert tr.a_star_p1 == xs[3] == poly(F7, 0, 1, 0, 2)
         assert tr.a_star_p == ys[3] == poly(F7, 1, 0, 1)
+        # (a_(p+1), a_p) = delta * (x_l, y_l)
+        vp, vp1 = power_vectors(F7, 8)[7:]
+        assert (vp1.a, vp.a) == (tr.delta * xs[3], tr.delta * ys[3])
+
+    def test_non_proportional_pair_fails_at_convergent(self, monkeypatch):
+        # 2 * alpha^(p+1) keeps b-compat, but (2 a_(p+1), a_p) is not
+        # delta * (x_l, y_l) for any delta
+        real = quartic.power_vectors
+
+        def doubled_last(field, n):
+            vecs = real(field, n)
+            return vecs[:-1] + [type(vecs[-1])(*(c.scaled(2) for c in vecs[-1]))]
+
+        monkeypatch.setattr(quartic, "power_vectors", doubled_last)
+        with pytest.raises(DerivationError) as info:
+            derive_frobenius_relation(7)
+        assert info.value.stage == "convergent"
 
     def test_wrong_residue_class_rejected(self):
         with pytest.raises(ValueError):
@@ -223,6 +242,11 @@ class TestConjecture2:
     def test_wrong_residue_class(self):
         with pytest.raises(ValueError):
             verify_conjecture2(7)
+
+    @pytest.mark.parametrize("l", [0, -3])
+    def test_nonpositive_l_rejected(self, l):
+        with pytest.raises(ValueError, match="l must be >= 1"):
+            verify_conjecture2(5, l_override=l)
 
 
 def reference_exponent(cf, window):

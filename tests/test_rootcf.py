@@ -102,6 +102,10 @@ class TestStep:
     def test_zero_count(self):
         assert len(expand_root(quartic_state(F7), 0)) == 0
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            expand_root(quartic_state(F7), -1)
+
 
 class TestQuarticExpansion:
     def test_published_prefix_p13(self):
