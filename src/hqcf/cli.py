@@ -8,15 +8,13 @@ Subcommands:
 
 Exit codes: 0 = success / verification passed, 1 = verification failed,
 2 = usage or input error.  Output is deterministic for a given invocation;
-grid sweeps honour the HQCF_THREADS cap and still print in sweep order.
+grid sweeps run in one process and print in sweep order.
 """
 
 import argparse
 import ast
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
@@ -24,25 +22,13 @@ from .perfect import (
     ExpansionSpec,
     a_sequence,
     generate_perfect_expansion,
+    pq_polynomials,
     verify_prop1,
     verify_prop2,
 )
 from .polynomials import Polynomial
 from .quartic import approximation_exponent, verify_conjecture1, verify_conjecture2
 from .rootcf import RootState, expand_root, quartic_state
-
-
-def max_workers(cases: int) -> int:
-    """Worker processes for a sweep: HQCF_THREADS (default 4), never more
-    than the CPU count or the number of cases."""
-    wanted = 4
-    env = os.environ.get("HQCF_THREADS")
-    if env:
-        try:
-            wanted = int(env)
-        except ValueError:
-            raise ValueError(f"HQCF_THREADS must be an integer, got {env!r}")
-    return max(1, min(wanted, os.cpu_count() or 1, cases))
 
 
 # -- polynomial parsing --------------------------------------------------------
@@ -203,7 +189,7 @@ def _annotation_index(field, k: int | None, max_deg: int, levels: list) -> dict:
     a time when it runs short.  The entries are monic and have distinct
     degrees, so a quotient q is c*A_j exactly when q.monic() == A_j, with
     c = lc(q): one lookup keyed on the monic quotient."""
-    if k is None or 2 * k >= field.p:
+    if k is None:
         return {}
     A = levels[:1]
     while A[-1].degree < max_deg and len(A) < 40:
@@ -248,15 +234,6 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
         out.write("".join(f"a_{n} = {t}\n" for n, t in enumerate(parts, start=1)))
 
 
-def _map(fn, *columns) -> list:
-    """list(map(fn, *columns)), on a pool of max_workers processes if above 1."""
-    workers = max_workers(len(columns[0]))
-    if workers == 1:
-        return list(map(fn, *columns))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *columns))
-
-
 # -- subcommands ------------------------------------------------------------------
 #
 # Every precondition is checked by the library function that needs it; a
@@ -271,6 +248,8 @@ def cmd_expand(args, out) -> int:
         k = (args.p - 1) // 3 if args.p % 3 == 1 else None
     elif args.poly:
         state, k = RootState(parse_polynomial(args.poly, field)), args.k
+        if k is not None:
+            pq_polynomials(field, k)  # rejects k outside 1 <= k < p/2 before any work
     else:
         raise ValueError("expand needs --quartic or --poly")
     _print_expansion(expand_root(state, args.n), args.json, k, out)
@@ -294,7 +273,7 @@ def cmd_generate(args, out) -> int:
 def cmd_verify_prop1(args, out) -> int:
     field = GF(args.p)
     ks = [args.k] if args.k is not None else range(1, (args.p - 1) // 2 + 1)
-    reports = _map(verify_prop1, [field] * len(ks), ks)
+    reports = [verify_prop1(field, k) for k in ks]
     if args.json:
         rows = [
             {"p": r.p, "k": r.k, "pass": r.passed, "theta": r.theta, "v": list(r.v)}
@@ -314,8 +293,7 @@ def cmd_verify_prop2(args, out) -> int:
     half = range(1, (args.p - 1) // 2 + 1)
     ks = [args.k] if args.k is not None else half
     iis = [args.i] if args.i is not None else half
-    cases = [(k, i) for k in ks for i in iis]
-    reports = _map(verify_prop2, [field] * len(cases), *zip(*cases))
+    reports = [verify_prop2(field, k, i) for k in ks for i in iis]
     if args.json:
         rows = [
             {

@@ -31,10 +31,12 @@ q_j = c_{j+2} + q_{j+2} run as two stride-2 reversed cumulative sums.  The
 remainder is a certificate: at every level built it must equal
 -2k theta_k^{i+1} Q_k, the identity A_{i,k}^p = A_{i+1,k} P_k -
 2k theta_k^{i+1} Q_k of Prop. 1, or ArithmeticError is raised.
-verify_prop1 and verify_prop2 check the exact continued fraction
-identities satisfied by the P/Q pairs against independent Euclidean
-expansions; verify_prop1 also re-checks the first tower levels by generic
-polynomial division.
+verify_prop1 and verify_prop2 certify the exact continued fraction
+identities satisfied by the P/Q pairs by multiplication alone: the
+predicted quotients' continuant matrix is checked against the pair, which
+proves what a Euclidean expansion would find, and the reversed expansion
+is read off the same matrix.  verify_prop1 also re-checks the first tower
+levels, each by one product.
 """
 
 from dataclasses import dataclass
@@ -46,7 +48,6 @@ from .cf import (
     ContinuedFraction,
     ScalarCFUndefined,
     matrix_product,
-    rational_to_cf,
     running_scalar_cf,
 )
 from .fields import PrimeField
@@ -443,12 +444,21 @@ class Prop1Report:
         return self.cf_matches and self.reversal_holds and all(self.power_identity)
 
 
-def _euclid_and_reversal(num: Polynomial, den: Polynomial, predicted: list, k: int, theta: int):
-    """(cf_matches, reversal_holds): the Euclidean expansion of num/den is
-    the predicted list [b_1..b_n], and num/den = -4 k^2 theta^2 [b_n..b_1]."""
-    cf_matches = list(rational_to_cf(num, den).quotients) == predicted
-    xr, yr = ContinuedFraction(num.field, predicted[::-1]).value()
-    return cf_matches, num * yr == (xr * den).scaled(-4 * k * k * theta * theta)
+def _certify(num: Polynomial, den: Polynomial, predicted: list, k: int, theta: int):
+    """(cf_matches, reversal_holds) for num/den and the predicted [b_1..b_n],
+    both read from one continuant matrix (x_n, x_{n-1}, y_n, y_{n-1}).
+
+    A continued fraction whose quotients after the first all have degree
+    >= 1 is the unique one of its value, and x_n, y_n are coprime, so the
+    Euclidean expansion of num/den is [b_1..b_n] exactly when those degrees
+    hold and num y_n = den x_n.  The continuant is symmetric under
+    reversal, so [b_n..b_1] = x_n / x_{n-1}, and the reversal identity
+    num/den = -4 k^2 theta^2 [b_n..b_1] is num x_{n-1} = -4 k^2 theta^2 den x_n.
+    """
+    x, xp, y, _ = ContinuedFraction(num.field, predicted).matrix()
+    den_x = den * x
+    cf_matches = all(b.degree >= 1 for b in predicted[1:]) and num * y == den_x
+    return cf_matches, num * xp == den_x.scaled(-4 * k * k * theta * theta)
 
 
 def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
@@ -457,21 +467,23 @@ def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
       P_k/Q_k = [v_1 T, ..., v_{2k} T],
       P_k/Q_k = -4 k^2 theta_k^2 [v_{2k} T, ..., v_1 T],
       A_{i,k}^p = A_{i+1,k} P_k - 2k theta_k^{i+1} Q_k   (i = 0, 1, 2).
+
+    The first two are certified from the continuant matrix of the
+    predicted quotients (_certify).  The third is one product per level:
+    deg Q_k < deg P_k, so it holds exactly when A_{i+1,k} is the quotient
+    and -2k theta_k^{i+1} Q_k the remainder of A_{i,k}^p by P_k.
     """
     p = field.p
     theta, v = family_constants(field, k)
     P, Q = pq_polynomials(field, k)
     T = Polynomial.x(field)
-    cf_matches, reversal_holds = _euclid_and_reversal(
-        P, Q, [T.scaled(c) for c in v], k, theta
-    )
+    cf_matches, reversal_holds = _certify(P, Q, [T.scaled(c) for c in v], k, theta)
 
     A = a_sequence(field, k, 3)
-    power_identity = []
-    for i in range(3):
-        quo, rem = divmod(A[i].pow_frobenius(), P)
-        coef = -2 * k * pow(theta, i + 1, p)
-        power_identity.append(quo == A[i + 1] and rem == Q.scaled(coef))
+    power_identity = [
+        A[i + 1] * P - Q.scaled(2 * k * pow(theta, i + 1, p)) == A[i].pow_frobenius()
+        for i in range(3)
+    ]
     return Prop1Report(p, k, theta, v, cf_matches, reversal_holds, power_identity)
 
 
@@ -524,9 +536,10 @@ def prop2_predicted_quotients(field: PrimeField, k: int, i: int):
 
 
 def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
-    """Compare the predicted block expansion of P_{kp-i} / Q_k^p with its
-    Euclidean expansion, and check the reversal identity
-    [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1]."""
+    """Certify that the predicted block expansion [b_1..b_n] is the
+    continued fraction of P_{kp-i} / Q_k^p, and the reversal identity
+    [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1], from the continuant matrix of
+    the predicted quotients (_certify)."""
     p = field.p
     _check_k(p, k)
     _check_k(p, i, "i")
@@ -537,9 +550,7 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
     theta_k, _ = family_constants(field, k)
     Pk = power_p_family(field, k * p - i)
     _, Qk = pq_polynomials(field, k)
-    cf_matches, reversal_holds = _euclid_and_reversal(
-        Pk, Qk.pow_frobenius(), predicted, k, theta_k
-    )
+    cf_matches, reversal_holds = _certify(Pk, Qk.pow_frobenius(), predicted, k, theta_k)
     return Prop2Report(p, k, i, True, "", cf_matches, reversal_holds, len(predicted))
 
 

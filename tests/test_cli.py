@@ -151,6 +151,16 @@ class TestExpandCommand:
         assert code == 2 and out == ""
         assert "n must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--poly", "X^2 - T^3*X + 1", "--k", "9"],  # 2k >= p
+        ["--poly", "X^2 - T^3*X + 1", "--k", "9", "--json"],
+        ["--poly", "X^2 - T*X + 1", "--k", "0"],  # every quotient of degree 1
+    ])
+    def test_annotation_k_out_of_range_is_usage_error(self, argv, capsys):
+        code, out = run(["expand", "--p", "7", "--n", "3", *argv])
+        assert code == 2 and out == ""
+        assert "need 1 <= k < p/2" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_published_spec_p7(self):

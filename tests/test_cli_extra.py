@@ -1,11 +1,10 @@
 import io
 import json
-import os
 
 import pytest
 
 from hqcf import cli, perfect, quartic
-from hqcf.cli import main, max_workers
+from hqcf.cli import main
 from hqcf.fields import GF
 from hqcf.laurent import rational_series
 from hqcf.polynomials import Polynomial
@@ -112,41 +111,6 @@ class TestExponentDerivesOnce:
         code, _ = run(["exponent", "--p", "7", "--n", "120"])
         assert code == 0
         assert calls == [7]
-
-
-class TestThreadCap:
-    def test_output_identical_across_worker_counts(self):
-        results = []
-        for threads in ("1", "3"):
-            os.environ["HQCF_THREADS"] = threads
-            try:
-                results.append(run(["verify", "prop2", "--p", "11"]))
-            finally:
-                del os.environ["HQCF_THREADS"]
-        assert results[0] == results[1]
-        assert results[0][0] == 0
-
-    def test_bad_env_value_is_usage_error(self):
-        os.environ["HQCF_THREADS"] = "many"
-        try:
-            code, _ = run(["verify", "prop1", "--p", "7"])
-        finally:
-            del os.environ["HQCF_THREADS"]
-        assert code == 2
-
-    def test_default_cap(self):
-        assert 1 <= max_workers(100) <= 4
-
-    def test_cap_bounded_by_cpus_and_cases(self, monkeypatch):
-        # only the arithmetic of the cap: no pool is started
-        monkeypatch.setenv("HQCF_THREADS", str(10**9))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert max_workers(100) == 2
-        assert max_workers(1) == 1
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert max_workers(100) == 1
-        monkeypatch.setenv("HQCF_THREADS", "0")
-        assert max_workers(100) == 1
 
 
 class TestExponentWindow:

@@ -426,6 +426,121 @@ class TestProp2:
                 verify_prop2(F7, k, i)
 
 
+def prop1_case(F, k):
+    """(num, den, predicted, k, theta) of the Prop. 1 certificate: P_k / Q_k."""
+    theta, v = family_constants(F, k)
+    P, Q = pq_polynomials(F, k)
+    return P, Q, [Polynomial.x(F).scaled(c) for c in v], k, theta
+
+
+def prop2_case(F, k, i):
+    """(num, den, predicted, k, theta) of the Prop. 2 certificate:
+    P_(kp-i) / Q_k^p."""
+    Qkp = pq_polynomials(F, k)[1].pow_frobenius()
+    predicted = prop2_predicted_quotients(F, k, i)
+    return power_p_family(F, k * F.p - i), Qkp, predicted, k, family_constants(F, k).theta
+
+
+def euclid_oracle(num, den, predicted, k, theta):
+    """(cf_matches, reversal_holds) the long way: the Euclidean expansion of
+    num/den, and a second continuant tree for the reversed quotients."""
+    cf_matches = list(rational_to_cf(num, den).quotients) == predicted
+    xr, yr = ContinuedFraction(num.field, predicted[::-1]).value()
+    return cf_matches, num * yr == (xr * den).scaled(-4 * k * k * theta * theta)
+
+
+class TestCertificateOracle:
+    """The continuant-matrix certificate agrees with Euclid on every case."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
+    def test_prop1_agrees_with_euclid(self, p):
+        F = GF(p)
+        for k in range(1, (p - 1) // 2 + 1):
+            r = verify_prop1(F, k)
+            assert (r.cf_matches, r.reversal_holds) == euclid_oracle(*prop1_case(F, k)), k
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_prop2_agrees_with_euclid(self, p):
+        F = GF(p)
+        half = range(1, (p - 1) // 2 + 1)
+        for k in half:
+            for i in half:
+                r = verify_prop2(F, k, i)
+                if not r.defined:
+                    continue
+                assert (r.cf_matches, r.reversal_holds) == euclid_oracle(
+                    *prop2_case(F, k, i)
+                ), (k, i)
+
+
+class TestCertificateMutations:
+    """Corrupted predictions and towers are refused, and Euclid agrees."""
+
+    CASES = {"prop1": lambda: prop1_case(F13, 4), "prop2": lambda: prop2_case(F13, 2, 3)}
+
+    @staticmethod
+    def certify_both(*case):
+        got = perfect._certify(*case)
+        assert got == euclid_oracle(*case)
+        return got
+
+    @pytest.mark.parametrize("case", ["prop1", "prop2"])
+    @pytest.mark.parametrize("j", [0, 1, -1])
+    def test_split_quotient_with_the_same_value(self, case, j):
+        # [.., b - T, 0, T, ..] has the matrix of [.., b, ..]: only the
+        # degree guard on b_2..b_n tells them apart
+        num, den, predicted, k, theta = self.CASES[case]()
+        j %= len(predicted)
+        T = Polynomial.x(F13)
+        split = predicted[:j] + [predicted[j] - T, Polynomial.zero(F13), T] + predicted[j + 1 :]
+        assert ContinuedFraction(F13, split).value() == ContinuedFraction(F13, predicted).value()
+        assert self.certify_both(num, den, split, k, theta) == (False, True)
+
+    def test_split_quotient_fails_verify_prop2(self, monkeypatch):
+        real = perfect.prop2_predicted_quotients
+
+        def split(field, k, i):
+            qs = real(field, k, i)
+            T = Polynomial.x(field)
+            return [qs[0] - T, Polynomial.zero(field), T, *qs[1:]]
+
+        monkeypatch.setattr(perfect, "prop2_predicted_quotients", split)
+        r = verify_prop2(F13, 2, 3)
+        assert r.defined and not r.cf_matches and not r.passed
+
+    @pytest.mark.parametrize("case", ["prop1", "prop2"])
+    @pytest.mark.parametrize("j", [0, 2, -1])
+    def test_changed_coefficient(self, case, j):
+        num, den, predicted, k, theta = self.CASES[case]()
+        predicted[j] = predicted[j] + Polynomial.one(F13)
+        cf_matches, _ = self.certify_both(num, den, predicted, k, theta)
+        assert not cf_matches
+
+    @pytest.mark.parametrize("case", ["prop1", "prop2"])
+    def test_wrong_theta(self, case):
+        num, den, predicted, k, theta = self.CASES[case]()
+        wrong = (theta + 1) % 13
+        assert wrong * wrong % 13 != theta * theta % 13  # -theta would pass
+        assert self.certify_both(num, den, predicted, k, wrong) == (True, False)
+
+    @pytest.mark.parametrize("level", [1, 2, 3])
+    def test_corrupted_tower_fails_power_identity(self, level, monkeypatch):
+        real = perfect.a_sequence
+
+        def corrupted(field, k, count, seq=None):
+            A = list(real(field, k, count, seq))
+            cs = list(A[level].coeffs)
+            cs[len(cs) // 2] += 1
+            A[level] = Polynomial(field, cs)
+            return A
+
+        monkeypatch.setattr(perfect, "a_sequence", corrupted)
+        r = verify_prop1(F13, 4)
+        assert r.cf_matches and r.reversal_holds and not r.passed
+        # A_level is the quotient at level - 1 and the dividend at level
+        assert r.power_identity == [i not in (level - 1, level) for i in range(3)]
+
+
 class TestRelationResidual:
     def make_gen(self, n=80):
         spec = ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
