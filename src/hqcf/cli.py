@@ -244,6 +244,8 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
 def cmd_expand(args, out) -> int:
     field = GF(args.p)
     if args.quartic:
+        if args.k is not None:
+            raise ValueError("--k applies to --poly, not to --quartic")
         state = quartic_state(field)
         k = (args.p - 1) // 3 if args.p % 3 == 1 else None
     elif args.poly:

@@ -220,13 +220,14 @@ def quartic_index(p: int, n: int) -> int:
 
 
 class FrobeniusRelation(NamedTuple):
-    """alpha^p = eps1 * P * alpha_{l+1} + eps2 * Q."""
+    """alpha^r = eps1 * P * alpha_{l+1} + eps2 * Q, r a power of p."""
 
     l: int
     eps1: int
     eps2: int
     P: Polynomial
     Q: Polynomial
+    r: int
 
 
 @dataclass(frozen=True)
@@ -289,7 +290,8 @@ class ExpansionSpec:
 
     def relation(self) -> FrobeniusRelation:
         P, Q = pq_polynomials(self.field, self.k)
-        return FrobeniusRelation(self.l, self.eps1 % self.field.p, self.eps2 % self.field.p, P, Q)
+        p = self.field.p
+        return FrobeniusRelation(self.l, self.eps1 % p, self.eps2 % p, P, Q, p)
 
 
 class GenerationResult(NamedTuple):
@@ -558,7 +560,7 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
 
 
 def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: int):
-    """Series check of alpha^p = eps1 * P * alpha_{l+1} + eps2 * Q.
+    """Series check of alpha^r = eps1 * P * alpha_{l+1} + eps2 * Q.
 
     Both sides are expanded down to T^(-precision) from the continued
     fraction's convergents; the return value is the exponent of the first
@@ -571,6 +573,11 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     field = cf.field
     p = field.p
     l = rel.l
+    frobenius_steps, e = 0, 1
+    while e < rel.r:
+        frobenius_steps, e = frobenius_steps + 1, e * p
+    if e != rel.r:
+        raise ValueError(f"the relation's exponent r = {rel.r} is not a power of p = {p}")
     if len(cf) <= l:
         raise ValueError(
             f"insufficient expansion: need more than l = {l} partial quotients"
@@ -579,12 +586,14 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     head, tail = cf.matrix(0, l), cf.matrix(l)
     x, _, y, _ = matrix_product(head, tail, 0, len(cf))
     floor_cmp = -precision - 1
-    # alpha^p needs alpha down to roughly -precision/p
-    floor_alpha = -(precision // p + 2)
+    # alpha^r needs alpha down to roughly -precision/r
+    floor_alpha = -(precision // rel.r + 2)
     if 2 * y.degree < -floor_alpha:
         raise ValueError("insufficient expansion for the requested precision")
-    alpha = rational_series(x, y, floor_alpha)
-    lhs = alpha.frobenius().truncate(floor_cmp)
+    lhs = rational_series(x, y, floor_alpha)
+    for _ in range(frobenius_steps):  # alpha^r = alpha(T^r)
+        lhs = lhs.frobenius()
+    lhs = lhs.truncate(floor_cmp)
 
     xt, _, yt, _ = tail
     floor_tail = floor_cmp - rel.P.degree

@@ -19,7 +19,8 @@ int s = v^2 = -a, and v itself is needed only for an odd power of it.
 
 For p = 2 mod 3 the analogous relation uses alpha^(p^2), which
 frobenius_square_vectors reaches from alpha^p by Frobenius powering;
-verify_conjecture2 solves for the scalars exactly instead of deriving them.
+verify_conjecture2 reads its scalars off the same way, through the one
+derivation _relation_from_vectors that both residue classes share.
 """
 
 from dataclasses import dataclass
@@ -126,6 +127,62 @@ class DerivationError(ValueError):
         self.stage = stage
 
 
+def _relation_from_vectors(
+    field: PrimeField, v0: PowerVec, v1: PowerVec, mat: tuple, l: int, k_P: int, k_Q: int, r: int
+):
+    """Read alpha^r = eps1 * (T^2+a)^k_P * alpha_{l+1} + eps2 * Q_{k_Q,a}(T^(r/p))
+    off v0 = alpha^r and v1 = alpha^(r+1); returns (FrobeniusRelation, a).
+
+    With mat = (x_l, x_{l-1}, y_l, y_{l-1}) the convergents of the prefix,
+    U = eps1 * P and V = eps2 * Q, removing alpha_{l+1} turns the relation
+    into an identity in the basis 1, alpha, alpha^2, alpha^3:
+
+        y_l alpha^(r+1) - x_l alpha^r = (V y_l - U y_{l-1}) alpha + (U x_{l-1} - V x_l).
+
+    Stages (each failure raises DerivationError with the stage name):
+      convergent   the alpha^3 parts cancel: y_l a_(r+1) = x_l a_r
+      b-compat     the alpha^2 parts cancel: y_l b_(r+1) = x_l b_r
+      W-shape      U, read off exactly (the 2x2 system in U, V has
+                   determinant (-1)^(l+1)), is eps1 * (T^2+a)^k_P
+      Q-shape      V is eps2 * Q_{k_Q,a}(T^(r/p))
+    """
+    p = field.p
+    xl, xl1, yl, yl1 = mat
+    if yl * v1.a != xl * v0.a:
+        raise DerivationError(
+            "convergent", "(a_(r+1), a_r) is not proportional to (x_l, y_l)"
+        )
+    if yl * v1.b != xl * v0.b:
+        raise DerivationError("b-compat", "(b_(r+1), b_r) is not proportional to (x_l, y_l)")
+
+    c = xl * v0.c - yl * v1.c
+    d = yl * v1.d - xl * v0.d
+    sign = 1 if l % 2 == 0 else -1
+    U = (xl * c - yl * d).scaled(sign)
+    V = (xl1 * c - yl1 * d).scaled(sign)
+
+    if U.degree != 2 * k_P:
+        raise DerivationError("W-shape", f"eps1*P has degree {U.degree}, expected 2k = {2 * k_P}")
+    eps1 = U.leading_coefficient()
+    a = U.coeffs[2 * k_P - 2] * field.inv(k_P * eps1 % p) % p
+    if a == 0:
+        raise DerivationError("W-shape", "eps1*P has no T^(2k-2) term, so a = 0")
+    P = power_p_family(field, k_P, a)
+    if U != P.scaled(eps1):
+        raise DerivationError("W-shape", "eps1*P is not of the form eps1*(T^2+a)^k")
+
+    Q = pq_polynomials(field, k_Q, a)[1]
+    e = p
+    while e < r:
+        Q, e = Q.pow_frobenius(), e * p
+    if V.degree != Q.degree:
+        raise DerivationError("Q-shape", f"eps2*Q has degree {V.degree}, expected {Q.degree}")
+    eps2 = V.leading_coefficient() * field.inv(Q.leading_coefficient()) % p
+    if V != Q.scaled(eps2):
+        raise DerivationError("Q-shape", "residual part is not proportional to Q_(k,a)")
+    return FrobeniusRelation(l, eps1, eps2, P, Q, r), a
+
+
 @dataclass
 class FrobeniusTrace:
     """Every intermediate of the relation derivation for one prime."""
@@ -136,12 +193,6 @@ class FrobeniusTrace:
     a: int
     eps1: int
     eps2: int
-    delta: Polynomial
-    a_star_p: Polynomial
-    a_star_p1: Polynomial
-    U_star: Polynomial
-    V_star: Polynomial
-    W: Polynomial
     P: Polynomial  # (T^2 + a)^k
     Q: Polynomial  # integral of (T^2 + a)^(k-1)
     prefix: ContinuedFraction
@@ -150,111 +201,54 @@ class FrobeniusTrace:
     convergent_check: bool
 
     def relation(self) -> FrobeniusRelation:
-        return FrobeniusRelation(self.l, self.eps1, self.eps2, self.P, self.Q)
+        return FrobeniusRelation(self.l, self.eps1, self.eps2, self.P, self.Q, self.p)
 
 
 def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     """Extract the degree-p Frobenius relation of alpha for p = 1 mod 3.
 
     Stages (each failure raises DerivationError with the stage name):
-      b-compat     a_p b_{p+1} - a_{p+1} b_p = 0 in F_p[T]
-      convergent   (a_{p+1}, a_p) = delta * (x_l, y_l) for the convergent
-                   x_l/y_l of the root expansion, l = (p-1)/2: x_l and y_l
-                   are coprime by the determinant identity, so this is
-                   a_{p+1} y_l = a_p x_l with y_l dividing a_p
-      prefix-form  the first l quotients are lambda_j * T
-      W-shape      (-1)^l W = eps1 * (T^2+a)^k for a single a, k = (p-1)/3
-      Q-shape      the residual part matches eps2 * Q_{k,a}
+      prefix-form  the first l = (p-1)/2 quotients are lambda_j * T
+      then those of _relation_from_vectors with r = p and k = (p-1)/3:
+      convergent, b-compat, W-shape, Q-shape
     """
     if p % 3 != 1:
         raise ValueError(f"derivation requires p = 1 mod 3, got {p}")
     field = GF(p)
     l = (p - 1) // 2
-    k_target = (p - 1) // 3
-    vecs = power_vectors(field, p + 1)
-    vp, vp1 = vecs[p], vecs[p + 1]
-
-    if vp.a * vp1.b != vp1.a * vp.b:
-        raise DerivationError("b-compat", f"a_p*b_(p+1) != a_(p+1)*b_p for p = {p}")
+    k = (p - 1) // 3
 
     prefix = expand_root(quartic_state(field), l)
     if len(prefix) < l:
         raise DerivationError("prefix-form", "root expansion terminated early")
-    xl, xl1, yl, yl1 = prefix.matrix(0, l)
-    delta, rem = divmod(vp.a, yl)
-    if delta.is_zero() or not rem.is_zero() or vp1.a * yl != vp.a * xl:
-        raise DerivationError(
-            "convergent", "(a_(p+1), a_p) is not proportional to (x_l, y_l)"
-        )
-    a_star_p, a_star_p1 = yl, xl
-
     lambdas = []
     for j, q in enumerate(prefix.quotients, start=1):
         if q.degree != 1 or q.constant_coefficient():
             raise DerivationError("prefix-form", f"quotient a_{j} = {q} is not lambda*T")
         lambdas.append(q.leading_coefficient())
 
-    U_star = a_star_p * vp1.d - a_star_p1 * vp.d
-    V_star = a_star_p1 * vp.c - a_star_p * vp1.c
-    W = a_star_p1 * V_star - a_star_p * U_star
+    vp, vp1 = power_vectors(field, p + 1)[p:]
+    mat = prefix.matrix(0, l)
+    rel, a = _relation_from_vectors(field, vp, vp1, mat, l, k, k, p)
 
-    sign = 1 if l % 2 == 0 else -1
-    W_signed = W.scaled(sign)
-    G_signed = (xl1 * V_star - yl1 * U_star).scaled(sign)
-
-    if W_signed.is_zero() or W_signed.degree % 2 != 0:
-        raise DerivationError("W-shape", f"W has degree {W_signed.degree}")
-    k = W_signed.degree // 2
-    eps1 = W_signed.leading_coefficient()
-    monic_w = W_signed.scaled(field.inv(eps1))
-    if k == 0:
-        raise DerivationError("W-shape", "W is constant")
-    a = monic_w.coeffs[2 * k - 2] * field.inv(k) % p
-    if a == 0 or monic_w != power_p_family(field, k, a):
-        raise DerivationError("W-shape", "W/lc is not of the form (T^2+a)^k")
-    if k != k_target:
-        raise DerivationError("W-shape", f"extracted k = {k}, expected (p-1)/3 = {k_target}")
-
-    P, Q = pq_polynomials(field, k, a)
-    if G_signed.is_zero():
-        raise DerivationError("Q-shape", "degenerate Q part")
-    eps2 = G_signed.leading_coefficient() * field.inv(Q.leading_coefficient()) % p
-    if G_signed != Q.scaled(eps2):
-        raise DerivationError("Q-shape", "residual part is not proportional to Q_(k,a)")
-
-    # |a*_p alpha^p + V*_p| > |a*_p W| via exact series degrees; this also
-    # gives |alpha - a*_(p+1)/a*_p| < |a*_p|^(-2), the convergent property.
+    # y_l alpha^p + c = eps1 P (y_l alpha_{l+1} + y_{l-1}), c the negated alpha
+    # part of the identity; its exact series degree exceeds deg y_l P, so
+    # alpha_{l+1} has degree >= 1 and |alpha - x_l/y_l| < |y_l|^(-2), the
+    # convergent property.
+    xl, _, yl, _ = mat
+    c = xl * vp.c - yl * vp1.c
     floor = -(2 * p + 2 * l + 4)
     aser = alpha_series(field, -(2 + (2 * p + 2 * l + 4) // p + 2))
     lhs = (
-        Laurent.from_polynomial(a_star_p) * aser.frobenius()
-        + Laurent.from_polynomial(V_star)
+        Laurent.from_polynomial(yl) * aser.frobenius() + Laurent.from_polynomial(c)
     ).truncate(floor)
     big = lhs.degree()
-    degree_check = big is not None and big > a_star_p.degree + W.degree
-    convergent_check = (
-        big is not None and W.degree - a_star_p.degree - big < -2 * a_star_p.degree
-    )
+    degree_check = big is not None and big > yl.degree + rel.P.degree
+    convergent_check = big is not None and rel.P.degree - yl.degree - big < -2 * yl.degree
 
     return FrobeniusTrace(
-        p=p,
-        l=l,
-        k=k,
-        a=a,
-        eps1=eps1,
-        eps2=eps2,
-        delta=delta,
-        a_star_p=a_star_p,
-        a_star_p1=a_star_p1,
-        U_star=U_star,
-        V_star=V_star,
-        W=W,
-        P=P,
-        Q=Q,
-        prefix=prefix,
-        lambda_prefix=tuple(lambdas),
-        degree_check=degree_check,
-        convergent_check=convergent_check,
+        p, l, k, a, rel.eps1, rel.eps2, rel.P, rel.Q, prefix, tuple(lambdas),
+        degree_check, convergent_check,
     )
 
 
@@ -388,22 +382,16 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
     except DerivationError as exc:
         return Conj1Verdict(p, False, stage=exc.stage, detail=str(exc))
 
-    a_827 = field.embed_rational(8, 27)
     norm = normalize_to_beta(trace)
+    found = dict(
+        eps1=trace.eps1, eps2=trace.eps2, a=trace.a,
+        a_equals_8_27=trace.a == field.embed_rational(8, 27),
+    )
     try:
         spec = norm.spec()
         spec.validate()
     except (DeltaUndefinedError, DeltaMismatchError) as exc:
-        return Conj1Verdict(
-            p,
-            False,
-            stage="perfect-conditions",
-            detail=str(exc),
-            eps1=trace.eps1,
-            eps2=trace.eps2,
-            a=trace.a,
-            a_equals_8_27=trace.a == a_827,
-        )
+        return Conj1Verdict(p, False, stage="perfect-conditions", detail=str(exc), **found)
 
     gen = generate_perfect_expansion(spec, n)
     direct = expand_root(quartic_state(field), n)
@@ -420,11 +408,8 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
             False,
             stage="comparison",
             detail=f"generated and direct expansions differ at index {first_bad}",
-            eps1=trace.eps1,
-            eps2=trace.eps2,
-            a=trace.a,
-            a_equals_8_27=trace.a == a_827,
             compared_terms=compared,
+            **found,
         )
 
     try:
@@ -440,13 +425,10 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
         ok,
         stage="" if ok else "residual",
         detail="" if ok else f"series residual at T^{residual}",
-        eps1=trace.eps1,
-        eps2=trace.eps2,
-        a=trace.a,
-        a_equals_8_27=trace.a == a_827,
         compared_terms=compared,
         residual=residual,
         spec=spec if ok else None,
+        **found,
     )
 
 
@@ -462,6 +444,7 @@ class Conj2Verdict:
     a: Optional[int] = None
     a_equals_8_27: Optional[bool] = None
     detail: str = ""
+    relation: Optional[FrobeniusRelation] = None  # the derived relation, on a pass
 
     def to_json_dict(self) -> dict:
         return {
@@ -483,9 +466,9 @@ def verify_conjecture2(p: int, n: Optional[int] = None, *, l_override: Optional[
     for p = 2 mod 3 with (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3).
 
     The tail alpha_{l+1} is eliminated through the continuants of the root
-    expansion, turning the relation into four exact polynomial identities
-    in the power basis; the two nontrivial ones are solved for (eps1, eps2)
-    by exact linear algebra, sweeping a over F_p^* with 8/27 tried first.
+    expansion, and (eps1, a, eps2) are read off the resulting power-basis
+    identity by _relation_from_vectors with r = p^2; a DerivationError is
+    reported as a failing verdict that names its stage.
     """
     field = GF(p)
     if p % 3 != 2:
@@ -504,66 +487,15 @@ def verify_conjecture2(p: int, n: Optional[int] = None, *, l_override: Optional[
     direct = expand_root(quartic_state(field), n)
     if len(direct) < l:
         return Conj2Verdict(p, False, l, k_prime, k, detail="expansion terminated early")
-    xl, xl1, yl, yl1 = direct.matrix(0, l)
-
     v0, v1 = frobenius_square_vectors(field)
-    lhs3 = yl * v1.a - xl * v0.a
-    lhs2 = yl * v1.b - xl * v0.b
-    if not lhs3.is_zero() or not lhs2.is_zero():
-        return Conj2Verdict(
-            p, False, l, k_prime, k,
-            detail="alpha^3/alpha^2 components do not cancel; no relation of this shape",
-        )
-    lhs1 = yl * v1.c - xl * v0.c
-    lhs0 = yl * v1.d - xl * v0.d
-
-    a_827 = field.embed_rational(8, 27)
-    candidates = [a_827] + [x for x in range(1, p) if x != a_827]
-    for a in candidates:
-        P = power_p_family(field, k_prime, a)
-        _, Q = pq_polynomials(field, k, a)
-        Qp = Q.pow_frobenius()
-        # eps1 * A1 + eps2 * A2 = lhs1   and   eps1 * B1 + eps2 * B2 = lhs0
-        A1, A2 = -(P * yl1), Qp * yl
-        B1, B2 = P * xl1, -(Qp * xl)
-        sol = _solve_two_unknowns(field, [(A1, A2, lhs1), (B1, B2, lhs0)])
-        if sol is not None:
-            e1, e2 = sol
-            if e1 != 0 and e2 != 0:
-                return Conj2Verdict(
-                    p, True, l, k_prime, k,
-                    eps1=e1, eps2=e2, a=a, a_equals_8_27=a == a_827,
-                )
-    return Conj2Verdict(p, False, l, k_prime, k, detail="no (eps1, eps2, a) satisfies the relation")
-
-
-def _solve_two_unknowns(field: PrimeField, equations):
-    """Solve eps1*A + eps2*B = C over F_p given polynomial identities; each
-    T-coefficient is one linear equation.  Returns (eps1, eps2) or None."""
-    rows = []
-    for A, B, C in equations:
-        for j in range(max(A.degree, B.degree, C.degree) + 1):
-            a = A.coeffs[j] if j < len(A.coeffs) else 0
-            b = B.coeffs[j] if j < len(B.coeffs) else 0
-            c = C.coeffs[j] if j < len(C.coeffs) else 0
-            if a or b or c:
-                rows.append((a, b, c))
-    p = field.p
-
-    def det(r1, r2):
-        return (r1[0] * r2[1] - r1[1] * r2[0]) % p
-
-    pivot = next(((r1, r2) for r1 in rows for r2 in rows if det(r1, r2)), None)
-    if pivot is None:
-        return None
-    r1, r2 = pivot
-    inv = field.inv(det(r1, r2))
-    e1 = (r1[2] * r2[1] - r1[1] * r2[2]) * inv % p
-    e2 = (r1[0] * r2[2] - r1[2] * r2[0]) * inv % p
-    for a, b, c in rows:
-        if (e1 * a + e2 * b) % p != c:
-            return None
-    return e1, e2
+    try:
+        rel, a = _relation_from_vectors(field, v0, v1, direct.matrix(0, l), l, k_prime, k, p * p)
+    except DerivationError as exc:
+        return Conj2Verdict(p, False, l, k_prime, k, detail=f"{exc.stage}: {exc}")
+    return Conj2Verdict(
+        p, True, l, k_prime, k, eps1=rel.eps1, eps2=rel.eps2, a=a,
+        a_equals_8_27=a == field.embed_rational(8, 27), relation=rel,
+    )
 
 
 # -- approximation exponent ------------------------------------------------------------

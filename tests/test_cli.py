@@ -161,6 +161,13 @@ class TestExpandCommand:
         assert code == 2 and out == ""
         assert "need 1 <= k < p/2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("k", ["9", "2"])
+    def test_k_with_quartic_is_usage_error(self, k, capsys):
+        # --quartic fixes its own annotation; a --k next to it is not ignored
+        code, out = run(["expand", "--quartic", "--p", "7", "--n", "3", "--k", k])
+        assert code == 2 and out == ""
+        assert "--k applies to --poly" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_published_spec_p7(self):

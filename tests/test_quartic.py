@@ -134,12 +134,13 @@ class TestDerivation:
 
     def test_reduced_pair_is_the_convergent(self):
         tr = derive_frobenius_relation(7)
-        xs, ys = tr.prefix.continuants()
-        assert tr.a_star_p1 == xs[3] == poly(F7, 0, 1, 0, 2)
-        assert tr.a_star_p == ys[3] == poly(F7, 1, 0, 1)
-        # (a_(p+1), a_p) = delta * (x_l, y_l)
+        xl, _, yl, _ = tr.prefix.matrix(0, tr.l)
+        assert xl == poly(F7, 0, 1, 0, 2) and yl == poly(F7, 1, 0, 1)
+        # (a_(p+1), a_p) = delta * (x_l, y_l), delta a polynomial
         vp, vp1 = power_vectors(F7, 8)[7:]
-        assert (vp1.a, vp.a) == (tr.delta * xs[3], tr.delta * ys[3])
+        delta, rem = divmod(vp.a, yl)
+        assert rem.is_zero() and not delta.is_zero()
+        assert (vp1.a, vp.a) == (delta * xl, delta * yl)
 
     def test_non_proportional_pair_fails_at_convergent(self, monkeypatch):
         # 2 * alpha^(p+1) keeps b-compat, but (2 a_(p+1), a_p) is not
@@ -155,6 +156,21 @@ class TestDerivation:
             derive_frobenius_relation(7)
         assert info.value.stage == "convergent"
 
+    def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
+        # alpha^(p+1) + 1 keeps the alpha^3/alpha^2 parts, so the derivation
+        # gets as far as reading U and V off the identity, and must reject them
+        real = quartic.power_vectors
+
+        def shifted_last(field, n):
+            vecs = real(field, n)
+            return vecs[:-1] + [vecs[-1]._replace(d=vecs[-1].d + Polynomial.one(field))]
+
+        monkeypatch.setattr(quartic, "power_vectors", shifted_last)
+        for p in (7, 13):
+            with pytest.raises(DerivationError) as info:
+                derive_frobenius_relation(p)
+            assert info.value.stage in ("W-shape", "Q-shape")
+
     def test_wrong_residue_class_rejected(self):
         with pytest.raises(ValueError):
             derive_frobenius_relation(11)
@@ -165,6 +181,12 @@ class TestDerivation:
             tr = derive_frobenius_relation(p)
             cf = expand_root(quartic_state(GF(p)), 150)
             assert relation_residual(cf, tr.relation(), 100) == float("-inf")
+
+    def test_relation_exponent_must_be_a_power_of_p(self):
+        tr = derive_frobenius_relation(7)
+        cf = expand_root(quartic_state(F7), 120)
+        with pytest.raises(ValueError, match="not a power of p"):
+            relation_residual(cf, tr.relation()._replace(r=14), 60)
 
     def test_eq7_sign_discipline_negative_control(self):
         tr = derive_frobenius_relation(7)
@@ -227,9 +249,38 @@ class TestConjecture2:
         assert (v.eps1, v.eps2, v.a) == (4, 3, 4)
         assert v.a_equals_8_27
 
+    @pytest.mark.parametrize("p, n", [(5, 30), (11, 120), (17, 250)])
+    def test_relation_residual(self, p, n):
+        # the second route: the derived relation as a series identity in alpha^(p^2)
+        v = verify_conjecture2(p)
+        assert v.relation.r == p * p and v.relation.l == v.l
+        cf = expand_root(quartic_state(GF(p)), n)
+        assert relation_residual(cf, v.relation, 100) == float("-inf")
+        wrong = v.relation._replace(eps2=(v.eps2 + 1) % p)
+        assert relation_residual(cf, wrong, 100) != float("-inf")
+
+    def test_relation_kept_out_of_json(self):
+        v = verify_conjecture2(5)
+        assert "relation" not in v.to_json_dict()
+        assert verify_conjecture2(5, n=14, l_override=13).relation is None
+
+    def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
+        real = quartic.frobenius_square_vectors
+
+        def shifted(field):
+            v0, v1 = real(field)
+            return v0, v1._replace(d=v1.d + Polynomial.one(field))
+
+        monkeypatch.setattr(quartic, "frobenius_square_vectors", shifted)
+        for p in (5, 11):
+            v = verify_conjecture2(p)
+            assert not v.passed and v.relation is None
+            assert v.detail.split(":")[0] in ("W-shape", "Q-shape")
+
     def test_p5_negative_control(self):
         v = verify_conjecture2(5, n=14, l_override=13)
         assert not v.passed
+        assert v.detail.startswith("convergent:")
 
     def test_p11_negative_control(self):
         v = verify_conjecture2(11, n=50, l_override=49)

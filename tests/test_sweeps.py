@@ -17,11 +17,20 @@ def test_degree_p_relation_sweep(p):
     assert v.a_equals_8_27
 
 
-@pytest.mark.parametrize("p", [5, 11, 17, 23])
+# (eps1, eps2, a) as first found by sweeping a over F_p^* and solving for
+# (eps1, eps2); the derivation now reads them off and must agree
+CONJ2_SOLUTIONS = {
+    5: (4, 3, 4), 11: (1, 1, 6), 17: (16, 5, 11), 23: (1, 8, 2),
+    29: (28, 28, 25), 41: (40, 30, 17), 47: (1, 10, 9),
+}
+
+
+@pytest.mark.parametrize("p", sorted(CONJ2_SOLUTIONS))
 def test_degree_p_squared_relation_sweep(p):
     v = verify_conjecture2(p)
     assert v.passed
     assert v.a_equals_8_27
+    assert (v.eps1, v.eps2, v.a) == CONJ2_SOLUTIONS[p]
 
 
 def test_short_expansion_gets_actionable_error():
