@@ -90,20 +90,9 @@ class ContinuedFraction:
     def quotients(self) -> tuple:
         if self._quotients is None:
             tower = self.tower
-            self._quotients = tuple(self.per_pair(lambda i, c: tower[i].scaled(c)))
+            built = {(i, c): tower[i].scaled(c) for i, c in set(zip(self.indices, self.lambdas))}
+            self._quotients = tuple(map(built.__getitem__, zip(self.indices, self.lambdas)))
         return self._quotients
-
-    def per_pair(self, fn) -> list:
-        """[fn(indices[n], lambdas[n]) for every n] of a symbolic expansion,
-        calling fn once per distinct pair; fn must not return None."""
-        done = {}
-        out = []
-        for key in zip(self.indices, self.lambdas):
-            value = done.get(key)
-            if value is None:
-                value = done[key] = fn(*key)
-            out.append(value)
-        return out
 
     def __len__(self):
         return len(self.quotients) if self.tower is None else len(self.indices)

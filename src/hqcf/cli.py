@@ -15,6 +15,8 @@ import argparse
 import ast
 import json
 import sys
+from itertools import groupby
+from operator import itemgetter
 
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
@@ -203,35 +205,59 @@ def _annotation_index(field, k: int | None, max_deg: int, levels: list) -> dict:
 
 def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     """Write cf once: one JSON object, or lines "a_n = q" with q annotated
-    "[= c*A[j,k]]" when it is c*A_(j,k).  A symbolic expansion renders each
-    distinct (i, lambda) pair once and names lambda*A_i by A_i itself."""
+    "[= c*A[j,k]]" when it is c*A_(j,k).
+
+    A symbolic expansion is written straight from its tower: the text of
+    lambda*A_i comes from A_i's coefficients (Polynomial.format and
+    to_json_text with c = lambda), once per distinct pair (i, lambda), and
+    no lambda*A_i polynomial is built.  The pairs are rendered grouped by
+    i, so A_i's shared work (its terms, or its distinct coefficient values)
+    is dropped before the next A_i; lambda*A_i is named by A_i itself.
+    The output goes to out in pieces, one per quotient.
+    """
+    field, A = cf.field, cf.tower
     named = {}
     if not as_json:
-        levels = list(cf.tower or [Polynomial.x(cf.field)])
-        named = _annotation_index(cf.field, k, max(cf.degrees(), default=1), levels)
+        if A is None:
+            max_deg, levels = max(cf.degrees(), default=1), [Polynomial.x(field)]
+        else:
+            max_deg = max((A[i].degree for i in set(cf.indices)), default=1)
+            levels = list(A)
+        named = _annotation_index(field, k, max_deg, levels)
     degrees = {a.degree for a in named}  # a quotient is looked up only where it can match
-    # form runs on a generated quotient as a temporary: freed before json.dumps
-    form = Polynomial.to_json_dict if as_json else Polynomial.format
 
-    def render(value, c: int, j: int | None) -> str:
+    def render(f, c: int, shared, lc: int, j: int | None) -> str:
         if as_json:
-            return json.dumps(value)
-        return value if j is None else f"{value}  [= {c}*A[{j},k]]"
+            return f.to_json_text(c, shared)
+        text = f.format("T", c, shared)
+        return text if j is None else f"{text}  [= {lc}*A[{j},k]]"
 
-    if cf.tower is None:
+    if A is None:
         parts = [
-            render(form(q), q.leading_coefficient(),
+            render(q, 1, None, q.leading_coefficient(),
                    named.get(q.monic()) if q.degree in degrees else None)
             for q in cf.quotients
         ]
     else:
-        A = cf.tower
-        parts = cf.per_pair(lambda i, c: render(
-            form(A[i].scaled(c)), c, named.get(A[i]) if A[i].degree in degrees else None))
+        texts = {}
+        for i, pairs in groupby(sorted(set(zip(cf.indices, cf.lambdas))), key=itemgetter(0)):
+            a = A[i]
+            shared = set(a.coeffs) if as_json else a.terms()
+            j = named.get(a) if a.degree in degrees else None
+            for _, c in pairs:
+                texts[i, c] = render(a, c, shared, c, j)
+        parts = map(texts.__getitem__, zip(cf.indices, cf.lambdas))
+    write = out.write
     if as_json:
-        out.write(f'{{"p": {cf.field.p}, "pq": [{", ".join(parts)}]}}\n')
+        write(f'{{"p": {field.p}, "pq": [')
+        for n, text in enumerate(parts):
+            if n:
+                write(", ")
+            write(text)
+        write("]}\n")
     else:
-        out.write("".join(f"a_{n} = {t}\n" for n, t in enumerate(parts, start=1)))
+        for n, text in enumerate(parts, start=1):
+            write(f"a_{n} = {text}\n")
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -242,6 +268,8 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
 
 
 def cmd_expand(args, out) -> int:
+    if args.quartic and args.poly is not None:
+        raise ValueError("--quartic and --poly are exclusive: give one root")
     field = GF(args.p)
     if args.quartic:
         if args.k is not None:

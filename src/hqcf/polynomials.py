@@ -272,26 +272,54 @@ class Polynomial:
             raise ValueError("the zero polynomial cannot be made monic")
         return self.scaled(self.field.inv(self.leading_coefficient()))
 
-    def format(self, var: str = "T") -> str:
-        """Human-readable form like '9*T^3 + 8*T', terms descending."""
-        if not self.coeffs:
+    def format(self, var: str = "T", c: int = 1, terms: tuple | None = None) -> str:
+        """Human-readable form of c*f, like '9*T^3 + 8*T' with the terms
+        descending, written without building c*f.
+
+        terms is self.terms(var): a caller that formats f for several c
+        passes it to every call, so that only the work that depends on c
+        is repeated.  Each distinct coefficient value is scaled and turned
+        into a string once per call.
+        """
+        p = self.field.p
+        c %= p
+        if not c or not self.coeffs:
             return "0"
-        parts = []
-        for n in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[n]
-            if not c:
-                continue
-            cs = str(c)
-            if n == 0:
-                parts.append(cs)
-            else:
-                tv = var if n == 1 else f"{var}^{n}"
-                parts.append(tv if cs == "1" else f"{cs}*{tv}")
-        return " + ".join(parts)
+        values, heads, names = self.terms(var) if terms is None else terms
+        # "3*" for a term 3*T^n, and "" where c*a = 1: the term reads T^n
+        prefix = {a: f"{b}*" if (b := a * c % p) != 1 else "" for a in values}
+        text = " + ".join(map(str.__add__, map(prefix.__getitem__, heads), names))
+        if not self.coeffs[0]:
+            return text
+        constant = str(self.coeffs[0] * c % p)
+        return f"{text} + {constant}" if text else constant
+
+    def terms(self, var: str = "T") -> tuple:
+        """(values, heads, names) for format: the nonzero coefficients of
+        the terms of degree >= 1, descending (heads), their monomials 'T^n'
+        or 'T' (names) and the set of their distinct values."""
+        cs = self.coeffs
+        degrees = [n for n in range(len(cs) - 1, 0, -1) if cs[n]]
+        heads = [cs[n] for n in degrees]
+        names = [f"{var}^{n}" if n > 1 else var for n in degrees]
+        return set(heads), heads, names
 
     def to_json_dict(self) -> dict:
         # "ext" stays in the serialized form, always false: the coefficients lie in F_p
         return {"p": self.field.p, "ext": False, "coeffs": list(self.coeffs)}
+
+    def to_json_text(self, c: int = 1, values: set | None = None) -> str:
+        """json.dumps((c*f).to_json_dict()), written without building c*f.
+
+        values is set(self.coeffs): a caller that writes f for several c
+        passes it to every call.  Each distinct coefficient value is scaled
+        and turned into a string once per call.
+        """
+        p = self.field.p
+        c %= p
+        cs = self.coeffs if c else ()
+        digits = {a: str(a * c % p) for a in (set(cs) if values is None else values)}
+        return f'{{"p": {p}, "ext": false, "coeffs": [{", ".join(map(digits.__getitem__, cs))}]}}'
 
     @staticmethod
     def from_json_dict(d: dict) -> "Polynomial":

@@ -168,6 +168,13 @@ class TestExpandCommand:
         assert code == 2 and out == ""
         assert "--k applies to --poly" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("p", ["5", "1000000000000000003"])
+    def test_quartic_with_poly_is_usage_error(self, p, capsys):
+        # neither root may win silently; the clash is reported before --p is checked
+        code, out = run(["expand", "--quartic", "--poly", "X^2 - T*X + 1", "--p", p, "--n", "2"])
+        assert code == 2 and out == ""
+        assert "--quartic and --poly are exclusive" in capsys.readouterr().err
+
 
 class TestGenerateCommand:
     def test_published_spec_p7(self):

@@ -226,62 +226,68 @@ def generated(spec, n):
 
 
 class TestSymbolicPrinter:
-    # (p, l, k, prefix indices or None); 2k = p - 1 for (7, 2, 3) and (11, 1, 5)
+    # (p, l, k, prefix indices or None, n); 2k = p - 1 for (7, 2, 3) and
+    # (11, 1, 5).  At p = 101 the index stays <= 2 for n <= 13 (A_2 has
+    # degree 9997), and n = 0 prints an empty expansion.
     CASES = [
-        (7, 3, 2, None), (5, 2, 1, None), (13, 2, 3, None), (7, 2, 3, None),
-        (11, 1, 5, None), (7, 3, 2, (1, 0, 2)), (5, 1, 1, (3,)), (7, 2, 3, (2, 1)),
+        (7, 3, 2, None, 400), (5, 2, 1, None, 400), (13, 2, 3, None, 400),
+        (7, 2, 3, None, 400), (11, 1, 5, None, 400), (7, 3, 2, (1, 0, 2), 400),
+        (5, 1, 1, (3,), 400), (7, 2, 3, (2, 1), 400), (101, 1, 1, None, 13),
+        (7, 3, 2, None, 0),
     ]
 
     @pytest.fixture(scope="class")
     def specs(self):
+        """[(spec, n)] for the CASES, in order."""
         import random
 
         workloads = _load_workloads()
         rng = random.Random("printer")
         out = []
-        for p, l, k, indices in self.CASES:
+        for p, l, k, indices, n in self.CASES:
             if indices is None:
-                out.append(workloads.random_perfect_spec(rng, p, l, k))
+                out.append((workloads.random_perfect_spec(rng, p, l, k), n))
             else:
-                out.append(spec_with_indices(rng, p, l, k, indices))
+                out.append((spec_with_indices(rng, p, l, k, indices), n))
         return out
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_matches_line_by_line_render(self, specs, as_json):
-        for spec in specs:
-            argv = generate_argv(spec, 400) + (["--json"] if as_json else [])
+        for spec, n in specs:
+            argv = generate_argv(spec, n) + (["--json"] if as_json else [])
             code, out = run(argv)
             assert code == 0, spec
-            assert out == reference_render(generated(spec, 400), spec["k"], as_json), spec
+            assert out == reference_render(generated(spec, n), spec["k"], as_json), spec
 
     def test_extremal_k_names_a0(self, specs):
-        spec = specs[-1]  # p = 7, k = 3 = (p-1)/2, indices (2, 1)
+        spec, _ = specs[7]  # p = 7, k = 3 = (p-1)/2, indices (2, 1)
         _, out = run(generate_argv(spec, 30))
         lines = out.splitlines()
         assert len(lines) == 30
         assert all(ln.endswith("*A[0,k]]") for ln in lines)
 
-    def test_one_polynomial_per_distinct_pair(self, specs, monkeypatch):
-        real = Polynomial.scaled
-        calls = []
+    def test_renders_from_the_tower_alone(self, specs, monkeypatch):
+        # lambda*A_i is written from A_i's coefficients: no scaled
+        # polynomial is built and the tower is not extended
+        scaled = []
 
         def spy(self, c):
-            calls.append(c)
-            return real(self, c)
+            scaled.append(c)
+            return Polynomial(self.field, [a * c for a in self.coeffs])
 
         def refuse(*args):
             raise AssertionError("the tower was rebuilt for a generated expansion")
 
-        for spec in specs:
-            cf = generated(spec, 600)
-            pairs = len(set(zip(cf.indices, cf.lambdas)))
+        for spec, n in specs:
+            cf = generated(spec, n)
             with monkeypatch.context() as mp:
                 mp.setattr(Polynomial, "scaled", spy)
                 mp.setattr(cli, "a_sequence", refuse)
                 for as_json in (False, True):
-                    calls.clear()
-                    cli._print_expansion(cf, as_json, spec["k"], io.StringIO())
-                    assert 0 < len(calls) <= pairs, spec
+                    out = io.StringIO()
+                    cli._print_expansion(cf, as_json, spec["k"], out)
+                    assert out.getvalue().count("\n") == (1 if as_json else n), spec
+            assert scaled == [], spec
 
 
 class TestExpandTower:

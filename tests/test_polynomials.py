@@ -296,3 +296,83 @@ class TestSerialization:
     def test_ext_form_rejected(self):
         with pytest.raises(ValueError, match="extension"):
             Polynomial.from_json_dict({"p": 13, "ext": True, "coeffs": [[1, 2], [0, 3]]})
+
+
+def reference_format(f, var="T"):
+    """The term-by-term formatter that Polynomial.format replaced."""
+    parts = []
+    for n in range(len(f.coeffs) - 1, -1, -1):
+        c = f.coeffs[n]
+        if not c:
+            continue
+        if n == 0:
+            parts.append(str(c))
+        else:
+            tv = var if n == 1 else f"{var}^{n}"
+            parts.append(tv if c == 1 else f"{c}*{tv}")
+    return " + ".join(parts) if parts else "0"
+
+
+class TestScaledRender:
+    """format(c=c) and to_json_text(c) write c*f without building it; they
+    must read exactly like the text and JSON of f.scaled(c)."""
+
+    @staticmethod
+    def shapes(field, rng):
+        u = [rng.randrange(1, field.p) for _ in range(9)]
+        sparse = [0] * 3001
+        for n, c in zip((0, 1, 2, 1000, 3000), u):
+            sparse[n] = c
+        return [
+            Polynomial.zero(field),
+            poly(field, 1),
+            poly(field, u[5]),
+            poly(field, 0, 1),  # T
+            poly(field, 1, 1, 0, 1),  # coefficient-1 terms and the constant 1
+            poly(field, 0, u[6], u[7]),  # a T^1 term next to T^2
+            poly(field, 0, 0, 0, u[8]),  # a lone monomial, no constant
+            poly(field, *sparse),  # sparse, high degree
+            random_poly(field, rng, 40, nonzero=True),
+            random_poly(field, rng, 40, nonzero=True),
+        ]
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 997, 999983])
+    def test_matches_the_scaled_polynomial(self, p):
+        field, rng = GF(p), random.Random(p)
+        for f in self.shapes(field, rng):
+            units = range(1, p) if p < 100 else rng.sample(range(1, p), 40)
+            # every c that turns some coefficient into 1, so that its term reads T^n
+            units = sorted(set(units) | {pow(a, -1, p) for a in f.coeffs if a})
+            terms, values = f.terms(), set(f.coeffs)
+            for c in units:
+                g = f.scaled(c)
+                text = g.format()
+                assert text == reference_format(g), (p, f.coeffs, c)
+                assert f.format("T", c) == text, (p, f.coeffs, c)
+                assert f.format("T", c, terms) == text, (p, f.coeffs, c)
+                assert f.format("X", c + p) == reference_format(g, "X")
+                expected = json.dumps(g.to_json_dict())
+                assert f.to_json_text(c) == expected, (p, f.coeffs, c)
+                assert f.to_json_text(c, values) == expected, (p, f.coeffs, c)
+            assert f.format("T", 0) == "0" and f.format("T", p) == "0"
+            assert f.to_json_text(0) == json.dumps(Polynomial.zero(field).to_json_dict())
+
+    def test_memory_bounded_by_distinct_values_not_by_p(self):
+        # a table over F_p at p = 999983 would hold a million strings (tens
+        # of MB); the renderer holds one string per distinct coefficient
+        import tracemalloc
+
+        field = GF(999983)
+        coeffs = [0] * 3001
+        for n in (0, 1, 2, 1000, 3000):
+            coeffs[n] = 1000 * n + 7
+        f = Polynomial(field, coeffs)
+        tracemalloc.start()
+        try:
+            for c in (2, 3, 999982):
+                f.format("T", c)
+                f.to_json_text(c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200_000
