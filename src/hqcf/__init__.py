@@ -49,7 +49,6 @@ from .rootcf import (
     alpha_series,
     cf_from_series,
     dominance_holds,
-    expand_quartic_fixed,
     expand_root,
     quartic_state,
     series_root_quartic,

@@ -127,11 +127,11 @@ class ContinuedFraction:
             return [tower[i].degree for i in self.indices]
         return [q.degree for q in self.quotients]
 
-    def continuants(self, check: bool = True):
+    def continuants(self):
         """Both continuant sequences (x_0..x_n, y_0..y_n).
 
-        With check=True the determinant identity is verified at every index;
-        a failure means corrupted quotients and raises ArithmeticError.
+        The determinant identity is verified at every index; a failure
+        means corrupted quotients and raises ArithmeticError.
         """
         field = self.field
         one = Polynomial.one(field)
@@ -144,13 +144,8 @@ class ContinuedFraction:
             xp, yp = xs[-1], ys[-1]
             xs.append(xn)
             ys.append(yn)
-            if check:
-                det = xn * yp - xp * yn
-                expect = one if n % 2 == 0 else -one
-                if det != expect:
-                    raise ArithmeticError(
-                        f"continuant determinant broken at index {n}"
-                    )
+            if xn * yp - xp * yn != (one if n % 2 == 0 else -one):
+                raise ArithmeticError(f"continuant determinant broken at index {n}")
         return xs, ys
 
     def matrix(self, lo: int = 0, hi: Optional[int] = None) -> tuple:

@@ -147,9 +147,11 @@ def a_sequence(
     A_{i,k}^p = A_{i+1,k} P_k - 2k theta_k^(i+1) Q_k of Prop. 1; it is
     checked at every level built, and a mismatch raises ArithmeticError.
     seq, a list A_{0,k} .. A_{j,k} from an earlier call, is extended in
-    place and returned.
+    place and returned.  A count past MAX_A_DEGREE is a ValueError, raised
+    before any level is built.
     """
     p = field.p
+    _check_a_index(p, k, count)
     _, Q = pq_polynomials(field, k)
     theta, _ = family_constants(field, k)
     if seq is None:
@@ -359,10 +361,8 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
                     f"internal contradiction: zero lambda/delta generated at index {pos}"
                 )
         m += 1
-    max_i = max(idx[1 : n + 1], default=0)
-    _check_a_index(p, k, max_i)
     cf = ContinuedFraction.symbolic(
-        f, a_sequence(f, k, max_i), lam[1:], idx[1:],
+        f, a_sequence(f, k, max(idx[1 : n + 1], default=0)), lam[1:], idx[1:],
         perfect_type=(p, l, k, tuple(spec.indices)),
     )
     return GenerationResult(cf, lam, dl, idx)
@@ -419,10 +419,8 @@ def generate_perfect_p11(
             dl[b + 2] = 2 * f.inv(dl[b + 1]) % p
             idx[b + 2] = 0
         m += 1
-    max_i = max(idx[1 : n + 1], default=0)
-    _check_a_index(p, 1, max_i)
     cf = ContinuedFraction.symbolic(
-        f, a_sequence(f, 1, max_i), lam[1:], idx[1:],
+        f, a_sequence(f, 1, max(idx[1 : n + 1], default=0)), lam[1:], idx[1:],
         perfect_type=(p, 1, 1, (i1,)),
     )
     return GenerationResult(cf, lam, dl, idx)

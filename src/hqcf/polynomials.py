@@ -10,9 +10,9 @@ once, reuse the longer operand's tail as a slice and build the result with
 the trusted constructor: no per-coefficient field method call and no
 re-validation.  Trailing zeros can only appear when two operands of equal
 length cancel at the top, so only that case strips them.  Multiplication
-of large operands runs as an exact int64 numpy convolution, guarded by
+and division of large operands run on exact int64 numpy arrays, guarded by
 the bound _fits_int64 (shared with the root expansion's Taylor shift in
-hqcf.rootcf), and falls back to Python-int arithmetic when it fails.
+hqcf.rootcf), and fall back to Python-int arithmetic when it fails.
 f << n is f * T^n, and for n < 0 the polynomial part of it: the
 offset arithmetic of the Laurent series in hqcf.laurent, which run on
 this kernel.
@@ -231,7 +231,7 @@ class Polynomial:
         m = len(g) - 1
         inv_lc = f.inv(g[-1])
         rem = list(self.coeffs)
-        if m >= 128 and len(rem) - m >= 64:
+        if m >= 128 and len(rem) - m >= 64 and _fits_int64(p, 1):
             return self._divmod_np(other, inv_lc)
         q = [0] * (len(rem) - m)
         for i in range(len(rem) - 1, m - 1, -1):

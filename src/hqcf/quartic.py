@@ -198,7 +198,6 @@ class FrobeniusTrace:
     prefix: ContinuedFraction
     lambda_prefix: tuple
     degree_check: bool
-    convergent_check: bool
 
     def relation(self) -> FrobeniusRelation:
         return FrobeniusRelation(self.l, self.eps1, self.eps2, self.P, self.Q, self.p)
@@ -234,7 +233,7 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     # y_l alpha^p + c = eps1 P (y_l alpha_{l+1} + y_{l-1}), c the negated alpha
     # part of the identity; its exact series degree exceeds deg y_l P, so
     # alpha_{l+1} has degree >= 1 and |alpha - x_l/y_l| < |y_l|^(-2), the
-    # convergent property.
+    # convergent property: degree_check certifies both.
     xl, _, yl, _ = mat
     c = xl * vp.c - yl * vp1.c
     floor = -(2 * p + 2 * l + 4)
@@ -244,11 +243,9 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     ).truncate(floor)
     big = lhs.degree()
     degree_check = big is not None and big > yl.degree + rel.P.degree
-    convergent_check = big is not None and rel.P.degree - yl.degree - big < -2 * yl.degree
 
     return FrobeniusTrace(
-        p, l, k, a, rel.eps1, rel.eps2, rel.P, rel.Q, prefix, tuple(lambdas),
-        degree_check, convergent_check,
+        p, l, k, a, rel.eps1, rel.eps2, rel.P, rel.Q, prefix, tuple(lambdas), degree_check
     )
 
 
@@ -387,13 +384,11 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
         eps1=trace.eps1, eps2=trace.eps2, a=trace.a,
         a_equals_8_27=trace.a == field.embed_rational(8, 27),
     )
+    spec = norm.spec()
     try:
-        spec = norm.spec()
-        spec.validate()
+        gen = generate_perfect_expansion(spec, n)
     except (DeltaUndefinedError, DeltaMismatchError) as exc:
         return Conj1Verdict(p, False, stage="perfect-conditions", detail=str(exc), **found)
-
-    gen = generate_perfect_expansion(spec, n)
     direct = expand_root(quartic_state(field), n)
     compared = min(len(direct), n)
     mapped = [
@@ -419,7 +414,7 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
             f"n = {n} leaves too few tail quotients to certify the relation to "
             f"T^-{RESIDUAL_PRECISION} for p = {p}; increase n"
         )
-    ok = residual == float("-inf") and trace.degree_check and trace.convergent_check
+    ok = residual == float("-inf") and trace.degree_check
     return Conj1Verdict(
         p,
         ok,

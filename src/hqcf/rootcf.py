@@ -198,37 +198,6 @@ def quartic_state(field: PrimeField) -> RootState:
     )
 
 
-def expand_quartic_fixed(field: PrimeField, n: int) -> ContinuedFraction:
-    """Quartic expansion via the explicit degree-4 step recurrences.
-
-    Same output as expand_root(quartic_state(p), n); kept as an
-    independent specialization for cross-validation.
-    """
-    st = quartic_state(field)
-    e0, d0, c0, b0, a0 = st.coeffs  # ascending: const, X, X^2, X^3, X^4
-    a, b, c, d, e = a0, b0, c0, d0, e0
-    four = Polynomial.constant(field, 4)
-    three = Polynomial.constant(field, 3)
-    two = Polynomial.constant(field, 2)
-    six = Polynomial.constant(field, 6)
-    quotients = []
-    for _ in range(n):
-        q = -(b // a)
-        q2 = q * q
-        q3 = q2 * q
-        q4 = q2 * q2
-        na = a * q4 + b * q3 + c * q2 + d * q + e
-        nb = four * a * q3 + three * b * q2 + two * c * q + d
-        nc = six * a * q2 + three * b * q + c
-        nd = four * a * q + b
-        ne = a
-        quotients.append(q)
-        if na.is_zero():
-            break
-        a, b, c, d, e = na, nb, nc, nd, ne
-    return ContinuedFraction(field, quotients)
-
-
 def series_root_quartic(field: PrimeField, terms: int) -> Laurent:
     """Power series of the small root u = -1/(12T) + ... of the quartic.
 
@@ -267,15 +236,15 @@ def alpha_series(field: PrimeField, floor: int) -> Laurent:
     return divide(one, u).truncate(floor)
 
 
-def cf_from_series(s: Laurent, *, exact: bool = False) -> ContinuedFraction:
+def cf_from_series(s: Laurent) -> ContinuedFraction:
     """Continued fraction of a series truncation, certified prefix only.
 
     The truncation is the rational function N(T) * T^shift of the stored
     part; its Euclidean expansion agrees with the expansion of the
     underlying value on every quotient with 2*deg(y_n) < budget, where
-    budget = -floor is the truncation's error exponent.  With exact=True
-    (or an exact series) the input is taken as an exact rational value and
-    the full finite expansion is returned.
+    budget = -floor is the truncation's error exponent.  An exact series
+    (floor None) is an exact rational value, and its full finite expansion
+    is returned.
     """
     if s.is_zero_to_precision():
         raise ValueError("cannot expand a series that is zero to precision")
@@ -285,7 +254,7 @@ def cf_from_series(s: Laurent, *, exact: bool = False) -> ContinuedFraction:
     num = s.num << max(0, s.shift)
     den = Polynomial.monomial(field, 1, max(0, -s.shift))
     full = rational_to_cf(num, den)
-    if exact or s.floor is None:
+    if s.floor is None:
         return full
     # deg y_1 = 0 and deg y_i = deg a_2 + ... + deg a_i: every Euclidean
     # quotient after the first has degree >= 1, so no leading terms cancel

@@ -59,11 +59,12 @@ class TestGenerateIndices:
 class TestGenerateValidation:
     @pytest.fixture
     def no_tower(self, monkeypatch):
-        # a rejected input must fail before any A_{i,k} is built
+        # a rejected input must fail before any A_{i,k} is built; every
+        # level is built by one _frobenius_divmod_pk
         def refuse(*args):
             raise AssertionError("the A_{i,k} tower was built")
 
-        monkeypatch.setattr(perfect, "a_sequence", refuse)
+        monkeypatch.setattr(perfect, "_frobenius_divmod_pk", refuse)
 
     def test_negative_n(self):
         code, out = run([
@@ -86,6 +87,12 @@ class TestGenerateValidation:
             "--e1", "1", "--e2", "1", "--lambdas", "3", "--indices", "30",
         ])
         assert code == 2 and out == ""
+
+    def test_prop1_tower_past_the_degree_bound(self, no_tower, capsys):
+        # Prop. 1 checks A_0 .. A_3; at p = 1009, k = 1 deg A_3 is 1,025,205,547
+        code, out = run(["verify", "prop1", "--p", "1009", "--k", "1"])
+        assert code == 2 and out == ""
+        assert f"past degree {perfect.MAX_A_DEGREE}" in capsys.readouterr().err
 
     def test_generated_index_past_degree_bound(self, no_tower):
         # indices grow with n: at p = 97, k = 1 quotient 41 is a multiple of

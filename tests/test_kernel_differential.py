@@ -14,6 +14,8 @@ kernel result is also checked to be canonical: plain ints in [0, p) and no
 trailing zeros.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +27,7 @@ import numpy as np  # noqa: E402
 
 import hqcf.polynomials as polynomials  # noqa: E402
 import hqcf.rootcf as rootcf  # noqa: E402
-from hqcf.fields import GF  # noqa: E402
+from hqcf.fields import GF, PrimeField  # noqa: E402
 from hqcf.laurent import Laurent, divide  # noqa: E402
 from hqcf.polynomials import Polynomial  # noqa: E402
 
@@ -150,6 +152,23 @@ class TestMulDivGcd:
         assert_canonical(r, p)
         assert (to_gf(q), to_gf(r)) == gt.gf_div(to_gf(f), to_gf(g), p, ZZ)
         assert f // g == q and f % g == r
+
+    def test_divmod_above_the_int64_guard(self):
+        # at p = 2^61 - 1 (prime, but above the modulus cap, so the field is
+        # built without is_prime) a product of two residues overflows int64,
+        # and a divisor long enough for the numpy division must not take it
+        p = (1 << 61) - 1
+        F = object.__new__(PrimeField)
+        F.p = p
+        assert not polynomials._fits_int64(p, 1)
+        rng = random.Random(61)
+        a = Polynomial(F, [rng.randrange(p) for _ in range(299)] + [rng.randrange(1, p)])
+        b = Polynomial(F, [rng.randrange(p) for _ in range(149)] + [rng.randrange(1, p)])
+        q, r = divmod(a, b)
+        assert_canonical(q, p)
+        assert_canonical(r, p)
+        assert q * b + r == a and r.degree < b.degree
+        assert (to_gf(q), to_gf(r)) == gt.gf_div(to_gf(a), to_gf(b), p, ZZ)
 
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):

