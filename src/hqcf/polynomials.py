@@ -9,10 +9,17 @@ make one comprehension over the overlapping part, reduce each result mod p
 once, reuse the longer operand's tail as a slice and build the result with
 the trusted constructor: no per-coefficient field method call and no
 re-validation.  Trailing zeros can only appear when two operands of equal
-length cancel at the top, so only that case strips them.  Multiplication
-and division of large operands run on exact int64 numpy arrays, guarded by
-the bound _fits_int64 (shared with the root expansion's Taylor shift in
-hqcf.rootcf), and fall back to Python-int arithmetic when it fails.
+length cancel at the top, so only that case strips them.
+
+Multiplication by a monomial c*T^e (a constant included) is a shift and a
+scale in one comprehension, _shift_scale_add; the continuant recurrence
+a*x + x' of hqcf.cf runs its monomial quotients through the same routine
+with x' added in the same pass (_mul_add).  Other products are chosen by
+their size la*lb: schoolbook in Python ints up to _SCHOOLBOOK_CUTOFF, an
+exact int64 numpy convolution above it.  That path and the numpy division
+of large operands are guarded by the bound _fits_int64 (shared with the
+root expansion's Taylor shift in hqcf.rootcf), and fall back to Python-int
+arithmetic when it fails.
 f << n is f * T^n, and for n < 0 the polynomial part of it: the
 offset arithmetic of the Laurent series in hqcf.laurent, which run on
 this kernel.
@@ -23,19 +30,39 @@ sentinel below every real degree, not |0| = 0: callers that must treat
 zero apart test is_zero().
 """
 
+from itertools import islice, zip_longest
 from typing import Iterable
 
 import numpy as np
 
 from .fields import GF, PrimeField
 
-_SCHOOLBOOK_CUTOFF = 64
+# the largest product size la * lb that schoolbook multiplies: above it the
+# int64 convolution is faster (measured with timeit at p = 17 .. 999983)
+_SCHOOLBOOK_CUTOFF = 32
 
 
 def _fits_int64(p: int, terms: int) -> bool:
     """Whether a sum of `terms` products of residues mod p, plus one more
     residue, stays inside int64: the guard of every numpy kernel path."""
     return (p - 1) * (p - 1) * terms < (1 << 62)
+
+
+def _is_monomial(cs: tuple) -> bool:
+    """Whether the nonempty coefficient tuple cs is c*T^e: all but its top
+    coefficient are zero.  It stops at the first nonzero one, copying nothing."""
+    return not any(islice(cs, len(cs) - 1))
+
+
+def _shift_scale_add(c: int, e: int, x: tuple, xp: tuple, p: int) -> tuple:
+    """The coefficients of c*T^e * x + xp in one comprehension, for c a unit
+    mod p, x nonempty and len(xp) < len(x) + e (deg xp < deg x + e): the top
+    coefficient c*x[-1] is then nonzero and the result is canonical.  It is
+    built as one list and made a tuple once, with no intermediate tuple."""
+    out = list(xp[:e])
+    out += (0,) * (e - len(xp))
+    out += [(c * u + v) % p for u, v in zip_longest(x, xp[e:], fillvalue=0)]
+    return tuple(out)
 
 
 class Polynomial:
@@ -172,8 +199,12 @@ class Polynomial:
         if not a or not b:
             return Polynomial.zero(self.field)
         p = self.field.p
+        if _is_monomial(a):
+            a, b = b, a
+        if _is_monomial(b):
+            return Polynomial(self.field, _shift_scale_add(b[-1], len(b) - 1, a, (), p), _trusted=True)
         la, lb = len(a), len(b)
-        if la + lb > _SCHOOLBOOK_CUTOFF and _fits_int64(p, min(la, lb)):
+        if la * lb > _SCHOOLBOOK_CUTOFF and _fits_int64(p, min(la, lb)):
             out = np.convolve(
                 np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
             ) % p
@@ -329,6 +360,16 @@ class Polynomial:
 
 
 # -- free functions on polynomials ------------------------------------------------
+
+
+def _mul_add(a: Polynomial, x: Polynomial, xp: Polynomial) -> Polynomial:
+    """a * x + xp, the continuant step: one pass by _shift_scale_add when a is
+    a monomial c*T^e and deg xp < deg x + e, else the product and the sum."""
+    cs, xs, ps = a.coeffs, x.coeffs, xp.coeffs
+    e = len(cs) - 1
+    if cs and xs and len(ps) < len(xs) + e and _is_monomial(cs):
+        return Polynomial(a.field, _shift_scale_add(cs[-1], e, xs, ps, a.field.p), _trusted=True)
+    return a * x + xp
 
 
 def formal_integral(f: Polynomial) -> Polynomial:

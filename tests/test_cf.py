@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hqcf.cf as cf_module
+import hqcf.polynomials as polynomials
 from hqcf.cf import (
     ContinuedFraction,
     ScalarCFUndefined,
@@ -151,8 +153,9 @@ class TestMatrix:
             cf.matrix(lo, hi)
 
     def test_every_corrupted_product_detected(self, monkeypatch):
-        # 40 quotients: three leaves and two tree nodes
-        cf = ContinuedFraction(F13, random_quotients(F13, random.Random(3), 40))
+        # three leaves and two tree nodes
+        n = 2 * cf_module._LEAF + 8
+        cf = ContinuedFraction(F13, random_quotients(F13, random.Random(3), n))
         real_mul = Polynomial.__mul__
         calls = [0]
         bad = [-1]
@@ -168,6 +171,33 @@ class TestMatrix:
         cf.matrix()  # count the products of a clean run
         total = calls[0]
         assert total > 90
+        for bad[0] in range(total):
+            calls[0] = 0
+            with pytest.raises(ArithmeticError, match="continuant determinant broken"):
+                cf.matrix()
+
+
+    def test_every_corrupted_fused_step_detected(self, monkeypatch):
+        # the c*T quotients of Prop. 1/2 take the fused leaf step, not
+        # Polynomial.__mul__: a wrong coefficient there must fail too
+        rng = random.Random(7)
+        n = 2 * cf_module._LEAF + 8
+        cf = ContinuedFraction(F13, [Polynomial.monomial(F13, rng.randrange(1, 13), 1) for _ in range(n)])
+        real_step = polynomials._shift_scale_add
+        calls = [0]
+        bad = [-1]
+
+        def corrupting(c, e, x, xp, p):
+            out = real_step(c, e, x, xp, p)
+            if calls[0] == bad[0]:
+                out = ((out[0] + 1) % p,) + out[1:]
+            calls[0] += 1
+            return out
+
+        monkeypatch.setattr(polynomials, "_shift_scale_add", corrupting)
+        cf.matrix()
+        total = calls[0]
+        assert total >= 2 * (n - 3)  # every leaf step but the first of each leaf
         for bad[0] in range(total):
             calls[0] = 0
             with pytest.raises(ArithmeticError, match="continuant determinant broken"):
@@ -255,3 +285,20 @@ class TestSerialization:
         d = cf.to_json_dict()
         assert d["p"] == 13 and len(d["pq"]) == 2
         assert ContinuedFraction.from_json_dict(d) == cf
+
+    def test_field_comes_from_the_outer_p(self):
+        d = ContinuedFraction(F13, [poly(F13, 0, 1)]).to_json_dict()
+        d["p"] = 5
+        with pytest.raises(ValueError, match="F_13, not F_5"):
+            ContinuedFraction.from_json_dict(d)
+
+    def test_quotients_over_another_prime_rejected(self):
+        d = {"p": 13, "pq": [poly(F13, 0, 1).to_json_dict(), poly(F7, 0, 6).to_json_dict()]}
+        with pytest.raises(ValueError, match="a_2 lies over F_7"):
+            ContinuedFraction.from_json_dict(d)
+
+    def test_empty_expansion(self):
+        cf = ContinuedFraction.from_json_dict({"p": 13, "pq": []})
+        assert cf.field == F13 and len(cf) == 0
+        assert cf == ContinuedFraction(F13, [])
+        assert cf.to_json_dict() == {"p": 13, "pq": []}

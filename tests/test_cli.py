@@ -97,6 +97,13 @@ class TestExpandCommand:
         cf = ContinuedFraction.from_json_dict(d)
         assert [q.format() for q in cf] == ["T", "12*T", "7*T", "11*T", "8*T", "5*T"]
 
+    def test_json_roundtrip_of_no_quotients(self):
+        code, out = run(["expand", "--quartic", "--p", "13", "--n", "0", "--json"])
+        assert code == 0
+        cf = ContinuedFraction.from_json_dict(json.loads(out))
+        assert cf.field == F13 and len(cf) == 0
+        assert json.loads(out) == cf.to_json_dict()
+
     def test_poly_input(self):
         code, out = run(["expand", "--poly", "X^2 - T*X + 1", "--p", "5", "--n", "4"])
         assert code == 0

@@ -2,11 +2,14 @@
 and of the Laurent series built on it against a dict reference.
 
 Multiplication and division draw their degrees on both sides of
-every switch between kernel paths: _SCHOOLBOOK_CUTOFF (schoolbook or
-int64 convolution), the numpy division (divisor degree >= 128 and
-quotient length >= 64) and the _fits_int64 guard, which the tests force
-to fail by monkeypatching.  The root expansion's two array kernels, the
-top-coefficient quotient and the Taylor shift, are tested the same way.
+every switch between kernel paths: the monomial shift and scale,
+_SCHOOLBOOK_CUTOFF (schoolbook or int64 convolution by the product size
+la*lb), the numpy division (divisor degree >= 128 and quotient length >=
+64) and the _fits_int64 guard, which the tests force to fail by
+monkeypatching.  The continuant step a*x + x' (_mul_add), fused for
+monomial quotients, is checked against the plain recurrence over
+galoistools.  The root expansion's two array kernels, the top-coefficient
+quotient and the Taylor shift, are tested the same way.
 
 galoistools stores a polynomial as a list of coefficients in [0, p),
 highest degree first; Polynomial stores them lowest degree first.  Every
@@ -27,6 +30,7 @@ import numpy as np  # noqa: E402
 
 import hqcf.polynomials as polynomials  # noqa: E402
 import hqcf.rootcf as rootcf  # noqa: E402
+from hqcf.cf import ContinuedFraction  # noqa: E402
 from hqcf.fields import GF, PrimeField  # noqa: E402
 from hqcf.laurent import Laurent, divide  # noqa: E402
 from hqcf.polynomials import Polynomial  # noqa: E402
@@ -111,9 +115,10 @@ class TestAddSubNegScale:
 
 
 # lengths on both sides of _SCHOOLBOOK_CUTOFF (a product switches to the
-# convolution when la + lb > 64) and of the numpy division switch
-SHORT = st.integers(0, 40)
-LONG = st.integers(50, 150)
+# convolution when la * lb > 32): two SHORT operands fall on either side,
+# a LONG one is past it against any operand of length 2 or more
+SHORT = st.integers(0, 9)
+LONG = st.integers(17, 150)
 
 
 def poly_of_length(data, p, length, monic_top=False):
@@ -138,6 +143,45 @@ class TestMulDivGcd:
             got = f * g
         assert_canonical(got, p)
         assert to_gf(got) == want
+
+    @pytest.mark.parametrize("la, lb, convolved", [(4, 8, False), (3, 11, True), (2, 16, False), (2, 17, True)])
+    def test_product_size_picks_the_kernel(self, la, lb, convolved):
+        # 4*8 and 2*16 are at the cutoff, 3*11 and 2*17 just past it
+        p = 13
+        rng = random.Random(la * lb)
+        f = Polynomial(GF(p), [rng.randrange(1, p) for _ in range(la)])
+        g = Polynomial(GF(p), [rng.randrange(1, p) for _ in range(lb)])
+        calls = []
+        real = np.convolve
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(polynomials.np, "convolve", lambda *a: calls.append(1) or real(*a))
+            got = f * g
+        assert bool(calls) is convolved
+        assert to_gf(got) == gt.gf_mul(to_gf(f), to_gf(g), p, ZZ)
+
+    @pytest.mark.parametrize("p", PRIMES + [(1 << 61) - 1])
+    def test_monomial_operands(self, p):
+        # c*T^e for e in 0..150 on either side of a general operand and of
+        # another monomial; at p = 2^61 - 1 no product fits int64
+        if p in PRIMES:
+            F = GF(p)
+        else:
+            F = object.__new__(PrimeField)
+            F.p = p
+        rng = random.Random(p)
+        for e in range(151):
+            c = rng.randrange(1, p)
+            m = Polynomial.monomial(F, c, e)
+            for n in (1, 2, rng.randrange(3, 40), rng.randrange(40, 160)):
+                f = Polynomial(F, [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)])
+                want = gt.gf_mul(to_gf(m), to_gf(f), p, ZZ)
+                for got in (m * f, f * m):
+                    assert_canonical(got, p)
+                    assert to_gf(got) == want
+            other = Polynomial.monomial(F, rng.randrange(1, p), rng.randrange(151))
+            got = m * other
+            assert_canonical(got, p)
+            assert to_gf(got) == gt.gf_mul(to_gf(m), to_gf(other), p, ZZ)
 
     @given(st.sampled_from(PRIMES), st.data())
     @settings(max_examples=120, deadline=None)
@@ -173,6 +217,89 @@ class TestMulDivGcd:
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             divmod(Polynomial.one(GF(7)), Polynomial.zero(GF(7)))
+
+
+# -- the continuant step and the product tree ---------------------------------
+
+
+@st.composite
+def quotient(draw, p):
+    """A zero, constant, monomial c*T^e or general quotient over GF(p)."""
+    kind = draw(st.sampled_from(["zero", "constant", "monomial", "general"]))
+    F = GF(p)
+    if kind == "zero":
+        return Polynomial.zero(F)
+    c = draw(st.integers(1, p - 1))
+    if kind == "constant":
+        return Polynomial.constant(F, c)
+    if kind == "monomial":
+        return Polynomial.monomial(F, c, draw(st.integers(1, 4)))
+    return Polynomial(F, coeff_lists(draw, p, draw(st.integers(1, 4))) + [c])
+
+
+def reference_continuants(quotients, p):
+    """(x_n, x_{n-1}, y_n, y_{n-1}) of the plain recurrence K_i = a_i K_{i-1}
+    + K_{i-2} over galoistools lists (x_0 = 1, x_{-1} = 0; y_0 = 0, y_{-1} = 1)."""
+    x, xp, y, yp = [1], [], [], [1]
+    for a in quotients:
+        a = to_gf(a)
+        x, xp = gt.gf_add(gt.gf_mul(a, x, p, ZZ), xp, p, ZZ), x
+        y, yp = gt.gf_add(gt.gf_mul(a, y, p, ZZ), yp, p, ZZ), y
+    return x, xp, y, yp
+
+
+class TestContinuantStep:
+    @given(st.sampled_from(PRIMES), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_mul_add_matches_gf(self, p, data):
+        # x' drawn on both sides of deg x + e, so the fused step and the
+        # product-and-sum fallback both run
+        a = data.draw(quotient(p))
+        x = poly_of_length(data, p, data.draw(st.integers(0, 12)))
+        xp = poly_of_length(data, p, data.draw(st.integers(0, 16)))
+        got = polynomials._mul_add(a, x, xp)
+        assert_canonical(got, p)
+        assert to_gf(got) == gt.gf_add(gt.gf_mul(to_gf(a), to_gf(x), p, ZZ), to_gf(xp), p, ZZ)
+
+    @pytest.mark.parametrize("e", [0, 1, 3])
+    def test_mul_add_where_the_top_cancels(self, e):
+        # a = T^e, x = 1 - T, x' = T^(e+1) - 1: deg x' = deg x + e and the
+        # two tops cancel, leaving T^e - 1 (or 0 for e = 0)
+        F = GF(7)
+        a = Polynomial.monomial(F, 1, e)
+        x = Polynomial(F, [1, -1])
+        xp = Polynomial.monomial(F, 1, e + 1) - Polynomial.one(F)
+        got = polynomials._mul_add(a, x, xp)
+        assert_canonical(got, 7)
+        assert got == a * x + xp == Polynomial.monomial(F, 1, e) - Polynomial.one(F)
+
+    @given(st.sampled_from(PRIMES), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_product_tree_matches_the_plain_recurrence(self, p, data):
+        # up to three leaves of _LEAF = 32 quotients and two tree nodes;
+        # continuants() runs the generic a*x + x' at every step
+        qs = data.draw(st.lists(quotient(p), max_size=80))
+        cf = ContinuedFraction(GF(p), qs)
+        got = cf.matrix()
+        for f in got:
+            assert_canonical(f, p)
+        assert [to_gf(f) for f in got] == list(reference_continuants(qs, p))
+        xs, ys = cf.continuants()
+        if qs:
+            assert got == (xs[-1], xs[-2], ys[-1], ys[-2])
+        lo = data.draw(st.integers(0, len(qs)))
+        hi = data.draw(st.integers(lo, len(qs)))
+        assert [to_gf(f) for f in cf.matrix(lo, hi)] == list(reference_continuants(qs[lo:hi], p))
+
+    def test_constant_quotients_cancel_at_the_top(self):
+        # [T, -1, 1]: x_2 = 1 - T and x_3 = 1 * (1 - T) + T = 1, where
+        # deg x_1 = deg x_2 + deg a_3
+        F = GF(5)
+        T, one = Polynomial.x(F), Polynomial.one(F)
+        qs = [T, -one, one]
+        x, xp, y, yp = ContinuedFraction(F, qs).matrix()
+        assert x == one and xp == one - T
+        assert [to_gf(f) for f in (x, xp, y, yp)] == list(reference_continuants(qs, 5))
 
 
 def reference_taylor_shift(coeffs, q, p):
