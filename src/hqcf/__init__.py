@@ -33,7 +33,6 @@ from .quartic import (
     DerivationError,
     ExponentReport,
     FrobeniusTrace,
-    NormalizedRelation,
     PowerVec,
     approximation_exponent,
     beta_quotient_to_alpha,

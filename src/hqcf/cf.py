@@ -241,8 +241,12 @@ def matrix_product(left: tuple, right: tuple, lo: int, hi: int) -> tuple:
 
 
 def _checked(x, xp, y, yp, lo: int, hi: int) -> tuple:
-    det = x * yp - xp * y
-    if det.coeffs != ((1,) if (hi - lo) % 2 == 0 else (x.field.p - 1,)):
+    # x y' - x' y = (-1)^(hi - lo), tested as x y' = x' y +- 1 on the
+    # coefficient tuples: the difference would cancel down to a constant
+    p = x.field.p
+    lhs, rhs = (x * yp).coeffs or (0,), (xp * y).coeffs or (0,)
+    sign = 1 if (hi - lo) % 2 == 0 else p - 1
+    if lhs[1:] != rhs[1:] or lhs[0] != (rhs[0] + sign) % p:
         raise ArithmeticError(
             f"continuant determinant broken on quotients {lo + 1}..{hi}"
         )

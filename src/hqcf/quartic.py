@@ -14,8 +14,8 @@ with (l, k) = ((p-1)/2, (p-1)/3), from the basis coordinates of alpha^p
 and alpha^(p+1).  normalize_to_beta rescales by v = sqrt(-a) to the
 normalized family, after which the expansion is a perfect expansion and
 its generator can be cross-checked against the direct root expansion.
-Every step is arithmetic in F_p on plain ints mod p: v is carried as the
-int s = v^2 = -a, and v itself is needed only for an odd power of it.
+Every quotient rescaled is odd, so only even powers of v occur: the
+rescaling is arithmetic in F_p on s = v^2 = -a alone.
 
 For p = 2 mod 3 the analogous relation uses alpha^(p^2), which
 frobenius_square_vectors reaches from alpha^p by Frobenius powering;
@@ -187,20 +187,10 @@ def _relation_from_vectors(
 class FrobeniusTrace:
     """Every intermediate of the relation derivation for one prime."""
 
-    p: int
-    l: int
-    k: int
+    relation: FrobeniusRelation  # alpha^p = eps1 (T^2+a)^k alpha_{l+1} + eps2 Q_{k,a}
     a: int
-    eps1: int
-    eps2: int
-    P: Polynomial  # (T^2 + a)^k
-    Q: Polynomial  # integral of (T^2 + a)^(k-1)
-    prefix: ContinuedFraction
-    lambda_prefix: tuple
+    prefix: ContinuedFraction  # a_1 .. a_l, each lambda_j * T
     degree_check: bool
-
-    def relation(self) -> FrobeniusRelation:
-        return FrobeniusRelation(self.l, self.eps1, self.eps2, self.P, self.Q, self.p)
 
 
 def derive_frobenius_relation(p: int) -> FrobeniusTrace:
@@ -220,11 +210,9 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     prefix = expand_root(quartic_state(field), l)
     if len(prefix) < l:
         raise DerivationError("prefix-form", "root expansion terminated early")
-    lambdas = []
     for j, q in enumerate(prefix.quotients, start=1):
         if q.degree != 1 or q.constant_coefficient():
             raise DerivationError("prefix-form", f"quotient a_{j} = {q} is not lambda*T")
-        lambdas.append(q.leading_coefficient())
 
     vp, vp1 = power_vectors(field, p + 1)[p:]
     mat = prefix.matrix(0, l)
@@ -244,88 +232,55 @@ def derive_frobenius_relation(p: int) -> FrobeniusTrace:
     big = lhs.degree()
     degree_check = big is not None and big > yl.degree + rel.P.degree
 
-    return FrobeniusTrace(
-        p, l, k, a, rel.eps1, rel.eps2, rel.P, rel.Q, prefix, tuple(lambdas), degree_check
-    )
+    return FrobeniusTrace(rel, a, prefix, degree_check)
 
 
-@dataclass
-class NormalizedRelation:
-    """The relation rescaled by v = sqrt(-a) into the a = -1 family; v is
-    carried as s = v^2 = -a mod p."""
+def normalize_to_beta(trace: FrobeniusTrace) -> ExpansionSpec:
+    """The relation in beta(T) = v*alpha(v*T) coordinates, v^2 = s = -a, as
+    the spec of beta's perfect expansion.
 
-    p: int
-    l: int
-    k: int
-    a: int
-    s: int
-    eps1: int
-    eps2: int
-    b_prefix: tuple  # polynomials over F_p
-    lambda_prefix: tuple
-
-    def spec(self) -> ExpansionSpec:
-        return ExpansionSpec(
-            GF(self.p), self.l, self.k, self.eps1, self.eps2, self.lambda_prefix
-        )
-
-
-def normalize_to_beta(trace: FrobeniusTrace) -> NormalizedRelation:
-    """Transform alpha's relation to beta(T) = v*alpha(v*T) coordinates.
-
-    b_i(T) = v^((-1)^(i+1)) a_i(v*T) must land in F_p[T] (ValueError
-    otherwise; odd a_i always do), and
-      eps1' = (-a)^(k + (p - (-1)^l)/2) eps1
-      eps2' = (-a)^(k + (p - 1)/2)     eps2.
+    The prefix quotient a_i = lambda_i*T becomes b_i(T) = v^((-1)^(i+1)) a_i(v*T)
+    = lambda_i' T, with lambda_i' = lambda_i*s for odd i and lambda_i for
+    even i (ValueError for a quotient not of the form lambda*T), and
+      eps1' = s^(k + (p - (-1)^l)/2) eps1
+      eps2' = s^(k + (p - 1)/2)     eps2.
     """
-    p = trace.p
-    field = GF(p)
+    rel = trace.relation
+    field = trace.prefix.field
+    p = field.p
+    k = (p - 1) // 3
     s = -trace.a % p
-    sign_l = 1 if trace.l % 2 == 0 else -1
-    e1 = pow(s, trace.k + (p - sign_l) // 2, p) * trace.eps1 % p
-    e2 = pow(s, trace.k + (p - 1) // 2, p) * trace.eps2 % p
-    b_prefix = [
-        _rescale(field, q, s, 1 if i % 2 == 1 else -1, 1)
-        for i, q in enumerate(trace.prefix.quotients, start=1)
-    ]
-    lambdas = tuple(b.leading_coefficient() for b in b_prefix)
-    return NormalizedRelation(
-        p, trace.l, trace.k, trace.a, s, e1, e2, tuple(b_prefix), lambdas
-    )
+    lambdas = []
+    for i, q in enumerate(trace.prefix.quotients, start=1):
+        if q.degree != 1 or q.constant_coefficient():
+            raise ValueError(f"prefix quotient a_{i} = {q} is not lambda*T")
+        lambdas.append(q.leading_coefficient() * (s if i % 2 else 1) % p)
+    sign_l = 1 if rel.l % 2 == 0 else -1
+    e1 = pow(s, k + (p - sign_l) // 2, p) * rel.eps1 % p
+    e2 = pow(s, k + (p - 1) // 2, p) * rel.eps2 % p
+    return ExpansionSpec(field, rel.l, k, e1, e2, tuple(lambdas))
 
 
 def beta_quotient_to_alpha(field: PrimeField, b: Polynomial, n: int, s: int) -> Polynomial:
-    """Map the n-th beta quotient back: a_n(T) = v^((-1)^n) * b_n(T/v),
-    where v^2 = s."""
-    return _rescale(field, b, s, 1 if n % 2 == 0 else -1, -1)
+    """Map the n-th beta quotient back: a_n(T) = v^((-1)^n) * b_n(T/v), where
+    v^2 = s, computed in F_p.
 
-
-def _rescale(field: PrimeField, f: Polynomial, s: int, outer: int, inner: int) -> Polynomial:
-    """v^outer * f(v^inner * T) with v^2 = s, computed in F_p: the T^j
-    coefficient c_j becomes c_j * v^m with m = outer + inner*j.
-
-    An even m gives v^m = s^(m/2).  An odd m needs v = field.sqrt(s),
-    computed only then; when s is a non-residue v is not in F_p and a
-    nonzero such coefficient raises ValueError.  For the odd quotients of
-    the quartic every m is even.
+    The T^j coefficient c becomes c * v^m = c * s^(m/2), m = (-1)^n - j.
+    The quartic's quotients are odd, so every such m is even; a nonzero
+    coefficient with odd m raises ValueError, whether or not s is a square.
     """
     p = field.p
     if not s % p:
         raise ValueError("degenerate scaling by v = 0")
-    v = None
+    outer = 1 if n % 2 == 0 else -1
     out = []
-    for j, c in enumerate(f.coeffs):
-        m = outer + inner * j
+    for j, c in enumerate(b.coeffs):
+        m = outer - j
         if c and m % 2:
-            v = field.sqrt(s) if v is None else v
-            if v is None:
-                raise ValueError(
-                    f"coefficient of T^{j} needs an odd power of v = sqrt({s % p}), not in GF({p})"
-                )
-            c = c * pow(v, m, p) % p
-        elif c:
-            c = c * pow(s, m // 2, p) % p
-        out.append(c)
+            raise ValueError(
+                f"coefficient of T^{j} needs an odd power of v, where v^2 = {s % p}"
+            )
+        out.append(c * pow(s, m // 2, p) % p if c else 0)
     return Polynomial(field, out)
 
 
@@ -343,7 +298,6 @@ class Conj1Verdict:
     a: Optional[int] = None
     a_equals_8_27: Optional[bool] = None
     compared_terms: int = 0
-    residual: Optional[float] = None
     spec: Optional[ExpansionSpec] = None  # the validated spec, on a pass
 
     def to_json_dict(self) -> dict:
@@ -379,20 +333,21 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
     except DerivationError as exc:
         return Conj1Verdict(p, False, stage=exc.stage, detail=str(exc))
 
-    norm = normalize_to_beta(trace)
+    rel = trace.relation
     found = dict(
-        eps1=trace.eps1, eps2=trace.eps2, a=trace.a,
+        eps1=rel.eps1, eps2=rel.eps2, a=trace.a,
         a_equals_8_27=trace.a == field.embed_rational(8, 27),
     )
-    spec = norm.spec()
+    spec = normalize_to_beta(trace)
     try:
         gen = generate_perfect_expansion(spec, n)
     except (DeltaUndefinedError, DeltaMismatchError) as exc:
         return Conj1Verdict(p, False, stage="perfect-conditions", detail=str(exc), **found)
     direct = expand_root(quartic_state(field), n)
     compared = min(len(direct), n)
+    s = -trace.a % p
     mapped = [
-        beta_quotient_to_alpha(field, gen.cf[j], j + 1, norm.s) for j in range(compared)
+        beta_quotient_to_alpha(field, gen.cf[j], j + 1, s) for j in range(compared)
     ]
     if mapped != list(direct.quotients[:compared]):
         first_bad = next(
@@ -421,7 +376,6 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
         stage="" if ok else "residual",
         detail="" if ok else f"series residual at T^{residual}",
         compared_terms=compared,
-        residual=residual,
         spec=spec if ok else None,
         **found,
     )

@@ -71,18 +71,20 @@ def test_criterion_2_derivation_pipeline():
     t0 = time.time()
     F7, F13 = GF(7), GF(13)
     tr7 = derive_frobenius_relation(7)
+    rel7 = tr7.relation
     eq8 = (
-        (tr7.eps1, tr7.eps2, tr7.a) == (3, 5, 6)
-        and tr7.P == poly(F7, -1, 0, 1) ** 2
-        and tr7.Q == poly(F7, 0, 6, 0, 5)
-        and tr7.l == 3
+        (rel7.eps1, rel7.eps2, tr7.a) == (3, 5, 6)
+        and rel7.P == poly(F7, -1, 0, 1) ** 2
+        and rel7.Q == poly(F7, 0, 6, 0, 5)
+        and rel7.l == 3
     )
     tr13 = derive_frobenius_relation(13)
+    rel13 = tr13.relation
     eq9 = (
-        (tr13.eps1, tr13.eps2, tr13.a) == (1, 4, 8)
-        and tr13.P == poly(F13, 8, 0, 1) ** 4
-        and tr13.Q == poly(F13, 0, 5, 0, 12, 0, 10, 0, 2)
-        and tr13.l == 6
+        (rel13.eps1, rel13.eps2, tr13.a) == (1, 4, 8)
+        and rel13.P == poly(F13, 8, 0, 1) ** 4
+        and rel13.Q == poly(F13, 0, 5, 0, 12, 0, 10, 0, 2)
+        and rel13.l == 6
     )
     ok = eq8 and eq9
     assert report(2, ok, "alpha^7 and alpha^13 relations with triples (3,5,6), (1,4,8)", t0, 5.0)
@@ -90,11 +92,10 @@ def test_criterion_2_derivation_pipeline():
 
 def test_criterion_3_normalization():
     t0 = time.time()
-    nr = normalize_to_beta(derive_frobenius_relation(13))  # landing assert inside
-    ok = (
-        (nr.eps1, nr.eps2) == (12, 9)
-        and [b.format() for b in nr.b_prefix] == ["5*T", "12*T", "9*T", "11*T", "T", "5*T"]
-    )
+    spec = normalize_to_beta(derive_frobenius_relation(13))
+    ok = (spec.eps1, spec.eps2) == (12, 9) and [
+        Polynomial.monomial(spec.field, lam, 1).format() for lam in spec.lambdas
+    ] == ["5*T", "12*T", "9*T", "11*T", "T", "5*T"]
     assert report(3, ok, "beta^13 = 12*P_4*beta_7 + 9*Q_4 and the beta prefix", t0, 5.0)
 
 
@@ -155,7 +156,7 @@ def test_criterion_7_index_formula():
     t0 = time.time()
     ok = True
     for p in (7, 13):
-        spec = normalize_to_beta(derive_frobenius_relation(p)).spec()
+        spec = normalize_to_beta(derive_frobenius_relation(p))
         indices = generate_perfect_expansion(spec, 10_000).cf.indices
         ok = ok and len(indices) == 10_000
         ok = ok and all(i == quartic_index(p, n) for n, i in enumerate(indices, start=1))
@@ -166,13 +167,13 @@ def test_criterion_8_exponent():
     t0 = time.time()
     closed_ok = True
     for p in (7, 13):
-        nr = normalize_to_beta(derive_frobenius_relation(p))
-        cf = generate_perfect_expansion(nr.spec(), 30).cf
+        spec = normalize_to_beta(derive_frobenius_relation(p))
+        cf = generate_perfect_expansion(spec, 30).cf
         rep = approximation_exponent(cf, 29)
         closed_ok = closed_ok and rep.nu_closed == Fraction(8, 3)
 
-    nr7 = normalize_to_beta(derive_frobenius_relation(7))
-    cf500 = generate_perfect_expansion(nr7.spec(), 501).cf
+    spec7 = normalize_to_beta(derive_frobenius_relation(7))
+    cf500 = generate_perfect_expansion(spec7, 501).cf
     rep = approximation_exponent(cf500, 500)
 
     # nu0 = 2/3 is a limsup approached from above: r_1 = 1 (deg a_1 = deg a_2

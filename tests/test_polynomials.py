@@ -1,6 +1,6 @@
+import dataclasses
 import json
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF
 from hqcf.polynomials import Polynomial, formal_integral
-from hqcf.quartic import beta_quotient_to_alpha, normalize_to_beta
+from hqcf.quartic import beta_quotient_to_alpha, derive_frobenius_relation, normalize_to_beta
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -202,9 +202,10 @@ def ext_pow(v, m, d, p):
 
 
 class TestScaling:
-    """The two quartic rescalings by v = sqrt(-a), computed in F_p:
-    b_i(T) = v^((-1)^(i+1)) a_i(v*T) (normalize_to_beta) and
-    a_n(T) = v^((-1)^n) b_n(T/v) (beta_quotient_to_alpha)."""
+    """The two quartic rescalings by v = sqrt(-a), computed in F_p on
+    s = v^2 alone: b_i(T) = v^((-1)^(i+1)) a_i(v*T) (normalize_to_beta, on a
+    prefix of quotients lambda*T) and a_n(T) = v^((-1)^n) b_n(T/v)
+    (beta_quotient_to_alpha)."""
 
     def setup_method(self):
         self.F = F13
@@ -212,41 +213,60 @@ class TestScaling:
         self.u = 4  # s = u^2, a residue: u = 2
 
     def normalize(self, neg_a, quotients):
-        # normalize_to_beta reads only these fields of a derivation trace
-        trace = SimpleNamespace(
-            p=13, a=-neg_a % 13, l=len(quotients), k=4, eps1=1, eps2=1,
+        # the p = 13 derivation trace with its a and prefix replaced
+        tr = derive_frobenius_relation(13)
+        return normalize_to_beta(dataclasses.replace(
+            tr,
+            relation=tr.relation._replace(l=len(quotients)),
+            a=-neg_a % 13,
             prefix=ContinuedFraction(self.F, quotients),
-        )
-        return normalize_to_beta(trace)
+        ))
 
     def test_scale_x_by_v(self):
         T = Polynomial.x(self.F)
         # forward: T -> v * (v*T) = 5T for odd i, v^-1 * (v*T) = T for even i
-        assert self.normalize(5, [T, T]).b_prefix == (T.scaled(5), T)
+        assert self.normalize(5, [T, T]).lambdas == (5, 1)
         # back: T -> v^-1 * (T/v) = T/5 for odd n, v * (T/v) = T for even n
         assert beta_quotient_to_alpha(self.F, T, 1, self.v) == T.scaled(self.F.inv(5))
         assert beta_quotient_to_alpha(self.F, T, 2, self.v) == T
 
-    def test_scale_even_poly_lands_in_base(self):
-        # with v in F_p even polynomials stay in F_p too: 2*((T/2)^2 + 8) = 7T^2 + 3
-        f = poly(self.F, 8, 0, 1)
-        assert beta_quotient_to_alpha(self.F, f, 2, self.u) == poly(self.F, 3, 0, 7)
+    @pytest.mark.parametrize("p, s", [(7, 1), (13, 4)])
+    def test_odd_power_of_a_square_rejected(self, p, s):
+        # s is a square in F_p (v = 1 and v = 2), yet an even polynomial needs
+        # an odd power of v, which s alone does not fix: v and -v disagree there
+        F = GF(p)
+        assert pow(s, (p - 1) // 2, p) == 1
+        for b in (poly(F, 8, 0, 1), poly(F, 0, 0, 1)):
+            for n in (1, 2):
+                with pytest.raises(ValueError, match="odd power of v"):
+                    beta_quotient_to_alpha(F, b, n, s)
 
     def test_scale_constant(self):
+        # c -> v^(+-1) c is an odd power of v for every n, with s a square
+        # (u = 2) or not
         c = poly(self.F, 11)
-        assert beta_quotient_to_alpha(self.F, c, 2, self.u) == poly(self.F, 22)
-        assert beta_quotient_to_alpha(self.F, c, 1, self.u) == poly(self.F, 11 * 7)
+        for s in (self.u, self.v):
+            for n in (1, 2):
+                with pytest.raises(ValueError, match="coefficient of T\\^0 needs an odd power"):
+                    beta_quotient_to_alpha(self.F, c, n, s)
 
     def test_scale_involution(self):
-        rng = random.Random(5)
-        for neg_a in (5, 4):  # -a a non-residue, then a residue mod 13
-            qs = [random_odd_poly(self.F, rng, 9) for _ in range(25)]
-            nr = self.normalize(neg_a, qs)
+        # the prefix of the derived relation maps to beta and back, at the
+        # primes past test_quartic's p = 7 and 13; s = -a = -8/27 is a square
+        # mod 31 and not mod 19, 37 and 43 (Euler's criterion)
+        squares = set()
+        for p in (19, 31, 37, 43):
+            F = GF(p)
+            tr = derive_frobenius_relation(p)
+            s = -tr.a % p
+            squares.add(pow(s, (p - 1) // 2, p) == 1)
+            spec = normalize_to_beta(tr)
             back = [
-                beta_quotient_to_alpha(self.F, b, n, nr.s)
-                for n, b in enumerate(nr.b_prefix, start=1)
+                beta_quotient_to_alpha(F, Polynomial.monomial(F, lam, 1), n, s)
+                for n, lam in enumerate(spec.lambdas, start=1)
             ]
-            assert back == qs
+            assert back == list(tr.prefix.quotients)
+        assert squares == {True, False}
 
     def test_matches_extension_arithmetic(self):
         # the F_p route agrees coefficientwise with v^m computed in F_13[w]
@@ -271,10 +291,8 @@ class TestScaling:
 
     def test_downcast_failure_is_loud(self):
         # an even polynomial needs odd powers of v = sqrt(5), which leave F_p
-        with pytest.raises(ValueError, match="not in GF"):
+        with pytest.raises(ValueError, match="odd power of v"):
             beta_quotient_to_alpha(self.F, poly(self.F, 8, 0, 1), 2, self.v)
-        with pytest.raises(ValueError, match="not in GF"):
-            self.normalize(5, [poly(self.F, 8, 0, 1)])
 
 
 class TestParity:

@@ -119,25 +119,26 @@ class TestPowerReduce:
 class TestDerivation:
     def test_p7_relation(self):
         tr = derive_frobenius_relation(7)
-        assert (tr.eps1, tr.eps2, tr.a) == (3, 5, 6)
-        assert (tr.l, tr.k) == (3, 2)
-        assert tr.P == poly(F7, 6, 0, 1) ** 2  # (T^2 - 1)^2
-        assert tr.Q == poly(F7, 0, 6, 0, 5)  # 5T^3 + 6T
+        rel = tr.relation
+        assert (rel.eps1, rel.eps2, tr.a) == (3, 5, 6)
+        assert (rel.l, rel.r) == (3, 7)
+        assert rel.P == poly(F7, 6, 0, 1) ** 2  # (T^2 - 1)^2, k = 2
+        assert rel.Q == poly(F7, 0, 6, 0, 5)  # 5T^3 + 6T
         assert [q.format() for q in tr.prefix] == ["2*T", "6*T", "6*T"]
-        assert tr.lambda_prefix == (2, 6, 6)
         assert tr.degree_check
 
     def test_p13_relation(self):
         tr = derive_frobenius_relation(13)
-        assert (tr.eps1, tr.eps2, tr.a) == (1, 4, 8)
-        assert (tr.l, tr.k) == (6, 4)
-        assert tr.P == poly(F13, 8, 0, 1) ** 4
-        assert tr.Q == poly(F13, 0, 5, 0, 12, 0, 10, 0, 2)  # 2T^7+10T^5+12T^3+5T
-        assert tr.lambda_prefix == (1, 12, 7, 11, 8, 5)
+        rel = tr.relation
+        assert (rel.eps1, rel.eps2, tr.a) == (1, 4, 8)
+        assert (rel.l, rel.r) == (6, 13)
+        assert rel.P == poly(F13, 8, 0, 1) ** 4  # k = 4
+        assert rel.Q == poly(F13, 0, 5, 0, 12, 0, 10, 0, 2)  # 2T^7+10T^5+12T^3+5T
+        assert [q.format() for q in tr.prefix] == ["T", "12*T", "7*T", "11*T", "8*T", "5*T"]
 
     def test_reduced_pair_is_the_convergent(self):
         tr = derive_frobenius_relation(7)
-        xl, _, yl, _ = tr.prefix.matrix(0, tr.l)
+        xl, _, yl, _ = tr.prefix.matrix(0, tr.relation.l)
         assert xl == poly(F7, 0, 1, 0, 2) and yl == poly(F7, 1, 0, 1)
         # (a_(p+1), a_p) = delta * (x_l, y_l), delta a polynomial
         vp, vp1 = power_vectors(F7, 8)[7:]
@@ -183,47 +184,59 @@ class TestDerivation:
         for p in (7, 13):
             tr = derive_frobenius_relation(p)
             cf = expand_root(quartic_state(GF(p)), 150)
-            assert relation_residual(cf, tr.relation(), 100) == float("-inf")
+            assert relation_residual(cf, tr.relation, 100) == float("-inf")
 
     def test_relation_exponent_must_be_a_power_of_p(self):
         tr = derive_frobenius_relation(7)
         cf = expand_root(quartic_state(F7), 120)
         with pytest.raises(ValueError, match="not a power of p"):
-            relation_residual(cf, tr.relation()._replace(r=14), 60)
+            relation_residual(cf, tr.relation._replace(r=14), 60)
 
     def test_eq7_sign_discipline_negative_control(self):
         tr = derive_frobenius_relation(7)
         cf = expand_root(quartic_state(F7), 120)
-        flipped = tr.relation()._replace(eps1=-tr.eps1 % 7)
+        flipped = tr.relation._replace(eps1=-tr.relation.eps1 % 7)
         assert relation_residual(cf, flipped, 60) != float("-inf")
 
 
 class TestNormalization:
     def test_p13_published_transform(self):
-        nr = normalize_to_beta(derive_frobenius_relation(13))
-        assert (nr.eps1, nr.eps2) == (12, 9)
-        assert [b.format() for b in nr.b_prefix] == [
-            "5*T", "12*T", "9*T", "11*T", "T", "5*T",
-        ]
-        # -a = 5 is a non-residue mod 13: v^2 = s = 5 and v lies outside F_13
-        assert nr.s == 5 and F13.sqrt(nr.s) is None
+        tr = derive_frobenius_relation(13)
+        spec = normalize_to_beta(tr)
+        assert (spec.field, spec.l, spec.k) == (F13, 6, 4)
+        assert (spec.eps1, spec.eps2) == (12, 9)
+        # the beta prefix 5T, 12T, 9T, 11T, T, 5T
+        assert spec.lambdas == (5, 12, 9, 11, 1, 5)
+        # -a = 5 is a non-residue mod 13 (Euler's criterion): v^2 = s = 5
+        # and v lies outside F_13
+        assert -tr.a % 13 == 5 and pow(5, 6, 13) == 12
 
     def test_p7_identity_transform(self):
-        nr = normalize_to_beta(derive_frobenius_relation(7))
-        assert nr.s == 1 and F7.sqrt(nr.s) == 1  # v = 1
-        assert (nr.eps1, nr.eps2) == (3, 5)
-        assert [b.format() for b in nr.b_prefix] == ["2*T", "6*T", "6*T"]
+        tr = derive_frobenius_relation(7)
+        spec = normalize_to_beta(tr)
+        assert -tr.a % 7 == 1  # s = 1: v = 1 or -1, and either fixes 2T, 6T, 6T
+        assert (spec.eps1, spec.eps2) == (3, 5)
+        assert spec.lambdas == (2, 6, 6)
 
     def test_roundtrip_beta_to_alpha(self):
         for p in (7, 13):
             tr = derive_frobenius_relation(p)
-            nr = normalize_to_beta(tr)
+            spec = normalize_to_beta(tr)
             F = GF(p)
             back = [
-                beta_quotient_to_alpha(F, b, n, nr.s)
-                for n, b in enumerate(nr.b_prefix, start=1)
+                beta_quotient_to_alpha(F, Polynomial.monomial(F, lam, 1), n, -tr.a % p)
+                for n, lam in enumerate(spec.lambdas, start=1)
             ]
             assert back == list(tr.prefix.quotients)
+
+    def test_prefix_quotient_must_be_lambda_t(self):
+        tr = derive_frobenius_relation(7)
+        for bad in (poly(F7, 1, 2), poly(F7, 0, 0, 0, 2), poly(F7, 3)):
+            qs = list(tr.prefix.quotients)
+            qs[1] = bad
+            broken = dataclasses.replace(tr, prefix=ContinuedFraction(F7, qs))
+            with pytest.raises(ValueError, match="a_2 = .* is not lambda\\*T"):
+                normalize_to_beta(broken)
 
 
 class TestConjecture1:
@@ -243,8 +256,8 @@ class TestConjecture1:
         real = quartic.normalize_to_beta
 
         def off_by_one(trace):
-            norm = real(trace)
-            return dataclasses.replace(norm, eps1=(norm.eps1 + 1) % trace.p)
+            spec = real(trace)
+            return dataclasses.replace(spec, eps1=(spec.eps1 + 1) % spec.field.p)
 
         monkeypatch.setattr(quartic, "normalize_to_beta", off_by_one)
         v = verify_conjecture1(7, 60)
@@ -333,9 +346,8 @@ def reference_exponent(cf, window):
 
 class TestApproximationExponent:
     def gen_cf(self, p, n):
-        tr = derive_frobenius_relation(p)
-        nr = normalize_to_beta(tr)
-        return generate_perfect_expansion(nr.spec(), n).cf
+        spec = normalize_to_beta(derive_frobenius_relation(p))
+        return generate_perfect_expansion(spec, n).cf
 
     def test_closed_form_p7_p13(self):
         for p in (7, 13):
