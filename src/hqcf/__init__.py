@@ -20,7 +20,6 @@ from .perfect import (
     family_constants,
     pq_polynomials,
     power_p_family,
-    quartic_index,
     relation_residual,
     generate_perfect_expansion,
     verify_prop1,
@@ -34,23 +33,24 @@ from .quartic import (
     ExponentReport,
     FrobeniusTrace,
     PowerVec,
+    alpha_series,
     approximation_exponent,
     beta_quotient_to_alpha,
     derive_frobenius_relation,
     normalize_to_beta,
     power_vectors,
+    quartic_index,
+    quartic_state,
+    series_root_quartic,
     verify_conjecture1,
     verify_conjecture2,
 )
 from .rootcf import (
     DominanceBroken,
     RootState,
-    alpha_series,
     cf_from_series,
     dominance_holds,
     expand_root,
-    quartic_state,
-    series_root_quartic,
     step,
 )
 

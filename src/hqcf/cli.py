@@ -20,17 +20,17 @@ from operator import itemgetter
 
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
-from .perfect import (
-    ExpansionSpec,
-    a_sequence,
-    generate_perfect_expansion,
-    pq_polynomials,
-    verify_prop1,
-    verify_prop2,
-)
+from .perfect import ExpansionSpec, a_sequence, generate_perfect_expansion, verify_prop1, verify_prop2
 from .polynomials import Polynomial
-from .quartic import approximation_exponent, verify_conjecture1, verify_conjecture2
-from .rootcf import RootState, expand_root, quartic_state
+from .quartic import (
+    approximation_exponent,
+    quartic_expansion,
+    quartic_state,
+    relation_k,
+    verify_conjecture1,
+    verify_conjecture2,
+)
+from .rootcf import RootState, expand_root
 
 
 # -- polynomial parsing --------------------------------------------------------
@@ -274,12 +274,11 @@ def cmd_expand(args, out) -> int:
     if args.quartic:
         if args.k is not None:
             raise ValueError("--k applies to --poly, not to --quartic")
-        state = quartic_state(field)
-        k = (args.p - 1) // 3 if args.p % 3 == 1 else None
+        state, k = quartic_state(field), relation_k(args.p)
     elif args.poly:
         state, k = RootState(parse_polynomial(args.poly, field)), args.k
         if k is not None:
-            pq_polynomials(field, k)  # rejects k outside 1 <= k < p/2 before any work
+            a_sequence(field, k, 0)  # rejects k outside 1 <= k < p/2 before any work
     else:
         raise ValueError("expand needs --quartic or --poly")
     _print_expansion(expand_root(state, args.n), args.json, k, out)
@@ -377,22 +376,8 @@ def cmd_verify_conj2(args, out) -> int:
 
 
 def cmd_exponent(args, out) -> int:
-    field = GF(args.p)
     window = args.n - 1 if args.window is None else args.window
-    if args.p % 3 == 1:
-        # perfect pattern route: confirm the relation, then generate.
-        # The residual check to T^-100 needs p + 14 to p + 33 quotients for
-        # every p = 1 mod 3 below 200 (measured); max(50, 2p) covers them.
-        verdict = verify_conjecture1(args.p, max(50, 2 * args.p))
-        if not verdict.passed:
-            raise ValueError(
-                f"perfect pattern not confirmed for p={args.p}: {verdict.detail}"
-            )
-        cf = generate_perfect_expansion(verdict.spec, args.n).cf
-        source = "perfect-expansion generator (degrees match the direct expansion)"
-    else:
-        cf = expand_root(quartic_state(field), args.n)
-        source = "direct root expansion"
+    cf, source = quartic_expansion(args.p, args.n)
     report = approximation_exponent(cf, window)
     if args.json:
         payload = {

@@ -147,15 +147,18 @@ def a_sequence(
     A_{i,k}^p = A_{i+1,k} P_k - 2k theta_k^(i+1) Q_k of Prop. 1; it is
     checked at every level built, and a mismatch raises ArithmeticError.
     seq, a list A_{0,k} .. A_{j,k} from an earlier call, is extended in
-    place and returned.  A count past MAX_A_DEGREE is a ValueError, raised
-    before any level is built.
+    place and returned.  A k outside 1 <= k < p/2 or a count past
+    MAX_A_DEGREE is a ValueError, raised before any work; Q_k and theta_k
+    are built only when a level is.
     """
     p = field.p
+    _check_k(p, k)
     _check_a_index(p, k, count)
-    _, Q = pq_polynomials(field, k)
-    theta, _ = family_constants(field, k)
     if seq is None:
         seq = [Polynomial.x(field)]
+    if len(seq) <= count:
+        _, Q = pq_polynomials(field, k)
+        theta, _ = family_constants(field, k)
     while len(seq) <= count:
         i = len(seq) - 1
         quo, rem = _frobenius_divmod_pk(seq[i], k)
@@ -197,25 +200,6 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
     while rems:
         rem = rem * step + rems.pop()
     return Polynomial._make(field, c.tolist()), rem
-
-
-# -- index sequences ------------------------------------------------------------
-
-
-def quartic_index(p: int, n: int) -> int:
-    """i(n) for the quartic's expansion at p = 1 mod 3: the exact power of
-    (2p+1)/3 dividing (p-1)(4n-1)/6."""
-    if p % 3 != 1:
-        raise ValueError(f"index formula needs p = 1 mod 3, got p = {p}")
-    if n < 1:
-        raise ValueError("index is defined for n >= 1")
-    m = (2 * p + 1) // 3
-    val = (p - 1) * (4 * n - 1) // 6
-    count = 0
-    while val % m == 0:
-        val //= m
-        count += 1
-    return count
 
 
 # -- the generator -------------------------------------------------------------

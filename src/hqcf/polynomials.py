@@ -30,7 +30,8 @@ sentinel below every real degree, not |0| = 0: callers that must treat
 zero apart test is_zero().
 """
 
-from itertools import islice, zip_longest
+from itertools import islice, takewhile, zip_longest
+from operator import not_
 from typing import Iterable
 
 import numpy as np
@@ -65,27 +66,25 @@ def _shift_scale_add(c: int, e: int, x: tuple, xp: tuple, p: int) -> tuple:
     return tuple(out)
 
 
+def _strip(cs: list) -> tuple:
+    """cs without its trailing zeros, as a tuple: the run of zeros is found
+    in one scan of the reversed list (no Python loop) and cut in one del."""
+    if cs and not cs[-1]:
+        del cs[len(cs) - len(list(takewhile(not_, reversed(cs)))):]
+    return tuple(cs)
+
+
 class Polynomial:
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field: PrimeField, coeffs: Iterable = (), *, _trusted=False):
-        if _trusted:
-            self.field = field
-            self.coeffs = coeffs
-            return
-        p = field.p
-        cs = [c % p for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
         self.field = field
-        self.coeffs = tuple(cs)
+        self.coeffs = coeffs if _trusted else _strip([c % field.p for c in coeffs])
 
     @classmethod
     def _make(cls, field, cs: list) -> "Polynomial":
         # internal: cs already reduced mod p, only needs trailing-zero strip
-        while cs and not cs[-1]:
-            cs.pop()
-        return cls(field, tuple(cs), _trusted=True)
+        return cls(field, _strip(cs), _trusted=True)
 
     # -- constructors ----------------------------------------------------------
 
@@ -224,8 +223,9 @@ class Polynomial:
         while e:
             if e & 1:
                 out = out * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return out
 
     def pow_frobenius(self) -> "Polynomial":

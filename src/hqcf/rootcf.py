@@ -17,10 +17,9 @@ and for RootState.coeffs when it is read.  A step reads the quotient off
 the top coefficients of a_{n-1} and a_n, and the Taylor shift
 P(X) -> P(X + q) is a triangle of convolutions on the arrays.
 
-An independent slow oracle is provided for cross-checking: expand the root
-as a power series in 1/T by coefficient recursion, truncate to a rational
-function, and take the certified prefix of its Euclidean continued
-fraction.
+An independent slow oracle is provided for cross-checking: cf_from_series
+takes the certified prefix of the Euclidean continued fraction of a root's
+truncated power series in 1/T (the quartic's series is in hqcf.quartic).
 """
 
 from typing import Optional, Sequence
@@ -29,7 +28,7 @@ import numpy as np
 
 from .cf import ContinuedFraction, rational_to_cf
 from .fields import PrimeField
-from .laurent import Laurent, divide
+from .laurent import Laurent
 from .polynomials import Polynomial, _fits_int64
 
 
@@ -175,65 +174,6 @@ def expand_root(state: RootState, n: int) -> ContinuedFraction:
         q, cur = step(cur)
         quotients.append(q)
     return ContinuedFraction(state.field, quotients)
-
-
-# -- the quartic x^4 + x^2 - T*x - 1/12 ------------------------------------------
-
-
-def quartic_state(field: PrimeField) -> RootState:
-    """State for -X^4/12 - T*X^3 + X^2 + 1, the inverse-root form of the
-    quartic x^4 + x^2 - T*x - 1/12; its unique large root is alpha = 1/u."""
-    if field.p < 5:
-        raise ValueError("the quartic needs p >= 5")
-    u = field.embed_rational(-1, 12)
-    T = Polynomial.x(field)
-    return RootState(
-        (
-            Polynomial.one(field),       # 1
-            Polynomial.zero(field),      # 0*X
-            Polynomial.one(field),       # X^2
-            -T,                          # -T*X^3
-            Polynomial.constant(field, u),  # (-1/12)*X^4
-        )
-    )
-
-
-def series_root_quartic(field: PrimeField, terms: int) -> Laurent:
-    """Power series of the small root u = -1/(12T) + ... of the quartic.
-
-    Coefficients follow from u = (u^4 + u^2 - 1/12)/T: with u = sum c_k T^-k,
-    c_1 = -1/12 and c_{m+1} = [T^-m](u^2 + u^4) for m >= 1.  Only odd
-    indices are ever nonzero (the root is an odd function of T).
-    """
-    if field.p < 5:
-        raise ValueError("the quartic needs p >= 5")
-    if terms < 1:
-        raise ValueError("need at least one series term")
-    p = field.p
-    c = [0] * (terms + 1)  # c[k] is the coefficient of T^-k
-    c[1] = field.embed_rational(-1, 12)
-    u2 = [0] * (terms + 1)  # u2[m] = [T^-m] u^2
-    u4 = [0] * (terms + 1)
-    for m in range(1, terms):
-        s2 = 0
-        for i in range(1, m):
-            s2 += c[i] * c[m - i]
-        u2[m] = s2 % p
-        s4 = 0
-        for r in range(2, m - 1):
-            s4 += u2[r] * u2[m - r]
-        u4[m] = s4 % p
-        c[m + 1] = (u2[m] + u4[m]) % p
-    # ascending from T^-terms up to T^-1
-    return Laurent(Polynomial(field, c[:0:-1]), -terms, -terms - 1)
-
-
-def alpha_series(field: PrimeField, floor: int) -> Laurent:
-    """Series of alpha = 1/u down to the floor."""
-    terms = max(2, 1 - (floor - 2) - 1)  # u needs floor - 2 per division error bound
-    u = series_root_quartic(field, terms)
-    one = Laurent.from_polynomial(Polynomial.one(field))
-    return divide(one, u).truncate(floor)
 
 
 def cf_from_series(s: Laurent) -> ContinuedFraction:

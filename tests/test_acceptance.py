@@ -16,7 +16,6 @@ from hqcf.cli import main
 from hqcf.fields import GF, is_prime
 from hqcf.perfect import (
     ExpansionSpec,
-    quartic_index,
     relation_residual,
     generate_perfect_expansion,
     verify_prop1,
@@ -28,10 +27,12 @@ from hqcf.quartic import (
     beta_quotient_to_alpha,
     derive_frobenius_relation,
     normalize_to_beta,
+    quartic_index,
+    quartic_state,
     verify_conjecture1,
     verify_conjecture2,
 )
-from hqcf.rootcf import expand_root, quartic_state
+from hqcf.rootcf import expand_root
 
 
 def report(n, ok, detail, t0, limit):

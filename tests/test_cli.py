@@ -168,6 +168,13 @@ class TestExpandCommand:
         assert code == 2 and out == ""
         assert "need 1 <= k < p/2" in capsys.readouterr().err
 
+    def test_annotation_k_check_is_bounded(self):
+        # the largest k at p = 100003: its check builds neither P_k nor Q_k
+        start = time.perf_counter()
+        code, out = run(["expand", "--poly", "X^2 - T*X + 1", "--p", "100003", "--n", "3", "--k", "50000"])
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out.splitlines()[0] == "a_1 = T  [= 1*A[0,k]]"
+
     @pytest.mark.parametrize("k", ["9", "2"])
     def test_k_with_quartic_is_usage_error(self, k, capsys):
         # --quartic fixes its own annotation; a --k next to it is not ignored

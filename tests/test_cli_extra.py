@@ -8,7 +8,8 @@ from hqcf.cli import main
 from hqcf.fields import GF
 from hqcf.laurent import rational_series
 from hqcf.polynomials import Polynomial
-from hqcf.rootcf import expand_root, quartic_state
+from hqcf.quartic import quartic_state
+from hqcf.rootcf import expand_root
 
 
 def run(argv):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from hqcf import perfect
@@ -13,14 +15,14 @@ from hqcf.perfect import (
     pq_polynomials,
     power_p_family,
     prop2_predicted_quotients,
-    quartic_index,
     relation_residual,
     generate_perfect_expansion,
     verify_prop1,
     verify_prop2,
 )
 from hqcf.polynomials import Polynomial
-from hqcf.rootcf import expand_root, quartic_state
+from hqcf.quartic import quartic_index, quartic_state
+from hqcf.rootcf import expand_root
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -82,6 +84,15 @@ class TestASequence:
             F = GF(p)
             seq = a_sequence(F, (p - 1) // 2, 4)
             assert all(a == Polynomial.x(F) for a in seq)
+
+    def test_k_checked_before_any_work(self):
+        # A_0 = T needs neither Q_k nor theta_k, whose cost grows with k
+        start = time.perf_counter()
+        assert a_sequence(GF(100003), 50000, 0) == [Polynomial.x(GF(100003))]
+        assert time.perf_counter() - start < 1
+        for k in (0, 50002):
+            with pytest.raises(ValueError, match="need 1 <= k < p/2"):
+                a_sequence(GF(100003), k, 0)
 
     def test_p5_k1_first_step(self):
         seq = a_sequence(F5, 1, 1)

@@ -85,6 +85,25 @@ class TestBasics:
                 f = random_poly(F, rng, 6)
                 assert f.pow_frobenius() == f**p
 
+    def test_pow_squares_only_while_bits_remain(self, monkeypatch):
+        # f^8: three squarings and the product 1 * f^8, no fourth squaring
+        f = poly(F13, 5, 0, 1)
+        want = f * f * f * f * f * f * f * f
+        real, calls = Polynomial.__mul__, []
+
+        def counted(a, b):
+            calls.append(b.degree)
+            return real(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        assert f**8 == want
+        assert calls == [2, 4, 8, 16]  # f*f, f^2*f^2, f^4*f^4, then 1*f^8
+        monkeypatch.undo()
+        acc = Polynomial.one(F13)
+        for e in range(12):
+            assert f**e == acc
+            acc = acc * f
+
     def test_format(self):
         assert poly(F13, 0, 8, 0, 9).format() == "9*T^3 + 8*T"
         assert poly(F13, 1).format() == "1"

@@ -19,10 +19,12 @@ from hqcf.quartic import (
     frobenius_square_vectors,
     normalize_to_beta,
     power_vectors,
+    quartic_state,
+    relation_k,
     verify_conjecture1,
     verify_conjecture2,
 )
-from hqcf.rootcf import expand_root, quartic_state
+from hqcf.rootcf import expand_root
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -115,6 +117,16 @@ class TestPowerReduce:
         vecs = power_vectors(F, p * p + 1)
         assert frobenius_square_vectors(F) == (vecs[p * p], vecs[p * p + 1])
 
+    @pytest.mark.parametrize("p", [5, 7, 13])
+    def test_root_state_and_power_basis_write_one_equation(self, p):
+        # the root state's sum c_i(T) alpha^i, in the basis power_vectors
+        # reduces alpha^4 by, is the zero vector
+        F = GF(p)
+        total = [Polynomial.zero(F)] * 4
+        for c, vec in zip(quartic_state(F).coeffs, power_vectors(F, 4)):
+            total = [t + c * w for t, w in zip(total, vec)]
+        assert total == [Polynomial.zero(F)] * 4
+
 
 class TestDerivation:
     def test_p7_relation(self):
@@ -133,6 +145,7 @@ class TestDerivation:
         assert (rel.eps1, rel.eps2, tr.a) == (1, 4, 8)
         assert (rel.l, rel.r) == (6, 13)
         assert rel.P == poly(F13, 8, 0, 1) ** 4  # k = 4
+        assert relation_k(13) == rel.P.degree // 2 == 4
         assert rel.Q == poly(F13, 0, 5, 0, 12, 0, 10, 0, 2)  # 2T^7+10T^5+12T^3+5T
         assert [q.format() for q in tr.prefix] == ["T", "12*T", "7*T", "11*T", "8*T", "5*T"]
 
@@ -178,6 +191,7 @@ class TestDerivation:
     def test_wrong_residue_class_rejected(self):
         with pytest.raises(ValueError):
             derive_frobenius_relation(11)
+        assert relation_k(11) is None
 
     def test_relation_residual_alpha_coordinates(self):
         # Mkaouar expansion satisfies alpha^p = eps1 P_{k,a} alpha_{l+1} + eps2 Q_{k,a}

@@ -12,15 +12,13 @@ from hqcf.cli import main
 from hqcf.fields import GF, PrimeField
 from hqcf.laurent import Laurent, divide
 from hqcf.polynomials import Polynomial, _fits_int64
+from hqcf.quartic import alpha_series, quartic_state, series_root_quartic
 from hqcf.rootcf import (
     DominanceBroken,
     RootState,
-    alpha_series,
     cf_from_series,
     dominance_holds,
     expand_root,
-    quartic_state,
-    series_root_quartic,
     step,
 )
 
