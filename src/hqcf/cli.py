@@ -20,7 +20,8 @@ from operator import itemgetter
 
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
-from .perfect import ExpansionSpec, a_sequence, generate_perfect_expansion, verify_prop1, verify_prop2
+from .perfect import (ExpansionSpec, a_degree, a_sequence, generate_perfect_expansion,
+                      verify_prop1, verify_prop2)
 from .polynomials import Polynomial
 from .quartic import (
     approximation_exponent,
@@ -184,23 +185,26 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
 # -- output helpers --------------------------------------------------------------
 
 
-def _annotation_index(field, k: int | None, max_deg: int, levels: list) -> dict:
+def _annotation_index(field, k: int | None, max_deg: int, tower) -> dict:
     """{A_j: j} for the A[j,k] the annotations may name: A_0, A_1, ...
     while the degree is below max_deg and still rises, at most 40 entries.
-    levels, the tower built so far (at least A_0), is extended one level at
-    a time when it runs short.  The entries are monic and have distinct
-    degrees, so a quotient q is c*A_j exactly when q.monic() == A_j, with
-    c = lc(q): one lookup keyed on the monic quotient."""
+    The degrees come from a_degree, and only A_0 and the levels of degree
+    at most max_deg, the only ones a quotient can match, are built: by one
+    a_sequence call, or taken from tower, a symbolic expansion's
+    A_0 .. A_top.  The entries are monic and have distinct degrees, so a
+    quotient q is c*A_j exactly when q.monic() == A_j, with c = lc(q): one
+    lookup keyed on the monic quotient."""
     if k is None:
         return {}
-    A = levels[:1]
-    while A[-1].degree < max_deg and len(A) < 40:
-        if len(levels) == len(A):
-            a_sequence(field, k, len(A), levels)
-        if levels[len(A)].degree <= A[-1].degree:
+    degrees = [1]
+    while degrees[-1] < max_deg and len(degrees) < 40:
+        d = a_degree(field.p, k, len(degrees))
+        if d <= degrees[-1]:
             break
-        A.append(levels[len(A)])
-    return {a: j for j, a in enumerate(A)}
+        degrees.append(d)
+    top = sum(d <= max_deg for d in degrees[1:])
+    A = a_sequence(field, k, top) if tower is None else tower
+    return {A[j]: j for j in range(top + 1)}
 
 
 def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
@@ -219,11 +223,10 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     named = {}
     if not as_json:
         if A is None:
-            max_deg, levels = max(cf.degrees(), default=1), [Polynomial.x(field)]
+            max_deg = max(cf.degrees(), default=1)
         else:
             max_deg = max((A[i].degree for i in set(cf.indices)), default=1)
-            levels = list(A)
-        named = _annotation_index(field, k, max_deg, levels)
+        named = _annotation_index(field, k, max_deg, A)
     degrees = {a.degree for a in named}  # a quotient is looked up only where it can match
 
     def render(f, c: int, shared, lc: int, j: int | None) -> str:
@@ -358,7 +361,7 @@ def cmd_verify_conj1(args, out) -> int:
 
 
 def cmd_verify_conj2(args, out) -> int:
-    verdict = verify_conjecture2(args.p, args.n, l_override=args.l)
+    verdict = verify_conjecture2(args.p, l_override=args.l)
     if args.json:
         print(json.dumps(verdict.to_json_dict()), file=out)
     else:
@@ -456,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c2 = vsub.add_parser("conj2", help="degree-p^2 relation for p = 2 mod 3")
     c2.add_argument("--p", type=int, required=True)
-    c2.add_argument("--n", type=int, help="expansion length (default l+1)")
     c2.add_argument("--l", type=int, default=None, help="override the tail index (diagnostic)")
     c2.add_argument("--json", action="store_true")
 

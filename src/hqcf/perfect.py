@@ -52,7 +52,7 @@ from .cf import (
 )
 from .fields import PrimeField
 from .laurent import Laurent, rational_series
-from .polynomials import Polynomial, _fits_int64, formal_integral
+from .polynomials import Polynomial, formal_integral
 
 
 class DeltaUndefinedError(ValueError):
@@ -125,38 +125,38 @@ def family_constants(field: PrimeField, k: int) -> FamilyConstants:
 MAX_A_DEGREE = 10**7
 
 
+def a_degree(p: int, k: int, i: int) -> int:
+    """deg A_{i,k} = (p^i (p-1-2k) + 2k)/(p-1), the solution of deg A_{0,k} = 1,
+    deg A_{i+1,k} = p deg A_{i,k} - 2k; every level has degree 1 at 2k = p - 1."""
+    return (p**i * (p - 1 - 2 * k) + 2 * k) // (p - 1)
+
+
 def _check_a_index(p: int, k: int, i: int):
     """Raise ValueError when A_{i,k} is past MAX_A_DEGREE, before any
     polynomial is built.  An index above log2(MAX_A_DEGREE) is refused
     without computing p^i: for 2k < p - 1 its degree is at least
     p^(i-1) > MAX_A_DEGREE, and for 2k = p - 1 (every A_{i,k} of degree 1)
     the tower would still take i steps."""
-    if i > MAX_A_DEGREE.bit_length() or (
-        p**i * (p - 1 - 2 * k) + 2 * k
-    ) // (p - 1) > MAX_A_DEGREE:
+    if i > MAX_A_DEGREE.bit_length() or a_degree(p, k, i) > MAX_A_DEGREE:
         raise ValueError(f"index {i} asks for A_({i},k) past degree {MAX_A_DEGREE}")
 
 
-def a_sequence(
-    field: PrimeField, k: int, count: int, seq: Optional[list] = None
-) -> list:
+def a_sequence(field: PrimeField, k: int, count: int) -> list:
     """A_{0,k} .. A_{count,k} over the normalized family P_k = (T^2 - 1)^k.
 
     A_{i+1,k} is the quotient of the exact division of A_{i,k}^p by P_k.
     Its remainder must be -2k theta_k^(i+1) Q_k, the identity
     A_{i,k}^p = A_{i+1,k} P_k - 2k theta_k^(i+1) Q_k of Prop. 1; it is
     checked at every level built, and a mismatch raises ArithmeticError.
-    seq, a list A_{0,k} .. A_{j,k} from an earlier call, is extended in
-    place and returned.  A k outside 1 <= k < p/2 or a count past
-    MAX_A_DEGREE is a ValueError, raised before any work; Q_k and theta_k
-    are built only when a level is.
+    A k outside 1 <= k < p/2 or a count past MAX_A_DEGREE is a
+    ValueError, raised before any work; Q_k and theta_k are built only
+    when a level is.
     """
     p = field.p
     _check_k(p, k)
     _check_a_index(p, k, count)
-    if seq is None:
-        seq = [Polynomial.x(field)]
-    if len(seq) <= count:
+    seq = [Polynomial.x(field)]
+    if count:
         _, Q = pq_polynomials(field, k)
         theta, _ = family_constants(field, k)
     while len(seq) <= count:
@@ -179,14 +179,14 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
     sums, the quotient is s_2, s_3, ... and the remainder s_0 + s_1 T.
     After k such divisions with remainders r_1 .. r_k the remainder by
     (T^2 - 1)^k is r_1 + (T^2 - 1) r_2 + ... + (T^2 - 1)^(k-1) r_k.  A
-    partial sum of residues stays below (p - 1) deg(a^p), which
-    _fits_int64 bounds; otherwise the same sums run on Python ints.  The
-    top coefficient never changes, so a monic a gives a monic q.
+    partial sum of residues stays below (p - 1)(deg q + 2k + 1) <=
+    (MAX_MODULUS - 1)(MAX_A_DEGREE + MAX_MODULUS) < 2^63, inside int64.
+    The top coefficient never changes, so a monic a gives a monic q.
     """
     field = a.field
     p = field.p
     n = a.degree * p
-    c = np.zeros(n + 1, dtype=np.int64 if _fits_int64(p, n + 1) else object)
+    c = np.zeros(n + 1, dtype=np.int64)
     c[::p] = a.coeffs
     rems = []
     for _ in range(k):

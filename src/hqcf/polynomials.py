@@ -16,10 +16,9 @@ scale in one comprehension, _shift_scale_add; the continuant recurrence
 a*x + x' of hqcf.cf runs its monomial quotients through the same routine
 with x' added in the same pass (_mul_add).  Other products are chosen by
 their size la*lb: schoolbook in Python ints up to _SCHOOLBOOK_CUTOFF, an
-exact int64 numpy convolution above it.  That path and the numpy division
-of large operands are guarded by the bound _fits_int64 (shared with the
-root expansion's Taylor shift in hqcf.rootcf), and fall back to Python-int
-arithmetic when it fails.
+exact int64 numpy convolution above it when the bound _fits_int64 (shared
+with the Taylor shift of hqcf.rootcf) holds.  The numpy division of large
+operands holds one product of residues at a time: int64 for every GF(p).
 f << n is f * T^n, and for n < 0 the polynomial part of it: the
 offset arithmetic of the Laurent series in hqcf.laurent, which run on
 this kernel.
@@ -262,7 +261,7 @@ class Polynomial:
         m = len(g) - 1
         inv_lc = f.inv(g[-1])
         rem = list(self.coeffs)
-        if m >= 128 and len(rem) - m >= 64 and _fits_int64(p, 1):
+        if m >= 128 and len(rem) - m >= 64:
             return self._divmod_np(other, inv_lc)
         q = [0] * (len(rem) - m)
         for i in range(len(rem) - 1, m - 1, -1):

@@ -483,14 +483,15 @@ class Conj2Verdict:
         }
 
 
-def verify_conjecture2(p: int, n: Optional[int] = None, *, l_override: Optional[int] = None) -> Conj2Verdict:
+def verify_conjecture2(p: int, *, l_override: Optional[int] = None) -> Conj2Verdict:
     """Check alpha^(p^2) = eps1 * P_{k',a} * alpha_{l+1} + eps2 * Q_{k,a}^p
     for p = 2 mod 3 with (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3).
 
-    The tail alpha_{l+1} is eliminated through the continuants of the root
-    expansion, and (eps1, a, eps2) are read off the resulting power-basis
-    identity by _relation_from_vectors with r = p^2; a DerivationError is
-    reported as a failing verdict that names its stage.
+    The tail alpha_{l+1} is eliminated through the continuants of the
+    first l quotients of the root expansion, the only ones it reads, and
+    (eps1, a, eps2) are read off the resulting power-basis identity by
+    _relation_from_vectors with r = p^2; a DerivationError is reported as
+    a failing verdict that names its stage.
     """
     field = GF(p)
     if p % 3 != 2:
@@ -501,12 +502,8 @@ def verify_conjecture2(p: int, n: Optional[int] = None, *, l_override: Optional[
     l = l_stated if l_override is None else l_override
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    if n is None:
-        n = l + 1
-    if n < l + 1:
-        raise ValueError(f"insufficient expansion: need at least l+1 = {l + 1} quotients")
 
-    direct = expand_root(quartic_state(field), n)
+    direct = expand_root(quartic_state(field), l)
     if len(direct) < l:
         return Conj2Verdict(p, False, l, k_prime, k, detail="expansion terminated early")
     v0, v1 = frobenius_square_vectors(field)

@@ -10,10 +10,9 @@ P has a unique root u with |u| >= |T| (Mkaouar), its polynomial part is
 analogous root of X^n * P([u] + 1/X), whose coefficients again satisfy (*).
 Iterating yields the partial quotients of u one per step.
 
-A state keeps its coefficients as numpy arrays of residues mod p (int64,
-or Python ints when the _fits_int64 guard fails) from its construction to
-the end of the expansion; a Polynomial is built only for each quotient,
-and for RootState.coeffs when it is read.  A step reads the quotient off
+A state keeps its coefficients as int64 numpy arrays of residues mod p
+from its construction to the end of the expansion; a Polynomial is built
+only for each quotient, and for RootState.coeffs when it is read.  A step reads the quotient off
 the top coefficients of a_{n-1} and a_n, and the Taylor shift
 P(X) -> P(X + q) is a triangle of convolutions on the arrays.
 
@@ -106,14 +105,15 @@ def _taylor_shift(t, q: tuple, p: int) -> list:
     reduction mod p.  A product of two canonical arrays keeps a nonzero
     top (F_p has no zero divisors), so only a sum of two equal-length
     arrays is stripped of trailing zeros.  A convolution sums at most
-    len(q) products, so one _fits_int64 check covers the triangle; when it
-    fails the same triangle runs on arrays of Python ints.
+    len(q) products, so one _fits_int64 check covers the triangle; past it
+    (millions of coefficients at p <= MAX_MODULUS) it is an OverflowError.
     """
     if not q:
         return list(t)
-    dtype = np.int64 if _fits_int64(p, len(q)) else object
-    qa = np.array(q, dtype=dtype)
-    t = [c.astype(dtype, copy=False) for c in t]
+    if not _fits_int64(p, len(q)):
+        raise OverflowError(f"quotient of degree {len(q) - 1} overflows int64 at p = {p}")
+    qa = np.array(q, dtype=np.int64)
+    t = list(t)
     n = len(t) - 1
     for j in range(n):
         for k in range(n - 1, j - 1, -1):

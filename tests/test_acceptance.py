@@ -229,7 +229,7 @@ def test_criterion_10_conjecture2():
     for p in (5, 11):
         verdict = verify_conjecture2(p)
         ok = ok and verdict.passed
-        neg = verify_conjecture2(p, n=verdict.l + 2, l_override=verdict.l + 1)
+        neg = verify_conjecture2(p, l_override=verdict.l + 1)
         ok = ok and not neg.passed
         details.append((p, (verdict.eps1, verdict.eps2, verdict.a), "control-fails" if not neg.passed else "CONTROL-PASSED"))
     assert report(10, ok, f"solutions {details}", t0, 300.0)

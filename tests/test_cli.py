@@ -175,6 +175,15 @@ class TestExpandCommand:
         assert time.perf_counter() - start < 1
         assert code == 0 and out.splitlines()[0] == "a_1 = T  [= 1*A[0,k]]"
 
+    @pytest.mark.parametrize("p, k", [(10007, 5001), (10007, 5002), (10007, 5003), (30011, 15005)])
+    def test_annotation_builds_no_level_past_the_quotients(self, p, k):
+        # deg A_1 = p - 2k is 5, 3, 1 and 1 against quotients of degree 2, so
+        # no level past A_0 is built (A_1 alone took seconds at these k)
+        start = time.perf_counter()
+        code, out = run(["expand", "--poly", "X^2 - T^2*X + 1", "--p", str(p), "--n", "3", "--k", str(k)])
+        assert time.perf_counter() - start < 1
+        assert code == 0 and out == f"a_1 = T^2\na_2 = {p - 1}*T^2\na_3 = T^2\n"
+
     @pytest.mark.parametrize("k", ["9", "2"])
     def test_k_with_quartic_is_usage_error(self, k, capsys):
         # --quartic fixes its own annotation; a --k next to it is not ignored
@@ -246,8 +255,14 @@ class TestVerifyCommands:
         d = json.loads(out)
         assert d["pass"] is True and d["l"] == 12
 
+    def test_conj2_has_no_n(self):
+        # the verdict reads the first l quotients alone; --n is not an option
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", "conj2", "--p", "5", "--n", "14"])
+        assert exc.value.code == 2
+
     def test_conj2_wrong_l_fails_with_exit_1(self):
-        code, out = run(["verify", "conj2", "--p", "5", "--n", "14", "--l", "13"])
+        code, out = run(["verify", "conj2", "--p", "5", "--l", "13"])
         assert code == 1
         assert "FAIL" in out
 
@@ -267,10 +282,6 @@ class TestVerifyCommands:
         code, out = run(["verify", argv[0], "--p", "7", *argv[1:]])
         assert code == 2 and out == ""
         assert "< p/2, got" in capsys.readouterr().err
-
-    def test_conj2_zero_n_is_usage_error(self):
-        code, out = run(["verify", "conj2", "--p", "5", "--n", "0"])
-        assert code == 2 and out == ""
 
     def test_conj1_wrong_residue_is_usage_error(self):
         code, _ = run(["verify", "conj1", "--p", "11", "--n", "20"])

@@ -9,7 +9,8 @@ la*lb), the numpy division (divisor degree >= 128 and quotient length >=
 monkeypatching.  The continuant step a*x + x' (_mul_add), fused for
 monomial quotients, is checked against the plain recurrence over
 galoistools.  The root expansion's two array kernels, the top-coefficient
-quotient and the Taylor shift, are tested the same way.
+quotient and the Taylor shift, are tested the same way; the shift refuses
+where the guard fails.
 
 galoistools stores a polynomial as a list of coefficients in [0, p),
 highest degree first; Polynomial stores them lowest degree first.  Every
@@ -197,23 +198,6 @@ class TestMulDivGcd:
         assert (to_gf(q), to_gf(r)) == gt.gf_div(to_gf(f), to_gf(g), p, ZZ)
         assert f // g == q and f % g == r
 
-    def test_divmod_above_the_int64_guard(self):
-        # at p = 2^61 - 1 (prime, but above the modulus cap, so the field is
-        # built without is_prime) a product of two residues overflows int64,
-        # and a divisor long enough for the numpy division must not take it
-        p = (1 << 61) - 1
-        F = object.__new__(PrimeField)
-        F.p = p
-        assert not polynomials._fits_int64(p, 1)
-        rng = random.Random(61)
-        a = Polynomial(F, [rng.randrange(p) for _ in range(299)] + [rng.randrange(1, p)])
-        b = Polynomial(F, [rng.randrange(p) for _ in range(149)] + [rng.randrange(1, p)])
-        q, r = divmod(a, b)
-        assert_canonical(q, p)
-        assert_canonical(r, p)
-        assert q * b + r == a and r.degree < b.degree
-        assert (to_gf(q), to_gf(r)) == gt.gf_div(to_gf(a), to_gf(b), p, ZZ)
-
     def test_divmod_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             divmod(Polynomial.one(GF(7)), Polynomial.zero(GF(7)))
@@ -349,22 +333,20 @@ class TestTaylorShift:
     def test_matches_horner_over_galoistools(self, case):
         check_taylor_shift(*case)
 
-    @given(shift_case())
-    @settings(max_examples=60, deadline=None)
-    def test_exact_integer_fallback(self, case):
-        p, coeffs, q = case
+    def test_refuses_past_the_int64_guard(self):
+        # the guard is asked about the longest product sum, len(q) terms
         asked = []
 
         def does_not_fit(modulus, terms):
             asked.append((modulus, terms))
             return False
 
+        arrays = [np.array([1], dtype=np.int64), np.array([0, 1], dtype=np.int64)]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rootcf, "_fits_int64", does_not_fit)
-            check_taylor_shift(p, coeffs, q)
-        if any(q):
-            # the guard was consulted with the longest possible product sum
-            assert (p, len(Polynomial(GF(p), q).coeffs)) in asked
+            with pytest.raises(OverflowError, match="overflows int64"):
+                rootcf._taylor_shift(arrays, (0, 0, 5), 13)
+        assert asked == [(13, 3)]
 
     def test_zero_coefficients_and_zero_shift(self):
         F = GF(13)

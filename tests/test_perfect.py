@@ -2,13 +2,15 @@ import time
 
 import pytest
 
-from hqcf import perfect
+from hqcf import cli, perfect
 from hqcf.cf import ContinuedFraction, rational_to_cf
-from hqcf.fields import GF
+from hqcf.fields import GF, MAX_MODULUS
 from hqcf.perfect import (
+    MAX_A_DEGREE,
     DeltaMismatchError,
     DeltaUndefinedError,
     ExpansionSpec,
+    a_degree,
     a_sequence,
     generate_perfect_p11,
     family_constants,
@@ -120,6 +122,43 @@ def reference_tower(field, k, max_degree, max_levels=6):
     return seq
 
 
+def built_annotation_levels(tower, max_deg):
+    """The levels the expand annotations named when they built the tower one
+    level at a time: A_0, A_1, ... while the degree is below max_deg and
+    still rises, at most 40, of which A_0 and those of degree <= max_deg."""
+    A = tower[:1]
+    while A[-1].degree < max_deg and len(A) < 40:
+        if tower[len(A)].degree <= A[-1].degree:
+            break
+        A.append(tower[len(A)])
+    return A[:1] + [a for a in A[1:] if a.degree <= max_deg]
+
+
+class TestAnnotationLevels:
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_closed_form_names_the_built_levels(self, p):
+        # every 1 <= k < p/2, 2k = p - 1 included; max_deg on both sides of
+        # each level's degree.  The tower reaches one level past max_deg.
+        F = GF(p)
+        for k in range(1, (p - 1) // 2 + 1):
+            tower = reference_tower(F, k, 400 * p)
+            cuts = {a.degree + e for a in tower if a.degree <= 400 for e in (-1, 0, 1)}
+            for max_deg in sorted(cuts | {0, 2, 100}):
+                want = built_annotation_levels(tower, max_deg)
+                for given in (None, tower):
+                    named = cli._annotation_index(F, k, max_deg, given)
+                    assert list(named) == want, (p, k, max_deg)
+                    assert list(named.values()) == list(range(len(want))), (p, k, max_deg)
+
+    def test_no_level_built_past_the_quotients(self, monkeypatch):
+        # deg A_1 = 5 at p = 10007, k = 5001: quotients of degree <= 4 need A_0 alone
+        built = []
+        monkeypatch.setattr(cli, "a_sequence", lambda *args: built.append(args) or [Polynomial.x(args[0])])
+        F = GF(10007)
+        assert cli._annotation_index(F, 5001, 4, None) == {Polynomial.x(F): 0}
+        assert built == [(F, 5001, 0)]
+
+
 class TestExactDivisionTower:
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 31])
     def test_matches_generic_division(self, p):
@@ -130,16 +169,16 @@ class TestExactDivisionTower:
             assert len(ref) >= 2, (p, k)
             assert a_sequence(F, k, len(ref) - 1) == ref, (p, k)
 
-    def test_exact_integer_fallback(self, monkeypatch):
-        ref = {(p, k): reference_tower(GF(p), k, 4000) for p, k in ((7, 2), (13, 1), (11, 5))}
-        monkeypatch.setattr(perfect, "_fits_int64", lambda p, terms: False)
-        for (p, k), seq in ref.items():
-            assert a_sequence(GF(p), k, len(seq) - 1) == seq
+    def test_int64_bound(self):
+        # a partial sum of the division stays below (p - 1)(deg(A_i^p) + 1),
+        # and deg(A_i^p) = deg A_(i+1) + 2k
+        assert (MAX_MODULUS - 1) * (MAX_A_DEGREE + MAX_MODULUS) < 2**63
 
-    def test_extends_a_given_prefix(self):
-        seq = a_sequence(F7, 2, 1)
-        assert a_sequence(F7, 2, 3, seq) is seq
-        assert seq == a_sequence(F7, 2, 3)
+    @pytest.mark.parametrize("p", [5, 7, 11, 13])
+    def test_closed_form_degree(self, p):
+        F = GF(p)
+        for k in range(1, (p - 1) // 2 + 1):
+            assert [a.degree for a in a_sequence(F, k, 3)] == [a_degree(p, k, i) for i in range(4)]
 
     def test_corrupted_q_raises(self, monkeypatch):
         real = perfect.pq_polynomials
@@ -538,8 +577,8 @@ class TestCertificateMutations:
     def test_corrupted_tower_fails_power_identity(self, level, monkeypatch):
         real = perfect.a_sequence
 
-        def corrupted(field, k, count, seq=None):
-            A = list(real(field, k, count, seq))
+        def corrupted(field, k, count):
+            A = list(real(field, k, count))
             cs = list(A[level].coeffs)
             cs[len(cs) // 2] += 1
             A[level] = Polynomial(field, cs)

@@ -306,7 +306,7 @@ class TestConjecture2:
     def test_relation_kept_out_of_json(self):
         v = verify_conjecture2(5)
         assert "relation" not in v.to_json_dict()
-        assert verify_conjecture2(5, n=14, l_override=13).relation is None
+        assert verify_conjecture2(5, l_override=13).relation is None
 
     def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
         real = quartic.frobenius_square_vectors
@@ -322,17 +322,21 @@ class TestConjecture2:
             assert v.detail.split(":")[0] in ("W-shape", "Q-shape")
 
     def test_p5_negative_control(self):
-        v = verify_conjecture2(5, n=14, l_override=13)
+        v = verify_conjecture2(5, l_override=13)
         assert not v.passed
         assert v.detail.startswith("convergent:")
 
     def test_p11_negative_control(self):
-        v = verify_conjecture2(11, n=50, l_override=49)
+        v = verify_conjecture2(11, l_override=49)
         assert not v.passed
 
-    def test_insufficient_expansion(self):
-        with pytest.raises(ValueError, match="insufficient"):
-            verify_conjecture2(5, n=5)
+    def test_expands_exactly_l_quotients(self, monkeypatch):
+        real = quartic.expand_root
+        lengths = []
+        monkeypatch.setattr(quartic, "expand_root", lambda state, n: lengths.append(n) or real(state, n))
+        assert verify_conjecture2(5).passed
+        assert not verify_conjecture2(5, l_override=13).passed
+        assert lengths == [12, 13]
 
     def test_wrong_residue_class(self):
         with pytest.raises(ValueError):

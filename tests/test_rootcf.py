@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 import hqcf.rootcf as rootcf
 from hqcf.cf import ContinuedFraction, rational_to_cf
 from hqcf.cli import main
-from hqcf.fields import GF, PrimeField
+from hqcf.fields import GF
 from hqcf.laurent import Laurent, divide
-from hqcf.polynomials import Polynomial, _fits_int64
+from hqcf.polynomials import Polynomial
 from hqcf.quartic import alpha_series, quartic_state, series_root_quartic
 from hqcf.rootcf import (
     DominanceBroken,
@@ -159,17 +159,6 @@ class TestStateArrays:
         monkeypatch.setattr(rootcf, "step", counting_step)
         assert len(expand_root(quartic_state(F7), 45)) == 45
         assert len(calls) == 45
-
-    def test_exact_fallback_at_a_mersenne_prime(self):
-        # 2^61 - 1 is prime, but above the modulus cap that keeps is_prime's
-        # trial division cheap, so the field is built without that check.
-        # Products of its residues overflow int64, so every step runs the
-        # shift on arrays of Python ints.
-        p = (1 << 61) - 1
-        F = object.__new__(PrimeField)
-        F.p = p
-        assert not _fits_int64(p, 2)
-        assert_matches_series_oracle(F, 30)
 
 
 def series_root_of_reversed(field, coeffs, floor):
