@@ -129,8 +129,8 @@ class ContinuedFraction:
 
     def degrees(self) -> list:
         if self.tower is not None:
-            tower = self.tower
-            return [tower[i].degree for i in self.indices]
+            level_degrees = [a.degree for a in self.tower]
+            return list(map(level_degrees.__getitem__, self.indices))
         return [q.degree for q in self.quotients]
 
     def continuants(self):

@@ -19,7 +19,8 @@ last one equals 2k*eps1/eps2 (the existence and anchor conditions on the
 prefix data), every partial quotient
 is lambda_n * A_{i(n),k} and the lambda/delta sequences extend by explicit
 recurrences; generate_perfect_expansion implements that generator, in
-plain int arithmetic mod p.  Its result keeps the quotients symbolic: a
+plain int arithmetic mod p, filling a level of adjacent blocks at a time,
+one strided slice per column.  Its result keeps the quotients symbolic: a
 ContinuedFraction holding the tower A_{0,k} .. A_{max i,k} and the lambda
 and i sequences, whose length and degrees are read from the tower
 and whose polynomials are built on first use, one per distinct
@@ -199,7 +200,9 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
     rem = rems.pop()
     while rems:
         rem = rem * step + rems.pop()
-    return Polynomial._make(field, c.tolist()), rem
+    cs = c.tolist()
+    del c  # free the int64 array before the quotient's tuple is built
+    return Polynomial._make(field, cs), rem
 
 
 # -- the generator -------------------------------------------------------------
@@ -287,6 +290,10 @@ class GenerationResult(NamedTuple):
     indices: list
 
 
+# Sources per pass of generate_perfect_expansion; it bounds the pass's lists.
+_CHUNK = 4096
+
+
 def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
     """First n partial quotients a_m = lambda_m * A_{i(m),k} of the perfect
     expansion determined by the spec, together with the extended lambda and
@@ -305,48 +312,49 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
     base_deltas = spec.validate()
     theta, v = family_constants(f, spec.k)
     k, l = spec.k, spec.l
-    lam = [0] * (n + 1)
-    dl = [0] * (n + 1)
-    idx = [0] * (n + 1)
-    for j in range(1, min(l, n) + 1):
-        lam[j] = spec.lambdas[j - 1]
-        dl[j] = base_deltas[j - 1]
-        idx[j] = spec.indices[j - 1]
+    K = 2 * k + 1  # block length; f(m) = K m + l - 2k
+    # the prefix and the last block may run past n; the tail is cut off below
+    lam, dl, idx = [0] * (n + K), [0] * (n + K), [0] * (n + K)
+    lam[1 : l + 1], dl[1 : l + 1], idx[1 : l + 1] = spec.lambdas, base_deltas, spec.indices
     eps1 = spec.eps1 % p
     eps1_inv = f.inv(eps1)
-    two_k_theta = 2 * k * theta % p
+    col0 = ((eps1, eps1 * theta % p), (eps1_inv, eps1_inv * theta % p))  # m even, m odd
     # -v_i and i v_i / (2k - 2i + 1) for i = 1..2k; |2k - 2i + 1| < p is odd, so a unit
-    neg_v = [-x % p for x in v]
-    coef = [i * v[i - 1] * f.inv(2 * k - 2 * i + 1) % p for i in range(1, 2 * k + 1)]
-    m = 1
-    while True:
-        base = (2 * k + 1) * m + l - 2 * k  # f(m)
-        if base > n:
-            break
-        if m > n or lam[m] == 0:
-            raise ArithmeticError(f"generation order broken at block f({m})")
-        e = eps1 if m % 2 == 0 else eps1_inv
-        lam[base] = e * lam[m] % p
-        dl[base] = e * dl[m] * theta % p
-        idx[base] = idx[m] + 1
-        w = two_k_theta * dl[m] % p
-        w_inv = f.inv(w)
-        for i in range(1, 2 * k + 1):
-            pos = base + i
-            if pos > n:
-                break
-            e = eps1 if (m + i) % 2 == 0 else eps1_inv
-            ww = w_inv if i % 2 == 1 else w
-            lam[pos] = neg_v[i - 1] * e * ww % p
-            dl[pos] = coef[i - 1] * e * ww % p
-            idx[pos] = 0
-            if lam[pos] == 0 or dl[pos] == 0:
-                raise ArithmeticError(
-                    f"internal contradiction: zero lambda/delta generated at index {pos}"
-                )
-        m += 1
+    consts = [(-x % p, i * x * f.inv(2 * k - 2 * i + 1) % p) for i, x in enumerate(v, 1)]
+    inverse = {}
+    m_lo, m_last = 1, (n - l + 2 * k) // K  # f(m_last) <= n < f(m_last + 1)
+    while m_lo <= m_last:
+        start = K * m_lo + l - 2 * k  # f(m_lo): every position before it is known
+        m_end = min(m_lo + _CHUNK, start, m_last + 1)  # the sources m_lo .. m_end - 1
+        broken = 0 in lam[m_lo:m_end]  # a zero source: fill the blocks before it, then raise
+        m_end = lam.index(0, m_lo) if broken else m_end
+        stop = K * m_end + l - 2 * k  # f(m_end)
+        for j in (0, 1):  # column 0, the sources m of one parity at a time
+            e, e_theta = col0[(m_lo + j) % 2]
+            src, dst = slice(m_lo + j, m_end, 2), slice(start + j * K, stop, 2 * K)
+            lam[dst] = [e * x % p for x in lam[src]]
+            dl[dst] = [e_theta * x % p for x in dl[src]]
+        idx[start:stop:K] = [i + 1 for i in idx[m_lo:m_end]]
+        # column i is -v_i (and i v_i / (2k - 2i + 1)) times u_m^((-1)^i), where
+        # u_m = eps1^((-1)^m) 2k theta delta_m = 2k delta_f(m)
+        u = [2 * k * x % p for x in dl[start:stop:K]]
+        inverse.update((x, f.inv(x)) for x in set(u).difference(inverse))
+        u_inv = list(map(inverse.__getitem__, u))
+        for i, (a, b) in enumerate(consts, 1):
+            w = u_inv if i % 2 else u
+            lam[start + i : stop : K] = [a * x % p for x in w]
+            dl[start + i : stop : K] = [b * x % p for x in w]
+        del u, u_inv
+        end = min(stop, n + 1)
+        if not (all(lam[start:end]) and all(dl[start:end])):
+            pos = next(j for j in range(start, end) if not lam[j] * dl[j])
+            raise ArithmeticError(f"internal contradiction: zero lambda/delta generated at index {pos}")
+        if broken:
+            raise ArithmeticError(f"generation order broken at block f({m_end})")
+        m_lo = m_end
+    del lam[n + 1 :], dl[n + 1 :], idx[n + 1 :]
     cf = ContinuedFraction.symbolic(
-        f, a_sequence(f, k, max(idx[1 : n + 1], default=0)), lam[1:], idx[1:],
+        f, a_sequence(f, k, max(idx[1:], default=0)), lam[1:], idx[1:],
         perfect_type=(p, l, k, tuple(spec.indices)),
     )
     return GenerationResult(cf, lam, dl, idx)

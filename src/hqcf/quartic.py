@@ -28,6 +28,7 @@ derivation _relation_from_vectors that both residue classes share.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 from .cf import ContinuedFraction
@@ -569,20 +570,21 @@ def approximation_exponent(cf: ContinuedFraction, window: int) -> ExponentReport
             f"need window+1 = {window + 1} partial quotients, have {len(cf)}"
         )
     degs = cf.degrees()[: window + 1]
-    if any(d < 0 for d in degs):
+    if min(degs) < 0:
         raise ValueError("partial quotients must have degree >= 0")
     if degs[0] < 1:
         raise ValueError("the first partial quotient must have degree >= 1")
-    # r_n = degs[n] / total > best_num / best_den, by cross-multiplication
+    totals = list(accumulate(degs))  # totals[n] = deg a_1 + ... + deg a_(n+1)
+    # r_n = degs[n] / totals[n - 1] > best_num / best_den, by cross-multiplication, only at
+    # the first n of each degree: a later one has no smaller total, so it cannot win the >
+    first = dict(zip(degs[:0:-1], range(window, 0, -1)))  # degree -> its first n >= 1
     best_num, best_den, arg = 0, 1, 0
-    total = degs[0]
-    for n in range(1, window + 1):
-        d = degs[n]
+    for n in sorted(first.values()):
+        d, total = degs[n], totals[n - 1]
         if d * best_den > best_num * total:
             best_num, best_den, arg = d, total, n
-        total += d
     best = Fraction(best_num, best_den)
-    last = Fraction(degs[window], total - degs[window])
+    last = Fraction(degs[window], totals[window - 1])
     closed = None
     if cf.perfect_type is not None:
         p, l, k, initial = cf.perfect_type

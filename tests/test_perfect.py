@@ -1,10 +1,11 @@
+import random
 import time
 
 import pytest
 
 from hqcf import cli, perfect
-from hqcf.cf import ContinuedFraction, rational_to_cf
-from hqcf.fields import GF, MAX_MODULUS
+from hqcf.cf import ContinuedFraction, ScalarCFUndefined, rational_to_cf, running_scalar_cf
+from hqcf.fields import GF, MAX_MODULUS, PrimeField
 from hqcf.perfect import (
     MAX_A_DEGREE,
     DeltaMismatchError,
@@ -327,6 +328,186 @@ class TestPerfectGeneration:
             generate_perfect_expansion(QUARTIC_SPECS[7], -1)
         with pytest.raises(ValueError, match="n must be >= 0"):
             generate_perfect_p11(F7, 0, 3, 5, -1)
+
+
+def reference_generation(spec, n):
+    """(lambdas, deltas, indices) of generate_perfect_expansion by the
+    per-position loop it replaced: one block f(m), ..., f(m) + 2k per
+    source m, in order; the reference for the level-at-a-time fill."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    f = spec.field
+    p = f.p
+    base_deltas = spec.validate()
+    theta, v = perfect.family_constants(f, spec.k)
+    k, l = spec.k, spec.l
+    lam = [0] * (n + 1)
+    dl = [0] * (n + 1)
+    idx = [0] * (n + 1)
+    for j in range(1, min(l, n) + 1):
+        lam[j] = spec.lambdas[j - 1]
+        dl[j] = base_deltas[j - 1]
+        idx[j] = spec.indices[j - 1]
+    eps1 = spec.eps1 % p
+    eps1_inv = f.inv(eps1)
+    two_k_theta = 2 * k * theta % p
+    neg_v = [-x % p for x in v]
+    coef = [i * v[i - 1] * f.inv(2 * k - 2 * i + 1) % p for i in range(1, 2 * k + 1)]
+    m = 1
+    while True:
+        base = (2 * k + 1) * m + l - 2 * k  # f(m)
+        if base > n:
+            break
+        if m > n or lam[m] == 0:
+            raise ArithmeticError(f"generation order broken at block f({m})")
+        e = eps1 if m % 2 == 0 else eps1_inv
+        lam[base] = e * lam[m] % p
+        dl[base] = e * dl[m] * theta % p
+        idx[base] = idx[m] + 1
+        w = two_k_theta * dl[m] % p
+        w_inv = f.inv(w)
+        for i in range(1, 2 * k + 1):
+            pos = base + i
+            if pos > n:
+                break
+            e = eps1 if (m + i) % 2 == 0 else eps1_inv
+            ww = w_inv if i % 2 == 1 else w
+            lam[pos] = neg_v[i - 1] * e * ww % p
+            dl[pos] = coef[i - 1] * e * ww % p
+            idx[pos] = 0
+            if lam[pos] == 0 or dl[pos] == 0:
+                raise ArithmeticError(
+                    f"internal contradiction: zero lambda/delta generated at index {pos}"
+                )
+        m += 1
+    return lam, dl, idx
+
+
+def random_specs(rng, p, k, l):
+    """A spec of type (p, l, k) that validates, one whose anchor fails, and,
+    when a draw hit one, one whose delta_n is undefined; random prefix data."""
+    F = GF(p)
+    theta, _ = family_constants(F, k)
+    specs = []
+    while True:
+        eps2 = rng.randrange(1, p)
+        lambdas = [rng.randrange(1, p) for _ in range(l)]
+        indices = [rng.choice((0, 0, 1, 2)) for _ in range(l)]
+        heads = [2 * k * theta * F.inv(eps2)]
+        heads += [pow(theta, i, p) * x for i, x in zip(indices, lambdas)]
+        try:
+            delta_l = running_scalar_cf(F, heads)[-1]
+        except ScalarCFUndefined:
+            delta_l = 0
+        if delta_l == 0:
+            if not specs:
+                specs.append(ExpansionSpec(F, l, k, 1, eps2, lambdas, indices))
+            continue
+        eps1 = delta_l * eps2 * F.inv(2 * k) % p
+        bad = ExpansionSpec(F, l, k, 2 * eps1, eps2, lambdas, indices)
+        return [ExpansionSpec(F, l, k, eps1, eps2, lambdas, indices), bad, *specs]
+
+
+def generation_outcome(generate, spec, n):
+    try:
+        return generate(spec, n)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def generated(spec, n):
+    gen = generate_perfect_expansion(spec, n)
+    assert (gen.cf.lambdas, gen.cf.indices) == (tuple(gen.lambdas[1:]), tuple(gen.indices[1:]))
+    return gen.lambdas, gen.deltas, gen.indices, gen.cf.tower
+
+
+def referenced(spec, n):
+    lam, dl, idx = reference_generation(spec, n)
+    return lam, dl, idx, [max(idx[1:], default=0)]
+
+
+class TestBlockFill:
+    """generate_perfect_expansion against reference_generation."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31, 43])
+    def test_matches_reference(self, p, monkeypatch):
+        # the stub tower records the level the generator asks for
+        monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [count])
+        rng = random.Random(f"block fill {p}")
+        chunks, seen = (perfect._CHUNK, 5), set()
+        for k in range(1, (p - 1) // 2 + 1):
+            for l in (1, 2, 3, 5):
+                first_block = l + 1 + 2 * k  # f(1) + 2k
+                ns = (-1, 0, 1, l, l + 1, first_block, first_block + 1, 300, 5000)
+                for spec in random_specs(rng, p, k, l):
+                    for n in ns:
+                        want = generation_outcome(referenced, spec, n)
+                        # a pass of 5 sources: many passes, the last one cut short
+                        for chunk in chunks if n <= 300 else chunks[:1]:
+                            monkeypatch.setattr(perfect, "_CHUNK", chunk)
+                            got = generation_outcome(generated, spec, n)
+                            assert got == want, (spec, n, chunk)
+                        seen.add(want[0].__name__ if isinstance(want[0], type) else "result")
+        assert {"result", "ValueError", "DeltaMismatchError"} <= seen
+
+    @pytest.mark.parametrize(
+        "spec, n",
+        [
+            (ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 3000),
+            (ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5)), 2000),
+            (ExpansionSpec(GF(5), 1, 1, 3, 1, (2,)), 13000),  # sources past _CHUNK
+        ],
+    )
+    def test_tower_and_quotients(self, spec, n):
+        gen = generate_perfect_expansion(spec, n)
+        lam, dl, idx = reference_generation(spec, n)
+        assert (gen.lambdas, gen.deltas, gen.indices) == (lam, dl, idx)
+        tower = a_sequence(spec.field, spec.k, max(idx[1:]))
+        assert gen.cf.tower == tower
+        assert gen.cf.degrees() == [tower[i].degree for i in idx[1:]]
+
+    @pytest.mark.parametrize("i", [1, 2, 5, 8])
+    def test_zero_v_is_an_internal_contradiction(self, i, monkeypatch):
+        spec = ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
+        theta, v = family_constants(F13, 4)
+        zeroed = perfect.FamilyConstants(theta, v[: i - 1] + (0,) + v[i:])
+        monkeypatch.setattr(perfect, "family_constants", lambda field, k: zeroed)
+        for n in (7 + i, 300):
+            with pytest.raises(ArithmeticError) as err:
+                generate_perfect_expansion(spec, n)
+            assert str(err.value) == generation_outcome(reference_generation, spec, n)[1]
+            assert str(err.value).endswith(f"at index {7 + i}")  # f(1) + i
+        assert generate_perfect_expansion(spec, 6 + i).lambdas == (
+            reference_generation(spec, 6 + i)[0]
+        )
+
+    def test_zero_delta_alone_is_an_internal_contradiction(self, monkeypatch):
+        # 1 / (2k - 2i + 1) read as 0 at i = k + 2 zeroes that column's delta
+        # factor i v_i / (2k - 2i + 1) and leaves its lambda factor -v_i
+        spec = ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
+        inv = PrimeField.inv
+        monkeypatch.setattr(PrimeField, "inv", lambda self, x: 0 if x == -3 else inv(self, x))
+        with pytest.raises(ArithmeticError) as err:
+            generate_perfect_expansion(spec, 300)
+        assert str(err.value) == generation_outcome(reference_generation, spec, 300)[1]
+        assert str(err.value).endswith("at index 13")  # f(1) + 6
+
+    @pytest.mark.parametrize("j", [1, 2, 6])
+    def test_zero_source_breaks_the_order(self, j, monkeypatch):
+        spec = ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
+        deltas = spec.validate()
+        monkeypatch.setattr(ExpansionSpec, "validate", lambda self: deltas)
+        monkeypatch.setitem(vars(spec), "lambdas", spec.lambdas[: j - 1] + (0,) + spec.lambdas[j:])
+        f_j = 9 * j + 6 - 8
+        for n in (f_j, 5000):
+            with pytest.raises(ArithmeticError) as err:
+                generate_perfect_expansion(spec, n)
+            assert str(err.value) == generation_outcome(reference_generation, spec, n)[1]
+            assert str(err.value) == f"generation order broken at block f({j})"
+        # f(j) past n: a_j is never a source
+        gen = generate_perfect_expansion(spec, f_j - 1)
+        assert gen.lambdas == reference_generation(spec, f_j - 1)[0]
+        assert gen.lambdas[j] == 0
 
 
 class TestSymbolicQuotients:

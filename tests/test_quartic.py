@@ -415,6 +415,24 @@ class TestApproximationExponent:
                 window, best, arg, last
             )
 
+    def test_brute_force_with_zeros_and_ties(self):
+        # a few distinct degrees, zero among them, so that most positions
+        # repeat an earlier degree and ratios tie
+        rng = random.Random(19)
+        for _ in range(200):
+            size = rng.randrange(2, 40)
+            pool = rng.sample(range(5), rng.randrange(1, 4))
+            degs = [rng.randrange(1, 4)] + [rng.choice(pool) for _ in range(size - 1)]
+            cf = ContinuedFraction(F7, [Polynomial.monomial(F7, 1, d) for d in degs])
+            for window in range(1, size):
+                ratios = [Fraction(degs[n], sum(degs[:n])) for n in range(1, window + 1)]
+                best = max(ratios)
+                arg = ratios.index(best) + 1 if best else 0
+                rep = approximation_exponent(cf, window)
+                assert (rep.nu0_empirical, rep.argmax_index, rep.ratios_tail) == (
+                    best, arg, ratios[-1]
+                ), (degs, window)
+
     def test_constant_first_quotient_rejected(self):
         cf = ContinuedFraction(F7, [poly(F7, 3), poly(F7, 0, 1), poly(F7, 0, 1)])
         with pytest.raises(ValueError, match="first partial quotient"):
