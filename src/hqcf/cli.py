@@ -185,26 +185,30 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
 # -- output helpers --------------------------------------------------------------
 
 
-def _annotation_index(field, k: int | None, max_deg: int, tower) -> dict:
-    """{A_j: j} for the A[j,k] the annotations may name: A_0, A_1, ...
-    while the degree is below max_deg and still rises, at most 40 entries.
-    The degrees come from a_degree, and only A_0 and the levels of degree
-    at most max_deg, the only ones a quotient can match, are built: by one
-    a_sequence call, or taken from tower, a symbolic expansion's
-    A_0 .. A_top.  The entries are monic and have distinct degrees, so a
-    quotient q is c*A_j exactly when q.monic() == A_j, with c = lc(q): one
-    lookup keyed on the monic quotient."""
+def _annotation_top(p: int, k: int | None, max_deg: int) -> int:
+    """The last j of the A[j,k] the annotations may name, or -1 without k:
+    A_0, A_1, ... while the degree is below max_deg and still rises, at
+    most 40 levels, of which A_0 and those of degree at most max_deg, the
+    only ones a quotient can match, are named.  The degrees come from
+    a_degree; no level is built."""
     if k is None:
-        return {}
+        return -1
     degrees = [1]
     while degrees[-1] < max_deg and len(degrees) < 40:
-        d = a_degree(field.p, k, len(degrees))
+        d = a_degree(p, k, len(degrees))
         if d <= degrees[-1]:
             break
         degrees.append(d)
-    top = sum(d <= max_deg for d in degrees[1:])
-    A = a_sequence(field, k, top) if tower is None else tower
-    return {A[j]: j for j in range(top + 1)}
+    return sum(d <= max_deg for d in degrees[1:])
+
+
+def _annotation_index(field, k: int | None, max_deg: int) -> dict:
+    """{A_j: j} for the levels _annotation_top names, built by one
+    a_sequence call.  The entries are monic and have distinct degrees, so a
+    quotient q is c*A_j exactly when q.monic() == A_j, with c = lc(q): one
+    lookup keyed on the monic quotient."""
+    top = _annotation_top(field.p, k, max_deg)
+    return {a: j for j, a in enumerate(a_sequence(field, k, top))} if top >= 0 else {}
 
 
 def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
@@ -216,18 +220,12 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     to_json_text with c = lambda), once per distinct pair (i, lambda), and
     no lambda*A_i polynomial is built.  The pairs are rendered grouped by
     i, so A_i's shared work (its terms, or its distinct coefficient values)
-    is dropped before the next A_i; lambda*A_i is named by A_i itself.
+    is dropped before the next A_i.  lambda*A_i is named by its index: the
+    named levels have distinct degrees, so A_i can only be A_j for j = i,
+    except that every level of degree 1 is T = A_0 (at 2k = p - 1 all are).
     The output goes to out in pieces, one per quotient.
     """
     field, A = cf.field, cf.tower
-    named = {}
-    if not as_json:
-        if A is None:
-            max_deg = max(cf.degrees(), default=1)
-        else:
-            max_deg = max((A[i].degree for i in set(cf.indices)), default=1)
-        named = _annotation_index(field, k, max_deg, A)
-    degrees = {a.degree for a in named}  # a quotient is looked up only where it can match
 
     def render(f, c: int, shared, lc: int, j: int | None) -> str:
         if as_json:
@@ -236,17 +234,21 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
         return text if j is None else f"{text}  [= {lc}*A[{j},k]]"
 
     if A is None:
+        named = {} if as_json else _annotation_index(field, k, max(cf.degrees(), default=1))
+        degrees = {a.degree for a in named}  # a quotient is looked up only where it can match
         parts = [
             render(q, 1, None, q.leading_coefficient(),
                    named.get(q.monic()) if q.degree in degrees else None)
             for q in cf.quotients
         ]
     else:
+        max_deg = max((A[i].degree for i in set(cf.indices)), default=1)
+        top = -1 if as_json else _annotation_top(field.p, k, max_deg)
         texts = {}
         for i, pairs in groupby(sorted(set(zip(cf.indices, cf.lambdas))), key=itemgetter(0)):
             a = A[i]
             shared = set(a.coeffs) if as_json else a.terms()
-            j = named.get(a) if a.degree in degrees else None
+            j = 0 if top >= 0 and a.degree == 1 else i if i <= top else None
             for _, c in pairs:
                 texts[i, c] = render(a, c, shared, c, j)
         parts = map(texts.__getitem__, zip(cf.indices, cf.lambdas))

@@ -33,11 +33,17 @@ remainder is a certificate: at every level built it must equal
 -2k theta_k^{i+1} Q_k, the identity A_{i,k}^p = A_{i+1,k} P_k -
 2k theta_k^{i+1} Q_k of Prop. 1, or ArithmeticError is raised.
 verify_prop1 and verify_prop2 certify the exact continued fraction
-identities satisfied by the P/Q pairs by multiplication alone: the
-predicted quotients' continuant matrix is checked against the pair, which
+identities satisfied by the P/Q pairs by multiplication alone: a continuant
+matrix of the predicted quotients is checked against the pair, which
 proves what a Euclidean expansion would find, and the reversed expansion
-is read off the same matrix.  verify_prop1 also re-checks the first tower
-levels, each by one product.
+is read off the same matrix.  Prop. 1 (P_k/Q_k, 2k quotients) builds that
+matrix as the continuant product tree (_certify).  Prop. 2 (P_{kp-i}/Q_k^p,
+(2k-1)(2i+1)+1 quotients) follows the paper's proof instead: 2k small
+identities, one per block, each of degree about p, prove that the matrix
+is a closed form in Prop. 1's matrices at i and at k (under T -> T^p), so
+no tree of degree 2kp is built (_certify_blocks; the tree stays as its
+test oracle).  verify_prop1 also re-checks the first tower levels, each
+by one product.
 """
 
 from dataclasses import dataclass
@@ -87,9 +93,8 @@ def pq_polynomials(field: PrimeField, k: int, a: Optional[int] = None):
 def power_p_family(field: PrimeField, k: int, a: Optional[int] = None) -> Polynomial:
     """(T^2+a)^k by plain exponentiation, with no 2k < p restriction.
 
-    It gives P and the integrand of Q in pq_polynomials, and the left side
-    P_{kp-i} of the product-family expansion, whose exponent kp-i exceeds
-    p/2 by design; only Q needs the integration bound.
+    It gives P and the integrand of Q in pq_polynomials; only Q needs the
+    integration bound.
     """
     a = (-1 if a is None else a) % field.p
     if a == 0:
@@ -180,8 +185,9 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
     sums, the quotient is s_2, s_3, ... and the remainder s_0 + s_1 T.
     After k such divisions with remainders r_1 .. r_k the remainder by
     (T^2 - 1)^k is r_1 + (T^2 - 1) r_2 + ... + (T^2 - 1)^(k-1) r_k.  A
-    partial sum of residues stays below (p - 1)(deg q + 2k + 1) <=
-    (MAX_MODULUS - 1)(MAX_A_DEGREE + MAX_MODULUS) < 2^63, inside int64.
+    partial sum of residues stays below (p - 1)(deg q + 2k + 1), where
+    deg q is at most MAX_A_DEGREE (a tower level) or 2kp < p^2 (P_{kp-i} in
+    verify_prop2): below 10^6 (10^12 + 10^6) < 2^63, inside int64.
     The top coefficient never changes, so a monic a gives a monic q.
     """
     field = a.field
@@ -438,7 +444,8 @@ class Prop1Report:
 
 def _certify(num: Polynomial, den: Polynomial, predicted: list, k: int, theta: int):
     """(cf_matches, reversal_holds) for num/den and the predicted [b_1..b_n],
-    both read from one continuant matrix (x_n, x_{n-1}, y_n, y_{n-1}).
+    both read from one continuant matrix (x_n, x_{n-1}, y_n, y_{n-1}):
+    Prop. 1's certificate, and the tests' oracle for _certify_blocks.
 
     A continued fraction whose quotients after the first all have degree
     >= 1 is the unique one of its value, and x_n, y_n are coprime, so the
@@ -507,7 +514,6 @@ def prop2_predicted_quotients(field: PrimeField, k: int, i: int):
     _, v_k = family_constants(field, k)
     theta_i, v_i = family_constants(field, i)
     A1 = a_sequence(field, i, 1)[1]
-    T = Polynomial.x(field)
     # delta_j / (2i theta_i) is the running value r_j over v_1, v_2, ...; a
     # trailing head makes r_(2k-1) a tail too, so every zero one raises
     try:
@@ -518,20 +524,115 @@ def prop2_predicted_quotients(field: PrimeField, k: int, i: int):
     quotients = []
     for j in range(1, 2 * k):
         delta_j = 2 * i * theta_i * brackets[j - 1] % p
-        dj_inv = field.inv(delta_j)
+        scale = (delta_j, field.inv(delta_j))  # delta_j at even m, 1/delta_j at odd m
         quotients.append(A1.scaled(v_k[j - 1]))
-        for m in range(1, 2 * i + 1):
-            scal = dj_inv if m % 2 == 1 else delta_j
-            quotients.append(T.scaled(-scal * v_i[m - 1]))
+        # -delta_j^(-(-1)^m) v_m is a unit: trusted as a canonical c*T
+        quotients += [Polynomial(field, (0, -scale[m % 2] * u % p), _trusted=True)
+                      for m, u in enumerate(v_i, 1)]
     quotients.append(A1.scaled(v_k[2 * k - 1]))
     return quotients
+
+
+def _all_zero(rows: list, polys: list, p: int) -> bool:
+    """Whether sum_t rows[j][t] * polys[t] = 0 for every row j: the rows'
+    scalars times the stacked coefficient vectors of polys, one exact int64
+    product (a sum of len(polys) residue products, p <= MAX_MODULUS)."""
+    basis = np.zeros((len(polys), max(len(f.coeffs) for f in polys)), dtype=np.int64)
+    for row, f in zip(basis, polys):
+        row[: len(f.coeffs)] = f.coeffs
+    return not (np.array(rows, dtype=np.int64) @ basis % p).any()
+
+
+def _times_frobenius(f: Polynomial, g: Polynomial) -> Polynomial:
+    """f * g(T^p) as a sum of shifted multiples of f, one per coefficient
+    of g: deg g + 1 vector operations instead of a product of degree p deg g.
+    A coefficient sums at most len(g) <= p products of residues, < 2^63."""
+    p = f.field.p
+    a = np.asarray(f.coeffs, dtype=np.int64)
+    out = np.zeros(len(a) + (len(g.coeffs) - 1) * p, dtype=np.int64)
+    for s, c in enumerate(g.coeffs):
+        out[s * p : s * p + len(a)] += c * a
+    return Polynomial._make(f.field, (out % p).tolist())
+
+
+def _certify_blocks(num: Polynomial, den: Polynomial, predicted: list, k: int, i: int, theta: int):
+    """(cf_matches, reversal_holds) of _certify for num/den = P_{kp-i} / Q_k^p
+    and the predicted [b_1..b_n] of prop2_predicted_quotients, proved block
+    by block instead of from the continuant tree of all n quotients.
+
+    Let M_i = [[x, x'], [y, y']] be the matrix of Prop. 1's [v_{1,i} T ..
+    v_{2i,i} T] and sigma = lc(P_i)/lc(x); sigma x = P_i is checked once.
+    The list must be 2k-1 blocks and a closing b_n.  Block j is a lead
+    b_j = lam_j A (A the monic b_1) and 2i inner quotients c_j v_{m,i} T
+    (m odd) and v_{m,i} T / c_j (m even), compared as coefficient tuples;
+    its matrix is then B_j = [[b_j x + y/c_j, c_j b_j x' + y'], [x, c_j x']].
+    With S_j = [[1, G_j], [0, P_i]], G_0 = 0 and G_j = g_j x', g_j = -c_j sigma,
+    the four entries of S_{j-1} [[v_{j,k} T^p, 1], [1, 0]] = sigma B_j S_j are
+      sigma B11 = v_{j,k} T^p + G_{j-1},   sigma (B11 G_j + B12 P_i) = 1,
+      sigma x = P_i,   x G_j + c_j x' P_i = 0 (by the choice of g_j),
+    and the closing step is v_{2k,k} T^p + G_{2k-1} = P_i b_n.  Each is a
+    combination of a few polynomials fixed per case (A x, y, x', ...) with
+    per-block scalars, so _all_zero checks all blocks at once.  They
+    telescope: the predicted matrix is sigma^(2k-1) [[X/P_i, X'], [Y, P_i Y']],
+    [[X, X'], [Y, Y']] being Prop. 1's matrix at k under T -> T^p.  So, as
+    in _certify, the list is num/den's expansion when the degree guard holds
+    and num P_i Y = den X, and the reversal identity is
+    num P_i X' = -4 k^2 theta^2 den X.  A list that breaks the block shape
+    or an identity certifies neither verdict.
+    """
+    field = num.field
+    p = field.p
+    T = Polynomial.x(field)
+    v_k, v_i = family_constants(field, k).v, family_constants(field, i).v
+    P_i = power_p_family(field, i)
+    x, xp, y, yp = ContinuedFraction(field, [T.scaled(c) for c in v_i]).matrix()
+    sigma = P_i.leading_coefficient() * field.inv(x.leading_coefficient()) % p
+    width = 2 * i + 1  # a lead and its 2i inner quotients
+    leads = predicted[::width]  # b_1, .., b_(2k-1) and the closing b_n
+    if x.scaled(sigma) != P_i or len(predicted) != (2 * k - 1) * width + 1 or not all(leads):
+        return False, False
+    A = leads[0].monic()
+    lams = [b.leading_coefficient() for b in leads]
+    if any(b != A.scaled(lam) for b, lam in zip(leads, lams)):
+        return False, False
+    cs, v1_inv = [], field.inv(v_i[0])
+    for start in range(1, len(predicted) - 1, width):
+        inner = [q.coeffs for q in predicted[start : start + width - 1]]
+        if len(inner[0]) != 2 or inner[0][0]:
+            return False, False
+        c = inner[0][1] * v1_inv % p
+        scale = (field.inv(c), c)  # 1/c_j at even m, c_j at odd m
+        if inner != [(0, scale[m % 2] * u % p) for m, u in enumerate(v_i, 1)]:
+            return False, False
+        cs.append(c)
+    g = [0] + [-c * sigma % p for c in cs]  # G_j = g_j x', j = 0..2k-1
+    c_invs = [field.inv(c) for c in cs] + [0]  # the closing has no y term: P_i b_n = sigma lam_n A x
+    ax = A * x
+    # sigma (lam_j A x + y / c_j) - g_(j-1) x' - v_{j,k} T^p = 0, j = 1..2k
+    heads = [[sigma * lam % p, sigma * ci % p, -gj % p, -vj % p]
+             for lam, ci, gj, vj in zip(lams, c_invs, g, v_k)]
+    # sigma (B11 G_j + B12 P_i) - 1 = 0, j = 1..2k-1
+    tails = [[sigma * gj * lam % p, sigma * gj * ci % p, sigma * c * lam % p, sigma, p - 1]
+             for lam, ci, gj, c in zip(lams, c_invs, g[1:], cs)]
+    if not (
+        _all_zero(heads, [ax, y, xp, Polynomial.monomial(field, 1, p)], p)
+        and _all_zero(tails, [ax * xp, y * xp, A * xp * P_i, yp * P_i, Polynomial.one(field)], p)
+    ):
+        return False, False
+    # Prop. 1's matrix at k; its entries at T^p are X, X', Y
+    xk, xkp, yk, _ = ContinuedFraction(field, [T.scaled(c) for c in v_k]).matrix()
+    num_P = num * P_i
+    den_X = _times_frobenius(den, xk)
+    # _certify's degree guard on b_2..b_n: the inner quotients have degree 1, the leads deg A
+    cf_matches = A.degree >= 1 and _times_frobenius(num_P, yk) == den_X
+    return cf_matches, _times_frobenius(num_P, xkp) == den_X.scaled(-4 * k * k * theta * theta)
 
 
 def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
     """Certify that the predicted block expansion [b_1..b_n] is the
     continued fraction of P_{kp-i} / Q_k^p, and the reversal identity
-    [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1], from the continuant matrix of
-    the predicted quotients (_certify)."""
+    [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1], block by block from Prop. 1's
+    matrices at i and k (_certify_blocks)."""
     p = field.p
     _check_k(p, k)
     _check_k(p, i, "i")
@@ -540,9 +641,12 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
     except ScalarCFUndefined as exc:
         return Prop2Report(p, k, i, False, f"construction undefined: {exc}")
     theta_k, _ = family_constants(field, k)
-    Pk = power_p_family(field, k * p - i)
-    _, Qk = pq_polynomials(field, k)
-    cf_matches, reversal_holds = _certify(Pk, Qk.pow_frobenius(), predicted, k, theta_k)
+    P_k, Q_k = pq_polynomials(field, k)
+    # P_{kp-i} = P_k^p / P_i = P_k(T^p) / (T^2 - 1)^i, an exact division
+    num, rem = _frobenius_divmod_pk(P_k, i)
+    if rem:
+        raise ArithmeticError(f"P_{k}(T^{p}) is not divisible by P_{i}: remainder {rem.format()}")
+    cf_matches, reversal_holds = _certify_blocks(num, Q_k.pow_frobenius(), predicted, k, i, theta_k)
     return Prop2Report(p, k, i, True, "", cf_matches, reversal_holds, len(predicted))
 
 

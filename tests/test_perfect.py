@@ -1,4 +1,6 @@
+import inspect
 import random
+import textwrap
 import time
 
 import pytest
@@ -146,17 +148,18 @@ class TestAnnotationLevels:
             cuts = {a.degree + e for a in tower if a.degree <= 400 for e in (-1, 0, 1)}
             for max_deg in sorted(cuts | {0, 2, 100}):
                 want = built_annotation_levels(tower, max_deg)
-                for given in (None, tower):
-                    named = cli._annotation_index(F, k, max_deg, given)
-                    assert list(named) == want, (p, k, max_deg)
-                    assert list(named.values()) == list(range(len(want))), (p, k, max_deg)
+                named = cli._annotation_index(F, k, max_deg)
+                assert list(named) == want, (p, k, max_deg)
+                assert list(named.values()) == list(range(len(want))), (p, k, max_deg)
+                # a symbolic expansion names its levels 0 .. top by index
+                assert cli._annotation_top(p, k, max_deg) == len(want) - 1, (p, k, max_deg)
 
     def test_no_level_built_past_the_quotients(self, monkeypatch):
         # deg A_1 = 5 at p = 10007, k = 5001: quotients of degree <= 4 need A_0 alone
         built = []
         monkeypatch.setattr(cli, "a_sequence", lambda *args: built.append(args) or [Polynomial.x(args[0])])
         F = GF(10007)
-        assert cli._annotation_index(F, 5001, 4, None) == {Polynomial.x(F): 0}
+        assert cli._annotation_index(F, 5001, 4) == {Polynomial.x(F): 0}
         assert built == [(F, 5001, 0)]
 
 
@@ -681,7 +684,8 @@ def euclid_oracle(num, den, predicted, k, theta):
 
 
 class TestCertificateOracle:
-    """The continuant-matrix certificate agrees with Euclid on every case."""
+    """The certificates agree with Euclid on every case: Prop. 1's continuant
+    matrix, and Prop. 2's block certificate (verify_prop2) with the tree too."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31])
     def test_prop1_agrees_with_euclid(self, p):
@@ -699,9 +703,9 @@ class TestCertificateOracle:
                 r = verify_prop2(F, k, i)
                 if not r.defined:
                     continue
-                assert (r.cf_matches, r.reversal_holds) == euclid_oracle(
-                    *prop2_case(F, k, i)
-                ), (k, i)
+                case = prop2_case(F, k, i)
+                got = (r.cf_matches, r.reversal_holds)
+                assert got == perfect._certify(*case) == euclid_oracle(*case), (k, i)
 
 
 class TestCertificateMutations:
@@ -715,6 +719,11 @@ class TestCertificateMutations:
         assert got == euclid_oracle(*case)
         return got
 
+    @staticmethod
+    def certify_blocks(num, den, predicted, k, theta):
+        """verify_prop2's block certificate on the prop2 case, (k, i) = (2, 3)."""
+        return perfect._certify_blocks(num, den, predicted, k, 3, theta)
+
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
     @pytest.mark.parametrize("j", [0, 1, -1])
     def test_split_quotient_with_the_same_value(self, case, j):
@@ -726,6 +735,9 @@ class TestCertificateMutations:
         split = predicted[:j] + [predicted[j] - T, Polynomial.zero(F13), T] + predicted[j + 1 :]
         assert ContinuedFraction(F13, split).value() == ContinuedFraction(F13, predicted).value()
         assert self.certify_both(num, den, split, k, theta) == (False, True)
+        if case == "prop2":
+            # the split list has no block shape, so the chain certifies neither verdict
+            assert self.certify_blocks(num, den, split, k, theta) == (False, False)
 
     def test_split_quotient_fails_verify_prop2(self, monkeypatch):
         real = perfect.prop2_predicted_quotients
@@ -746,6 +758,8 @@ class TestCertificateMutations:
         predicted[j] = predicted[j] + Polynomial.one(F13)
         cf_matches, _ = self.certify_both(num, den, predicted, k, theta)
         assert not cf_matches
+        if case == "prop2":
+            assert self.certify_blocks(num, den, predicted, k, theta) == (False, False)
 
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
     def test_wrong_theta(self, case):
@@ -753,6 +767,8 @@ class TestCertificateMutations:
         wrong = (theta + 1) % 13
         assert wrong * wrong % 13 != theta * theta % 13  # -theta would pass
         assert self.certify_both(num, den, predicted, k, wrong) == (True, False)
+        if case == "prop2":
+            assert self.certify_blocks(num, den, predicted, k, wrong) == (True, False)
 
     @pytest.mark.parametrize("level", [1, 2, 3])
     def test_corrupted_tower_fails_power_identity(self, level, monkeypatch):
@@ -770,6 +786,143 @@ class TestCertificateMutations:
         assert r.cf_matches and r.reversal_holds and not r.passed
         # A_level is the quotient at level - 1 and the dividend at level
         assert r.power_identity == [i not in (level - 1, level) for i in range(3)]
+
+
+def prop1_frobenius_matrix(F, k):
+    """(X, X', Y, Y'): Prop. 1's continuant matrix at k under T -> T^p."""
+    T = Polynomial.x(F)
+    x = ContinuedFraction(F, [T.scaled(c) for c in family_constants(F, k).v]).matrix()
+    return tuple(m.pow_frobenius() for m in x)
+
+
+def mutated_certificate(old, new):
+    """perfect._certify_blocks with the text old of its source replaced by new."""
+    src = textwrap.dedent(inspect.getsource(perfect._certify_blocks))
+    assert src.count(old) == 1, old
+    namespace = dict(vars(perfect))
+    exec(compile(src.replace(old, new), perfect.__file__, "exec"), namespace)
+    return namespace["_certify_blocks"]
+
+
+def prop2_verdicts(F):
+    """(k, i, cf_matches, reversal_holds) of verify_prop2 for every defined (k, i)."""
+    half = range(1, (F.p - 1) // 2 + 1)
+    reports = [verify_prop2(F, k, i) for k in half for i in half]
+    return [(r.k, r.i, r.cf_matches, r.reversal_holds) for r in reports if r.defined]
+
+
+class TestBlockCertificate:
+    """verify_prop2's block-by-block certificate: the closed form it proves,
+    and corrupted lists and broken copies of its code that each flip a
+    verdict.  The prop2 case is p = 13, (k, i) = (2, 3): 3 blocks of 7."""
+
+    K, I, WIDTH = 2, 3, 7
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_closed_form_matrix(self, p):
+        # the predicted matrix is s [[X/P_i, X'], [Y, P_i Y']], s = +-1
+        F = GF(p)
+        half = range(1, (p - 1) // 2 + 1)
+        for k in half:
+            X, Xp, Y, Yp = prop1_frobenius_matrix(F, k)
+            for i in half:
+                try:
+                    predicted = prop2_predicted_quotients(F, k, i)
+                except ScalarCFUndefined:
+                    continue
+                P_i = pq_polynomials(F, i)[0]
+                X_over_P, rem = divmod(X, P_i)
+                assert rem.is_zero(), (k, i)
+                got = ContinuedFraction(F, predicted).matrix()
+                s = got[0].leading_coefficient() * F.inv(X_over_P.leading_coefficient()) % p
+                assert s * s % p == 1, (k, i)
+                assert got == tuple(m.scaled(s) for m in (X_over_P, Xp, Y, P_i * Yp)), (k, i)
+
+    def corrupt(self, monkeypatch, change):
+        """Make prop2_predicted_quotients return change(list) at (K, I); the
+        list's Euclid verdict is returned for comparison."""
+        real = perfect.prop2_predicted_quotients
+
+        def corrupted(field, k, i):
+            qs = real(field, k, i)
+            return change(list(qs)) if (k, i) == (self.K, self.I) else qs
+
+        monkeypatch.setattr(perfect, "prop2_predicted_quotients", corrupted)
+        num, den, _, k, theta = prop2_case(F13, self.K, self.I)
+        return euclid_oracle(num, den, corrupted(F13, self.K, self.I), k, theta)
+
+    def rescale(self, j, c):
+        def change(qs):
+            qs[j] = qs[j].scaled(c)
+            return qs
+
+        return change
+
+    @pytest.mark.parametrize("m", [1, 2, 6])
+    @pytest.mark.parametrize("block", [0, 1])  # c_j = 10, 6 (c_3 = 1 has no wrong side)
+    def test_inner_quotient_wrong_rescaling(self, block, m, monkeypatch):
+        # the m-th inner quotient of a block rescaled by 1/c_j where c_j is
+        # due (m odd) or by c_j where 1/c_j is (m even)
+        qs = prop2_predicted_quotients(F13, self.K, self.I)
+        v = family_constants(F13, self.I).v
+        start = block * self.WIDTH + 1
+        c = qs[start].leading_coefficient() * F13.inv(v[0]) % 13
+        wrong = v[m - 1] * (F13.inv(c) if m % 2 else c) % 13
+        assert qs[start + m - 1] != Polynomial.monomial(F13, wrong, 1)
+
+        def change(qs):
+            qs[start + m - 1] = Polynomial.monomial(F13, wrong, 1)
+            return qs
+
+        want = self.corrupt(monkeypatch, change)
+        r = verify_prop2(F13, self.K, self.I)
+        assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
+
+    @pytest.mark.parametrize("block", [1, 2])
+    def test_block_boundary_off_by_one(self, block, monkeypatch):
+        # the lead of a block swapped with the last inner quotient before it
+        j = block * self.WIDTH
+
+        def change(qs):
+            qs[j - 1], qs[j] = qs[j], qs[j - 1]
+            return qs
+
+        want = self.corrupt(monkeypatch, change)
+        r = verify_prop2(F13, self.K, self.I)
+        assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
+
+    @pytest.mark.parametrize("j", [0, 7, -1])
+    def test_lead_wrong_multiple(self, j, monkeypatch):
+        # 2 lam_j A_{1,i}: still a multiple of A_{1,i}, refused only by the
+        # identity of its block; j = -1 is the closing step's b_n
+        want = self.corrupt(monkeypatch, self.rescale(j, 2))
+        r = verify_prop2(F13, self.K, self.I)
+        assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
+
+    def test_wrong_theta(self):
+        num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
+        wrong = (theta + 1) % 13
+        assert perfect._certify_blocks(num, den, predicted, k, self.I, wrong) == (True, False)
+
+    # (what breaks, text of _certify_blocks, its replacement, whether the
+    # closing lead b_n is scaled by 2 first)
+    CODE_MUTATIONS = {
+        "G_j sign": ("g = [0] + [-c * sigma % p", "g = [0] + [c * sigma % p", False),
+        "G_j with 1/c_j": ("[-c * sigma % p for c in cs]", "[-field.inv(c) * sigma % p for c in cs]", False),
+        "inner rescaling": ("scale = (field.inv(c), c)", "scale = (c, field.inv(c))", False),
+        "block boundary": ("predicted[start : start + width - 1]", "predicted[start + 1 : start + width]", False),
+        "closing identity dropped": ("zip(lams, c_invs, g, v_k)", "zip(lams[:-1], c_invs, g, v_k)", True),
+        "theta not squared": ("-4 * k * k * theta * theta", "-4 * k * k * theta", False),
+    }
+
+    @pytest.mark.parametrize("name", list(CODE_MUTATIONS))
+    def test_code_mutation_flips_a_verdict(self, name, monkeypatch):
+        old, new, corrupt_closing = self.CODE_MUTATIONS[name]
+        if corrupt_closing:
+            self.corrupt(monkeypatch, self.rescale(-1, 2))
+        before = prop2_verdicts(F13)
+        monkeypatch.setattr(perfect, "_certify_blocks", mutated_certificate(old, new))
+        assert prop2_verdicts(F13) != before
 
 
 class TestRelationResidual:
