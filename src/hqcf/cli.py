@@ -327,7 +327,10 @@ def cmd_verify_prop2(args, out) -> int:
     half = range(1, (args.p - 1) // 2 + 1)
     ks = [args.k] if args.k is not None else half
     iis = [args.i] if args.i is not None else half
-    reports = [verify_prop2(field, k, i) for k in ks for i in iis]
+    # the largest case (k max, i min) runs first: past MAX_PROP2_DEGREE its
+    # ValueError comes before any case is run; the cases print in sweep order
+    reports = [verify_prop2(field, k, i) for k in ks[::-1] for i in iis]
+    reports.sort(key=lambda r: (r.k, r.i))
     if args.json:
         rows = [
             {

@@ -36,14 +36,14 @@ verify_prop1 and verify_prop2 certify the exact continued fraction
 identities satisfied by the P/Q pairs by multiplication alone: a continuant
 matrix of the predicted quotients is checked against the pair, which
 proves what a Euclidean expansion would find, and the reversed expansion
-is read off the same matrix.  Prop. 1 (P_k/Q_k, 2k quotients) builds that
-matrix as the continuant product tree (_certify).  Prop. 2 (P_{kp-i}/Q_k^p,
-(2k-1)(2i+1)+1 quotients) follows the paper's proof instead: 2k small
-identities, one per block, each of degree about p, prove that the matrix
-is a closed form in Prop. 1's matrices at i and at k (under T -> T^p), so
-no tree of degree 2kp is built (_certify_blocks; the tree stays as its
-test oracle).  verify_prop1 also re-checks the first tower levels, each
-by one product.
+is read off the same matrix.  Both predictions are symbolic, like the
+generator's.  Prop. 1 (P_k/Q_k, 2k quotients) builds that matrix as the
+continuant product tree (_certify).  Prop. 2 (P_{kp-i}/Q_k^p, (2k-1)(2i+1)+1
+quotients) follows the paper's proof instead: 2k small identities, one per
+block, each of degree about p, read off the lambdas and indices, prove that
+the matrix is a closed form in Prop. 1's matrices at i and at k (under
+T -> T^p), so no quotient and no tree of degree 2kp is built (_certify_blocks;
+the tree is its test oracle).  verify_prop1 also re-checks the tower up to A_3.
 """
 
 from dataclasses import dataclass
@@ -129,6 +129,10 @@ def family_constants(field: PrimeField, k: int) -> FamilyConstants:
 # generator builds; a_sequence builds the whole tower A_0 .. A_i, about
 # p/(p-1) times that many coefficients (A_6 at p = 13, k = 1: 4,022,341).
 MAX_A_DEGREE = 10**7
+
+# Largest deg P_{kp-i} = 2(kp - i) verify_prop2 builds (97,654 at p = 313,
+# k = 156, i = 1).
+MAX_PROP2_DEGREE = 10**5
 
 
 def a_degree(p: int, k: int, i: int) -> int:
@@ -442,10 +446,10 @@ class Prop1Report:
         return self.cf_matches and self.reversal_holds and all(self.power_identity)
 
 
-def _certify(num: Polynomial, den: Polynomial, predicted: list, k: int, theta: int):
-    """(cf_matches, reversal_holds) for num/den and the predicted [b_1..b_n],
-    both read from one continuant matrix (x_n, x_{n-1}, y_n, y_{n-1}):
-    Prop. 1's certificate, and the tests' oracle for _certify_blocks.
+def _certify(num: Polynomial, den: Polynomial, predicted: ContinuedFraction, k: int, theta: int):
+    """(cf_matches, reversal_holds) for num/den and the predicted expansion
+    [b_1..b_n], both read from one continuant matrix (x_n, x_{n-1}, y_n,
+    y_{n-1}): Prop. 1's certificate, and the tests' oracle for _certify_blocks.
 
     A continued fraction whose quotients after the first all have degree
     >= 1 is the unique one of its value, and x_n, y_n are coprime, so the
@@ -454,10 +458,15 @@ def _certify(num: Polynomial, den: Polynomial, predicted: list, k: int, theta: i
     reversal, so [b_n..b_1] = x_n / x_{n-1}, and the reversal identity
     num/den = -4 k^2 theta^2 [b_n..b_1] is num x_{n-1} = -4 k^2 theta^2 den x_n.
     """
-    x, xp, y, _ = ContinuedFraction(num.field, predicted).matrix()
+    x, xp, y, _ = predicted.matrix()
     den_x = den * x
-    cf_matches = all(b.degree >= 1 for b in predicted[1:]) and num * y == den_x
+    cf_matches = all(d >= 1 for d in predicted.degrees()[1:]) and num * y == den_x
     return cf_matches, num * xp == den_x.scaled(-4 * k * k * theta * theta)
+
+
+def _prop1_predicted(field: PrimeField, v: tuple) -> ContinuedFraction:
+    """Prop. 1's expansion [v_1 T, ..., v_2k T] of P_k/Q_k, symbolic over [T]."""
+    return ContinuedFraction.symbolic(field, [Polynomial.x(field)], v, (0,) * len(v))
 
 
 def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
@@ -475,8 +484,7 @@ def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
     p = field.p
     theta, v = family_constants(field, k)
     P, Q = pq_polynomials(field, k)
-    T = Polynomial.x(field)
-    cf_matches, reversal_holds = _certify(P, Q, [T.scaled(c) for c in v], k, theta)
+    cf_matches, reversal_holds = _certify(P, Q, _prop1_predicted(field, v), k, theta)
 
     A = a_sequence(field, k, 3)
     power_identity = [
@@ -502,18 +510,17 @@ class Prop2Report:
         return self.defined and self.cf_matches and self.reversal_holds
 
 
-def prop2_predicted_quotients(field: PrimeField, k: int, i: int):
-    """Predicted expansion of P_{kp-i} / Q_k^p: 2k-1 blocks, block j led by
-    v_{j,k} A_{1,i} followed by 2i entries -delta_j^(-(-1)^m) v_{m,i} T
-    (m = 1..2i), closed by v_{2k,k} A_{1,i}; here
-    delta_j = 2i theta_i [v_{j,k}, ..., v_{1,k}].
+def prop2_predicted_quotients(field: PrimeField, k: int, i: int) -> ContinuedFraction:
+    """Predicted expansion of P_{kp-i} / Q_k^p, symbolic over the tower
+    [T, A_{1,i}]: 2k-1 blocks, block j led by v_{j,k} A_{1,i} followed by 2i
+    entries -delta_j^(-(-1)^m) v_{m,i} T (m = 1..2i), closed by
+    v_{2k,k} A_{1,i}; here delta_j = 2i theta_i [v_{j,k}, ..., v_{1,k}].
 
     Raises ScalarCFUndefined if some delta_j is zero.
     """
     p = field.p
     _, v_k = family_constants(field, k)
     theta_i, v_i = family_constants(field, i)
-    A1 = a_sequence(field, i, 1)[1]
     # delta_j / (2i theta_i) is the running value r_j over v_1, v_2, ...; a
     # trailing head makes r_(2k-1) a tail too, so every zero one raises
     try:
@@ -521,16 +528,14 @@ def prop2_predicted_quotients(field: PrimeField, k: int, i: int):
     except ScalarCFUndefined as exc:
         j = exc.index
         raise ScalarCFUndefined(j, f"delta_{j} = 0 in the block construction")
-    quotients = []
+    lambdas = []
     for j in range(1, 2 * k):
         delta_j = 2 * i * theta_i * brackets[j - 1] % p
         scale = (delta_j, field.inv(delta_j))  # delta_j at even m, 1/delta_j at odd m
-        quotients.append(A1.scaled(v_k[j - 1]))
-        # -delta_j^(-(-1)^m) v_m is a unit: trusted as a canonical c*T
-        quotients += [Polynomial(field, (0, -scale[m % 2] * u % p), _trusted=True)
-                      for m, u in enumerate(v_i, 1)]
-    quotients.append(A1.scaled(v_k[2 * k - 1]))
-    return quotients
+        lambdas += [v_k[j - 1], *(-scale[m % 2] * u % p for m, u in enumerate(v_i, 1))]
+    lambdas.append(v_k[2 * k - 1])
+    indices = ((1,) + (0,) * (2 * i)) * (2 * k - 1) + (1,)
+    return ContinuedFraction.symbolic(field, a_sequence(field, i, 1), lambdas, indices)
 
 
 def _all_zero(rows: list, polys: list, p: int) -> bool:
@@ -555,16 +560,17 @@ def _times_frobenius(f: Polynomial, g: Polynomial) -> Polynomial:
     return Polynomial._make(f.field, (out % p).tolist())
 
 
-def _certify_blocks(num: Polynomial, den: Polynomial, predicted: list, k: int, i: int, theta: int):
+def _certify_blocks(num: Polynomial, den: Polynomial, predicted: ContinuedFraction,
+                    family_k: FamilyConstants, family_i: FamilyConstants):
     """(cf_matches, reversal_holds) of _certify for num/den = P_{kp-i} / Q_k^p
-    and the predicted [b_1..b_n] of prop2_predicted_quotients, proved block
-    by block instead of from the continuant tree of all n quotients.
+    and the symbolic [b_1..b_n] of prop2_predicted_quotients, proved block by
+    block from its lambdas and indices: no quotient and no tree is built.
 
     Let M_i = [[x, x'], [y, y']] be the matrix of Prop. 1's [v_{1,i} T ..
     v_{2i,i} T] and sigma = lc(P_i)/lc(x); sigma x = P_i is checked once.
-    The list must be 2k-1 blocks and a closing b_n.  Block j is a lead
-    b_j = lam_j A (A the monic b_1) and 2i inner quotients c_j v_{m,i} T
-    (m odd) and v_{m,i} T / c_j (m even), compared as coefficient tuples;
+    The indices must be (1, 0 x 2i) x (2k-1) and 1 over a tower [T, A]: block
+    j is a lead b_j = lam_j A and 2i inner quotients c_j v_{m,i} T (m odd) and
+    v_{m,i} T / c_j (m even), compared as lambda tuples;
     its matrix is then B_j = [[b_j x + y/c_j, c_j b_j x' + y'], [x, c_j x']].
     With S_j = [[1, G_j], [0, P_i]], G_0 = 0 and G_j = g_j x', g_j = -c_j sigma,
     the four entries of S_{j-1} [[v_{j,k} T^p, 1], [1, 0]] = sigma B_j S_j are
@@ -575,36 +581,32 @@ def _certify_blocks(num: Polynomial, den: Polynomial, predicted: list, k: int, i
     per-block scalars, so _all_zero checks all blocks at once.  They
     telescope: the predicted matrix is sigma^(2k-1) [[X/P_i, X'], [Y, P_i Y']],
     [[X, X'], [Y, Y']] being Prop. 1's matrix at k under T -> T^p.  So, as
-    in _certify, the list is num/den's expansion when the degree guard holds
+    in _certify, the expansion is num/den's when the degree guard holds
     and num P_i Y = den X, and the reversal identity is
-    num P_i X' = -4 k^2 theta^2 den X.  A list that breaks the block shape
-    or an identity certifies neither verdict.
+    num P_i X' = -4 k^2 theta^2 den X.  A list (its indices are None), a zero
+    lambda, or a broken shape or identity certifies neither verdict.
     """
     field = num.field
     p = field.p
-    T = Polynomial.x(field)
-    v_k, v_i = family_constants(field, k).v, family_constants(field, i).v
+    (theta, v_k), v_i = family_k, family_i.v
+    k, i = len(v_k) // 2, len(v_i) // 2
     P_i = power_p_family(field, i)
-    x, xp, y, yp = ContinuedFraction(field, [T.scaled(c) for c in v_i]).matrix()
+    x, xp, y, yp = _prop1_predicted(field, v_i).matrix()
     sigma = P_i.leading_coefficient() * field.inv(x.leading_coefficient()) % p
     width = 2 * i + 1  # a lead and its 2i inner quotients
-    leads = predicted[::width]  # b_1, .., b_(2k-1) and the closing b_n
-    if x.scaled(sigma) != P_i or len(predicted) != (2 * k - 1) * width + 1 or not all(leads):
-        return False, False
-    A = leads[0].monic()
-    lams = [b.leading_coefficient() for b in leads]
-    if any(b != A.scaled(lam) for b, lam in zip(leads, lams)):
+    lambdas, shape = predicted.lambdas, ((1,) + (0,) * (width - 1)) * (2 * k - 1) + (1,)
+    if (x.scaled(sigma) != P_i or predicted.indices != shape or 0 in lambdas
+            or predicted.tower[0] != Polynomial.x(field)):
         return False, False
     cs, v1_inv = [], field.inv(v_i[0])
-    for start in range(1, len(predicted) - 1, width):
-        inner = [q.coeffs for q in predicted[start : start + width - 1]]
-        if len(inner[0]) != 2 or inner[0][0]:
-            return False, False
-        c = inner[0][1] * v1_inv % p
+    for start in range(1, len(lambdas) - 1, width):
+        c = lambdas[start] * v1_inv % p
         scale = (field.inv(c), c)  # 1/c_j at even m, c_j at odd m
-        if inner != [(0, scale[m % 2] * u % p) for m, u in enumerate(v_i, 1)]:
+        inner = tuple(scale[m % 2] * u % p for m, u in enumerate(v_i, 1))
+        if lambdas[start : start + width - 1] != inner:
             return False, False
         cs.append(c)
+    A, lams = predicted.tower[1], lambdas[::width]  # the leads' lam_1 .. lam_(2k-1) and lam_n
     g = [0] + [-c * sigma % p for c in cs]  # G_j = g_j x', j = 0..2k-1
     c_invs = [field.inv(c) for c in cs] + [0]  # the closing has no y term: P_i b_n = sigma lam_n A x
     ax = A * x
@@ -620,7 +622,7 @@ def _certify_blocks(num: Polynomial, den: Polynomial, predicted: list, k: int, i
     ):
         return False, False
     # Prop. 1's matrix at k; its entries at T^p are X, X', Y
-    xk, xkp, yk, _ = ContinuedFraction(field, [T.scaled(c) for c in v_k]).matrix()
+    xk, xkp, yk, _ = _prop1_predicted(field, v_k).matrix()
     num_P = num * P_i
     den_X = _times_frobenius(den, xk)
     # _certify's degree guard on b_2..b_n: the inner quotients have degree 1, the leads deg A
@@ -632,21 +634,24 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
     """Certify that the predicted block expansion [b_1..b_n] is the
     continued fraction of P_{kp-i} / Q_k^p, and the reversal identity
     [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1], block by block from Prop. 1's
-    matrices at i and k (_certify_blocks)."""
+    matrices at i and k (_certify_blocks).  A P_{kp-i} past MAX_PROP2_DEGREE
+    is a ValueError, raised before any polynomial is built."""
     p = field.p
     _check_k(p, k)
     _check_k(p, i, "i")
+    if 2 * (k * p - i) > MAX_PROP2_DEGREE:
+        raise ValueError(f"deg P_(kp-i) = {2 * (k * p - i)} at k = {k}, i = {i} is past {MAX_PROP2_DEGREE}")
     try:
         predicted = prop2_predicted_quotients(field, k, i)
     except ScalarCFUndefined as exc:
         return Prop2Report(p, k, i, False, f"construction undefined: {exc}")
-    theta_k, _ = family_constants(field, k)
     P_k, Q_k = pq_polynomials(field, k)
     # P_{kp-i} = P_k^p / P_i = P_k(T^p) / (T^2 - 1)^i, an exact division
     num, rem = _frobenius_divmod_pk(P_k, i)
     if rem:
         raise ArithmeticError(f"P_{k}(T^{p}) is not divisible by P_{i}: remainder {rem.format()}")
-    cf_matches, reversal_holds = _certify_blocks(num, Q_k.pow_frobenius(), predicted, k, i, theta_k)
+    families = family_constants(field, k), family_constants(field, i)
+    cf_matches, reversal_holds = _certify_blocks(num, Q_k.pow_frobenius(), predicted, *families)
     return Prop2Report(p, k, i, True, "", cf_matches, reversal_holds, len(predicted))
 
 

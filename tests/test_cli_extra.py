@@ -95,6 +95,14 @@ class TestGenerateValidation:
         assert code == 2 and out == ""
         assert f"past degree {perfect.MAX_A_DEGREE}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("case", [["--k", "158", "--i", "1"], []], ids=["case", "sweep"])
+    def test_prop2_past_the_degree_cap(self, case, no_tower, capsys):
+        # deg P_(kp-i) = 100,170 at p = 317, k = 158, i = 1; the sweep runs
+        # that case, its largest, first, so no case's A_(1,i) is built
+        code, out = run(["verify", "prop2", "--p", "317", *case])
+        assert code == 2 and out == ""
+        assert f"= 100170 at k = 158, i = 1 is past {perfect.MAX_PROP2_DEGREE}" in capsys.readouterr().err
+
     def test_generated_index_past_degree_bound(self, no_tower):
         # indices grow with n: at p = 97, k = 1 quotient 41 is a multiple of
         # A_{4,1}, of degree about 97^4

@@ -10,6 +10,7 @@ from hqcf.cf import ContinuedFraction, ScalarCFUndefined, rational_to_cf, runnin
 from hqcf.fields import GF, MAX_MODULUS, PrimeField
 from hqcf.perfect import (
     MAX_A_DEGREE,
+    MAX_PROP2_DEGREE,
     DeltaMismatchError,
     DeltaUndefinedError,
     ExpansionSpec,
@@ -659,12 +660,28 @@ class TestProp2:
             with pytest.raises(ValueError, match=f"1 <= {name} < p/2"):
                 verify_prop2(F7, k, i)
 
+    def test_degree_cap(self, monkeypatch):
+        # deg P_(kp-i) = 2(kp - i): 97,654 at p = 313, k = 156, i = 1 runs,
+        # 100,170 at p = 317, k = 158, i = 1 is refused before any polynomial;
+        # every case at p < 100 (the largest is k = 48, i = 1 at p = 97) runs
+        assert 2 * (48 * 97 - 1) < 2 * (156 * 313 - 1) <= MAX_PROP2_DEGREE < 2 * (158 * 317 - 1)
+        assert verify_prop2(GF(313), 156, 1).passed
+
+        def refuse(*args):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(perfect, "prop2_predicted_quotients", refuse)
+        monkeypatch.setattr(perfect, "pq_polynomials", refuse)
+        with pytest.raises(ValueError, match=f"= 100170 at k = 158, i = 1 is past {MAX_PROP2_DEGREE}"):
+            verify_prop2(GF(317), 158, 1)
+
 
 def prop1_case(F, k):
-    """(num, den, predicted, k, theta) of the Prop. 1 certificate: P_k / Q_k."""
+    """(num, den, predicted, k, theta) of the Prop. 1 certificate: P_k / Q_k,
+    predicted as the list [v_1 T, ..., v_2k T]."""
     theta, v = family_constants(F, k)
     P, Q = pq_polynomials(F, k)
-    return P, Q, [Polynomial.x(F).scaled(c) for c in v], k, theta
+    return P, Q, ContinuedFraction(F, [Polynomial.x(F).scaled(c) for c in v]), k, theta
 
 
 def prop2_case(F, k, i):
@@ -678,8 +695,9 @@ def prop2_case(F, k, i):
 def euclid_oracle(num, den, predicted, k, theta):
     """(cf_matches, reversal_holds) the long way: the Euclidean expansion of
     num/den, and a second continuant tree for the reversed quotients."""
-    cf_matches = list(rational_to_cf(num, den).quotients) == predicted
-    xr, yr = ContinuedFraction(num.field, predicted[::-1]).value()
+    quotients = list(predicted.quotients)
+    cf_matches = list(rational_to_cf(num, den).quotients) == quotients
+    xr, yr = ContinuedFraction(num.field, quotients[::-1]).value()
     return cf_matches, num * yr == (xr * den).scaled(-4 * k * k * theta * theta)
 
 
@@ -722,7 +740,8 @@ class TestCertificateMutations:
     @staticmethod
     def certify_blocks(num, den, predicted, k, theta):
         """verify_prop2's block certificate on the prop2 case, (k, i) = (2, 3)."""
-        return perfect._certify_blocks(num, den, predicted, k, 3, theta)
+        family_k = family_constants(F13, k)._replace(theta=theta)
+        return perfect._certify_blocks(num, den, predicted, family_k, family_constants(F13, 3))
 
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
     @pytest.mark.parametrize("j", [0, 1, -1])
@@ -730,22 +749,24 @@ class TestCertificateMutations:
         # [.., b - T, 0, T, ..] has the matrix of [.., b, ..]: only the
         # degree guard on b_2..b_n tells them apart
         num, den, predicted, k, theta = self.CASES[case]()
-        j %= len(predicted)
+        qs = list(predicted.quotients)
+        j %= len(qs)
         T = Polynomial.x(F13)
-        split = predicted[:j] + [predicted[j] - T, Polynomial.zero(F13), T] + predicted[j + 1 :]
-        assert ContinuedFraction(F13, split).value() == ContinuedFraction(F13, predicted).value()
+        split = ContinuedFraction(F13, qs[:j] + [qs[j] - T, Polynomial.zero(F13), T] + qs[j + 1 :])
+        assert split.value() == predicted.value()
         assert self.certify_both(num, den, split, k, theta) == (False, True)
         if case == "prop2":
-            # the split list has no block shape, so the chain certifies neither verdict
+            # a zero quotient is no lambda * A_j: the split goes in as a list,
+            # which has no block shape, so the chain certifies neither verdict
             assert self.certify_blocks(num, den, split, k, theta) == (False, False)
 
     def test_split_quotient_fails_verify_prop2(self, monkeypatch):
         real = perfect.prop2_predicted_quotients
 
         def split(field, k, i):
-            qs = real(field, k, i)
+            qs = real(field, k, i).quotients
             T = Polynomial.x(field)
-            return [qs[0] - T, Polynomial.zero(field), T, *qs[1:]]
+            return ContinuedFraction(field, [qs[0] - T, Polynomial.zero(field), T, *qs[1:]])
 
         monkeypatch.setattr(perfect, "prop2_predicted_quotients", split)
         r = verify_prop2(F13, 2, 3)
@@ -755,11 +776,13 @@ class TestCertificateMutations:
     @pytest.mark.parametrize("j", [0, 2, -1])
     def test_changed_coefficient(self, case, j):
         num, den, predicted, k, theta = self.CASES[case]()
-        predicted[j] = predicted[j] + Polynomial.one(F13)
-        cf_matches, _ = self.certify_both(num, den, predicted, k, theta)
+        qs = list(predicted.quotients)
+        qs[j] = qs[j] + Polynomial.one(F13)  # no lambda * A_j: it goes in as a list
+        changed = ContinuedFraction(F13, qs)
+        cf_matches, _ = self.certify_both(num, den, changed, k, theta)
         assert not cf_matches
         if case == "prop2":
-            assert self.certify_blocks(num, den, predicted, k, theta) == (False, False)
+            assert self.certify_blocks(num, den, changed, k, theta) == (False, False)
 
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
     def test_wrong_theta(self, case):
@@ -786,6 +809,37 @@ class TestCertificateMutations:
         assert r.cf_matches and r.reversal_holds and not r.passed
         # A_level is the quotient at level - 1 and the dividend at level
         assert r.power_identity == [i not in (level - 1, level) for i in range(3)]
+
+
+def edited(edit):
+    """A corruption of a symbolic expansion: edit(tower, lambdas, indices)
+    changes copies of its three sequences in place."""
+
+    def change(cf):
+        tower, lambdas, indices = list(cf.tower), list(cf.lambdas), list(cf.indices)
+        edit(tower, lambdas, indices)
+        return ContinuedFraction.symbolic(cf.field, tower, lambdas, indices)
+
+    return change
+
+
+def rescaled(j, c):
+    """The j-th lambda times c."""
+
+    def edit(tower, lambdas, indices):
+        lambdas[j] = lambdas[j] * c % tower[0].field.p
+
+    return edited(edit)
+
+
+def lead_on_t(tower, lambdas, indices):
+    """The lead of the second block put on A_0 = T: lam_8 T in place of lam_8 A."""
+    indices[7] = 0
+
+
+def doubled_t(tower, lambdas, indices):
+    """Every inner quotient doubled through the tower's A_0 = 2T."""
+    tower[0] = tower[0].scaled(2)
 
 
 def prop1_frobenius_matrix(F, k):
@@ -833,61 +887,54 @@ class TestBlockCertificate:
                 P_i = pq_polynomials(F, i)[0]
                 X_over_P, rem = divmod(X, P_i)
                 assert rem.is_zero(), (k, i)
-                got = ContinuedFraction(F, predicted).matrix()
+                got = predicted.matrix()
                 s = got[0].leading_coefficient() * F.inv(X_over_P.leading_coefficient()) % p
                 assert s * s % p == 1, (k, i)
                 assert got == tuple(m.scaled(s) for m in (X_over_P, Xp, Y, P_i * Yp)), (k, i)
 
     def corrupt(self, monkeypatch, change):
-        """Make prop2_predicted_quotients return change(list) at (K, I); the
-        list's Euclid verdict is returned for comparison."""
+        """Make prop2_predicted_quotients return change(cf) at (K, I); the
+        changed expansion's Euclid verdict is returned for comparison."""
         real = perfect.prop2_predicted_quotients
 
         def corrupted(field, k, i):
-            qs = real(field, k, i)
-            return change(list(qs)) if (k, i) == (self.K, self.I) else qs
+            cf = real(field, k, i)
+            return change(cf) if (k, i) == (self.K, self.I) else cf
 
         monkeypatch.setattr(perfect, "prop2_predicted_quotients", corrupted)
         num, den, _, k, theta = prop2_case(F13, self.K, self.I)
         return euclid_oracle(num, den, corrupted(F13, self.K, self.I), k, theta)
-
-    def rescale(self, j, c):
-        def change(qs):
-            qs[j] = qs[j].scaled(c)
-            return qs
-
-        return change
 
     @pytest.mark.parametrize("m", [1, 2, 6])
     @pytest.mark.parametrize("block", [0, 1])  # c_j = 10, 6 (c_3 = 1 has no wrong side)
     def test_inner_quotient_wrong_rescaling(self, block, m, monkeypatch):
         # the m-th inner quotient of a block rescaled by 1/c_j where c_j is
         # due (m odd) or by c_j where 1/c_j is (m even)
-        qs = prop2_predicted_quotients(F13, self.K, self.I)
+        lambdas = prop2_predicted_quotients(F13, self.K, self.I).lambdas
         v = family_constants(F13, self.I).v
         start = block * self.WIDTH + 1
-        c = qs[start].leading_coefficient() * F13.inv(v[0]) % 13
+        c = lambdas[start] * F13.inv(v[0]) % 13
         wrong = v[m - 1] * (F13.inv(c) if m % 2 else c) % 13
-        assert qs[start + m - 1] != Polynomial.monomial(F13, wrong, 1)
+        assert lambdas[start + m - 1] != wrong
 
-        def change(qs):
-            qs[start + m - 1] = Polynomial.monomial(F13, wrong, 1)
-            return qs
+        def edit(tower, lambdas, indices):
+            lambdas[start + m - 1] = wrong
 
-        want = self.corrupt(monkeypatch, change)
+        want = self.corrupt(monkeypatch, edited(edit))
         r = verify_prop2(F13, self.K, self.I)
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
     @pytest.mark.parametrize("block", [1, 2])
     def test_block_boundary_off_by_one(self, block, monkeypatch):
-        # the lead of a block swapped with the last inner quotient before it
+        # the lead of a block swapped with the last inner quotient before it,
+        # (lambda, index) pairs both: refused by the index shape
         j = block * self.WIDTH
 
-        def change(qs):
-            qs[j - 1], qs[j] = qs[j], qs[j - 1]
-            return qs
+        def edit(tower, lambdas, indices):
+            lambdas[j - 1], lambdas[j] = lambdas[j], lambdas[j - 1]
+            indices[j - 1], indices[j] = indices[j], indices[j - 1]
 
-        want = self.corrupt(monkeypatch, change)
+        want = self.corrupt(monkeypatch, edited(edit))
         r = verify_prop2(F13, self.K, self.I)
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
@@ -895,31 +942,47 @@ class TestBlockCertificate:
     def test_lead_wrong_multiple(self, j, monkeypatch):
         # 2 lam_j A_{1,i}: still a multiple of A_{1,i}, refused only by the
         # identity of its block; j = -1 is the closing step's b_n
-        want = self.corrupt(monkeypatch, self.rescale(j, 2))
+        want = self.corrupt(monkeypatch, rescaled(j, 2))
         r = verify_prop2(F13, self.K, self.I)
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
     def test_wrong_theta(self):
         num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
-        wrong = (theta + 1) % 13
-        assert perfect._certify_blocks(num, den, predicted, k, self.I, wrong) == (True, False)
+        family_k = family_constants(F13, k)._replace(theta=(theta + 1) % 13)
+        got = perfect._certify_blocks(num, den, predicted, family_k, family_constants(F13, self.I))
+        assert got == (True, False)
 
-    # (what breaks, text of _certify_blocks, its replacement, whether the
-    # closing lead b_n is scaled by 2 first)
+    def test_quotients_never_built(self, monkeypatch):
+        # the certificate reads the prediction's lambdas and indices alone
+        real, made = perfect.prop2_predicted_quotients, []
+
+        def capture(field, k, i):
+            made.append(real(field, k, i))
+            return made[-1]
+
+        monkeypatch.setattr(perfect, "prop2_predicted_quotients", capture)
+        assert verify_prop2(F13, self.K, self.I).passed
+        assert len(made) == 1 and made[0]._quotients is None
+
+    # (what breaks, text of _certify_blocks, its replacement, and the
+    # corruption of the (K, I) prediction, one Euclid refuses, that the
+    # broken copy lets through, if one is needed)
     CODE_MUTATIONS = {
-        "G_j sign": ("g = [0] + [-c * sigma % p", "g = [0] + [c * sigma % p", False),
-        "G_j with 1/c_j": ("[-c * sigma % p for c in cs]", "[-field.inv(c) * sigma % p for c in cs]", False),
-        "inner rescaling": ("scale = (field.inv(c), c)", "scale = (c, field.inv(c))", False),
-        "block boundary": ("predicted[start : start + width - 1]", "predicted[start + 1 : start + width]", False),
-        "closing identity dropped": ("zip(lams, c_invs, g, v_k)", "zip(lams[:-1], c_invs, g, v_k)", True),
-        "theta not squared": ("-4 * k * k * theta * theta", "-4 * k * k * theta", False),
+        "G_j sign": ("g = [0] + [-c * sigma % p", "g = [0] + [c * sigma % p", None),
+        "G_j with 1/c_j": ("[-c * sigma % p for c in cs]", "[-field.inv(c) * sigma % p for c in cs]", None),
+        "inner rescaling": ("scale = (field.inv(c), c)", "scale = (c, field.inv(c))", None),
+        "block boundary": ("lambdas[start : start + width - 1]", "lambdas[start + 1 : start + width]", None),
+        "closing identity dropped": ("zip(lams, c_invs, g, v_k)", "zip(lams[:-1], c_invs, g, v_k)", rescaled(-1, 2)),
+        "theta not squared": ("-4 * k * k * theta * theta", "-4 * k * k * theta", None),
+        "index shape dropped": ("or predicted.indices != shape ", "", edited(lead_on_t)),
+        "tower[0] == T dropped": ("or predicted.tower[0] != Polynomial.x(field)", "", edited(doubled_t)),
     }
 
     @pytest.mark.parametrize("name", list(CODE_MUTATIONS))
     def test_code_mutation_flips_a_verdict(self, name, monkeypatch):
-        old, new, corrupt_closing = self.CODE_MUTATIONS[name]
-        if corrupt_closing:
-            self.corrupt(monkeypatch, self.rescale(-1, 2))
+        old, new, change = self.CODE_MUTATIONS[name]
+        if change:
+            assert self.corrupt(monkeypatch, change)[0] is False
         before = prop2_verdicts(F13)
         monkeypatch.setattr(perfect, "_certify_blocks", mutated_certificate(old, new))
         assert prop2_verdicts(F13) != before
