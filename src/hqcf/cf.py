@@ -71,13 +71,10 @@ class ContinuedFraction:
 
     __slots__ = ("field", "_quotients", "perfect_type", "tower", "lambdas", "indices")
 
-    def __init__(
-        self, field, quotients: Sequence[Polynomial], *, perfect_type: Optional[tuple] = None
-    ):
+    def __init__(self, field, quotients: Sequence[Polynomial]):
         self.field = field
         self._quotients = tuple(quotients)
-        self.perfect_type = perfect_type
-        self.tower = self.lambdas = self.indices = None
+        self.perfect_type = self.tower = self.lambdas = self.indices = None
 
     @classmethod
     def symbolic(
@@ -87,8 +84,8 @@ class ContinuedFraction:
         """[lambdas[0] * tower[indices[0]], lambdas[1] * tower[indices[1]], ...]."""
         if len(lambdas) != len(indices):
             raise ValueError("need one tower index per lambda")
-        cf = cls(field, (), perfect_type=perfect_type)
-        cf._quotients = None
+        cf = cls(field, ())
+        cf._quotients, cf.perfect_type = None, perfect_type
         cf.tower, cf.lambdas, cf.indices = tower, tuple(lambdas), tuple(indices)
         return cf
 

@@ -230,7 +230,7 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     def render(f, c: int, shared, lc: int, j: int | None) -> str:
         if as_json:
             return f.to_json_text(c, shared)
-        text = f.format("T", c, shared)
+        text = f.format(c, shared)
         return text if j is None else f"{text}  [= {lc}*A[{j},k]]"
 
     if A is None:
@@ -300,7 +300,7 @@ def cmd_generate(args, out) -> int:
         tuple(int(x) for x in args.lambdas.split(",")),
         tuple(int(x) for x in args.indices.split(",")) if args.indices else (),
     )
-    _print_expansion(generate_perfect_expansion(spec, args.n).cf, args.json, args.k, out)
+    _print_expansion(generate_perfect_expansion(spec, args.n), args.json, args.k, out)
     return 0
 
 
@@ -384,9 +384,8 @@ def cmd_verify_conj2(args, out) -> int:
 
 
 def cmd_exponent(args, out) -> int:
-    window = args.n - 1 if args.window is None else args.window
     cf, source = quartic_expansion(args.p, args.n)
-    report = approximation_exponent(cf, window)
+    report = approximation_exponent(cf, args.n - 1)
     if args.json:
         payload = {
             "p": args.p,
@@ -469,7 +468,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("exponent", help="rational approximation exponent of the quartic root")
     add_common(p_exp, n_default=500)
-    p_exp.add_argument("--window", type=int, help="ratio window (default n-1)")
     return top
 
 

@@ -293,21 +293,14 @@ class ExpansionSpec:
         return FrobeniusRelation(self.l, self.eps1 % p, self.eps2 % p, P, Q, p)
 
 
-class GenerationResult(NamedTuple):
-    cf: ContinuedFraction
-    lambdas: list  # lambdas[n] for n = 1..N ([0] unused)
-    deltas: list
-    indices: list
-
-
 # Sources per pass of generate_perfect_expansion; it bounds the pass's lists.
 _CHUNK = 4096
 
 
-def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
+def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction:
     """First n partial quotients a_m = lambda_m * A_{i(m),k} of the perfect
-    expansion determined by the spec, together with the extended lambda and
-    delta sequences.
+    expansion determined by the spec, symbolic over the tower; the delta
+    sequence the recurrences extend alongside lambda stays internal.
 
     Recurrences, for f(m) = (2k+1)m + l - 2k and 1 <= i <= 2k:
       lambda_{f(m)}   = eps1^((-1)^m) lambda_m
@@ -362,17 +355,16 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> GenerationResult:
         if broken:
             raise ArithmeticError(f"generation order broken at block f({m_end})")
         m_lo = m_end
-    del lam[n + 1 :], dl[n + 1 :], idx[n + 1 :]
-    cf = ContinuedFraction.symbolic(
+    del dl, lam[n + 1 :], idx[n + 1 :]
+    return ContinuedFraction.symbolic(
         f, a_sequence(f, k, max(idx[1:], default=0)), lam[1:], idx[1:],
         perfect_type=(p, l, k, tuple(spec.indices)),
     )
-    return GenerationResult(cf, lam, dl, idx)
 
 
 def generate_perfect_p11(
     field: PrimeField, i1: int, eps1: int, eps2: int, n: int
-) -> GenerationResult:
+) -> ContinuedFraction:
     """Type (p, 1, 1) perfect expansion via its specialized recurrences.
 
     Needs eps2^2 + 2*eps1 != 0; then lambda_1 = (eps2^2 + 2 eps1)(-2)^i1 / eps2
@@ -421,11 +413,10 @@ def generate_perfect_p11(
             dl[b + 2] = 2 * f.inv(dl[b + 1]) % p
             idx[b + 2] = 0
         m += 1
-    cf = ContinuedFraction.symbolic(
-        f, a_sequence(f, 1, max(idx[1 : n + 1], default=0)), lam[1:], idx[1:],
+    return ContinuedFraction.symbolic(
+        f, a_sequence(f, 1, max(idx[1:], default=0)), lam[1:], idx[1:],
         perfect_type=(p, 1, 1, (i1,)),
     )
-    return GenerationResult(cf, lam, dl, idx)
 
 
 # -- identity verification -------------------------------------------------------

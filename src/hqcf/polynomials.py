@@ -302,11 +302,11 @@ class Polynomial:
             raise ValueError("the zero polynomial cannot be made monic")
         return self.scaled(self.field.inv(self.leading_coefficient()))
 
-    def format(self, var: str = "T", c: int = 1, terms: tuple | None = None) -> str:
+    def format(self, c: int = 1, terms: tuple | None = None) -> str:
         """Human-readable form of c*f, like '9*T^3 + 8*T' with the terms
         descending, written without building c*f.
 
-        terms is self.terms(var): a caller that formats f for several c
+        terms is self.terms(): a caller that formats f for several c
         passes it to every call, so that only the work that depends on c
         is repeated.  Each distinct coefficient value is scaled and turned
         into a string once per call.
@@ -315,7 +315,7 @@ class Polynomial:
         c %= p
         if not c or not self.coeffs:
             return "0"
-        values, heads, names = self.terms(var) if terms is None else terms
+        values, heads, names = self.terms() if terms is None else terms
         # "3*" for a term 3*T^n, and "" where c*a = 1: the term reads T^n
         prefix = {a: f"{b}*" if (b := a * c % p) != 1 else "" for a in values}
         text = " + ".join(map(str.__add__, map(prefix.__getitem__, heads), names))
@@ -324,14 +324,14 @@ class Polynomial:
         constant = str(self.coeffs[0] * c % p)
         return f"{text} + {constant}" if text else constant
 
-    def terms(self, var: str = "T") -> tuple:
+    def terms(self) -> tuple:
         """(values, heads, names) for format: the nonzero coefficients of
         the terms of degree >= 1, descending (heads), their monomials 'T^n'
         or 'T' (names) and the set of their distinct values."""
         cs = self.coeffs
         degrees = [n for n in range(len(cs) - 1, 0, -1) if cs[n]]
         heads = [cs[n] for n in degrees]
-        names = [f"{var}^{n}" if n > 1 else var for n in degrees]
+        names = [f"T^{n}" if n > 1 else "T" for n in degrees]
         return set(heads), heads, names
 
     def to_json_dict(self) -> dict:

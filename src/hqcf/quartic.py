@@ -8,22 +8,20 @@ knows of the quartic: alpha's root state for the generic engine expand_root,
 its series for the generic oracle cf_from_series, the index formula of its
 perfect expansion, and the route by which its exponent is measured.
 
-For p = 1 mod 3 the pipeline derive_frobenius_relation extracts, purely by
-exact arithmetic, the relation
+derive_frobenius_relation extracts, purely by exact arithmetic, the relation
 
-    alpha^p = eps1 * (T^2+a)^k * alpha_{l+1} + eps2 * Q_{k,a},
+    alpha^r = eps1 * (T^2+a)^k' * alpha_{l+1} + eps2 * Q_{k,a}(T^(r/p)),
 
-with (l, k) = ((p-1)/2, (p-1)/3), from the basis coordinates of alpha^p
-and alpha^(p+1).  normalize_to_beta rescales by v = sqrt(-a) to the
-normalized family, after which the expansion is a perfect expansion and
-its generator can be cross-checked against the direct root expansion.
-Every quotient rescaled is odd, so only even powers of v occur: the
-rescaling is arithmetic in F_p on s = v^2 = -a alone.
-
-For p = 2 mod 3 the analogous relation uses alpha^(p^2), which
-frobenius_square_vectors reaches from alpha^p by Frobenius powering;
-verify_conjecture2 reads its scalars off the same way, through the one
-derivation _relation_from_vectors that both residue classes share.
+with r = p and (l, k', k) = ((p-1)/2, (p-1)/3, (p-1)/3) for p = 1 mod 3,
+and r = p^2 and (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3) for
+p = 2 mod 3, from the basis coordinates of alpha^r and alpha^(r+1) that
+frobenius_vectors reaches by Frobenius powering.  The two conjecture
+verdicts are wrappers over that one derivation.  For p = 1 mod 3,
+normalize_to_beta rescales by v = sqrt(-a) to the normalized family, after
+which the expansion is a perfect expansion and its generator can be
+cross-checked against the direct root expansion.  Every quotient rescaled
+is odd, so only even powers of v occur: the rescaling is arithmetic in F_p
+on s = v^2 = -a alone.
 """
 
 from dataclasses import dataclass
@@ -169,27 +167,31 @@ def _ring_mul(field: PrimeField, u: PowerVec, v: PowerVec) -> PowerVec:
     return PowerVec(c[3], c[2], c[1], c[0])
 
 
-def frobenius_square_vectors(field: PrimeField) -> tuple:
-    """Basis coordinates of (alpha^(p^2), alpha^(p^2 + 1)).
+def frobenius_vectors(field: PrimeField, e: int) -> tuple:
+    """Basis coordinates of (alpha^r, alpha^(r+1)), r = p^e, e >= 1.
 
-    alpha^p = a alpha^3 + b alpha^2 + c alpha + d takes p - 1 steps from
-    alpha; raising to the p-th power is a ring endomorphism in
-    characteristic p, so
-    alpha^(p^2) = a(T^p) (alpha^p)^3 + b(T^p) (alpha^p)^2 + c(T^p) alpha^p
-    + d(T^p): one pow_frobenius per coordinate and two ring products, in
-    place of the p^2 steps of power_vectors.
+    alpha^p takes p - 1 steps from alpha.  Raising to the p-th power is a
+    ring endomorphism in characteristic p, so alpha^r = a alpha^3 + b alpha^2
+    + c alpha + d gives alpha^(pr) = a(T^p) (alpha^p)^3 + b(T^p) (alpha^p)^2
+    + c(T^p) alpha^p + d(T^p): one pow_frobenius per coordinate, after two
+    ring products for (alpha^p)^2 and (alpha^p)^3, in place of the pr - r
+    steps of power_vectors.
     """
+    if e < 1:
+        raise ValueError(f"need e >= 1, got {e}")
     zero = Polynomial.zero(field)
-    ap = power_vectors(field, field.p)[-1]
-    ap2 = _ring_mul(field, ap, ap)
-    ap3 = _ring_mul(field, ap2, ap)
-    one = PowerVec(zero, zero, zero, Polynomial.one(field))
-    out = [zero] * 4
-    for coef, vec in zip(ap, (ap3, ap2, ap, one)):
-        coef = coef.pow_frobenius()
-        out = [o + coef * w for o, w in zip(out, vec)]
-    v0 = PowerVec(*out)
-    return v0, _alpha_step(field, v0)
+    vec = ap = power_vectors(field, field.p)[-1]
+    if e > 1:
+        ap2 = _ring_mul(field, ap, ap)
+        one = PowerVec(zero, zero, zero, Polynomial.one(field))
+        basis = (_ring_mul(field, ap2, ap), ap2, ap, one)
+        for _ in range(e - 1):
+            out = [zero] * 4
+            for coef, w in zip(vec, basis):
+                coef = coef.pow_frobenius()
+                out = [o + coef * x for o, x in zip(out, w)]
+            vec = PowerVec(*out)
+    return vec, _alpha_step(field, vec)
 
 
 class DerivationError(ValueError):
@@ -201,27 +203,65 @@ class DerivationError(ValueError):
         self.stage = stage
 
 
-def _relation_from_vectors(
-    field: PrimeField, v0: PowerVec, v1: PowerVec, mat: tuple, l: int, k_P: int, k_Q: int, r: int
-):
-    """Read alpha^r = eps1 * (T^2+a)^k_P * alpha_{l+1} + eps2 * Q_{k_Q,a}(T^(r/p))
-    off v0 = alpha^r and v1 = alpha^(r+1); returns (FrobeniusRelation, a).
+@dataclass
+class FrobeniusTrace:
+    """The derived relation, the a of its P = (T^2+a)^k', and the root
+    expansion's first l quotients, against which it was read off."""
 
-    With mat = (x_l, x_{l-1}, y_l, y_{l-1}) the convergents of the prefix,
-    U = eps1 * P and V = eps2 * Q, removing alpha_{l+1} turns the relation
-    into an identity in the basis 1, alpha, alpha^2, alpha^3:
+    relation: FrobeniusRelation  # alpha^r = eps1 (T^2+a)^k' alpha_{l+1} + eps2 Q_{k,a}(T^(r/p))
+    a: int
+    prefix: ContinuedFraction  # a_1 .. a_l
 
-        y_l alpha^(r+1) - x_l alpha^r = (V y_l - U y_{l-1}) alpha + (U x_{l-1} - V x_l).
+
+def _relation_shape(p: int) -> tuple:
+    """(e, l, k', k) of the relation with r = p^e: (1, (p-1)/2, (p-1)/3,
+    (p-1)/3) for p = 1 mod 3, (2, (p+1)^2/3, (p^2-1)/3, (p+1)/3) for
+    p = 2 mod 3."""
+    if p % 3 == 1:
+        k = relation_k(p)
+        return 1, (p - 1) // 2, k, k
+    if p % 3 == 2:
+        return 2, (p + 1) ** 2 // 3, (p * p - 1) // 3, (p + 1) // 3
+    raise ValueError(f"the quartic's Frobenius relation needs p = 1 or 2 mod 3, got {p}")
+
+
+def derive_frobenius_relation(p: int, l: Optional[int] = None) -> FrobeniusTrace:
+    """Extract the Frobenius relation of alpha,
+
+        alpha^r = eps1 * (T^2+a)^k' * alpha_{l+1} + eps2 * Q_{k,a}(T^(r/p)),
+
+    with r = p^e and (e, l, k', k) from _relation_shape; l, when given,
+    replaces the stated tail index (a diagnostic).
+
+    With (x_l, x_{l-1}, y_l, y_{l-1}) the convergents of the first l
+    quotients, U = eps1 * P and V = eps2 * Q, removing alpha_{l+1} turns the
+    relation into an identity in the basis 1, alpha, alpha^2, alpha^3:
+
+        y_l alpha^(r+1) - x_l alpha^r = -c alpha + d,
+        c = U y_{l-1} - V y_l,   d = U x_{l-1} - V x_l.
 
     Stages (each failure raises DerivationError with the stage name):
+      prefix       the root expansion has l quotients
       convergent   the alpha^3 parts cancel: y_l a_(r+1) = x_l a_r
       b-compat     the alpha^2 parts cancel: y_l b_(r+1) = x_l b_r
       W-shape      U, read off exactly (the 2x2 system in U, V has
-                   determinant (-1)^(l+1)), is eps1 * (T^2+a)^k_P
-      Q-shape      V is eps2 * Q_{k_Q,a}(T^(r/p))
+                   determinant (-1)^(l+1)), is eps1 * (T^2+a)^k'
+      Q-shape      V is eps2 * Q_{k,a}(T^(r/p))
+      degree       y_l alpha^r + c = U (y_l alpha_{l+1} + y_{l-1}) has a term
+                   above T^(deg y_l + deg U): alpha_{l+1} has degree >= 1, so
+                   x_l/y_l is a convergent of alpha.  Only alpha's part above
+                   T^-1 reaches those degrees.
     """
-    p = field.p
-    xl, xl1, yl, yl1 = mat
+    field = GF(p)
+    e, l_stated, k_P, k_Q = _relation_shape(p)
+    l = l_stated if l is None else l
+    if l < 1:
+        raise ValueError(f"l must be >= 1, got {l}")
+    prefix = expand_root(quartic_state(field), l)
+    if len(prefix) < l:
+        raise DerivationError("prefix", "root expansion terminated early")
+    v0, v1 = frobenius_vectors(field, e)
+    xl, xl1, yl, yl1 = prefix.matrix(0, l)
     if yl * v1.a != xl * v0.a:
         raise DerivationError(
             "convergent", "(a_(r+1), a_r) is not proportional to (x_l, y_l)"
@@ -246,67 +286,24 @@ def _relation_from_vectors(
         raise DerivationError("W-shape", "eps1*P is not of the form eps1*(T^2+a)^k")
 
     Q = pq_polynomials(field, k_Q, a)[1]
-    e = p
-    while e < r:
-        Q, e = Q.pow_frobenius(), e * p
+    for _ in range(e - 1):
+        Q = Q.pow_frobenius()
     if V.degree != Q.degree:
         raise DerivationError("Q-shape", f"eps2*Q has degree {V.degree}, expected {Q.degree}")
     eps2 = V.leading_coefficient() * field.inv(Q.leading_coefficient()) % p
     if V != Q.scaled(eps2):
         raise DerivationError("Q-shape", "residual part is not proportional to Q_(k,a)")
-    return FrobeniusRelation(l, eps1, eps2, P, Q, r), a
 
-
-@dataclass
-class FrobeniusTrace:
-    """Every intermediate of the relation derivation for one prime."""
-
-    relation: FrobeniusRelation  # alpha^p = eps1 (T^2+a)^k alpha_{l+1} + eps2 Q_{k,a}
-    a: int
-    prefix: ContinuedFraction  # a_1 .. a_l, each lambda_j * T
-    degree_check: bool
-
-
-def derive_frobenius_relation(p: int) -> FrobeniusTrace:
-    """Extract the degree-p Frobenius relation of alpha for p = 1 mod 3.
-
-    Stages (each failure raises DerivationError with the stage name):
-      prefix-form  the first l = (p-1)/2 quotients are lambda_j * T
-      then those of _relation_from_vectors with r = p and k = (p-1)/3:
-      convergent, b-compat, W-shape, Q-shape
-    """
-    if p % 3 != 1:
-        raise ValueError(f"derivation requires p = 1 mod 3, got {p}")
-    field = GF(p)
-    l = (p - 1) // 2
-    k = relation_k(p)
-
-    prefix = expand_root(quartic_state(field), l)
-    if len(prefix) < l:
-        raise DerivationError("prefix-form", "root expansion terminated early")
-    for j, q in enumerate(prefix.quotients, start=1):
-        if q.degree != 1 or q.constant_coefficient():
-            raise DerivationError("prefix-form", f"quotient a_{j} = {q} is not lambda*T")
-
-    vp, vp1 = power_vectors(field, p + 1)[p:]
-    mat = prefix.matrix(0, l)
-    rel, a = _relation_from_vectors(field, vp, vp1, mat, l, k, k, p)
-
-    # y_l alpha^p + c = eps1 P (y_l alpha_{l+1} + y_{l-1}), c the negated alpha
-    # part of the identity; its exact series degree exceeds deg y_l P, so
-    # alpha_{l+1} has degree >= 1 and |alpha - x_l/y_l| < |y_l|^(-2), the
-    # convergent property: degree_check certifies both.
-    xl, _, yl, _ = mat
-    c = xl * vp.c - yl * vp1.c
-    floor = -(2 * p + 2 * l + 4)
-    aser = alpha_series(field, -(2 + (2 * p + 2 * l + 4) // p + 2))
-    lhs = (
-        Laurent.from_polynomial(yl) * aser.frobenius() + Laurent.from_polynomial(c)
-    ).truncate(floor)
-    big = lhs.degree()
-    degree_check = big is not None and big > yl.degree + rel.P.degree
-
-    return FrobeniusTrace(rel, a, prefix, degree_check)
+    alpha_r = alpha_series(field, -1)
+    for _ in range(e):
+        alpha_r = alpha_r.frobenius()
+    top = yl.degree + U.degree
+    lhs = Laurent.from_polynomial(yl) * alpha_r + Laurent.from_polynomial(c)
+    if lhs.truncate(top).degree() is None:
+        raise DerivationError(
+            "degree", f"y_l alpha^r + c has no term above T^{top}, so deg alpha_(l+1) < 1"
+        )
+    return FrobeniusTrace(FrobeniusRelation(l, eps1, eps2, P, Q, p**e), a, prefix)
 
 
 def normalize_to_beta(trace: FrobeniusTrace) -> ExpansionSpec:
@@ -395,13 +392,16 @@ RESIDUAL_PRECISION = 100
 def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
     """Full check of the conjectured degree-p pattern for one prime.
 
-    Runs the derivation, normalizes, validates the perfect-expansion
-    conditions, generates n quotients, and compares them (mapped back
-    through T -> T/v) with the direct root expansion; finally the relation
-    itself is re-checked as a series identity.  Any stage failure is
-    reported as a finding, not raised.
+    Runs the derivation (a DerivationError names the stage), normalizes
+    (stage prefix-form when a prefix quotient is not lambda*T), validates
+    the perfect-expansion conditions, generates n quotients, and compares
+    them (mapped back through T -> T/v) with the direct root expansion;
+    finally the relation itself is re-checked as a series identity.  Any
+    stage failure is reported as a finding, not raised.
     """
     field = GF(p)
+    if p % 3 != 1:
+        raise ValueError(f"the degree-p relation needs p = 1 mod 3, got {p}")
     try:
         trace = derive_frobenius_relation(p)
     except DerivationError as exc:
@@ -412,16 +412,19 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
         eps1=rel.eps1, eps2=rel.eps2, a=trace.a,
         a_equals_8_27=trace.a == field.embed_rational(8, 27),
     )
-    spec = normalize_to_beta(trace)
     try:
-        gen = generate_perfect_expansion(spec, n)
+        spec = normalize_to_beta(trace)
+    except ValueError as exc:
+        return Conj1Verdict(p, False, stage="prefix-form", detail=str(exc), **found)
+    try:
+        cf = generate_perfect_expansion(spec, n)
     except (DeltaUndefinedError, DeltaMismatchError) as exc:
         return Conj1Verdict(p, False, stage="perfect-conditions", detail=str(exc), **found)
     direct = expand_root(quartic_state(field), n)
     compared = min(len(direct), n)
     s = -trace.a % p
     mapped = [
-        beta_quotient_to_alpha(field, gen.cf[j], j + 1, s) for j in range(compared)
+        beta_quotient_to_alpha(field, cf[j], j + 1, s) for j in range(compared)
     ]
     if mapped != list(direct.quotients[:compared]):
         first_bad = next(
@@ -437,13 +440,13 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
         )
 
     try:
-        residual = relation_residual(gen.cf, spec.relation(), RESIDUAL_PRECISION)
+        residual = relation_residual(cf, spec.relation(), RESIDUAL_PRECISION)
     except ValueError:
         raise ValueError(
             f"n = {n} leaves too few tail quotients to certify the relation to "
             f"T^-{RESIDUAL_PRECISION} for p = {p}; increase n"
         )
-    ok = residual == float("-inf") and trace.degree_check
+    ok = residual == float("-inf")
     return Conj1Verdict(
         p,
         ok,
@@ -486,35 +489,24 @@ class Conj2Verdict:
 
 def verify_conjecture2(p: int, *, l_override: Optional[int] = None) -> Conj2Verdict:
     """Check alpha^(p^2) = eps1 * P_{k',a} * alpha_{l+1} + eps2 * Q_{k,a}^p
-    for p = 2 mod 3 with (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3).
-
-    The tail alpha_{l+1} is eliminated through the continuants of the
-    first l quotients of the root expansion, the only ones it reads, and
-    (eps1, a, eps2) are read off the resulting power-basis identity by
-    _relation_from_vectors with r = p^2; a DerivationError is reported as
-    a failing verdict that names its stage.
+    for p = 2 mod 3 with (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3), l
+    replaced by l_override when given: the verdict on
+    derive_frobenius_relation, which reports a DerivationError as a failing
+    verdict that names its stage.
     """
     field = GF(p)
     if p % 3 != 2:
         raise ValueError(f"this relation shape needs p = 2 mod 3, got {p}")
-    l_stated = (p + 1) ** 2 // 3
-    k_prime = (p * p - 1) // 3
-    k = (p + 1) // 3
-    l = l_stated if l_override is None else l_override
-    if l < 1:
-        raise ValueError(f"l must be >= 1, got {l}")
-
-    direct = expand_root(quartic_state(field), l)
-    if len(direct) < l:
-        return Conj2Verdict(p, False, l, k_prime, k, detail="expansion terminated early")
-    v0, v1 = frobenius_square_vectors(field)
+    _, l, k_prime, k = _relation_shape(p)
+    l = l if l_override is None else l_override
     try:
-        rel, a = _relation_from_vectors(field, v0, v1, direct.matrix(0, l), l, k_prime, k, p * p)
+        trace = derive_frobenius_relation(p, l)
     except DerivationError as exc:
         return Conj2Verdict(p, False, l, k_prime, k, detail=f"{exc.stage}: {exc}")
+    rel = trace.relation
     return Conj2Verdict(
-        p, True, l, k_prime, k, eps1=rel.eps1, eps2=rel.eps2, a=a,
-        a_equals_8_27=a == field.embed_rational(8, 27), relation=rel,
+        p, True, l, k_prime, k, eps1=rel.eps1, eps2=rel.eps2, a=trace.a,
+        a_equals_8_27=trace.a == field.embed_rational(8, 27), relation=rel,
     )
 
 
@@ -532,7 +524,7 @@ def quartic_expansion(p: int, n: int) -> tuple:
     verdict = verify_conjecture1(p, max(50, 2 * p))
     if not verdict.passed:
         raise ValueError(f"perfect pattern not confirmed for p={p}: {verdict.detail}")
-    cf = generate_perfect_expansion(verdict.spec, n).cf
+    cf = generate_perfect_expansion(verdict.spec, n)
     return cf, "perfect-expansion generator (degrees match the direct expansion)"
 
 

@@ -142,14 +142,14 @@ def test_criterion_6_oracle_equivalence():
         e1, e2 = spec_tuple[0], spec_tuple[1]
         lambdas = spec_tuple[2:]
         spec = ExpansionSpec(F, l, k, e1, e2, lambdas)
-        gen = generate_perfect_expansion(spec, 200)
+        cf = generate_perfect_expansion(spec, 200)
         direct = expand_root(quartic_state(F), 200)
         s = -F.embed_rational(8, 27) % p  # v^2 = -a with a = 8/27
         mapped = [
-            beta_quotient_to_alpha(F, gen.cf[j], j + 1, s) for j in range(200)
+            beta_quotient_to_alpha(F, cf[j], j + 1, s) for j in range(200)
         ]
         ok = ok and mapped == list(direct.quotients)
-        ok = ok and relation_residual(gen.cf, spec.relation(), 100) == float("-inf")
+        ok = ok and relation_residual(cf, spec.relation(), 100) == float("-inf")
     assert report(6, ok, "generator == root expansion for 200 terms; residual -inf at T^-100", t0, 60.0)
 
 
@@ -158,7 +158,7 @@ def test_criterion_7_index_formula():
     ok = True
     for p in (7, 13):
         spec = normalize_to_beta(derive_frobenius_relation(p))
-        indices = generate_perfect_expansion(spec, 10_000).cf.indices
+        indices = generate_perfect_expansion(spec, 10_000).indices
         ok = ok and len(indices) == 10_000
         ok = ok and all(i == quartic_index(p, n) for n, i in enumerate(indices, start=1))
     assert report(7, ok, "valuation formula == generator's indices for n <= 10^4", t0, 1.0)
@@ -169,12 +169,12 @@ def test_criterion_8_exponent():
     closed_ok = True
     for p in (7, 13):
         spec = normalize_to_beta(derive_frobenius_relation(p))
-        cf = generate_perfect_expansion(spec, 30).cf
+        cf = generate_perfect_expansion(spec, 30)
         rep = approximation_exponent(cf, 29)
         closed_ok = closed_ok and rep.nu_closed == Fraction(8, 3)
 
     spec7 = normalize_to_beta(derive_frobenius_relation(7))
-    cf500 = generate_perfect_expansion(spec7, 501).cf
+    cf500 = generate_perfect_expansion(spec7, 501)
     rep = approximation_exponent(cf500, 500)
 
     # nu0 = 2/3 is a limsup approached from above: r_1 = 1 (deg a_1 = deg a_2

@@ -296,7 +296,7 @@ class TestExponentCommand:
         assert d["nu0_closed"] == "2/3" and d["nu_closed"] == "8/3"
 
     def test_zero_window_is_usage_error(self):
-        code, out = run(["exponent", "--p", "5", "--n", "40", "--window", "0"])
+        code, out = run(["exponent", "--p", "5", "--n", "1"])  # a window of n - 1 = 0 ratios
         assert code == 2 and out == ""
 
     def test_p5_direct_route(self):

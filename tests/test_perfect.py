@@ -235,7 +235,7 @@ QUARTIC_SPECS = {
 
 class TestIndexSequences:
     def test_recurrence_table_p7(self):
-        idx = (None, *generate_perfect_expansion(QUARTIC_SPECS[7], 30).cf.indices)
+        idx = (None, *generate_perfect_expansion(QUARTIC_SPECS[7], 30).indices)
         assert idx[4] == 1 and idx[9] == 1 and idx[19] == 2
 
     def test_valuation_formula_examples(self):
@@ -246,7 +246,7 @@ class TestIndexSequences:
 
     def test_formula_matches_recurrence(self):
         for p, spec in QUARTIC_SPECS.items():
-            idx = generate_perfect_expansion(spec, 2000).cf.indices
+            idx = generate_perfect_expansion(spec, 2000).indices
             assert len(idx) == 2000
             for n, i in enumerate(idx, start=1):
                 assert i == quartic_index(p, n), (p, n)
@@ -257,7 +257,7 @@ class TestIndexSequences:
 
     def test_p11_index_prefix(self):
         # l = k = 1, i(1) = 0: (0, 1, 0, 0, 2, 0, 0, 1, 0, 0)
-        idx = generate_perfect_p11(F7, 0, 3, 5, 10).cf.indices
+        idx = generate_perfect_p11(F7, 0, 3, 5, 10).indices
         assert idx == (0, 1, 0, 0, 2, 0, 0, 1, 0, 0)
 
 
@@ -294,23 +294,22 @@ class TestSpecValidation:
 
 class TestPerfectGeneration:
     def test_prefix_and_first_block_p7(self):
-        gen = generate_perfect_expansion(ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 12)
-        qs = [q.format() for q in gen.cf]
+        cf = generate_perfect_expansion(ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 12)
+        qs = [q.format() for q in cf]
         assert qs[:3] == ["2*T", "6*T", "6*T"]
         # f(1) = 4: lambda_4 = eps1^(-1) * lambda_1 = 5*2 = 3, index 1
         assert qs[3] == "3*T^3 + 6*T"
-        assert gen.lambdas[4] == 3 and gen.indices[4] == 1
+        assert cf.lambdas[3] == 3 and cf.indices[3] == 1
 
     def test_lambda_delta_never_zero(self):
-        gen = generate_perfect_expansion(ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5)), 300)
-        assert all(x != 0 for x in gen.lambdas[1:])
-        assert all(x != 0 for x in gen.deltas[1:])
+        # a zero delta raises ArithmeticError inside the generator, so a result means none was
+        cf = generate_perfect_expansion(ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5)), 300)
+        assert len(cf.lambdas) == 300 and all(x != 0 for x in cf.lambdas)
 
     def test_degrees_match_closed_form(self):
         p, l, k = 13, 6, 4
-        gen = generate_perfect_expansion(ExpansionSpec(F13, l, k, 12, 9, (5, 12, 9, 11, 1, 5)), 250)
-        for n, q in enumerate(gen.cf, start=1):
-            i = gen.indices[n]
+        cf = generate_perfect_expansion(ExpansionSpec(F13, l, k, 12, 9, (5, 12, 9, 11, 1, 5)), 250)
+        for q, i in zip(cf, cf.indices, strict=True):
             assert q.degree == (p**i * (p - 1 - 2 * k) + 2 * k) // (p - 1)
 
     def test_extremal_k_all_proportional_to_t(self):
@@ -318,14 +317,14 @@ class TestPerfectGeneration:
         F = F7
         theta, _ = family_constants(F, 3)
         lam1 = (6 * F.inv(2) - 2 * F.inv(6 * theta)) % 7
-        gen = generate_perfect_expansion(ExpansionSpec(F, 1, 3, 1, 2, (lam1,)), 40)
-        assert all(q.degree == 1 for q in gen.cf)
+        cf = generate_perfect_expansion(ExpansionSpec(F, 1, 3, 1, 2, (lam1,)), 40)
+        assert all(q.degree == 1 for q in cf)
 
     def test_matches_direct_expansion_p7(self):
         # v = 1 for p = 7, so the generated expansion IS the quartic's
-        gen = generate_perfect_expansion(ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 100)
+        cf = generate_perfect_expansion(ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 100)
         direct = expand_root(quartic_state(F7), 100)
-        assert list(gen.cf.quotients) == list(direct.quotients)
+        assert list(cf.quotients) == list(direct.quotients)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="n must be >= 0"):
@@ -335,9 +334,10 @@ class TestPerfectGeneration:
 
 
 def reference_generation(spec, n):
-    """(lambdas, deltas, indices) of generate_perfect_expansion by the
-    per-position loop it replaced: one block f(m), ..., f(m) + 2k per
-    source m, in order; the reference for the level-at-a-time fill."""
+    """(lambdas, deltas, indices), each indexed 1..n, of the per-position
+    loop generate_perfect_expansion replaced: one block f(m), ..., f(m) + 2k
+    per source m, in order; the reference for the level-at-a-time fill,
+    whose lambdas and indices it must give."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     f = spec.field
@@ -420,14 +420,13 @@ def generation_outcome(generate, spec, n):
 
 
 def generated(spec, n):
-    gen = generate_perfect_expansion(spec, n)
-    assert (gen.cf.lambdas, gen.cf.indices) == (tuple(gen.lambdas[1:]), tuple(gen.indices[1:]))
-    return gen.lambdas, gen.deltas, gen.indices, gen.cf.tower
+    cf = generate_perfect_expansion(spec, n)
+    return cf.lambdas, cf.indices, cf.tower
 
 
 def referenced(spec, n):
-    lam, dl, idx = reference_generation(spec, n)
-    return lam, dl, idx, [max(idx[1:], default=0)]
+    lam, _, idx = reference_generation(spec, n)
+    return tuple(lam[1:]), tuple(idx[1:]), [max(idx[1:], default=0)]
 
 
 class TestBlockFill:
@@ -463,12 +462,12 @@ class TestBlockFill:
         ],
     )
     def test_tower_and_quotients(self, spec, n):
-        gen = generate_perfect_expansion(spec, n)
-        lam, dl, idx = reference_generation(spec, n)
-        assert (gen.lambdas, gen.deltas, gen.indices) == (lam, dl, idx)
+        cf = generate_perfect_expansion(spec, n)
+        lam, _, idx = reference_generation(spec, n)
+        assert (cf.lambdas, cf.indices) == (tuple(lam[1:]), tuple(idx[1:]))
         tower = a_sequence(spec.field, spec.k, max(idx[1:]))
-        assert gen.cf.tower == tower
-        assert gen.cf.degrees() == [tower[i].degree for i in idx[1:]]
+        assert cf.tower == tower
+        assert cf.degrees() == [tower[i].degree for i in idx[1:]]
 
     @pytest.mark.parametrize("i", [1, 2, 5, 8])
     def test_zero_v_is_an_internal_contradiction(self, i, monkeypatch):
@@ -482,7 +481,7 @@ class TestBlockFill:
             assert str(err.value) == generation_outcome(reference_generation, spec, n)[1]
             assert str(err.value).endswith(f"at index {7 + i}")  # f(1) + i
         assert generate_perfect_expansion(spec, 6 + i).lambdas == (
-            reference_generation(spec, 6 + i)[0]
+            tuple(reference_generation(spec, 6 + i)[0][1:])
         )
 
     def test_zero_delta_alone_is_an_internal_contradiction(self, monkeypatch):
@@ -509,43 +508,41 @@ class TestBlockFill:
             assert str(err.value) == generation_outcome(reference_generation, spec, n)[1]
             assert str(err.value) == f"generation order broken at block f({j})"
         # f(j) past n: a_j is never a source
-        gen = generate_perfect_expansion(spec, f_j - 1)
-        assert gen.lambdas == reference_generation(spec, f_j - 1)[0]
-        assert gen.lambdas[j] == 0
+        cf = generate_perfect_expansion(spec, f_j - 1)
+        assert cf.lambdas == tuple(reference_generation(spec, f_j - 1)[0][1:])
+        assert cf.lambdas[j - 1] == 0
 
 
 class TestSymbolicQuotients:
     SPEC = ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
 
     def test_quotients_are_lambda_times_tower(self):
-        gen = generate_perfect_expansion(self.SPEC, 300)
-        cf = gen.cf
-        assert cf.lambdas == tuple(gen.lambdas[1:]) and cf.indices == tuple(gen.indices[1:])
+        cf = generate_perfect_expansion(self.SPEC, 300)
         assert list(cf.quotients) == [
             cf.tower[i].scaled(c) for i, c in zip(cf.indices, cf.lambdas)
         ]
 
     def test_length_and_degrees_without_quotients(self, monkeypatch):
-        gen = generate_perfect_expansion(self.SPEC, 300)
+        cf = generate_perfect_expansion(self.SPEC, 300)
+        indices = reference_generation(self.SPEC, 300)[2][1:]
 
         def refuse(*args):
             raise AssertionError("a quotient was built")
 
         monkeypatch.setattr(Polynomial, "scaled", refuse)
-        cf = gen.cf
         assert len(cf) == 300
-        assert cf.degrees() == [cf.tower[i].degree for i in gen.indices[1:]]
+        assert cf.degrees() == [cf.tower[i].degree for i in indices]
 
     def test_repr_builds_only_the_shown_quotients(self):
         spec = ExpansionSpec(F7, 3, 2, 2, 4, (4, 2, 3))
-        cf = generate_perfect_expansion(spec, 80000).cf
+        cf = generate_perfect_expansion(spec, 80000)
         text = repr(cf)
         assert cf._quotients is None
         head = ", ".join(q.format() for q in cf.quotients[:8])
         assert text == f"[{head}, ...]"
 
     def test_quotients_built_once_and_shared(self):
-        cf = generate_perfect_expansion(self.SPEC, 300).cf
+        cf = generate_perfect_expansion(self.SPEC, 300)
         qs = cf.quotients
         assert cf.quotients is qs
         pairs = set(zip(cf.indices, cf.lambdas))
@@ -561,16 +558,11 @@ class TestP11Specialization:
             if disc == 0:
                 continue
             lam1 = disc * pow(-2, i1, p) * F.inv(e2) % p
-            gen_c = generate_perfect_p11(F, i1, e1, e2, 60)
-            gen_t = generate_perfect_expansion(
+            cf_c = generate_perfect_p11(F, i1, e1, e2, 60)
+            cf_t = generate_perfect_expansion(
                 ExpansionSpec(F, 1, 1, e1, e2, (lam1,), (i1,)), 60
             )
-            assert list(gen_c.cf.quotients) == list(gen_t.cf.quotients)
-
-    def test_delta1_value(self):
-        # this route's sign convention: delta_1 = -2*eps1/eps2 = 3 for (p,e1,e2) = (7,3,5)
-        gen = generate_perfect_p11(F7, 0, 3, 5, 5)
-        assert gen.deltas[1] == 3
+            assert list(cf_c.quotients) == list(cf_t.quotients)
 
     def test_excluded_hypothesis(self):
         # eps2^2 + 2*eps1 = 0 mod 7 for (eps1, eps2) = (3, 1)
@@ -994,31 +986,31 @@ class TestRelationResidual:
         return spec, generate_perfect_expansion(spec, n)
 
     def test_generated_expansion_satisfies_relation(self):
-        spec, gen = self.make_gen()
-        assert relation_residual(gen.cf, spec.relation(), 40) == float("-inf")
+        spec, cf = self.make_gen()
+        assert relation_residual(cf, spec.relation(), 40) == float("-inf")
 
     def test_perturbed_epsilon_fails(self):
-        spec, gen = self.make_gen()
+        spec, cf = self.make_gen()
         bad = spec.relation()._replace(eps2=spec.relation().eps2 + 1)
-        res = relation_residual(gen.cf, bad, 40)
+        res = relation_residual(cf, bad, 40)
         assert res != float("-inf")
 
     def test_prefix_only_is_insufficient(self):
-        spec, gen = self.make_gen()
-        short = ContinuedFraction(F13, gen.cf.quotients[:6])
+        spec, cf = self.make_gen()
+        short = ContinuedFraction(F13, cf.quotients[:6])
         with pytest.raises(ValueError, match="insufficient"):
             relation_residual(short, spec.relation(), 40)
 
     def test_too_much_precision_rejected(self):
-        spec, gen = self.make_gen(20)
+        spec, cf = self.make_gen(20)
         with pytest.raises(ValueError, match="insufficient"):
-            relation_residual(gen.cf, spec.relation(), 500)
+            relation_residual(cf, spec.relation(), 500)
 
     def test_each_quotient_enters_one_leaf(self, monkeypatch):
         # the whole is joined from the head and tail trees, not built again
         from hqcf import cf as cf_module
 
-        spec, gen = self.make_gen(200)
+        spec, cf = self.make_gen(200)
         real_product = cf_module._product
         leaf_quotients = [0]
 
@@ -1028,5 +1020,5 @@ class TestRelationResidual:
             return real_product(quotients, lo, hi, field)
 
         monkeypatch.setattr(cf_module, "_product", counting)
-        assert relation_residual(gen.cf, spec.relation(), 40) == float("-inf")
-        assert leaf_quotients[0] == len(gen.cf)
+        assert relation_residual(cf, spec.relation(), 40) == float("-inf")
+        assert leaf_quotients[0] == len(cf)

@@ -335,7 +335,7 @@ class TestSerialization:
             Polynomial.from_json_dict({"p": 13, "ext": True, "coeffs": [[1, 2], [0, 3]]})
 
 
-def reference_format(f, var="T"):
+def reference_format(f):
     """The term-by-term formatter that Polynomial.format replaced."""
     parts = []
     for n in range(len(f.coeffs) - 1, -1, -1):
@@ -345,7 +345,7 @@ def reference_format(f, var="T"):
         if n == 0:
             parts.append(str(c))
         else:
-            tv = var if n == 1 else f"{var}^{n}"
+            tv = "T" if n == 1 else f"T^{n}"
             parts.append(tv if c == 1 else f"{c}*{tv}")
     return " + ".join(parts) if parts else "0"
 
@@ -385,13 +385,13 @@ class TestScaledRender:
                 g = f.scaled(c)
                 text = g.format()
                 assert text == reference_format(g), (p, f.coeffs, c)
-                assert f.format("T", c) == text, (p, f.coeffs, c)
-                assert f.format("T", c, terms) == text, (p, f.coeffs, c)
-                assert f.format("X", c + p) == reference_format(g, "X")
+                assert f.format(c) == text, (p, f.coeffs, c)
+                assert f.format(c, terms) == text, (p, f.coeffs, c)
+                assert f.format(c + p) == text, (p, f.coeffs, c)
                 expected = json.dumps(g.to_json_dict())
                 assert f.to_json_text(c) == expected, (p, f.coeffs, c)
                 assert f.to_json_text(c, values) == expected, (p, f.coeffs, c)
-            assert f.format("T", 0) == "0" and f.format("T", p) == "0"
+            assert f.format(0) == "0" and f.format(p) == "0"
             assert f.to_json_text(0) == json.dumps(Polynomial.zero(field).to_json_dict())
 
     def test_memory_bounded_by_distinct_values_not_by_p(self):
@@ -407,7 +407,7 @@ class TestScaledRender:
         tracemalloc.start()
         try:
             for c in (2, 3, 999982):
-                f.format("T", c)
+                f.format(c)
                 f.to_json_text(c)
             _, peak = tracemalloc.get_traced_memory()
         finally:

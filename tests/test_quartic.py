@@ -8,6 +8,7 @@ import pytest
 from hqcf.cf import ContinuedFraction
 from hqcf.cli import main
 from hqcf.fields import GF
+from hqcf.laurent import Laurent
 from hqcf.perfect import relation_residual, generate_perfect_expansion
 from hqcf.polynomials import Polynomial
 from hqcf import quartic
@@ -16,7 +17,7 @@ from hqcf.quartic import (
     approximation_exponent,
     beta_quotient_to_alpha,
     derive_frobenius_relation,
-    frobenius_square_vectors,
+    frobenius_vectors,
     normalize_to_beta,
     power_vectors,
     quartic_state,
@@ -115,7 +116,16 @@ class TestPowerReduce:
     def test_frobenius_square_equals_power_vectors(self, p):
         F = GF(p)
         vecs = power_vectors(F, p * p + 1)
-        assert frobenius_square_vectors(F) == (vecs[p * p], vecs[p * p + 1])
+        assert frobenius_vectors(F, 2) == (vecs[p * p], vecs[p * p + 1])
+
+    @pytest.mark.parametrize("p", [5, 7, 11])
+    def test_frobenius_vectors_at_e_1_and_2(self, p):
+        F = GF(p)
+        vecs = power_vectors(F, p * p + 1)
+        for e in (1, 2):
+            assert frobenius_vectors(F, e) == (vecs[p**e], vecs[p**e + 1])
+        with pytest.raises(ValueError, match="e >= 1"):
+            frobenius_vectors(F, 0)
 
     @pytest.mark.parametrize("p", [5, 7, 13])
     def test_root_state_and_power_basis_write_one_equation(self, p):
@@ -137,7 +147,6 @@ class TestDerivation:
         assert rel.P == poly(F7, 6, 0, 1) ** 2  # (T^2 - 1)^2, k = 2
         assert rel.Q == poly(F7, 0, 6, 0, 5)  # 5T^3 + 6T
         assert [q.format() for q in tr.prefix] == ["2*T", "6*T", "6*T"]
-        assert tr.degree_check
 
     def test_p13_relation(self):
         tr = derive_frobenius_relation(13)
@@ -162,13 +171,13 @@ class TestDerivation:
     def test_non_proportional_pair_fails_at_convergent(self, monkeypatch):
         # 2 * alpha^(p+1) keeps b-compat, but (2 a_(p+1), a_p) is not
         # delta * (x_l, y_l) for any delta
-        real = quartic.power_vectors
+        real = quartic.frobenius_vectors
 
-        def doubled_last(field, n):
-            vecs = real(field, n)
-            return vecs[:-1] + [type(vecs[-1])(*(c.scaled(2) for c in vecs[-1]))]
+        def doubled_last(field, e):
+            v0, v1 = real(field, e)
+            return v0, type(v1)(*(c.scaled(2) for c in v1))
 
-        monkeypatch.setattr(quartic, "power_vectors", doubled_last)
+        monkeypatch.setattr(quartic, "frobenius_vectors", doubled_last)
         with pytest.raises(DerivationError) as info:
             derive_frobenius_relation(7)
         assert info.value.stage == "convergent"
@@ -176,22 +185,24 @@ class TestDerivation:
     def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
         # alpha^(p+1) + 1 keeps the alpha^3/alpha^2 parts, so the derivation
         # gets as far as reading U and V off the identity, and must reject them
-        real = quartic.power_vectors
+        real = quartic.frobenius_vectors
 
-        def shifted_last(field, n):
-            vecs = real(field, n)
-            return vecs[:-1] + [vecs[-1]._replace(d=vecs[-1].d + Polynomial.one(field))]
+        def shifted_last(field, e):
+            v0, v1 = real(field, e)
+            return v0, v1._replace(d=v1.d + Polynomial.one(field))
 
-        monkeypatch.setattr(quartic, "power_vectors", shifted_last)
+        monkeypatch.setattr(quartic, "frobenius_vectors", shifted_last)
         for p in (7, 13):
             with pytest.raises(DerivationError) as info:
                 derive_frobenius_relation(p)
             assert info.value.stage in ("W-shape", "Q-shape")
 
     def test_wrong_residue_class_rejected(self):
-        with pytest.raises(ValueError):
-            derive_frobenius_relation(11)
+        # p = 3 has neither relation; 11 = 2 mod 3 has the degree-p^2 one
+        with pytest.raises(ValueError, match="p = 1 or 2 mod 3"):
+            derive_frobenius_relation(3)
         assert relation_k(11) is None
+        assert derive_frobenius_relation(11).relation.r == 121
 
     def test_relation_residual_alpha_coordinates(self):
         # Mkaouar expansion satisfies alpha^p = eps1 P_{k,a} alpha_{l+1} + eps2 Q_{k,a}
@@ -309,13 +320,13 @@ class TestConjecture2:
         assert verify_conjecture2(5, l_override=13).relation is None
 
     def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
-        real = quartic.frobenius_square_vectors
+        real = quartic.frobenius_vectors
 
-        def shifted(field):
-            v0, v1 = real(field)
+        def shifted(field, e):
+            v0, v1 = real(field, e)
             return v0, v1._replace(d=v1.d + Polynomial.one(field))
 
-        monkeypatch.setattr(quartic, "frobenius_square_vectors", shifted)
+        monkeypatch.setattr(quartic, "frobenius_vectors", shifted)
         for p in (5, 11):
             v = verify_conjecture2(p)
             assert not v.passed and v.relation is None
@@ -348,6 +359,95 @@ class TestConjecture2:
             verify_conjecture2(5, l_override=l)
 
 
+
+PRIMES_BELOW_54 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+
+
+@pytest.mark.parametrize("p", PRIMES_BELOW_54)
+def test_one_derivation_for_both_residue_classes(p):
+    tr = derive_frobenius_relation(p)
+    if p % 3 == 1:
+        assert (tr.relation.r, tr.relation.l) == (p, (p - 1) // 2)
+        assert tr.relation.P.degree == 2 * relation_k(p)
+    else:
+        assert (tr.relation.r, tr.relation.l) == (p * p, (p + 1) ** 2 // 3)
+        assert tr.relation.P.degree == 2 * (p * p - 1) // 3
+        assert verify_conjecture2(p).relation == tr.relation
+    assert len(tr.prefix) == tr.relation.l
+
+
+def _shift_vectors(change):
+    """A frobenius_vectors that hands the derivation change(v0, v1, one)."""
+    real = quartic.frobenius_vectors
+    return lambda field, e: change(*real(field, e), Polynomial.one(field))
+
+
+# one way to reach each stage of derive_frobenius_relation, as (name, value) to monkeypatch
+STAGE_FAULTS = {
+    # one quotient short of l
+    "prefix": lambda: ("expand_root", lambda state, n: expand_root(state, n - 1)),
+    # 2 alpha^(r+1): (a_(r+1), a_r) is no longer proportional to (x_l, y_l)
+    "convergent": lambda: ("frobenius_vectors", _shift_vectors(
+        lambda v0, v1, one: (v0, type(v1)(*(c.scaled(2) for c in v1))))),
+    # alpha^(r+1) + alpha^2: the alpha^3 parts still cancel, the alpha^2 parts do not
+    "b-compat": lambda: ("frobenius_vectors", _shift_vectors(
+        lambda v0, v1, one: (v0, v1._replace(b=v1.b + one)))),
+    # alpha^(r+1) + alpha moves U = eps1 P by x_l y_l, past degree 2k'
+    "W-shape": lambda: ("frobenius_vectors", _shift_vectors(
+        lambda v0, v1, one: (v0, v1._replace(c=v1.c + one)))),
+    # (alpha^r - 1, alpha^(r+1) - alpha) is the relation with V - 1 for V, U kept
+    "Q-shape": lambda: ("frobenius_vectors", _shift_vectors(
+        lambda v0, v1, one: (v0._replace(d=v0.d - one), v1._replace(c=v1.c - one)))),
+    # an alpha with no part above T^-1: y_l alpha^r + c has too low a degree
+    "degree": lambda: ("alpha_series", lambda field, floor: Laurent.zero(field, floor)),
+}
+
+
+class TestDerivationStages:
+    @pytest.mark.parametrize("stage", STAGE_FAULTS)
+    @pytest.mark.parametrize("p", [7, 13])
+    def test_conj1_names_the_stage(self, p, stage, monkeypatch):
+        monkeypatch.setattr(quartic, *STAGE_FAULTS[stage]())
+        with pytest.raises(DerivationError) as info:
+            derive_frobenius_relation(p)
+        assert info.value.stage == stage
+        v = verify_conjecture1(p, 60)
+        assert (v.passed, v.stage, v.detail) == (False, stage, str(info.value))
+
+    @pytest.mark.parametrize("stage", STAGE_FAULTS)
+    @pytest.mark.parametrize("p", [5, 11])
+    def test_conj2_names_the_stage(self, p, stage, monkeypatch):
+        monkeypatch.setattr(quartic, *STAGE_FAULTS[stage]())
+        v = verify_conjecture2(p)
+        assert not v.passed and v.relation is None
+        assert v.detail.startswith(f"{stage}: ")
+
+    def test_failed_degree_check_reads_degree(self, monkeypatch):
+        # it once passed every other stage and surfaced as stage "residual"
+        # with the detail "series residual at T^-inf"
+        monkeypatch.setattr(quartic, *STAGE_FAULTS["degree"]())
+        out = io.StringIO()
+        assert main(["verify", "conj1", "--p", "7"], out=out) == 1
+        assert "stage: degree" in out.getvalue() and "residual" not in out.getvalue()
+        out = io.StringIO()
+        assert main(["verify", "conj2", "--p", "5"], out=out) == 1
+        assert "detail: degree: " in out.getvalue()
+
+    def test_prefix_form_is_reported_by_conj1(self, monkeypatch):
+        # normalize_to_beta refuses a prefix quotient that is not lambda*T
+        real = quartic.derive_frobenius_relation
+
+        def bent(p):
+            tr = real(p)
+            qs = list(tr.prefix.quotients)
+            qs[1] = qs[1] + Polynomial.one(tr.prefix.field)
+            return dataclasses.replace(tr, prefix=ContinuedFraction(tr.prefix.field, qs))
+
+        monkeypatch.setattr(quartic, "derive_frobenius_relation", bent)
+        v = verify_conjecture1(7, 60)
+        assert (v.passed, v.stage) == (False, "prefix-form")
+        assert v.detail.startswith("prefix quotient a_2 = ") and v.a == 6
+
 def reference_exponent(cf, window):
     """The window maximum, its argument and the last ratio of
     r_n = deg a_(n+1) / sum_(j<=n) deg a_j, one Fraction per step."""
@@ -365,7 +465,7 @@ def reference_exponent(cf, window):
 class TestApproximationExponent:
     def gen_cf(self, p, n):
         spec = normalize_to_beta(derive_frobenius_relation(p))
-        return generate_perfect_expansion(spec, n).cf
+        return generate_perfect_expansion(spec, n)
 
     def test_closed_form_p7_p13(self):
         for p in (7, 13):
@@ -442,8 +542,8 @@ class TestApproximationExponent:
         from hqcf.perfect import generate_perfect_p11
 
         p, i1 = 13, 1
-        gen = generate_perfect_p11(GF(p), i1, 2, 4, 30)
-        rep = approximation_exponent(gen.cf, 29)
+        cf = generate_perfect_p11(GF(p), i1, 2, 4, 30)
+        rep = approximation_exponent(cf, 29)
         num = (p - 1) * (p ** (i1 + 1) - 3 * p**i1)
         den = p ** (i1 + 1) - 3 * p**i1 + 2
         assert rep.nu0_closed == Fraction(num, den)
