@@ -16,6 +16,7 @@ from .perfect import (
     FamilyConstants,
     FrobeniusRelation,
     a_sequence,
+    expand_from_relation,
     generate_perfect_p11,
     family_constants,
     pq_polynomials,

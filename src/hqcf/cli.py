@@ -14,9 +14,9 @@ grid sweeps run in one process and print in sweep order.
 import argparse
 import ast
 import json
+import operator
 import sys
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, zip_longest
 
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
@@ -24,9 +24,9 @@ from .perfect import (ExpansionSpec, a_degree, a_sequence, generate_perfect_expa
                       verify_prop1, verify_prop2)
 from .polynomials import Polynomial
 from .quartic import (
+    alpha_expansion,
     approximation_exponent,
     quartic_expansion,
-    quartic_state,
     relation_k,
     verify_conjecture1,
     verify_conjecture2,
@@ -40,6 +40,8 @@ from .rootcf import RootState, expand_root
 # multiplies by schoolbook, so the cost is quadratic to cubic in the degree.
 MAX_PARSED_DEGREE = 256
 
+_RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
 
 class _XPoly:
     """Polynomial in X with F_p[T] coefficients; just enough arithmetic for
@@ -52,16 +54,8 @@ class _XPoly:
         self.coeffs = coeffs  # ascending in X
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        z = Polynomial.zero(self.field)
-        return _XPoly(
-            self.field,
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else z)
-                + (other.coeffs[i] if i < len(other.coeffs) else z)
-                for i in range(n)
-            ],
-        )
+        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=Polynomial.zero(self.field))
+        return _XPoly(self.field, [a + b for a, b in pairs])
 
     def __sub__(self, other):
         return self + (-other)
@@ -99,14 +93,11 @@ class _XPoly:
         return out
 
     def as_rational_constant(self):
-        if len(self.coeffs) > 1:
-            return None
         if not self.coeffs:
             return 0
-        c = self.coeffs[0]
-        if c.degree > 0:
+        if len(self.coeffs) > 1 or self.coeffs[0].degree > 0:
             return None
-        return c.constant_coefficient()
+        return self.coeffs[0].constant_coefficient()
 
 
 def parse_polynomial(text: str, field: PrimeField) -> list:
@@ -129,12 +120,8 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Add):
-                return ev(node.left) + ev(node.right)
-            if isinstance(node.op, ast.Sub):
-                return ev(node.left) - ev(node.right)
-            if isinstance(node.op, ast.Mult):
-                return ev(node.left) * ev(node.right)
+            if type(node.op) in _RING_OPS:
+                return _RING_OPS[type(node.op)](ev(node.left), ev(node.right))
             if isinstance(node.op, ast.Div):
                 den = ev(node.right).as_rational_constant()
                 if den is None:
@@ -245,7 +232,7 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
         max_deg = max((A[i].degree for i in set(cf.indices)), default=1)
         top = -1 if as_json else _annotation_top(field.p, k, max_deg)
         texts = {}
-        for i, pairs in groupby(sorted(set(zip(cf.indices, cf.lambdas))), key=itemgetter(0)):
+        for i, pairs in groupby(sorted(set(zip(cf.indices, cf.lambdas))), key=operator.itemgetter(0)):
             a = A[i]
             shared = set(a.coeffs) if as_json else a.terms()
             j = 0 if top >= 0 and a.degree == 1 else i if i <= top else None
@@ -279,14 +266,15 @@ def cmd_expand(args, out) -> int:
     if args.quartic:
         if args.k is not None:
             raise ValueError("--k applies to --poly, not to --quartic")
-        state, k = quartic_state(field), relation_k(args.p)
+        cf, k = alpha_expansion(args.p, args.n)[0], relation_k(args.p)
     elif args.poly:
         state, k = RootState(parse_polynomial(args.poly, field)), args.k
         if k is not None:
             a_sequence(field, k, 0)  # rejects k outside 1 <= k < p/2 before any work
+        cf = expand_root(state, args.n)
     else:
         raise ValueError("expand needs --quartic or --poly")
-    _print_expansion(expand_root(state, args.n), args.json, k, out)
+    _print_expansion(cf, args.json, k, out)
     return 0
 
 
@@ -431,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_expand = sub.add_parser("expand", help="expand an algebraic root")
     add_common(p_expand)
     p_expand.add_argument("--quartic", action="store_true",
-                          help="use -X^4/12 - T*X^3 + X^2 + 1 (inverse root of the quartic)")
+                          help="use -X^4/12 - T*X^3 + X^2 + 1 (inverse root of the quartic); past its"
+                               " first l quotients, expanded from the Frobenius relation derived from them")
     p_expand.add_argument("--poly", type=str, help="polynomial in X and T, e.g. 'X^2 - T*X + 1'")
     p_expand.add_argument("--k", type=int, help="annotate quotients against A[i,k]")
 

@@ -44,6 +44,8 @@ block, each of degree about p, read off the lambdas and indices, prove that
 the matrix is a closed form in Prop. 1's matrices at i and at k (under
 T -> T^p), so no quotient and no tree of degree 2kp is built (_certify_blocks;
 the tree is its test oracle).  verify_prop1 also re-checks the tower up to A_3.
+expand_from_relation expands any alpha from a_1 .. a_l and its relation
+alpha^r = eps1 P alpha_{l+1} + eps2 Q alone, by Gosper's homographic algorithm.
 """
 
 from dataclasses import dataclass
@@ -128,6 +130,7 @@ def family_constants(field: PrimeField, k: int) -> FamilyConstants:
 # Largest closed-form degree deg A_{i,k} = (p^i (p-1-2k) + 2k)/(p-1) the
 # generator builds; a_sequence builds the whole tower A_0 .. A_i, about
 # p/(p-1) times that many coefficients (A_6 at p = 13, k = 1: 4,022,341).
+# expand_from_relation reads no input a_j(T^r) of higher degree.
 MAX_A_DEGREE = 10**7
 
 # Largest deg P_{kp-i} = 2(kp - i) verify_prop2 builds (97,654 at p = 313,
@@ -386,9 +389,7 @@ def generate_perfect_p11(
     if i1 < 0:
         raise ValueError(f"the first tower index must be >= 0, got i1 = {i1}")
     eps2_inv = f.inv(eps2)
-    lam = [0] * (n + 1)
-    dl = [0] * (n + 1)
-    idx = [0] * (n + 1)
+    lam, dl, idx = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
     if n >= 1:
         lam[1] = disc * pow(-2, i1, p) * eps2_inv % p
         dl[1] = -2 * eps1 * eps2_inv % p
@@ -646,7 +647,66 @@ def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
     return Prop2Report(p, k, i, True, "", cf_matches, reversal_holds, len(predicted))
 
 
-# -- relation residual ------------------------------------------------------------
+# -- the relation: its series residual and the expansion it drives -----------------
+
+
+def _frobenius_steps(rel: FrobeniusRelation, p: int) -> int:
+    """The e of r = p^e, or ValueError when the relation's r is no power of p."""
+    steps, e = 0, 1
+    while e < rel.r:
+        steps, e = steps + 1, e * p
+    if e != rel.r:
+        raise ValueError(f"the relation's exponent r = {rel.r} is not a power of p = {p}")
+    return steps
+
+
+def _emission_is_exact(C: Polynomial, D: Polynomial, r: int, deg_det: int) -> bool:
+    """Whether [M(x)] = A div C for M = [[A, B], [C, D]], deg det M = deg_det and every x
+    of degree >= r: then M(x) - A/C = -det M / (C (C x + D)) has negative degree."""
+    return bool(C) and D.degree < C.degree + r and deg_det < 2 * C.degree + r
+
+
+def expand_from_relation(prefix: ContinuedFraction, rel: FrobeniusRelation, n: int) -> ContinuedFraction:
+    """First n partial quotients of the alpha with prefix a_1 .. a_l and
+    alpha^r = eps1 P alpha_{l+1} + eps2 Q, by Gosper's homographic algorithm:
+    alpha_{l+1} = M(alpha^r) for M(x) = (A x + B)/(C x + D), first
+    [[1, -eps2 Q], [0, eps1 P]], and alpha^r = [a_1(T^r), a_2(T^r), ...] is
+    read from the output, which runs ahead; its unread tail has degree >= r.
+    M emits q = A div C when that is exact (M <- [[C, D], [A - qC, B - qD]]),
+    else ingests b = a_j(T^r) (M <- [[Ab + B, A], [Cb + D, C]]).  Both negate
+    det M = +-eps1 P, checked at every step; a broken determinant, an emitted
+    quotient of degree < 1 and an input read before it is produced raise
+    ArithmeticError; an input a_j(T^r) past MAX_A_DEGREE raises ValueError."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    l, field = rel.l, prefix.field
+    steps = _frobenius_steps(rel, field.p)
+    if len(prefix) < l or any(q.degree < 1 for q in prefix.quotients[1:l]):
+        raise ValueError(f"need l = {l} prefix quotients, of degree >= 1 after a_1")
+    quotients, read = list(prefix.quotients[:l]), 0  # read: the a_j(T^r) ingested
+    det = rel.P.scaled(rel.eps1)
+    A, B, C, D = Polynomial.one(field), -rel.Q.scaled(rel.eps2), Polynomial.zero(field), det
+    while len(quotients) < n:
+        if _emission_is_exact(C, D, rel.r, rel.P.degree):
+            q, rem = divmod(A, C)
+            if q.degree < 1:
+                raise ArithmeticError(f"a_{len(quotients) + 1} = {q.format()} has degree < 1")
+            quotients.append(q)
+            A, B, C, D = C, D, rem, B - q * D
+        else:
+            if read == len(quotients):
+                raise ArithmeticError(f"a_{read + 1} is needed as input before it is produced")
+            b = quotients[read]
+            if b.degree * rel.r > MAX_A_DEGREE:
+                raise ValueError(f"a_{read + 1}(T^{rel.r}) has degree {b.degree * rel.r}, past {MAX_A_DEGREE}")
+            for _ in range(steps):
+                b = b.pow_frobenius()
+            read += 1
+            A, B, C, D = A * b + B, A, C * b + D, C
+        det = -det
+        if A * D - B * C != det:
+            raise ArithmeticError(f"AD - BC != +-eps1 P after {read} inputs, {len(quotients) - l} outputs")
+    return ContinuedFraction(field, quotients[:n])
 
 
 def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: int):
@@ -661,13 +721,8 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     if precision < 1:
         raise ValueError("precision must be positive")
     field = cf.field
-    p = field.p
     l = rel.l
-    frobenius_steps, e = 0, 1
-    while e < rel.r:
-        frobenius_steps, e = frobenius_steps + 1, e * p
-    if e != rel.r:
-        raise ValueError(f"the relation's exponent r = {rel.r} is not a power of p = {p}")
+    frobenius_steps = _frobenius_steps(rel, field.p)
     if len(cf) <= l:
         raise ValueError(
             f"insufficient expansion: need more than l = {l} partial quotients"

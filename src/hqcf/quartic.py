@@ -6,7 +6,8 @@ power alpha^n has an exact representation in the basis (alpha^3, alpha^2,
 alpha, 1) with polynomial coordinates.  This module is all the library
 knows of the quartic: alpha's root state for the generic engine expand_root,
 its series for the generic oracle cf_from_series, the index formula of its
-perfect expansion, and the route by which its exponent is measured.
+perfect expansion, and the routes by which it is expanded (alpha_expansion:
+past l quotients, from the derived relation) and its exponent measured.
 
 derive_frobenius_relation extracts, purely by exact arithmetic, the relation
 
@@ -37,6 +38,7 @@ from .perfect import (
     DeltaUndefinedError,
     ExpansionSpec,
     FrobeniusRelation,
+    expand_from_relation,
     pq_polynomials,
     power_p_family,
     relation_residual,
@@ -141,13 +143,9 @@ def power_vectors(field: PrimeField, n: int) -> list:
     if field.p < 5:
         raise ValueError("the quartic needs p >= 5")
     zero, one = Polynomial.zero(field), Polynomial.one(field)
-    vecs = [PowerVec(zero, zero, zero, one)]
-    cur = PowerVec(zero, zero, one, zero)
-    if n >= 1:
-        vecs.append(cur)
-    for _ in range(2, n + 1):
-        cur = _alpha_step(field, cur)
-        vecs.append(cur)
+    vecs = [PowerVec(zero, zero, zero, one), PowerVec(zero, zero, one, zero)][: n + 1]
+    while len(vecs) <= n:
+        vecs.append(_alpha_step(field, vecs[-1]))
     return vecs
 
 
@@ -314,11 +312,14 @@ def normalize_to_beta(trace: FrobeniusTrace) -> ExpansionSpec:
     = lambda_i' T, with lambda_i' = lambda_i*s for odd i and lambda_i for
     even i (ValueError for a quotient not of the form lambda*T), and
       eps1' = s^(k + (p - (-1)^l)/2) eps1
-      eps2' = s^(k + (p - 1)/2)     eps2.
+      eps2' = s^(k + (p - 1)/2)     eps2,
+    for a relation of degree r = p (ValueError for conj2's r = p^2).
     """
     rel = trace.relation
     field = trace.prefix.field
     p = field.p
+    if rel.r != p:
+        raise ValueError(f"the beta normalization needs r = p = {p}, got r = {rel.r}")
     k = rel.P.degree // 2
     s = -trace.a % p
     lambdas = []
@@ -423,21 +424,11 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
     direct = expand_root(quartic_state(field), n)
     compared = min(len(direct), n)
     s = -trace.a % p
-    mapped = [
-        beta_quotient_to_alpha(field, cf[j], j + 1, s) for j in range(compared)
-    ]
+    mapped = [beta_quotient_to_alpha(field, cf[j], j + 1, s) for j in range(compared)]
     if mapped != list(direct.quotients[:compared]):
-        first_bad = next(
-            j + 1 for j in range(compared) if mapped[j] != direct.quotients[j]
-        )
-        return Conj1Verdict(
-            p,
-            False,
-            stage="comparison",
-            detail=f"generated and direct expansions differ at index {first_bad}",
-            compared_terms=compared,
-            **found,
-        )
+        first_bad = next(j + 1 for j in range(compared) if mapped[j] != direct.quotients[j])
+        detail = f"generated and direct expansions differ at index {first_bad}"
+        return Conj1Verdict(p, False, stage="comparison", detail=detail, compared_terms=compared, **found)
 
     try:
         residual = relation_residual(cf, spec.relation(), RESIDUAL_PRECISION)
@@ -513,14 +504,30 @@ def verify_conjecture2(p: int, *, l_override: Optional[int] = None) -> Conj2Verd
 # -- approximation exponent ------------------------------------------------------------
 
 
+def alpha_expansion(p: int, n: int) -> tuple:
+    """(cf, source): alpha's first n quotients and their route's label: past l, from the
+    relation derive_frobenius_relation certified, by expand_from_relation; for n <= l,
+    or when the derivation fails, from the direct root expansion."""
+    state = quartic_state(GF(p))
+    if n <= _relation_shape(p)[1]:
+        return expand_root(state, n), "direct root expansion"
+    try:
+        trace = derive_frobenius_relation(p)
+    except DerivationError:
+        return expand_root(state, n), "direct root expansion"
+    rel = trace.relation
+    source = f"Frobenius relation of degree r = {rel.r} past the root expansion's first {rel.l} quotients"
+    return expand_from_relation(trace.prefix, rel, n), source
+
+
 def quartic_expansion(p: int, n: int) -> tuple:
     """(cf, source): the first n quotients of alpha and the route's label.  For
     p = 1 mod 3, the generator behind a passing conj1 verdict (ValueError if it
     fails), whose check to T^-RESIDUAL_PRECISION needs p + 14 to p + 33 quotients
-    at each such p below 200 (measured; max(50, 2p) covers them); else the
-    direct root expansion."""
+    at each such p below 200 (measured; max(50, 2p) covers them); else
+    alpha_expansion."""
     if p % 3 != 1:
-        return expand_root(quartic_state(GF(p)), n), "direct root expansion"
+        return alpha_expansion(p, n)
     verdict = verify_conjecture1(p, max(50, 2 * p))
     if not verdict.passed:
         raise ValueError(f"perfect pattern not confirmed for p={p}: {verdict.detail}")

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from hqcf import perfect, quartic
 from hqcf.cf import ContinuedFraction
 from hqcf.cli import MAX_PARSED_DEGREE, main, parse_polynomial
 from hqcf.fields import GF, MAX_MODULUS
@@ -300,10 +301,45 @@ class TestExponentCommand:
         assert code == 2 and out == ""
 
     def test_p5_direct_route(self):
+        # up to l = 12 the quotients are the direct expansion's; past it, the relation's
+        code, out = run(["exponent", "--p", "5", "--n", "12", "--json"])
+        assert code == 0
+        d = json.loads(out)
+        assert d["nu0_closed"] is None and d["source"] == "direct root expansion"
         code, out = run(["exponent", "--p", "5", "--n", "40", "--json"])
         assert code == 0
         d = json.loads(out)
         assert d["nu0_closed"] is None
+        assert d["source"] == "Frobenius relation of degree r = 25 past the root expansion's first 12 quotients"
+
+    def test_relation_route_input_past_the_cap_is_usage_error(self, monkeypatch, capsys):
+        # at p = 5 the route reads a_14(T^25), of degree 25 * 41 = 1025, by n = 130
+        for command in (["expand", "--quartic"], ["exponent"]):
+            monkeypatch.setattr(perfect, "MAX_A_DEGREE", 1024)
+            code, out = run([*command, "--p", "5", "--n", "130"])
+            assert code == 2 and out == ""
+            assert "a_14(T^25) has degree 1025, past 1024" in capsys.readouterr().err
+            monkeypatch.setattr(perfect, "MAX_A_DEGREE", 1025)
+            assert run([*command, "--p", "5", "--n", "130"])[0] == 0
+
+    def test_p5_relation_route_reads_the_direct_degrees(self, monkeypatch):
+        # past l = 12 the quotients come from conj2's relation; with the
+        # derivation refused they come from the direct expansion, and only
+        # the source differs
+        code, out = run(["exponent", "--p", "5", "--n", "130", "--json"])
+        relation = json.loads(out)
+        assert code == 0
+        assert relation.pop("source") == (
+            "Frobenius relation of degree r = 25 past the root expansion's first 12 quotients")
+
+        def fail(p):
+            raise quartic.DerivationError("degree", "refused for the test")
+
+        monkeypatch.setattr(quartic, "derive_frobenius_relation", fail)
+        code, out = run(["exponent", "--p", "5", "--n", "130", "--json"])
+        direct = json.loads(out)
+        assert code == 0 and direct.pop("source") == "direct root expansion"
+        assert relation == direct and relation["nu0_empirical"] == "1041/521"
 
 
 class TestDeterminism:

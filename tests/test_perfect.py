@@ -14,6 +14,7 @@ from hqcf.perfect import (
     DeltaMismatchError,
     DeltaUndefinedError,
     ExpansionSpec,
+    FrobeniusRelation,
     a_degree,
     a_sequence,
     generate_perfect_p11,
@@ -27,8 +28,8 @@ from hqcf.perfect import (
     verify_prop2,
 )
 from hqcf.polynomials import Polynomial
-from hqcf.quartic import quartic_index, quartic_state
-from hqcf.rootcf import expand_root
+from hqcf.quartic import derive_frobenius_relation, quartic_index, quartic_state
+from hqcf.rootcf import RootState, expand_root
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -841,13 +842,13 @@ def prop1_frobenius_matrix(F, k):
     return tuple(m.pow_frobenius() for m in x)
 
 
-def mutated_certificate(old, new):
-    """perfect._certify_blocks with the text old of its source replaced by new."""
-    src = textwrap.dedent(inspect.getsource(perfect._certify_blocks))
+def mutated(name, old, new):
+    """perfect.<name> with the text old of its source replaced by new."""
+    src = textwrap.dedent(inspect.getsource(getattr(perfect, name)))
     assert src.count(old) == 1, old
     namespace = dict(vars(perfect))
     exec(compile(src.replace(old, new), perfect.__file__, "exec"), namespace)
-    return namespace["_certify_blocks"]
+    return namespace[name]
 
 
 def prop2_verdicts(F):
@@ -976,7 +977,7 @@ class TestBlockCertificate:
         if change:
             assert self.corrupt(monkeypatch, change)[0] is False
         before = prop2_verdicts(F13)
-        monkeypatch.setattr(perfect, "_certify_blocks", mutated_certificate(old, new))
+        monkeypatch.setattr(perfect, "_certify_blocks", mutated("_certify_blocks", old, new))
         assert prop2_verdicts(F13) != before
 
 
@@ -1022,3 +1023,185 @@ class TestRelationResidual:
         monkeypatch.setattr(cf_module, "_product", counting)
         assert relation_residual(cf, spec.relation(), 40) == float("-inf")
         assert leaf_quotients[0] == len(cf)
+
+
+# -- the relation-driven expansion ---------------------------------------------
+
+# the type (7, 3, 2) and (13, 6, 4) specs that CI generates past the benchmark's sizes
+CI_SPECS = [
+    ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)),
+    ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5)),
+]
+
+
+def sextic_case():
+    """(prefix, relation, root state) of an alpha = [a_1, a_2, alpha_3] over
+    F_5 with alpha^5 = P alpha_3 (eps1 = 1, Q = 0) and deg P = r = 5, so that
+    deg P < 2 deg C + r decides emissions.  Removing alpha_3 gives
+    y_2 X^6 - x_2 X^5 + P X - P a_1 = 0 (x_2 = a_2 a_1 + 1, y_2 = a_2), whose
+    X^5 coefficient dominates: expand_root expands it directly."""
+    a1, a2, P = poly(F5, 1, 2, 1), poly(F5, 1, 4, 4, 2, 4, 2, 4), poly(F5, 2, 1, 0, 1, 0, 1)
+    zero = Polynomial.zero(F5)
+    state = RootState([-(P * a1), P, zero, zero, zero, -(a2 * a1 + Polynomial.one(F5)), a2])
+    rel = FrobeniusRelation(2, 1, 1, P, zero, 5)
+    return ContinuedFraction(F5, [a1, a2]), rel, state
+
+
+def sextic_matches_direct(n=30):
+    prefix, rel, state = sextic_case()
+    try:
+        return perfect.expand_from_relation(prefix, rel, n) == expand_root(state, n)
+    except ArithmeticError:
+        return False
+
+
+def quartic_matches_direct(n=120):
+    """The engine's first n quotients of the quartic's alpha at p = 13 are expand_root's."""
+    trace = derive_frobenius_relation(13)
+    try:
+        engine = perfect.expand_from_relation(trace.prefix, trace.relation, n)
+        return engine == expand_root(quartic_state(F13), n)
+    except ArithmeticError:
+        return False
+
+
+# maps (C, D, r, deg det) at the boundary of either emission inequality: for
+# M = [[1, 1 - T^5], [1, -T^5]] (det -1), M(x) = 1 + 1/(x - T^5) is 1 + T at
+# x = T^5 + 1/T, and for M = [[0, T^5], [1, 0]] (det -T^5), M(T^5) = 1; neither
+# has the integral part A div C (1 and 0)
+BOUNDARY_MAPS = [
+    (Polynomial.one(F5), -poly(F5, 0, 0, 0, 0, 0, 1), 5, 0),
+    (Polynomial.one(F5), Polynomial.zero(F5), 5, 5),
+]
+
+
+def boundaries_refused():
+    return not any(perfect._emission_is_exact(*m) for m in BOUNDARY_MAPS)
+
+
+def cap_refuses_at_the_boundary():
+    """At p = 5 (r = 25) the engine reads a_14(T^25), of degree 25 * 41 = 1025,
+    by n = 130: a cap of 1024 refuses it before any product, and 1025 does not."""
+    trace = derive_frobenius_relation(5)
+    engine = perfect.expand_from_relation
+    refused = []
+    for cap in (1024, 1025):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setitem(engine.__globals__, "MAX_A_DEGREE", cap)
+            try:
+                engine(trace.prefix, trace.relation, 130)
+                refused.append(None)
+            except ValueError as exc:
+                refused.append(str(exc))
+    return refused == ["a_14(T^25) has degree 1025, past 1024", None]
+
+
+def corruption_raises():
+    """A remainder corrupted in the middle of a run, which changes det M,
+    raises the determinant check's ArithmeticError."""
+    trace = derive_frobenius_relation(13)
+    real = Polynomial.__divmod__
+    calls = []
+
+    def corrupted(f, g):
+        q, rem = real(f, g)
+        calls.append(f)
+        return q, rem + Polynomial.one(f.field) if len(calls) == 20 else rem
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polynomial, "__divmod__", corrupted)
+        try:
+            perfect.expand_from_relation(trace.prefix, trace.relation, 120)
+        except ArithmeticError as exc:
+            return "AD - BC" in str(exc)
+    return False
+
+
+class TestRelationEngine:
+    """expand_from_relation: the expansion a spec's relation drives is the
+    generator's, an input that is not the quartic's is expand_root's, and
+    every check of the engine is load-bearing."""
+
+    @pytest.mark.parametrize("spec", CI_SPECS, ids=["p7", "p13"])
+    def test_matches_the_generator(self, spec):
+        prefix = generate_perfect_expansion(spec, spec.l)
+        engine = perfect.expand_from_relation(prefix, spec.relation(), 10_000)
+        assert list(engine.quotients) == list(generate_perfect_expansion(spec, 10_000).quotients)
+
+    def test_relation_with_deg_p_at_least_r(self):
+        assert sextic_matches_direct()
+
+    def test_prefix_alone_up_to_l(self):
+        spec = CI_SPECS[1]
+        prefix = generate_perfect_expansion(spec, spec.l)
+        for n in (0, 4, spec.l):
+            assert list(perfect.expand_from_relation(prefix, spec.relation(), n)) == list(prefix)[:n]
+
+    def test_bad_input_is_a_value_error(self):
+        spec = CI_SPECS[0]
+        prefix, rel = generate_perfect_expansion(spec, spec.l), spec.relation()
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            perfect.expand_from_relation(prefix, rel, -1)
+        with pytest.raises(ValueError, match="need l = 3 prefix quotients"):
+            perfect.expand_from_relation(ContinuedFraction(F7, list(prefix)[:2]), rel, 10)
+        with pytest.raises(ValueError, match="of degree >= 1 after a_1"):
+            perfect.expand_from_relation(ContinuedFraction(F7, [*list(prefix)[:2], poly(F7, 3)]), rel, 10)
+        with pytest.raises(ValueError, match="not a power of p"):
+            perfect.expand_from_relation(prefix, rel._replace(r=8), 10)
+
+    def test_emitted_quotient_of_degree_zero(self):
+        # alpha = T + 1/alpha_2 and alpha^5 = T^7 alpha_2: a_2 = [T^5 / T^7] = 0
+        T = Polynomial.x(F5)
+        rel = FrobeniusRelation(1, 1, 1, T**7, Polynomial.zero(F5), 5)
+        with pytest.raises(ArithmeticError, match="a_2 = 0 has degree < 1"):
+            perfect.expand_from_relation(ContinuedFraction(F5, [T]), rel, 3)
+
+    def test_input_needed_before_it_is_produced(self):
+        # alpha = T^2 + 1/alpha_2, alpha^5 = T^5 alpha_2: a_2 = T^5, and then
+        # alpha_3 = T^5 alpha_2^5, whose integral part needs a_3(T^5) itself
+        T = Polynomial.x(F5)
+        rel = FrobeniusRelation(1, 1, 1, T**5, Polynomial.zero(F5), 5)
+        with pytest.raises(ArithmeticError, match="a_3 is needed as input before it is produced"):
+            perfect.expand_from_relation(ContinuedFraction(F5, [T**2]), rel, 4)
+
+    def test_emission_refused_at_either_boundary(self):
+        assert boundaries_refused()
+        one, T = Polynomial.one(F5), Polynomial.x(F5)
+        assert perfect._emission_is_exact(one, -(T**4), 5, 0)
+        assert perfect._emission_is_exact(T, Polynomial.zero(F5), 5, 5)
+        assert not perfect._emission_is_exact(Polynomial.zero(F5), one, 5, 0)
+
+    def test_corrupted_matrix_raises(self):
+        assert corruption_raises()
+
+    def test_input_past_the_degree_cap(self):
+        assert cap_refuses_at_the_boundary()
+
+    # what breaks: (the function, its text, the replacement, and the check
+    # that passes on the engine and must fail on the broken copy).  At every
+    # state the engine reaches, deg D < deg C + r follows from
+    # deg det < 2 deg C + r and the determinant, so only a map built by hand
+    # tells the first inequality's <= apart.
+    ENGINE_MUTANTS = {
+        "wrong eps2": ("expand_from_relation", "-rel.Q.scaled(rel.eps2)",
+                       "-rel.Q.scaled(rel.eps2 + 1)", quartic_matches_direct),
+        "wrong P": ("expand_from_relation", "det = rel.P.scaled(rel.eps1)",
+                    "det = (rel.P + rel.Q).scaled(rel.eps1)", quartic_matches_direct),
+        "<= in deg D < deg C + r": ("_emission_is_exact", "D.degree < C.degree + r",
+                                    "D.degree <= C.degree + r", boundaries_refused),
+        "<= in deg det < 2 deg C + r": ("_emission_is_exact", "deg_det < 2 * C.degree + r",
+                                        "deg_det <= 2 * C.degree + r", sextic_matches_direct),
+        "determinant check dropped": ("expand_from_relation", "if A * D - B * C != det:",
+                                      "if False:", corruption_raises),
+        "cap on deg a_j, not deg a_j(T^r)": ("expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
+                                             "b.degree > MAX_A_DEGREE", cap_refuses_at_the_boundary),
+        ">= in the cap": ("expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
+                          "b.degree * rel.r >= MAX_A_DEGREE", cap_refuses_at_the_boundary),
+    }
+
+    @pytest.mark.parametrize("name", list(ENGINE_MUTANTS))
+    def test_mutant_is_killed(self, name, monkeypatch):
+        function, old, new, check = self.ENGINE_MUTANTS[name]
+        assert check()
+        monkeypatch.setattr(perfect, function, mutated(function, old, new))
+        assert not check()

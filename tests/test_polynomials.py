@@ -394,6 +394,20 @@ class TestScaledRender:
             assert f.format(0) == "0" and f.format(p) == "0"
             assert f.to_json_text(0) == json.dumps(Polynomial.zero(field).to_json_dict())
 
+    @pytest.mark.parametrize("p", [5, 13, 999983])
+    def test_with_and_without_terms(self, p):
+        # format(c) writes its terms in one pass, format(c, terms) from the
+        # shared terms: random polynomials, many zero and unit coefficients
+        field, rng = GF(p), random.Random(f"format-{p}")
+        for _ in range(150):
+            pool = (0, 0, 1, p - 1, rng.randrange(p))
+            f = Polynomial(field, [rng.choice(pool) for _ in range(rng.randrange(0, 12))])
+            terms = f.terms()
+            units = [a for a in f.coeffs if a]
+            for c in {0, 1, p - 1, rng.randrange(2, p), pow(rng.choice(units), -1, p) if units else 1}:
+                text = f.format(c)
+                assert text == f.format(c, terms) == reference_format(f.scaled(c)), (f.coeffs, c)
+
     def test_memory_bounded_by_distinct_values_not_by_p(self):
         # a table over F_p at p = 999983 would hold a million strings (tens
         # of MB); the renderer holds one string per distinct coefficient

@@ -254,6 +254,13 @@ class TestNormalization:
             ]
             assert back == list(tr.prefix.quotients)
 
+    @pytest.mark.parametrize("p", [5, 11])
+    def test_degree_p_squared_relation_refused(self, p):
+        # a p = 2 mod 3 trace has r = p^2: no beta normalization, not a k or
+        # prefix-shape complaint
+        with pytest.raises(ValueError, match=f"needs r = p = {p}, got r = {p * p}$"):
+            normalize_to_beta(derive_frobenius_relation(p))
+
     def test_prefix_quotient_must_be_lambda_t(self):
         tr = derive_frobenius_relation(7)
         for bad in (poly(F7, 1, 2), poly(F7, 0, 0, 0, 2), poly(F7, 3)):

@@ -6,11 +6,13 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+import hqcf.quartic as quartic
 import hqcf.rootcf as rootcf
 from hqcf.cf import ContinuedFraction, rational_to_cf
 from hqcf.cli import main
 from hqcf.fields import GF
 from hqcf.laurent import Laurent, divide
+from hqcf.perfect import expand_from_relation
 from hqcf.polynomials import Polynomial
 from hqcf.quartic import alpha_series, quartic_state, series_root_quartic
 from hqcf.rootcf import (
@@ -321,3 +323,42 @@ class TestCertifiedPrefixByDegrees:
         below = s.truncate(-3)
         assert list(cf_from_series(below).quotients) == [poly(F7, 0, 1)] * 2
         assert continuant_prefix(below)[0] == [poly(F7, 0, 1)] * 2
+
+
+class TestRelationRoute:
+    """alpha past its derived l-quotient prefix, from the Frobenius relation
+    (perfect.expand_from_relation), against the direct root expansion."""
+
+    @pytest.mark.parametrize("p", [7, 13, 5, 11, 17, 23])  # conj1 (r = p), then conj2 (r = p^2)
+    def test_matches_expand_root(self, p):
+        trace = quartic.derive_frobenius_relation(p)
+        engine = expand_from_relation(trace.prefix, trace.relation, 1000)
+        assert engine == expand_root(quartic_state(GF(p)), 1000)
+
+    def test_alpha_expansion_takes_the_relation_past_l(self, monkeypatch):
+        calls = []
+        derive = quartic.derive_frobenius_relation
+        monkeypatch.setattr(quartic, "derive_frobenius_relation", lambda p: calls.append(p) or derive(p))
+        cf, source = quartic.alpha_expansion(5, 13)  # l = 12
+        assert calls == [5] and source.startswith("Frobenius relation of degree r = 25 ")
+        assert cf == expand_root(quartic_state(F5), 13)
+
+    @pytest.mark.parametrize("p, l", [(13, 6), (5, 12)])
+    def test_direct_route_up_to_l(self, p, l, monkeypatch):
+        def refuse(p):
+            raise AssertionError("the relation is not needed for n <= l")
+
+        monkeypatch.setattr(quartic, "derive_frobenius_relation", refuse)
+        for n in (0, 1, l):
+            cf, source = quartic.alpha_expansion(p, n)
+            assert source == "direct root expansion"
+            assert cf == expand_root(quartic_state(GF(p)), n)
+
+    def test_direct_route_when_the_derivation_fails(self, monkeypatch):
+        def fail(p):
+            raise quartic.DerivationError("W-shape", "refused for the test")
+
+        monkeypatch.setattr(quartic, "derive_frobenius_relation", fail)
+        cf, source = quartic.alpha_expansion(13, 40)
+        assert source == "direct root expansion"
+        assert cf == expand_root(quartic_state(F13), 40)
