@@ -149,46 +149,27 @@ def power_vectors(field: PrimeField, n: int) -> list:
     return vecs
 
 
-def _ring_mul(field: PrimeField, u: PowerVec, v: PowerVec) -> PowerVec:
-    """u * v in F_p[T][X]/(X^4 + 12T X^3 - 12X^2 - 12), X = alpha."""
-    # ascending in X: c[j] is the coefficient of alpha^j, j = 0..6
-    us, vs = u[::-1], v[::-1]
-    c = [Polynomial.zero(field)] * 7
-    for i, ui in enumerate(us):
-        for j, vj in enumerate(vs):
-            c[i + j] = c[i + j] + ui * vj
-    mT = Polynomial(field, [0, -12])  # -12T
-    for j in (6, 5, 4):  # alpha^j = alpha^(j-4) (-12T alpha^3 + 12 alpha^2 + 12)
-        c[j - 1] = c[j - 1] + mT * c[j]
-        c[j - 2] = c[j - 2] + c[j].scaled(12)
-        c[j - 4] = c[j - 4] + c[j].scaled(12)
-    return PowerVec(c[3], c[2], c[1], c[0])
-
-
 def frobenius_vectors(field: PrimeField, e: int) -> tuple:
     """Basis coordinates of (alpha^r, alpha^(r+1)), r = p^e, e >= 1.
 
     alpha^p takes p - 1 steps from alpha.  Raising to the p-th power is a
     ring endomorphism in characteristic p, so alpha^r = a alpha^3 + b alpha^2
-    + c alpha + d gives alpha^(pr) = a(T^p) (alpha^p)^3 + b(T^p) (alpha^p)^2
-    + c(T^p) alpha^p + d(T^p): one pow_frobenius per coordinate, after two
-    ring products for (alpha^p)^2 and (alpha^p)^3, in place of the pr - r
-    steps of power_vectors.
+    + c alpha + d gives alpha^(pr) = a(T^p) alpha^(3p) + b(T^p) alpha^(2p)
+    + c(T^p) alpha^p + d(T^p): for e > 1, 2p more steps reach alpha^(2p) and
+    alpha^(3p), and each further power of p is one pow_frobenius per
+    coordinate, in place of the pr - r steps of power_vectors.
     """
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
-    zero = Polynomial.zero(field)
-    vec = ap = power_vectors(field, field.p)[-1]
-    if e > 1:
-        ap2 = _ring_mul(field, ap, ap)
-        one = PowerVec(zero, zero, zero, Polynomial.one(field))
-        basis = (_ring_mul(field, ap2, ap), ap2, ap, one)
-        for _ in range(e - 1):
-            out = [zero] * 4
-            for coef, w in zip(vec, basis):
-                coef = coef.pow_frobenius()
-                out = [o + coef * x for o, x in zip(out, w)]
-            vec = PowerVec(*out)
+    p, zero = field.p, Polynomial.zero(field)
+    vecs = power_vectors(field, 3 * p if e > 1 else p)
+    vec = vecs[p]
+    for _ in range(e - 1):
+        out = [zero] * 4
+        for coef, w in zip(vec, vecs[::-p]):  # alpha^(3p), alpha^(2p), alpha^p, 1
+            coef = coef.pow_frobenius()
+            out = [o + coef * x for o, x in zip(out, w)]
+        vec = PowerVec(*out)
     return vec, _alpha_step(field, vec)
 
 

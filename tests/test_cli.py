@@ -82,6 +82,13 @@ class TestParsePolynomial:
                 poly(F13, c0), poly(F13, c1), poly(F13, c2), poly(F13, c3, 1), poly(F13, c4),
             ]
 
+    def test_unary_signs(self):
+        # the --poly form of the quartic state starts with a unary minus
+        assert parse_polynomial("-X^4/12 - T*X^3 + X^2 + 1", F13) == list(quartic.quartic_state(F13).coeffs)
+        assert parse_polynomial("+X", F13) == [poly(F13), poly(F13, 1)]
+        with pytest.raises(ValueError, match="unsupported unary operator"):
+            parse_polynomial("~X", F13)
+
 
 class TestExpandCommand:
     def test_quartic_p13(self):
@@ -242,6 +249,15 @@ class TestVerifyCommands:
         code, out = run(["verify", "prop2", "--p", "7", "--k", "1", "--i", "1"])
         assert code == 0 and "PASS" in out
 
+    def test_prop2_sweep_json(self):
+        code, out = run(["verify", "prop2", "--p", "7", "--json"])
+        assert code == 0
+        rows = json.loads(out)
+        assert [(r["k"], r["i"]) for r in rows] == [(k, i) for k in (1, 2, 3) for i in (1, 2, 3)]
+        for r in rows:
+            assert r["pass"] is True and r["defined"] is True and r["reason"] == ""
+            assert r["entries"] == (2 * r["k"] - 1) * (2 * r["i"] + 1) + 1
+
     def test_conj1_json_schema(self):
         code, out = run(["verify", "conj1", "--p", "7", "--n", "50", "--json"])
         assert code == 0
@@ -255,6 +271,14 @@ class TestVerifyCommands:
         assert code == 0
         d = json.loads(out)
         assert d["pass"] is True and d["l"] == 12
+
+    def test_conj2_pass_text(self):
+        code, out = run(["verify", "conj2", "--p", "5"])
+        assert code == 0
+        assert out.splitlines() == [
+            "conj2 p=5: PASS  (l=12, k'=8, k=2)",
+            "  alpha^(p^2) = 4*(T^2+4)^k'*alpha_(l+1) + 3*Q^p  (a == 8/27 mod p: True)",
+        ]
 
     def test_conj2_has_no_n(self):
         # the verdict reads the first l quotients alone; --n is not an option

@@ -112,7 +112,7 @@ class TestPowerReduce:
         with pytest.raises(ValueError, match="p >= 5"):
             power_vectors(GF(3), 4)
 
-    @pytest.mark.parametrize("p", [5, 11, 17, 23])
+    @pytest.mark.parametrize("p", [5, 11, 17, 23, 29])
     def test_frobenius_square_equals_power_vectors(self, p):
         F = GF(p)
         vecs = power_vectors(F, p * p + 1)
@@ -296,6 +296,29 @@ class TestConjecture1:
         assert v.passed is False and v.stage == "perfect-conditions"
         assert (v.eps1, v.eps2, v.a) == (3, 5, 6)
         assert main(["verify", "conj1", "--p", "7"], out=io.StringIO()) == 1
+
+    def test_direct_expansion_past_l_altered_fails_the_comparison(self, monkeypatch):
+        # only the n-quotient expansion is altered, at a_4 = a_(l+1); the
+        # derivation's l = 3 prefix is the real one
+        real = quartic.expand_root
+
+        def altered(state, n):
+            cf = real(state, n)
+            if n <= 3:
+                return cf
+            qs = list(cf.quotients)
+            qs[3] = qs[3] + Polynomial.one(cf.field)
+            return ContinuedFraction(cf.field, qs)
+
+        monkeypatch.setattr(quartic, "expand_root", altered)
+        v = verify_conjecture1(7, 60)
+        assert (v.passed, v.stage) == (False, "comparison")
+        assert v.detail == "generated and direct expansions differ at index 4"
+        assert v.compared_terms == 60
+        assert (v.eps1, v.eps2, v.a) == (3, 5, 6)
+        out = io.StringIO()
+        assert main(["verify", "conj1", "--p", "7"], out=out) == 1
+        assert "  stage: comparison  detail: generated and direct expansions differ at index 4\n" in out.getvalue()
 
     def test_oddness_along_the_way(self):
         cf = expand_root(quartic_state(F13), 120)
