@@ -16,7 +16,7 @@ import ast
 import json
 import operator
 import sys
-from itertools import groupby, zip_longest
+from itertools import groupby
 
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
@@ -36,110 +36,69 @@ from .rootcf import RootState, expand_root
 
 # -- polynomial parsing --------------------------------------------------------
 
-# Largest X- or T-degree a parsed product or power may reach; _XPoly
-# multiplies by schoolbook, so the cost is quadratic to cubic in the degree.
+# Largest X- or T-degree a parsed product or power may reach.  A parsed value
+# is one Polynomial in Z, X = Z and T = Z^_STRIDE (Kronecker substitution):
+# the X^i coefficient of f is the stride slice f.coeffs[i::_STRIDE], and at
+# the bound a product is one dense convolution of about 257^2 coefficients.
 MAX_PARSED_DEGREE = 256
+_STRIDE = MAX_PARSED_DEGREE + 1  # above every X-degree, so no slot overflows
 
-_RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul}
+
+def _degrees(f: Polynomial) -> tuple:
+    """(degree in X, degree in T) of the packed f; (-1, -1) for zero."""
+    return max((n % _STRIDE for n, c in enumerate(f.coeffs) if c), default=-1), f.degree // _STRIDE
 
 
-class _XPoly:
-    """Polynomial in X with F_p[T] coefficients; just enough arithmetic for
-    parsing user equations."""
+def _product(a: Polynomial, b: Polynomial) -> Polynomial:
+    if a and b and max(map(operator.add, _degrees(a), _degrees(b))) > MAX_PARSED_DEGREE:
+        raise ValueError(f"product would exceed degree {MAX_PARSED_DEGREE} in X or T")
+    return a * b
 
-    def __init__(self, field, coeffs):
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        self.field = field
-        self.coeffs = coeffs  # ascending in X
 
-    def __add__(self, other):
-        pairs = zip_longest(self.coeffs, other.coeffs, fillvalue=Polynomial.zero(self.field))
-        return _XPoly(self.field, [a + b for a, b in pairs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return _XPoly(self.field, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return _XPoly(self.field, [])
-        if max(a + b for a, b in zip(self.degrees(), other.degrees())) > MAX_PARSED_DEGREE:
-            raise ValueError(f"product would exceed degree {MAX_PARSED_DEGREE} in X or T")
-        z = Polynomial.zero(self.field)
-        out = [z] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return _XPoly(self.field, out)
-
-    def degrees(self) -> tuple:
-        """(degree in X, degree in T); (-1, -1) for zero."""
-        if not self.coeffs:
-            return -1, -1
-        return len(self.coeffs) - 1, max(c.degree for c in self.coeffs)
-
-    def __pow__(self, e):
-        out = _XPoly(self.field, [Polynomial.one(self.field)])
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
-
-    def as_rational_constant(self):
-        if not self.coeffs:
-            return 0
-        if len(self.coeffs) > 1 or self.coeffs[0].degree > 0:
-            return None
-        return self.coeffs[0].constant_coefficient()
+_RING_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: _product}
 
 
 def parse_polynomial(text: str, field: PrimeField) -> list:
     """Parse an expression in T and X with +, -, *, ^ and rational constants
     like 1/12 into the list of F_p[T] coefficients of X^0, X^1, ...
 
-    Division is only allowed by nonzero integer constants (the rational is
-    embedded mod p).  A power or product past MAX_PARSED_DEGREE in X or T
-    is a ValueError, raised before it is expanded.
+    Every value is one Polynomial over field packed as above, combined by
+    the kernel's +, -, *, ** and scaled.  Division is only allowed by
+    nonzero integer constants (the rational is embedded mod p).  A power or
+    product past MAX_PARSED_DEGREE in X or T is a ValueError, raised before
+    it is expanded.
     """
     try:
         tree = ast.parse(text.replace("^", "**"), mode="eval")
     except SyntaxError as exc:
         raise ValueError(f"cannot parse polynomial: {exc}")
 
-    T = _XPoly(field, [Polynomial.x(field)])
-    X = _XPoly(field, [Polynomial.zero(field), Polynomial.one(field)])
+    T = Polynomial.monomial(field, 1, _STRIDE)
+    X = Polynomial.x(field)
 
-    def ev(node) -> _XPoly:
+    def ev(node) -> Polynomial:
         if isinstance(node, ast.Expression):
             return ev(node.body)
         if isinstance(node, ast.BinOp):
             if type(node.op) in _RING_OPS:
                 return _RING_OPS[type(node.op)](ev(node.left), ev(node.right))
             if isinstance(node.op, ast.Div):
-                den = ev(node.right).as_rational_constant()
-                if den is None:
+                den = ev(node.right)
+                if den.degree > 0:
                     raise ValueError("division is only allowed by integer constants")
-                if den % field.p == 0:
+                den = den.constant_coefficient()
+                if not den:
                     raise ValueError(
                         f"denominator {den} is divisible by p = {field.p}; "
                         "rational not embeddable"
                     )
-                num = ev(node.left)
-                inv = Polynomial.constant(field, field.inv(den))
-                return num * _XPoly(field, [inv])
+                return ev(node.left).scaled(field.inv(den))
             if isinstance(node.op, ast.Pow):
                 e = node.right
                 if not (isinstance(e, ast.Constant) and isinstance(e.value, int) and e.value >= 0):
                     raise ValueError("exponents must be nonnegative integer literals")
                 base = ev(node.left)
-                if max(base.degrees()) * e.value > MAX_PARSED_DEGREE:
+                if max(_degrees(base)) * e.value > MAX_PARSED_DEGREE:
                     raise ValueError(
                         f"power ^{e.value} would exceed degree {MAX_PARSED_DEGREE} in X or T"
                     )
@@ -159,14 +118,15 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
             raise ValueError(f"unknown symbol {node.id!r} (use T and X)")
         if isinstance(node, ast.Constant):
             if isinstance(node.value, int):
-                return _XPoly(field, [Polynomial.constant(field, node.value)])
+                return Polynomial.constant(field, node.value)
             raise ValueError(f"unsupported constant {node.value!r}")
         raise ValueError(f"unsupported syntax: {ast.dump(node)}")
 
     poly = ev(tree)
-    if len(poly.coeffs) < 2:
+    x_degree = _degrees(poly)[0]
+    if x_degree < 1:
         raise ValueError("polynomial must have degree >= 1 in X")
-    return poly.coeffs
+    return [Polynomial(field, poly.coeffs[i::_STRIDE]) for i in range(x_degree + 1)]
 
 
 # -- output helpers --------------------------------------------------------------

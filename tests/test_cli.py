@@ -6,7 +6,7 @@ import time
 import pytest
 
 from hqcf import perfect, quartic
-from hqcf.cf import ContinuedFraction
+from hqcf.cf import ContinuedFraction, ScalarCFUndefined
 from hqcf.cli import MAX_PARSED_DEGREE, main, parse_polynomial
 from hqcf.fields import GF, MAX_MODULUS
 from hqcf.polynomials import Polynomial
@@ -53,6 +53,18 @@ class TestParsePolynomial:
     def test_nonconstant_divisor(self):
         with pytest.raises(ValueError):
             parse_polynomial("X/T", F13)
+
+    @pytest.mark.parametrize("text, message", [
+        ("X^T", "exponents must be nonnegative integer literals"),
+        ("X % T", "unsupported operator"),
+        ("1.5*X", "unsupported constant 1.5"),
+        ("f(X)", "unsupported syntax"),
+        ("T^2 + 1", "polynomial must have degree >= 1 in X"),
+    ])
+    def test_rejected_input_names_its_fault(self, text, message):
+        with pytest.raises(ValueError) as info:
+            parse_polynomial(text, F13)
+        assert str(info.value).startswith(message)
 
     def test_huge_power_rejected_before_expansion(self):
         t0 = time.perf_counter()
@@ -258,6 +270,22 @@ class TestVerifyCommands:
             assert r["pass"] is True and r["defined"] is True and r["reason"] == ""
             assert r["entries"] == (2 * r["k"] - 1) * (2 * r["i"] + 1) + 1
 
+    def test_prop2_undefined_construction_is_reported_not_failed(self, monkeypatch):
+        # no delta_j is 0 at any prime 5 <= p < 400, so the verdict is forced
+        def undefined(field, heads):
+            raise ScalarCFUndefined(2, "r_2 = 0")
+
+        monkeypatch.setattr(perfect, "running_scalar_cf", undefined)
+        reason = "construction undefined: delta_2 = 0 in the block construction"
+        code, out = run(["verify", "prop2", "--p", "7", "--k", "2", "--i", "1"])
+        assert code == 0
+        assert out == f"prop2 p=7 k=2 i=1: UNDEFINED ({reason})\n"
+        code, out = run(["verify", "prop2", "--p", "7", "--k", "2", "--i", "1", "--json"])
+        assert code == 0
+        assert json.loads(out) == {
+            "p": 7, "k": 2, "i": 1, "pass": False, "defined": False, "entries": 0, "reason": reason,
+        }
+
     def test_conj1_json_schema(self):
         code, out = run(["verify", "conj1", "--p", "7", "--n", "50", "--json"])
         assert code == 0
@@ -323,6 +351,15 @@ class TestExponentCommand:
     def test_zero_window_is_usage_error(self):
         code, out = run(["exponent", "--p", "5", "--n", "1"])  # a window of n - 1 = 0 ratios
         assert code == 2 and out == ""
+
+    def test_unconfirmed_perfect_pattern_is_usage_error(self, monkeypatch, capsys):
+        # p = 1 mod 3 reads the generator behind conj1; a failing verdict prints nothing
+        detail = "generated and direct expansions differ at index 4"
+        monkeypatch.setattr(quartic, "verify_conjecture1",
+                            lambda p, n: quartic.Conj1Verdict(p, False, "comparison", detail))
+        code, out = run(["exponent", "--p", "13", "--n", "50"])
+        assert code == 2 and out == ""
+        assert capsys.readouterr().err == f"error: perfect pattern not confirmed for p=13: {detail}\n"
 
     def test_p5_direct_route(self):
         # up to l = 12 the quotients are the direct expansion's; past it, the relation's

@@ -452,6 +452,23 @@ class TestDerivationStages:
         assert not v.passed and v.relation is None
         assert v.detail.startswith(f"{stage}: ")
 
+    @pytest.mark.parametrize("p, degrees", [(7, (3, 4)), (5, (15, 20))])
+    def test_q_of_the_wrong_degree_is_refused(self, p, degrees, monkeypatch):
+        # Q*T for Q: eps2*Q_(k,a)(T^(r/p)) can no longer match V's degree
+        real = quartic.pq_polynomials
+        monkeypatch.setattr(quartic, "pq_polynomials",
+                            lambda field, k, a: (lambda P, Q: (P, Q << 1))(*real(field, k, a)))
+        with pytest.raises(DerivationError) as info:
+            derive_frobenius_relation(p)
+        message = "eps2*Q has degree %d, expected %d" % degrees
+        assert (info.value.stage, str(info.value)) == ("Q-shape", message)
+        if p % 3 == 1:
+            v = verify_conjecture1(p, 60)
+            assert (v.passed, v.stage, v.detail) == (False, "Q-shape", message)
+        else:
+            v = verify_conjecture2(p)
+            assert (v.passed, v.detail) == (False, f"Q-shape: {message}")
+
     def test_failed_degree_check_reads_degree(self, monkeypatch):
         # it once passed every other stage and surfaced as stage "residual"
         # with the detail "series residual at T^-inf"
