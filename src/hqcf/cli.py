@@ -89,7 +89,7 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
                 den = den.constant_coefficient()
                 if not den:
                     raise ValueError(
-                        f"denominator {den} is divisible by p = {field.p}; "
+                        f"denominator {ast.unparse(node.right)} is divisible by p = {field.p}; "
                         "rational not embeddable"
                     )
                 return ev(node.left).scaled(field.inv(den))

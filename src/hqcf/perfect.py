@@ -76,6 +76,10 @@ class DeltaMismatchError(ValueError):
     """The anchor condition fails: delta_l != 2k*eps1/eps2."""
 
 
+class InsufficientExpansion(ValueError):
+    """relation_residual's continued fraction is too short for the precision asked."""
+
+
 def _check_k(p: int, k: int, name: str = "k"):
     """Raise ValueError unless 1 <= k < p/2, the range of every family
     parameter."""
@@ -715,8 +719,8 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     Both sides are expanded down to T^(-precision) from the continued
     fraction's convergents; the return value is the exponent of the first
     differing coefficient, or -inf when the sides agree on the whole range.
-    Raises ValueError when the expansion is too short to certify the
-    requested precision.
+    Raises InsufficientExpansion when the expansion is too short to certify
+    the requested precision.
     """
     if precision < 1:
         raise ValueError("precision must be positive")
@@ -724,9 +728,7 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     l = rel.l
     frobenius_steps = _frobenius_steps(rel, field.p)
     if len(cf) <= l:
-        raise ValueError(
-            f"insufficient expansion: need more than l = {l} partial quotients"
-        )
+        raise InsufficientExpansion(f"insufficient expansion: need more than l = {l} partial quotients")
     # the whole is the head [a_1..a_l] times the tail [a_(l+1)..a_n]
     head, tail = cf.matrix(0, l), cf.matrix(l)
     x, _, y, _ = matrix_product(head, tail, 0, len(cf))
@@ -734,7 +736,7 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     # alpha^r needs alpha down to roughly -precision/r
     floor_alpha = -(precision // rel.r + 2)
     if 2 * y.degree < -floor_alpha:
-        raise ValueError("insufficient expansion for the requested precision")
+        raise InsufficientExpansion("insufficient expansion for the requested precision")
     lhs = rational_series(x, y, floor_alpha)
     for _ in range(frobenius_steps):  # alpha^r = alpha(T^r)
         lhs = lhs.frobenius()
@@ -743,7 +745,7 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     xt, _, yt, _ = tail
     floor_tail = floor_cmp - rel.P.degree
     if 2 * yt.degree < -floor_tail:
-        raise ValueError("insufficient expansion for the requested precision")
+        raise InsufficientExpansion("insufficient expansion for the requested precision")
     tail_series = rational_series(xt, yt, floor_tail)
     Pser = Laurent.from_polynomial(rel.P)
     Qser = Laurent.from_polynomial(rel.Q)

@@ -38,6 +38,7 @@ from .perfect import (
     DeltaUndefinedError,
     ExpansionSpec,
     FrobeniusRelation,
+    InsufficientExpansion,
     expand_from_relation,
     pq_polynomials,
     power_p_family,
@@ -204,13 +205,15 @@ def _relation_shape(p: int) -> tuple:
     raise ValueError(f"the quartic's Frobenius relation needs p = 1 or 2 mod 3, got {p}")
 
 
-def derive_frobenius_relation(p: int, l: Optional[int] = None) -> FrobeniusTrace:
+def derive_frobenius_relation(p: int, l: Optional[int] = None, *,
+                              direct: Optional[ContinuedFraction] = None) -> FrobeniusTrace:
     """Extract the Frobenius relation of alpha,
 
         alpha^r = eps1 * (T^2+a)^k' * alpha_{l+1} + eps2 * Q_{k,a}(T^(r/p)),
 
     with r = p^e and (e, l, k', k) from _relation_shape; l, when given,
-    replaces the stated tail index (a diagnostic).
+    replaces the stated tail index (a diagnostic).  The first l quotients
+    are read off direct, alpha's root expansion, expanded here by default.
 
     With (x_l, x_{l-1}, y_l, y_{l-1}) the convergents of the first l
     quotients, U = eps1 * P and V = eps2 * Q, removing alpha_{l+1} turns the
@@ -220,7 +223,7 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None) -> FrobeniusTrace
         c = U y_{l-1} - V y_l,   d = U x_{l-1} - V x_l.
 
     Stages (each failure raises DerivationError with the stage name):
-      prefix       the root expansion has l quotients
+      prefix       the root expansion lies over F_p and has l quotients
       convergent   the alpha^3 parts cancel: y_l a_(r+1) = x_l a_r
       b-compat     the alpha^2 parts cancel: y_l b_(r+1) = x_l b_r
       W-shape      U, read off exactly (the 2x2 system in U, V has
@@ -236,9 +239,10 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None) -> FrobeniusTrace
     l = l_stated if l is None else l
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    prefix = expand_root(quartic_state(field), l)
-    if len(prefix) < l:
-        raise DerivationError("prefix", "root expansion terminated early")
+    direct = expand_root(quartic_state(field), l) if direct is None else direct
+    if direct.field != field or len(direct) < l:
+        raise DerivationError("prefix", f"no root expansion of {l} quotients over F_{p}")
+    prefix = ContinuedFraction(field, direct.quotients[:l])
     v0, v1 = frobenius_vectors(field, e)
     xl, xl1, yl, yl1 = prefix.matrix(0, l)
     if yl * v1.a != xl * v0.a:
@@ -374,18 +378,20 @@ RESIDUAL_PRECISION = 100
 def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
     """Full check of the conjectured degree-p pattern for one prime.
 
-    Runs the derivation (a DerivationError names the stage), normalizes
-    (stage prefix-form when a prefix quotient is not lambda*T), validates
-    the perfect-expansion conditions, generates n quotients, and compares
-    them (mapped back through T -> T/v) with the direct root expansion;
-    finally the relation itself is re-checked as a series identity.  Any
-    stage failure is reported as a finding, not raised.
+    Expands the root once, to max(n, l) quotients; derives the relation
+    from the first l (a DerivationError names the stage), normalizes (stage
+    prefix-form when a prefix quotient is not lambda*T), validates the
+    perfect-expansion conditions, and compares n generated quotients, mapped
+    back through T -> T/v, with the direct ones; finally the relation is
+    re-checked as a series identity on as many generated quotients as that
+    takes.  Any stage failure is reported as a finding, not raised.
     """
     field = GF(p)
     if p % 3 != 1:
         raise ValueError(f"the degree-p relation needs p = 1 mod 3, got {p}")
+    direct = expand_root(quartic_state(field), max(n, _relation_shape(p)[1]))
     try:
-        trace = derive_frobenius_relation(p)
+        trace = derive_frobenius_relation(p, direct=direct)
     except DerivationError as exc:
         return Conj1Verdict(p, False, stage=exc.stage, detail=str(exc))
 
@@ -402,7 +408,6 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
         cf = generate_perfect_expansion(spec, n)
     except (DeltaUndefinedError, DeltaMismatchError) as exc:
         return Conj1Verdict(p, False, stage="perfect-conditions", detail=str(exc), **found)
-    direct = expand_root(quartic_state(field), n)
     compared = min(len(direct), n)
     s = -trace.a % p
     mapped = [beta_quotient_to_alpha(field, cf[j], j + 1, s) for j in range(compared)]
@@ -411,13 +416,12 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
         detail = f"generated and direct expansions differ at index {first_bad}"
         return Conj1Verdict(p, False, stage="comparison", detail=detail, compared_terms=compared, **found)
 
-    try:
-        residual = relation_residual(cf, spec.relation(), RESIDUAL_PRECISION)
-    except ValueError:
-        raise ValueError(
-            f"n = {n} leaves too few tail quotients to certify the relation to "
-            f"T^-{RESIDUAL_PRECISION} for p = {p}; increase n"
-        )
+    while True:
+        try:
+            residual = relation_residual(cf, spec.relation(), RESIDUAL_PRECISION)
+            break
+        except InsufficientExpansion:  # the generator is cheap: regenerate a longer one
+            cf = generate_perfect_expansion(spec, 2 * max(len(cf), rel.l))
     ok = residual == float("-inf")
     return Conj1Verdict(
         p,
@@ -503,10 +507,9 @@ def alpha_expansion(p: int, n: int) -> tuple:
 
 def quartic_expansion(p: int, n: int) -> tuple:
     """(cf, source): the first n quotients of alpha and the route's label.  For
-    p = 1 mod 3, the generator behind a passing conj1 verdict (ValueError if it
-    fails), whose check to T^-RESIDUAL_PRECISION needs p + 14 to p + 33 quotients
-    at each such p below 200 (measured; max(50, 2p) covers them); else
-    alpha_expansion."""
+    p = 1 mod 3, the generator behind a passing conj1 verdict that compared
+    max(50, 2p) of its quotients with the direct expansion (ValueError if it
+    fails); else alpha_expansion."""
     if p % 3 != 1:
         return alpha_expansion(p, n)
     verdict = verify_conjecture1(p, max(50, 2 * p))

@@ -83,6 +83,12 @@ class TestContinuants:
         assert xs[3] == poly(F7, 0, 1, 0, 2)  # 2T^3 + T
         assert ys[3] == poly(F7, 1, 0, 1)  # T^2 + 1
 
+    def test_quotients_over_another_field_break_the_determinant(self):
+        # the products run over F_7, the expected +-1 over the expansion's F_13
+        cf = ContinuedFraction(F13, [poly(F7, 0, 1)])
+        with pytest.raises(ArithmeticError, match="^continuant determinant broken at index 1$"):
+            cf.continuants()
+
     def test_single_quotient(self):
         a = poly(F7, 0, 3)
         cf = ContinuedFraction(F7, [a])
@@ -285,6 +291,10 @@ class TestSerialization:
         d = cf.to_json_dict()
         assert d["p"] == 13 and len(d["pq"]) == 2
         assert ContinuedFraction.from_json_dict(d) == cf
+
+    def test_symbolic_needs_one_index_per_lambda(self):
+        with pytest.raises(ValueError, match="^need one tower index per lambda$"):
+            ContinuedFraction.symbolic(F7, [poly(F7, 0, 1)], [1, 2], [0])
 
     def test_field_comes_from_the_outer_p(self):
         d = ContinuedFraction(F13, [poly(F13, 0, 1)]).to_json_dict()

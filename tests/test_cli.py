@@ -124,6 +124,15 @@ class TestExpandCommand:
         assert cf.field == F13 and len(cf) == 0
         assert json.loads(out) == cf.to_json_dict()
 
+    def test_denominator_named_as_written(self, capsys):
+        # 26 reduces to 0 mod 13; the message names the 26 the user wrote
+        code, out = run(["expand", "--poly", "X^2 - X/26", "--p", "13"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: denominator 26 is divisible by p = 13; rational not embeddable\n")
+        with pytest.raises(ValueError, match=r"^denominator \(T - T\) \* 3 is divisible by p = 13"):
+            parse_polynomial("X/((T - T) * 3)", F13)
+
     def test_poly_input(self):
         code, out = run(["expand", "--poly", "X^2 - T*X + 1", "--p", "5", "--n", "4"])
         assert code == 0
@@ -393,7 +402,7 @@ class TestExponentCommand:
         assert relation.pop("source") == (
             "Frobenius relation of degree r = 25 past the root expansion's first 12 quotients")
 
-        def fail(p):
+        def fail(p, **kwargs):
             raise quartic.DerivationError("degree", "refused for the test")
 
         monkeypatch.setattr(quartic, "derive_frobenius_relation", fail)

@@ -119,9 +119,9 @@ class TestExponentDerivesOnce:
         calls = []
         derive = quartic.derive_frobenius_relation
 
-        def counted(p):
+        def counted(p, **kwargs):
             calls.append(p)
-            return derive(p)
+            return derive(p, **kwargs)
 
         monkeypatch.setattr(quartic, "derive_frobenius_relation", counted)
         code, _ = run(["exponent", "--p", "7", "--n", "120"])
@@ -137,7 +137,7 @@ class TestExponentWindow:
 
     @pytest.mark.parametrize("p", [31, 97])
     def test_conj1_check_sized_from_p(self, p):
-        # 50 checked quotients cannot certify the relation at these primes
+        # the conj1 verdict behind the generator compares max(50, 2p) quotients
         code, out = run(["exponent", "--p", str(p), "--n", "500", "--json"])
         assert code == 0
         assert json.loads(out)["nu0_closed"] == "2/3"

@@ -51,6 +51,10 @@ class TestBasics:
 
 
 class TestDivision:
+    def test_rational_series_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError, match="^series of a fraction with zero denominator$"):
+            rational_series(poly(F7, 1), Polynomial.zero(F7), -5)
+
     def test_rational_series_t2m1_over_t(self):
         # (T^2 - 1)/T = T - T^-1
         s = rational_series(poly(F7, -1, 0, 1), Polynomial.x(F7), -5)

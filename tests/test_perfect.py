@@ -15,6 +15,7 @@ from hqcf.perfect import (
     DeltaUndefinedError,
     ExpansionSpec,
     FrobeniusRelation,
+    InsufficientExpansion,
     a_degree,
     a_sequence,
     generate_perfect_p11,
@@ -287,6 +288,10 @@ class TestSpecValidation:
         with pytest.raises(DeltaUndefinedError) as err:
             ExpansionSpec(F, 3, 2, 3, 5, (lam1, 6, 6)).validate()
         assert err.value.index == 1
+
+    def test_empty_prefix_rejected(self):
+        with pytest.raises(ValueError, match="^need l >= 1, got l=0$"):
+            ExpansionSpec(F7, 0, 1, 1, 1, ())
 
     def test_zero_lambda_rejected(self):
         with pytest.raises(ValueError):
@@ -619,6 +624,14 @@ class TestProp2:
         assert qs[1] == poly(F7, 0, 1)  # -delta_1^{-1} v_{1,1} T = T (delta_1 = 6)
         assert qs[2] == poly(F7, 0, 6)
         assert qs[3] == A11.scaled(6)
+
+    def test_inexact_division_by_p_i_raises(self, monkeypatch):
+        # P_(kp-i) = P_k(T^p) / P_i must be exact; a remainder is an arithmetic fault
+        real = perfect._frobenius_divmod_pk
+        monkeypatch.setattr(perfect, "_frobenius_divmod_pk",
+                            lambda a, k: (real(a, k)[0], Polynomial.x(a.field)))
+        with pytest.raises(ArithmeticError, match=r"^P_1\(T\^7\) is not divisible by P_1: remainder T$"):
+            verify_prop2(F7, 1, 1)
 
     def test_p7_k1_i1_verifies(self):
         r = verify_prop2(F7, 1, 1)
@@ -1001,6 +1014,18 @@ class TestRelationResidual:
         short = ContinuedFraction(F13, cf.quotients[:6])
         with pytest.raises(ValueError, match="insufficient"):
             relation_residual(short, spec.relation(), 40)
+
+    def test_head_too_short_for_the_precision(self):
+        # l + 1 quotients pass the length check, but deg y_7 = 6 leaves alpha
+        # known to T^-12, short of the T^-78 that T^-1000 at r = 13 needs
+        spec, cf = self.make_gen(7)
+        with pytest.raises(InsufficientExpansion, match="^insufficient expansion for the requested precision$"):
+            relation_residual(cf, spec.relation(), 1000)
+
+    def test_precision_must_be_positive(self):
+        spec, cf = self.make_gen()
+        with pytest.raises(ValueError, match="^precision must be positive$"):
+            relation_residual(cf, spec.relation(), 0)
 
     def test_too_much_precision_rejected(self):
         spec, cf = self.make_gen(20)

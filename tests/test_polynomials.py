@@ -48,6 +48,18 @@ class TestBasics:
         assert z.degree == -1
         assert z.is_zero()
 
+    def test_zero_has_no_leading_coefficient(self):
+        with pytest.raises(ValueError, match="^the zero polynomial has no leading coefficient$"):
+            Polynomial.zero(F7).leading_coefficient()
+
+    def test_zero_cannot_be_made_monic(self):
+        with pytest.raises(ValueError, match="^the zero polynomial cannot be made monic$"):
+            Polynomial.zero(F7).monic()
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError, match="^negative polynomial powers are not defined$"):
+            poly(F7, 0, 1) ** -1
+
     def test_shift_by_powers_of_t(self):
         f = poly(F7, 3, 0, 5)
         assert f << 2 == poly(F7, 0, 0, 3, 0, 5)

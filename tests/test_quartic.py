@@ -7,11 +7,11 @@ import pytest
 
 from hqcf.cf import ContinuedFraction
 from hqcf.cli import main
-from hqcf.fields import GF
+from hqcf.fields import GF, PrimeField
 from hqcf.laurent import Laurent
 from hqcf.perfect import relation_residual, generate_perfect_expansion
 from hqcf.polynomials import Polynomial
-from hqcf import quartic
+from hqcf import quartic, rootcf
 from hqcf.quartic import (
     DerivationError,
     approximation_exponent,
@@ -20,8 +20,10 @@ from hqcf.quartic import (
     frobenius_vectors,
     normalize_to_beta,
     power_vectors,
+    quartic_index,
     quartic_state,
     relation_k,
+    series_root_quartic,
     verify_conjecture1,
     verify_conjecture2,
 )
@@ -107,6 +109,15 @@ class TestPowerReduce:
             for n in (4, 5, p, p + 1):
                 d, c, b, a = alpha_power_oracle(F, n)
                 assert vecs[n] == (a, b, c, d)
+
+    @pytest.mark.parametrize("build", [quartic_state, lambda field: series_root_quartic(field, 5)])
+    def test_root_and_series_need_p_5(self, build):
+        with pytest.raises(ValueError, match="^the quartic needs p >= 5$"):
+            build(GF(3))
+
+    def test_index_needs_n_1(self):
+        with pytest.raises(ValueError, match="^index is defined for n >= 1$"):
+            quartic_index(13, 0)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError, match="p >= 5"):
@@ -196,6 +207,14 @@ class TestDerivation:
             with pytest.raises(DerivationError) as info:
                 derive_frobenius_relation(p)
             assert info.value.stage in ("W-shape", "Q-shape")
+
+    def test_zero_a_fails_the_w_shape(self, monkeypatch):
+        # an inverse read as 0 makes a = U_(2k-2) / (k eps1) zero: no (T^2 + a)^k' fits
+        direct = expand_root(quartic_state(F7), 3)
+        monkeypatch.setattr(PrimeField, "inv", lambda self, x: 0)
+        with pytest.raises(DerivationError) as info:
+            derive_frobenius_relation(7, direct=direct)
+        assert (info.value.stage, str(info.value)) == ("W-shape", "eps1*P has no T^(2k-2) term, so a = 0")
 
     def test_wrong_residue_class_rejected(self):
         # p = 3 has neither relation; 11 = 2 mod 3 has the degree-p^2 one
@@ -320,6 +339,34 @@ class TestConjecture1:
         assert main(["verify", "conj1", "--p", "7"], out=out) == 1
         assert "  stage: comparison  detail: generated and direct expansions differ at index 4\n" in out.getvalue()
 
+    def test_expands_the_root_once(self, monkeypatch):
+        # one expansion of max(n, l) quotients serves the derivation's l = 6
+        # prefix and the comparison
+        real, calls = rootcf.step, []
+        monkeypatch.setattr(rootcf, "step", lambda state: calls.append(1) or real(state))
+        assert verify_conjecture1(13, 200).passed
+        assert len(calls) == 200
+        calls.clear()
+        assert verify_conjecture1(13, 4).passed
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    def test_n_below_l_is_a_verdict(self, n):
+        # l = 6 at p = 13: nothing past the compared quotients is asked of n
+        v, ref = verify_conjecture1(13, n), verify_conjecture1(13, 60)
+        assert (v.passed, v.stage, v.compared_terms) == (True, "", n)
+        assert (v.eps1, v.eps2, v.a, v.spec) == (ref.eps1, ref.eps2, ref.a, ref.spec)
+
+    def test_direct_prefix_must_fit(self):
+        # a direct expansion over another field, or shorter than l, is the prefix stage
+        for direct in (expand_root(quartic_state(F7), 10), expand_root(quartic_state(F13), 5)):
+            with pytest.raises(DerivationError) as info:
+                derive_frobenius_relation(13, direct=direct)
+            assert (info.value.stage, str(info.value)) == ("prefix", "no root expansion of 6 quotients over F_13")
+        tr = derive_frobenius_relation(13, direct=expand_root(quartic_state(F13), 40))
+        assert tr.prefix == expand_root(quartic_state(F13), 6)
+        assert tr.relation == derive_frobenius_relation(13).relation
+
     def test_oddness_along_the_way(self):
         cf = expand_root(quartic_state(F13), 120)
         assert not any(c for q in cf for c in q.coeffs[0::2])
@@ -414,8 +461,9 @@ def _shift_vectors(change):
 
 # one way to reach each stage of derive_frobenius_relation, as (name, value) to monkeypatch
 STAGE_FAULTS = {
-    # one quotient short of l
-    "prefix": lambda: ("expand_root", lambda state, n: expand_root(state, n - 1)),
+    # one quotient short of l, also in conj1's expansion of max(n, l) quotients
+    "prefix": lambda: ("expand_root", lambda state, n: expand_root(
+        state, min(n, quartic._relation_shape(state.field.p)[1]) - 1)),
     # 2 alpha^(r+1): (a_(r+1), a_r) is no longer proportional to (x_l, y_l)
     "convergent": lambda: ("frobenius_vectors", _shift_vectors(
         lambda v0, v1, one: (v0, type(v1)(*(c.scaled(2) for c in v1))))),
@@ -484,8 +532,8 @@ class TestDerivationStages:
         # normalize_to_beta refuses a prefix quotient that is not lambda*T
         real = quartic.derive_frobenius_relation
 
-        def bent(p):
-            tr = real(p)
+        def bent(p, **kwargs):
+            tr = real(p, **kwargs)
             qs = list(tr.prefix.quotients)
             qs[1] = qs[1] + Polynomial.one(tr.prefix.field)
             return dataclasses.replace(tr, prefix=ContinuedFraction(tr.prefix.field, qs))
@@ -579,6 +627,11 @@ class TestApproximationExponent:
                 assert (rep.nu0_empirical, rep.argmax_index, rep.ratios_tail) == (
                     best, arg, ratios[-1]
                 ), (degs, window)
+
+    def test_zero_quotient_rejected(self):
+        cf = ContinuedFraction(F7, [poly(F7, 0, 1), Polynomial.zero(F7), poly(F7, 0, 1)])
+        with pytest.raises(ValueError, match="^partial quotients must have degree >= 0$"):
+            approximation_exponent(cf, 2)
 
     def test_constant_first_quotient_rejected(self):
         cf = ContinuedFraction(F7, [poly(F7, 3), poly(F7, 0, 1), poly(F7, 0, 1)])

@@ -53,6 +53,14 @@ class TestDominance:
         )
         assert not dominance_holds(st)
 
+    def test_state_needs_degree_1_in_x(self):
+        with pytest.raises(ValueError, match="^state needs degree >= 1 in X$"):
+            RootState((Polynomial.one(F7),))
+
+    def test_state_needs_a_nonzero_leading_coefficient(self):
+        with pytest.raises(ValueError, match="^leading coefficient in X must be nonzero$"):
+            RootState((Polynomial.one(F7), Polynomial.zero(F7)))
+
     def test_quadratic_satisfies_star(self):
         st = RootState((Polynomial.one(F7), -Polynomial.x(F7), Polynomial.one(F7)))
         assert dominance_holds(st)
@@ -241,6 +249,11 @@ class TestCfFromSeries:
             overlap = min(len(oracle), 25)
             assert overlap >= 20
             assert list(oracle.quotients[:overlap]) == list(direct.quotients[:overlap])
+
+    def test_one_known_term_rejected(self):
+        # 1 + O(T^-1): the constant alone is known
+        with pytest.raises(ValueError, match="^need at least two known series terms$"):
+            cf_from_series(Laurent(Polynomial.one(F7), 0, -1))
 
     def test_two_term_precision_certifies_first_quotient(self):
         a = alpha_series(F13, -1)  # coefficients at T^1, T^0 known

@@ -33,6 +33,15 @@ def test_degree_p_squared_relation_sweep(p):
     assert (v.eps1, v.eps2, v.a) == CONJ2_SOLUTIONS[p]
 
 
-def test_short_expansion_gets_actionable_error():
-    with pytest.raises(ValueError, match="increase n"):
-        verify_conjecture1(97, 100)
+@pytest.mark.parametrize("p", [103, 109, 127, 139, 151, 157, 163, 181, 193, 199, 211])
+def test_degree_p_relation_at_the_default_n(p):
+    # from p = 181 on the series certificate takes more than 200 generated
+    # quotients (202 at p = 181): it sizes itself, and n counts only the
+    # quotients compared with the direct expansion
+    v = verify_conjecture1(p, 200)
+    assert v.passed and v.a_equals_8_27 and v.compared_terms == 200
+
+
+def test_short_n_sizes_its_own_certificate():
+    v = verify_conjecture1(97, 100)
+    assert v.passed and v.compared_terms == 100
