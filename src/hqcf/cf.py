@@ -74,6 +74,8 @@ class ContinuedFraction:
     def __init__(self, field, quotients: Sequence[Polynomial]):
         self.field = field
         self._quotients = tuple(quotients)
+        if any(q.field != field for q in self._quotients):
+            raise ValueError(f"every partial quotient must be over {field}")
         self.perfect_type = self.tower = self.lambdas = self.indices = None
 
     @classmethod

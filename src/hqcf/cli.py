@@ -275,10 +275,7 @@ def cmd_verify_prop2(args, out) -> int:
     half = range(1, (args.p - 1) // 2 + 1)
     ks = [args.k] if args.k is not None else half
     iis = [args.i] if args.i is not None else half
-    # the largest case (k max, i min) runs first: past MAX_PROP2_DEGREE its
-    # ValueError comes before any case is run; the cases print in sweep order
-    reports = [verify_prop2(field, k, i) for k in ks[::-1] for i in iis]
-    reports.sort(key=lambda r: (r.k, r.i))
+    reports = verify_prop2(field, ks, iis)
     if args.json:
         rows = [
             {
@@ -371,9 +368,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p_, n_default=200):
+    def add_common(p_, n_default=200, n_help="number of partial quotients"):
         p_.add_argument("--p", type=int, required=True, help="odd prime modulus")
-        p_.add_argument("--n", type=int, default=n_default, help="number of partial quotients")
+        p_.add_argument("--n", type=int, default=n_default, help=n_help)
         p_.add_argument("--json", action="store_true", help="machine-readable output")
 
     p_expand = sub.add_parser("expand", help="expand an algebraic root")
@@ -408,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     v2.add_argument("--json", action="store_true")
 
     c1 = vsub.add_parser("conj1", help="degree-p relation for p = 1 mod 3")
-    add_common(c1)
+    add_common(c1, n_help="number of generated quotients compared with the direct expansion")
 
     c2 = vsub.add_parser("conj2", help="degree-p^2 relation for p = 2 mod 3")
     c2.add_argument("--p", type=int, required=True)

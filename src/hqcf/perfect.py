@@ -33,17 +33,18 @@ remainder is a certificate: at every level built it must equal
 -2k theta_k^{i+1} Q_k, the identity A_{i,k}^p = A_{i+1,k} P_k -
 2k theta_k^{i+1} Q_k of Prop. 1, or ArithmeticError is raised.
 verify_prop1 and verify_prop2 certify the exact continued fraction
-identities satisfied by the P/Q pairs by multiplication alone: a continuant
-matrix of the predicted quotients is checked against the pair, which
-proves what a Euclidean expansion would find, and the reversed expansion
-is read off the same matrix.  Both predictions are symbolic, like the
-generator's.  Prop. 1 (P_k/Q_k, 2k quotients) builds that matrix as the
-continuant product tree (_certify).  Prop. 2 (P_{kp-i}/Q_k^p, (2k-1)(2i+1)+1
-quotients) follows the paper's proof instead: 2k small identities, one per
-block, each of degree about p, read off the lambdas and indices, prove that
-the matrix is a closed form in Prop. 1's matrices at i and at k (under
-T -> T^p), so no quotient and no tree of degree 2kp is built (_certify_blocks;
-the tree is its test oracle).  verify_prop1 also re-checks the tower up to A_3.
+identities of the P/Q pairs by multiplication alone: a continuant matrix
+of the predicted quotients is checked against the pair, which proves what
+a Euclidean expansion would find, and the reversed expansion is read off
+the same matrix.  Both predictions are symbolic, like the generator's.
+Prop. 1 (P_k/Q_k, 2k quotients) builds that matrix as the continuant
+product tree (_certify).  Prop. 2 (P_{kp-i}/Q_k^p, (2k-1)(2i+1)+1 quotients)
+follows the paper's proof instead: 2k small identities, one per block, of
+degree about p, read off the lambdas and indices, prove that the matrix is
+a closed form in Prop. 1's matrices at i and at k (under T -> T^p), so no
+quotient and no tree of degree 2kp is built (_certify_blocks; the tree is
+its test oracle), and what one k or one i shares is built once per grid
+(_AtK, _AtI).  verify_prop1 also re-checks the tower up to A_3.
 expand_from_relation expands any alpha from a_1 .. a_l and its relation
 alpha^r = eps1 P alpha_{l+1} + eps2 Q alone, by Gosper's homographic algorithm.
 """
@@ -506,41 +507,68 @@ class Prop2Report:
         return self.defined and self.cf_matches and self.reversal_holds
 
 
-def prop2_predicted_quotients(field: PrimeField, k: int, i: int) -> ContinuedFraction:
+class _AtK:
+    """What the Prop. 2 cases at one k share, from theta_k, the v_{j,k} and
+    Prop. 1's matrix [[x, x'], [y, y']] at k: r_j = [v_{j,k}, ..., v_{1,k}]
+    (ScalarCFUndefined if one is 0), P_k, x', y, and den X and
+    -4 k^2 theta_k^2 den X, for den = Q_k^p and X = x(T^p)."""
+
+    def __init__(self, field: PrimeField, family: FamilyConstants, matrix: tuple):
+        self.family, (theta, v_k) = family, family
+        k = len(v_k) // 2
+        # a trailing head makes r_(2k-1) a tail too, so every zero one raises
+        self.brackets = running_scalar_cf(field, [*v_k[: 2 * k - 1], 0])
+        self.P, Q_k = pq_polynomials(field, k)
+        xk, self.xp, self.y, _ = matrix
+        self.den_X = _times_frobenius(Q_k.pow_frobenius(), xk)
+        self.den_X_rev = self.den_X.scaled(-4 * k * k * theta * theta)
+
+
+class _AtI:
+    """What the Prop. 2 cases at one i share, from theta_i, the v_{m,i} and
+    Prop. 1's matrix [[x, x'], [y, y']] at i: the tower [T, A_{1,i}], P_i, sigma =
+    lc(P_i)/lc(x), whether sigma x = P_i, and _certify_blocks' head and tail polynomials."""
+
+    def __init__(self, field: PrimeField, family: FamilyConstants, matrix: tuple):
+        p, i = field.p, len(family.v) // 2
+        self.family, self.P = family, power_p_family(field, i)
+        x, xp, y, yp = matrix
+        self.sigma = self.P.leading_coefficient() * field.inv(x.leading_coefficient()) % p
+        self.closes = x.scaled(self.sigma) == self.P
+        self.tower = a_sequence(field, i, 1)
+        ax = self.tower[1] * x
+        self.heads = _stacked(ax, y, xp, Polynomial.monomial(field, 1, p))
+        self.tails = _stacked(ax * xp, y * xp, self.tower[1] * xp * self.P, yp * self.P, Polynomial.one(field))
+
+
+def prop2_predicted_quotients(field: PrimeField, at_k: _AtK, at_i: _AtI) -> ContinuedFraction:
     """Predicted expansion of P_{kp-i} / Q_k^p, symbolic over the tower
     [T, A_{1,i}]: 2k-1 blocks, block j led by v_{j,k} A_{1,i} followed by 2i
     entries -delta_j^(-(-1)^m) v_{m,i} T (m = 1..2i), closed by
-    v_{2k,k} A_{1,i}; here delta_j = 2i theta_i [v_{j,k}, ..., v_{1,k}].
-
-    Raises ScalarCFUndefined if some delta_j is zero.
-    """
+    v_{2k,k} A_{1,i}; here delta_j = 2i theta_i [v_{j,k}, ..., v_{1,k}]."""
     p = field.p
-    _, v_k = family_constants(field, k)
-    theta_i, v_i = family_constants(field, i)
-    # delta_j / (2i theta_i) is the running value r_j over v_1, v_2, ...; a
-    # trailing head makes r_(2k-1) a tail too, so every zero one raises
-    try:
-        brackets = running_scalar_cf(field, [*v_k[: 2 * k - 1], 0])
-    except ScalarCFUndefined as exc:
-        j = exc.index
-        raise ScalarCFUndefined(j, f"delta_{j} = 0 in the block construction")
-    lambdas = []
-    for j in range(1, 2 * k):
-        delta_j = 2 * i * theta_i * brackets[j - 1] % p
-        scale = (delta_j, field.inv(delta_j))  # delta_j at even m, 1/delta_j at odd m
-        lambdas += [v_k[j - 1], *(-scale[m % 2] * u % p for m, u in enumerate(v_i, 1))]
-    lambdas.append(v_k[2 * k - 1])
+    v_k, (theta_i, v_i) = at_k.family.v, at_i.family
+    k, i = len(v_k) // 2, len(v_i) // 2
+    deltas = [2 * i * theta_i * r % p for r in at_k.brackets[: 2 * k - 1]]
+    # row j: v_{j,k}, then -v_{m,i} times 1/delta_j at odd m and delta_j at even m
+    scales = np.array([(field.inv(d), d) * i for d in deltas], dtype=np.int64)
+    blocks = np.column_stack([v_k[: 2 * k - 1], -scales * np.array(v_i, dtype=np.int64) % p])
+    lambdas = blocks.ravel().tolist() + [v_k[2 * k - 1]]
     indices = ((1,) + (0,) * (2 * i)) * (2 * k - 1) + (1,)
-    return ContinuedFraction.symbolic(field, a_sequence(field, i, 1), lambdas, indices)
+    return ContinuedFraction.symbolic(field, at_i.tower, lambdas, indices)
 
 
-def _all_zero(rows: list, polys: list, p: int) -> bool:
-    """Whether sum_t rows[j][t] * polys[t] = 0 for every row j: the rows'
-    scalars times the stacked coefficient vectors of polys, one exact int64
-    product (a sum of len(polys) residue products, p <= MAX_MODULUS)."""
+def _stacked(*polys: Polynomial) -> np.ndarray:
+    """The coefficient vectors of polys, zero-padded, as the rows of one int64 array."""
     basis = np.zeros((len(polys), max(len(f.coeffs) for f in polys)), dtype=np.int64)
     for row, f in zip(basis, polys):
         row[: len(f.coeffs)] = f.coeffs
+    return basis
+
+
+def _all_zero(rows: list, basis: np.ndarray, p: int) -> bool:
+    """Whether sum_t rows[j][t] * basis[t] = 0 for every row j: one exact int64
+    product (a sum of len(basis) residue products, p <= MAX_MODULUS)."""
     return not (np.array(rows, dtype=np.int64) @ basis % p).any()
 
 
@@ -551,104 +579,102 @@ def _times_frobenius(f: Polynomial, g: Polynomial) -> Polynomial:
     p = f.field.p
     a = np.asarray(f.coeffs, dtype=np.int64)
     out = np.zeros(len(a) + (len(g.coeffs) - 1) * p, dtype=np.int64)
-    for s, c in enumerate(g.coeffs):
-        out[s * p : s * p + len(a)] += c * a
+    for s in np.flatnonzero(g.coeffs):
+        out[s * p : s * p + len(a)] += g.coeffs[s] * a
     return Polynomial._make(f.field, (out % p).tolist())
 
 
-def _certify_blocks(num: Polynomial, den: Polynomial, predicted: ContinuedFraction,
-                    family_k: FamilyConstants, family_i: FamilyConstants):
+def _certify_blocks(num: Polynomial, predicted: ContinuedFraction, at_k: _AtK, at_i: _AtI):
     """(cf_matches, reversal_holds) of _certify for num/den = P_{kp-i} / Q_k^p
     and the symbolic [b_1..b_n] of prop2_predicted_quotients, proved block by
     block from its lambdas and indices: no quotient and no tree is built.
 
     Let M_i = [[x, x'], [y, y']] be the matrix of Prop. 1's [v_{1,i} T ..
-    v_{2i,i} T] and sigma = lc(P_i)/lc(x); sigma x = P_i is checked once.
-    The indices must be (1, 0 x 2i) x (2k-1) and 1 over a tower [T, A]: block
-    j is a lead b_j = lam_j A and 2i inner quotients c_j v_{m,i} T (m odd) and
-    v_{m,i} T / c_j (m even), compared as lambda tuples;
+    v_{2i,i} T] and sigma = lc(P_i)/lc(x); sigma x = P_i is checked once per i.
+    The indices must be (1, 0 x 2i) x (2k-1) and 1 over at_i's tower [T, A]:
+    block j is a lead b_j = lam_j A and 2i inner quotients c_j v_{m,i} T (m odd) and
+    v_{m,i} T / c_j (m even), compared as one array of lambdas;
     its matrix is then B_j = [[b_j x + y/c_j, c_j b_j x' + y'], [x, c_j x']].
     With S_j = [[1, G_j], [0, P_i]], G_0 = 0 and G_j = g_j x', g_j = -c_j sigma,
     the four entries of S_{j-1} [[v_{j,k} T^p, 1], [1, 0]] = sigma B_j S_j are
       sigma B11 = v_{j,k} T^p + G_{j-1},   sigma (B11 G_j + B12 P_i) = 1,
       sigma x = P_i,   x G_j + c_j x' P_i = 0 (by the choice of g_j),
     and the closing step is v_{2k,k} T^p + G_{2k-1} = P_i b_n.  Each is a
-    combination of a few polynomials fixed per case (A x, y, x', ...) with
+    combination of a few polynomials fixed per i (A x, y, x', ...) with
     per-block scalars, so _all_zero checks all blocks at once.  They
     telescope: the predicted matrix is sigma^(2k-1) [[X/P_i, X'], [Y, P_i Y']],
     [[X, X'], [Y, Y']] being Prop. 1's matrix at k under T -> T^p.  So, as
     in _certify, the expansion is num/den's when the degree guard holds
     and num P_i Y = den X, and the reversal identity is
     num P_i X' = -4 k^2 theta^2 den X.  A list (its indices are None), a zero
-    lambda, or a broken shape or identity certifies neither verdict.
+    lambda, another tower, or a broken shape or identity certifies neither verdict.
     """
     field = num.field
     p = field.p
-    (theta, v_k), v_i = family_k, family_i.v
-    k, i = len(v_k) // 2, len(v_i) // 2
-    P_i = power_p_family(field, i)
-    x, xp, y, yp = _prop1_predicted(field, v_i).matrix()
-    sigma = P_i.leading_coefficient() * field.inv(x.leading_coefficient()) % p
-    width = 2 * i + 1  # a lead and its 2i inner quotients
-    lambdas, shape = predicted.lambdas, ((1,) + (0,) * (width - 1)) * (2 * k - 1) + (1,)
-    if (x.scaled(sigma) != P_i or predicted.indices != shape or 0 in lambdas
-            or predicted.tower[0] != Polynomial.x(field)):
+    v_k, v_i, sigma = at_k.family.v, at_i.family.v, at_i.sigma
+    width = len(v_i) + 1  # a lead and its 2i inner quotients; 2k - 1 = len(v_k) - 1 blocks
+    lambdas, shape = predicted.lambdas, ((1,) + (0,) * (width - 1)) * (len(v_k) - 1) + (1,)
+    if (not at_i.closes or predicted.indices != shape or 0 in lambdas
+            or predicted.tower != at_i.tower):
         return False, False
-    cs, v1_inv = [], field.inv(v_i[0])
-    for start in range(1, len(lambdas) - 1, width):
-        c = lambdas[start] * v1_inv % p
-        scale = (field.inv(c), c)  # 1/c_j at even m, c_j at odd m
-        inner = tuple(scale[m % 2] * u % p for m, u in enumerate(v_i, 1))
-        if lambdas[start : start + width - 1] != inner:
-            return False, False
-        cs.append(c)
-    A, lams = predicted.tower[1], lambdas[::width]  # the leads' lam_1 .. lam_(2k-1) and lam_n
-    g = [0] + [-c * sigma % p for c in cs]  # G_j = g_j x', j = 0..2k-1
+    blocks = np.array(lambdas[:-1], dtype=np.int64).reshape(-1, width)  # per block: lead, inner
+    cs = (blocks[:, 1] * field.inv(v_i[0]) % p).tolist()
     c_invs = [field.inv(c) for c in cs] + [0]  # the closing has no y term: P_i b_n = sigma lam_n A x
-    ax = A * x
+    scale = np.array([(c, ci) * (width // 2) for c, ci in zip(cs, c_invs)], dtype=np.int64)  # c_j at m odd
+    if (blocks[:, 1:] != scale * np.array(v_i, dtype=np.int64) % p).any():
+        return False, False
+    lams = lambdas[::width]  # the leads' lam_1 .. lam_(2k-1) and lam_n
+    g = [0] + [-c * sigma % p for c in cs]  # G_j = g_j x', j = 0..2k-1
     # sigma (lam_j A x + y / c_j) - g_(j-1) x' - v_{j,k} T^p = 0, j = 1..2k
     heads = [[sigma * lam % p, sigma * ci % p, -gj % p, -vj % p]
              for lam, ci, gj, vj in zip(lams, c_invs, g, v_k)]
     # sigma (B11 G_j + B12 P_i) - 1 = 0, j = 1..2k-1
     tails = [[sigma * gj * lam % p, sigma * gj * ci % p, sigma * c * lam % p, sigma, p - 1]
              for lam, ci, gj, c in zip(lams, c_invs, g[1:], cs)]
-    if not (
-        _all_zero(heads, [ax, y, xp, Polynomial.monomial(field, 1, p)], p)
-        and _all_zero(tails, [ax * xp, y * xp, A * xp * P_i, yp * P_i, Polynomial.one(field)], p)
-    ):
+    if not (_all_zero(heads, at_i.heads, p) and _all_zero(tails, at_i.tails, p)):
         return False, False
-    # Prop. 1's matrix at k; its entries at T^p are X, X', Y
-    xk, xkp, yk, _ = _prop1_predicted(field, v_k).matrix()
-    num_P = num * P_i
-    den_X = _times_frobenius(den, xk)
+    num_P = num * at_i.P
     # _certify's degree guard on b_2..b_n: the inner quotients have degree 1, the leads deg A
-    cf_matches = A.degree >= 1 and _times_frobenius(num_P, yk) == den_X
-    return cf_matches, _times_frobenius(num_P, xkp) == den_X.scaled(-4 * k * k * theta * theta)
+    cf_matches = at_i.tower[1].degree >= 1 and _times_frobenius(num_P, at_k.y) == at_k.den_X
+    return cf_matches, _times_frobenius(num_P, at_k.xp) == at_k.den_X_rev
 
 
-def verify_prop2(field: PrimeField, k: int, i: int) -> Prop2Report:
-    """Certify that the predicted block expansion [b_1..b_n] is the
-    continued fraction of P_{kp-i} / Q_k^p, and the reversal identity
-    [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1], block by block from Prop. 1's
-    matrices at i and k (_certify_blocks).  A P_{kp-i} past MAX_PROP2_DEGREE
-    is a ValueError, raised before any polynomial is built."""
+def verify_prop2(field: PrimeField, ks, iis) -> list:
+    """For every k in ks and i in iis, in (k, i) order, certify that the predicted
+    block expansion [b_1..b_n] is the continued fraction of P_{kp-i} / Q_k^p, and
+    the reversal identity [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1], block by block
+    from Prop. 1's matrices at i and k (_certify_blocks, fed by _AtK and _AtI, built
+    once per index).  A P_{kp-i} past MAX_PROP2_DEGREE at max(ks) and min(iis) is a
+    ValueError, raised before any polynomial is built."""
     p = field.p
-    _check_k(p, k)
-    _check_k(p, i, "i")
-    if 2 * (k * p - i) > MAX_PROP2_DEGREE:
+    ks, iis = sorted(set(ks)), sorted(set(iis))
+    for k in ks:
+        _check_k(p, k)
+    for i in iis:
+        _check_k(p, i, "i")
+    if ks and iis and 2 * (ks[-1] * p - iis[0]) > MAX_PROP2_DEGREE:
+        k, i = ks[-1], iis[0]
         raise ValueError(f"deg P_(kp-i) = {2 * (k * p - i)} at k = {k}, i = {i} is past {MAX_PROP2_DEGREE}")
-    try:
-        predicted = prop2_predicted_quotients(field, k, i)
-    except ScalarCFUndefined as exc:
-        return Prop2Report(p, k, i, False, f"construction undefined: {exc}")
-    P_k, Q_k = pq_polynomials(field, k)
-    # P_{kp-i} = P_k^p / P_i = P_k(T^p) / (T^2 - 1)^i, an exact division
-    num, rem = _frobenius_divmod_pk(P_k, i)
-    if rem:
-        raise ArithmeticError(f"P_{k}(T^{p}) is not divisible by P_{i}: remainder {rem.format()}")
-    families = family_constants(field, k), family_constants(field, i)
-    cf_matches, reversal_holds = _certify_blocks(num, Q_k.pow_frobenius(), predicted, *families)
-    return Prop2Report(p, k, i, True, "", cf_matches, reversal_holds, len(predicted))
+    prop1 = {j: family_constants(field, j) for j in {*ks, *iis}}
+    prop1 = {j: (f, _prop1_predicted(field, f.v).matrix()) for j, f in prop1.items()}
+    sides_i = [_AtI(field, *prop1[i]) for i in iis]
+    reports = []
+    for k in ks:
+        try:
+            at_k = _AtK(field, *prop1[k])
+        except ScalarCFUndefined as exc:  # r_j = 0: delta_j = 2i theta_i r_j is 0 for every i
+            reason = f"construction undefined: delta_{exc.index} = 0 in the block construction"
+            reports += [Prop2Report(p, k, i, False, reason) for i in iis]
+            continue
+        for i, at_i in zip(iis, sides_i):
+            predicted = prop2_predicted_quotients(field, at_k, at_i)
+            # P_{kp-i} = P_k^p / P_i = P_k(T^p) / (T^2 - 1)^i, an exact division
+            num, rem = _frobenius_divmod_pk(at_k.P, i)
+            if rem:
+                raise ArithmeticError(f"P_{k}(T^{p}) is not divisible by P_{i}: remainder {rem.format()}")
+            verdicts = _certify_blocks(num, predicted, at_k, at_i)
+            reports.append(Prop2Report(p, k, i, True, "", *verdicts, len(predicted)))
+    return reports
 
 
 # -- the relation: its series residual and the expansion it drives -----------------

@@ -120,15 +120,13 @@ def test_criterion_5_prop2_suite():
     checked, excluded = 0, []
     ok = True
     for p in (7, 11, 13):
-        F = GF(p)
-        for k in range(1, (p - 1) // 2 + 1):
-            for i in range(1, (p - 1) // 2 + 1):
-                r = verify_prop2(F, k, i)
-                if not r.defined:
-                    excluded.append((p, k, i, r.reason))
-                    continue
-                ok = ok and r.passed
-                checked += 1
+        half = range(1, (p - 1) // 2 + 1)
+        for r in verify_prop2(GF(p), half, half):
+            if not r.defined:
+                excluded.append((p, r.k, r.i, r.reason))
+                continue
+            ok = ok and r.passed
+            checked += 1
     detail = f"{checked} cases exact; excluded (undefined): {[(p, k, i) for p, k, i, _ in excluded]}"
     assert report(5, ok, detail, t0, 120.0)
 

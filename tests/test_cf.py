@@ -84,8 +84,13 @@ class TestContinuants:
         assert ys[3] == poly(F7, 1, 0, 1)  # T^2 + 1
 
     def test_quotients_over_another_field_break_the_determinant(self):
-        # the products run over F_7, the expected +-1 over the expansion's F_13
-        cf = ContinuedFraction(F13, [poly(F7, 0, 1)])
+        # the constructor refuses a quotient over F_7 in an expansion over F_13
+        with pytest.raises(ValueError, match=r"^every partial quotient must be over GF\(13\)$"):
+            ContinuedFraction(F13, [poly(F7, 0, 1)])
+        # past it, the products would run over F_7 and the expected +-1 over
+        # F_13: the determinant check still refuses them
+        cf = ContinuedFraction(F13, [])
+        cf._quotients = (poly(F7, 0, 1),)
         with pytest.raises(ArithmeticError, match="^continuant determinant broken at index 1$"):
             cf.continuants()
 

@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import random
@@ -7,7 +8,7 @@ import pytest
 
 from hqcf import perfect, quartic
 from hqcf.cf import ContinuedFraction, ScalarCFUndefined
-from hqcf.cli import MAX_PARSED_DEGREE, main, parse_polynomial
+from hqcf.cli import MAX_PARSED_DEGREE, build_parser, main, parse_polynomial
 from hqcf.fields import GF, MAX_MODULUS
 from hqcf.polynomials import Polynomial
 
@@ -265,6 +266,20 @@ class TestVerifyCommands:
         payload = json.loads(out)
         assert [row["k"] for row in payload] == [1, 2, 3]
         assert all(row["pass"] for row in payload)
+
+    def test_conj1_n_help_names_the_comparison(self):
+        # verify conj1's --n counts only the generated quotients it compares;
+        # every other --n is the number of quotients
+        def n_help(*names):
+            parser = build_parser()
+            for name in names:
+                sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+                parser = sub.choices[name]
+            return next(a.help for a in parser._actions if a.dest == "n")
+
+        assert n_help("verify", "conj1") == "number of generated quotients compared with the direct expansion"
+        for names in (["expand"], ["generate"], ["exponent"]):
+            assert n_help(*names) == "number of partial quotients"
 
     def test_prop2_single(self):
         code, out = run(["verify", "prop2", "--p", "7", "--k", "1", "--i", "1"])

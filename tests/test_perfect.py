@@ -617,7 +617,7 @@ class TestProp1:
 
 class TestProp2:
     def test_p7_k1_i1_structure(self):
-        qs = prop2_predicted_quotients(F7, 1, 1)
+        qs = prop2_predicted(F7, 1, 1)
         assert len(qs) == 2 + 2 * 1 * (2 * 1 - 1)
         A11 = a_sequence(F7, 1, 1)[1]
         assert qs[0] == A11  # v_{1,1} = 1
@@ -631,20 +631,20 @@ class TestProp2:
         monkeypatch.setattr(perfect, "_frobenius_divmod_pk",
                             lambda a, k: (real(a, k)[0], Polynomial.x(a.field)))
         with pytest.raises(ArithmeticError, match=r"^P_1\(T\^7\) is not divisible by P_1: remainder T$"):
-            verify_prop2(F7, 1, 1)
+            verify_prop2(F7, [1], [1])
 
     def test_p7_k1_i1_verifies(self):
-        r = verify_prop2(F7, 1, 1)
+        [r] = verify_prop2(F7, [1], [1])
         assert r.passed and r.predicted_length == 4
 
     def test_p13_k4_i4(self):
-        r = verify_prop2(F13, 4, 4)
+        [r] = verify_prop2(F13, [4], [4])
         assert r.passed
 
     def test_reversal_identity_directly(self):
         # evaluate [b_n..b_1] and compare -4k^2 theta_k^2 times it with the fraction
         F, k, i = F13, 2, 3
-        qs = prop2_predicted_quotients(F, k, i)
+        qs = prop2_predicted(F, k, i)
         theta, _ = family_constants(F, k)
         rev = ContinuedFraction(F, list(reversed(qs)))
         xr, yr = rev.value()
@@ -654,32 +654,75 @@ class TestProp2:
         assert Pk * yr == (xr * Qkp).scaled(c)
 
     def test_sweep_p7(self):
-        for k in range(1, 4):
-            for i in range(1, 4):
-                r = verify_prop2(F7, k, i)
-                assert not r.defined or r.passed, (k, i)
+        reports = verify_prop2(F7, range(1, 4), range(1, 4))
+        assert [(r.k, r.i) for r in reports] == [(k, i) for k in range(1, 4) for i in range(1, 4)]
+        for r in reports:
+            assert not r.defined or r.passed, (r.k, r.i)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_sweep_is_its_single_cases(self, p):
+        # the grid shares what one k or one i builds; each case's report is
+        # the one its 1 x 1 grid gives
+        F, half = GF(p), range(1, (p - 1) // 2 + 1)
+        assert verify_prop2(F, half, half) == [verify_prop2(F, [k], [i])[0] for k in half for i in half]
+
+    def test_partial_grid_in_sweep_order(self):
+        reports = verify_prop2(F7, [3, 1], [2])
+        assert [(r.k, r.i, r.passed) for r in reports] == [(1, 2, True), (3, 2, True)]
+
+    def test_shared_values_built_once(self, monkeypatch):
+        # a p = 17 sweep, 64 cases: the tower [T, A_(1,i)] once per i, and
+        # theta, v once per index (a_sequence reads its own theta_i)
+        real_a, real_constants = perfect.a_sequence, perfect.family_constants
+        towers, constants, inside = [], [], []
+
+        def a_sequence(field, k, count):
+            towers.append((k, count))
+            inside.append(k)
+            try:
+                return real_a(field, k, count)
+            finally:
+                inside.pop()
+
+        def family_constants(field, k):
+            if not inside:
+                constants.append(k)
+            return real_constants(field, k)
+
+        monkeypatch.setattr(perfect, "a_sequence", a_sequence)
+        monkeypatch.setattr(perfect, "family_constants", family_constants)
+        half = range(1, 9)
+        reports = verify_prop2(GF(17), half, half)
+        assert len(reports) == 64 and all(r.passed for r in reports)
+        assert towers == [(i, 1) for i in half]
+        assert sorted(constants) == list(half)
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
-            verify_prop2(F7, 4, 1)
+            verify_prop2(F7, [4], [1])
         for k, i, name in ((0, 1, "k"), (1, 0, "i"), (1, 4, "i")):
             with pytest.raises(ValueError, match=f"1 <= {name} < p/2"):
-                verify_prop2(F7, k, i)
+                verify_prop2(F7, [k], [i])
 
     def test_degree_cap(self, monkeypatch):
         # deg P_(kp-i) = 2(kp - i): 97,654 at p = 313, k = 156, i = 1 runs,
         # 100,170 at p = 317, k = 158, i = 1 is refused before any polynomial;
         # every case at p < 100 (the largest is k = 48, i = 1 at p = 97) runs
         assert 2 * (48 * 97 - 1) < 2 * (156 * 313 - 1) <= MAX_PROP2_DEGREE < 2 * (158 * 317 - 1)
-        assert verify_prop2(GF(313), 156, 1).passed
+        assert verify_prop2(GF(313), [156], [1])[0].passed
 
         def refuse(*args):
             raise AssertionError("a polynomial was built")
 
-        monkeypatch.setattr(perfect, "prop2_predicted_quotients", refuse)
-        monkeypatch.setattr(perfect, "pq_polynomials", refuse)
+        for name in ("prop2_predicted_quotients", "pq_polynomials", "a_sequence", "family_constants"):
+            monkeypatch.setattr(perfect, name, refuse)
         with pytest.raises(ValueError, match=f"= 100170 at k = 158, i = 1 is past {MAX_PROP2_DEGREE}"):
-            verify_prop2(GF(317), 158, 1)
+            verify_prop2(GF(317), [158], [1])
+        # a sweep's cap is its largest case, k = 504 and i = 1 at p = 1009,
+        # checked before any of its 254,016 cases
+        half = range(1, 505)
+        with pytest.raises(ValueError, match=f"= 1017070 at k = 504, i = 1 is past {MAX_PROP2_DEGREE}"):
+            verify_prop2(GF(1009), half, half)
 
 
 def prop1_case(F, k):
@@ -690,11 +733,28 @@ def prop1_case(F, k):
     return P, Q, ContinuedFraction(F, [Polynomial.x(F).scaled(c) for c in v]), k, theta
 
 
+def prop2_sides(F, k, i, theta=None):
+    """The values verify_prop2 shares between its case (k, i) and the others
+    at k (_AtK) and at i (_AtI); theta, if given, replaces theta_k."""
+
+    def prop1(j, theta=None):
+        family = family_constants(F, j)
+        family = family if theta is None else family._replace(theta=theta)
+        return family, perfect._prop1_predicted(F, family.v).matrix()
+
+    return perfect._AtK(F, *prop1(k, theta)), perfect._AtI(F, *prop1(i))
+
+
+def prop2_predicted(F, k, i):
+    """Prop. 2's predicted expansion at (k, i)."""
+    return prop2_predicted_quotients(F, *prop2_sides(F, k, i))
+
+
 def prop2_case(F, k, i):
     """(num, den, predicted, k, theta) of the Prop. 2 certificate:
     P_(kp-i) / Q_k^p."""
     Qkp = pq_polynomials(F, k)[1].pow_frobenius()
-    predicted = prop2_predicted_quotients(F, k, i)
+    predicted = prop2_predicted(F, k, i)
     return power_p_family(F, k * F.p - i), Qkp, predicted, k, family_constants(F, k).theta
 
 
@@ -722,14 +782,12 @@ class TestCertificateOracle:
     def test_prop2_agrees_with_euclid(self, p):
         F = GF(p)
         half = range(1, (p - 1) // 2 + 1)
-        for k in half:
-            for i in half:
-                r = verify_prop2(F, k, i)
-                if not r.defined:
-                    continue
-                case = prop2_case(F, k, i)
-                got = (r.cf_matches, r.reversal_holds)
-                assert got == perfect._certify(*case) == euclid_oracle(*case), (k, i)
+        for r in verify_prop2(F, half, half):
+            if not r.defined:
+                continue
+            case = prop2_case(F, r.k, r.i)
+            got = (r.cf_matches, r.reversal_holds)
+            assert got == perfect._certify(*case) == euclid_oracle(*case), (r.k, r.i)
 
 
 class TestCertificateMutations:
@@ -745,9 +803,9 @@ class TestCertificateMutations:
 
     @staticmethod
     def certify_blocks(num, den, predicted, k, theta):
-        """verify_prop2's block certificate on the prop2 case, (k, i) = (2, 3)."""
-        family_k = family_constants(F13, k)._replace(theta=theta)
-        return perfect._certify_blocks(num, den, predicted, family_k, family_constants(F13, 3))
+        """verify_prop2's block certificate on the prop2 case, (k, i) = (2, 3);
+        den is Q_k^p, which _AtK builds."""
+        return perfect._certify_blocks(num, predicted, *prop2_sides(F13, k, 3, theta))
 
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
     @pytest.mark.parametrize("j", [0, 1, -1])
@@ -769,13 +827,13 @@ class TestCertificateMutations:
     def test_split_quotient_fails_verify_prop2(self, monkeypatch):
         real = perfect.prop2_predicted_quotients
 
-        def split(field, k, i):
-            qs = real(field, k, i).quotients
+        def split(field, at_k, at_i):
+            qs = real(field, at_k, at_i).quotients
             T = Polynomial.x(field)
             return ContinuedFraction(field, [qs[0] - T, Polynomial.zero(field), T, *qs[1:]])
 
         monkeypatch.setattr(perfect, "prop2_predicted_quotients", split)
-        r = verify_prop2(F13, 2, 3)
+        [r] = verify_prop2(F13, [2], [3])
         assert r.defined and not r.cf_matches and not r.passed
 
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
@@ -856,7 +914,8 @@ def prop1_frobenius_matrix(F, k):
 
 
 def mutated(name, old, new):
-    """perfect.<name> with the text old of its source replaced by new."""
+    """perfect.<name>, a function or class, with the text old of its source
+    replaced by new."""
     src = textwrap.dedent(inspect.getsource(getattr(perfect, name)))
     assert src.count(old) == 1, old
     namespace = dict(vars(perfect))
@@ -867,7 +926,7 @@ def mutated(name, old, new):
 def prop2_verdicts(F):
     """(k, i, cf_matches, reversal_holds) of verify_prop2 for every defined (k, i)."""
     half = range(1, (F.p - 1) // 2 + 1)
-    reports = [verify_prop2(F, k, i) for k in half for i in half]
+    reports = perfect.verify_prop2(F, half, half)
     return [(r.k, r.i, r.cf_matches, r.reversal_holds) for r in reports if r.defined]
 
 
@@ -887,7 +946,7 @@ class TestBlockCertificate:
             X, Xp, Y, Yp = prop1_frobenius_matrix(F, k)
             for i in half:
                 try:
-                    predicted = prop2_predicted_quotients(F, k, i)
+                    predicted = prop2_predicted(F, k, i)
                 except ScalarCFUndefined:
                     continue
                 P_i = pq_polynomials(F, i)[0]
@@ -903,20 +962,21 @@ class TestBlockCertificate:
         changed expansion's Euclid verdict is returned for comparison."""
         real = perfect.prop2_predicted_quotients
 
-        def corrupted(field, k, i):
-            cf = real(field, k, i)
+        def corrupted(field, at_k, at_i):
+            cf = real(field, at_k, at_i)
+            k, i = len(at_k.family.v) // 2, len(at_i.family.v) // 2
             return change(cf) if (k, i) == (self.K, self.I) else cf
 
         monkeypatch.setattr(perfect, "prop2_predicted_quotients", corrupted)
-        num, den, _, k, theta = prop2_case(F13, self.K, self.I)
-        return euclid_oracle(num, den, corrupted(F13, self.K, self.I), k, theta)
+        num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
+        return euclid_oracle(num, den, change(predicted), k, theta)
 
     @pytest.mark.parametrize("m", [1, 2, 6])
     @pytest.mark.parametrize("block", [0, 1])  # c_j = 10, 6 (c_3 = 1 has no wrong side)
     def test_inner_quotient_wrong_rescaling(self, block, m, monkeypatch):
         # the m-th inner quotient of a block rescaled by 1/c_j where c_j is
         # due (m odd) or by c_j where 1/c_j is (m even)
-        lambdas = prop2_predicted_quotients(F13, self.K, self.I).lambdas
+        lambdas = prop2_predicted(F13, self.K, self.I).lambdas
         v = family_constants(F13, self.I).v
         start = block * self.WIDTH + 1
         c = lambdas[start] * F13.inv(v[0]) % 13
@@ -927,7 +987,7 @@ class TestBlockCertificate:
             lambdas[start + m - 1] = wrong
 
         want = self.corrupt(monkeypatch, edited(edit))
-        r = verify_prop2(F13, self.K, self.I)
+        [r] = verify_prop2(F13, [self.K], [self.I])
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
     @pytest.mark.parametrize("block", [1, 2])
@@ -941,7 +1001,7 @@ class TestBlockCertificate:
             indices[j - 1], indices[j] = indices[j], indices[j - 1]
 
         want = self.corrupt(monkeypatch, edited(edit))
-        r = verify_prop2(F13, self.K, self.I)
+        [r] = verify_prop2(F13, [self.K], [self.I])
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
     @pytest.mark.parametrize("j", [0, 7, -1])
@@ -949,48 +1009,52 @@ class TestBlockCertificate:
         # 2 lam_j A_{1,i}: still a multiple of A_{1,i}, refused only by the
         # identity of its block; j = -1 is the closing step's b_n
         want = self.corrupt(monkeypatch, rescaled(j, 2))
-        r = verify_prop2(F13, self.K, self.I)
+        [r] = verify_prop2(F13, [self.K], [self.I])
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
     def test_wrong_theta(self):
         num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
-        family_k = family_constants(F13, k)._replace(theta=(theta + 1) % 13)
-        got = perfect._certify_blocks(num, den, predicted, family_k, family_constants(F13, self.I))
+        got = perfect._certify_blocks(num, predicted, *prop2_sides(F13, k, self.I, (theta + 1) % 13))
         assert got == (True, False)
 
     def test_quotients_never_built(self, monkeypatch):
         # the certificate reads the prediction's lambdas and indices alone
         real, made = perfect.prop2_predicted_quotients, []
 
-        def capture(field, k, i):
-            made.append(real(field, k, i))
+        def capture(field, at_k, at_i):
+            made.append(real(field, at_k, at_i))
             return made[-1]
 
         monkeypatch.setattr(perfect, "prop2_predicted_quotients", capture)
-        assert verify_prop2(F13, self.K, self.I).passed
+        assert verify_prop2(F13, [self.K], [self.I])[0].passed
         assert len(made) == 1 and made[0]._quotients is None
 
-    # (what breaks, text of _certify_blocks, its replacement, and the
-    # corruption of the (K, I) prediction, one Euclid refuses, that the
-    # broken copy lets through, if one is needed)
+    # (what breaks, the function or class of perfect, its text, the
+    # replacement, and the corruption of the (K, I) prediction, one Euclid
+    # refuses, that the broken copy lets through, if one is needed)
     CODE_MUTATIONS = {
-        "G_j sign": ("g = [0] + [-c * sigma % p", "g = [0] + [c * sigma % p", None),
-        "G_j with 1/c_j": ("[-c * sigma % p for c in cs]", "[-field.inv(c) * sigma % p for c in cs]", None),
-        "inner rescaling": ("scale = (field.inv(c), c)", "scale = (c, field.inv(c))", None),
-        "block boundary": ("lambdas[start : start + width - 1]", "lambdas[start + 1 : start + width]", None),
-        "closing identity dropped": ("zip(lams, c_invs, g, v_k)", "zip(lams[:-1], c_invs, g, v_k)", rescaled(-1, 2)),
-        "theta not squared": ("-4 * k * k * theta * theta", "-4 * k * k * theta", None),
-        "index shape dropped": ("or predicted.indices != shape ", "", edited(lead_on_t)),
-        "tower[0] == T dropped": ("or predicted.tower[0] != Polynomial.x(field)", "", edited(doubled_t)),
+        "G_j sign": ("_certify_blocks", "g = [0] + [-c * sigma % p", "g = [0] + [c * sigma % p", None),
+        "G_j with 1/c_j": ("_certify_blocks", "[-c * sigma % p for c in cs]",
+                           "[-field.inv(c) * sigma % p for c in cs]", None),
+        "inner rescaling": ("_certify_blocks", "(c, ci) * (width // 2)", "(ci, c) * (width // 2)", None),
+        "block boundary": ("_certify_blocks", "(blocks[:, 1:] != scale", "(blocks[:, :-1] != scale", None),
+        "closing identity dropped": ("_certify_blocks", "zip(lams, c_invs, g, v_k)",
+                                     "zip(lams[:-1], c_invs, g, v_k)", rescaled(-1, 2)),
+        "theta not squared": ("_AtK", "-4 * k * k * theta * theta", "-4 * k * k * theta", None),
+        "index shape dropped": ("_certify_blocks", "or predicted.indices != shape ", "", edited(lead_on_t)),
+        "tower[0] == T dropped": ("_certify_blocks", "or predicted.tower != at_i.tower", "", edited(doubled_t)),
+        # every case (k, i) gets the per-i values of 7 - i: its own P_(kp-i)
+        # then meets another i's P_i, tower and identities
+        "another i's values": ("verify_prop2", "zip(iis, sides_i)", "zip(iis, sides_i[::-1])", None),
     }
 
     @pytest.mark.parametrize("name", list(CODE_MUTATIONS))
     def test_code_mutation_flips_a_verdict(self, name, monkeypatch):
-        old, new, change = self.CODE_MUTATIONS[name]
+        where, old, new, change = self.CODE_MUTATIONS[name]
         if change:
             assert self.corrupt(monkeypatch, change)[0] is False
         before = prop2_verdicts(F13)
-        monkeypatch.setattr(perfect, "_certify_blocks", mutated("_certify_blocks", old, new))
+        monkeypatch.setattr(perfect, where, mutated(where, old, new))
         assert prop2_verdicts(F13) != before
 
 
