@@ -41,10 +41,11 @@ Prop. 1 (P_k/Q_k, 2k quotients) builds that matrix as the continuant
 product tree (_certify).  Prop. 2 (P_{kp-i}/Q_k^p, (2k-1)(2i+1)+1 quotients)
 follows the paper's proof instead: 2k small identities, one per block, of
 degree about p, read off the lambdas and indices, prove that the matrix is
-a closed form in Prop. 1's matrices at i and at k (under T -> T^p), so no
-quotient and no tree of degree 2kp is built (_certify_blocks; the tree is
-its test oracle), and what one k or one i shares is built once per grid
-(_AtK, _AtI).  verify_prop1 also re-checks the tower up to A_3.
+a closed form in Prop. 1's matrices at i and at k (under T -> T^p), so its
+two verdicts are Prop. 1's at k, and no quotient, no tree of degree 2kp and
+no P_{kp-i} is built (_certify_blocks; the tree is its test oracle); what
+one k or one i shares is built once per grid (_AtK, _AtI).  verify_prop1
+also re-checks the tower up to A_3.
 expand_from_relation expands any alpha from a_1 .. a_l and its relation
 alpha^r = eps1 P alpha_{l+1} + eps2 Q alone, by Gosper's homographic algorithm.
 """
@@ -138,8 +139,9 @@ def family_constants(field: PrimeField, k: int) -> FamilyConstants:
 # expand_from_relation reads no input a_j(T^r) of higher degree.
 MAX_A_DEGREE = 10**7
 
-# Largest deg P_{kp-i} = 2(kp - i) verify_prop2 builds (97,654 at p = 313,
-# k = 156, i = 1).
+# Largest deg P_{kp-i} = 2(kp - i) of a case verify_prop2 certifies (97,654
+# at p = 313, k = 156, i = 1); no P_{kp-i} is built, but it bounds the
+# sweep's size: (p - 1)^2 / 4 cases of (2k - 1)(2i + 1) + 1 quotients.
 MAX_PROP2_DEGREE = 10**5
 
 
@@ -198,8 +200,8 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
     After k such divisions with remainders r_1 .. r_k the remainder by
     (T^2 - 1)^k is r_1 + (T^2 - 1) r_2 + ... + (T^2 - 1)^(k-1) r_k.  A
     partial sum of residues stays below (p - 1)(deg q + 2k + 1), where
-    deg q is at most MAX_A_DEGREE (a tower level) or 2kp < p^2 (P_{kp-i} in
-    verify_prop2): below 10^6 (10^12 + 10^6) < 2^63, inside int64.
+    deg q, a tower level's, is at most MAX_A_DEGREE: below
+    10^6 (10^7 + 10^6) < 2^63, inside int64.
     The top coefficient never changes, so a monic a gives a monic q.
     """
     field = a.field
@@ -443,9 +445,10 @@ class Prop1Report:
         return self.cf_matches and self.reversal_holds and all(self.power_identity)
 
 
-def _certify(num: Polynomial, den: Polynomial, predicted: ContinuedFraction, k: int, theta: int):
+def _certify(num: Polynomial, den: Polynomial, predicted: ContinuedFraction, k: int, theta: int,
+             matrix: tuple):
     """(cf_matches, reversal_holds) for num/den and the predicted expansion
-    [b_1..b_n], both read from one continuant matrix (x_n, x_{n-1}, y_n,
+    [b_1..b_n], both read from its continuant matrix (x_n, x_{n-1}, y_n,
     y_{n-1}): Prop. 1's certificate, and the tests' oracle for _certify_blocks.
 
     A continued fraction whose quotients after the first all have degree
@@ -455,7 +458,7 @@ def _certify(num: Polynomial, den: Polynomial, predicted: ContinuedFraction, k: 
     reversal, so [b_n..b_1] = x_n / x_{n-1}, and the reversal identity
     num/den = -4 k^2 theta^2 [b_n..b_1] is num x_{n-1} = -4 k^2 theta^2 den x_n.
     """
-    x, xp, y, _ = predicted.matrix()
+    x, xp, y, _ = matrix
     den_x = den * x
     cf_matches = all(d >= 1 for d in predicted.degrees()[1:]) and num * y == den_x
     return cf_matches, num * xp == den_x.scaled(-4 * k * k * theta * theta)
@@ -481,7 +484,8 @@ def verify_prop1(field: PrimeField, k: int) -> Prop1Report:
     p = field.p
     theta, v = family_constants(field, k)
     P, Q = pq_polynomials(field, k)
-    cf_matches, reversal_holds = _certify(P, Q, _prop1_predicted(field, v), k, theta)
+    predicted = _prop1_predicted(field, v)
+    cf_matches, reversal_holds = _certify(P, Q, predicted, k, theta, predicted.matrix())
 
     A = a_sequence(field, k, 3)
     power_identity = [
@@ -509,19 +513,17 @@ class Prop2Report:
 
 class _AtK:
     """What the Prop. 2 cases at one k share, from theta_k, the v_{j,k} and
-    Prop. 1's matrix [[x, x'], [y, y']] at k: r_j = [v_{j,k}, ..., v_{1,k}]
-    (ScalarCFUndefined if one is 0), P_k, x', y, and den X and
-    -4 k^2 theta_k^2 den X, for den = Q_k^p and X = x(T^p)."""
+    Prop. 1's matrix at k: r_j = [v_{j,k}, ..., v_{1,k}] (ScalarCFUndefined
+    if one is 0), and Prop. 1's verdicts cf_matches and reversal_holds on
+    P_k / Q_k (_certify)."""
 
     def __init__(self, field: PrimeField, family: FamilyConstants, matrix: tuple):
         self.family, (theta, v_k) = family, family
-        k = len(v_k) // 2
+        self.k = k = len(v_k) // 2
         # a trailing head makes r_(2k-1) a tail too, so every zero one raises
         self.brackets = running_scalar_cf(field, [*v_k[: 2 * k - 1], 0])
-        self.P, Q_k = pq_polynomials(field, k)
-        xk, self.xp, self.y, _ = matrix
-        self.den_X = _times_frobenius(Q_k.pow_frobenius(), xk)
-        self.den_X_rev = self.den_X.scaled(-4 * k * k * theta * theta)
+        P, Q = pq_polynomials(field, k)
+        self.cf_matches, self.reversal_holds = _certify(P, Q, _prop1_predicted(field, v_k), k, theta, matrix)
 
 
 class _AtI:
@@ -530,12 +532,12 @@ class _AtI:
     lc(P_i)/lc(x), whether sigma x = P_i, and _certify_blocks' head and tail polynomials."""
 
     def __init__(self, field: PrimeField, family: FamilyConstants, matrix: tuple):
-        p, i = field.p, len(family.v) // 2
-        self.family, self.P = family, power_p_family(field, i)
+        p, self.i = field.p, len(family.v) // 2
+        self.family, self.P = family, power_p_family(field, self.i)
         x, xp, y, yp = matrix
         self.sigma = self.P.leading_coefficient() * field.inv(x.leading_coefficient()) % p
         self.closes = x.scaled(self.sigma) == self.P
-        self.tower = a_sequence(field, i, 1)
+        self.tower = a_sequence(field, self.i, 1)
         ax = self.tower[1] * x
         self.heads = _stacked(ax, y, xp, Polynomial.monomial(field, 1, p))
         self.tails = _stacked(ax * xp, y * xp, self.tower[1] * xp * self.P, yp * self.P, Polynomial.one(field))
@@ -547,8 +549,7 @@ def prop2_predicted_quotients(field: PrimeField, at_k: _AtK, at_i: _AtI) -> Cont
     entries -delta_j^(-(-1)^m) v_{m,i} T (m = 1..2i), closed by
     v_{2k,k} A_{1,i}; here delta_j = 2i theta_i [v_{j,k}, ..., v_{1,k}]."""
     p = field.p
-    v_k, (theta_i, v_i) = at_k.family.v, at_i.family
-    k, i = len(v_k) // 2, len(v_i) // 2
+    v_k, (theta_i, v_i), k, i = at_k.family.v, at_i.family, at_k.k, at_i.i
     deltas = [2 * i * theta_i * r % p for r in at_k.brackets[: 2 * k - 1]]
     # row j: v_{j,k}, then -v_{m,i} times 1/delta_j at odd m and delta_j at even m
     scales = np.array([(field.inv(d), d) * i for d in deltas], dtype=np.int64)
@@ -572,22 +573,11 @@ def _all_zero(rows: list, basis: np.ndarray, p: int) -> bool:
     return not (np.array(rows, dtype=np.int64) @ basis % p).any()
 
 
-def _times_frobenius(f: Polynomial, g: Polynomial) -> Polynomial:
-    """f * g(T^p) as a sum of shifted multiples of f, one per coefficient
-    of g: deg g + 1 vector operations instead of a product of degree p deg g.
-    A coefficient sums at most len(g) <= p products of residues, < 2^63."""
-    p = f.field.p
-    a = np.asarray(f.coeffs, dtype=np.int64)
-    out = np.zeros(len(a) + (len(g.coeffs) - 1) * p, dtype=np.int64)
-    for s in np.flatnonzero(g.coeffs):
-        out[s * p : s * p + len(a)] += g.coeffs[s] * a
-    return Polynomial._make(f.field, (out % p).tolist())
-
-
-def _certify_blocks(num: Polynomial, predicted: ContinuedFraction, at_k: _AtK, at_i: _AtI):
+def _certify_blocks(predicted: ContinuedFraction, at_k: _AtK, at_i: _AtI):
     """(cf_matches, reversal_holds) of _certify for num/den = P_{kp-i} / Q_k^p
     and the symbolic [b_1..b_n] of prop2_predicted_quotients, proved block by
-    block from its lambdas and indices: no quotient and no tree is built.
+    block from its lambdas and indices: no quotient, no tree and neither
+    num nor den is built.
 
     Let M_i = [[x, x'], [y, y']] be the matrix of Prop. 1's [v_{1,i} T ..
     v_{2i,i} T] and sigma = lc(P_i)/lc(x); sigma x = P_i is checked once per i.
@@ -606,10 +596,13 @@ def _certify_blocks(num: Polynomial, predicted: ContinuedFraction, at_k: _AtK, a
     [[X, X'], [Y, Y']] being Prop. 1's matrix at k under T -> T^p.  So, as
     in _certify, the expansion is num/den's when the degree guard holds
     and num P_i Y = den X, and the reversal identity is
-    num P_i X' = -4 k^2 theta^2 den X.  A list (its indices are None), a zero
+    num P_i X' = -4 k^2 theta^2 den X.  Here num P_i = P_k(T^p) and
+    den = Q_k(T^p), and T -> T^p is an injective ring map fixing F_p, so
+    these are P_k y = Q_k x and P_k x' = -4 k^2 theta^2 Q_k x at k: Prop. 1's
+    two verdicts, which at_k holds.  A list (its indices are None), a zero
     lambda, another tower, or a broken shape or identity certifies neither verdict.
     """
-    field = num.field
+    field = predicted.field
     p = field.p
     v_k, v_i, sigma = at_k.family.v, at_i.family.v, at_i.sigma
     width = len(v_i) + 1  # a lead and its 2i inner quotients; 2k - 1 = len(v_k) - 1 blocks
@@ -633,19 +626,18 @@ def _certify_blocks(num: Polynomial, predicted: ContinuedFraction, at_k: _AtK, a
              for lam, ci, gj, c in zip(lams, c_invs, g[1:], cs)]
     if not (_all_zero(heads, at_i.heads, p) and _all_zero(tails, at_i.tails, p)):
         return False, False
-    num_P = num * at_i.P
     # _certify's degree guard on b_2..b_n: the inner quotients have degree 1, the leads deg A
-    cf_matches = at_i.tower[1].degree >= 1 and _times_frobenius(num_P, at_k.y) == at_k.den_X
-    return cf_matches, _times_frobenius(num_P, at_k.xp) == at_k.den_X_rev
+    return at_i.tower[1].degree >= 1 and at_k.cf_matches, at_k.reversal_holds
 
 
 def verify_prop2(field: PrimeField, ks, iis) -> list:
     """For every k in ks and i in iis, in (k, i) order, certify that the predicted
     block expansion [b_1..b_n] is the continued fraction of P_{kp-i} / Q_k^p, and
     the reversal identity [b_1..b_n] = -4 k^2 theta_k^2 [b_n..b_1], block by block
-    from Prop. 1's matrices at i and k (_certify_blocks, fed by _AtK and _AtI, built
-    once per index).  A P_{kp-i} past MAX_PROP2_DEGREE at max(ks) and min(iis) is a
-    ValueError, raised before any polynomial is built."""
+    from Prop. 1's matrices at i and k and its verdicts at k (_certify_blocks, fed by
+    _AtK and _AtI, built once per index); no P_{kp-i} is built.  A P_{kp-i} past
+    MAX_PROP2_DEGREE at max(ks) and min(iis) is a ValueError, raised before any
+    polynomial is built."""
     p = field.p
     ks, iis = sorted(set(ks)), sorted(set(iis))
     for k in ks:
@@ -666,14 +658,10 @@ def verify_prop2(field: PrimeField, ks, iis) -> list:
             reason = f"construction undefined: delta_{exc.index} = 0 in the block construction"
             reports += [Prop2Report(p, k, i, False, reason) for i in iis]
             continue
-        for i, at_i in zip(iis, sides_i):
+        for at_i in sides_i:
             predicted = prop2_predicted_quotients(field, at_k, at_i)
-            # P_{kp-i} = P_k^p / P_i = P_k(T^p) / (T^2 - 1)^i, an exact division
-            num, rem = _frobenius_divmod_pk(at_k.P, i)
-            if rem:
-                raise ArithmeticError(f"P_{k}(T^{p}) is not divisible by P_{i}: remainder {rem.format()}")
-            verdicts = _certify_blocks(num, predicted, at_k, at_i)
-            reports.append(Prop2Report(p, k, i, True, "", *verdicts, len(predicted)))
+            verdicts = _certify_blocks(predicted, at_k, at_i)
+            reports.append(Prop2Report(p, at_k.k, at_i.i, True, "", *verdicts, len(predicted)))
     return reports
 
 

@@ -625,14 +625,6 @@ class TestProp2:
         assert qs[2] == poly(F7, 0, 6)
         assert qs[3] == A11.scaled(6)
 
-    def test_inexact_division_by_p_i_raises(self, monkeypatch):
-        # P_(kp-i) = P_k(T^p) / P_i must be exact; a remainder is an arithmetic fault
-        real = perfect._frobenius_divmod_pk
-        monkeypatch.setattr(perfect, "_frobenius_divmod_pk",
-                            lambda a, k: (real(a, k)[0], Polynomial.x(a.field)))
-        with pytest.raises(ArithmeticError, match=r"^P_1\(T\^7\) is not divisible by P_1: remainder T$"):
-            verify_prop2(F7, [1], [1])
-
     def test_p7_k1_i1_verifies(self):
         [r] = verify_prop2(F7, [1], [1])
         assert r.passed and r.predicted_length == 4
@@ -672,9 +664,11 @@ class TestProp2:
 
     def test_shared_values_built_once(self, monkeypatch):
         # a p = 17 sweep, 64 cases: the tower [T, A_(1,i)] once per i, and
-        # theta, v once per index (a_sequence reads its own theta_i)
-        real_a, real_constants = perfect.a_sequence, perfect.family_constants
-        towers, constants, inside = [], [], []
+        # theta, v once per index (a_sequence reads its own theta_i); its
+        # one division by a power of T^2 - 1 per i, for A_(1,i), is the only
+        # one: no P_(kp-i) is built
+        real_a, real_constants, real_divmod = perfect.a_sequence, perfect.family_constants, perfect._frobenius_divmod_pk
+        towers, constants, inside, divided = [], [], [], []
 
         def a_sequence(field, k, count):
             towers.append((k, count))
@@ -689,13 +683,19 @@ class TestProp2:
                 constants.append(k)
             return real_constants(field, k)
 
+        def frobenius_divmod_pk(a, k):
+            divided.append(k)
+            return real_divmod(a, k)
+
         monkeypatch.setattr(perfect, "a_sequence", a_sequence)
         monkeypatch.setattr(perfect, "family_constants", family_constants)
+        monkeypatch.setattr(perfect, "_frobenius_divmod_pk", frobenius_divmod_pk)
         half = range(1, 9)
         reports = verify_prop2(GF(17), half, half)
         assert len(reports) == 64 and all(r.passed for r in reports)
         assert towers == [(i, 1) for i in half]
         assert sorted(constants) == list(half)
+        assert divided == list(half)
 
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -735,10 +735,11 @@ def prop1_case(F, k):
 
 def prop2_sides(F, k, i, theta=None):
     """The values verify_prop2 shares between its case (k, i) and the others
-    at k (_AtK) and at i (_AtI); theta, if given, replaces theta_k."""
+    at k (_AtK) and at i (_AtI), from perfect.family_constants; theta, if
+    given, replaces theta_k."""
 
     def prop1(j, theta=None):
-        family = family_constants(F, j)
+        family = perfect.family_constants(F, j)
         family = family if theta is None else family._replace(theta=theta)
         return family, perfect._prop1_predicted(F, family.v).matrix()
 
@@ -756,6 +757,12 @@ def prop2_case(F, k, i):
     Qkp = pq_polynomials(F, k)[1].pow_frobenius()
     predicted = prop2_predicted(F, k, i)
     return power_p_family(F, k * F.p - i), Qkp, predicted, k, family_constants(F, k).theta
+
+
+def tree_oracle(num, den, predicted, k, theta):
+    """(cf_matches, reversal_holds) from the predicted expansion's continuant
+    tree: Prop. 1's certificate, which builds num and den."""
+    return perfect._certify(num, den, predicted, k, theta, predicted.matrix())
 
 
 def euclid_oracle(num, den, predicted, k, theta):
@@ -778,16 +785,26 @@ class TestCertificateOracle:
             r = verify_prop1(F, k)
             assert (r.cf_matches, r.reversal_holds) == euclid_oracle(*prop1_case(F, k)), k
 
-    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
-    def test_prop2_agrees_with_euclid(self, p):
+    @staticmethod
+    def prop2_against(p, *oracles):
+        """Every defined case of verify_prop2's sweep at p gets each oracle's
+        verdicts, on P_(kp-i) / Q_k^p built in full."""
         F = GF(p)
         half = range(1, (p - 1) // 2 + 1)
         for r in verify_prop2(F, half, half):
-            if not r.defined:
-                continue
-            case = prop2_case(F, r.k, r.i)
-            got = (r.cf_matches, r.reversal_holds)
-            assert got == perfect._certify(*case) == euclid_oracle(*case), (r.k, r.i)
+            if r.defined:
+                case = prop2_case(F, r.k, r.i)
+                for oracle in oracles:
+                    assert (r.cf_matches, r.reversal_holds) == oracle(*case), (r.k, r.i, oracle.__name__)
+
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_prop2_agrees_with_euclid(self, p):
+        self.prop2_against(p, tree_oracle, euclid_oracle)
+
+    @pytest.mark.parametrize("p", [19, 23])
+    def test_prop2_agrees_with_the_tree(self, p):
+        # past p = 17, where Euclid grows slow, the tree alone builds P_(kp-i)
+        self.prop2_against(p, tree_oracle)
 
 
 class TestCertificateMutations:
@@ -797,15 +814,15 @@ class TestCertificateMutations:
 
     @staticmethod
     def certify_both(*case):
-        got = perfect._certify(*case)
+        got = tree_oracle(*case)
         assert got == euclid_oracle(*case)
         return got
 
     @staticmethod
     def certify_blocks(num, den, predicted, k, theta):
         """verify_prop2's block certificate on the prop2 case, (k, i) = (2, 3);
-        den is Q_k^p, which _AtK builds."""
-        return perfect._certify_blocks(num, predicted, *prop2_sides(F13, k, 3, theta))
+        it reads no num or den: _AtK holds Prop. 1's verdicts at k."""
+        return perfect._certify_blocks(predicted, *prop2_sides(F13, k, 3, theta))
 
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
     @pytest.mark.parametrize("j", [0, 1, -1])
@@ -906,6 +923,11 @@ def doubled_t(tower, lambdas, indices):
     tower[0] = tower[0].scaled(2)
 
 
+def predicted_as(change):
+    """A fault of TestBlockCertificate: change(cf) as the (K, I) prediction."""
+    return lambda test, monkeypatch: test.corrupt(monkeypatch, change)
+
+
 def prop1_frobenius_matrix(F, k):
     """(X, X', Y, Y'): Prop. 1's continuant matrix at k under T -> T^p."""
     T = Polynomial.x(F)
@@ -964,8 +986,7 @@ class TestBlockCertificate:
 
         def corrupted(field, at_k, at_i):
             cf = real(field, at_k, at_i)
-            k, i = len(at_k.family.v) // 2, len(at_i.family.v) // 2
-            return change(cf) if (k, i) == (self.K, self.I) else cf
+            return change(cf) if (at_k.k, at_i.i) == (self.K, self.I) else cf
 
         monkeypatch.setattr(perfect, "prop2_predicted_quotients", corrupted)
         num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
@@ -1012,9 +1033,39 @@ class TestBlockCertificate:
         [r] = verify_prop2(F13, [self.K], [self.I])
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
+    def corrupt_v_k(self, monkeypatch):
+        """Make perfect.family_constants give v_(2,K) + 1 at K, and v_(2K,K)
+        re-solved so that [v_(2K,K), ..., v_(1,K)] = 0 still: the blocks at K
+        close on it (a lone corrupted v_(j,K) breaks the closing identity).
+        Euclid's verdict on the (K, I) prediction built from it is returned."""
+        real = perfect.family_constants
+
+        def corrupted(field, k):
+            family = real(field, k)
+            if k != self.K:
+                return family
+            v = list(family.v)
+            v[1] = (v[1] + 1) % field.p
+            v[-1] = -field.inv(running_scalar_cf(field, v[:-1])[-1]) % field.p
+            return family._replace(v=tuple(v))
+
+        monkeypatch.setattr(perfect, "family_constants", corrupted)
+        return euclid_oracle(*prop2_case(F13, self.K, self.I))
+
+    def test_prop1_verdict_at_k_is_load_bearing(self, monkeypatch):
+        # the blocks at K follow the corrupted v_(j,K) and close: Prop. 1's
+        # verdict at K alone refuses every case there; an i = K would meet
+        # the corrupted values as v_(m,i), so the sweep leaves it out
+        assert self.corrupt_v_k(monkeypatch) == (False, False)
+        reports = verify_prop2(F13, range(1, 7), [i for i in range(1, 7) if i != self.K])
+        assert len(reports) == 30 and all(r.defined for r in reports)
+        for r in reports:
+            assert r.passed == (r.k != self.K), (r.k, r.i)
+            assert (r.cf_matches, r.reversal_holds) == euclid_oracle(*prop2_case(F13, r.k, r.i)), (r.k, r.i)
+
     def test_wrong_theta(self):
         num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
-        got = perfect._certify_blocks(num, predicted, *prop2_sides(F13, k, self.I, (theta + 1) % 13))
+        got = perfect._certify_blocks(predicted, *prop2_sides(F13, k, self.I, (theta + 1) % 13))
         assert got == (True, False)
 
     def test_quotients_never_built(self, monkeypatch):
@@ -1030,8 +1081,8 @@ class TestBlockCertificate:
         assert len(made) == 1 and made[0]._quotients is None
 
     # (what breaks, the function or class of perfect, its text, the
-    # replacement, and the corruption of the (K, I) prediction, one Euclid
-    # refuses, that the broken copy lets through, if one is needed)
+    # replacement, and the fault, one Euclid refuses at (K, I), that the
+    # broken copy lets through, if one is needed)
     CODE_MUTATIONS = {
         "G_j sign": ("_certify_blocks", "g = [0] + [-c * sigma % p", "g = [0] + [c * sigma % p", None),
         "G_j with 1/c_j": ("_certify_blocks", "[-c * sigma % p for c in cs]",
@@ -1039,20 +1090,22 @@ class TestBlockCertificate:
         "inner rescaling": ("_certify_blocks", "(c, ci) * (width // 2)", "(ci, c) * (width // 2)", None),
         "block boundary": ("_certify_blocks", "(blocks[:, 1:] != scale", "(blocks[:, :-1] != scale", None),
         "closing identity dropped": ("_certify_blocks", "zip(lams, c_invs, g, v_k)",
-                                     "zip(lams[:-1], c_invs, g, v_k)", rescaled(-1, 2)),
-        "theta not squared": ("_AtK", "-4 * k * k * theta * theta", "-4 * k * k * theta", None),
-        "index shape dropped": ("_certify_blocks", "or predicted.indices != shape ", "", edited(lead_on_t)),
-        "tower[0] == T dropped": ("_certify_blocks", "or predicted.tower != at_i.tower", "", edited(doubled_t)),
-        # every case (k, i) gets the per-i values of 7 - i: its own P_(kp-i)
-        # then meets another i's P_i, tower and identities
-        "another i's values": ("verify_prop2", "zip(iis, sides_i)", "zip(iis, sides_i[::-1])", None),
+                                     "zip(lams[:-1], c_invs, g, v_k)", predicted_as(rescaled(-1, 2))),
+        "theta not squared": ("_certify", "-4 * k * k * theta * theta", "-4 * k * k * theta", None),
+        "index shape dropped": ("_certify_blocks", "or predicted.indices != shape ", "",
+                                predicted_as(edited(lead_on_t))),
+        "tower[0] == T dropped": ("_certify_blocks", "or predicted.tower != at_i.tower", "",
+                                  predicted_as(edited(doubled_t))),
+        # the blocks at K close on corrupted v_(j,K); the copy passes them
+        "Prop. 1's verdict at k ignored": ("_certify_blocks", " and at_k.cf_matches, at_k.reversal_holds",
+                                           ", True", corrupt_v_k),
     }
 
     @pytest.mark.parametrize("name", list(CODE_MUTATIONS))
     def test_code_mutation_flips_a_verdict(self, name, monkeypatch):
-        where, old, new, change = self.CODE_MUTATIONS[name]
-        if change:
-            assert self.corrupt(monkeypatch, change)[0] is False
+        where, old, new, fault = self.CODE_MUTATIONS[name]
+        if fault:
+            assert fault(self, monkeypatch)[0] is False
         before = prop2_verdicts(F13)
         monkeypatch.setattr(perfect, where, mutated(where, old, new))
         assert prop2_verdicts(F13) != before
