@@ -8,10 +8,11 @@ below the floor, so every stored coefficient is a known one; the stored
 part may stop above floor + 1, and the exponents between are known zeros.
 
 The arithmetic is the polynomial kernel's: * multiplies the two num and
-adds the shifts, frobenius is pow_frobenius, + and - align the offsets
-with << and add the polynomials, truncate drops coefficients, and divide
-is one floor division of polynomials.  The floors are tracked
-conservatively, so a coefficient the object reports is always the true one.
+adds the shifts, frobenius(r) is pow_frobenius(r), the one substitution
+T -> T^r, + and - align the offsets with << and add the polynomials,
+truncate drops coefficients, and divide is one floor division of
+polynomials.  The floors are tracked conservatively, so a coefficient the
+object reports is always the true one.
 """
 
 import operator
@@ -106,12 +107,11 @@ class Laurent:
         )
         return Laurent(self.num * other.num, self.shift + other.shift, floor)
 
-    def frobenius(self) -> "Laurent":
-        """Raise to the p-th power: f^p = f(T^p) over F_p, so the exponents
-        and the floor scale by p."""
-        p = self.field.p
-        floor = None if self.floor is None else self.floor * p
-        return Laurent(self.num.pow_frobenius(), self.shift * p, floor)
+    def frobenius(self, r: int) -> "Laurent":
+        """Raise to the r-th power, r a power of p: f^r = f(T^r) over F_p, so
+        the exponents and the floor scale by r."""
+        floor = None if self.floor is None else self.floor * r
+        return Laurent(self.num.pow_frobenius(r), self.shift * r, floor)
 
     def first_difference(self, other) -> float:
         """Largest exponent where the two series differ, or -inf when equal

@@ -303,10 +303,6 @@ class ExpansionSpec:
         return FrobeniusRelation(self.l, self.eps1 % p, self.eps2 % p, P, Q, p)
 
 
-# Sources per pass of generate_perfect_expansion; it bounds the pass's lists.
-_CHUNK = 4096
-
-
 def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction:
     """First n partial quotients a_m = lambda_m * A_{i(m),k} of the perfect
     expansion determined by the spec, symbolic over the tower; the delta
@@ -338,7 +334,7 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction
     m_lo, m_last = 1, (n - l + 2 * k) // K  # f(m_last) <= n < f(m_last + 1)
     while m_lo <= m_last:
         start = K * m_lo + l - 2 * k  # f(m_lo): every position before it is known
-        m_end = min(m_lo + _CHUNK, start, m_last + 1)  # the sources m_lo .. m_end - 1
+        m_end = min(start, m_last + 1)  # the sources m_lo .. m_end - 1
         broken = 0 in lam[m_lo:m_end]  # a zero source: fill the blocks before it, then raise
         m_end = lam.index(0, m_lo) if broken else m_end
         stop = K * m_end + l - 2 * k  # f(m_end)
@@ -668,16 +664,6 @@ def verify_prop2(field: PrimeField, ks, iis) -> list:
 # -- the relation: its series residual and the expansion it drives -----------------
 
 
-def _frobenius_steps(rel: FrobeniusRelation, p: int) -> int:
-    """The e of r = p^e, or ValueError when the relation's r is no power of p."""
-    steps, e = 0, 1
-    while e < rel.r:
-        steps, e = steps + 1, e * p
-    if e != rel.r:
-        raise ValueError(f"the relation's exponent r = {rel.r} is not a power of p = {p}")
-    return steps
-
-
 def _emission_is_exact(C: Polynomial, D: Polynomial, r: int, deg_det: int) -> bool:
     """Whether [M(x)] = A div C for M = [[A, B], [C, D]], deg det M = deg_det and every x
     of degree >= r: then M(x) - A/C = -det M / (C (C x + D)) has negative degree."""
@@ -691,14 +677,15 @@ def expand_from_relation(prefix: ContinuedFraction, rel: FrobeniusRelation, n: i
     [[1, -eps2 Q], [0, eps1 P]], and alpha^r = [a_1(T^r), a_2(T^r), ...] is
     read from the output, which runs ahead; its unread tail has degree >= r.
     M emits q = A div C when that is exact (M <- [[C, D], [A - qC, B - qD]]),
-    else ingests b = a_j(T^r) (M <- [[Ab + B, A], [Cb + D, C]]).  Both negate
-    det M = +-eps1 P, checked at every step; a broken determinant, an emitted
-    quotient of degree < 1 and an input read before it is produced raise
-    ArithmeticError; an input a_j(T^r) past MAX_A_DEGREE raises ValueError."""
+    else ingests b = a_j(T^r), one pow_frobenius(r) of a_j
+    (M <- [[Ab + B, A], [Cb + D, C]]).  Both negate det M = +-eps1 P, checked
+    at every step; a broken determinant, an emitted quotient of degree < 1
+    and an input read before it is produced raise ArithmeticError; an input
+    a_j(T^r) past MAX_A_DEGREE, and an r that is not a power of p (at the
+    first input), raise ValueError."""
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     l, field = rel.l, prefix.field
-    steps = _frobenius_steps(rel, field.p)
     if len(prefix) < l or any(q.degree < 1 for q in prefix.quotients[1:l]):
         raise ValueError(f"need l = {l} prefix quotients, of degree >= 1 after a_1")
     quotients, read = list(prefix.quotients[:l]), 0  # read: the a_j(T^r) ingested
@@ -717,8 +704,7 @@ def expand_from_relation(prefix: ContinuedFraction, rel: FrobeniusRelation, n: i
             b = quotients[read]
             if b.degree * rel.r > MAX_A_DEGREE:
                 raise ValueError(f"a_{read + 1}(T^{rel.r}) has degree {b.degree * rel.r}, past {MAX_A_DEGREE}")
-            for _ in range(steps):
-                b = b.pow_frobenius()
+            b = b.pow_frobenius(rel.r)
             read += 1
             A, B, C, D = A * b + B, A, C * b + D, C
         det = -det
@@ -738,23 +724,18 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     """
     if precision < 1:
         raise ValueError("precision must be positive")
-    field = cf.field
     l = rel.l
-    frobenius_steps = _frobenius_steps(rel, field.p)
     if len(cf) <= l:
         raise InsufficientExpansion(f"insufficient expansion: need more than l = {l} partial quotients")
     # the whole is the head [a_1..a_l] times the tail [a_(l+1)..a_n]
     head, tail = cf.matrix(0, l), cf.matrix(l)
     x, _, y, _ = matrix_product(head, tail, 0, len(cf))
     floor_cmp = -precision - 1
-    # alpha^r needs alpha down to roughly -precision/r
-    floor_alpha = -(precision // rel.r + 2)
+    # alpha^r needs alpha down to roughly -precision/r; the twist refuses an r < 1
+    floor_alpha = -(precision // max(rel.r, 1) + 2)
     if 2 * y.degree < -floor_alpha:
         raise InsufficientExpansion("insufficient expansion for the requested precision")
-    lhs = rational_series(x, y, floor_alpha)
-    for _ in range(frobenius_steps):  # alpha^r = alpha(T^r)
-        lhs = lhs.frobenius()
-    lhs = lhs.truncate(floor_cmp)
+    lhs = rational_series(x, y, floor_alpha).frobenius(rel.r).truncate(floor_cmp)  # alpha(T^r)
 
     xt, _, yt, _ = tail
     floor_tail = floor_cmp - rel.P.degree

@@ -31,7 +31,7 @@ zero apart test is_zero().
 
 from itertools import islice, takewhile, zip_longest
 from operator import not_
-from typing import Iterable
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -227,15 +227,23 @@ class Polynomial:
                 base = base * base
         return out
 
-    def pow_frobenius(self) -> "Polynomial":
-        """f(T)^p computed as f(T^p); valid because the coefficients lie in F_p."""
+    def pow_frobenius(self, r: Optional[int] = None) -> "Polynomial":
+        """f(T)^r computed as f(T^r), r = p by default: valid for r = p^e
+        (e >= 0) because the coefficients lie in F_p; any other r is a
+        ValueError.  The top coefficient stays the top one, so f(T^r) is
+        canonical as built."""
         p = self.field.p
+        r = p if r is None else r
+        q = 1
+        while q < r:
+            q *= p
+        if q != r:
+            raise ValueError(f"the exponent r = {r} is not a power of p = {p}")
         if not self.coeffs:
             return self
-        out = [0] * ((len(self.coeffs) - 1) * p + 1)
-        for i, c in enumerate(self.coeffs):
-            out[i * p] = c
-        return Polynomial._make(self.field, out)
+        out = [0] * ((len(self.coeffs) - 1) * r + 1)
+        out[::r] = self.coeffs
+        return Polynomial(self.field, tuple(out), _trusted=True)
 
     def __lshift__(self, n: int) -> "Polynomial":
         """The polynomial part of f * T^n: for n >= 0 the product, for n < 0

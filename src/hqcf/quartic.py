@@ -268,18 +268,14 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None, *,
     if U != P.scaled(eps1):
         raise DerivationError("W-shape", "eps1*P is not of the form eps1*(T^2+a)^k")
 
-    Q = pq_polynomials(field, k_Q, a)[1]
-    for _ in range(e - 1):
-        Q = Q.pow_frobenius()
+    Q = pq_polynomials(field, k_Q, a)[1].pow_frobenius(p ** (e - 1))
     if V.degree != Q.degree:
         raise DerivationError("Q-shape", f"eps2*Q has degree {V.degree}, expected {Q.degree}")
     eps2 = V.leading_coefficient() * field.inv(Q.leading_coefficient()) % p
     if V != Q.scaled(eps2):
         raise DerivationError("Q-shape", "residual part is not proportional to Q_(k,a)")
 
-    alpha_r = alpha_series(field, -1)
-    for _ in range(e):
-        alpha_r = alpha_r.frobenius()
+    alpha_r = alpha_series(field, -1).frobenius(p**e)
     top = yl.degree + U.degree
     lhs = Laurent.from_polynomial(yl) * alpha_r + Laurent.from_polynomial(c)
     if lhs.truncate(top).degree() is None:

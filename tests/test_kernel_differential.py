@@ -497,7 +497,7 @@ class TestLaurentAgainstReference:
             got, want = a.scaled(c), ref_make({e: c * x for e, x in ra[0].items()}, ra[1], p)
         elif op == "frobenius":
             floor = None if ra[1] is None else ra[1] * p
-            got, want = a.frobenius(), ref_make({e * p: x for e, x in ra[0].items()}, floor, p)
+            got, want = a.frobenius(p), ref_make({e * p: x for e, x in ra[0].items()}, floor, p)
         elif op == "truncate":
             f = data.draw(st.integers(-30, 20))
             got, want = a.truncate(f), ref_make(ra[0], ref_floor_max(f, ra[1]), p)

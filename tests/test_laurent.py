@@ -103,7 +103,7 @@ class TestFrobenius:
         for p in (5, 7):
             F = GF(p)
             s = rational_series(poly(F, 1, 1), poly(F, 2, 0, 1), -4 * p)
-            direct = s.frobenius()
+            direct = s.frobenius(p)
             slow = s
             for _ in range(p - 1):
                 slow = slow * s
@@ -113,9 +113,21 @@ class TestFrobenius:
 
     def test_exponent_scaling(self):
         s = Laurent.from_polynomial(poly(F7, 0, 2), floor=-3)  # 2T
-        f = s.frobenius()
+        f = s.frobenius(7)
         assert f.coefficient(7) == 2
         assert f.floor == -21
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_one_twist_by_r_is_repeated_twists_by_p(self, p):
+        F = GF(p)
+        exact = Laurent(poly(F, 3, 0, 1, 2), -2)  # (2T^3 + T^2 + 3) T^-2
+        truncated = rational_series(poly(F, 1, 1), poly(F, 2, 0, 1), -3 * p)
+        for s in (exact, truncated):
+            slow = s
+            for r in (1, p, p * p):
+                fast = s.frobenius(r)
+                assert (fast.num, fast.shift, fast.floor) == (slow.num, slow.shift, slow.floor)
+                slow = slow.frobenius(p)
 
 
 class TestFirstDifference:

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from hqcf import cli, perfect
+from hqcf import cli, perfect, quartic
 from hqcf.cf import ContinuedFraction, ScalarCFUndefined, rational_to_cf, running_scalar_cf
 from hqcf.fields import GF, MAX_MODULUS, PrimeField
 from hqcf.perfect import (
@@ -29,7 +29,7 @@ from hqcf.perfect import (
     verify_prop2,
 )
 from hqcf.polynomials import Polynomial
-from hqcf.quartic import derive_frobenius_relation, quartic_index, quartic_state
+from hqcf.quartic import derive_frobenius_relation, quartic_index, quartic_state, verify_conjecture2
 from hqcf.rootcf import RootState, expand_root
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
@@ -443,7 +443,7 @@ class TestBlockFill:
         # the stub tower records the level the generator asks for
         monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [count])
         rng = random.Random(f"block fill {p}")
-        chunks, seen = (perfect._CHUNK, 5), set()
+        seen = set()
         for k in range(1, (p - 1) // 2 + 1):
             for l in (1, 2, 3, 5):
                 first_block = l + 1 + 2 * k  # f(1) + 2k
@@ -451,11 +451,7 @@ class TestBlockFill:
                 for spec in random_specs(rng, p, k, l):
                     for n in ns:
                         want = generation_outcome(referenced, spec, n)
-                        # a pass of 5 sources: many passes, the last one cut short
-                        for chunk in chunks if n <= 300 else chunks[:1]:
-                            monkeypatch.setattr(perfect, "_CHUNK", chunk)
-                            got = generation_outcome(generated, spec, n)
-                            assert got == want, (spec, n, chunk)
+                        assert generation_outcome(generated, spec, n) == want, (spec, n)
                         seen.add(want[0].__name__ if isinstance(want[0], type) else "result")
         assert {"result", "ValueError", "DeltaMismatchError"} <= seen
 
@@ -464,7 +460,7 @@ class TestBlockFill:
         [
             (ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 3000),
             (ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5)), 2000),
-            (ExpansionSpec(GF(5), 1, 1, 3, 1, (2,)), 13000),  # sources past _CHUNK
+            (ExpansionSpec(GF(5), 1, 1, 3, 1, (2,)), 13000),  # passes of 3^j sources, 2,187 at most
         ],
     )
     def test_tower_and_quotients(self, spec, n):
@@ -935,13 +931,13 @@ def prop1_frobenius_matrix(F, k):
     return tuple(m.pow_frobenius() for m in x)
 
 
-def mutated(name, old, new):
-    """perfect.<name>, a function or class, with the text old of its source
+def mutated(module, name, old, new):
+    """module.<name>, a function or class, with the text old of its source
     replaced by new."""
-    src = textwrap.dedent(inspect.getsource(getattr(perfect, name)))
+    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
     assert src.count(old) == 1, old
-    namespace = dict(vars(perfect))
-    exec(compile(src.replace(old, new), perfect.__file__, "exec"), namespace)
+    namespace = dict(vars(module))
+    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
     return namespace[name]
 
 
@@ -1107,7 +1103,7 @@ class TestBlockCertificate:
         if fault:
             assert fault(self, monkeypatch)[0] is False
         before = prop2_verdicts(F13)
-        monkeypatch.setattr(perfect, where, mutated(where, old, new))
+        monkeypatch.setattr(perfect, where, mutated(perfect, where, old, new))
         assert prop2_verdicts(F13) != before
 
 
@@ -1125,6 +1121,13 @@ class TestRelationResidual:
         bad = spec.relation()._replace(eps2=spec.relation().eps2 + 1)
         res = relation_residual(cf, bad, 40)
         assert res != float("-inf")
+
+    @pytest.mark.parametrize("r", [0, -13, 26])
+    def test_exponent_not_a_power_of_p(self, r):
+        # r < 1 included: the floor of alpha's series is sized from r before the twist
+        spec, cf = self.make_gen()
+        with pytest.raises(ValueError, match="is not a power of p"):
+            relation_residual(cf, spec.relation()._replace(r=r), 40)
 
     def test_prefix_only_is_insufficient(self):
         spec, cf = self.make_gen()
@@ -1197,14 +1200,27 @@ def sextic_matches_direct(n=30):
         return False
 
 
-def quartic_matches_direct(n=120):
-    """The engine's first n quotients of the quartic's alpha at p = 13 are expand_root's."""
-    trace = derive_frobenius_relation(13)
+def quartic_matches_direct(p=13, n=120):
+    """The engine's first n quotients of the quartic's alpha at p are expand_root's."""
+    trace = derive_frobenius_relation(p)
     try:
         engine = perfect.expand_from_relation(trace.prefix, trace.relation, n)
-        return engine == expand_root(quartic_state(F13), n)
+        return engine == expand_root(quartic_state(GF(p)), n)
     except ArithmeticError:
         return False
+
+
+def residual_agrees_at_5():
+    """The conj2 relation at p = 5 (r = 25) holds as a series identity on alpha."""
+    cf = expand_root(quartic_state(F5), 30)
+    return perfect.relation_residual(cf, verify_conjecture2(5).relation, 100) == float("-inf")
+
+
+def conj2_holds_at_5():
+    """verify_conjecture2(5) passes; a failure must be the Q-shape stage's."""
+    v = verify_conjecture2(5)
+    assert v.passed or v.detail.startswith("Q-shape: "), v.detail
+    return v.passed
 
 
 # maps (C, D, r, deg det) at the boundary of either emission inequality: for
@@ -1262,7 +1278,8 @@ def corruption_raises():
 class TestRelationEngine:
     """expand_from_relation: the expansion a spec's relation drives is the
     generator's, an input that is not the quartic's is expand_root's, and
-    every check of the engine is load-bearing."""
+    every check of the engine, and every twist by r of the relation, is
+    load-bearing."""
 
     @pytest.mark.parametrize("spec", CI_SPECS, ids=["p7", "p13"])
     def test_matches_the_generator(self, spec):
@@ -1319,31 +1336,38 @@ class TestRelationEngine:
     def test_input_past_the_degree_cap(self):
         assert cap_refuses_at_the_boundary()
 
-    # what breaks: (the function, its text, the replacement, and the check
-    # that passes on the engine and must fail on the broken copy).  At every
-    # state the engine reaches, deg D < deg C + r follows from
+    # what breaks: (the module and function, its text, the replacement, and
+    # the check that passes on the engine and must fail on the broken copy).
+    # At every state the engine reaches, deg D < deg C + r follows from
     # deg det < 2 deg C + r and the determinant, so only a map built by hand
-    # tells the first inequality's <= apart.
+    # tells the first inequality's <= apart.  The three twists by r are
+    # told from twists by p only where r = p^2, so their checks run at p = 5.
     ENGINE_MUTANTS = {
-        "wrong eps2": ("expand_from_relation", "-rel.Q.scaled(rel.eps2)",
+        "wrong eps2": (perfect, "expand_from_relation", "-rel.Q.scaled(rel.eps2)",
                        "-rel.Q.scaled(rel.eps2 + 1)", quartic_matches_direct),
-        "wrong P": ("expand_from_relation", "det = rel.P.scaled(rel.eps1)",
+        "wrong P": (perfect, "expand_from_relation", "det = rel.P.scaled(rel.eps1)",
                     "det = (rel.P + rel.Q).scaled(rel.eps1)", quartic_matches_direct),
-        "<= in deg D < deg C + r": ("_emission_is_exact", "D.degree < C.degree + r",
+        "<= in deg D < deg C + r": (perfect, "_emission_is_exact", "D.degree < C.degree + r",
                                     "D.degree <= C.degree + r", boundaries_refused),
-        "<= in deg det < 2 deg C + r": ("_emission_is_exact", "deg_det < 2 * C.degree + r",
+        "<= in deg det < 2 deg C + r": (perfect, "_emission_is_exact", "deg_det < 2 * C.degree + r",
                                         "deg_det <= 2 * C.degree + r", sextic_matches_direct),
-        "determinant check dropped": ("expand_from_relation", "if A * D - B * C != det:",
+        "determinant check dropped": (perfect, "expand_from_relation", "if A * D - B * C != det:",
                                       "if False:", corruption_raises),
-        "cap on deg a_j, not deg a_j(T^r)": ("expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
+        "cap on deg a_j, not deg a_j(T^r)": (perfect, "expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
                                              "b.degree > MAX_A_DEGREE", cap_refuses_at_the_boundary),
-        ">= in the cap": ("expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
+        ">= in the cap": (perfect, "expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
                           "b.degree * rel.r >= MAX_A_DEGREE", cap_refuses_at_the_boundary),
+        "twist by p, not r": (perfect, "expand_from_relation", "b.pow_frobenius(rel.r)",
+                              "b.pow_frobenius()", lambda: quartic_matches_direct(5)),
+        "residual twists alpha by p": (perfect, "relation_residual", ".frobenius(rel.r)",
+                                       ".frobenius(cf.field.p)", residual_agrees_at_5),
+        "derivation twists Q by p^e": (quartic, "derive_frobenius_relation", ".pow_frobenius(p ** (e - 1))",
+                                       ".pow_frobenius(p**e)", conj2_holds_at_5),
     }
 
     @pytest.mark.parametrize("name", list(ENGINE_MUTANTS))
     def test_mutant_is_killed(self, name, monkeypatch):
-        function, old, new, check = self.ENGINE_MUTANTS[name]
+        module, function, old, new, check = self.ENGINE_MUTANTS[name]
         assert check()
-        monkeypatch.setattr(perfect, function, mutated(function, old, new))
+        monkeypatch.setattr(module, function, mutated(module, function, old, new))
         assert not check()

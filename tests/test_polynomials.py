@@ -93,9 +93,21 @@ class TestBasics:
         rng = random.Random(3)
         for p in (5, 7, 13):
             F = GF(p)
-            for _ in range(10):
-                f = random_poly(F, rng, 6)
+            for f in [Polynomial.zero(F)] + [random_poly(F, rng, 6) for _ in range(10)]:
                 assert f.pow_frobenius() == f**p
+                # one twist by r = p^e is e twists by p
+                for e in range(3):
+                    twisted = f
+                    for _ in range(e):
+                        twisted = twisted.pow_frobenius()
+                    assert f.pow_frobenius(p**e) == twisted == f ** (p**e)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_pow_frobenius_refuses_other_exponents(self, p):
+        for f in (Polynomial.zero(GF(p)), poly(GF(p), 1, 2)):
+            for r in (0, 2, p + 1, 2 * p):
+                with pytest.raises(ValueError, match="is not a power of p"):
+                    f.pow_frobenius(r)
 
     def test_pow_squares_only_while_bits_remain(self, monkeypatch):
         # f^8: three squarings and the product 1 * f^8, no fourth squaring

@@ -284,7 +284,7 @@ class TestCfFromSeries:
 
         # (1/(T - 1))^7 = T^-7 + T^-14 + ... + O(T^-42), whose expansion
         # starts [0, T^7 - 1, ...]
-        s = rational_series(Polynomial.one(F7), poly(F7, -1, 1), -6).frobenius()
+        s = rational_series(Polynomial.one(F7), poly(F7, -1, 1), -6).frobenius(7)
         expected = [Polynomial.zero(F7), poly(F7, 6, 0, 0, 0, 0, 0, 0, 1)]
         assert list(cf_from_series(s).quotients) == expected
 
