@@ -39,13 +39,13 @@ a Euclidean expansion would find, and the reversed expansion is read off
 the same matrix.  Both predictions are symbolic, like the generator's.
 Prop. 1 (P_k/Q_k, 2k quotients) builds that matrix as the continuant
 product tree (_certify).  Prop. 2 (P_{kp-i}/Q_k^p, (2k-1)(2i+1)+1 quotients)
-follows the paper's proof instead: 2k small identities, one per block, of
-degree about p, read off the lambdas and indices, prove that the matrix is
-a closed form in Prop. 1's matrices at i and at k (under T -> T^p), so its
-two verdicts are Prop. 1's at k, and no quotient, no tree of degree 2kp and
-no P_{kp-i} is built (_certify_blocks; the tree is its test oracle); what
-one k or one i shares is built once per grid (_AtK, _AtI).  verify_prop1
-also re-checks the tower up to A_3.
+follows the paper's proof instead: one matrix identity per block, which
+four relations checked once per i make two equations in F_p, proves that
+the matrix is a closed form in Prop. 1's matrices at i and at k (under
+T -> T^p), so its two verdicts are Prop. 1's at k, and no quotient, no tree
+of degree 2kp and no P_{kp-i} is built (_certify_blocks; the tree is its
+test oracle); what one k or one i shares is built once per grid (_AtK,
+_AtI).  verify_prop1 also re-checks the tower up to A_3.
 expand_from_relation expands any alpha from a_1 .. a_l and its relation
 alpha^r = eps1 P alpha_{l+1} + eps2 Q alone, by Gosper's homographic algorithm.
 """
@@ -509,118 +509,110 @@ class Prop2Report:
 
 class _AtK:
     """What the Prop. 2 cases at one k share, from theta_k, the v_{j,k} and
-    Prop. 1's matrix at k: r_j = [v_{j,k}, ..., v_{1,k}] (ScalarCFUndefined
-    if one is 0), and Prop. 1's verdicts cf_matches and reversal_holds on
-    P_k / Q_k (_certify)."""
+    Prop. 1's matrix at k: the rows (1/r_j, r_j) of r_j = [v_{j,k}, ..., v_{1,k}],
+    j < 2k (ScalarCFUndefined if one is 0), and Prop. 1's verdicts
+    cf_matches and reversal_holds on P_k / Q_k (_certify)."""
 
     def __init__(self, field: PrimeField, family: FamilyConstants, matrix: tuple):
         self.family, (theta, v_k) = family, family
         self.k = k = len(v_k) // 2
         # a trailing head makes r_(2k-1) a tail too, so every zero one raises
-        self.brackets = running_scalar_cf(field, [*v_k[: 2 * k - 1], 0])
+        brackets = running_scalar_cf(field, [*v_k[: 2 * k - 1], 0])[:-1]
+        self.brackets = np.array([(field.inv(r), r) for r in brackets], dtype=np.int64)
         P, Q = pq_polynomials(field, k)
         self.cf_matches, self.reversal_holds = _certify(P, Q, _prop1_predicted(field, v_k), k, theta, matrix)
 
 
 class _AtI:
     """What the Prop. 2 cases at one i share, from theta_i, the v_{m,i} and
-    Prop. 1's matrix [[x, x'], [y, y']] at i: the tower [T, A_{1,i}], P_i, sigma =
-    lc(P_i)/lc(x), whether sigma x = P_i, and _certify_blocks' head and tail polynomials."""
+    Prop. 1's matrix M_i = [[x, x'], [y, y']] at i: the tower [T, A = A_{1,i}],
+    t = 2i theta_i, 1/t, 1/v_{1,i}, and whether, for sigma = lc(P_i)/lc(x),
+      (R1) sigma x = P_i,  (R2) x' = -t^2 y,  (R3) T^p = sigma (A x - t y),  (R4) sigma^2 = 1.
+    R3 is the tower's level-0 identity T^p = A P_i - t Q_i, R2 Prop. 1's
+    reversal at i.  As T^(2p) = 1 mod P_i, R1 and R3 give t^2 y^2 = 1/sigma^2
+    mod x, and det M_i = 1 gives x' y = -1 mod x, so R2 follows from R1, R3,
+    R4 (deg x' < deg x) and R4 from R1, R2, R3: no fault of theta_i or v_i
+    breaks either alone."""
 
     def __init__(self, field: PrimeField, family: FamilyConstants, matrix: tuple):
         p, self.i = field.p, len(family.v) // 2
-        self.family, self.P = family, power_p_family(field, self.i)
-        x, xp, y, yp = matrix
-        self.sigma = self.P.leading_coefficient() * field.inv(x.leading_coefficient()) % p
-        self.closes = x.scaled(self.sigma) == self.P
-        self.tower = a_sequence(field, self.i, 1)
-        ax = self.tower[1] * x
-        self.heads = _stacked(ax, y, xp, Polynomial.monomial(field, 1, p))
-        self.tails = _stacked(ax * xp, y * xp, self.tower[1] * xp * self.P, yp * self.P, Polynomial.one(field))
+        self.family, self.tower = family, a_sequence(field, self.i, 1)
+        self.t = t = 2 * self.i * family.theta % p
+        self.t_inv, self.v1_inv = field.inv(t), field.inv(family.v[0])
+        x, xp, y, _ = matrix
+        P, A = power_p_family(field, self.i), self.tower[1]
+        sigma = P.leading_coefficient() * field.inv(x.leading_coefficient()) % p
+        self.holds = (x.scaled(sigma) == P and xp == y.scaled(-t * t)
+                      and (A * x - y.scaled(t)).scaled(sigma) == Polynomial.monomial(field, 1, p)
+                      and sigma * sigma % p == 1)
 
 
 def prop2_predicted_quotients(field: PrimeField, at_k: _AtK, at_i: _AtI) -> ContinuedFraction:
     """Predicted expansion of P_{kp-i} / Q_k^p, symbolic over the tower
     [T, A_{1,i}]: 2k-1 blocks, block j led by v_{j,k} A_{1,i} followed by 2i
     entries -delta_j^(-(-1)^m) v_{m,i} T (m = 1..2i), closed by
-    v_{2k,k} A_{1,i}; here delta_j = 2i theta_i [v_{j,k}, ..., v_{1,k}]."""
+    v_{2k,k} A_{1,i}; here delta_j = t r_j with t = 2i theta_i and r_j =
+    [v_{j,k}, ..., v_{1,k}], and 1/delta_j = (1/t)(1/r_j) is read off at_i and at_k."""
     p = field.p
-    v_k, (theta_i, v_i), k, i = at_k.family.v, at_i.family, at_k.k, at_i.i
-    deltas = [2 * i * theta_i * r % p for r in at_k.brackets[: 2 * k - 1]]
+    v_k, v_i, k, i = at_k.family.v, at_i.family.v, at_k.k, at_i.i
     # row j: v_{j,k}, then -v_{m,i} times 1/delta_j at odd m and delta_j at even m
-    scales = np.array([(field.inv(d), d) * i for d in deltas], dtype=np.int64)
+    scales = np.tile(at_k.brackets * (at_i.t_inv, at_i.t) % p, i)
     blocks = np.column_stack([v_k[: 2 * k - 1], -scales * np.array(v_i, dtype=np.int64) % p])
     lambdas = blocks.ravel().tolist() + [v_k[2 * k - 1]]
     indices = ((1,) + (0,) * (2 * i)) * (2 * k - 1) + (1,)
     return ContinuedFraction.symbolic(field, at_i.tower, lambdas, indices)
 
 
-def _stacked(*polys: Polynomial) -> np.ndarray:
-    """The coefficient vectors of polys, zero-padded, as the rows of one int64 array."""
-    basis = np.zeros((len(polys), max(len(f.coeffs) for f in polys)), dtype=np.int64)
-    for row, f in zip(basis, polys):
-        row[: len(f.coeffs)] = f.coeffs
-    return basis
-
-
-def _all_zero(rows: list, basis: np.ndarray, p: int) -> bool:
-    """Whether sum_t rows[j][t] * basis[t] = 0 for every row j: one exact int64
-    product (a sum of len(basis) residue products, p <= MAX_MODULUS)."""
-    return not (np.array(rows, dtype=np.int64) @ basis % p).any()
-
-
 def _certify_blocks(predicted: ContinuedFraction, at_k: _AtK, at_i: _AtI):
     """(cf_matches, reversal_holds) of _certify for num/den = P_{kp-i} / Q_k^p
     and the symbolic [b_1..b_n] of prop2_predicted_quotients, proved block by
     block from its lambdas and indices: no quotient, no tree and neither
-    num nor den is built.
+    num nor den is built, and no F_p inverse is taken.
 
-    Let M_i = [[x, x'], [y, y']] be the matrix of Prop. 1's [v_{1,i} T ..
-    v_{2i,i} T] and sigma = lc(P_i)/lc(x); sigma x = P_i is checked once per i.
-    The indices must be (1, 0 x 2i) x (2k-1) and 1 over at_i's tower [T, A]:
-    block j is a lead b_j = lam_j A and 2i inner quotients c_j v_{m,i} T (m odd) and
-    v_{m,i} T / c_j (m even), compared as one array of lambdas;
-    its matrix is then B_j = [[b_j x + y/c_j, c_j b_j x' + y'], [x, c_j x']].
-    With S_j = [[1, G_j], [0, P_i]], G_0 = 0 and G_j = g_j x', g_j = -c_j sigma,
-    the four entries of S_{j-1} [[v_{j,k} T^p, 1], [1, 0]] = sigma B_j S_j are
+    Let M_i = [[x, x'], [y, y']], sigma, t and A be _AtI's.  The indices must
+    be (1, 0 x 2i) x (2k-1) and 1 over at_i's tower [T, A]: block j is a lead
+    b_j = lam_j A and 2i inner quotients c_j v_{m,i} T (m odd) and v_{m,i} T / c_j
+    (m even), c_j read off the first and all compared by multiplication; its
+    matrix is B_j = [[b_j x + y/c_j, c_j b_j x' + y'], [x, c_j x']].  With
+    S_j = [[1, G_j], [0, P_i]], G_0 = 0 and G_j = -c_j sigma x', the four
+    entries of S_{j-1} [[v_{j,k} T^p, 1], [1, 0]] = sigma B_j S_j are
       sigma B11 = v_{j,k} T^p + G_{j-1},   sigma (B11 G_j + B12 P_i) = 1,
-      sigma x = P_i,   x G_j + c_j x' P_i = 0 (by the choice of g_j),
-    and the closing step is v_{2k,k} T^p + G_{2k-1} = P_i b_n.  Each is a
-    combination of a few polynomials fixed per i (A x, y, x', ...) with
-    per-block scalars, so _all_zero checks all blocks at once.  They
-    telescope: the predicted matrix is sigma^(2k-1) [[X/P_i, X'], [Y, P_i Y']],
-    [[X, X'], [Y, Y']] being Prop. 1's matrix at k under T -> T^p.  So, as
-    in _certify, the expansion is num/den's when the degree guard holds
-    and num P_i Y = den X, and the reversal identity is
-    num P_i X' = -4 k^2 theta^2 den X.  Here num P_i = P_k(T^p) and
-    den = Q_k(T^p), and T -> T^p is an injective ring map fixing F_p, so
-    these are P_k y = Q_k x and P_k x' = -4 k^2 theta^2 Q_k x at k: Prop. 1's
-    two verdicts, which at_k holds.  A list (its indices are None), a zero
-    lambda, another tower, or a broken shape or identity certifies neither verdict.
+      sigma x = P_i,   x G_j + c_j x' P_i = 0,
+    and the closing step is v_{2k,k} T^p + G_{2k-1} = P_i b_n.  Under R1-R4
+    the third is R1, the fourth follows, the second is sigma^2 det M_i = 1
+    (the tree asserts det M_i = 1), i.e. R4, and by R2 and R3 the first is
+      sigma ((lam_j - v_{j,k}) A x + (1/c_j - t^2 c_{j-1} + t v_{j,k}) y) = 0
+    (c_0 = 0), the closing step the same without 1/c_j.  A x and y are
+    independent (y != 0, deg y = 2i - 1 < p = deg A x), so all hold exactly
+    when lam_j = v_{j,k} and c_j (t^2 c_{j-1} - t v_{j,k}) = 1 for j < 2k and
+    lam_n = v_{2k,k} = t c_{2k-1}: two equations in F_p per block, checked
+    over all blocks at once.  The identities telescope: the predicted
+    matrix is sigma^(2k-1) [[X/P_i, X'], [Y, P_i Y']], [[X, X'], [Y, Y']]
+    being Prop. 1's matrix at k under T -> T^p.  So, as in _certify, the
+    expansion is num/den's when the degree guard holds and num P_i Y = den X,
+    and the reversal identity is num P_i X' = -4 k^2 theta^2 den X.  Here
+    num P_i = P_k(T^p) and den = Q_k(T^p), and T -> T^p is an injective ring
+    map fixing F_p, so these are P_k y = Q_k x and P_k x' = -4 k^2 theta^2 Q_k x
+    at k: Prop. 1's two verdicts, which at_k holds.  A list (its indices are
+    None), a zero lambda, another tower, a broken shape, a failed R1-R4 or a
+    failed equation certifies neither verdict.
     """
-    field = predicted.field
-    p = field.p
-    v_k, v_i, sigma = at_k.family.v, at_i.family.v, at_i.sigma
+    p, t = predicted.field.p, at_i.t
+    v_k, v_i = at_k.family.v, np.array(at_i.family.v, dtype=np.int64)
     width = len(v_i) + 1  # a lead and its 2i inner quotients; 2k - 1 = len(v_k) - 1 blocks
     lambdas, shape = predicted.lambdas, ((1,) + (0,) * (width - 1)) * (len(v_k) - 1) + (1,)
-    if (not at_i.closes or predicted.indices != shape or 0 in lambdas
+    if (not at_i.holds or predicted.indices != shape or 0 in lambdas
             or predicted.tower != at_i.tower):
         return False, False
     blocks = np.array(lambdas[:-1], dtype=np.int64).reshape(-1, width)  # per block: lead, inner
-    cs = (blocks[:, 1] * field.inv(v_i[0]) % p).tolist()
-    c_invs = [field.inv(c) for c in cs] + [0]  # the closing has no y term: P_i b_n = sigma lam_n A x
-    scale = np.array([(c, ci) * (width // 2) for c, ci in zip(cs, c_invs)], dtype=np.int64)  # c_j at m odd
-    if (blocks[:, 1:] != scale * np.array(v_i, dtype=np.int64) % p).any():
-        return False, False
-    lams = lambdas[::width]  # the leads' lam_1 .. lam_(2k-1) and lam_n
-    g = [0] + [-c * sigma % p for c in cs]  # G_j = g_j x', j = 0..2k-1
-    # sigma (lam_j A x + y / c_j) - g_(j-1) x' - v_{j,k} T^p = 0, j = 1..2k
-    heads = [[sigma * lam % p, sigma * ci % p, -gj % p, -vj % p]
-             for lam, ci, gj, vj in zip(lams, c_invs, g, v_k)]
-    # sigma (B11 G_j + B12 P_i) - 1 = 0, j = 1..2k-1
-    tails = [[sigma * gj * lam % p, sigma * gj * ci % p, sigma * c * lam % p, sigma, p - 1]
-             for lam, ci, gj, c in zip(lams, c_invs, g[1:], cs)]
-    if not (_all_zero(heads, at_i.heads, p) and _all_zero(tails, at_i.tails, p)):
+    leads, inner, v_lead = blocks[:, 0], blocks[:, 1:], np.array(v_k[:-1], dtype=np.int64)
+    c = inner[:, 0] * at_i.v1_inv % p  # c_j from c_j v_{1,i}
+    c_prev = np.concatenate(([0], c[:-1]))  # c_(j-1), c_0 = 0
+    odd, even = inner[:, ::2], inner[:, 1::2]  # c_j v_{m,i} at odd m, v_{m,i} / c_j at even m
+    if ((odd != c[:, None] * v_i[::2] % p).any() or (even * c[:, None] % p != v_i[1::2]).any()
+            or (leads != v_lead).any()
+            or (c * ((t * t % p * c_prev - t * v_lead) % p) % p != 1).any()
+            or not lambdas[-1] == v_k[-1] == t * c[-1] % p):
         return False, False
     # _certify's degree guard on b_2..b_n: the inner quotients have degree 1, the leads deg A
     return at_i.tower[1].degree >= 1 and at_k.cf_matches, at_k.reversal_holds

@@ -3,6 +3,7 @@ import random
 import textwrap
 import time
 
+import numpy as np
 import pytest
 
 from hqcf import cli, perfect, quartic
@@ -693,6 +694,36 @@ class TestProp2:
         assert sorted(constants) == list(half)
         assert divided == list(half)
 
+    def test_no_inverse_per_case(self, monkeypatch):
+        # 1/delta_j is 1/r_j (held per k) times 1/t (held per i), and the
+        # certificate compares by multiplication: a p = 17 sweep takes no F_p
+        # inverse inside a case
+        real_inv, inside, calls = PrimeField.inv, [], []
+
+        def inv(field, x):
+            calls.append(bool(inside))
+            return real_inv(field, x)
+
+        def counted(name):
+            real = getattr(perfect, name)
+
+            def call(*args):
+                inside.append(name)
+                try:
+                    return real(*args)
+                finally:
+                    inside.pop()
+
+            monkeypatch.setattr(perfect, name, call)
+
+        monkeypatch.setattr(PrimeField, "inv", inv)
+        counted("prop2_predicted_quotients")
+        counted("_certify_blocks")
+        half = range(1, 9)
+        reports = verify_prop2(GF(17), half, half)
+        assert len(reports) == 64 and all(r.passed for r in reports)
+        assert calls and not any(calls)
+
     def test_bounds_checked(self):
         with pytest.raises(ValueError):
             verify_prop2(F7, [4], [1])
@@ -729,17 +760,17 @@ def prop1_case(F, k):
     return P, Q, ContinuedFraction(F, [Polynomial.x(F).scaled(c) for c in v]), k, theta
 
 
-def prop2_sides(F, k, i, theta=None):
+def prop2_sides(F, k, i, theta=None, theta_i=None):
     """The values verify_prop2 shares between its case (k, i) and the others
-    at k (_AtK) and at i (_AtI), from perfect.family_constants; theta, if
-    given, replaces theta_k."""
+    at k (_AtK) and at i (_AtI), from perfect.family_constants; theta and
+    theta_i, if given, replace theta_k and theta_i."""
 
     def prop1(j, theta=None):
         family = perfect.family_constants(F, j)
         family = family if theta is None else family._replace(theta=theta)
         return family, perfect._prop1_predicted(F, family.v).matrix()
 
-    return perfect._AtK(F, *prop1(k, theta)), perfect._AtI(F, *prop1(i))
+    return perfect._AtK(F, *prop1(k, theta)), perfect._AtI(F, *prop1(i, theta_i))
 
 
 def prop2_predicted(F, k, i):
@@ -753,6 +784,63 @@ def prop2_case(F, k, i):
     Qkp = pq_polynomials(F, k)[1].pow_frobenius()
     predicted = prop2_predicted(F, k, i)
     return power_p_family(F, k * F.p - i), Qkp, predicted, k, family_constants(F, k).theta
+
+
+def all_zero(rows, *polys):
+    """Whether sum_t rows[j][t] polys[t] = 0 for every row j: the polys'
+    coefficient vectors, zero-padded, are the rows of one int64 array, and
+    one exact product (a sum of len(polys) residue products) checks all."""
+    basis = np.zeros((len(polys), max(len(f.coeffs) for f in polys)), dtype=np.int64)
+    for row, f in zip(basis, polys):
+        row[: len(f.coeffs)] = f.coeffs
+    return not (np.array(rows, dtype=np.int64) @ basis % polys[0].field.p).any()
+
+
+def block_identities_oracle(predicted, at_k, at_i):
+    """(cf_matches, reversal_holds) of _certify_blocks from its block
+    identities checked as polynomials: with x, x', y, y' Prop. 1's matrix at
+    i, sigma = lc(P_i)/lc(x), c_j read off the inner quotients and
+    G_j = g_j x', g_j = -c_j sigma (g_0 = 0), the heads
+      sigma (lam_j A x + y / c_j) - g_(j-1) x' - v_{j,k} T^p = 0, j = 1..2k
+    (the closing one, j = 2k, without its y term) and the tails
+      sigma (B11 G_j + B12 P_i) - 1 = 0, j = 1..2k-1,
+    each a row of per-block scalars against polynomials fixed per i.  It
+    checks sigma x = P_i but none of R2-R4, and inverts every c_j."""
+    field = predicted.field
+    p = field.p
+    v_k, v_i = at_k.family.v, at_i.family.v
+    x, xp, y, yp = perfect._prop1_predicted(field, v_i).matrix()
+    P, A = power_p_family(field, at_i.i), at_i.tower[1]
+    sigma = P.leading_coefficient() * field.inv(x.leading_coefficient()) % p
+    width = len(v_i) + 1
+    lambdas, shape = predicted.lambdas, ((1,) + (0,) * (width - 1)) * (len(v_k) - 1) + (1,)
+    if (x.scaled(sigma) != P or predicted.indices != shape or 0 in lambdas
+            or predicted.tower != at_i.tower):
+        return False, False
+    blocks = np.array(lambdas[:-1], dtype=np.int64).reshape(-1, width)
+    cs = (blocks[:, 1] * field.inv(v_i[0]) % p).tolist()
+    c_invs = [field.inv(c) for c in cs] + [0]  # the closing head has no y term
+    scale = np.array([(c, ci) * (width // 2) for c, ci in zip(cs, c_invs)], dtype=np.int64)
+    if (blocks[:, 1:] != scale * np.array(v_i, dtype=np.int64) % p).any():
+        return False, False
+    lams = lambdas[::width]
+    g = [0] + [-c * sigma % p for c in cs]
+    heads = [[sigma * lam % p, sigma * ci % p, -gj % p, -vj % p]
+             for lam, ci, gj, vj in zip(lams, c_invs, g, v_k)]
+    tails = [[sigma * gj * lam % p, sigma * gj * ci % p, sigma * c * lam % p, sigma, p - 1]
+             for lam, ci, gj, c in zip(lams, c_invs, g[1:], cs)]
+    ax = A * x
+    if not (all_zero(heads, ax, y, xp, Polynomial.monomial(field, 1, p))
+            and all_zero(tails, ax * xp, y * xp, A * xp * P, yp * P, Polynomial.one(field))):
+        return False, False
+    return A.degree >= 1 and at_k.cf_matches, at_k.reversal_holds
+
+
+def certified(predicted, at_k, at_i):
+    """_certify_blocks' verdicts, asserted equal to block_identities_oracle's."""
+    got = perfect._certify_blocks(predicted, at_k, at_i)
+    assert got == block_identities_oracle(predicted, at_k, at_i)
+    return got
 
 
 def tree_oracle(num, den, predicted, k, theta):
@@ -818,7 +906,7 @@ class TestCertificateMutations:
     def certify_blocks(num, den, predicted, k, theta):
         """verify_prop2's block certificate on the prop2 case, (k, i) = (2, 3);
         it reads no num or den: _AtK holds Prop. 1's verdicts at k."""
-        return perfect._certify_blocks(predicted, *prop2_sides(F13, k, 3, theta))
+        return certified(predicted, *prop2_sides(F13, k, 3, theta))
 
     @pytest.mark.parametrize("case", ["prop1", "prop2"])
     @pytest.mark.parametrize("j", [0, 1, -1])
@@ -975,10 +1063,27 @@ class TestBlockCertificate:
                 assert s * s % p == 1, (k, i)
                 assert got == tuple(m.scaled(s) for m in (X_over_P, Xp, Y, P_i * Yp)), (k, i)
 
+    @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
+    def test_scalar_equations_are_the_identities(self, p):
+        # every defined case passes both the scalar certificate and the
+        # block identities as polynomials
+        F = GF(p)
+        half = range(1, (p - 1) // 2 + 1)
+        for k in half:
+            for i in half:
+                try:
+                    sides = prop2_sides(F, k, i)
+                except ScalarCFUndefined:
+                    continue
+                assert certified(prop2_predicted_quotients(F, *sides), *sides) == (True, True), (k, i)
+
     def corrupt(self, monkeypatch, change):
-        """Make prop2_predicted_quotients return change(cf) at (K, I); the
-        changed expansion's Euclid verdict is returned for comparison."""
+        """Make prop2_predicted_quotients return change(cf) at (K, I), after
+        checking that the scalar certificate and the block identities agree
+        on it; the changed expansion's Euclid verdict is returned."""
         real = perfect.prop2_predicted_quotients
+        sides = prop2_sides(F13, self.K, self.I)
+        certified(change(real(F13, *sides)), *sides)
 
         def corrupted(field, at_k, at_i):
             cf = real(field, at_k, at_i)
@@ -1046,7 +1151,29 @@ class TestBlockCertificate:
             return family._replace(v=tuple(v))
 
         monkeypatch.setattr(perfect, "family_constants", corrupted)
+        sides = prop2_sides(F13, self.K, self.I)
+        certified(prop2_predicted_quotients(F13, *sides), *sides)
         return euclid_oracle(*prop2_case(F13, self.K, self.I))
+
+    def negated_theta_i(self, monkeypatch):
+        """Make the verdicts under test the (K, I) certificate of the
+        prediction built from an _AtI whose theta_I is negated: t -> -t and
+        every c_j -> -c_j keep R1, R2, R4 and both block equations, and
+        break R3 alone.  Euclid's verdict on that prediction is returned."""
+
+        def faulted():
+            sides = prop2_sides(F13, self.K, self.I, theta_i=-family_constants(F13, self.I).theta % 13)
+            return prop2_predicted_quotients(F13, *sides), sides
+
+        def certify():
+            predicted, sides = faulted()
+            return perfect._certify_blocks(predicted, *sides)
+
+        predicted, sides = faulted()
+        certified(predicted, *sides)
+        monkeypatch.setattr(self, "verdicts", certify)
+        num, den, _, k, theta = prop2_case(F13, self.K, self.I)
+        return euclid_oracle(num, den, predicted, k, theta)
 
     def test_prop1_verdict_at_k_is_load_bearing(self, monkeypatch):
         # the blocks at K follow the corrupted v_(j,K) and close: Prop. 1's
@@ -1061,7 +1188,7 @@ class TestBlockCertificate:
 
     def test_wrong_theta(self):
         num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
-        got = perfect._certify_blocks(predicted, *prop2_sides(F13, k, self.I, (theta + 1) % 13))
+        got = certified(predicted, *prop2_sides(F13, k, self.I, (theta + 1) % 13))
         assert got == (True, False)
 
     def test_quotients_never_built(self, monkeypatch):
@@ -1080,13 +1207,20 @@ class TestBlockCertificate:
     # replacement, and the fault, one Euclid refuses at (K, I), that the
     # broken copy lets through, if one is needed)
     CODE_MUTATIONS = {
-        "G_j sign": ("_certify_blocks", "g = [0] + [-c * sigma % p", "g = [0] + [c * sigma % p", None),
-        "G_j with 1/c_j": ("_certify_blocks", "[-c * sigma % p for c in cs]",
-                           "[-field.inv(c) * sigma % p for c in cs]", None),
-        "inner rescaling": ("_certify_blocks", "(c, ci) * (width // 2)", "(ci, c) * (width // 2)", None),
-        "block boundary": ("_certify_blocks", "(blocks[:, 1:] != scale", "(blocks[:, :-1] != scale", None),
-        "closing identity dropped": ("_certify_blocks", "zip(lams, c_invs, g, v_k)",
-                                     "zip(lams[:-1], c_invs, g, v_k)", predicted_as(rescaled(-1, 2))),
+        # G_(j-1) = -c_(j-1) sigma x' enters block j's equation as t^2 c_(j-1)
+        "G_j sign": ("_certify_blocks", "(t * t % p * c_prev", "(-t * t % p * c_prev", None),
+        "G_j with 1/c_j": ("_certify_blocks", "np.concatenate(([0], c[:-1]))",
+                           "np.array([0] + [predicted.field.inv(int(x)) for x in c[:-1]])", None),
+        "inner rescaling": ("_certify_blocks", "inner[:, ::2], inner[:, 1::2]", "inner[:, 1::2], inner[:, ::2]",
+                            None),
+        "block boundary": ("_certify_blocks", "blocks[:, 0], blocks[:, 1:]", "blocks[:, 0], blocks[:, :-1]", None),
+        "closing identity dropped": ("_certify_blocks", "or not lambdas[-1] == v_k[-1] == t * c[-1] % p", "",
+                                     predicted_as(rescaled(-1, 2))),
+        "lead check dropped": ("_certify_blocks", "or (leads != v_lead).any()", "",
+                               predicted_as(rescaled(WIDTH, 2))),
+        # R2 and R4 have no row: each follows from the other three (_AtI)
+        "R3 dropped": ("_AtI", "and (A * x - y.scaled(t)).scaled(sigma) == Polynomial.monomial(field, 1, p)", "",
+                       negated_theta_i),
         "theta not squared": ("_certify", "-4 * k * k * theta * theta", "-4 * k * k * theta", None),
         "index shape dropped": ("_certify_blocks", "or predicted.indices != shape ", "",
                                 predicted_as(edited(lead_on_t))),
@@ -1097,14 +1231,19 @@ class TestBlockCertificate:
                                            ", True", corrupt_v_k),
     }
 
+    def verdicts(self):
+        """What a broken copy of the code must change, unless its fault says
+        otherwise: verify_prop2's verdicts at p = 13."""
+        return prop2_verdicts(F13)
+
     @pytest.mark.parametrize("name", list(CODE_MUTATIONS))
     def test_code_mutation_flips_a_verdict(self, name, monkeypatch):
         where, old, new, fault = self.CODE_MUTATIONS[name]
         if fault:
             assert fault(self, monkeypatch)[0] is False
-        before = prop2_verdicts(F13)
+        before = self.verdicts()
         monkeypatch.setattr(perfect, where, mutated(perfect, where, old, new))
-        assert prop2_verdicts(F13) != before
+        assert self.verdicts() != before
 
 
 class TestRelationResidual:
