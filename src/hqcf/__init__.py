@@ -28,12 +28,10 @@ from .perfect import (
 )
 from .polynomials import Polynomial, formal_integral
 from .quartic import (
-    Conj1Verdict,
-    Conj2Verdict,
     DerivationError,
     ExponentReport,
-    FrobeniusTrace,
     PowerVec,
+    RelationVerdict,
     alpha_series,
     approximation_exponent,
     beta_quotient_to_alpha,

@@ -295,7 +295,13 @@ def cmd_verify_prop2(args, out) -> int:
 def cmd_verify_conj1(args, out) -> int:
     verdict = verify_conjecture1(args.p, args.n)
     if args.json:
-        print(json.dumps(verdict.to_json_dict()), file=out)
+        row = {
+            "p": verdict.p, "pass": verdict.passed, "epsilon1": verdict.eps1,
+            "epsilon2": verdict.eps2, "a": verdict.a, "a_equals_8_27": verdict.a_equals_8_27,
+            "compared_terms": verdict.compared_terms, "stage": verdict.stage,
+            "detail": verdict.detail,
+        }
+        print(json.dumps(row), file=out)
     else:
         print(f"conj1 p={args.p}: {'PASS' if verdict.passed else 'FAIL'}", file=out)
         if verdict.eps1 is not None:
@@ -312,8 +318,14 @@ def cmd_verify_conj1(args, out) -> int:
 
 def cmd_verify_conj2(args, out) -> int:
     verdict = verify_conjecture2(args.p, l_override=args.l)
+    detail = f"{verdict.stage}: {verdict.detail}" if verdict.stage else ""
     if args.json:
-        print(json.dumps(verdict.to_json_dict()), file=out)
+        row = {
+            "p": verdict.p, "pass": verdict.passed, "l": verdict.l, "k_prime": verdict.k_prime,
+            "k": verdict.k, "epsilon1": verdict.eps1, "epsilon2": verdict.eps2, "a": verdict.a,
+            "a_equals_8_27": verdict.a_equals_8_27, "detail": detail,
+        }
+        print(json.dumps(row), file=out)
     else:
         status = "PASS" if verdict.passed else "FAIL"
         print(f"conj2 p={args.p}: {status}  (l={verdict.l}, k'={verdict.k_prime}, k={verdict.k})", file=out)
@@ -324,7 +336,7 @@ def cmd_verify_conj2(args, out) -> int:
                 file=out,
             )
         else:
-            print(f"  detail: {verdict.detail}", file=out)
+            print(f"  detail: {detail}", file=out)
     return 0 if verdict.passed else 1
 
 
@@ -380,6 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
                                " first l quotients, expanded from the Frobenius relation derived from them")
     p_expand.add_argument("--poly", type=str, help="polynomial in X and T, e.g. 'X^2 - T*X + 1'")
     p_expand.add_argument("--k", type=int, help="annotate quotients against A[i,k]")
+    p_expand.set_defaults(run=cmd_expand)
 
     p_gen = sub.add_parser("generate", help="generate a perfect expansion")
     add_common(p_gen)
@@ -389,6 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--e2", type=int, help="epsilon_2")
     p_gen.add_argument("--lambdas", type=str, help="comma list lambda_1..lambda_l")
     p_gen.add_argument("--indices", type=str, default="", help="comma list i(1)..i(l), default zeros")
+    p_gen.set_defaults(run=cmd_generate)
 
     p_verify = sub.add_parser("verify", help="verify identities and conjectured relations")
     vsub = p_verify.add_subparsers(dest="what", required=True)
@@ -397,43 +411,36 @@ def build_parser() -> argparse.ArgumentParser:
     v1.add_argument("--p", type=int, required=True)
     v1.add_argument("--k", type=int, help="single k (default: sweep 1 <= k < p/2)")
     v1.add_argument("--json", action="store_true")
+    v1.set_defaults(run=cmd_verify_prop1)
 
     v2 = vsub.add_parser("prop2", help="P_(kp-i)/Q_k^p block expansion and reversal")
     v2.add_argument("--p", type=int, required=True)
     v2.add_argument("--k", type=int, help="single k (default: sweep)")
     v2.add_argument("--i", type=int, help="single i (default: sweep)")
     v2.add_argument("--json", action="store_true")
+    v2.set_defaults(run=cmd_verify_prop2)
 
     c1 = vsub.add_parser("conj1", help="degree-p relation for p = 1 mod 3")
     add_common(c1, n_help="number of generated quotients compared with the direct expansion")
+    c1.set_defaults(run=cmd_verify_conj1)
 
     c2 = vsub.add_parser("conj2", help="degree-p^2 relation for p = 2 mod 3")
     c2.add_argument("--p", type=int, required=True)
     c2.add_argument("--l", type=int, default=None, help="override the tail index (diagnostic)")
     c2.add_argument("--json", action="store_true")
+    c2.set_defaults(run=cmd_verify_conj2)
 
     p_exp = sub.add_parser("exponent", help="rational approximation exponent of the quartic root")
     add_common(p_exp, n_default=500)
+    p_exp.set_defaults(run=cmd_exponent)
     return top
-
-
-_DISPATCH = {
-    ("expand", None): cmd_expand,
-    ("generate", None): cmd_generate,
-    ("verify", "prop1"): cmd_verify_prop1,
-    ("verify", "prop2"): cmd_verify_prop2,
-    ("verify", "conj1"): cmd_verify_conj1,
-    ("verify", "conj2"): cmd_verify_conj2,
-    ("exponent", None): cmd_exponent,
-}
 
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    handler = _DISPATCH[(args.command, getattr(args, "what", None))]
     try:
-        return handler(args, out)
+        return args.run(args, out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -16,8 +16,8 @@ derive_frobenius_relation extracts, purely by exact arithmetic, the relation
 with r = p and (l, k', k) = ((p-1)/2, (p-1)/3, (p-1)/3) for p = 1 mod 3,
 and r = p^2 and (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3) for
 p = 2 mod 3, from the basis coordinates of alpha^r and alpha^(r+1) that
-frobenius_vectors reaches by Frobenius powering.  The two conjecture
-verdicts are wrappers over that one derivation.  For p = 1 mod 3,
+frobenius_vectors reaches by Frobenius powering.  Its result and both
+conjecture verdicts on it are one record, RelationVerdict.  For p = 1 mod 3,
 normalize_to_beta rescales by v = sqrt(-a) to the normalized family, after
 which the expansion is a perfect expansion and its generator can be
 cross-checked against the direct root expansion.  Every quotient rescaled
@@ -25,7 +25,7 @@ is odd, so only even powers of v occur: the rescaling is arithmetic in F_p
 on s = v^2 = -a alone.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -184,13 +184,48 @@ class DerivationError(ValueError):
 
 
 @dataclass
-class FrobeniusTrace:
-    """The derived relation, the a of its P = (T^2+a)^k', and the root
-    expansion's first l quotients, against which it was read off."""
+class RelationVerdict:
+    """The verdict on alpha's Frobenius relation at p: the derivation's
+    result and both conjectures' verdicts on it.
 
-    relation: FrobeniusRelation  # alpha^r = eps1 (T^2+a)^k' alpha_{l+1} + eps2 Q_{k,a}(T^(r/p))
-    a: int
-    prefix: ContinuedFraction  # a_1 .. a_l
+    A failing verdict names its stage and message.  relation, a and prefix
+    (the root expansion's first l quotients, against which the relation was
+    read off) are set once the derivation passes, and kept by a later
+    conj1 failure; eps1, eps2, a == 8/27, k' and k are read from them and
+    from the relation's shape, never copied.
+    """
+
+    p: int
+    passed: bool
+    stage: str = ""
+    detail: str = ""
+    l: Optional[int] = None
+    # alpha^r = eps1 (T^2+a)^k' alpha_{l+1} + eps2 Q_{k,a}(T^(r/p))
+    relation: Optional[FrobeniusRelation] = None
+    a: Optional[int] = None
+    prefix: Optional[ContinuedFraction] = None  # a_1 .. a_l
+    compared_terms: int = 0
+    spec: Optional[ExpansionSpec] = None  # beta's validated spec, on a conj1 pass
+
+    @property
+    def eps1(self) -> Optional[int]:
+        return None if self.relation is None else self.relation.eps1
+
+    @property
+    def eps2(self) -> Optional[int]:
+        return None if self.relation is None else self.relation.eps2
+
+    @property
+    def a_equals_8_27(self) -> Optional[bool]:
+        return None if self.a is None else (27 * self.a - 8) % self.p == 0
+
+    @property
+    def k_prime(self) -> int:
+        return _relation_shape(self.p)[2]
+
+    @property
+    def k(self) -> int:
+        return _relation_shape(self.p)[3]
 
 
 def _relation_shape(p: int) -> tuple:
@@ -206,7 +241,7 @@ def _relation_shape(p: int) -> tuple:
 
 
 def derive_frobenius_relation(p: int, l: Optional[int] = None, *,
-                              direct: Optional[ContinuedFraction] = None) -> FrobeniusTrace:
+                              direct: Optional[ContinuedFraction] = None) -> RelationVerdict:
     """Extract the Frobenius relation of alpha,
 
         alpha^r = eps1 * (T^2+a)^k' * alpha_{l+1} + eps2 * Q_{k,a}(T^(r/p)),
@@ -282,10 +317,11 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None, *,
         raise DerivationError(
             "degree", f"y_l alpha^r + c has no term above T^{top}, so deg alpha_(l+1) < 1"
         )
-    return FrobeniusTrace(FrobeniusRelation(l, eps1, eps2, P, Q, p**e), a, prefix)
+    return RelationVerdict(p, True, l=l, relation=FrobeniusRelation(l, eps1, eps2, P, Q, p**e),
+                           a=a, prefix=prefix)
 
 
-def normalize_to_beta(trace: FrobeniusTrace) -> ExpansionSpec:
+def normalize_to_beta(verdict: RelationVerdict) -> ExpansionSpec:
     """The relation in beta(T) = v*alpha(v*T) coordinates, v^2 = s = -a, as
     the spec of beta's perfect expansion.
 
@@ -296,15 +332,15 @@ def normalize_to_beta(trace: FrobeniusTrace) -> ExpansionSpec:
       eps2' = s^(k + (p - 1)/2)     eps2,
     for a relation of degree r = p (ValueError for conj2's r = p^2).
     """
-    rel = trace.relation
-    field = trace.prefix.field
+    rel = verdict.relation
+    field = verdict.prefix.field
     p = field.p
     if rel.r != p:
         raise ValueError(f"the beta normalization needs r = p = {p}, got r = {rel.r}")
     k = rel.P.degree // 2
-    s = -trace.a % p
+    s = -verdict.a % p
     lambdas = []
-    for i, q in enumerate(trace.prefix.quotients, start=1):
+    for i, q in enumerate(verdict.prefix.quotients, start=1):
         if q.degree != 1 or q.constant_coefficient():
             raise ValueError(f"prefix quotient a_{i} = {q} is not lambda*T")
         lambdas.append(q.leading_coefficient() * (s if i % 2 else 1) % p)
@@ -340,38 +376,11 @@ def beta_quotient_to_alpha(field: PrimeField, b: Polynomial, n: int, s: int) -> 
 # -- conjecture verdicts ------------------------------------------------------------
 
 
-@dataclass
-class Conj1Verdict:
-    p: int
-    passed: bool
-    stage: str = ""
-    detail: str = ""
-    eps1: Optional[int] = None
-    eps2: Optional[int] = None
-    a: Optional[int] = None
-    a_equals_8_27: Optional[bool] = None
-    compared_terms: int = 0
-    spec: Optional[ExpansionSpec] = None  # the validated spec, on a pass
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "pass": self.passed,
-            "epsilon1": self.eps1,
-            "epsilon2": self.eps2,
-            "a": self.a,
-            "a_equals_8_27": self.a_equals_8_27,
-            "compared_terms": self.compared_terms,
-            "stage": self.stage,
-            "detail": self.detail,
-        }
-
-
 # The relation is re-checked as a series identity down to T^-RESIDUAL_PRECISION.
 RESIDUAL_PRECISION = 100
 
 
-def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
+def verify_conjecture1(p: int, n: int) -> RelationVerdict:
     """Full check of the conjectured degree-p pattern for one prime.
 
     Expands the root once, to max(n, l) quotients; derives the relation
@@ -380,106 +389,64 @@ def verify_conjecture1(p: int, n: int) -> Conj1Verdict:
     perfect-expansion conditions, and compares n generated quotients, mapped
     back through T -> T/v, with the direct ones; finally the relation is
     re-checked as a series identity on as many generated quotients as that
-    takes.  Any stage failure is reported as a finding, not raised.
+    takes.  Any stage failure is reported as a finding, not raised; one
+    past the derivation keeps the derived relation.
     """
     field = GF(p)
     if p % 3 != 1:
         raise ValueError(f"the degree-p relation needs p = 1 mod 3, got {p}")
-    direct = expand_root(quartic_state(field), max(n, _relation_shape(p)[1]))
+    l = _relation_shape(p)[1]
+    direct = expand_root(quartic_state(field), max(n, l))
     try:
-        trace = derive_frobenius_relation(p, direct=direct)
+        derived = derive_frobenius_relation(p, direct=direct)
     except DerivationError as exc:
-        return Conj1Verdict(p, False, stage=exc.stage, detail=str(exc))
+        return RelationVerdict(p, False, exc.stage, str(exc), l)
 
-    rel = trace.relation
-    found = dict(
-        eps1=rel.eps1, eps2=rel.eps2, a=trace.a,
-        a_equals_8_27=trace.a == field.embed_rational(8, 27),
-    )
+    def failed(stage: str, detail: str, **fields) -> RelationVerdict:
+        return replace(derived, passed=False, stage=stage, detail=detail, **fields)
+
     try:
-        spec = normalize_to_beta(trace)
+        spec = normalize_to_beta(derived)
     except ValueError as exc:
-        return Conj1Verdict(p, False, stage="prefix-form", detail=str(exc), **found)
+        return failed("prefix-form", str(exc))
     try:
         cf = generate_perfect_expansion(spec, n)
     except (DeltaUndefinedError, DeltaMismatchError) as exc:
-        return Conj1Verdict(p, False, stage="perfect-conditions", detail=str(exc), **found)
+        return failed("perfect-conditions", str(exc))
     compared = min(len(direct), n)
-    s = -trace.a % p
+    s = -derived.a % p
     mapped = [beta_quotient_to_alpha(field, cf[j], j + 1, s) for j in range(compared)]
     if mapped != list(direct.quotients[:compared]):
         first_bad = next(j + 1 for j in range(compared) if mapped[j] != direct.quotients[j])
-        detail = f"generated and direct expansions differ at index {first_bad}"
-        return Conj1Verdict(p, False, stage="comparison", detail=detail, compared_terms=compared, **found)
+        return failed("comparison", f"generated and direct expansions differ at index {first_bad}",
+                      compared_terms=compared)
 
     while True:
         try:
             residual = relation_residual(cf, spec.relation(), RESIDUAL_PRECISION)
             break
         except InsufficientExpansion:  # the generator is cheap: regenerate a longer one
-            cf = generate_perfect_expansion(spec, 2 * max(len(cf), rel.l))
-    ok = residual == float("-inf")
-    return Conj1Verdict(
-        p,
-        ok,
-        stage="" if ok else "residual",
-        detail="" if ok else f"series residual at T^{residual}",
-        compared_terms=compared,
-        spec=spec if ok else None,
-        **found,
-    )
+            cf = generate_perfect_expansion(spec, 2 * max(len(cf), l))
+    if residual != float("-inf"):
+        return failed("residual", f"series residual at T^{residual}", compared_terms=compared)
+    return replace(derived, compared_terms=compared, spec=spec)
 
 
-@dataclass
-class Conj2Verdict:
-    p: int
-    passed: bool
-    l: int
-    k_prime: int
-    k: int
-    eps1: Optional[int] = None
-    eps2: Optional[int] = None
-    a: Optional[int] = None
-    a_equals_8_27: Optional[bool] = None
-    detail: str = ""
-    relation: Optional[FrobeniusRelation] = None  # the derived relation, on a pass
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "pass": self.passed,
-            "l": self.l,
-            "k_prime": self.k_prime,
-            "k": self.k,
-            "epsilon1": self.eps1,
-            "epsilon2": self.eps2,
-            "a": self.a,
-            "a_equals_8_27": self.a_equals_8_27,
-            "detail": self.detail,
-        }
-
-
-def verify_conjecture2(p: int, *, l_override: Optional[int] = None) -> Conj2Verdict:
+def verify_conjecture2(p: int, *, l_override: Optional[int] = None) -> RelationVerdict:
     """Check alpha^(p^2) = eps1 * P_{k',a} * alpha_{l+1} + eps2 * Q_{k,a}^p
     for p = 2 mod 3 with (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3), l
     replaced by l_override when given: the verdict on
     derive_frobenius_relation, which reports a DerivationError as a failing
     verdict that names its stage.
     """
-    field = GF(p)
+    GF(p)  # the modulus is checked before its residue class
     if p % 3 != 2:
         raise ValueError(f"this relation shape needs p = 2 mod 3, got {p}")
-    _, l, k_prime, k = _relation_shape(p)
-    l = l if l_override is None else l_override
+    l = _relation_shape(p)[1] if l_override is None else l_override
     try:
-        trace = derive_frobenius_relation(p, l)
+        return derive_frobenius_relation(p, l)
     except DerivationError as exc:
-        return Conj2Verdict(p, False, l, k_prime, k, detail=f"{exc.stage}: {exc}")
-    rel = trace.relation
-    return Conj2Verdict(
-        p, True, l, k_prime, k, eps1=rel.eps1, eps2=rel.eps2, a=trace.a,
-        a_equals_8_27=trace.a == field.embed_rational(8, 27), relation=rel,
-    )
+        return RelationVerdict(p, False, exc.stage, str(exc), l)
 
 
 # -- approximation exponent ------------------------------------------------------------
@@ -493,12 +460,12 @@ def alpha_expansion(p: int, n: int) -> tuple:
     if n <= _relation_shape(p)[1]:
         return expand_root(state, n), "direct root expansion"
     try:
-        trace = derive_frobenius_relation(p)
+        derived = derive_frobenius_relation(p)
     except DerivationError:
         return expand_root(state, n), "direct root expansion"
-    rel = trace.relation
+    rel = derived.relation
     source = f"Frobenius relation of degree r = {rel.r} past the root expansion's first {rel.l} quotients"
-    return expand_from_relation(trace.prefix, rel, n), source
+    return expand_from_relation(derived.prefix, rel, n), source
 
 
 def quartic_expansion(p: int, n: int) -> tuple:

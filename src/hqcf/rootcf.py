@@ -51,6 +51,9 @@ class RootState:
         if coeffs[-1].is_zero():
             raise ValueError("leading coefficient in X must be nonzero")
         self.field = coeffs[-1].field
+        for i, c in enumerate(coeffs):
+            if c.field != self.field:
+                raise ValueError(f"coefficient of X^{i} is over {c.field}, not {self.field}")
         self._t = tuple(np.array(c.coeffs, dtype=np.int64) for c in coeffs)
 
     @classmethod

@@ -318,6 +318,33 @@ class TestVerifyCommands:
         assert d["epsilon1"] == 3 and d["epsilon2"] == 5 and d["a"] == 6
         assert d["a_equals_8_27"] is True and d["compared_terms"] == 50
 
+    @pytest.mark.parametrize("argv, code, want", [
+        (["conj1", "--p", "7", "--n", "50"], 0,
+         "conj1 p=7: PASS\n"
+         "  relation: alpha^p = 3*(T^2+6)^k*alpha_(l+1) + 5*Q  (a == 8/27 mod p: True)\n"
+         "  compared terms: 50\n"),
+        (["conj1", "--p", "7", "--n", "50", "--json"], 0,
+         '{"p": 7, "pass": true, "epsilon1": 3, "epsilon2": 5, "a": 6, "a_equals_8_27": true,'
+         ' "compared_terms": 50, "stage": "", "detail": ""}\n'),
+        (["conj2", "--p", "5"], 0,
+         "conj2 p=5: PASS  (l=12, k'=8, k=2)\n"
+         "  alpha^(p^2) = 4*(T^2+4)^k'*alpha_(l+1) + 3*Q^p  (a == 8/27 mod p: True)\n"),
+        (["conj2", "--p", "5", "--json"], 0,
+         '{"p": 5, "pass": true, "l": 12, "k_prime": 8, "k": 2, "epsilon1": 4, "epsilon2": 3,'
+         ' "a": 4, "a_equals_8_27": true, "detail": ""}\n'),
+        (["conj2", "--p", "5", "--l", "13"], 1,
+         "conj2 p=5: FAIL  (l=13, k'=8, k=2)\n"
+         "  detail: convergent: (a_(r+1), a_r) is not proportional to (x_l, y_l)\n"),
+        (["conj2", "--p", "5", "--l", "13", "--json"], 1,
+         '{"p": 5, "pass": false, "l": 13, "k_prime": 8, "k": 2, "epsilon1": null, "epsilon2": null,'
+         ' "a": null, "a_equals_8_27": null,'
+         ' "detail": "convergent: (a_(r+1), a_r) is not proportional to (x_l, y_l)"}\n'),
+    ])
+    def test_conjecture_stdout_is_pinned(self, argv, code, want):
+        # the exact bytes of each conjecture command, text and JSON: a pass of
+        # each and conj2's failing control, whose detail names its stage
+        assert run(["verify", *argv]) == (code, want)
+
     def test_conj2_pass(self):
         code, out = run(["verify", "conj2", "--p", "5", "--json"])
         assert code == 0
@@ -380,7 +407,7 @@ class TestExponentCommand:
         # p = 1 mod 3 reads the generator behind conj1; a failing verdict prints nothing
         detail = "generated and direct expansions differ at index 4"
         monkeypatch.setattr(quartic, "verify_conjecture1",
-                            lambda p, n: quartic.Conj1Verdict(p, False, "comparison", detail))
+                            lambda p, n: quartic.RelationVerdict(p, False, "comparison", detail))
         code, out = run(["exponent", "--p", "13", "--n", "50"])
         assert code == 2 and out == ""
         assert capsys.readouterr().err == f"error: perfect pattern not confirmed for p=13: {detail}\n"

@@ -1358,7 +1358,7 @@ def residual_agrees_at_5():
 def conj2_holds_at_5():
     """verify_conjecture2(5) passes; a failure must be the Q-shape stage's."""
     v = verify_conjecture2(5)
-    assert v.passed or v.detail.startswith("Q-shape: "), v.detail
+    assert v.passed or v.stage == "Q-shape", v.detail
     return v.passed
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import json
 import random
 from fractions import Fraction
 
@@ -14,6 +15,7 @@ from hqcf.polynomials import Polynomial
 from hqcf import quartic, rootcf
 from hqcf.quartic import (
     DerivationError,
+    RelationVerdict,
     approximation_exponent,
     beta_quotient_to_alpha,
     derive_frobenius_relation,
@@ -295,8 +297,7 @@ class TestConjecture1:
         v = verify_conjecture1(7, 60)
         assert v.passed and v.a == 6 and v.a_equals_8_27
         assert v.compared_terms == 60
-        d = v.to_json_dict()
-        assert d["pass"] is True and d["epsilon1"] == 3 and d["epsilon2"] == 5
+        assert (v.eps1, v.eps2) == (3, 5)
 
     def test_p13(self):
         v = verify_conjecture1(13, 60)
@@ -392,8 +393,9 @@ class TestConjecture2:
         assert relation_residual(cf, wrong, 100) != float("-inf")
 
     def test_relation_kept_out_of_json(self):
-        v = verify_conjecture2(5)
-        assert "relation" not in v.to_json_dict()
+        out = io.StringIO()
+        assert main(["verify", "conj2", "--p", "5", "--json"], out=out) == 0
+        assert "relation" not in json.loads(out.getvalue())
         assert verify_conjecture2(5, l_override=13).relation is None
 
     def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
@@ -407,12 +409,12 @@ class TestConjecture2:
         for p in (5, 11):
             v = verify_conjecture2(p)
             assert not v.passed and v.relation is None
-            assert v.detail.split(":")[0] in ("W-shape", "Q-shape")
+            assert v.stage in ("W-shape", "Q-shape")
 
     def test_p5_negative_control(self):
         v = verify_conjecture2(5, l_override=13)
         assert not v.passed
-        assert v.detail.startswith("convergent:")
+        assert v.stage == "convergent"
 
     def test_p11_negative_control(self):
         v = verify_conjecture2(11, l_override=49)
@@ -481,6 +483,40 @@ STAGE_FAULTS = {
 }
 
 
+class TestRelationVerdict:
+    def test_a_conj1_failure_past_the_derivation_keeps_the_relation(self, monkeypatch):
+        # a comparison fault: the fifth mapped quotient gains 1
+        real = quartic.beta_quotient_to_alpha
+
+        def off(field, b, n, s):
+            q = real(field, b, n, s)
+            return q + Polynomial.one(field) if n == 5 else q
+
+        monkeypatch.setattr(quartic, "beta_quotient_to_alpha", off)
+        v, derived = verify_conjecture1(7, 50), derive_frobenius_relation(7)
+        assert (v.passed, v.stage, v.compared_terms, v.spec) == (False, "comparison", 50, None)
+        assert v.detail == "generated and direct expansions differ at index 5"
+        assert (v.l, v.relation, v.a, v.prefix) == (derived.l, derived.relation, derived.a, derived.prefix)
+        assert (v.eps1, v.eps2, v.a_equals_8_27) == (3, 5, True)
+
+    def test_both_conjectures_give_one_record(self):
+        # the shape a results table reads: one row per verdict, either conjecture
+        derived, v1, v2 = derive_frobenius_relation(7), verify_conjecture1(7, 50), verify_conjecture2(5)
+        assert type(derived) is type(v1) is type(v2) is RelationVerdict
+        assert [f.name for f in dataclasses.fields(v1)] == [
+            "p", "passed", "stage", "detail", "l", "relation", "a", "prefix", "compared_terms", "spec",
+        ]
+
+        def row(v):
+            return (v.p, v.passed, v.stage, v.detail, v.l, v.k_prime, v.k, v.eps1, v.eps2, v.a,
+                    v.a_equals_8_27, v.relation.r, len(v.prefix), v.compared_terms)
+
+        assert row(derived) == (7, True, "", "", 3, 2, 2, 3, 5, 6, True, 7, 3, 0)
+        assert row(v1) == (7, True, "", "", 3, 2, 2, 3, 5, 6, True, 7, 3, 50)
+        assert row(v2) == (5, True, "", "", 12, 8, 2, 4, 3, 4, True, 25, 12, 0)
+        assert v1.spec is not None and derived.spec is v2.spec is None
+
+
 class TestDerivationStages:
     @pytest.mark.parametrize("stage", STAGE_FAULTS)
     @pytest.mark.parametrize("p", [7, 13])
@@ -496,9 +532,10 @@ class TestDerivationStages:
     @pytest.mark.parametrize("p", [5, 11])
     def test_conj2_names_the_stage(self, p, stage, monkeypatch):
         monkeypatch.setattr(quartic, *STAGE_FAULTS[stage]())
+        with pytest.raises(DerivationError) as info:
+            derive_frobenius_relation(p)
         v = verify_conjecture2(p)
-        assert not v.passed and v.relation is None
-        assert v.detail.startswith(f"{stage}: ")
+        assert (v.passed, v.stage, v.detail, v.relation) == (False, stage, str(info.value), None)
 
     @pytest.mark.parametrize("p, degrees", [(7, (3, 4)), (5, (15, 20))])
     def test_q_of_the_wrong_degree_is_refused(self, p, degrees, monkeypatch):
@@ -510,12 +547,8 @@ class TestDerivationStages:
             derive_frobenius_relation(p)
         message = "eps2*Q has degree %d, expected %d" % degrees
         assert (info.value.stage, str(info.value)) == ("Q-shape", message)
-        if p % 3 == 1:
-            v = verify_conjecture1(p, 60)
-            assert (v.passed, v.stage, v.detail) == (False, "Q-shape", message)
-        else:
-            v = verify_conjecture2(p)
-            assert (v.passed, v.detail) == (False, f"Q-shape: {message}")
+        v = verify_conjecture1(p, 60) if p % 3 == 1 else verify_conjecture2(p)
+        assert (v.passed, v.stage, v.detail) == (False, "Q-shape", message)
 
     def test_failed_degree_check_reads_degree(self, monkeypatch):
         # it once passed every other stage and surfaced as stage "residual"

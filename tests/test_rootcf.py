@@ -61,6 +61,18 @@ class TestDominance:
         with pytest.raises(ValueError, match="^leading coefficient in X must be nonzero$"):
             RootState((Polynomial.one(F7), Polynomial.zero(F7)))
 
+    def test_state_coefficients_share_one_field(self):
+        # the field is the leading coefficient's; a GF(7) coefficient is not
+        # read mod 5
+        coeffs = [poly(F7, 1), poly(F5, 0, 1), poly(F5, 2)]
+        with pytest.raises(ValueError, match=r"^coefficient of X\^0 is over GF\(7\), not GF\(5\)$"):
+            RootState(coeffs)
+        coeffs[:2] = [poly(F5, 1), poly(F7, 0, 1)]
+        with pytest.raises(ValueError, match=r"^coefficient of X\^1 is over GF\(7\), not GF\(5\)$"):
+            RootState(coeffs)
+        coeffs[1] = poly(F5, 0, 1)
+        assert RootState(coeffs).field == F5
+
     def test_quadratic_satisfies_star(self):
         st = RootState((Polynomial.one(F7), -Polynomial.x(F7), Polynomial.one(F7)))
         assert dominance_holds(st)
