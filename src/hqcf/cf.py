@@ -16,7 +16,7 @@ expansions) is one shift, scale and add over x and x'; a general quotient,
 or one after which x' reaches the top of a*x (zero and constant quotients),
 takes the product and the sum.  The determinant identity is asserted at every
 node of the tree and at every join; `continuants`, which keeps every
-convergent, asserts it at every step.
+convergent and asserts it at every step, is kept as a slow oracle.
 
 running_scalar_cf evaluates the scalar continued fractions
 [h_n, ..., h_2, h_1] in F_p for every n at once, in plain ints mod p.
@@ -179,16 +179,14 @@ class ContinuedFraction:
     def value_series(self, floor: int) -> Laurent:
         """Laurent expansion of the value, certified down to the floor.
 
-        The convergent x_n/y_n matches the value to within |T|^(-2 deg y_n),
-        so the floor must stay above that bound.
+        The convergent x_n/y_n, read off matrix(), matches the value to
+        within |T|^(-2 deg y_n), so the floor must stay above that bound.
         """
-        xs, ys = self.continuants()
-        cert = -2 * ys[-1].degree
+        x, _, y, _ = self.matrix()
+        cert = -2 * y.degree
         if floor < cert:
-            raise ValueError(
-                f"insufficient expansion: floor {floor} below certified {cert}"
-            )
-        return rational_series(xs[-1], ys[-1], floor)
+            raise ValueError(f"insufficient expansion: floor {floor} below certified {cert}")
+        return rational_series(x, y, floor)
 
     def tail(self, l: int) -> "ContinuedFraction":
         return ContinuedFraction(self.field, self.quotients[l:])

@@ -16,13 +16,13 @@ derive_frobenius_relation extracts, purely by exact arithmetic, the relation
 with r = p and (l, k', k) = ((p-1)/2, (p-1)/3, (p-1)/3) for p = 1 mod 3,
 and r = p^2 and (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3) for
 p = 2 mod 3, from the basis coordinates of alpha^r and alpha^(r+1) that
-frobenius_vectors reaches by Frobenius powering.  Its result and both
-conjecture verdicts on it are one record, RelationVerdict.  For p = 1 mod 3,
-normalize_to_beta rescales by v = sqrt(-a) to the normalized family, after
-which the expansion is a perfect expansion and its generator can be
-cross-checked against the direct root expansion.  Every quotient rescaled
-is odd, so only even powers of v occur: the rescaling is arithmetic in F_p
-on s = v^2 = -a alone.
+frobenius_vectors reaches by Frobenius powering, its l quotients included.
+Its result and both conjecture verdicts are one record, RelationVerdict.
+For p = 1 mod 3, normalize_to_beta rescales by v = sqrt(-a) to the
+normalized family, after which the expansion is a perfect expansion and
+its generator can be cross-checked against the direct root expansion.
+Every quotient rescaled is odd, so only even powers of v occur: the
+rescaling is arithmetic in F_p on s = v^2 = -a alone.
 """
 
 from dataclasses import dataclass, replace
@@ -189,10 +189,10 @@ class RelationVerdict:
     result and both conjectures' verdicts on it.
 
     A failing verdict names its stage and message.  relation, a and prefix
-    (the root expansion's first l quotients, against which the relation was
-    read off) are set once the derivation passes, and kept by a later
-    conj1 failure; eps1, eps2, a == 8/27, k' and k are read from them and
-    from the relation's shape, never copied.
+    (the l quotients of a_(r+1)/a_r, read off the power basis) are set once
+    the derivation passes, and kept by a later conj1 or conj2 failure;
+    eps1, eps2, a == 8/27, k' and k are read from them and from the
+    relation's shape, never copied.
     """
 
     p: int
@@ -240,15 +240,13 @@ def _relation_shape(p: int) -> tuple:
     raise ValueError(f"the quartic's Frobenius relation needs p = 1 or 2 mod 3, got {p}")
 
 
-def derive_frobenius_relation(p: int, l: Optional[int] = None, *,
-                              direct: Optional[ContinuedFraction] = None) -> RelationVerdict:
+def derive_frobenius_relation(p: int, l: Optional[int] = None) -> RelationVerdict:
     """Extract the Frobenius relation of alpha,
 
         alpha^r = eps1 * (T^2+a)^k' * alpha_{l+1} + eps2 * Q_{k,a}(T^(r/p)),
 
     with r = p^e and (e, l, k', k) from _relation_shape; l, when given,
-    replaces the stated tail index (a diagnostic).  The first l quotients
-    are read off direct, alpha's root expansion, expanded here by default.
+    replaces the stated tail index (a diagnostic).
 
     With (x_l, x_{l-1}, y_l, y_{l-1}) the convergents of the first l
     quotients, U = eps1 * P and V = eps2 * Q, removing alpha_{l+1} turns the
@@ -258,8 +256,9 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None, *,
         c = U y_{l-1} - V y_l,   d = U x_{l-1} - V x_l.
 
     Stages (each failure raises DerivationError with the stage name):
-      prefix       the root expansion lies over F_p and has l quotients
-      convergent   the alpha^3 parts cancel: y_l a_(r+1) = x_l a_r
+      prefix       the alpha^3 part y_l a_(r+1) = x_l a_r reduces a_(r+1)/a_r
+                   to x_l/y_l: deg a_(r+1) > deg a_r >= 0, and expand_root
+                   on a_r X - a_(r+1) (Euclid) ends after exactly l quotients
       b-compat     the alpha^2 parts cancel: y_l b_(r+1) = x_l b_r
       W-shape      U, read off exactly (the 2x2 system in U, V has
                    determinant (-1)^(l+1)), is eps1 * (T^2+a)^k'
@@ -274,16 +273,14 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None, *,
     l = l_stated if l is None else l
     if l < 1:
         raise ValueError(f"l must be >= 1, got {l}")
-    direct = expand_root(quartic_state(field), l) if direct is None else direct
-    if direct.field != field or len(direct) < l:
-        raise DerivationError("prefix", f"no root expansion of {l} quotients over F_{p}")
-    prefix = ContinuedFraction(field, direct.quotients[:l])
     v0, v1 = frobenius_vectors(field, e)
-    xl, xl1, yl, yl1 = prefix.matrix(0, l)
-    if yl * v1.a != xl * v0.a:
-        raise DerivationError(
-            "convergent", "(a_(r+1), a_r) is not proportional to (x_l, y_l)"
-        )
+    if not v1.a.degree > v0.a.degree >= 0:  # the zero polynomial has degree -1
+        raise DerivationError("prefix", f"need deg a_(r+1) > deg a_r >= 0, got {v1.a.degree} and {v0.a.degree}")
+    prefix = expand_root(RootState((-v1.a, v0.a)), l + 1)
+    if len(prefix) != l:
+        raise DerivationError("prefix", f"a_(r+1)/a_r has {len(prefix)} quotients, not l = {l}" if len(prefix) < l
+                              else f"a_(r+1)/a_r does not end after l = {l} quotients")
+    xl, xl1, yl, yl1 = prefix.matrix()
     if yl * v1.b != xl * v0.b:
         raise DerivationError("b-compat", "(b_(r+1), b_r) is not proportional to (x_l, y_l)")
 
@@ -383,11 +380,11 @@ RESIDUAL_PRECISION = 100
 def verify_conjecture1(p: int, n: int) -> RelationVerdict:
     """Full check of the conjectured degree-p pattern for one prime.
 
-    Expands the root once, to max(n, l) quotients; derives the relation
-    from the first l (a DerivationError names the stage), normalizes (stage
-    prefix-form when a prefix quotient is not lambda*T), validates the
-    perfect-expansion conditions, and compares n generated quotients, mapped
-    back through T -> T/v, with the direct ones; finally the relation is
+    Derives the relation (a DerivationError names the stage), normalizes
+    (stage prefix-form when a prefix quotient is not lambda*T), validates
+    the perfect-expansion conditions, and compares n generated quotients,
+    mapped back through T -> T/v, with the root expansion's first n, which
+    is expanded for this comparison alone; finally the relation is
     re-checked as a series identity on as many generated quotients as that
     takes.  Any stage failure is reported as a finding, not raised; one
     past the derivation keeps the derived relation.
@@ -395,12 +392,10 @@ def verify_conjecture1(p: int, n: int) -> RelationVerdict:
     field = GF(p)
     if p % 3 != 1:
         raise ValueError(f"the degree-p relation needs p = 1 mod 3, got {p}")
-    l = _relation_shape(p)[1]
-    direct = expand_root(quartic_state(field), max(n, l))
     try:
-        derived = derive_frobenius_relation(p, direct=direct)
+        derived = derive_frobenius_relation(p)
     except DerivationError as exc:
-        return RelationVerdict(p, False, exc.stage, str(exc), l)
+        return RelationVerdict(p, False, exc.stage, str(exc), _relation_shape(p)[1])
 
     def failed(stage: str, detail: str, **fields) -> RelationVerdict:
         return replace(derived, passed=False, stage=stage, detail=detail, **fields)
@@ -413,12 +408,12 @@ def verify_conjecture1(p: int, n: int) -> RelationVerdict:
         cf = generate_perfect_expansion(spec, n)
     except (DeltaUndefinedError, DeltaMismatchError) as exc:
         return failed("perfect-conditions", str(exc))
-    compared = min(len(direct), n)
-    s = -derived.a % p
+    direct = expand_root(quartic_state(field), n)
+    compared, s = len(direct), -derived.a % p
     mapped = [beta_quotient_to_alpha(field, cf[j], j + 1, s) for j in range(compared)]
-    if mapped != list(direct.quotients[:compared]):
-        first_bad = next(j + 1 for j in range(compared) if mapped[j] != direct.quotients[j])
-        return failed("comparison", f"generated and direct expansions differ at index {first_bad}",
+    bad = next((j for j, (a, b) in enumerate(zip(mapped, direct), start=1) if a != b), None)
+    if bad:
+        return failed("comparison", f"generated and direct expansions differ at index {bad}",
                       compared_terms=compared)
 
     while True:
@@ -426,7 +421,7 @@ def verify_conjecture1(p: int, n: int) -> RelationVerdict:
             residual = relation_residual(cf, spec.relation(), RESIDUAL_PRECISION)
             break
         except InsufficientExpansion:  # the generator is cheap: regenerate a longer one
-            cf = generate_perfect_expansion(spec, 2 * max(len(cf), l))
+            cf = generate_perfect_expansion(spec, 2 * max(len(cf), derived.l))
     if residual != float("-inf"):
         return failed("residual", f"series residual at T^{residual}", compared_terms=compared)
     return replace(derived, compared_terms=compared, spec=spec)
@@ -435,18 +430,29 @@ def verify_conjecture1(p: int, n: int) -> RelationVerdict:
 def verify_conjecture2(p: int, *, l_override: Optional[int] = None) -> RelationVerdict:
     """Check alpha^(p^2) = eps1 * P_{k',a} * alpha_{l+1} + eps2 * Q_{k,a}^p
     for p = 2 mod 3 with (l, k', k) = ((p+1)^2/3, (p^2-1)/3, (p+1)/3), l
-    replaced by l_override when given: the verdict on
-    derive_frobenius_relation, which reports a DerivationError as a failing
-    verdict that names its stage.
+    replaced by l_override when given: derive_frobenius_relation's verdict (a
+    DerivationError names its stage), then its prefix against the root
+    expansion's first min(l, _direct_terms(p)) quotients (stage comparison).
     """
-    GF(p)  # the modulus is checked before its residue class
+    field = GF(p)  # the modulus is checked before its residue class
     if p % 3 != 2:
         raise ValueError(f"this relation shape needs p = 2 mod 3, got {p}")
     l = _relation_shape(p)[1] if l_override is None else l_override
     try:
-        return derive_frobenius_relation(p, l)
+        derived = derive_frobenius_relation(p, l)
     except DerivationError as exc:
         return RelationVerdict(p, False, exc.stage, str(exc), l)
+    direct = expand_root(quartic_state(field), min(l, _direct_terms(p)))
+    bad = next((j for j, (a, b) in enumerate(zip(derived.prefix, direct), start=1) if a != b), None)
+    if bad:
+        return replace(derived, passed=False, stage="comparison", compared_terms=len(direct),
+                       detail=f"derived and direct prefixes differ at index {bad}")
+    return replace(derived, compared_terms=len(direct))
+
+
+def _direct_terms(p: int) -> int:
+    """How many of the root expansion's quotients a verdict compares unless told: max(50, 2p)."""
+    return max(50, 2 * p)
 
 
 # -- approximation exponent ------------------------------------------------------------
@@ -471,11 +477,11 @@ def alpha_expansion(p: int, n: int) -> tuple:
 def quartic_expansion(p: int, n: int) -> tuple:
     """(cf, source): the first n quotients of alpha and the route's label.  For
     p = 1 mod 3, the generator behind a passing conj1 verdict that compared
-    max(50, 2p) of its quotients with the direct expansion (ValueError if it
-    fails); else alpha_expansion."""
+    _direct_terms(p) of its quotients with the direct expansion (ValueError
+    if it fails); else alpha_expansion."""
     if p % 3 != 1:
         return alpha_expansion(p, n)
-    verdict = verify_conjecture1(p, max(50, 2 * p))
+    verdict = verify_conjecture1(p, _direct_terms(p))
     if not verdict.passed:
         raise ValueError(f"perfect pattern not confirmed for p={p}: {verdict.detail}")
     cf = generate_perfect_expansion(verdict.spec, n)

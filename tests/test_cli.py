@@ -334,15 +334,16 @@ class TestVerifyCommands:
          ' "a": 4, "a_equals_8_27": true, "detail": ""}\n'),
         (["conj2", "--p", "5", "--l", "13"], 1,
          "conj2 p=5: FAIL  (l=13, k'=8, k=2)\n"
-         "  detail: convergent: (a_(r+1), a_r) is not proportional to (x_l, y_l)\n"),
+         "  detail: prefix: a_(r+1)/a_r has 12 quotients, not l = 13\n"),
         (["conj2", "--p", "5", "--l", "13", "--json"], 1,
          '{"p": 5, "pass": false, "l": 13, "k_prime": 8, "k": 2, "epsilon1": null, "epsilon2": null,'
          ' "a": null, "a_equals_8_27": null,'
-         ' "detail": "convergent: (a_(r+1), a_r) is not proportional to (x_l, y_l)"}\n'),
+         ' "detail": "prefix: a_(r+1)/a_r has 12 quotients, not l = 13"}\n'),
     ])
     def test_conjecture_stdout_is_pinned(self, argv, code, want):
         # the exact bytes of each conjecture command, text and JSON: a pass of
-        # each and conj2's failing control, whose detail names its stage
+        # each and conj2's failing control, whose detail names its stage (the
+        # prefix stage, whose Euclid of a_(r+1)/a_r ends after the true l = 12)
         assert run(["verify", *argv]) == (code, want)
 
     def test_conj2_pass(self):

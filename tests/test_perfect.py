@@ -29,6 +29,7 @@ from hqcf.perfect import (
     verify_prop1,
     verify_prop2,
 )
+from hqcf.laurent import Laurent
 from hqcf.polynomials import Polynomial
 from hqcf.quartic import derive_frobenius_relation, quartic_index, quartic_state, verify_conjecture2
 from hqcf.rootcf import RootState, expand_root
@@ -1362,6 +1363,67 @@ def conj2_holds_at_5():
     return v.passed
 
 
+def stage_under(name, target, fault, *args):
+    """The stage of quartic.<name>(*args), "" on a pass, with the global
+    target it reads replaced by fault(real target)."""
+    function = getattr(quartic, name)
+    namespace = function.__globals__  # a mutant's own namespace, once installed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(namespace, target, fault(namespace[target]))
+        try:
+            return function(*args).stage
+        except quartic.DerivationError as exc:
+            return exc.stage
+
+
+def plus_alpha_squared(real):
+    """A frobenius_vectors that adds alpha^2 to alpha^(r+1): the alpha^3
+    parts and the parts U and V are read from stay as they were."""
+    def shifted(field, e):
+        v0, v1 = real(field, e)
+        return v0, v1._replace(b=v1.b + Polynomial.one(field))
+
+    return shifted
+
+
+def altered_a5(real):
+    """An expand_root whose expansion of the quartic's root has a_5 + 1; the
+    derivation's Euclid, on a state of degree 1 in X, is left as it is."""
+    def altered(state, n):
+        cf = real(state, n)
+        if len(state.coeffs) == 2:
+            return cf
+        qs = list(cf.quotients)
+        qs[4] = qs[4] + Polynomial.one(cf.field)
+        return ContinuedFraction(cf.field, qs)
+
+    return altered
+
+
+def prefix_refuses_l_10_at_11():
+    """At p = 11 (l = 48) the Euclid of a_(r+1)/a_r does not end after 10
+    quotients, so l = 10 fails at the prefix stage."""
+    return verify_conjecture2(11, l_override=10).stage == "prefix"
+
+
+def b_compat_refuses():
+    """alpha^(r+1) + alpha^2 at p = 5 fails the b-compat stage alone."""
+    return stage_under("derive_frobenius_relation", "frobenius_vectors", plus_alpha_squared, 5) == "b-compat"
+
+
+def degree_stage_refuses():
+    """An alpha with no part above T^-1 fails the degree stage alone (p = 7)."""
+    def zero_series(real):
+        return lambda field, floor: Laurent.zero(field, floor)
+
+    return stage_under("derive_frobenius_relation", "alpha_series", zero_series, 7) == "degree"
+
+
+def conj2_comparison_refuses():
+    """conj2 at p = 5 fails its comparison when the root expansion's a_5 is altered."""
+    return stage_under("verify_conjecture2", "expand_root", altered_a5, 5) == "comparison"
+
+
 # maps (C, D, r, deg det) at the boundary of either emission inequality: for
 # M = [[1, 1 - T^5], [1, -T^5]] (det -1), M(x) = 1 + 1/(x - T^5) is 1 + T at
 # x = T^5 + 1/T, and for M = [[0, T^5], [1, 0]] (det -T^5), M(T^5) = 1; neither
@@ -1481,6 +1543,8 @@ class TestRelationEngine:
     # deg det < 2 deg C + r and the determinant, so only a map built by hand
     # tells the first inequality's <= apart.  The three twists by r are
     # told from twists by p only where r = p^2, so their checks run at p = 5.
+    # The derivation's prefix, b-compat and degree stages and conj2's
+    # comparison are each reached by a fault that only that check refuses.
     ENGINE_MUTANTS = {
         "wrong eps2": (perfect, "expand_from_relation", "-rel.Q.scaled(rel.eps2)",
                        "-rel.Q.scaled(rel.eps2 + 1)", quartic_matches_direct),
@@ -1502,6 +1566,16 @@ class TestRelationEngine:
                                        ".frobenius(cf.field.p)", residual_agrees_at_5),
         "derivation twists Q by p^e": (quartic, "derive_frobenius_relation", ".pow_frobenius(p ** (e - 1))",
                                        ".pow_frobenius(p**e)", conj2_holds_at_5),
+        "prefix asks for l, not l + 1, quotients": (quartic, "derive_frobenius_relation", "v0.a)), l + 1)",
+                                                    "v0.a)), l)", prefix_refuses_l_10_at_11),
+        "prefix length check dropped": (quartic, "derive_frobenius_relation", "if len(prefix) != l:",
+                                        "if False:", prefix_refuses_l_10_at_11),
+        "b-compat dropped": (quartic, "derive_frobenius_relation", "if yl * v1.b != xl * v0.b:",
+                             "if False:", b_compat_refuses),
+        "degree stage dropped": (quartic, "derive_frobenius_relation", "if lhs.truncate(top).degree() is None:",
+                                 "if False:", degree_stage_refuses),
+        "conj2 comparison dropped": (quartic, "verify_conjecture2", "if bad:", "if False:",
+                                     conj2_comparison_refuses),
     }
 
     @pytest.mark.parametrize("name", list(ENGINE_MUTANTS))

@@ -12,7 +12,7 @@ from hqcf.fields import GF, PrimeField
 from hqcf.laurent import Laurent
 from hqcf.perfect import relation_residual, generate_perfect_expansion
 from hqcf.polynomials import Polynomial
-from hqcf import quartic, rootcf
+from hqcf import quartic
 from hqcf.quartic import (
     DerivationError,
     RelationVerdict,
@@ -181,19 +181,19 @@ class TestDerivation:
         assert rem.is_zero() and not delta.is_zero()
         assert (vp1.a, vp.a) == (delta * xl, delta * yl)
 
-    def test_non_proportional_pair_fails_at_convergent(self, monkeypatch):
-        # 2 * alpha^(p+1) keeps b-compat, but (2 a_(p+1), a_p) is not
-        # delta * (x_l, y_l) for any delta
+    def test_non_proportional_pair_fails_at_prefix(self, monkeypatch):
+        # (a_(p+1) + 1, a_p) is not delta * (x_l, y_l) for any delta: its
+        # Euclid runs past l = 3 quotients
         real = quartic.frobenius_vectors
 
-        def doubled_last(field, e):
+        def shifted_last(field, e):
             v0, v1 = real(field, e)
-            return v0, type(v1)(*(c.scaled(2) for c in v1))
+            return v0, v1._replace(a=v1.a + Polynomial.one(field))
 
-        monkeypatch.setattr(quartic, "frobenius_vectors", doubled_last)
+        monkeypatch.setattr(quartic, "frobenius_vectors", shifted_last)
         with pytest.raises(DerivationError) as info:
             derive_frobenius_relation(7)
-        assert info.value.stage == "convergent"
+        assert (info.value.stage, str(info.value)) == ("prefix", "a_(r+1)/a_r does not end after l = 3 quotients")
 
     def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
         # alpha^(p+1) + 1 keeps the alpha^3/alpha^2 parts, so the derivation
@@ -211,11 +211,13 @@ class TestDerivation:
             assert info.value.stage in ("W-shape", "Q-shape")
 
     def test_zero_a_fails_the_w_shape(self, monkeypatch):
-        # an inverse read as 0 makes a = U_(2k-2) / (k eps1) zero: no (T^2 + a)^k' fits
-        direct = expand_root(quartic_state(F7), 3)
+        # an inverse read as 0 makes a = U_(2k-2) / (k eps1) zero: no (T^2 + a)^k' fits;
+        # the prefix, whose Euclid divides, is the real one
+        prefix = derive_frobenius_relation(7).prefix
+        monkeypatch.setattr(quartic, "expand_root", lambda state, n: prefix)
         monkeypatch.setattr(PrimeField, "inv", lambda self, x: 0)
         with pytest.raises(DerivationError) as info:
-            derive_frobenius_relation(7, direct=direct)
+            derive_frobenius_relation(7)
         assert (info.value.stage, str(info.value)) == ("W-shape", "eps1*P has no T^(2k-2) term, so a = 0")
 
     def test_wrong_residue_class_rejected(self):
@@ -318,13 +320,13 @@ class TestConjecture1:
         assert main(["verify", "conj1", "--p", "7"], out=io.StringIO()) == 1
 
     def test_direct_expansion_past_l_altered_fails_the_comparison(self, monkeypatch):
-        # only the n-quotient expansion is altered, at a_4 = a_(l+1); the
-        # derivation's l = 3 prefix is the real one
+        # only the root's n-quotient expansion is altered, at a_4 = a_(l+1);
+        # the derivation's l = 3 prefix, the Euclid of a linear state, is the real one
         real = quartic.expand_root
 
         def altered(state, n):
             cf = real(state, n)
-            if n <= 3:
+            if len(state.coeffs) == 2:
                 return cf
             qs = list(cf.quotients)
             qs[3] = qs[3] + Polynomial.one(cf.field)
@@ -341,15 +343,17 @@ class TestConjecture1:
         assert "  stage: comparison  detail: generated and direct expansions differ at index 4\n" in out.getvalue()
 
     def test_expands_the_root_once(self, monkeypatch):
-        # one expansion of max(n, l) quotients serves the derivation's l = 6
-        # prefix and the comparison
-        real, calls = rootcf.step, []
-        monkeypatch.setattr(rootcf, "step", lambda state: calls.append(1) or real(state))
+        # the quartic's root is expanded once, to the n compared quotients;
+        # the derivation's l = 6 prefix is the Euclid of a_(r+1)/a_r, asked
+        # for l + 1 quotients on the linear state a_r X - a_(r+1)
+        real, calls = quartic.expand_root, []
+        monkeypatch.setattr(quartic, "expand_root",
+                            lambda state, n: calls.append((len(state.coeffs) - 1, n)) or real(state, n))
         assert verify_conjecture1(13, 200).passed
-        assert len(calls) == 200
+        assert calls == [(1, 7), (4, 200)]
         calls.clear()
         assert verify_conjecture1(13, 4).passed
-        assert len(calls) == 6
+        assert calls == [(1, 7), (4, 4)]
 
     @pytest.mark.parametrize("n", [0, 1, 5])
     def test_n_below_l_is_a_verdict(self, n):
@@ -357,16 +361,6 @@ class TestConjecture1:
         v, ref = verify_conjecture1(13, n), verify_conjecture1(13, 60)
         assert (v.passed, v.stage, v.compared_terms) == (True, "", n)
         assert (v.eps1, v.eps2, v.a, v.spec) == (ref.eps1, ref.eps2, ref.a, ref.spec)
-
-    def test_direct_prefix_must_fit(self):
-        # a direct expansion over another field, or shorter than l, is the prefix stage
-        for direct in (expand_root(quartic_state(F7), 10), expand_root(quartic_state(F13), 5)):
-            with pytest.raises(DerivationError) as info:
-                derive_frobenius_relation(13, direct=direct)
-            assert (info.value.stage, str(info.value)) == ("prefix", "no root expansion of 6 quotients over F_13")
-        tr = derive_frobenius_relation(13, direct=expand_root(quartic_state(F13), 40))
-        assert tr.prefix == expand_root(quartic_state(F13), 6)
-        assert tr.relation == derive_frobenius_relation(13).relation
 
     def test_oddness_along_the_way(self):
         cf = expand_root(quartic_state(F13), 120)
@@ -414,19 +408,24 @@ class TestConjecture2:
     def test_p5_negative_control(self):
         v = verify_conjecture2(5, l_override=13)
         assert not v.passed
-        assert v.stage == "convergent"
+        assert (v.stage, v.detail) == ("prefix", "a_(r+1)/a_r has 12 quotients, not l = 13")
 
     def test_p11_negative_control(self):
         v = verify_conjecture2(11, l_override=49)
         assert not v.passed
 
     def test_expands_exactly_l_quotients(self, monkeypatch):
+        # the derivation asks the Euclid of a_(r+1)/a_r (degree 1 in X) for
+        # l + 1 quotients, to see it end after l; the comparison then expands
+        # the quartic's root (degree 4) to min(l, max(50, 2p)) = 12, and a
+        # failed derivation expands nothing more
         real = quartic.expand_root
-        lengths = []
-        monkeypatch.setattr(quartic, "expand_root", lambda state, n: lengths.append(n) or real(state, n))
+        calls = []
+        monkeypatch.setattr(quartic, "expand_root",
+                            lambda state, n: calls.append((len(state.coeffs) - 1, n)) or real(state, n))
         assert verify_conjecture2(5).passed
         assert not verify_conjecture2(5, l_override=13).passed
-        assert lengths == [12, 13]
+        assert calls == [(1, 13), (4, 12), (1, 14)]
 
     def test_wrong_residue_class(self):
         with pytest.raises(ValueError):
@@ -463,12 +462,10 @@ def _shift_vectors(change):
 
 # one way to reach each stage of derive_frobenius_relation, as (name, value) to monkeypatch
 STAGE_FAULTS = {
-    # one quotient short of l, also in conj1's expansion of max(n, l) quotients
-    "prefix": lambda: ("expand_root", lambda state, n: expand_root(
-        state, min(n, quartic._relation_shape(state.field.p)[1]) - 1)),
-    # 2 alpha^(r+1): (a_(r+1), a_r) is no longer proportional to (x_l, y_l)
-    "convergent": lambda: ("frobenius_vectors", _shift_vectors(
-        lambda v0, v1, one: (v0, type(v1)(*(c.scaled(2) for c in v1))))),
+    # a_(r+1) + 1: (a_(r+1), a_r) is no longer proportional to (x_l, y_l), so
+    # the Euclid of a_(r+1)/a_r does not end after l quotients
+    "prefix": lambda: ("frobenius_vectors", _shift_vectors(
+        lambda v0, v1, one: (v0, v1._replace(a=v1.a + one)))),
     # alpha^(r+1) + alpha^2: the alpha^3 parts still cancel, the alpha^2 parts do not
     "b-compat": lambda: ("frobenius_vectors", _shift_vectors(
         lambda v0, v1, one: (v0, v1._replace(b=v1.b + one)))),
@@ -481,6 +478,89 @@ STAGE_FAULTS = {
     # an alpha with no part above T^-1: y_l alpha^r + c has too low a degree
     "degree": lambda: ("alpha_series", lambda field, floor: Laurent.zero(field, floor)),
 }
+
+
+class TestBasisPrefix:
+    """The derivation's l-quotient prefix is the Euclidean expansion of
+    a_(r+1)/a_r, the alpha^3-coordinates of alpha^(r+1) and alpha^r, run by
+    expand_root on the linear state a_r X - a_(r+1)."""
+
+    @pytest.mark.parametrize("p", [7, 13, 19, 31, 5, 11, 17, 23, 29, 47])  # conj1, then conj2 primes
+    def test_prefix_is_the_root_expansions(self, p):
+        tr = derive_frobenius_relation(p)
+        assert len(tr.prefix) == tr.l
+        assert tr.prefix == expand_root(quartic_state(GF(p)), tr.l)
+
+    # c of a_r = c y_l^2 at p = 1 mod 3, against eps1: equal only at p = 13
+    C_AT_1_MOD_3 = {7: (2, 3), 13: (1, 1), 19: (7, 8), 31: (7, 22)}
+
+    @pytest.mark.parametrize("p", [7, 13, 19, 31, 5, 11, 17, 23, 29, 47])
+    def test_a_r_is_c_times_y_l_squared(self, p):
+        # an observation, not a verdict stage: (a_(r+1), a_r) = c y_l (x_l, y_l)
+        # with c in F_p^*, and c = eps1 at p = 2 mod 3
+        tr = derive_frobenius_relation(p)
+        F = GF(p)
+        v0, v1 = frobenius_vectors(F, quartic._relation_shape(p)[0])
+        x, _, y, _ = tr.prefix.matrix()
+        c = v0.a.leading_coefficient() * F.inv((y * y).leading_coefficient()) % p
+        assert c and (v0.a, v1.a) == ((y * y).scaled(c), (x * y).scaled(c))
+        if p % 3 == 2:
+            assert c == tr.eps1
+        else:
+            assert (c, tr.eps1) == self.C_AT_1_MOD_3[p]
+
+    @pytest.mark.parametrize("fault, detail", [
+        (lambda v0, v1: (v0._replace(a=v0.a.scaled(0)), v1), "need deg a_(r+1) > deg a_r >= 0, got 5 and -1"),
+        (lambda v0, v1: (v0._replace(a=v1.a), v1._replace(a=v0.a)), "need deg a_(r+1) > deg a_r >= 0, got 4 and 5"),
+    ], ids=["a_r-zero", "degrees-swapped"])
+    def test_a_pair_with_no_expansion_is_the_prefix_stage(self, fault, detail, monkeypatch):
+        # a DerivationError, so a failing verdict (exit 1), never a usage error (exit 2)
+        real = quartic.frobenius_vectors
+        monkeypatch.setattr(quartic, "frobenius_vectors", lambda field, e: fault(*real(field, e)))
+        with pytest.raises(DerivationError) as info:
+            derive_frobenius_relation(7)
+        assert (info.value.stage, str(info.value)) == ("prefix", detail)
+        assert main(["verify", "conj1", "--p", "7"], out=io.StringIO()) == 1
+        out = io.StringIO()
+        assert main(["verify", "conj2", "--p", "5"], out=out) == 1
+        assert "  detail: prefix: need deg a_(r+1) > deg a_r >= 0, got " in out.getvalue()
+
+    @pytest.mark.parametrize("p, l, detail", [
+        (5, 13, "a_(r+1)/a_r has 12 quotients, not l = 13"),
+        (11, 49, "a_(r+1)/a_r has 48 quotients, not l = 49"),
+        (5, 10**6, "a_(r+1)/a_r has 12 quotients, not l = 1000000"),  # no root expanded to l
+        (5, 11, "a_(r+1)/a_r does not end after l = 11 quotients"),
+        (11, 10, "a_(r+1)/a_r does not end after l = 10 quotients"),
+    ])
+    def test_an_expansion_of_another_length_is_the_prefix_stage(self, p, l, detail):
+        # a shorter one gives its true length, and a huge l costs nothing: the
+        # Euclid ends at the true l; a longer one is cut at l + 1 quotients
+        # and gives none
+        v = verify_conjecture2(p, l_override=l)
+        assert (v.passed, v.stage, v.detail, v.l, v.relation) == (False, "prefix", detail, l, None)
+
+    def test_conj2_compares_the_prefix_with_the_root_expansion(self, monkeypatch):
+        # min(l, max(50, 2p)) direct quotients: all 12 at p = 5, 58 of 300 at p = 29
+        assert verify_conjecture2(5).compared_terms == 12
+        assert verify_conjecture2(29).compared_terms == 58
+        real = quartic.expand_root
+
+        def altered(state, n):  # a_5 of the quartic's own expansion gains 1
+            cf = real(state, n)
+            if len(state.coeffs) == 2:
+                return cf
+            qs = list(cf.quotients)
+            qs[4] = qs[4] + Polynomial.one(cf.field)
+            return ContinuedFraction(cf.field, qs)
+
+        monkeypatch.setattr(quartic, "expand_root", altered)
+        v, derived = verify_conjecture2(5), derive_frobenius_relation(5)
+        assert (v.passed, v.stage, v.compared_terms) == (False, "comparison", 12)
+        assert v.detail == "derived and direct prefixes differ at index 5"
+        assert (v.relation, v.a, v.prefix) == (derived.relation, derived.a, derived.prefix)
+        out = io.StringIO()
+        assert main(["verify", "conj2", "--p", "5"], out=out) == 1
+        assert out.getvalue().endswith("  detail: comparison: derived and direct prefixes differ at index 5\n")
 
 
 class TestRelationVerdict:
@@ -513,7 +593,7 @@ class TestRelationVerdict:
 
         assert row(derived) == (7, True, "", "", 3, 2, 2, 3, 5, 6, True, 7, 3, 0)
         assert row(v1) == (7, True, "", "", 3, 2, 2, 3, 5, 6, True, 7, 3, 50)
-        assert row(v2) == (5, True, "", "", 12, 8, 2, 4, 3, 4, True, 25, 12, 0)
+        assert row(v2) == (5, True, "", "", 12, 8, 2, 4, 3, 4, True, 25, 12, 12)
         assert v1.spec is not None and derived.spec is v2.spec is None
 
 
@@ -565,8 +645,8 @@ class TestDerivationStages:
         # normalize_to_beta refuses a prefix quotient that is not lambda*T
         real = quartic.derive_frobenius_relation
 
-        def bent(p, **kwargs):
-            tr = real(p, **kwargs)
+        def bent(p):
+            tr = real(p)
             qs = list(tr.prefix.quotients)
             qs[1] = qs[1] + Polynomial.one(tr.prefix.field)
             return dataclasses.replace(tr, prefix=ContinuedFraction(tr.prefix.field, qs))
