@@ -470,7 +470,7 @@ def alpha_expansion(p: int, n: int) -> tuple:
     except DerivationError:
         return expand_root(state, n), "direct root expansion"
     rel = derived.relation
-    source = f"Frobenius relation of degree r = {rel.r} past the root expansion's first {rel.l} quotients"
+    source = f"Frobenius relation of degree r = {rel.r} past its prefix, the {rel.l} quotients of a_(r+1)/a_r"
     return expand_from_relation(derived.prefix, rel, n), source
 
 

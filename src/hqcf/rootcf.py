@@ -14,7 +14,8 @@ A state keeps its coefficients as int64 numpy arrays of residues mod p
 from its construction to the end of the expansion; a Polynomial is built
 only for each quotient, and for RootState.coeffs when it is read.  A step reads the quotient off
 the top coefficients of a_{n-1} and a_n, and the Taylor shift
-P(X) -> P(X + q) is a triangle of convolutions on the arrays.
+P(X) -> P(X + q) is synthetic division on the arrays, reduced mod p once
+per row while its unreduced sums fit int64 and after every product past that.
 
 An independent slow oracle is provided for cross-checking: cf_from_series
 takes the certified prefix of the Euclidean continued fraction of a root's
@@ -99,42 +100,62 @@ def _top_quotient(field: PrimeField, a, b) -> Polynomial:
     return _poly(field, a[s:]) // _poly(field, b[s:])
 
 
+def _sums_fit_int64(p: int, terms: int, n: int) -> bool:
+    """Whether the Taylor shift of an X-degree n state by a quotient of
+    `terms` coefficients stays inside int64 with no reduction before the end:
+    (p-1) * (1 + terms*(p-1))^n < 2^62 bounds every unreduced sum."""
+    return (p - 1) * (1 + terms * (p - 1)) ** n < (1 << 62)
+
+
+def _reduced(s, p: int):
+    """s mod p as a canonical residue array: no trailing zeros."""
+    s = s % p
+    top = len(s)
+    while top and not s[top - 1]:
+        top -= 1
+    return s[:top]
+
+
 def _taylor_shift(t, q: tuple, p: int) -> list:
     """X-coefficients of P(X + q), where P = sum t[i] * X^i over F_p[T].
 
-    t holds canonical residue arrays, which are not modified; q is the
-    coefficient tuple of a polynomial.  Synthetic division: for j < n, for
-    k = n-1 .. j, t_k += q * t_{k+1}, each one convolution, one add and one
-    reduction mod p.  A product of two canonical arrays keeps a nonzero
-    top (F_p has no zero divisors), so only a sum of two equal-length
-    arrays is stripped of trailing zeros.  A convolution sums at most
-    len(q) products, so one _fits_int64 check covers the triangle; past it
-    (millions of coefficients at p <= MAX_MODULUS) it is an OverflowError.
+    t holds canonical residue arrays, t[-1] nonzero, which are not modified;
+    q is the coefficient tuple of a polynomial.  Synthetic division: for
+    j < n, for k = n-1 .. j, t_k += q * t_{k+1}, each product one
+    np.correlate with q reversed; q * t_n is the same in every pass and is
+    computed once.  With nonnegative residues every intermediate value is a
+    partial sum of the unreduced t_k = sum C(i,k) q^(i-k) t_i, so when
+    _sums_fit_int64 holds each row is reduced mod p and stripped of trailing
+    zeros once, at the end.  Otherwise each sum is reduced as it is made,
+    which may strip a row to nothing: a product sums at most len(q) terms,
+    so one _fits_int64 check covers it, and past it (millions of
+    coefficients at p <= MAX_MODULUS) it is an OverflowError.
     """
     if not q:
         return list(t)
-    if not _fits_int64(p, len(q)):
-        raise OverflowError(f"quotient of degree {len(q) - 1} overflows int64 at p = {p}")
-    qa = np.array(q, dtype=np.int64)
-    t = list(t)
     n = len(t) - 1
+    once = _sums_fit_int64(p, len(q), n)
+    if not once and not _fits_int64(p, len(q)):
+        raise OverflowError(f"quotient of degree {len(q) - 1} overflows int64 at p = {p}")
+    q_rev = np.array(q[::-1], dtype=np.int64)
+    t = list(t)
+    top = np.correlate(t[n], q_rev, "full")
     for j in range(n):
         for k in range(n - 1, j - 1, -1):
             hi, lo = t[k + 1], t[k]
-            if not len(hi):
+            if k == n - 1:
+                s = top.copy()
+            elif len(hi):
+                s = np.correlate(hi, q_rev, "full")
+            else:
                 continue
-            s = np.convolve(qa, hi)
             if len(s) < len(lo):
-                s = np.concatenate(((s + lo[: len(s)]) % p, lo[len(s):]))
+                s = np.concatenate((s + lo[: len(s)], lo[len(s):]))
             else:
                 s[: len(lo)] += lo
-                s %= p
-                if len(s) == len(lo):
-                    top = len(s)
-                    while top and not s[top - 1]:
-                        top -= 1
-                    s = s[:top]
-            t[k] = s
+            t[k] = s if once else _reduced(s, p)
+    if once:
+        t[:n] = [_reduced(s, p) for s in t[:n]]
     return t
 
 

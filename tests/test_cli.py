@@ -423,7 +423,7 @@ class TestExponentCommand:
         assert code == 0
         d = json.loads(out)
         assert d["nu0_closed"] is None
-        assert d["source"] == "Frobenius relation of degree r = 25 past the root expansion's first 12 quotients"
+        assert d["source"] == "Frobenius relation of degree r = 25 past its prefix, the 12 quotients of a_(r+1)/a_r"
 
     def test_relation_route_input_past_the_cap_is_usage_error(self, monkeypatch, capsys):
         # at p = 5 the route reads a_14(T^25), of degree 25 * 41 = 1025, by n = 130
@@ -443,7 +443,7 @@ class TestExponentCommand:
         relation = json.loads(out)
         assert code == 0
         assert relation.pop("source") == (
-            "Frobenius relation of degree r = 25 past the root expansion's first 12 quotients")
+            "Frobenius relation of degree r = 25 past its prefix, the 12 quotients of a_(r+1)/a_r")
 
         def fail(p, **kwargs):
             raise quartic.DerivationError("degree", "refused for the test")

@@ -9,8 +9,9 @@ la*lb), the numpy division (divisor degree >= 128 and quotient length >=
 monkeypatching.  The continuant step a*x + x' (_mul_add), fused for
 monomial quotients, is checked against the plain recurrence over
 galoistools.  The root expansion's two array kernels, the top-coefficient
-quotient and the Taylor shift, are tested the same way; the shift refuses
-where the guard fails.
+quotient and the Taylor shift, are tested the same way; the shift is
+checked on both sides of _sums_fit_int64 (one reduction mod p per row, or
+one per product) and refuses where the guard fails too.
 
 galoistools stores a polynomial as a list of coefficients in [0, p),
 highest degree first; Polynomial stores them lowest degree first.  Every
@@ -35,6 +36,7 @@ from hqcf.cf import ContinuedFraction  # noqa: E402
 from hqcf.fields import GF, PrimeField  # noqa: E402
 from hqcf.laurent import Laurent, divide  # noqa: E402
 from hqcf.polynomials import Polynomial  # noqa: E402
+from test_perfect import mutated  # noqa: E402
 
 PRIMES = [3, 5, 7, 13, 97, 65537, 999983]
 
@@ -327,6 +329,26 @@ def check_taylor_shift(p, coeffs, q):
     assert [to_gf(g) for g in got] == want
 
 
+# 3000 * (1 + 2*3000)^4 < 2^62 <= 3000 * (1 + 3*3000)^4
+AT_THE_BOUND = 3001
+
+
+def all_top_case(terms):
+    """A quartic state and a quotient of `terms` coefficients, every
+    coefficient p - 1 = 3000, at p = AT_THE_BOUND; the states are 12 long,
+    so q^4 * t_4 sums all terms^4 products in its middle coefficients."""
+    p = AT_THE_BOUND
+    return p, [[p - 1] * 12] * 5, [p - 1] * terms
+
+
+def shift_agrees(p, coeffs, q):
+    try:
+        check_taylor_shift(p, coeffs, q)
+    except AssertionError:
+        return False
+    return True
+
+
 class TestTaylorShift:
     @given(shift_case())
     @settings(max_examples=120, deadline=None)
@@ -334,19 +356,22 @@ class TestTaylorShift:
         check_taylor_shift(*case)
 
     def test_refuses_past_the_int64_guard(self):
-        # the guard is asked about the longest product sum, len(q) terms
+        # past both bounds; the guard is asked about the longest product
+        # sum, len(q) terms
         asked = []
 
         def does_not_fit(modulus, terms):
             asked.append((modulus, terms))
             return False
 
-        arrays = [np.array([1], dtype=np.int64), np.array([0, 1], dtype=np.int64)]
+        p = 999983
+        arrays = [np.array(c, dtype=np.int64) for c in ([1], [1], [0, 1])]
+        assert not rootcf._sums_fit_int64(p, 3, 2)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(rootcf, "_fits_int64", does_not_fit)
             with pytest.raises(OverflowError, match="overflows int64"):
-                rootcf._taylor_shift(arrays, (0, 0, 5), 13)
-        assert asked == [(13, 3)]
+                rootcf._taylor_shift(arrays, (0, 0, 5), p)
+        assert asked == [(p, 3)]
 
     def test_zero_coefficients_and_zero_shift(self):
         F = GF(13)
@@ -363,6 +388,39 @@ class TestTaylorShift:
         terms = (1 << 62) // ((p - 1) * (p - 1))
         assert polynomials._fits_int64(p, terms)
         assert not polynomials._fits_int64(p, terms + 1)
+
+    @pytest.mark.parametrize("p, n, terms", [(13, 4, 2074), (AT_THE_BOUND, 4, 2), (999983, 2, 2),
+                                             (999983, 1, 4611852), (65537, 4, 0)])
+    def test_sum_bound(self, p, n, terms):
+        # (p-1) * (1 + terms*(p-1))^n < 2^62: one reduction per row up to
+        # `terms` quotient coefficients, one per product past it
+        assert rootcf._sums_fit_int64(p, terms, n)
+        assert not rootcf._sums_fit_int64(p, terms + 1, n)
+
+    @pytest.mark.parametrize("terms", [2, 3], ids=["per-row", "per-product"])
+    def test_all_top_residues_at_the_sum_bound(self, terms):
+        # q of degree 1 reduces once per row, of degree 2 once per product;
+        # unreduced, the latter's q^4 * t_4 alone would wrap int64
+        p, coeffs, q = all_top_case(terms)
+        assert rootcf._sums_fit_int64(p, len(q), 4) == (terms == 2)
+        assert ((p - 1) ** 5 * terms**4 >= 1 << 63) == (terms == 3)
+        check_taylor_shift(p, coeffs, q)
+
+    # what breaks, each checked at the sum bound: (the text of _taylor_shift,
+    # its replacement, and the quotient length whose shift then disagrees
+    # with galoistools)
+    SHIFT_MUTANTS = {
+        "bound's exponent n - 1": ("_sums_fit_int64(p, len(q), n)", "_sums_fit_int64(p, len(q), n - 1)", 3),
+        "per-row reduction dropped": ("t[:n] = [_reduced(s, p) for s in t[:n]]", "pass", 2),
+        "cached q * t_n updated in place": ("s = top.copy()", "s = top", 2),
+    }
+
+    @pytest.mark.parametrize("name", list(SHIFT_MUTANTS))
+    def test_mutant_is_killed(self, name, monkeypatch):
+        old, new, terms = self.SHIFT_MUTANTS[name]
+        assert shift_agrees(*all_top_case(terms))
+        monkeypatch.setattr(rootcf, "_taylor_shift", mutated(rootcf, "_taylor_shift", old, new))
+        assert not shift_agrees(*all_top_case(terms))
 
 
 class TestTopQuotient:
