@@ -1,8 +1,12 @@
 """Continued fractions with polynomial partial quotients, and scalar
 continued fractions in F_p.
 
-A ContinuedFraction holds the partial quotients [a_1, a_2, ..., a_n].  The
-continuant sequences (x_i), (y_i) both satisfy K_i = a_i*K_{i-1} + K_{i-2}
+A ContinuedFraction holds the partial quotients [a_1, a_2, ..., a_n] in one
+form, a_n = lambda_n * A_{i(n)} over a tower of levels A_i: the closed form
+of the paper's perfect expansions, and for any other expansion the tower of
+its own quotients, with every lambda 1 and i(n) = n - 1.
+
+The continuant sequences (x_i), (y_i) both satisfy K_i = a_i*K_{i-1} + K_{i-2}
 (x_0 = 1, x_1 = a_1; y_0 = 0, y_1 = 1), give the convergents x_i/y_i, and
 obey the determinant identity x_i*y_{i-1} - x_{i-1}*y_i = (-1)^i.
 
@@ -62,9 +66,11 @@ def running_scalar_cf(field, heads: Sequence[int]) -> list:
 
 
 class ContinuedFraction:
-    """Partial quotients [a_1, ..., a_n], held either as polynomials or, for
-    a generated perfect expansion, symbolically: a_n = lambdas[n-1] *
-    tower[indices[n-1]].  A symbolic expansion builds its quotients on
+    """Partial quotients [a_1, ..., a_n] with a_n = lambdas[n-1] *
+    tower[indices[n-1]].  ContinuedFraction(field, quotients) is the
+    explicit case: the tower is the quotients themselves, every lambda is 1
+    and indices are 0..n-1.  A symbolic expansion (a generated perfect
+    expansion, a predicted Prop. 1/2 expansion) builds its quotients on
     first use of `quotients`, one Polynomial per distinct (index, lambda)
     pair shared by every position that carries it, and keeps them; its
     length and degrees never need them."""
@@ -73,10 +79,11 @@ class ContinuedFraction:
 
     def __init__(self, field, quotients: Sequence[Polynomial]):
         self.field = field
-        self._quotients = tuple(quotients)
-        if any(q.field != field for q in self._quotients):
+        self._quotients = self.tower = tuple(quotients)
+        if any(q.field != field for q in self.tower):
             raise ValueError(f"every partial quotient must be over {field}")
-        self.perfect_type = self.tower = self.lambdas = self.indices = None
+        self.lambdas, self.indices = (1,) * len(self.tower), range(len(self.tower))
+        self.perfect_type = None
 
     @classmethod
     def symbolic(
@@ -100,7 +107,7 @@ class ContinuedFraction:
         return self._quotients
 
     def __len__(self):
-        return len(self.quotients) if self.tower is None else len(self.indices)
+        return len(self.indices)
 
     def __iter__(self):
         return iter(self.quotients)
@@ -116,21 +123,12 @@ class ContinuedFraction:
         )
 
     def __repr__(self):
-        if self._quotients is None:
-            tower = self.tower
-            head = [tower[i].scaled(c) for i, c in zip(self.indices[:8], self.lambdas[:8])]
-        else:
-            head = self._quotients[:8]
-        inner = ", ".join(q.format() for q in head)
-        if len(self) > 8:
-            inner += ", ..."
-        return f"[{inner}]"
+        head = (self.tower[i].format(c) for i, c in zip(self.indices[:8], self.lambdas[:8]))
+        return f"[{', '.join(head)}{', ...' if len(self) > 8 else ''}]"
 
     def degrees(self) -> list:
-        if self.tower is not None:
-            level_degrees = [a.degree for a in self.tower]
-            return list(map(level_degrees.__getitem__, self.indices))
-        return [q.degree for q in self.quotients]
+        level_degrees = [a.degree for a in self.tower]
+        return list(map(level_degrees.__getitem__, self.indices))
 
     def continuants(self):
         """Both continuant sequences (x_0..x_n, y_0..y_n).

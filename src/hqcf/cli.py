@@ -134,71 +134,54 @@ def parse_polynomial(text: str, field: PrimeField) -> list:
 
 def _annotation_top(p: int, k: int | None, max_deg: int) -> int:
     """The last j of the A[j,k] the annotations may name, or -1 without k:
-    A_0, A_1, ... while the degree is below max_deg and still rises, at
-    most 40 levels, of which A_0 and those of degree at most max_deg, the
-    only ones a quotient can match, are named.  The degrees come from
-    a_degree; no level is built."""
+    the number of j >= 1 with deg A_(j,k) <= max_deg, read off a_degree,
+    or 0 at 2k = p - 1, where every level is T = A_0.  No level is built."""
     if k is None:
         return -1
-    degrees = [1]
-    while degrees[-1] < max_deg and len(degrees) < 40:
-        d = a_degree(p, k, len(degrees))
-        if d <= degrees[-1]:
-            break
-        degrees.append(d)
-    return sum(d <= max_deg for d in degrees[1:])
-
-
-def _annotation_index(field, k: int | None, max_deg: int) -> dict:
-    """{A_j: j} for the levels _annotation_top names, built by one
-    a_sequence call.  The entries are monic and have distinct degrees, so a
-    quotient q is c*A_j exactly when q.monic() == A_j, with c = lc(q): one
-    lookup keyed on the monic quotient."""
-    top = _annotation_top(field.p, k, max_deg)
-    return {a: j for j, a in enumerate(a_sequence(field, k, top))} if top >= 0 else {}
+    if 2 * k == p - 1:
+        return 0
+    top = 0
+    while a_degree(p, k, top + 1) <= max_deg:
+        top += 1
+    return top
 
 
 def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     """Write cf once: one JSON object, or lines "a_n = q" with q annotated
     "[= c*A[j,k]]" when it is c*A_(j,k).
 
-    A symbolic expansion is written straight from its tower: the text of
-    lambda*A_i comes from A_i's coefficients (Polynomial.format and
-    to_json_text with c = lambda), once per distinct pair (i, lambda), and
-    no lambda*A_i polynomial is built.  The pairs are rendered grouped by
-    i, so A_i's shared work (its terms, or its distinct coefficient values)
-    is dropped before the next A_i.  lambda*A_i is named by its index: the
-    named levels have distinct degrees, so A_i can only be A_j for j = i,
-    except that every level of degree 1 is T = A_0 (at 2k = p - 1 all are).
-    The output goes to out in pieces, one per quotient.
+    cf is written straight from its tower: the text of lambda*L, for a
+    level L, comes from L's coefficients (Polynomial.format and
+    to_json_text with c = lambda), once per distinct pair (L, lambda), and
+    no lambda*L polynomial is built.  The pairs are rendered grouped by
+    level, so L's shared work (its terms, or its distinct coefficient
+    values) is dropped before the next level.  The text names A_0 ..
+    A_top, which have distinct degrees: L is named j, with c = lambda*lc(L),
+    when A_j has L's degree and L.monic() == A_j, tested first as L is A_j
+    and L == A_j, so that no generated level is compared in full or scaled
+    (at 2k = p - 1 each of its levels is a T of its own).  A generated
+    expansion names its own tower's levels; any other builds them with one
+    a_sequence call.  The output goes to out in pieces, one per quotient.
     """
-    field, A = cf.field, cf.tower
-
-    def render(f, c: int, shared, lc: int, j: int | None) -> str:
-        if as_json:
-            return f.to_json_text(c, shared)
-        text = f.format(c, shared)
-        return text if j is None else f"{text}  [= {lc}*A[{j},k]]"
-
-    if A is None:
-        named = {} if as_json else _annotation_index(field, k, max(cf.degrees(), default=1))
-        degrees = {a.degree for a in named}  # a quotient is looked up only where it can match
-        parts = [
-            render(q, 1, None, q.leading_coefficient(),
-                   named.get(q.monic()) if q.degree in degrees else None)
-            for q in cf.quotients
-        ]
-    else:
-        max_deg = max((A[i].degree for i in set(cf.indices)), default=1)
-        top = -1 if as_json else _annotation_top(field.p, k, max_deg)
-        texts = {}
-        for i, pairs in groupby(sorted(set(zip(cf.indices, cf.lambdas))), key=operator.itemgetter(0)):
-            a = A[i]
-            shared = set(a.coeffs) if as_json else a.terms()
-            j = 0 if top >= 0 and a.degree == 1 else i if i <= top else None
-            for _, c in pairs:
-                texts[i, c] = render(a, c, shared, c, j)
-        parts = map(texts.__getitem__, zip(cf.indices, cf.lambdas))
+    field, tower = cf.field, cf.tower
+    max_deg = max((tower[i].degree for i in set(cf.indices)), default=1)
+    top = -1 if as_json else _annotation_top(field.p, k, max_deg)
+    levels = (() if top < 0 else tower[: top + 1] if cf.perfect_type is not None
+              else a_sequence(field, k, top))
+    named = {a.degree: (j, a) for j, a in enumerate(levels)}
+    texts = {}
+    for i, pairs in groupby(sorted(set(zip(cf.indices, cf.lambdas))), key=operator.itemgetter(0)):
+        level = tower[i]
+        j, a = named.get(level.degree, (None, None))
+        if a is not None and not (level is a or level == a or level.monic() == a):
+            j = None
+        shared = set(level.coeffs) if as_json else level.terms()
+        for _, c in pairs:
+            text = level.to_json_text(c, shared) if as_json else level.format(c, shared)
+            if j is not None:
+                text += f"  [= {c * level.leading_coefficient() % field.p}*A[{j},k]]"
+            texts[i, c] = text
+    parts = map(texts.__getitem__, zip(cf.indices, cf.lambdas))
     write = out.write
     if as_json:
         write(f'{{"p": {field.p}, "pq": [')
@@ -389,7 +372,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_expand)
     p_expand.add_argument("--quartic", action="store_true",
                           help="use -X^4/12 - T*X^3 + X^2 + 1 (inverse root of the quartic); past its"
-                               " first l quotients, expanded from the Frobenius relation derived from them")
+                               " first l quotients, expanded from the Frobenius relation derived from the"
+                               " power basis (alpha^r, alpha^(r+1)), whose l-quotient prefix is the"
+                               " Euclid of a_(r+1)/a_r")
     p_expand.add_argument("--poly", type=str, help="polynomial in X and T, e.g. 'X^2 - T*X + 1'")
     p_expand.add_argument("--k", type=int, help="annotate quotients against A[i,k]")
     p_expand.set_defaults(run=cmd_expand)

@@ -593,9 +593,10 @@ def _certify_blocks(predicted: ContinuedFraction, at_k: _AtK, at_i: _AtI):
     and the reversal identity is num P_i X' = -4 k^2 theta^2 den X.  Here
     num P_i = P_k(T^p) and den = Q_k(T^p), and T -> T^p is an injective ring
     map fixing F_p, so these are P_k y = Q_k x and P_k x' = -4 k^2 theta^2 Q_k x
-    at k: Prop. 1's two verdicts, which at_k holds.  A list (its indices are
-    None), a zero lambda, another tower, a broken shape, a failed R1-R4 or a
-    failed equation certifies neither verdict.
+    at k: Prop. 1's two verdicts, which at_k holds.  An explicit list (its
+    indices 0..n-1 never have the shape), a zero lambda, another tower, a
+    broken shape, a failed R1-R4 or a failed equation certifies neither
+    verdict.
     """
     p, t = predicted.field.p, at_i.t
     v_k, v_i = at_k.family.v, np.array(at_i.family.v, dtype=np.int64)

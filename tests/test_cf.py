@@ -1,3 +1,4 @@
+import io
 import random
 
 import pytest
@@ -14,7 +15,8 @@ from hqcf.cf import (
     running_scalar_cf,
 )
 from hqcf.fields import GF
-from hqcf.perfect import pq_polynomials
+from hqcf.cli import _print_expansion
+from hqcf.perfect import ExpansionSpec, a_sequence, generate_perfect_expansion, pq_polynomials
 from hqcf.polynomials import Polynomial
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
@@ -317,3 +319,55 @@ class TestSerialization:
         assert cf.field == F13 and len(cf) == 0
         assert cf == ContinuedFraction(F13, [])
         assert cf.to_json_dict() == {"p": 13, "pq": []}
+
+
+def rendered(cf, as_json, k):
+    out = io.StringIO()
+    _print_expansion(cf, as_json, k, out)
+    return out.getvalue()
+
+
+class TestOneRepresentation:
+    """ContinuedFraction(field, quotients) is the symbolic expansion over the
+    tower of its own quotients, every lambda 1 and indices 0..n-1, and agrees
+    with the same quotients held symbolically on everything but the form."""
+
+    @staticmethod
+    def cases():
+        """(symbolic cf, k): a generated expansion (its tower named by the
+        printer itself), 2k = p - 1 (every level T), a symbolic expansion
+        with no perfect type (its levels named by a_sequence) and an empty
+        one."""
+        rng = random.Random(7)
+        at_7_3 = a_sequence(F7, 3, 2)
+        at_13_4 = a_sequence(F13, 4, 2)
+        return [
+            (generate_perfect_expansion(ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 200), 2),
+            (ContinuedFraction.symbolic(
+                F7, at_7_3, [rng.randrange(1, 7) for _ in range(12)], [2, 1, 0] * 4), 3),
+            (ContinuedFraction.symbolic(
+                F13, at_13_4, [rng.randrange(1, 13) for _ in range(20)], [0, 1, 0, 2, 1] * 4), 4),
+            (ContinuedFraction.symbolic(F13, at_13_4, [], []), 4),
+        ]
+
+    def test_explicit_form(self):
+        qs = [poly(F7, 0, 1), poly(F7, 3, 0, 2)]
+        cf = ContinuedFraction(F7, qs)
+        assert (cf.tower, cf.lambdas, list(cf.indices)) == (tuple(qs), (1, 1), [0, 1])
+
+    def test_the_two_forms_agree(self):
+        for symbolic, k in self.cases():
+            field = symbolic.field
+            explicit = ContinuedFraction(
+                field, [symbolic.tower[i].scaled(c) for i, c in zip(symbolic.indices, symbolic.lambdas)]
+            )
+            case = (field.p, k, len(symbolic))
+            assert len(explicit) == len(symbolic), case
+            assert explicit.degrees() == symbolic.degrees(), case
+            assert repr(explicit) == repr(symbolic), case
+            for as_json in (False, True):
+                for kk in (None, k):
+                    assert rendered(explicit, as_json, kk) == rendered(symbolic, as_json, kk), case
+            # the symbolic quotients are built last: every check above ran without them
+            assert explicit.quotients == symbolic.quotients, case
+            assert explicit.matrix() == symbolic.matrix(), case

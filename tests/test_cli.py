@@ -104,6 +104,24 @@ class TestParsePolynomial:
 
 
 class TestExpandCommand:
+    def test_quartic_help_names_the_power_basis_route(self):
+        # the quotients past l come from the relation derived from (alpha^r,
+        # alpha^(r+1)), whose l-quotient prefix is the Euclid of a_(r+1)/a_r
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        help_text = next(a.help for a in sub.choices["expand"]._actions if "--quartic" in a.option_strings)
+        assert "power basis (alpha^r, alpha^(r+1))" in help_text
+        assert "prefix is the Euclid of a_(r+1)/a_r" in help_text
+        assert "derived from them" not in help_text
+
+    def test_extremal_k_names_every_quotient_a0(self):
+        # 2k = p - 1: every A_(j,3) at p = 7 is T, named A[0,k]
+        code, out = run(["expand", "--poly", "X^2 - T*X + 1", "--p", "7", "--n", "6", "--k", "3"])
+        assert code == 0
+        assert out.splitlines() == [
+            "a_1 = T  [= 1*A[0,k]]", "a_2 = 6*T  [= 6*A[0,k]]", "a_3 = T  [= 1*A[0,k]]",
+            "a_4 = 6*T  [= 6*A[0,k]]", "a_5 = T  [= 1*A[0,k]]", "a_6 = 6*T  [= 6*A[0,k]]",
+        ]
+
     def test_quartic_p13(self):
         code, out = run(["expand", "--quartic", "--p", "13", "--n", "6"])
         assert code == 0

@@ -158,18 +158,6 @@ class TestValueSeries:
             cf.value_series(-200)
 
 
-def _load_workloads():
-    """perfbench/workloads.py, the benchmark's seeded spec generator."""
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def spec_with_indices(rng, p, l, k, indices):
     """A valid type (p, l, k) spec with prescribed prefix indices: draw the
     lambdas and eps2 until every delta_n exists, then solve eps1 from the
@@ -193,22 +181,18 @@ def spec_with_indices(rng, p, l, k, indices):
 def reference_render(cf, k, as_json):
     """The printer before symbolic quotients: every quotient built,
     formatted and matched against A[i,k] line by line, with the tower
-    rebuilt by generic division (A_i^p // P_k) at every level."""
+    built by generic division, A_(i+1) = A_i^p // P_k."""
     field = cf.field
     if as_json:
         return json.dumps({"p": field.p, "pq": [q.to_json_dict() for q in cf.quotients]}) + "\n"
     A = []
-    if k is not None and 2 * k < field.p:
+    if k is not None:
+        # the levels whose degree rises and stays within the quotients'
         P, _ = perfect.pq_polynomials(field, k)
         max_deg = max((q.degree for q in cf.quotients), default=1)
         A = [Polynomial.x(field)]
-        while A[-1].degree < max_deg and len(A) < 40:
-            nxt = [Polynomial.x(field)]
-            for _ in range(len(A)):
-                nxt.append(nxt[-1].pow_frobenius() // P)
-            if nxt[-1].degree <= A[-1].degree:
-                break
-            A = nxt
+        while A[-1].degree < (nxt := A[-1].pow_frobenius() // P).degree <= max_deg:
+            A.append(nxt)
     lines = []
     for n, q in enumerate(cf.quotients, start=1):
         note = ""
@@ -242,14 +226,14 @@ def generated(spec, n):
 
 
 class TestSymbolicPrinter:
-    # (p, l, k, prefix indices or None, n); 2k = p - 1 for (7, 2, 3) and
+    # (p, l, k, prefix indices, n); 2k = p - 1 for (7, 2, 3) and
     # (11, 1, 5).  At p = 101 the index stays <= 2 for n <= 13 (A_2 has
     # degree 9997), and n = 0 prints an empty expansion.
     CASES = [
-        (7, 3, 2, None, 400), (5, 2, 1, None, 400), (13, 2, 3, None, 400),
-        (7, 2, 3, None, 400), (11, 1, 5, None, 400), (7, 3, 2, (1, 0, 2), 400),
-        (5, 1, 1, (3,), 400), (7, 2, 3, (2, 1), 400), (101, 1, 1, None, 13),
-        (7, 3, 2, None, 0),
+        (7, 3, 2, (0, 0, 0), 400), (5, 2, 1, (0, 0), 400), (13, 2, 3, (0, 0), 400),
+        (7, 2, 3, (0, 0), 400), (11, 1, 5, (0,), 400), (7, 3, 2, (1, 0, 2), 400),
+        (5, 1, 1, (3,), 400), (7, 2, 3, (2, 1), 400), (101, 1, 1, (0,), 13),
+        (7, 3, 2, (0, 0, 0), 0),
     ]
 
     @pytest.fixture(scope="class")
@@ -257,15 +241,8 @@ class TestSymbolicPrinter:
         """[(spec, n)] for the CASES, in order."""
         import random
 
-        workloads = _load_workloads()
         rng = random.Random("printer")
-        out = []
-        for p, l, k, indices, n in self.CASES:
-            if indices is None:
-                out.append((workloads.random_perfect_spec(rng, p, l, k), n))
-            else:
-                out.append((spec_with_indices(rng, p, l, k, indices), n))
-        return out
+        return [(spec_with_indices(rng, p, l, k, indices), n) for p, l, k, indices, n in self.CASES]
 
     @pytest.mark.parametrize("as_json", [False, True])
     def test_matches_line_by_line_render(self, specs, as_json):

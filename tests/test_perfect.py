@@ -1,4 +1,5 @@
 import inspect
+import io
 import random
 import textwrap
 import time
@@ -142,30 +143,67 @@ def built_annotation_levels(tower, max_deg):
     return A[:1] + [a for a in A[1:] if a.degree <= max_deg]
 
 
+def closed_form_names_the_built_levels(p):
+    """_annotation_top and one a_sequence call give built_annotation_levels
+    for every 1 <= k < p/2, 2k = p - 1 included, with max_deg on both sides
+    of each level's degree.  The tower reaches one level past max_deg."""
+    F = GF(p)
+    for k in range(1, (p - 1) // 2 + 1):
+        tower = reference_tower(F, k, 400 * p)
+        cuts = {a.degree + e for a in tower if a.degree <= 400 for e in (-1, 0, 1)}
+        for max_deg in sorted(cuts | {0, 2, 100}):
+            want = built_annotation_levels(tower, max_deg)
+            top = cli._annotation_top(p, k, max_deg)
+            if top != len(want) - 1 or a_sequence(F, k, top) != want:
+                return False
+    return True
+
+
+def quartic_p13_names_a6_not_a7():
+    """expand --quartic --p 13 names a_6 = 5T as 5*A[0,k], and not a_7 =
+    T^5 + 7T^3 + 3T, whose degree is deg A_(1,4) = 5."""
+    out = io.StringIO()
+    assert cli.main(["expand", "--quartic", "--p", "13", "--n", "7"], out) == 0
+    return out.getvalue().splitlines()[5:] == ["a_6 = 5*T  [= 5*A[0,k]]", "a_7 = T^5 + 7*T^3 + 3*T"]
+
+
 class TestAnnotationLevels:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_closed_form_names_the_built_levels(self, p):
-        # every 1 <= k < p/2, 2k = p - 1 included; max_deg on both sides of
-        # each level's degree.  The tower reaches one level past max_deg.
-        F = GF(p)
-        for k in range(1, (p - 1) // 2 + 1):
-            tower = reference_tower(F, k, 400 * p)
-            cuts = {a.degree + e for a in tower if a.degree <= 400 for e in (-1, 0, 1)}
-            for max_deg in sorted(cuts | {0, 2, 100}):
-                want = built_annotation_levels(tower, max_deg)
-                named = cli._annotation_index(F, k, max_deg)
-                assert list(named) == want, (p, k, max_deg)
-                assert list(named.values()) == list(range(len(want))), (p, k, max_deg)
-                # a symbolic expansion names its levels 0 .. top by index
-                assert cli._annotation_top(p, k, max_deg) == len(want) - 1, (p, k, max_deg)
+        assert cli._annotation_top(p, None, 100) == -1
+        assert closed_form_names_the_built_levels(p)
 
     def test_no_level_built_past_the_quotients(self, monkeypatch):
         # deg A_1 = 5 at p = 10007, k = 5001: quotients of degree <= 4 need A_0 alone
         built = []
-        monkeypatch.setattr(cli, "a_sequence", lambda *args: built.append(args) or [Polynomial.x(args[0])])
+        real = cli.a_sequence
+        monkeypatch.setattr(cli, "a_sequence", lambda *args: built.append(args) or real(*args))
         F = GF(10007)
-        assert cli._annotation_index(F, 5001, 4) == {Polynomial.x(F): 0}
+        T = Polynomial.x(F)
+        out = io.StringIO()
+        cli._print_expansion(ContinuedFraction(F, [T, T**4 + T, T.scaled(3), T**2]), False, 5001, out)
         assert built == [(F, 5001, 0)]
+        assert out.getvalue() == "a_1 = T  [= 1*A[0,k]]\na_2 = T^4 + T\na_3 = 3*T  [= 3*A[0,k]]\na_4 = T^2\n"
+
+    def test_a_level_of_a_named_degree_is_named_only_when_it_matches(self):
+        assert quartic_p13_names_a6_not_a7()
+
+    # what breaks: (the function, its text, the replacement, and the check
+    # that passes on the printer and must fail on the broken copy)
+    MUTANTS = {
+        "every level of a named degree named": ("_print_expansion", "level.monic() == a", "True",
+                                                quartic_p13_names_a6_not_a7),
+        "< in the closed form": ("_annotation_top", "a_degree(p, k, top + 1) <= max_deg",
+                                 "a_degree(p, k, top + 1) < max_deg",
+                                 lambda: closed_form_names_the_built_levels(7)),
+    }
+
+    @pytest.mark.parametrize("name", list(MUTANTS))
+    def test_mutant_is_killed(self, name, monkeypatch):
+        function, old, new, check = self.MUTANTS[name]
+        assert check()
+        monkeypatch.setattr(cli, function, mutated(cli, function, old, new))
+        assert not check()
 
 
 class TestExactDivisionTower:
