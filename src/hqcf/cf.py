@@ -90,9 +90,15 @@ class ContinuedFraction:
         cls, field, tower: Sequence[Polynomial], lambdas: Sequence[int],
         indices: Sequence[int], *, perfect_type: Optional[tuple] = None,
     ) -> "ContinuedFraction":
-        """[lambdas[0] * tower[indices[0]], lambdas[1] * tower[indices[1]], ...]."""
+        """[lambdas[0] * tower[indices[0]], lambdas[1] * tower[indices[1]], ...].
+        Every level must lie over field and every index name one; a lambda
+        may be 0."""
         if len(lambdas) != len(indices):
             raise ValueError("need one tower index per lambda")
+        if any(a.field != field for a in tower):
+            raise ValueError(f"every tower level must be over {field}")
+        if indices and not 0 <= min(indices) <= max(indices) < len(tower):
+            raise ValueError(f"need 0 <= index < {len(tower)}, got {min(indices)}..{max(indices)}")
         cf = cls(field, ())
         cf._quotients, cf.perfect_type = None, perfect_type
         cf.tower, cf.lambdas, cf.indices = tower, tuple(lambdas), tuple(indices)

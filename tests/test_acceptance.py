@@ -5,14 +5,12 @@ unless the assertion states a bound.  Runtime limits are asserted with a
 wall clock.
 """
 
-import io
 import json
 import random
 import time
 from fractions import Fraction
 
 from hqcf.cf import ContinuedFraction
-from hqcf.cli import main
 from hqcf.fields import GF, is_prime
 from hqcf.perfect import (
     ExpansionSpec,
@@ -33,6 +31,7 @@ from hqcf.quartic import (
     verify_conjecture2,
 )
 from hqcf.rootcf import expand_root
+from support import poly, run
 
 
 def report(n, ok, detail, t0, limit):
@@ -43,21 +42,11 @@ def report(n, ok, detail, t0, limit):
     return ok
 
 
-def cli(argv):
-    buf = io.StringIO()
-    code = main(argv, out=buf)
-    return code, buf.getvalue()
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
-
-
 def test_criterion_1_quartic_expansion_regression():
     t0 = time.time()
-    code13, out13 = cli(["expand", "--quartic", "--p", "13", "--n", "6", "--json"])
+    code13, out13 = run(["expand", "--quartic", "--p", "13", "--n", "6", "--json"])
     cf13 = ContinuedFraction.from_json_dict(json.loads(out13))
-    code7, out7 = cli(["expand", "--quartic", "--p", "7", "--n", "3", "--json"])
+    code7, out7 = run(["expand", "--quartic", "--p", "7", "--n", "3", "--json"])
     cf7 = ContinuedFraction.from_json_dict(json.loads(out7))
     ok = (
         code13 == 0

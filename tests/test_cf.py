@@ -18,12 +18,9 @@ from hqcf.fields import GF
 from hqcf.cli import _print_expansion
 from hqcf.perfect import ExpansionSpec, a_sequence, generate_perfect_expansion, pq_polynomials
 from hqcf.polynomials import Polynomial
+from support import poly
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
 
 
 def random_quotients(field, rng, count, max_deg=3):
@@ -302,6 +299,16 @@ class TestSerialization:
     def test_symbolic_needs_one_index_per_lambda(self):
         with pytest.raises(ValueError, match="^need one tower index per lambda$"):
             ContinuedFraction.symbolic(F7, [poly(F7, 0, 1)], [1, 2], [0])
+
+    @pytest.mark.parametrize("tower, indices, message", [
+        ([poly(F13, 0, 1)], [0, 0], "every tower level must be over GF(7)"),  # it printed [T, 12*T]
+        ([poly(F7, 0, 1)], [3, 0], "need 0 <= index < 1, got 0..3"),  # a bare IndexError
+        ([poly(F7, 0, 1), poly(F7, 0, 2)], [0, -1], "need 0 <= index < 2, got -1..0"),  # it printed [T, 2*T]
+    ], ids=["another field", "index past the tower", "negative index"])
+    def test_symbolic_rejects(self, tower, indices, message):
+        with pytest.raises(ValueError) as err:
+            ContinuedFraction.symbolic(F7, tower, [1, 12], indices)
+        assert str(err.value) == message
 
     def test_field_comes_from_the_outer_p(self):
         d = ContinuedFraction(F13, [poly(F13, 0, 1)]).to_json_dict()

@@ -1,5 +1,4 @@
 import argparse
-import io
 import json
 import random
 import time
@@ -8,21 +7,11 @@ import pytest
 
 from hqcf import perfect, quartic
 from hqcf.cf import ContinuedFraction, ScalarCFUndefined
-from hqcf.cli import MAX_PARSED_DEGREE, build_parser, main, parse_polynomial
+from hqcf.cli import MAX_PARSED_DEGREE, build_parser, parse_polynomial
 from hqcf.fields import GF, MAX_MODULUS
-from hqcf.polynomials import Polynomial
+from support import poly, run
 
 F13 = GF(13)
-
-
-def run(argv):
-    buf = io.StringIO()
-    code = main(argv, out=buf)
-    return code, buf.getvalue()
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
 
 
 class TestParsePolynomial:

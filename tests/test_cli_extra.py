@@ -4,18 +4,12 @@ import json
 import pytest
 
 from hqcf import cli, perfect, quartic
-from hqcf.cli import main
 from hqcf.fields import GF
 from hqcf.laurent import rational_series
 from hqcf.polynomials import Polynomial
 from hqcf.quartic import quartic_state
 from hqcf.rootcf import expand_root
-
-
-def run(argv):
-    buf = io.StringIO()
-    code = main(argv, out=buf)
-    return code, buf.getvalue()
+from support import run
 
 
 class TestDefaults:

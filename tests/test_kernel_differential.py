@@ -36,18 +36,9 @@ from hqcf.cf import ContinuedFraction  # noqa: E402
 from hqcf.fields import GF, PrimeField  # noqa: E402
 from hqcf.laurent import Laurent, divide  # noqa: E402
 from hqcf.polynomials import Polynomial  # noqa: E402
-from test_perfect import mutated  # noqa: E402
+from support import AT_THE_BOUND, all_top_case, assert_canonical, check_taylor_shift, to_gf  # noqa: E402
 
 PRIMES = [3, 5, 7, 13, 97, 65537, 999983]
-
-
-def to_gf(f: Polynomial) -> list:
-    return list(reversed(f.coeffs))
-
-
-def assert_canonical(f: Polynomial, p: int):
-    assert all(type(c) is int and 0 <= c < p for c in f.coeffs)
-    assert not f.coeffs or f.coeffs[-1] != 0
 
 
 def coeff_lists(draw, p, length):
@@ -288,20 +279,6 @@ class TestContinuantStep:
         assert [to_gf(f) for f in (x, xp, y, yp)] == list(reference_continuants(qs, 5))
 
 
-def reference_taylor_shift(coeffs, q, p):
-    """P(X + q) by Horner in X over galoistools coefficient lists: the
-    running value R is multiplied by (X + q) and the next coefficient of P
-    is added, so R_i <- R_{i-1} + q * R_i."""
-    r = []
-    for c in reversed(coeffs):
-        shifted = [[]] + r
-        for i, ri in enumerate(r):
-            shifted[i] = gt.gf_add(shifted[i], gt.gf_mul(q, ri, p, ZZ), p, ZZ)
-        shifted[0] = gt.gf_add(shifted[0], c, p, ZZ)
-        r = shifted
-    return r
-
-
 @st.composite
 def shift_case(draw):
     p = draw(st.sampled_from(PRIMES))
@@ -312,41 +289,6 @@ def shift_case(draw):
     coeffs[-1][-1] = draw(st.integers(1, p - 1))  # nonzero leading X-coefficient
     q = coeff_lists(draw, p, draw(st.integers(0, 6)))
     return p, coeffs, q
-
-
-def check_taylor_shift(p, coeffs, q):
-    F = GF(p)
-    polys = [Polynomial(F, c) for c in coeffs]
-    qp = Polynomial(F, q)
-    arrays = [np.array(c.coeffs, dtype=np.int64) for c in polys]
-    got = [rootcf._poly(F, c) for c in rootcf._taylor_shift(arrays, qp.coeffs, p)]
-    assert len(got) == len(polys)
-    for g in got:
-        assert_canonical(g, p)
-    # the input arrays are shared with the previous state and stay intact
-    assert [c.tolist() for c in arrays] == [list(c.coeffs) for c in polys]
-    want = reference_taylor_shift([to_gf(c) for c in polys], to_gf(qp), p)
-    assert [to_gf(g) for g in got] == want
-
-
-# 3000 * (1 + 2*3000)^4 < 2^62 <= 3000 * (1 + 3*3000)^4
-AT_THE_BOUND = 3001
-
-
-def all_top_case(terms):
-    """A quartic state and a quotient of `terms` coefficients, every
-    coefficient p - 1 = 3000, at p = AT_THE_BOUND; the states are 12 long,
-    so q^4 * t_4 sums all terms^4 products in its middle coefficients."""
-    p = AT_THE_BOUND
-    return p, [[p - 1] * 12] * 5, [p - 1] * terms
-
-
-def shift_agrees(p, coeffs, q):
-    try:
-        check_taylor_shift(p, coeffs, q)
-    except AssertionError:
-        return False
-    return True
 
 
 class TestTaylorShift:
@@ -405,22 +347,6 @@ class TestTaylorShift:
         assert rootcf._sums_fit_int64(p, len(q), 4) == (terms == 2)
         assert ((p - 1) ** 5 * terms**4 >= 1 << 63) == (terms == 3)
         check_taylor_shift(p, coeffs, q)
-
-    # what breaks, each checked at the sum bound: (the text of _taylor_shift,
-    # its replacement, and the quotient length whose shift then disagrees
-    # with galoistools)
-    SHIFT_MUTANTS = {
-        "bound's exponent n - 1": ("_sums_fit_int64(p, len(q), n)", "_sums_fit_int64(p, len(q), n - 1)", 3),
-        "per-row reduction dropped": ("t[:n] = [_reduced(s, p) for s in t[:n]]", "pass", 2),
-        "cached q * t_n updated in place": ("s = top.copy()", "s = top", 2),
-    }
-
-    @pytest.mark.parametrize("name", list(SHIFT_MUTANTS))
-    def test_mutant_is_killed(self, name, monkeypatch):
-        old, new, terms = self.SHIFT_MUTANTS[name]
-        assert shift_agrees(*all_top_case(terms))
-        monkeypatch.setattr(rootcf, "_taylor_shift", mutated(rootcf, "_taylor_shift", old, new))
-        assert not shift_agrees(*all_top_case(terms))
 
 
 class TestTopQuotient:

@@ -5,12 +5,9 @@ import pytest
 from hqcf.fields import GF
 from hqcf.laurent import Laurent, divide, rational_series
 from hqcf.polynomials import Polynomial
+from support import poly
 
 F7, F13 = GF(7), GF(13)
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
 
 
 def random_poly(field, rng, max_deg, nonzero=False):

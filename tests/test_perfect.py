@@ -1,13 +1,11 @@
-import inspect
 import io
 import random
-import textwrap
 import time
 
 import numpy as np
 import pytest
 
-from hqcf import cli, perfect, quartic
+from hqcf import cli, perfect
 from hqcf.cf import ContinuedFraction, ScalarCFUndefined, rational_to_cf, running_scalar_cf
 from hqcf.fields import GF, MAX_MODULUS, PrimeField
 from hqcf.perfect import (
@@ -30,16 +28,15 @@ from hqcf.perfect import (
     verify_prop1,
     verify_prop2,
 )
-from hqcf.laurent import Laurent
 from hqcf.polynomials import Polynomial
-from hqcf.quartic import derive_frobenius_relation, quartic_index, quartic_state, verify_conjecture2
-from hqcf.rootcf import RootState, expand_root
+from hqcf.quartic import quartic_index, quartic_state
+from hqcf.rootcf import expand_root
+from support import (boundaries_refused, cap_refuses_at_the_boundary, closed_form_names_the_built_levels, corrupt_v_k,
+                     corruption_raises, doubled_t, edited, euclid_oracle, lead_on_t, poly, predict_as, prop1_case,
+                     prop2_case, prop2_disagreements, prop2_predicted, prop2_sides, quartic_p13_names_a6_not_a7,
+                     reference_tower, rescaled, sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
 
 
 class TestFamilies:
@@ -121,52 +118,6 @@ class TestASequence:
             assert not any(a.coeffs[0::2])
 
 
-def reference_tower(field, k, max_degree, max_levels=6):
-    """A_0, A_1, ... by A_(i+1) = A_i.pow_frobenius() // P_k, the generic
-    division, while the next degree stays below max_degree."""
-    P, _ = pq_polynomials(field, k)
-    seq = [Polynomial.x(field)]
-    while len(seq) <= max_levels and seq[-1].degree * field.p - 2 * k <= max_degree:
-        seq.append(seq[-1].pow_frobenius() // P)
-    return seq
-
-
-def built_annotation_levels(tower, max_deg):
-    """The levels the expand annotations named when they built the tower one
-    level at a time: A_0, A_1, ... while the degree is below max_deg and
-    still rises, at most 40, of which A_0 and those of degree <= max_deg."""
-    A = tower[:1]
-    while A[-1].degree < max_deg and len(A) < 40:
-        if tower[len(A)].degree <= A[-1].degree:
-            break
-        A.append(tower[len(A)])
-    return A[:1] + [a for a in A[1:] if a.degree <= max_deg]
-
-
-def closed_form_names_the_built_levels(p):
-    """_annotation_top and one a_sequence call give built_annotation_levels
-    for every 1 <= k < p/2, 2k = p - 1 included, with max_deg on both sides
-    of each level's degree.  The tower reaches one level past max_deg."""
-    F = GF(p)
-    for k in range(1, (p - 1) // 2 + 1):
-        tower = reference_tower(F, k, 400 * p)
-        cuts = {a.degree + e for a in tower if a.degree <= 400 for e in (-1, 0, 1)}
-        for max_deg in sorted(cuts | {0, 2, 100}):
-            want = built_annotation_levels(tower, max_deg)
-            top = cli._annotation_top(p, k, max_deg)
-            if top != len(want) - 1 or a_sequence(F, k, top) != want:
-                return False
-    return True
-
-
-def quartic_p13_names_a6_not_a7():
-    """expand --quartic --p 13 names a_6 = 5T as 5*A[0,k], and not a_7 =
-    T^5 + 7T^3 + 3T, whose degree is deg A_(1,4) = 5."""
-    out = io.StringIO()
-    assert cli.main(["expand", "--quartic", "--p", "13", "--n", "7"], out) == 0
-    return out.getvalue().splitlines()[5:] == ["a_6 = 5*T  [= 5*A[0,k]]", "a_7 = T^5 + 7*T^3 + 3*T"]
-
-
 class TestAnnotationLevels:
     @pytest.mark.parametrize("p", [5, 7, 11, 13])
     def test_closed_form_names_the_built_levels(self, p):
@@ -187,23 +138,6 @@ class TestAnnotationLevels:
 
     def test_a_level_of_a_named_degree_is_named_only_when_it_matches(self):
         assert quartic_p13_names_a6_not_a7()
-
-    # what breaks: (the function, its text, the replacement, and the check
-    # that passes on the printer and must fail on the broken copy)
-    MUTANTS = {
-        "every level of a named degree named": ("_print_expansion", "level.monic() == a", "True",
-                                                quartic_p13_names_a6_not_a7),
-        "< in the closed form": ("_annotation_top", "a_degree(p, k, top + 1) <= max_deg",
-                                 "a_degree(p, k, top + 1) < max_deg",
-                                 lambda: closed_form_names_the_built_levels(7)),
-    }
-
-    @pytest.mark.parametrize("name", list(MUTANTS))
-    def test_mutant_is_killed(self, name, monkeypatch):
-        function, old, new, check = self.MUTANTS[name]
-        assert check()
-        monkeypatch.setattr(cli, function, mutated(cli, function, old, new))
-        assert not check()
 
 
 class TestExactDivisionTower:
@@ -467,12 +401,12 @@ def generation_outcome(generate, spec, n):
 
 def generated(spec, n):
     cf = generate_perfect_expansion(spec, n)
-    return cf.lambdas, cf.indices, cf.tower
+    return cf.lambdas, cf.indices, len(cf.tower) - 1
 
 
 def referenced(spec, n):
     lam, _, idx = reference_generation(spec, n)
-    return tuple(lam[1:]), tuple(idx[1:]), [max(idx[1:], default=0)]
+    return tuple(lam[1:]), tuple(idx[1:]), max(idx[1:], default=0)
 
 
 class TestBlockFill:
@@ -480,8 +414,8 @@ class TestBlockFill:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31, 43])
     def test_matches_reference(self, p, monkeypatch):
-        # the stub tower records the level the generator asks for
-        monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [count])
+        # the stub tower, count + 1 levels T, records the level the generator asks for
+        monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [Polynomial.x(field)] * (count + 1))
         rng = random.Random(f"block fill {p}")
         seen = set()
         for k in range(1, (p - 1) // 2 + 1):
@@ -791,40 +725,6 @@ class TestProp2:
             verify_prop2(GF(1009), half, half)
 
 
-def prop1_case(F, k):
-    """(num, den, predicted, k, theta) of the Prop. 1 certificate: P_k / Q_k,
-    predicted as the list [v_1 T, ..., v_2k T]."""
-    theta, v = family_constants(F, k)
-    P, Q = pq_polynomials(F, k)
-    return P, Q, ContinuedFraction(F, [Polynomial.x(F).scaled(c) for c in v]), k, theta
-
-
-def prop2_sides(F, k, i, theta=None, theta_i=None):
-    """The values verify_prop2 shares between its case (k, i) and the others
-    at k (_AtK) and at i (_AtI), from perfect.family_constants; theta and
-    theta_i, if given, replace theta_k and theta_i."""
-
-    def prop1(j, theta=None):
-        family = perfect.family_constants(F, j)
-        family = family if theta is None else family._replace(theta=theta)
-        return family, perfect._prop1_predicted(F, family.v).matrix()
-
-    return perfect._AtK(F, *prop1(k, theta)), perfect._AtI(F, *prop1(i, theta_i))
-
-
-def prop2_predicted(F, k, i):
-    """Prop. 2's predicted expansion at (k, i)."""
-    return prop2_predicted_quotients(F, *prop2_sides(F, k, i))
-
-
-def prop2_case(F, k, i):
-    """(num, den, predicted, k, theta) of the Prop. 2 certificate:
-    P_(kp-i) / Q_k^p."""
-    Qkp = pq_polynomials(F, k)[1].pow_frobenius()
-    predicted = prop2_predicted(F, k, i)
-    return power_p_family(F, k * F.p - i), Qkp, predicted, k, family_constants(F, k).theta
-
-
 def all_zero(rows, *polys):
     """Whether sum_t rows[j][t] polys[t] = 0 for every row j: the polys'
     coefficient vectors, zero-padded, are the rows of one int64 array, and
@@ -888,15 +788,6 @@ def tree_oracle(num, den, predicted, k, theta):
     return perfect._certify(num, den, predicted, k, theta, predicted.matrix())
 
 
-def euclid_oracle(num, den, predicted, k, theta):
-    """(cf_matches, reversal_holds) the long way: the Euclidean expansion of
-    num/den, and a second continuant tree for the reversed quotients."""
-    quotients = list(predicted.quotients)
-    cf_matches = list(rational_to_cf(num, den).quotients) == quotients
-    xr, yr = ContinuedFraction(num.field, quotients[::-1]).value()
-    return cf_matches, num * yr == (xr * den).scaled(-4 * k * k * theta * theta)
-
-
 class TestCertificateOracle:
     """The certificates agree with Euclid on every case: Prop. 1's continuant
     matrix, and Prop. 2's block certificate (verify_prop2) with the tree too."""
@@ -908,26 +799,14 @@ class TestCertificateOracle:
             r = verify_prop1(F, k)
             assert (r.cf_matches, r.reversal_holds) == euclid_oracle(*prop1_case(F, k)), k
 
-    @staticmethod
-    def prop2_against(p, *oracles):
-        """Every defined case of verify_prop2's sweep at p gets each oracle's
-        verdicts, on P_(kp-i) / Q_k^p built in full."""
-        F = GF(p)
-        half = range(1, (p - 1) // 2 + 1)
-        for r in verify_prop2(F, half, half):
-            if r.defined:
-                case = prop2_case(F, r.k, r.i)
-                for oracle in oracles:
-                    assert (r.cf_matches, r.reversal_holds) == oracle(*case), (r.k, r.i, oracle.__name__)
-
     @pytest.mark.parametrize("p", [5, 7, 11, 13, 17])
     def test_prop2_agrees_with_euclid(self, p):
-        self.prop2_against(p, tree_oracle, euclid_oracle)
+        assert prop2_disagreements(GF(p), tree_oracle) == prop2_disagreements(GF(p), euclid_oracle) == []
 
     @pytest.mark.parametrize("p", [19, 23])
     def test_prop2_agrees_with_the_tree(self, p):
         # past p = 17, where Euclid grows slow, the tree alone builds P_(kp-i)
-        self.prop2_against(p, tree_oracle)
+        assert prop2_disagreements(GF(p), tree_oracle) == []
 
 
 class TestCertificateMutations:
@@ -1015,64 +894,11 @@ class TestCertificateMutations:
         assert r.power_identity == [i not in (level - 1, level) for i in range(3)]
 
 
-def edited(edit):
-    """A corruption of a symbolic expansion: edit(tower, lambdas, indices)
-    changes copies of its three sequences in place."""
-
-    def change(cf):
-        tower, lambdas, indices = list(cf.tower), list(cf.lambdas), list(cf.indices)
-        edit(tower, lambdas, indices)
-        return ContinuedFraction.symbolic(cf.field, tower, lambdas, indices)
-
-    return change
-
-
-def rescaled(j, c):
-    """The j-th lambda times c."""
-
-    def edit(tower, lambdas, indices):
-        lambdas[j] = lambdas[j] * c % tower[0].field.p
-
-    return edited(edit)
-
-
-def lead_on_t(tower, lambdas, indices):
-    """The lead of the second block put on A_0 = T: lam_8 T in place of lam_8 A."""
-    indices[7] = 0
-
-
-def doubled_t(tower, lambdas, indices):
-    """Every inner quotient doubled through the tower's A_0 = 2T."""
-    tower[0] = tower[0].scaled(2)
-
-
-def predicted_as(change):
-    """A fault of TestBlockCertificate: change(cf) as the (K, I) prediction."""
-    return lambda test, monkeypatch: test.corrupt(monkeypatch, change)
-
-
 def prop1_frobenius_matrix(F, k):
     """(X, X', Y, Y'): Prop. 1's continuant matrix at k under T -> T^p."""
     T = Polynomial.x(F)
     x = ContinuedFraction(F, [T.scaled(c) for c in family_constants(F, k).v]).matrix()
     return tuple(m.pow_frobenius() for m in x)
-
-
-def mutated(module, name, old, new):
-    """module.<name>, a function or class, with the text old of its source
-    replaced by new."""
-    src = textwrap.dedent(inspect.getsource(getattr(module, name)))
-    assert src.count(old) == 1, old
-    namespace = dict(vars(module))
-    exec(compile(src.replace(old, new), module.__file__, "exec"), namespace)
-    return namespace[name]
-
-
-def prop2_verdicts(F):
-    """(k, i, cf_matches, reversal_holds) of verify_prop2 for every defined (k, i)."""
-    half = range(1, (F.p - 1) // 2 + 1)
-    reports = perfect.verify_prop2(F, half, half)
-    return [(r.k, r.i, r.cf_matches, r.reversal_holds) for r in reports if r.defined]
 
 
 class TestBlockCertificate:
@@ -1120,17 +946,10 @@ class TestBlockCertificate:
         """Make prop2_predicted_quotients return change(cf) at (K, I), after
         checking that the scalar certificate and the block identities agree
         on it; the changed expansion's Euclid verdict is returned."""
-        real = perfect.prop2_predicted_quotients
         sides = prop2_sides(F13, self.K, self.I)
-        certified(change(real(F13, *sides)), *sides)
-
-        def corrupted(field, at_k, at_i):
-            cf = real(field, at_k, at_i)
-            return change(cf) if (at_k.k, at_i.i) == (self.K, self.I) else cf
-
-        monkeypatch.setattr(perfect, "prop2_predicted_quotients", corrupted)
-        num, den, predicted, k, theta = prop2_case(F13, self.K, self.I)
-        return euclid_oracle(num, den, change(predicted), k, theta)
+        certified(change(prop2_predicted_quotients(F13, *sides)), *sides)
+        predict_as(monkeypatch, change, self.K, self.I)
+        return euclid_oracle(*prop2_case(F13, self.K, self.I))
 
     @pytest.mark.parametrize("m", [1, 2, 6])
     @pytest.mark.parametrize("block", [0, 1])  # c_j = 10, 6 (c_3 = 1 has no wrong side)
@@ -1173,52 +992,29 @@ class TestBlockCertificate:
         [r] = verify_prop2(F13, [self.K], [self.I])
         assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
-    def corrupt_v_k(self, monkeypatch):
-        """Make perfect.family_constants give v_(2,K) + 1 at K, and v_(2K,K)
-        re-solved so that [v_(2K,K), ..., v_(1,K)] = 0 still: the blocks at K
-        close on it (a lone corrupted v_(j,K) breaks the closing identity).
-        Euclid's verdict on the (K, I) prediction built from it is returned."""
-        real = perfect.family_constants
+    @pytest.mark.parametrize("edit", [lead_on_t, doubled_t], ids=["lead on T", "doubled T"])
+    def test_shape_or_tower_changed(self, edit, monkeypatch):
+        # refused by the index shape, or by the tower check, alone
+        want = self.corrupt(monkeypatch, edited(edit))
+        [r] = verify_prop2(F13, [self.K], [self.I])
+        assert want[0] is False and (r.cf_matches, r.reversal_holds) == (False, False)
 
-        def corrupted(field, k):
-            family = real(field, k)
-            if k != self.K:
-                return family
-            v = list(family.v)
-            v[1] = (v[1] + 1) % field.p
-            v[-1] = -field.inv(running_scalar_cf(field, v[:-1])[-1]) % field.p
-            return family._replace(v=tuple(v))
-
-        monkeypatch.setattr(perfect, "family_constants", corrupted)
-        sides = prop2_sides(F13, self.K, self.I)
-        certified(prop2_predicted_quotients(F13, *sides), *sides)
-        return euclid_oracle(*prop2_case(F13, self.K, self.I))
-
-    def negated_theta_i(self, monkeypatch):
-        """Make the verdicts under test the (K, I) certificate of the
-        prediction built from an _AtI whose theta_I is negated: t -> -t and
-        every c_j -> -c_j keep R1, R2, R4 and both block equations, and
-        break R3 alone.  Euclid's verdict on that prediction is returned."""
-
-        def faulted():
-            sides = prop2_sides(F13, self.K, self.I, theta_i=-family_constants(F13, self.I).theta % 13)
-            return prop2_predicted_quotients(F13, *sides), sides
-
-        def certify():
-            predicted, sides = faulted()
-            return perfect._certify_blocks(predicted, *sides)
-
-        predicted, sides = faulted()
-        certified(predicted, *sides)
-        monkeypatch.setattr(self, "verdicts", certify)
+    def test_negated_theta_i_breaks_r3_alone(self):
+        # t -> -t and every c_j -> -c_j keep R1, R2, R4 and both block equations
+        sides = prop2_sides(F13, self.K, self.I, theta_i=-family_constants(F13, self.I).theta % 13)
+        predicted = prop2_predicted_quotients(F13, *sides)
+        assert certified(predicted, *sides) == (False, False)
         num, den, _, k, theta = prop2_case(F13, self.K, self.I)
-        return euclid_oracle(num, den, predicted, k, theta)
+        assert euclid_oracle(num, den, predicted, k, theta)[0] is False
 
     def test_prop1_verdict_at_k_is_load_bearing(self, monkeypatch):
         # the blocks at K follow the corrupted v_(j,K) and close: Prop. 1's
         # verdict at K alone refuses every case there; an i = K would meet
         # the corrupted values as v_(m,i), so the sweep leaves it out
-        assert self.corrupt_v_k(monkeypatch) == (False, False)
+        corrupt_v_k(monkeypatch, self.K)
+        sides = prop2_sides(F13, self.K, self.I)
+        certified(prop2_predicted_quotients(F13, *sides), *sides)
+        assert euclid_oracle(*prop2_case(F13, self.K, self.I)) == (False, False)
         reports = verify_prop2(F13, range(1, 7), [i for i in range(1, 7) if i != self.K])
         assert len(reports) == 30 and all(r.defined for r in reports)
         for r in reports:
@@ -1241,48 +1037,6 @@ class TestBlockCertificate:
         monkeypatch.setattr(perfect, "prop2_predicted_quotients", capture)
         assert verify_prop2(F13, [self.K], [self.I])[0].passed
         assert len(made) == 1 and made[0]._quotients is None
-
-    # (what breaks, the function or class of perfect, its text, the
-    # replacement, and the fault, one Euclid refuses at (K, I), that the
-    # broken copy lets through, if one is needed)
-    CODE_MUTATIONS = {
-        # G_(j-1) = -c_(j-1) sigma x' enters block j's equation as t^2 c_(j-1)
-        "G_j sign": ("_certify_blocks", "(t * t % p * c_prev", "(-t * t % p * c_prev", None),
-        "G_j with 1/c_j": ("_certify_blocks", "np.concatenate(([0], c[:-1]))",
-                           "np.array([0] + [predicted.field.inv(int(x)) for x in c[:-1]])", None),
-        "inner rescaling": ("_certify_blocks", "inner[:, ::2], inner[:, 1::2]", "inner[:, 1::2], inner[:, ::2]",
-                            None),
-        "block boundary": ("_certify_blocks", "blocks[:, 0], blocks[:, 1:]", "blocks[:, 0], blocks[:, :-1]", None),
-        "closing identity dropped": ("_certify_blocks", "or not lambdas[-1] == v_k[-1] == t * c[-1] % p", "",
-                                     predicted_as(rescaled(-1, 2))),
-        "lead check dropped": ("_certify_blocks", "or (leads != v_lead).any()", "",
-                               predicted_as(rescaled(WIDTH, 2))),
-        # R2 and R4 have no row: each follows from the other three (_AtI)
-        "R3 dropped": ("_AtI", "and (A * x - y.scaled(t)).scaled(sigma) == Polynomial.monomial(field, 1, p)", "",
-                       negated_theta_i),
-        "theta not squared": ("_certify", "-4 * k * k * theta * theta", "-4 * k * k * theta", None),
-        "index shape dropped": ("_certify_blocks", "or predicted.indices != shape ", "",
-                                predicted_as(edited(lead_on_t))),
-        "tower[0] == T dropped": ("_certify_blocks", "or predicted.tower != at_i.tower", "",
-                                  predicted_as(edited(doubled_t))),
-        # the blocks at K close on corrupted v_(j,K); the copy passes them
-        "Prop. 1's verdict at k ignored": ("_certify_blocks", " and at_k.cf_matches, at_k.reversal_holds",
-                                           ", True", corrupt_v_k),
-    }
-
-    def verdicts(self):
-        """What a broken copy of the code must change, unless its fault says
-        otherwise: verify_prop2's verdicts at p = 13."""
-        return prop2_verdicts(F13)
-
-    @pytest.mark.parametrize("name", list(CODE_MUTATIONS))
-    def test_code_mutation_flips_a_verdict(self, name, monkeypatch):
-        where, old, new, fault = self.CODE_MUTATIONS[name]
-        if fault:
-            assert fault(self, monkeypatch)[0] is False
-        before = self.verdicts()
-        monkeypatch.setattr(perfect, where, mutated(perfect, where, old, new))
-        assert self.verdicts() != before
 
 
 class TestRelationResidual:
@@ -1357,163 +1111,6 @@ CI_SPECS = [
 ]
 
 
-def sextic_case():
-    """(prefix, relation, root state) of an alpha = [a_1, a_2, alpha_3] over
-    F_5 with alpha^5 = P alpha_3 (eps1 = 1, Q = 0) and deg P = r = 5, so that
-    deg P < 2 deg C + r decides emissions.  Removing alpha_3 gives
-    y_2 X^6 - x_2 X^5 + P X - P a_1 = 0 (x_2 = a_2 a_1 + 1, y_2 = a_2), whose
-    X^5 coefficient dominates: expand_root expands it directly."""
-    a1, a2, P = poly(F5, 1, 2, 1), poly(F5, 1, 4, 4, 2, 4, 2, 4), poly(F5, 2, 1, 0, 1, 0, 1)
-    zero = Polynomial.zero(F5)
-    state = RootState([-(P * a1), P, zero, zero, zero, -(a2 * a1 + Polynomial.one(F5)), a2])
-    rel = FrobeniusRelation(2, 1, 1, P, zero, 5)
-    return ContinuedFraction(F5, [a1, a2]), rel, state
-
-
-def sextic_matches_direct(n=30):
-    prefix, rel, state = sextic_case()
-    try:
-        return perfect.expand_from_relation(prefix, rel, n) == expand_root(state, n)
-    except ArithmeticError:
-        return False
-
-
-def quartic_matches_direct(p=13, n=120):
-    """The engine's first n quotients of the quartic's alpha at p are expand_root's."""
-    trace = derive_frobenius_relation(p)
-    try:
-        engine = perfect.expand_from_relation(trace.prefix, trace.relation, n)
-        return engine == expand_root(quartic_state(GF(p)), n)
-    except ArithmeticError:
-        return False
-
-
-def residual_agrees_at_5():
-    """The conj2 relation at p = 5 (r = 25) holds as a series identity on alpha."""
-    cf = expand_root(quartic_state(F5), 30)
-    return perfect.relation_residual(cf, verify_conjecture2(5).relation, 100) == float("-inf")
-
-
-def conj2_holds_at_5():
-    """verify_conjecture2(5) passes; a failure must be the Q-shape stage's."""
-    v = verify_conjecture2(5)
-    assert v.passed or v.stage == "Q-shape", v.detail
-    return v.passed
-
-
-def stage_under(name, target, fault, *args):
-    """The stage of quartic.<name>(*args), "" on a pass, with the global
-    target it reads replaced by fault(real target)."""
-    function = getattr(quartic, name)
-    namespace = function.__globals__  # a mutant's own namespace, once installed
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setitem(namespace, target, fault(namespace[target]))
-        try:
-            return function(*args).stage
-        except quartic.DerivationError as exc:
-            return exc.stage
-
-
-def plus_alpha_squared(real):
-    """A frobenius_vectors that adds alpha^2 to alpha^(r+1): the alpha^3
-    parts and the parts U and V are read from stay as they were."""
-    def shifted(field, e):
-        v0, v1 = real(field, e)
-        return v0, v1._replace(b=v1.b + Polynomial.one(field))
-
-    return shifted
-
-
-def altered_a5(real):
-    """An expand_root whose expansion of the quartic's root has a_5 + 1; the
-    derivation's Euclid, on a state of degree 1 in X, is left as it is."""
-    def altered(state, n):
-        cf = real(state, n)
-        if len(state.coeffs) == 2:
-            return cf
-        qs = list(cf.quotients)
-        qs[4] = qs[4] + Polynomial.one(cf.field)
-        return ContinuedFraction(cf.field, qs)
-
-    return altered
-
-
-def prefix_refuses_l_10_at_11():
-    """At p = 11 (l = 48) the Euclid of a_(r+1)/a_r does not end after 10
-    quotients, so l = 10 fails at the prefix stage."""
-    return verify_conjecture2(11, l_override=10).stage == "prefix"
-
-
-def b_compat_refuses():
-    """alpha^(r+1) + alpha^2 at p = 5 fails the b-compat stage alone."""
-    return stage_under("derive_frobenius_relation", "frobenius_vectors", plus_alpha_squared, 5) == "b-compat"
-
-
-def degree_stage_refuses():
-    """An alpha with no part above T^-1 fails the degree stage alone (p = 7)."""
-    def zero_series(real):
-        return lambda field, floor: Laurent.zero(field, floor)
-
-    return stage_under("derive_frobenius_relation", "alpha_series", zero_series, 7) == "degree"
-
-
-def conj2_comparison_refuses():
-    """conj2 at p = 5 fails its comparison when the root expansion's a_5 is altered."""
-    return stage_under("verify_conjecture2", "expand_root", altered_a5, 5) == "comparison"
-
-
-# maps (C, D, r, deg det) at the boundary of either emission inequality: for
-# M = [[1, 1 - T^5], [1, -T^5]] (det -1), M(x) = 1 + 1/(x - T^5) is 1 + T at
-# x = T^5 + 1/T, and for M = [[0, T^5], [1, 0]] (det -T^5), M(T^5) = 1; neither
-# has the integral part A div C (1 and 0)
-BOUNDARY_MAPS = [
-    (Polynomial.one(F5), -poly(F5, 0, 0, 0, 0, 0, 1), 5, 0),
-    (Polynomial.one(F5), Polynomial.zero(F5), 5, 5),
-]
-
-
-def boundaries_refused():
-    return not any(perfect._emission_is_exact(*m) for m in BOUNDARY_MAPS)
-
-
-def cap_refuses_at_the_boundary():
-    """At p = 5 (r = 25) the engine reads a_14(T^25), of degree 25 * 41 = 1025,
-    by n = 130: a cap of 1024 refuses it before any product, and 1025 does not."""
-    trace = derive_frobenius_relation(5)
-    engine = perfect.expand_from_relation
-    refused = []
-    for cap in (1024, 1025):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setitem(engine.__globals__, "MAX_A_DEGREE", cap)
-            try:
-                engine(trace.prefix, trace.relation, 130)
-                refused.append(None)
-            except ValueError as exc:
-                refused.append(str(exc))
-    return refused == ["a_14(T^25) has degree 1025, past 1024", None]
-
-
-def corruption_raises():
-    """A remainder corrupted in the middle of a run, which changes det M,
-    raises the determinant check's ArithmeticError."""
-    trace = derive_frobenius_relation(13)
-    real = Polynomial.__divmod__
-    calls = []
-
-    def corrupted(f, g):
-        q, rem = real(f, g)
-        calls.append(f)
-        return q, rem + Polynomial.one(f.field) if len(calls) == 20 else rem
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Polynomial, "__divmod__", corrupted)
-        try:
-            perfect.expand_from_relation(trace.prefix, trace.relation, 120)
-        except ArithmeticError as exc:
-            return "AD - BC" in str(exc)
-    return False
-
-
 class TestRelationEngine:
     """expand_from_relation: the expansion a spec's relation drives is the
     generator's, an input that is not the quartic's is expand_root's, and
@@ -1574,51 +1171,3 @@ class TestRelationEngine:
 
     def test_input_past_the_degree_cap(self):
         assert cap_refuses_at_the_boundary()
-
-    # what breaks: (the module and function, its text, the replacement, and
-    # the check that passes on the engine and must fail on the broken copy).
-    # At every state the engine reaches, deg D < deg C + r follows from
-    # deg det < 2 deg C + r and the determinant, so only a map built by hand
-    # tells the first inequality's <= apart.  The three twists by r are
-    # told from twists by p only where r = p^2, so their checks run at p = 5.
-    # The derivation's prefix, b-compat and degree stages and conj2's
-    # comparison are each reached by a fault that only that check refuses.
-    ENGINE_MUTANTS = {
-        "wrong eps2": (perfect, "expand_from_relation", "-rel.Q.scaled(rel.eps2)",
-                       "-rel.Q.scaled(rel.eps2 + 1)", quartic_matches_direct),
-        "wrong P": (perfect, "expand_from_relation", "det = rel.P.scaled(rel.eps1)",
-                    "det = (rel.P + rel.Q).scaled(rel.eps1)", quartic_matches_direct),
-        "<= in deg D < deg C + r": (perfect, "_emission_is_exact", "D.degree < C.degree + r",
-                                    "D.degree <= C.degree + r", boundaries_refused),
-        "<= in deg det < 2 deg C + r": (perfect, "_emission_is_exact", "deg_det < 2 * C.degree + r",
-                                        "deg_det <= 2 * C.degree + r", sextic_matches_direct),
-        "determinant check dropped": (perfect, "expand_from_relation", "if A * D - B * C != det:",
-                                      "if False:", corruption_raises),
-        "cap on deg a_j, not deg a_j(T^r)": (perfect, "expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
-                                             "b.degree > MAX_A_DEGREE", cap_refuses_at_the_boundary),
-        ">= in the cap": (perfect, "expand_from_relation", "b.degree * rel.r > MAX_A_DEGREE",
-                          "b.degree * rel.r >= MAX_A_DEGREE", cap_refuses_at_the_boundary),
-        "twist by p, not r": (perfect, "expand_from_relation", "b.pow_frobenius(rel.r)",
-                              "b.pow_frobenius()", lambda: quartic_matches_direct(5)),
-        "residual twists alpha by p": (perfect, "relation_residual", ".frobenius(rel.r)",
-                                       ".frobenius(cf.field.p)", residual_agrees_at_5),
-        "derivation twists Q by p^e": (quartic, "derive_frobenius_relation", ".pow_frobenius(p ** (e - 1))",
-                                       ".pow_frobenius(p**e)", conj2_holds_at_5),
-        "prefix asks for l, not l + 1, quotients": (quartic, "derive_frobenius_relation", "v0.a)), l + 1)",
-                                                    "v0.a)), l)", prefix_refuses_l_10_at_11),
-        "prefix length check dropped": (quartic, "derive_frobenius_relation", "if len(prefix) != l:",
-                                        "if False:", prefix_refuses_l_10_at_11),
-        "b-compat dropped": (quartic, "derive_frobenius_relation", "if yl * v1.b != xl * v0.b:",
-                             "if False:", b_compat_refuses),
-        "degree stage dropped": (quartic, "derive_frobenius_relation", "if lhs.truncate(top).degree() is None:",
-                                 "if False:", degree_stage_refuses),
-        "conj2 comparison dropped": (quartic, "verify_conjecture2", "if bad:", "if False:",
-                                     conj2_comparison_refuses),
-    }
-
-    @pytest.mark.parametrize("name", list(ENGINE_MUTANTS))
-    def test_mutant_is_killed(self, name, monkeypatch):
-        module, function, old, new, check = self.ENGINE_MUTANTS[name]
-        assert check()
-        monkeypatch.setattr(module, function, mutated(module, function, old, new))
-        assert not check()

@@ -10,12 +10,9 @@ from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF
 from hqcf.polynomials import Polynomial, formal_integral
 from hqcf.quartic import beta_quotient_to_alpha, derive_frobenius_relation, normalize_to_beta
+from support import poly
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
 
 
 def naive_mul(f, g):

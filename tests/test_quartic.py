@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import random
 from fractions import Fraction
@@ -7,9 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hqcf.cf import ContinuedFraction
-from hqcf.cli import main
 from hqcf.fields import GF, PrimeField
-from hqcf.laurent import Laurent
 from hqcf.perfect import relation_residual, generate_perfect_expansion
 from hqcf.polynomials import Polynomial
 from hqcf import quartic
@@ -30,12 +27,9 @@ from hqcf.quartic import (
     verify_conjecture2,
 )
 from hqcf.rootcf import expand_root
+from support import STAGE_FAULTS, poly, run
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
 
 
 # -- independent oracle: X^n mod (X^4 + 12T X^3 - 12 X^2 - 12) ---------------------
@@ -317,7 +311,7 @@ class TestConjecture1:
         v = verify_conjecture1(7, 60)
         assert v.passed is False and v.stage == "perfect-conditions"
         assert (v.eps1, v.eps2, v.a) == (3, 5, 6)
-        assert main(["verify", "conj1", "--p", "7"], out=io.StringIO()) == 1
+        assert run(["verify", "conj1", "--p", "7"])[0] == 1
 
     def test_direct_expansion_past_l_altered_fails_the_comparison(self, monkeypatch):
         # only the root's n-quotient expansion is altered, at a_4 = a_(l+1);
@@ -338,9 +332,8 @@ class TestConjecture1:
         assert v.detail == "generated and direct expansions differ at index 4"
         assert v.compared_terms == 60
         assert (v.eps1, v.eps2, v.a) == (3, 5, 6)
-        out = io.StringIO()
-        assert main(["verify", "conj1", "--p", "7"], out=out) == 1
-        assert "  stage: comparison  detail: generated and direct expansions differ at index 4\n" in out.getvalue()
+        code, out = run(["verify", "conj1", "--p", "7"])
+        assert code == 1 and "  stage: comparison  detail: generated and direct expansions differ at index 4\n" in out
 
     def test_expands_the_root_once(self, monkeypatch):
         # the quartic's root is expanded once, to the n compared quotients;
@@ -387,9 +380,8 @@ class TestConjecture2:
         assert relation_residual(cf, wrong, 100) != float("-inf")
 
     def test_relation_kept_out_of_json(self):
-        out = io.StringIO()
-        assert main(["verify", "conj2", "--p", "5", "--json"], out=out) == 0
-        assert "relation" not in json.loads(out.getvalue())
+        code, out = run(["verify", "conj2", "--p", "5", "--json"])
+        assert code == 0 and "relation" not in json.loads(out)
         assert verify_conjecture2(5, l_override=13).relation is None
 
     def test_perturbed_constant_part_fails_a_shape_stage(self, monkeypatch):
@@ -454,32 +446,6 @@ def test_one_derivation_for_both_residue_classes(p):
     assert len(tr.prefix) == tr.relation.l
 
 
-def _shift_vectors(change):
-    """A frobenius_vectors that hands the derivation change(v0, v1, one)."""
-    real = quartic.frobenius_vectors
-    return lambda field, e: change(*real(field, e), Polynomial.one(field))
-
-
-# one way to reach each stage of derive_frobenius_relation, as (name, value) to monkeypatch
-STAGE_FAULTS = {
-    # a_(r+1) + 1: (a_(r+1), a_r) is no longer proportional to (x_l, y_l), so
-    # the Euclid of a_(r+1)/a_r does not end after l quotients
-    "prefix": lambda: ("frobenius_vectors", _shift_vectors(
-        lambda v0, v1, one: (v0, v1._replace(a=v1.a + one)))),
-    # alpha^(r+1) + alpha^2: the alpha^3 parts still cancel, the alpha^2 parts do not
-    "b-compat": lambda: ("frobenius_vectors", _shift_vectors(
-        lambda v0, v1, one: (v0, v1._replace(b=v1.b + one)))),
-    # alpha^(r+1) + alpha moves U = eps1 P by x_l y_l, past degree 2k'
-    "W-shape": lambda: ("frobenius_vectors", _shift_vectors(
-        lambda v0, v1, one: (v0, v1._replace(c=v1.c + one)))),
-    # (alpha^r - 1, alpha^(r+1) - alpha) is the relation with V - 1 for V, U kept
-    "Q-shape": lambda: ("frobenius_vectors", _shift_vectors(
-        lambda v0, v1, one: (v0._replace(d=v0.d - one), v1._replace(c=v1.c - one)))),
-    # an alpha with no part above T^-1: y_l alpha^r + c has too low a degree
-    "degree": lambda: ("alpha_series", lambda field, floor: Laurent.zero(field, floor)),
-}
-
-
 class TestBasisPrefix:
     """The derivation's l-quotient prefix is the Euclidean expansion of
     a_(r+1)/a_r, the alpha^3-coordinates of alpha^(r+1) and alpha^r, run by
@@ -520,10 +486,9 @@ class TestBasisPrefix:
         with pytest.raises(DerivationError) as info:
             derive_frobenius_relation(7)
         assert (info.value.stage, str(info.value)) == ("prefix", detail)
-        assert main(["verify", "conj1", "--p", "7"], out=io.StringIO()) == 1
-        out = io.StringIO()
-        assert main(["verify", "conj2", "--p", "5"], out=out) == 1
-        assert "  detail: prefix: need deg a_(r+1) > deg a_r >= 0, got " in out.getvalue()
+        assert run(["verify", "conj1", "--p", "7"])[0] == 1
+        code, out = run(["verify", "conj2", "--p", "5"])
+        assert code == 1 and "  detail: prefix: need deg a_(r+1) > deg a_r >= 0, got " in out
 
     @pytest.mark.parametrize("p, l, detail", [
         (5, 13, "a_(r+1)/a_r has 12 quotients, not l = 13"),
@@ -558,9 +523,8 @@ class TestBasisPrefix:
         assert (v.passed, v.stage, v.compared_terms) == (False, "comparison", 12)
         assert v.detail == "derived and direct prefixes differ at index 5"
         assert (v.relation, v.a, v.prefix) == (derived.relation, derived.a, derived.prefix)
-        out = io.StringIO()
-        assert main(["verify", "conj2", "--p", "5"], out=out) == 1
-        assert out.getvalue().endswith("  detail: comparison: derived and direct prefixes differ at index 5\n")
+        code, out = run(["verify", "conj2", "--p", "5"])
+        assert code == 1 and out.endswith("  detail: comparison: derived and direct prefixes differ at index 5\n")
 
 
 class TestRelationVerdict:
@@ -634,12 +598,10 @@ class TestDerivationStages:
         # it once passed every other stage and surfaced as stage "residual"
         # with the detail "series residual at T^-inf"
         monkeypatch.setattr(quartic, *STAGE_FAULTS["degree"]())
-        out = io.StringIO()
-        assert main(["verify", "conj1", "--p", "7"], out=out) == 1
-        assert "stage: degree" in out.getvalue() and "residual" not in out.getvalue()
-        out = io.StringIO()
-        assert main(["verify", "conj2", "--p", "5"], out=out) == 1
-        assert "detail: degree: " in out.getvalue()
+        code, out = run(["verify", "conj1", "--p", "7"])
+        assert code == 1 and "stage: degree" in out and "residual" not in out
+        code, out = run(["verify", "conj2", "--p", "5"])
+        assert code == 1 and "detail: degree: " in out
 
     def test_prefix_form_is_reported_by_conj1(self, monkeypatch):
         # normalize_to_beta refuses a prefix quotient that is not lambda*T

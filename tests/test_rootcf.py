@@ -1,4 +1,3 @@
-import io
 import json
 import random
 
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 import hqcf.quartic as quartic
 import hqcf.rootcf as rootcf
 from hqcf.cf import ContinuedFraction, rational_to_cf
-from hqcf.cli import main
 from hqcf.fields import GF
 from hqcf.laurent import Laurent, divide
 from hqcf.perfect import expand_from_relation
@@ -23,6 +21,7 @@ from hqcf.rootcf import (
     expand_root,
     step,
 )
+from support import poly, run
 
 F5, F7, F11, F13 = GF(5), GF(7), GF(11), GF(13)
 
@@ -36,10 +35,6 @@ def assert_matches_series_oracle(field, n):
     oracle = cf_from_series(alpha_series(field, -(2 * total + 4)))
     assert len(direct) == n and len(oracle) >= n
     assert list(oracle.quotients[:n]) == list(direct.quotients)
-
-
-def poly(field, *coeffs):
-    return Polynomial(field, coeffs)
 
 
 class TestDominance:
@@ -206,9 +201,9 @@ class TestSeededPolyAgainstSeriesRoot:
         coeffs = tuple(rng.randrange(1, 13) for _ in range(5))
         c0, c1, c2, c3, c4 = coeffs
         text = f"{c4}*X^4 + (T + {c3})*X^3 + {c2}*X^2 + {c1}*X + {c0}"
-        buf = io.StringIO()
-        assert main(["expand", "--poly", text, "--p", "13", "--n", "300", "--json"], out=buf) == 0
-        direct = ContinuedFraction.from_json_dict(json.loads(buf.getvalue()))
+        code, out = run(["expand", "--poly", text, "--p", "13", "--n", "300", "--json"])
+        assert code == 0
+        direct = ContinuedFraction.from_json_dict(json.loads(out))
         assert len(direct) == 300
         total = sum(q.degree for q in direct.quotients)
         u = series_root_of_reversed(F13, coeffs, -(2 * total + 8))
