@@ -706,12 +706,29 @@ def expand_from_relation(prefix: ContinuedFraction, rel: FrobeniusRelation, n: i
     return ContinuedFraction(field, quotients[:n])
 
 
+def _certifying_length(cf: ContinuedFraction, l: int, floor_alpha: int, floor_tail: int) -> int:
+    """The smallest m > l at which deg y_m (of a_2..a_m) and deg y'_m (of
+    a_(l+2)..a_m) meet the floors; len(cf) if none does, or if a quotient
+    after the first has degree < 1 (a sum of degrees then overstates)."""
+    degrees = cf.degrees()
+    if min(degrees[1:], default=1) < 1:
+        return len(cf)
+    deg_y, deg_yt = sum(degrees[1 : l + 1]), 0  # at m = l + 1
+    for m in range(l + 1, len(cf)):
+        if 2 * deg_y >= -floor_alpha and 2 * deg_yt >= -floor_tail:
+            return m
+        deg_y, deg_yt = deg_y + degrees[m], deg_yt + degrees[m]
+    return len(cf)
+
+
 def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: int):
     """Series check of alpha^r = eps1 * P * alpha_{l+1} + eps2 * Q.
 
-    Both sides are expanded down to T^(-precision) from the continued
-    fraction's convergents; the return value is the exponent of the first
-    differing coefficient, or -inf when the sides agree on the whole range.
+    Both sides are expanded down to T^(-precision) from the convergents of
+    the shortest prefix a_1 .. a_m that certifies them (_certifying_length);
+    a longer prefix's differ by less than |T|^(-2 deg y_m), so the result is
+    that of all n quotients: the exponent of the first differing
+    coefficient, or -inf when the sides agree on the whole range.
     Raises InsufficientExpansion when the expansion is too short to certify
     the requested precision.
     """
@@ -720,18 +737,19 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     l = rel.l
     if len(cf) <= l:
         raise InsufficientExpansion(f"insufficient expansion: need more than l = {l} partial quotients")
-    # the whole is the head [a_1..a_l] times the tail [a_(l+1)..a_n]
-    head, tail = cf.matrix(0, l), cf.matrix(l)
-    x, _, y, _ = matrix_product(head, tail, 0, len(cf))
     floor_cmp = -precision - 1
     # alpha^r needs alpha down to roughly -precision/r; the twist refuses an r < 1
     floor_alpha = -(precision // max(rel.r, 1) + 2)
+    floor_tail = floor_cmp - rel.P.degree
+    m = _certifying_length(cf, l, floor_alpha, floor_tail)
+    # the prefix is the head [a_1..a_l] times the tail [a_(l+1)..a_m]
+    head, tail = cf.matrix(0, l), cf.matrix(l, m)
+    x, _, y, _ = matrix_product(head, tail, 0, m)
     if 2 * y.degree < -floor_alpha:
         raise InsufficientExpansion("insufficient expansion for the requested precision")
     lhs = rational_series(x, y, floor_alpha).frobenius(rel.r).truncate(floor_cmp)  # alpha(T^r)
 
     xt, _, yt, _ = tail
-    floor_tail = floor_cmp - rel.P.degree
     if 2 * yt.degree < -floor_tail:
         raise InsufficientExpansion("insufficient expansion for the requested precision")
     tail_series = rational_series(xt, yt, floor_tail)

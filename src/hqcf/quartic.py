@@ -30,6 +30,8 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
 from .laurent import Laurent, divide
@@ -139,35 +141,55 @@ def _alpha_step(field: PrimeField, vec: PowerVec) -> PowerVec:
     )
 
 
-def power_vectors(field: PrimeField, n: int) -> list:
-    """Basis coordinates of alpha^0 .. alpha^n."""
+def power_vectors(field: PrimeField, exponents) -> list:
+    """Basis coordinates of alpha^n for each n of exponents, in their order.
+
+    _alpha_step, (a, b, c, d) -> (b - 12T a, c + 12a, d, 12a), runs from 1
+    in place on four int64 residue arrays, step n on the n + 2 entries that
+    can be nonzero; every value stays in (-12p, 13p).
+    """
     if field.p < 5:
         raise ValueError("the quartic needs p >= 5")
-    zero, one = Polynomial.zero(field), Polynomial.one(field)
-    vecs = [PowerVec(zero, zero, zero, one), PowerVec(zero, zero, one, zero)][: n + 1]
-    while len(vecs) <= n:
-        vecs.append(_alpha_step(field, vecs[-1]))
-    return vecs
+    exponents = tuple(exponents)
+    if min(exponents, default=0) < 0:
+        raise ValueError(f"need exponents >= 0, got {min(exponents)}")
+    p, top = field.p, max(exponents, default=0)
+    a, b, c, d = (np.zeros(top + 2, dtype=np.int64) for _ in range(4))
+    d[0] = 1
+    built = {}
+    for n in range(top + 1):
+        if n in exponents:
+            built[n] = PowerVec(*(Polynomial._make(field, v[: n + 1].tolist()) for v in (a, b, c, d)))
+        a12 = 12 * a[: n + 2]
+        b[1 : n + 2] -= a12[:-1]
+        b[: n + 2] %= p
+        c[: n + 2] += a12
+        c[: n + 2] %= p
+        np.remainder(a12, p, out=a[: n + 2])
+        a, b, c, d = b, c, d, a
+    return [built[n] for n in exponents]
 
 
 def frobenius_vectors(field: PrimeField, e: int) -> tuple:
     """Basis coordinates of (alpha^r, alpha^(r+1)), r = p^e, e >= 1.
 
-    alpha^p takes p - 1 steps from alpha.  Raising to the p-th power is a
-    ring endomorphism in characteristic p, so alpha^r = a alpha^3 + b alpha^2
-    + c alpha + d gives alpha^(pr) = a(T^p) alpha^(3p) + b(T^p) alpha^(2p)
-    + c(T^p) alpha^p + d(T^p): for e > 1, 2p more steps reach alpha^(2p) and
-    alpha^(3p), and each further power of p is one pow_frobenius per
-    coordinate, in place of the pr - r steps of power_vectors.
+    Raising to the p-th power is a ring endomorphism in characteristic p,
+    so alpha^r = a alpha^3 + b alpha^2 + c alpha + d gives alpha^(pr) =
+    a(T^p) alpha^(3p) + b(T^p) alpha^(2p) + c(T^p) alpha^p + d(T^p): past
+    alpha^p (and alpha^(2p), alpha^(3p) for e > 1) from power_vectors,
+    each power of p is one pow_frobenius per coordinate.
     """
     if e < 1:
         raise ValueError(f"need e >= 1, got {e}")
     p, zero = field.p, Polynomial.zero(field)
-    vecs = power_vectors(field, 3 * p if e > 1 else p)
-    vec = vecs[p]
+    if e == 1:
+        (vec,) = power_vectors(field, (p,))
+    else:
+        basis = power_vectors(field, (3 * p, 2 * p, p, 0))  # alpha^(3p), alpha^(2p), alpha^p, 1
+        vec = basis[2]
     for _ in range(e - 1):
         out = [zero] * 4
-        for coef, w in zip(vec, vecs[::-p]):  # alpha^(3p), alpha^(2p), alpha^p, 1
+        for coef, w in zip(vec, basis):
             coef = coef.pow_frobenius()
             out = [o + coef * x for o, x in zip(out, w)]
         vec = PowerVec(*out)

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 
 from hqcf import cli, perfect, quartic, rootcf
-from hqcf.cf import ContinuedFraction, rational_to_cf, running_scalar_cf
+import hqcf.cf as cf_module
+from hqcf.cf import ContinuedFraction, matrix_product, rational_to_cf, running_scalar_cf
 from hqcf.fields import GF
-from hqcf.laurent import Laurent
+from hqcf.laurent import Laurent, rational_series
 from hqcf.polynomials import Polynomial
 
 F5, F13 = GF(5), GF(13)
@@ -265,6 +266,89 @@ def corruption_raises():
         except ArithmeticError as exc:
             return "AD - BC" in str(exc)
     return False
+
+
+def full_length_residual(cf, rel, precision):
+    """relation_residual on all n quotients of cf, as it was before it cut
+    the expansion to its shortest certifying prefix: the oracle of the cut."""
+    if precision < 1:
+        raise ValueError("precision must be positive")
+    l = rel.l
+    if len(cf) <= l:
+        raise perfect.InsufficientExpansion(f"insufficient expansion: need more than l = {l} partial quotients")
+    head, tail = cf.matrix(0, l), cf.matrix(l)
+    x, _, y, _ = matrix_product(head, tail, 0, len(cf))
+    floor_cmp = -precision - 1
+    floor_alpha = -(precision // max(rel.r, 1) + 2)
+    if 2 * y.degree < -floor_alpha:
+        raise perfect.InsufficientExpansion("insufficient expansion for the requested precision")
+    lhs = rational_series(x, y, floor_alpha).frobenius(rel.r).truncate(floor_cmp)
+    xt, _, yt, _ = tail
+    floor_tail = floor_cmp - rel.P.degree
+    if 2 * yt.degree < -floor_tail:
+        raise perfect.InsufficientExpansion("insufficient expansion for the requested precision")
+    tail_series = rational_series(xt, yt, floor_tail)
+    rhs = ((Laurent.from_polynomial(rel.P) * tail_series).scaled(rel.eps1)
+           + Laurent.from_polynomial(rel.Q).scaled(rel.eps2)).truncate(floor_cmp)
+    return lhs.first_difference(rhs)
+
+
+# the type (13, 6, 4) spec whose generated expansion the residual tests read
+RESIDUAL_SPEC = perfect.ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
+
+
+def certifying_length(cf, rel, precision):
+    """The m of the residual's prefix, from cf's degrees: the smallest m > l
+    whose deg y_m (of a_2 .. a_m) and deg y'_m (of a_(l+2) .. a_m) meet the
+    floors T^-(precision // r + 2) and T^-(precision + 1 + deg P)."""
+    degrees = cf.degrees()
+    floor_alpha, floor_tail = precision // rel.r + 2, precision + 1 + rel.P.degree
+    return next(m for m in range(rel.l + 1, len(cf) + 1)
+                if 2 * sum(degrees[1:m]) >= floor_alpha and 2 * sum(degrees[rel.l + 1 : m]) >= floor_tail)
+
+
+def quotients_read(cf, rel, precision):
+    """(relation_residual(cf, rel, precision), the number of quotients that
+    enter a leaf of the continuant trees it builds)."""
+    real, read = cf_module._product, [0]
+
+    def counting(quotients, lo, hi, field):
+        if hi - lo <= cf_module._LEAF:
+            read[0] += hi - lo
+        return real(quotients, lo, hi, field)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cf_module, "_product", counting)
+        return perfect.relation_residual(cf, rel, precision), read[0]
+
+
+def residual_boundary_case():
+    """(cf, relation, precision, m) where the tail floor is met exactly at
+    m: 2 deg y'_m = precision + 1 + deg P = 52 at precision 43, m = 25."""
+    cf, rel, precision = perfect.generate_perfect_expansion(RESIDUAL_SPEC, 80), RESIDUAL_SPEC.relation(), 43
+    return cf, rel, precision, certifying_length(cf, rel, precision)
+
+
+def residual_reads_exactly_m():
+    """At the boundary case relation_residual agrees with the full-length
+    oracle and reads exactly the m quotients that certify its floors."""
+    cf, rel, precision, m = residual_boundary_case()
+    try:
+        return quotients_read(cf, rel, precision) == (full_length_residual(cf, rel, precision), m)
+    except (ArithmeticError, ValueError):  # InsufficientExpansion is a ValueError
+        return False
+
+
+def power_vectors_are_the_step_chain(p):
+    """power_vectors(GF(p), range(3p + 2)) is the _alpha_step chain from 1."""
+    F = GF(p)
+    zero, one = Polynomial.zero(F), Polynomial.one(F)
+    vec = quartic.PowerVec(zero, zero, zero, one)
+    for got in quartic.power_vectors(F, range(3 * p + 2)):
+        if got != vec:
+            return False
+        vec = quartic._alpha_step(F, vec)
+    return True
 
 
 def _shift_vectors(change):

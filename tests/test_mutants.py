@@ -29,8 +29,9 @@ from hqcf.laurent import rational_series
 from hqcf.polynomials import Polynomial
 from support import (STAGE_FAULTS, all_top_case, boundaries_refused, cap_refuses_at_the_boundary, check_taylor_shift,
                      closed_form_names_the_built_levels, corrupt_v_k, corruption_raises, doubled_t, edited,
-                     euclid_oracle, lead_on_t, poly, predict_as, prop1_case, prop2_case, prop2_disagreements,
-                     prop2_sides, quartic_p13_names_a6_not_a7, rescaled, sextic_matches_direct)
+                     euclid_oracle, lead_on_t, poly, power_vectors_are_the_step_chain, predict_as, prop1_case,
+                     prop2_case, prop2_disagreements, prop2_sides, quartic_p13_names_a6_not_a7, rescaled,
+                     residual_reads_exactly_m, sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 T7, T13 = Polynomial.x(F7), Polynomial.x(F13)
@@ -249,12 +250,23 @@ def shift_refuses_past_the_guard(mp):
 
 
 def top_quotient_is_the_quotient(mp):
-    """_top_quotient gives a // b on 60 seeded pairs over F_13 with
-    deg a - deg b < deg b, where it drops s > 0 low coefficients."""
+    """_top_quotient gives a // b on seeded pairs over F_13 of quotient
+    degree d = deg a - deg b: 60 with d < deg b, 30 with deg b < d, where b
+    is padded with zeros below its lowest coefficient, and 3 with d past
+    _LONG_QUOTIENT, two of them with d < deg b, where s > 0 coefficients are
+    dropped before the kernel's division."""
     rng = random.Random("top quotient")
-    for _ in range(60):
-        db = rng.randint(1, 12)
-        d = rng.randint(0, db - 1)
+    long = rootcf._LONG_QUOTIENT
+    for case in range(93):
+        if case < 60:
+            db = rng.randint(1, 12)
+            d = rng.randint(0, db - 1)
+        elif case < 90:
+            db = rng.randint(0, 6)
+            d = rng.randint(db + 1, 12)
+        else:
+            db = rng.randint(long + 8, long + 40) if case < 92 else rng.randint(0, 20)
+            d = rng.randint(long, db - 1) if case < 92 else rng.randint(long, long + 20)
         a, b = ([rng.randrange(13) for _ in range(n)] + [rng.randrange(1, 13)] for n in (db + d, db))
         got = rootcf._top_quotient(F13, np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
         if got != Polynomial(F13, a) // Polynomial(F13, b):
@@ -361,6 +373,18 @@ MUTANTS = {
                           lambda mp: quartic_matches_direct(5)),
     "residual twists alpha by p": (perfect, "relation_residual", ".frobenius(rel.r)", ".frobenius(cf.field.p)",
                                    lambda mp: residual_agrees_at_5()),
+    # the residual's prefix: one quotient short of m cannot certify the
+    # floors, and one past it certifies them with a quotient it need not read
+    "residual cut one quotient early": (perfect, "_certifying_length", "return m", "return m - 1",
+                                        lambda mp: residual_reads_exactly_m()),
+    "residual reads one quotient past the tail floor": (perfect, "_certifying_length", "2 * deg_yt >= -floor_tail",
+                                                        "2 * deg_yt > -floor_tail",
+                                                        lambda mp: residual_reads_exactly_m()),
+    # the power basis on int64 arrays, against the _alpha_step chain
+    "power basis leaves c + 12a unreduced": (quartic, "power_vectors", "c[: n + 2] %= p", "pass",
+                                        lambda mp: all(map(power_vectors_are_the_step_chain, (5, 7, 13, 31)))),
+    "power basis steps by +12T": (quartic, "power_vectors", "b[1 : n + 2] -= a12[:-1]", "b[1 : n + 2] += a12[:-1]",
+                                  lambda mp: all(map(power_vectors_are_the_step_chain, (5, 7, 13, 31)))),
     # -- the derivation: each stage is reached by a fault that only it refuses
     "derivation twists Q by p^e": (quartic, "derive_frobenius_relation", ".pow_frobenius(p ** (e - 1))",
                                    ".pow_frobenius(p**e)", lambda mp: conj2_holds_at_5()),
@@ -397,6 +421,8 @@ MUTANTS = {
     "_top_quotient drops one coefficient too many": (rootcf, "_top_quotient", "s = max(0, min(db, 2 * db - da))",
                                                      "s = max(0, min(db, 2 * db - da + 1))",
                                                      top_quotient_is_the_quotient),
+    "_top_quotient's zero padding of b dropped": (rootcf, "_top_quotient", "top_b += [0] * (d + 1 - len(top_b))",
+                                                  "pass", top_quotient_is_the_quotient),
     "series keeps the quotient at the 2 deg y boundary": (rootcf, "cf_from_series", "if 2 * deg_y >= budget:",
                                                           "if 2 * deg_y > budget:", series_prefix_is_euclids),
     # the Taylor shift, each checked at the sum bound by the quotient length

@@ -31,10 +31,12 @@ from hqcf.perfect import (
 from hqcf.polynomials import Polynomial
 from hqcf.quartic import quartic_index, quartic_state
 from hqcf.rootcf import expand_root
-from support import (boundaries_refused, cap_refuses_at_the_boundary, closed_form_names_the_built_levels, corrupt_v_k,
-                     corruption_raises, doubled_t, edited, euclid_oracle, lead_on_t, poly, predict_as, prop1_case,
-                     prop2_case, prop2_disagreements, prop2_predicted, prop2_sides, quartic_p13_names_a6_not_a7,
-                     reference_tower, rescaled, sextic_matches_direct)
+from support import (boundaries_refused, cap_refuses_at_the_boundary, certifying_length,
+                     closed_form_names_the_built_levels, corrupt_v_k, corruption_raises, doubled_t, edited,
+                     euclid_oracle, full_length_residual, lead_on_t, poly, predict_as, prop1_case, prop2_case,
+                     prop2_disagreements, prop2_predicted, prop2_sides, quartic_p13_names_a6_not_a7, quotients_read,
+                     reference_tower, rescaled, residual_boundary_case, residual_reads_exactly_m,
+                     sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -1084,22 +1086,39 @@ class TestRelationResidual:
         with pytest.raises(ValueError, match="insufficient"):
             relation_residual(cf, spec.relation(), 500)
 
-    def test_each_quotient_enters_one_leaf(self, monkeypatch):
-        # the whole is joined from the head and tail trees, not built again
-        from hqcf import cf as cf_module
-
+    def test_each_quotient_enters_one_leaf(self):
+        # the prefix is joined from the head and tail trees, not built again,
+        # and is cut to the shortest one that certifies the floors: m = 25 of
+        # the 200 quotients at precision 40 (2 deg y'_25 = 52 >= 49)
         spec, cf = self.make_gen(200)
-        real_product = cf_module._product
-        leaf_quotients = [0]
+        m = certifying_length(cf, spec.relation(), 40)
+        assert m == 25
+        assert quotients_read(cf, spec.relation(), 40) == (float("-inf"), m)
 
-        def counting(quotients, lo, hi, field):
-            if hi - lo <= cf_module._LEAF:
-                leaf_quotients[0] += hi - lo
-            return real_product(quotients, lo, hi, field)
+    @pytest.mark.parametrize("precision", [1, 40, 100])
+    @pytest.mark.parametrize("n", [80, 200])
+    def test_equals_the_full_length_residual(self, precision, n):
+        spec, cf = self.make_gen(n)
+        for rel in (spec.relation(), spec.relation()._replace(eps2=spec.relation().eps2 + 1)):
+            assert relation_residual(cf, rel, precision) == full_length_residual(cf, rel, precision)
 
-        monkeypatch.setattr(cf_module, "_product", counting)
-        assert relation_residual(cf, spec.relation(), 40) == float("-inf")
-        assert leaf_quotients[0] == len(cf)
+    def test_tail_floor_met_exactly_at_m(self):
+        cf, rel, precision, m = residual_boundary_case()
+        degrees = cf.degrees()
+        assert 2 * sum(degrees[rel.l + 1 : m]) == precision + 1 + rel.P.degree
+        assert 2 * sum(degrees[rel.l + 1 : m - 1]) < precision + 1 + rel.P.degree
+        assert residual_reads_exactly_m()
+
+    def test_a_quotient_of_degree_0_reads_all(self):
+        # a_8 = 1 after the first: a sum of degrees overstates deg y, so all
+        # n quotients are read, and both routes agree
+        spec, cf = self.make_gen()
+        qs = list(cf.quotients)
+        qs[7] = Polynomial.one(F13)
+        bent = ContinuedFraction(F13, qs)
+        for precision in (1, 40):
+            got = quotients_read(bent, spec.relation(), precision)
+            assert got == (full_length_residual(bent, spec.relation(), precision), len(bent))
 
 
 # -- the relation-driven expansion ---------------------------------------------

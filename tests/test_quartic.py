@@ -27,7 +27,7 @@ from hqcf.quartic import (
     verify_conjecture2,
 )
 from hqcf.rootcf import expand_root
-from support import STAGE_FAULTS, poly, run
+from support import STAGE_FAULTS, poly, power_vectors_are_the_step_chain, run
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -76,14 +76,14 @@ def alpha_power_oracle(field, n):
 
 class TestPowerReduce:
     def test_alpha_4(self):
-        v = power_vectors(F13, 4)[4]
+        v = power_vectors(F13, range(5))[4]
         assert v.a == poly(F13, 0, -12)
         assert v.b == poly(F13, 12)
         assert v.c.is_zero()
         assert v.d == poly(F13, 12)
 
     def test_alpha_5(self):
-        v = power_vectors(F13, 5)[5]
+        v = power_vectors(F13, range(6))[5]
         assert v.a == poly(F13, 12, 0, 144)  # 144T^2 + 12
         assert v.b == poly(F13, 0, -144)
         assert v.c == poly(F13, 12)
@@ -91,7 +91,7 @@ class TestPowerReduce:
 
     def test_successive_consistency(self):
         rng = random.Random(31)
-        vecs = power_vectors(F7, 55)
+        vecs = power_vectors(F7, range(56))
         from hqcf.quartic import _alpha_step
 
         for _ in range(25):
@@ -101,7 +101,7 @@ class TestPowerReduce:
     def test_against_modexp_oracle(self):
         for p in (7, 13):
             F = GF(p)
-            vecs = power_vectors(F, p + 1)
+            vecs = power_vectors(F, range(p + 2))
             for n in (4, 5, p, p + 1):
                 d, c, b, a = alpha_power_oracle(F, n)
                 assert vecs[n] == (a, b, c, d)
@@ -117,18 +117,29 @@ class TestPowerReduce:
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError, match="p >= 5"):
-            power_vectors(GF(3), 4)
+            power_vectors(GF(3), range(5))
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 31])
+    def test_arrays_are_the_step_chain(self, p):
+        assert power_vectors_are_the_step_chain(p)
+
+    def test_only_the_exponents_asked_for_in_their_order(self):
+        vecs = power_vectors(F13, range(9))
+        assert power_vectors(F13, (8, 0, 5, 8)) == [vecs[8], vecs[0], vecs[5], vecs[8]]
+        assert power_vectors(F13, ()) == []
+        with pytest.raises(ValueError, match="^need exponents >= 0, got -1$"):
+            power_vectors(F13, (3, -1))
 
     @pytest.mark.parametrize("p", [5, 11, 17, 23, 29])
     def test_frobenius_square_equals_power_vectors(self, p):
         F = GF(p)
-        vecs = power_vectors(F, p * p + 1)
+        vecs = power_vectors(F, range(p * p + 2))
         assert frobenius_vectors(F, 2) == (vecs[p * p], vecs[p * p + 1])
 
     @pytest.mark.parametrize("p", [5, 7, 11])
     def test_frobenius_vectors_at_e_1_and_2(self, p):
         F = GF(p)
-        vecs = power_vectors(F, p * p + 1)
+        vecs = power_vectors(F, range(p * p + 2))
         for e in (1, 2):
             assert frobenius_vectors(F, e) == (vecs[p**e], vecs[p**e + 1])
         with pytest.raises(ValueError, match="e >= 1"):
@@ -140,7 +151,7 @@ class TestPowerReduce:
         # reduces alpha^4 by, is the zero vector
         F = GF(p)
         total = [Polynomial.zero(F)] * 4
-        for c, vec in zip(quartic_state(F).coeffs, power_vectors(F, 4)):
+        for c, vec in zip(quartic_state(F).coeffs, power_vectors(F, range(5))):
             total = [t + c * w for t, w in zip(total, vec)]
         assert total == [Polynomial.zero(F)] * 4
 
@@ -170,7 +181,7 @@ class TestDerivation:
         xl, _, yl, _ = tr.prefix.matrix(0, tr.relation.l)
         assert xl == poly(F7, 0, 1, 0, 2) and yl == poly(F7, 1, 0, 1)
         # (a_(p+1), a_p) = delta * (x_l, y_l), delta a polynomial
-        vp, vp1 = power_vectors(F7, 8)[7:]
+        vp, vp1 = power_vectors(F7, range(9))[7:]
         delta, rem = divmod(vp.a, yl)
         assert rem.is_zero() and not delta.is_zero()
         assert (vp1.a, vp.a) == (delta * xl, delta * yl)
