@@ -153,12 +153,12 @@ def power_vectors(field: PrimeField, exponents) -> list:
     exponents = tuple(exponents)
     if min(exponents, default=0) < 0:
         raise ValueError(f"need exponents >= 0, got {min(exponents)}")
-    p, top = field.p, max(exponents, default=0)
+    p, top, wanted = field.p, max(exponents, default=0), set(exponents)
     a, b, c, d = (np.zeros(top + 2, dtype=np.int64) for _ in range(4))
     d[0] = 1
     built = {}
     for n in range(top + 1):
-        if n in exponents:
+        if n in wanted:
             built[n] = PowerVec(*(Polynomial._make(field, v[: n + 1].tolist()) for v in (a, b, c, d)))
         a12 = 12 * a[: n + 2]
         b[1 : n + 2] -= a12[:-1]

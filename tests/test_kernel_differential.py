@@ -368,21 +368,6 @@ class TestTopQuotient:
         assert to_gf(got) == gt.gf_div(to_gf(a), to_gf(b), p, ZZ)[0]
         assert got.degree == d
 
-    @pytest.mark.parametrize("p", [13, 999983])
-    @pytest.mark.parametrize("deg_b", [5, 200, 400])
-    def test_long_quotients_match_gf_div(self, p, deg_b):
-        # d from _LONG_QUOTIENT on goes to the kernel's division, with s > 0
-        # dropped coefficients when d < deg b
-        rng = random.Random(deg_b)
-        d = rng.randint(rootcf._LONG_QUOTIENT, rootcf._LONG_QUOTIENT + 100)
-        a, b = (Polynomial(GF(p), [rng.randrange(p) for _ in range(n)] + [1]) for n in (deg_b + d, deg_b))
-        got = rootcf._top_quotient(
-            GF(p), np.array(a.coeffs, dtype=np.int64), np.array(b.coeffs, dtype=np.int64)
-        )
-        assert_canonical(got, p)
-        assert got == a // b
-        assert to_gf(got) == gt.gf_div(to_gf(a), to_gf(b), p, ZZ)[0]
-
 
 # -- Laurent series against a dict reference -----------------------------------
 #
