@@ -154,14 +154,14 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     level L, comes from L's coefficients (Polynomial.format and
     to_json_text with c = lambda), once per distinct pair (L, lambda), and
     no lambda*L polynomial is built.  The pairs are rendered grouped by
-    level, so L's shared work (its terms, or its distinct coefficient
-    values) is dropped before the next level.  The text names A_0 ..
-    A_top, which have distinct degrees: L is named j, with c = lambda*lc(L),
-    when A_j has L's degree and L.monic() == A_j, tested first as L is A_j
-    and L == A_j, so that no generated level is compared in full or scaled
-    (at 2k = p - 1 each of its levels is a T of its own).  A generated
-    expansion names its own tower's levels; any other builds them with one
-    a_sequence call.  The output goes to out in pieces, one per quotient.
+    level, so L's shared work (its terms) is dropped before the next
+    level.  The text names A_0 .. A_top, which have distinct degrees: L is
+    named j, with c = lambda*lc(L), when A_j has L's degree and L.monic()
+    == A_j, tested first as L is A_j and L == A_j, so that no generated
+    level is compared in full or scaled (at 2k = p - 1 each of its levels
+    is a T of its own).  A generated expansion names its own tower's
+    levels; any other builds them with one a_sequence call.  The output
+    goes to out in pieces, one per quotient.
     """
     field, tower = cf.field, cf.tower
     max_deg = max((tower[i].degree for i in set(cf.indices)), default=1)
@@ -175,9 +175,9 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
         j, a = named.get(level.degree, (None, None))
         if a is not None and not (level is a or level == a or level.monic() == a):
             j = None
-        shared = set(level.coeffs) if as_json else level.terms()
+        terms = None if as_json else level.terms()
         for _, c in pairs:
-            text = level.to_json_text(c, shared) if as_json else level.format(c, shared)
+            text = level.to_json_text(c) if as_json else level.format(c, terms)
             if j is not None:
                 text += f"  [= {c * level.leading_coefficient() % field.p}*A[{j},k]]"
             texts[i, c] = text

@@ -16,19 +16,20 @@ prescribed multiples lambda_j * A_{i(j),k} and its tail satisfies
 
 When the scalar continued fractions delta_n all exist in F_p^* and the
 last one equals 2k*eps1/eps2 (the existence and anchor conditions on the
-prefix data), every partial quotient
-is lambda_n * A_{i(n),k} and the lambda/delta sequences extend by explicit
-recurrences; generate_perfect_expansion implements that generator, in
-plain int arithmetic mod p, filling a level of adjacent blocks at a time,
-one strided slice per column.  Its result keeps the quotients symbolic: a
-ContinuedFraction holding the tower A_{0,k} .. A_{max i,k} and the lambda
-and i sequences, whose length and degrees are read from the tower
-and whose polynomials are built on first use, one per distinct
+prefix data), every partial quotient is lambda_n * A_{i(n),k} and the
+lambda/delta sequences extend by explicit recurrences;
+generate_perfect_expansion implements that generator on int64 arrays of
+residues mod p, filling a level of adjacent blocks at a time, one
+vectorized multiply-mod per column.  Its result keeps the quotients
+symbolic: a ContinuedFraction holding the tower A_{0,k} .. A_{max i,k}
+and the lambda and i sequences, whose length and degrees are read from
+the tower and whose polynomials are built on first use, one per distinct
 (i, lambda) pair.
 
 a_sequence builds the tower by exact division: A_{i,k}^p = A_{i,k}(T^p) is
 divided by P_k = (T^2 - 1)^k as k divisions by T^2 - 1, each the recurrence
-q_j = c_{j+2} + q_{j+2} run as two stride-2 reversed cumulative sums.  The
+q_j = c_{j+2} + q_{j+2} run as two stride-2 reversed cumulative sums on an
+int64 array, which is carried to the next level as it is.  The
 remainder is a certificate: at every level built it must equal
 -2k theta_k^{i+1} Q_k, the identity A_{i,k}^p = A_{i+1,k} P_k -
 2k theta_k^{i+1} Q_k of Prop. 1, or ArithmeticError is raised.
@@ -179,20 +180,25 @@ def a_sequence(field: PrimeField, k: int, count: int) -> list:
     if count:
         _, Q = pq_polynomials(field, k)
         theta, _ = family_constants(field, k)
+    level = np.array(seq[0].coeffs, dtype=np.int64)  # A_i's coefficients, carried to the next level
     while len(seq) <= count:
         i = len(seq) - 1
-        quo, rem = _frobenius_divmod_pk(seq[i], k)
+        level, rem = _frobenius_divmod_pk(field, level, k)
         if rem != Q.scaled(-2 * k * pow(theta, i + 1, p)):
             raise ArithmeticError(
                 f"A_({i},k)^p = A_({i + 1},k) P_k - 2k theta^{i + 1} Q_k fails"
                 f" at k = {k}, p = {p}: remainder {rem.format()}"
             )
-        seq.append(quo)
+        # the tuple of ints straight from the array, with no list between them;
+        # the level is monic, so there is no zero to strip
+        seq.append(Polynomial(field, tuple(memoryview(level)), _trusted=True))
     return seq
 
 
-def _frobenius_divmod_pk(a: Polynomial, k: int):
-    """(q, r) with a^p = a(T^p) = (T^2 - 1)^k q + r and deg r < 2k.
+def _frobenius_divmod_pk(field: PrimeField, a: np.ndarray, k: int):
+    """(q, r) with a(T)^p = a(T^p) = (T^2 - 1)^k q + r and deg r < 2k, for a
+    the reduced int64 coefficients of a polynomial over field; q comes back
+    as reduced int64 coefficients too, and r as a Polynomial.
 
     Dividing c by T^2 - 1 is the recurrence q_j = c_(j+2) + q_(j+2): with
     s_j = c_j + c_(j+2) + c_(j+4) + ..., two stride-2 reversed cumulative
@@ -204,11 +210,9 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
     10^6 (10^7 + 10^6) < 2^63, inside int64.
     The top coefficient never changes, so a monic a gives a monic q.
     """
-    field = a.field
     p = field.p
-    n = a.degree * p
-    c = np.zeros(n + 1, dtype=np.int64)
-    c[::p] = a.coeffs
+    c = np.zeros((len(a) - 1) * p + 1, dtype=np.int64)
+    c[::p] = a
     rems = []
     for _ in range(k):
         for start in (0, 1):
@@ -220,9 +224,7 @@ def _frobenius_divmod_pk(a: Polynomial, k: int):
     rem = rems.pop()
     while rems:
         rem = rem * step + rems.pop()
-    cs = c.tolist()
-    del c  # free the int64 array before the quotient's tuple is built
-    return Polynomial._make(field, cs), rem
+    return c, rem
 
 
 # -- the generator -------------------------------------------------------------
@@ -313,6 +315,11 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction
       lambda_{f(m)+i} = -v_i eps1^((-1)^(m+i)) (2k theta delta_m)^((-1)^i)
       delta_{f(m)}    = eps1^((-1)^m) delta_m theta
       delta_{f(m)+i}  = eps1^((-1)^(m+i)) (i v_i / (2k-2i+1)) (2k theta delta_m)^((-1)^i)
+
+    lambda, delta and i are int64 arrays.  Every product the fill takes is
+    of two residues, below p^2 <= 10^12 < 2^63 for p <= MAX_MODULUS, so it
+    is exact in int64; the distinct u_m of a pass are inverted in Python
+    ints.  The arrays become tuples of ints once, at the end.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -323,48 +330,52 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction
     k, l = spec.k, spec.l
     K = 2 * k + 1  # block length; f(m) = K m + l - 2k
     # the prefix and the last block may run past n; the tail is cut off below
-    lam, dl, idx = [0] * (n + K), [0] * (n + K), [0] * (n + K)
+    lam, dl, idx = (np.zeros(max(n, l) + K, dtype=np.int64) for _ in range(3))
     lam[1 : l + 1], dl[1 : l + 1], idx[1 : l + 1] = spec.lambdas, base_deltas, spec.indices
     eps1 = spec.eps1 % p
     eps1_inv = f.inv(eps1)
     col0 = ((eps1, eps1 * theta % p), (eps1_inv, eps1_inv * theta % p))  # m even, m odd
     # -v_i and i v_i / (2k - 2i + 1) for i = 1..2k; |2k - 2i + 1| < p is odd, so a unit
     consts = [(-x % p, i * x * f.inv(2 * k - 2 * i + 1) % p) for i, x in enumerate(v, 1)]
-    inverse = {}
     m_lo, m_last = 1, (n - l + 2 * k) // K  # f(m_last) <= n < f(m_last + 1)
     while m_lo <= m_last:
         start = K * m_lo + l - 2 * k  # f(m_lo): every position before it is known
         m_end = min(start, m_last + 1)  # the sources m_lo .. m_end - 1
-        broken = 0 in lam[m_lo:m_end]  # a zero source: fill the blocks before it, then raise
-        m_end = lam.index(0, m_lo) if broken else m_end
+        zeros = np.flatnonzero(lam[m_lo:m_end] == 0)  # a zero source: fill the blocks before it, then raise
+        broken = zeros.size > 0
+        m_end = m_lo + int(zeros[0]) if broken else m_end
         stop = K * m_end + l - 2 * k  # f(m_end)
         for j in (0, 1):  # column 0, the sources m of one parity at a time
             e, e_theta = col0[(m_lo + j) % 2]
             src, dst = slice(m_lo + j, m_end, 2), slice(start + j * K, stop, 2 * K)
-            lam[dst] = [e * x % p for x in lam[src]]
-            dl[dst] = [e_theta * x % p for x in dl[src]]
-        idx[start:stop:K] = [i + 1 for i in idx[m_lo:m_end]]
+            lam[dst] = lam[src] * e % p
+            dl[dst] = dl[src] * e_theta % p
+        idx[start:stop:K] = idx[m_lo:m_end] + 1
         # column i is -v_i (and i v_i / (2k - 2i + 1)) times u_m^((-1)^i), where
         # u_m = eps1^((-1)^m) 2k theta delta_m = 2k delta_f(m)
-        u = [2 * k * x % p for x in dl[start:stop:K]]
-        inverse.update((x, f.inv(x)) for x in set(u).difference(inverse))
-        u_inv = list(map(inverse.__getitem__, u))
+        u = dl[start:stop:K] * (2 * k) % p
+        values = sorted(set(u.tolist()))  # the distinct u_m, at most p - 1
+        u_inv = np.array([f.inv(x) for x in values], dtype=np.int64)[np.searchsorted(values, u)]
         for i, (a, b) in enumerate(consts, 1):
             w = u_inv if i % 2 else u
-            lam[start + i : stop : K] = [a * x % p for x in w]
-            dl[start + i : stop : K] = [b * x % p for x in w]
+            lam[start + i : stop : K] = w * a % p
+            dl[start + i : stop : K] = w * b % p
         del u, u_inv
         end = min(stop, n + 1)
-        if not (all(lam[start:end]) and all(dl[start:end])):
-            pos = next(j for j in range(start, end) if not lam[j] * dl[j])
-            raise ArithmeticError(f"internal contradiction: zero lambda/delta generated at index {pos}")
+        zeros = np.flatnonzero(lam[start:end] * dl[start:end] == 0)
+        if zeros.size:
+            raise ArithmeticError(f"internal contradiction: zero lambda/delta generated at index {start + zeros[0]}")
         if broken:
             raise ArithmeticError(f"generation order broken at block f({m_end})")
         m_lo = m_end
-    del dl, lam[n + 1 :], idx[n + 1 :]
+    # numpy sizes the tower, so symbolic's range check is the one Python
+    # scan of the indices; the arrays become tuples of ints with no list
+    # between them
+    top = int(idx[1 : n + 1].max(initial=0))
+    del dl
+    lam, idx = tuple(memoryview(lam[1 : n + 1])), tuple(memoryview(idx[1 : n + 1]))
     return ContinuedFraction.symbolic(
-        f, a_sequence(f, k, max(idx[1:], default=0)), lam[1:], idx[1:],
-        perfect_type=(p, l, k, tuple(spec.indices)),
+        f, a_sequence(f, k, top), lam, idx, perfect_type=(p, l, k, tuple(spec.indices)),
     )
 
 

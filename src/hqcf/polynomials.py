@@ -29,7 +29,7 @@ sentinel below every real degree, not |0| = 0: callers that must treat
 zero apart test is_zero().
 """
 
-from itertools import islice, takewhile, zip_longest
+from itertools import compress, islice, takewhile, zip_longest
 from operator import not_
 from typing import Iterable, Optional
 
@@ -63,6 +63,21 @@ def _shift_scale_add(c: int, e: int, x: tuple, xp: tuple, p: int) -> tuple:
     out += (0,) * (e - len(xp))
     out += [(c * u + v) % p for u, v in zip_longest(x, xp[e:], fillvalue=0)]
     return tuple(out)
+
+
+class _Rendered(dict):
+    """render(a) for each key a, computed on its first lookup and kept: a
+    table that holds only the coefficient values a render meets."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, a):
+        text = self[a] = self.render(a)
+        return text
 
 
 def _strip(cs: list) -> tuple:
@@ -323,9 +338,9 @@ class Polynomial:
         c %= p
         if not c or not self.coeffs:
             return "0"
-        values, heads, names = self.terms() if terms is None else terms
+        heads, names = self.terms() if terms is None else terms
         # "3*" for a term 3*T^n, and "" where c*a = 1: the term reads T^n
-        prefix = {a: f"{b}*" if (b := a * c % p) != 1 else "" for a in values}
+        prefix = _Rendered(lambda a: f"{b}*" if (b := a * c % p) != 1 else "")
         text = " + ".join(map(str.__add__, map(prefix.__getitem__, heads), names))
         if not self.coeffs[0]:
             return text
@@ -333,31 +348,28 @@ class Polynomial:
         return f"{text} + {constant}" if text else constant
 
     def terms(self) -> tuple:
-        """(values, heads, names) for format: the nonzero coefficients of
-        the terms of degree >= 1, descending (heads), their monomials 'T^n'
-        or 'T' (names) and the set of their distinct values."""
+        """(heads, names) for format: the nonzero coefficients of the terms
+        of degree >= 1, descending (heads), and their monomials 'T^n' or
+        'T' (names)."""
         cs = self.coeffs
-        degrees = [n for n in range(len(cs) - 1, 0, -1) if cs[n]]
-        heads = [cs[n] for n in degrees]
-        names = [f"T^{n}" if n > 1 else "T" for n in degrees]
-        return set(heads), heads, names
+        degrees = list(compress(range(len(cs) - 1, 0, -1), reversed(cs)))  # of the nonzero terms
+        return [cs[n] for n in degrees], [f"T^{n}" if n > 1 else "T" for n in degrees]
 
     def to_json_dict(self) -> dict:
         # "ext" stays in the serialized form, always false: the coefficients lie in F_p
         return {"p": self.field.p, "ext": False, "coeffs": list(self.coeffs)}
 
-    def to_json_text(self, c: int = 1, values: set | None = None) -> str:
+    def to_json_text(self, c: int = 1) -> str:
         """json.dumps((c*f).to_json_dict()), written without building c*f.
-
-        values is set(self.coeffs): a caller that writes f for several c
-        passes it to every call.  Each distinct coefficient value is scaled
-        and turned into a string once per call.
-        """
+        Each distinct coefficient value is scaled and turned into a string
+        once per call.  The digits are joined 2^16 at a time: one join
+        would first list a pointer per coefficient, 7.8 MB for A_(9,1) at
+        p = 5."""
         p = self.field.p
         c %= p
-        cs = self.coeffs if c else ()
-        digits = {a: str(a * c % p) for a in (set(cs) if values is None else values)}
-        return f'{{"p": {p}, "ext": false, "coeffs": [{", ".join(map(digits.__getitem__, cs))}]}}'
+        digits = map(_Rendered(lambda a: str(a * c % p)).__getitem__, self.coeffs if c else ())
+        chunks = iter(lambda: ", ".join(islice(digits, 1 << 16)), "")  # ends at the first empty chunk
+        return f'{{"p": {p}, "ext": false, "coeffs": [{", ".join(chunks)}]}}'
 
     @staticmethod
     def from_json_dict(d: dict) -> "Polynomial":

@@ -4,12 +4,15 @@ calls the code under test through its module (perfect.verify_prop2), so
 that a mutant installed there is the code it runs."""
 
 import io
+import json
+import random
 
 import numpy as np
 import pytest
 
 from hqcf import cli, perfect, quartic, rootcf
 import hqcf.cf as cf_module
+import hqcf.polynomials as polynomials
 from hqcf.cf import ContinuedFraction, matrix_product, rational_to_cf, running_scalar_cf
 from hqcf.fields import GF
 from hqcf.laurent import Laurent, rational_series
@@ -28,6 +31,47 @@ def run(argv):
     return cli.main(argv, out=out), out.getvalue()
 
 
+# -- the printer ------------------------------------------------------------------
+
+
+def render_cases(field, rng):
+    """The polynomials the scaled renderers are compared on: zero, the
+    constants 1 and a random unit, and random polynomials with a zero and
+    with a nonzero constant term, each shorter than p and longer than p.
+    Past 40 coefficients they are sparse: a unit at 30 random degrees and
+    at the top, so that a length past p = 999983 stays cheap."""
+    p, Poly = field.p, polynomials.Polynomial
+    cases = [Poly.zero(field), Poly.constant(field, 1), Poly.constant(field, rng.randrange(1, p))]
+    for length in (min(p - 1, 40), p + 2):
+        for constant in (0, rng.randrange(1, p)):
+            if length <= 40:
+                coeffs = [rng.randrange(p) for _ in range(length)]
+            else:
+                coeffs = [0] * length
+                for n in rng.sample(range(1, length), 30):
+                    coeffs[n] = rng.randrange(1, p)
+            coeffs[0], coeffs[-1] = constant, rng.randrange(1, p)
+            cases.append(Poly(field, coeffs))
+    return cases
+
+
+def render_scales(p, f, rng):
+    """The c the renderers are compared at: 0, p, 1, p - 1 and every unit
+    below 100 or 4 random ones; for a polynomial longer than 1000, only 0,
+    p - 1 and one random unit."""
+    if len(f.coeffs) > 1000:
+        return [0, p - 1, rng.randrange(2, p - 1)]
+    return [0, p, 1, p - 1, *(range(1, p) if p < 100 else rng.sample(range(2, p - 1), 4))]
+
+
+def json_text_is_the_scaled_dump(p):
+    """to_json_text(c) is json.dumps of f.scaled(c)'s dict on render_cases
+    at p, for every c of render_scales."""
+    field, rng = GF(p), random.Random(f"json text {p}")
+    return all(f.to_json_text(c) == json.dumps(f.scaled(c).to_json_dict())
+               for f in render_cases(field, rng) for c in render_scales(p, f, rng))
+
+
 # -- the printer's annotations ----------------------------------------------------
 
 
@@ -39,6 +83,13 @@ def reference_tower(field, k, max_degree, max_levels=6):
     while len(seq) <= max_levels and seq[-1].degree * field.p - 2 * k <= max_degree:
         seq.append(seq[-1].pow_frobenius() // P)
     return seq
+
+
+def is_the_generic_tower(tower, field, k):
+    """tower is A_0 .. A_top, top = len(tower) - 1, as reference_tower
+    divides them."""
+    top = len(tower) - 1
+    return list(tower) == reference_tower(field, k, perfect.a_degree(field.p, k, top), top)
 
 
 def built_annotation_levels(tower, max_deg):

@@ -282,9 +282,9 @@ class TestExpandTower:
         real = perfect._frobenius_divmod_pk
         divided = []
 
-        def counted(a, k):
-            divided.append(a)
-            return real(a, k)
+        def counted(field, a, k):
+            divided.append(tuple(a.tolist()))
+            return real(field, a, k)
 
         monkeypatch.setattr(perfect, "_frobenius_divmod_pk", counted)
         # at p = 7 the quotients are multiples of A_0 .. A_3: three divisions,

@@ -29,9 +29,10 @@ from hqcf.laurent import rational_series
 from hqcf.polynomials import Polynomial
 from support import (STAGE_FAULTS, all_top_case, boundaries_refused, cap_refuses_at_the_boundary, check_taylor_shift,
                      closed_form_names_the_built_levels, corrupt_v_k, corruption_raises, doubled_t, edited,
-                     euclid_oracle, lead_on_t, poly, power_vectors_are_the_step_chain, predict_as, prop1_case,
-                     prop2_case, prop2_disagreements, prop2_sides, quartic_p13_names_a6_not_a7, rescaled,
-                     residual_reads_exactly_m, sextic_matches_direct)
+                     euclid_oracle, is_the_generic_tower, json_text_is_the_scaled_dump, lead_on_t, poly,
+                     power_vectors_are_the_step_chain, predict_as, prop1_case, prop2_case, prop2_disagreements,
+                     prop2_sides, quartic_p13_names_a6_not_a7, rescaled, residual_reads_exactly_m,
+                     sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 T7, T13 = Polynomial.x(F7), Polynomial.x(F13)
@@ -129,12 +130,31 @@ def tower_remainder_checked(mp):
     """A remainder of A_(1,4)^p by P_4 off by 1 raises ArithmeticError."""
     real = perfect._frobenius_divmod_pk
 
-    def off_by_one(a, k):
-        q, r = real(a, k)
-        return q, r + Polynomial.one(r.field)
+    def off_by_one(field, a, k):
+        q, r = real(field, a, k)
+        return q, r + Polynomial.one(field)
 
     mp.setitem(perfect.a_sequence.__globals__, "_frobenius_divmod_pk", off_by_one)
     return raises(ArithmeticError, "fails at k = 4", perfect.a_sequence, F13, 4, 2)
+
+
+def zero_v_refused(mp):
+    """With v_2 read as 0 the generator raises its internal contradiction at
+    f(1) + 2 = 9, as test_zero_v_is_an_internal_contradiction asserts."""
+    spec = perfect.ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
+    theta, v = perfect.family_constants(F13, 4)
+    zeroed = perfect.FamilyConstants(theta, v[:1] + (0,) + v[2:])
+    mp.setitem(perfect.generate_perfect_expansion.__globals__, "family_constants", lambda field, k: zeroed)
+    return raises(ArithmeticError, "zero lambda/delta generated at index 9", perfect.generate_perfect_expansion,
+                  spec, 300)
+
+
+def generated_tower_is_generic(mp):
+    """The tower of the type (7, 3, 2) CI spec to n = 3000, A_0 .. A_5 with
+    two divisions by T^2 - 1 per level, is the generic division's, as
+    test_tower_and_quotients asserts."""
+    cf = perfect.generate_perfect_expansion(perfect.ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 3000)
+    return is_the_generic_tower(cf.tower, F7, 2)
 
 
 def generated_satisfies_its_relation(mp):
@@ -298,7 +318,9 @@ def joins_are_checked(mp):
 # a reason, which is also the pytest id: (module, function or class, a snippet
 # of its source that occurs once, its replacement, check(monkeypatch))
 MUTANTS = {
-    # -- the printer's annotations
+    # -- the printer
+    "on-demand digit ignores c": (polynomials, "Polynomial", "str(a * c % p)", "str(a)",
+                                  lambda mp: json_text_is_the_scaled_dump(13)),
     "every level of a named degree named": (cli, "_print_expansion", "level.monic() == a", "True",
                                             lambda mp: quartic_p13_names_a6_not_a7()),
     "< in the closed form": (cli, "_annotation_top", "a_degree(p, k, top + 1) <= max_deg",
@@ -339,6 +361,12 @@ MUTANTS = {
                                        "w = u if i % 2 else u_inv", generated_satisfies_its_relation),
     "block fill's eps1 parity flipped": (perfect, "generate_perfect_expansion", "col0[(m_lo + j) % 2]",
                                          "col0[(m_lo + j + 1) % 2]", generated_satisfies_its_relation),
+    "block fill's zero test dropped": (perfect, "generate_perfect_expansion", "if zeros.size:", "if False:",
+                                       zero_v_refused),
+    # only the remainders reduced: the quotient carried to the next level
+    # (and built into the level's tuple) keeps its unreduced sums
+    "carried tower level left unreduced": (perfect, "_frobenius_divmod_pk", "c %= p", "c[:2] %= p",
+                                           generated_tower_is_generic),
     # -- the relation engine.  At every state it reaches, deg D < deg C + r
     # follows from deg det < 2 deg C + r and the determinant, so only a map
     # built by hand tells the first inequality's <= apart.  The three twists

@@ -33,10 +33,10 @@ from hqcf.quartic import quartic_index, quartic_state
 from hqcf.rootcf import expand_root
 from support import (boundaries_refused, cap_refuses_at_the_boundary, certifying_length,
                      closed_form_names_the_built_levels, corrupt_v_k, corruption_raises, doubled_t, edited,
-                     euclid_oracle, full_length_residual, lead_on_t, poly, predict_as, prop1_case, prop2_case,
-                     prop2_disagreements, prop2_predicted, prop2_sides, quartic_p13_names_a6_not_a7, quotients_read,
-                     reference_tower, rescaled, residual_boundary_case, residual_reads_exactly_m,
-                     sextic_matches_direct)
+                     euclid_oracle, full_length_residual, is_the_generic_tower, lead_on_t, poly, predict_as,
+                     prop1_case, prop2_case, prop2_disagreements, prop2_predicted, prop2_sides,
+                     quartic_p13_names_a6_not_a7, quotients_read, reference_tower, rescaled, residual_boundary_case,
+                     residual_reads_exactly_m, sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -190,11 +190,11 @@ class TestExactDivisionTower:
         real = perfect._frobenius_divmod_pk
         calls = []
 
-        def late_fault(a, k):
-            quo, rem = real(a, k)
+        def late_fault(field, a, k):
+            quo, rem = real(field, a, k)
             calls.append(a)
             if len(calls) == 3:
-                rem = rem + Polynomial.one(a.field)
+                rem = rem + Polynomial.one(field)
             return quo, rem
 
         monkeypatch.setattr(perfect, "_frobenius_divmod_pk", late_fault)
@@ -369,16 +369,17 @@ def reference_generation(spec, n):
     return lam, dl, idx
 
 
-def random_specs(rng, p, k, l):
+def random_specs(rng, p, k, l, index_choices=(0, 0, 1, 2)):
     """A spec of type (p, l, k) that validates, one whose anchor fails, and,
-    when a draw hit one, one whose delta_n is undefined; random prefix data."""
+    when a draw hit one, one whose delta_n is undefined; random prefix data,
+    the indices drawn from index_choices."""
     F = GF(p)
     theta, _ = family_constants(F, k)
     specs = []
     while True:
         eps2 = rng.randrange(1, p)
         lambdas = [rng.randrange(1, p) for _ in range(l)]
-        indices = [rng.choice((0, 0, 1, 2)) for _ in range(l)]
+        indices = [rng.choice(index_choices) for _ in range(l)]
         heads = [2 * k * theta * F.inv(eps2)]
         heads += [pow(theta, i, p) * x for i, x in zip(indices, lambdas)]
         try:
@@ -440,12 +441,29 @@ class TestBlockFill:
         ],
     )
     def test_tower_and_quotients(self, spec, n):
+        # the tower against the generic division, level by level
         cf = generate_perfect_expansion(spec, n)
         lam, _, idx = reference_generation(spec, n)
         assert (cf.lambdas, cf.indices) == (tuple(lam[1:]), tuple(idx[1:]))
-        tower = a_sequence(spec.field, spec.k, max(idx[1:]))
-        assert cf.tower == tower
-        assert cf.degrees() == [tower[i].degree for i in idx[1:]]
+        assert len(cf.tower) == max(idx[1:]) + 1 and is_the_generic_tower(cf.tower, spec.field, spec.k)
+        assert cf.degrees() == [a_degree(spec.field.p, spec.k, i) for i in idx[1:]]
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_matches_reference_past_2_to_the_32(self, k, monkeypatch):
+        # at p = 999983 lambda, delta and u are spread over F_p^*, so most
+        # products the int64 fill takes pass 2^32 (both factors past 2^16);
+        # each stays below p^2 < 2^40
+        p = 999983
+        monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [Polynomial.x(field)] * (count + 1))
+        rng = random.Random(f"block fill {p} {k}")
+        for l in (1, 3):
+            specs = random_specs(rng, p, k, l, index_choices=(0, 1))
+            for spec in specs:
+                for n in (l, l + 2 * k + 1, 3000):
+                    want = generation_outcome(referenced, spec, n)
+                    assert generation_outcome(generated, spec, n) == want, (spec, n)
+            lambdas = generated(specs[0], 3000)[0]
+            assert sum(x >= 2**16 for x in lambdas) > 0.9 * len(lambdas)
 
     @pytest.mark.parametrize("i", [1, 2, 5, 8])
     def test_zero_v_is_an_internal_contradiction(self, i, monkeypatch):
@@ -655,9 +673,9 @@ class TestProp2:
                 constants.append(k)
             return real_constants(field, k)
 
-        def frobenius_divmod_pk(a, k):
+        def frobenius_divmod_pk(field, a, k):
             divided.append(k)
-            return real_divmod(a, k)
+            return real_divmod(field, a, k)
 
         monkeypatch.setattr(perfect, "a_sequence", a_sequence)
         monkeypatch.setattr(perfect, "family_constants", family_constants)

@@ -10,7 +10,7 @@ from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF
 from hqcf.polynomials import Polynomial, formal_integral
 from hqcf.quartic import beta_quotient_to_alpha, derive_frobenius_relation, normalize_to_beta
-from support import poly
+from support import json_text_is_the_scaled_dump, poly, render_cases
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -401,7 +401,7 @@ class TestScaledRender:
             units = range(1, p) if p < 100 else rng.sample(range(1, p), 40)
             # every c that turns some coefficient into 1, so that its term reads T^n
             units = sorted(set(units) | {pow(a, -1, p) for a in f.coeffs if a})
-            terms, values = f.terms(), set(f.coeffs)
+            terms = f.terms()
             for c in units:
                 g = f.scaled(c)
                 text = g.format()
@@ -411,7 +411,6 @@ class TestScaledRender:
                 assert f.format(c + p) == text, (p, f.coeffs, c)
                 expected = json.dumps(g.to_json_dict())
                 assert f.to_json_text(c) == expected, (p, f.coeffs, c)
-                assert f.to_json_text(c, values) == expected, (p, f.coeffs, c)
             assert f.format(0) == "0" and f.format(p) == "0"
             assert f.to_json_text(0) == json.dumps(Polynomial.zero(field).to_json_dict())
 
@@ -428,6 +427,23 @@ class TestScaledRender:
             for c in {0, 1, p - 1, rng.randrange(2, p), pow(rng.choice(units), -1, p) if units else 1}:
                 text = f.format(c)
                 assert text == f.format(c, terms) == reference_format(f.scaled(c)), (f.coeffs, c)
+
+    @pytest.mark.parametrize("p", [5, 13, 999983])
+    def test_json_text_is_the_scaled_dump(self, p):
+        # the digit table is filled on demand, one entry per distinct value
+        assert json_text_is_the_scaled_dump(p)
+
+    @pytest.mark.parametrize("p", [5, 13, 999983])
+    def test_terms_match_the_indexed_scan(self, p):
+        # terms() finds the nonzero degrees with itertools.compress; the
+        # indexed comprehension it replaced is the reference
+        def indexed(f):
+            cs = f.coeffs
+            degrees = [n for n in range(len(cs) - 1, 0, -1) if cs[n]]
+            return [cs[n] for n in degrees], [f"T^{n}" if n > 1 else "T" for n in degrees]
+
+        for f in render_cases(GF(p), random.Random(f"terms {p}")):
+            assert f.terms() == indexed(f), (p, f.degree)
 
     def test_memory_bounded_by_distinct_values_not_by_p(self):
         # a table over F_p at p = 999983 would hold a million strings (tens
