@@ -4,15 +4,12 @@ calls the code under test through its module (perfect.verify_prop2), so
 that a mutant installed there is the code it runs."""
 
 import io
-import json
-import random
 
 import numpy as np
 import pytest
 
 from hqcf import cli, perfect, quartic, rootcf
 import hqcf.cf as cf_module
-import hqcf.polynomials as polynomials
 from hqcf.cf import ContinuedFraction, matrix_product, rational_to_cf, running_scalar_cf
 from hqcf.fields import GF
 from hqcf.laurent import Laurent, rational_series
@@ -34,42 +31,35 @@ def run(argv):
 # -- the printer ------------------------------------------------------------------
 
 
-def render_cases(field, rng):
-    """The polynomials the scaled renderers are compared on: zero, the
-    constants 1 and a random unit, and random polynomials with a zero and
-    with a nonzero constant term, each shorter than p and longer than p.
-    Past 40 coefficients they are sparse: a unit at 30 random degrees and
-    at the top, so that a length past p = 999983 stays cheap."""
-    p, Poly = field.p, polynomials.Polynomial
-    cases = [Poly.zero(field), Poly.constant(field, 1), Poly.constant(field, rng.randrange(1, p))]
-    for length in (min(p - 1, 40), p + 2):
-        for constant in (0, rng.randrange(1, p)):
-            if length <= 40:
-                coeffs = [rng.randrange(p) for _ in range(length)]
-            else:
-                coeffs = [0] * length
-                for n in rng.sample(range(1, length), 30):
-                    coeffs[n] = rng.randrange(1, p)
-            coeffs[0], coeffs[-1] = constant, rng.randrange(1, p)
-            cases.append(Poly(field, coeffs))
-    return cases
-
-
-def render_scales(p, f, rng):
-    """The c the renderers are compared at: 0, p, 1, p - 1 and every unit
-    below 100 or 4 random ones; for a polynomial longer than 1000, only 0,
-    p - 1 and one random unit."""
-    if len(f.coeffs) > 1000:
-        return [0, p - 1, rng.randrange(2, p - 1)]
-    return [0, p, 1, p - 1, *(range(1, p) if p < 100 else rng.sample(range(2, p - 1), 4))]
-
-
-def json_text_is_the_scaled_dump(p):
-    """to_json_text(c) is json.dumps of f.scaled(c)'s dict on render_cases
-    at p, for every c of render_scales."""
-    field, rng = GF(p), random.Random(f"json text {p}")
-    return all(f.to_json_text(c) == json.dumps(f.scaled(c).to_json_dict())
-               for f in render_cases(field, rng) for c in render_scales(p, f, rng))
+def render_shapes(field, rng):
+    """The polynomials the scaled renderers are compared on: zero, two
+    constants, T, coefficient-1 terms, lone and adjacent monomials, two
+    random ones below degree 41, a sparse one of degree 3000 with a nonzero
+    constant term, and a sparse one longer than p with none.  The last is a
+    multiple of 2^16 plus one long, so to_json_text's chunked join ends on a
+    chunk of one digit."""
+    p = field.p
+    u = [rng.randrange(1, p) for _ in range(9)]
+    sparse = [0] * 3001
+    for n, c in zip((0, 1, 2, 1000, 3000), u):
+        sparse[n] = c
+    shapes = [
+        Polynomial.zero(field),
+        poly(field, 1),
+        poly(field, u[5]),
+        poly(field, 0, 1),  # T
+        poly(field, 1, 1, 0, 1),  # coefficient-1 terms and the constant 1
+        poly(field, 0, u[6], u[7]),  # a T^1 term next to T^2
+        poly(field, 0, 0, 0, u[8]),  # a lone monomial, no constant
+        poly(field, *sparse),  # sparse, high degree
+    ]
+    for _ in range(2):
+        degree = max(rng.randrange(-1, 41), 0)
+        shapes.append(Polynomial(field, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]))
+    long = [0] * (((p >> 16) + 1 << 16) + 1)
+    for n in (1, (1 << 16) - 1, 1 << 16, len(long) - 1):
+        long[n] = rng.randrange(1, p)
+    return shapes + [Polynomial(field, long)]
 
 
 # -- the printer's annotations ----------------------------------------------------

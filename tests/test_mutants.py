@@ -14,6 +14,7 @@ namespace, so a fault of what it calls goes into function.__globals__.
 
 import dataclasses
 import inspect
+import json
 import random
 import textwrap
 
@@ -29,9 +30,9 @@ from hqcf.laurent import rational_series
 from hqcf.polynomials import Polynomial
 from support import (STAGE_FAULTS, all_top_case, boundaries_refused, cap_refuses_at_the_boundary, check_taylor_shift,
                      closed_form_names_the_built_levels, corrupt_v_k, corruption_raises, doubled_t, edited,
-                     euclid_oracle, is_the_generic_tower, json_text_is_the_scaled_dump, lead_on_t, poly,
-                     power_vectors_are_the_step_chain, predict_as, prop1_case, prop2_case, prop2_disagreements,
-                     prop2_sides, quartic_p13_names_a6_not_a7, rescaled, residual_reads_exactly_m,
+                     euclid_oracle, is_the_generic_tower, lead_on_t, poly, power_vectors_are_the_step_chain,
+                     predict_as, prop1_case, prop2_case, prop2_disagreements, prop2_sides,
+                     quartic_p13_names_a6_not_a7, render_shapes, rescaled, residual_reads_exactly_m,
                      sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
@@ -64,6 +65,17 @@ class Uncapped(Exception):
 
 def sentinel(*args):
     raise Uncapped
+
+
+# -- the printer ---------------------------------------------------------------------
+
+
+def json_text_is_the_scaled_dump(mp):
+    """to_json_text(3) is json.dumps of f.scaled(3)'s dict on every render
+    shape at p = 13, as TestScaledRender asserts; the shapes are rebuilt
+    with the module's Polynomial, which is the mutant's class."""
+    shapes = [polynomials.Polynomial(F13, f.coeffs) for f in render_shapes(F13, random.Random(13))]
+    return all(f.to_json_text(3) == json.dumps(f.scaled(3).to_json_dict()) for f in shapes)
 
 
 # -- the Prop. 1/2 certificates -------------------------------------------------------
@@ -320,7 +332,7 @@ def joins_are_checked(mp):
 MUTANTS = {
     # -- the printer
     "on-demand digit ignores c": (polynomials, "Polynomial", "str(a * c % p)", "str(a)",
-                                  lambda mp: json_text_is_the_scaled_dump(13)),
+                                  json_text_is_the_scaled_dump),
     "every level of a named degree named": (cli, "_print_expansion", "level.monic() == a", "True",
                                             lambda mp: quartic_p13_names_a6_not_a7()),
     "< in the closed form": (cli, "_annotation_top", "a_degree(p, k, top + 1) <= max_deg",
