@@ -48,22 +48,19 @@ of degree 2kp and no P_{kp-i} is built (_certify_blocks; the tree is its
 test oracle); what one k or one i shares is built once per grid (_AtK,
 _AtI).  verify_prop1 also re-checks the tower up to A_3.
 expand_from_relation expands any alpha from a_1 .. a_l and its relation
-alpha^r = eps1 P alpha_{l+1} + eps2 Q alone, by Gosper's homographic algorithm.
+alpha^r = eps1 P alpha_{l+1} + eps2 Q alone, by Gosper's homographic algorithm;
+relation_residual checks such a relation on an expansion as one polynomial
+identity between convergents of alpha and of alpha_{l+1}, with no series.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cf import (
-    ContinuedFraction,
-    ScalarCFUndefined,
-    matrix_product,
-    running_scalar_cf,
-)
+from .cf import ContinuedFraction, ScalarCFUndefined, running_scalar_cf
 from .fields import PrimeField
-from .laurent import Laurent, rational_series
 from .polynomials import Polynomial, formal_integral
 
 
@@ -319,7 +316,10 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction
     lambda, delta and i are int64 arrays.  Every product the fill takes is
     of two residues, below p^2 <= 10^12 < 2^63 for p <= MAX_MODULUS, so it
     is exact in int64; the distinct u_m of a pass are inverted in Python
-    ints.  The arrays become tuples of ints once, at the end.
+    ints.  The arrays become tuples of ints once, at the end.  As f(m) > m
+    takes i(m) + 1 and the rest of its block 0, the top index is the largest
+    i_j plus the steps m -> f(m) from a prefix j <= n that stay <= n: one
+    whose A_(i,k) is past MAX_A_DEGREE is refused before any array is made.
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
@@ -329,6 +329,12 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction
     theta, v = family_constants(f, spec.k)
     k, l = spec.k, spec.l
     K = 2 * k + 1  # block length; f(m) = K m + l - 2k
+    top = 0
+    for j, i in enumerate(spec.indices[:n], 1):
+        while K * j + l - 2 * k <= n:
+            j, i = K * j + l - 2 * k, i + 1
+        top = max(top, i)
+    _check_a_index(p, k, top)
     # the prefix and the last block may run past n; the tail is cut off below
     lam, dl, idx = (np.zeros(max(n, l) + K, dtype=np.int64) for _ in range(3))
     lam[1 : l + 1], dl[1 : l + 1], idx[1 : l + 1] = spec.lambdas, base_deltas, spec.indices
@@ -368,10 +374,7 @@ def generate_perfect_expansion(spec: ExpansionSpec, n: int) -> ContinuedFraction
         if broken:
             raise ArithmeticError(f"generation order broken at block f({m_end})")
         m_lo = m_end
-    # numpy sizes the tower, so symbolic's range check is the one Python
-    # scan of the indices; the arrays become tuples of ints with no list
-    # between them
-    top = int(idx[1 : n + 1].max(initial=0))
+    # the arrays become tuples of ints with no list between them
     del dl
     lam, idx = tuple(memoryview(lam[1 : n + 1])), tuple(memoryview(idx[1 : n + 1]))
     return ContinuedFraction.symbolic(
@@ -665,7 +668,7 @@ def verify_prop2(field: PrimeField, ks, iis) -> list:
     return reports
 
 
-# -- the relation: its series residual and the expansion it drives -----------------
+# -- the relation: its residual identity and the expansion it drives ---------------
 
 
 def _emission_is_exact(C: Polynomial, D: Polynomial, r: int, deg_det: int) -> bool:
@@ -717,32 +720,29 @@ def expand_from_relation(prefix: ContinuedFraction, rel: FrobeniusRelation, n: i
     return ContinuedFraction(field, quotients[:n])
 
 
-def _certifying_length(cf: ContinuedFraction, l: int, floor_alpha: int, floor_tail: int) -> int:
-    """The smallest m > l at which deg y_m (of a_2..a_m) and deg y'_m (of
-    a_(l+2)..a_m) meet the floors; len(cf) if none does, or if a quotient
-    after the first has degree < 1 (a sum of degrees then overstates)."""
-    degrees = cf.degrees()
-    if min(degrees[1:], default=1) < 1:
+def _certifying_prefix(cf: ContinuedFraction, start: int, floor: int) -> int:
+    """The smallest m > start at which y of a_(start+2) .. a_m, the denominator
+    of [a_(start+1), ..., a_m], has 2 deg y >= -floor, which certifies that
+    convergent to T^floor; len(cf) if none does, or if a quotient after
+    a_(start+1) has degree < 1 (a sum of degrees then overstates deg y)."""
+    degrees = cf.degrees()[start + 1 :]
+    if min(degrees, default=1) < 1:
         return len(cf)
-    deg_y, deg_yt = sum(degrees[1 : l + 1]), 0  # at m = l + 1
-    for m in range(l + 1, len(cf)):
-        if 2 * deg_y >= -floor_alpha and 2 * deg_yt >= -floor_tail:
-            return m
-        deg_y, deg_yt = deg_y + degrees[m], deg_yt + degrees[m]
-    return len(cf)
+    totals = accumulate(degrees, initial=0)  # deg y at m = start + 1, start + 2, ...
+    return next((m for m, d in enumerate(totals, start + 1) if 2 * d >= -floor), len(cf))
 
 
 def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: int):
-    """Series check of alpha^r = eps1 * P * alpha_{l+1} + eps2 * Q.
-
-    Both sides are expanded down to T^(-precision) from the convergents of
-    the shortest prefix a_1 .. a_m that certifies them (_certifying_length);
-    a longer prefix's differ by less than |T|^(-2 deg y_m), so the result is
-    that of all n quotients: the exponent of the first differing
-    coefficient, or -inf when the sides agree on the whole range.
-    Raises InsufficientExpansion when the expansion is too short to certify
-    the requested precision.
-    """
+    """Check of alpha^r = eps1 * P * alpha_{l+1} + eps2 * Q to T^(-precision) as one
+    polynomial identity: for convergents x/y of alpha and xt/yt of alpha_{l+1} the
+    sides differ by N/D, N = x(T^r) yt - y(T^r) (eps1 P xt + eps2 Q yt), D = y(T^r) yt.
+    Each is read off the shortest prefix that certifies it (_certifying_prefix): x/y
+    from a_1 to T^-(precision // r + 2), xt/yt from a_(l+1) to T^-(precision + 1 +
+    deg P).  N/D is then the whole expansion's difference up to terms below
+    T^(-precision), so the result is that of all n quotients: deg N - deg D, the
+    exponent of the first differing coefficient, or -inf if N = 0 or that is < -precision.
+    Raises InsufficientExpansion when the expansion is too short to certify the
+    requested precision."""
     if precision < 1:
         raise ValueError("precision must be positive")
     l = rel.l
@@ -752,21 +752,11 @@ def relation_residual(cf: ContinuedFraction, rel: FrobeniusRelation, precision: 
     # alpha^r needs alpha down to roughly -precision/r; the twist refuses an r < 1
     floor_alpha = -(precision // max(rel.r, 1) + 2)
     floor_tail = floor_cmp - rel.P.degree
-    m = _certifying_length(cf, l, floor_alpha, floor_tail)
-    # the prefix is the head [a_1..a_l] times the tail [a_(l+1)..a_m]
-    head, tail = cf.matrix(0, l), cf.matrix(l, m)
-    x, _, y, _ = matrix_product(head, tail, 0, m)
-    if 2 * y.degree < -floor_alpha:
+    x, _, y, _ = cf.matrix(0, _certifying_prefix(cf, 0, floor_alpha))
+    xt, _, yt, _ = cf.matrix(l, _certifying_prefix(cf, l, floor_tail))
+    if 2 * y.degree < -floor_alpha or 2 * yt.degree < -floor_tail:
         raise InsufficientExpansion("insufficient expansion for the requested precision")
-    lhs = rational_series(x, y, floor_alpha).frobenius(rel.r).truncate(floor_cmp)  # alpha(T^r)
-
-    xt, _, yt, _ = tail
-    if 2 * yt.degree < -floor_tail:
-        raise InsufficientExpansion("insufficient expansion for the requested precision")
-    tail_series = rational_series(xt, yt, floor_tail)
-    Pser = Laurent.from_polynomial(rel.P)
-    Qser = Laurent.from_polynomial(rel.Q)
-    rhs = ((Pser * tail_series).scaled(rel.eps1) + Qser.scaled(rel.eps2)).truncate(
-        floor_cmp
-    )
-    return lhs.first_difference(rhs)
+    x, y = x.pow_frobenius(rel.r), y.pow_frobenius(rel.r)  # alpha^r = alpha(T^r)
+    N = x * yt - y * (rel.P.scaled(rel.eps1) * xt + rel.Q.scaled(rel.eps2) * yt)
+    d = N.degree - y.degree - yt.degree
+    return d if N and d > floor_cmp else float("-inf")

@@ -5,9 +5,10 @@ series; it satisfies alpha^4 = -12(T*alpha^3 - alpha^2 - 1), so every
 power alpha^n has an exact representation in the basis (alpha^3, alpha^2,
 alpha, 1) with polynomial coordinates.  This module is all the library
 knows of the quartic: alpha's root state for the generic engine expand_root,
-its series for the generic oracle cf_from_series, the index formula of its
-perfect expansion, and the routes by which it is expanded (alpha_expansion:
-past l quotients, from the derived relation) and its exponent measured.
+its polynomial part -12T, its series for the tests' oracle cf_from_series,
+the index formula of its perfect expansion, and the routes by which it is
+expanded (alpha_expansion: past l quotients, from the derived relation) and
+its exponent measured.  No command computes a series.
 
 derive_frobenius_relation extracts, purely by exact arithmetic, the relation
 
@@ -97,6 +98,12 @@ def alpha_series(field: PrimeField, floor: int) -> Laurent:
     u = series_root_quartic(field, terms)
     one = Laurent.from_polynomial(Polynomial.one(field))
     return divide(one, u).truncate(floor)
+
+
+def alpha_polynomial_part(field: PrimeField) -> Polynomial:
+    """[alpha] = -12T, alpha's polynomial part: u = -1/(12T) + O(T^-3), so
+    alpha = 1/u = -12T + O(T^-1) (alpha is odd: no constant term)."""
+    return Polynomial(field, [0, -12])
 
 
 def relation_k(p: int) -> Optional[int]:
@@ -287,8 +294,8 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None) -> RelationVerdic
       Q-shape      V is eps2 * Q_{k,a}(T^(r/p))
       degree       y_l alpha^r + c = U (y_l alpha_{l+1} + y_{l-1}) has a term
                    above T^(deg y_l + deg U): alpha_{l+1} has degree >= 1, so
-                   x_l/y_l is a convergent of alpha.  Only alpha's part above
-                   T^-1 reaches those degrees.
+                   x_l/y_l is a convergent of alpha.  Over F_p, alpha^r =
+                   [alpha](T^r) + O(T^-r): only [alpha] reaches those degrees.
     """
     field = GF(p)
     e, l_stated, k_P, k_Q = _relation_shape(p)
@@ -329,13 +336,9 @@ def derive_frobenius_relation(p: int, l: Optional[int] = None) -> RelationVerdic
     if V != Q.scaled(eps2):
         raise DerivationError("Q-shape", "residual part is not proportional to Q_(k,a)")
 
-    alpha_r = alpha_series(field, -1).frobenius(p**e)
-    top = yl.degree + U.degree
-    lhs = Laurent.from_polynomial(yl) * alpha_r + Laurent.from_polynomial(c)
-    if lhs.truncate(top).degree() is None:
-        raise DerivationError(
-            "degree", f"y_l alpha^r + c has no term above T^{top}, so deg alpha_(l+1) < 1"
-        )
+    top = yl.degree + U.degree  # y_l O(T^-r) lies below T^top
+    if (yl * alpha_polynomial_part(field).pow_frobenius(p**e) + c).degree <= top:
+        raise DerivationError("degree", f"y_l alpha^r + c has no term above T^{top}, so deg alpha_(l+1) < 1")
     return RelationVerdict(p, True, l=l, relation=FrobeniusRelation(l, eps1, eps2, P, Q, p**e),
                            a=a, prefix=prefix)
 
@@ -395,7 +398,7 @@ def beta_quotient_to_alpha(field: PrimeField, b: Polynomial, n: int, s: int) -> 
 # -- conjecture verdicts ------------------------------------------------------------
 
 
-# The relation is re-checked as a series identity down to T^-RESIDUAL_PRECISION.
+# The relation is re-checked as a polynomial identity certified to T^-RESIDUAL_PRECISION.
 RESIDUAL_PRECISION = 100
 
 
@@ -407,13 +410,16 @@ def verify_conjecture1(p: int, n: int) -> RelationVerdict:
     the perfect-expansion conditions, and compares n generated quotients,
     mapped back through T -> T/v, with the root expansion's first n, which
     is expanded for this comparison alone; finally the relation is
-    re-checked as a series identity on as many generated quotients as that
+    re-checked by relation_residual on as many generated quotients as that
     takes.  Any stage failure is reported as a finding, not raised; one
-    past the derivation keeps the derived relation.
+    past the derivation keeps the derived relation.  An n < 1, which would
+    compare nothing, is a ValueError raised before the derivation.
     """
     field = GF(p)
     if p % 3 != 1:
         raise ValueError(f"the degree-p relation needs p = 1 mod 3, got {p}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     try:
         derived = derive_frobenius_relation(p)
     except DerivationError as exc:

@@ -310,8 +310,10 @@ def corruption_raises():
 
 
 def full_length_residual(cf, rel, precision):
-    """relation_residual on all n quotients of cf, as it was before it cut
-    the expansion to its shortest certifying prefix: the oracle of the cut."""
+    """relation_residual's series oracle: both sides of the relation as
+    truncated Laurent series, from the convergents of all n quotients of cf
+    (alpha's joined from the head and tail matrices), compared coefficient
+    by coefficient down to T^(-precision)."""
     if precision < 1:
         raise ValueError("precision must be positive")
     l = rel.l
@@ -338,46 +340,75 @@ def full_length_residual(cf, rel, precision):
 RESIDUAL_SPEC = perfect.ExpansionSpec(F13, 6, 4, 12, 9, (5, 12, 9, 11, 1, 5))
 
 
-def certifying_length(cf, rel, precision):
-    """The m of the residual's prefix, from cf's degrees: the smallest m > l
-    whose deg y_m (of a_2 .. a_m) and deg y'_m (of a_(l+2) .. a_m) meet the
-    floors T^-(precision // r + 2) and T^-(precision + 1 + deg P)."""
+def certifying_prefixes(cf, rel, precision):
+    """(m, m') of the residual's two convergents, from cf's degrees: the
+    smallest m >= 1 whose deg y_m (of a_2 .. a_m) meets T^-(precision // r + 2),
+    and the smallest m' > l whose deg y'_m' (of a_(l+2) .. a_m') meets
+    T^-(precision + 1 + deg P)."""
     degrees = cf.degrees()
-    floor_alpha, floor_tail = precision // rel.r + 2, precision + 1 + rel.P.degree
-    return next(m for m in range(rel.l + 1, len(cf) + 1)
-                if 2 * sum(degrees[1:m]) >= floor_alpha and 2 * sum(degrees[rel.l + 1 : m]) >= floor_tail)
+
+    def first(start, floor):
+        return next(m for m in range(start + 1, len(cf) + 1) if 2 * sum(degrees[start + 1 : m]) >= floor)
+
+    return first(0, precision // rel.r + 2), first(rel.l, precision + 1 + rel.P.degree)
 
 
-def quotients_read(cf, rel, precision):
-    """(relation_residual(cf, rel, precision), the number of quotients that
-    enter a leaf of the continuant trees it builds)."""
-    real, read = cf_module._product, [0]
+def residual_reads(cf, rel, precision):
+    """(relation_residual(cf, rel, precision), the ranges (lo, hi) of the
+    continuant matrices it asks of cf, the number of quotients that enter a
+    leaf of their trees)."""
+    matrix, product, ranges, read = ContinuedFraction.matrix, cf_module._product, [], [0]
+
+    def recording(self, lo=0, hi=None):
+        ranges.append((lo, hi))
+        return matrix(self, lo, hi)
 
     def counting(quotients, lo, hi, field):
         if hi - lo <= cf_module._LEAF:
             read[0] += hi - lo
-        return real(quotients, lo, hi, field)
+        return product(quotients, lo, hi, field)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ContinuedFraction, "matrix", recording)
         mp.setattr(cf_module, "_product", counting)
-        return perfect.relation_residual(cf, rel, precision), read[0]
+        return perfect.relation_residual(cf, rel, precision), ranges, read[0]
 
 
 def residual_boundary_case():
-    """(cf, relation, precision, m) where the tail floor is met exactly at
-    m: 2 deg y'_m = precision + 1 + deg P = 52 at precision 43, m = 25."""
+    """(cf, relation, precision, m, m') where both floors are met exactly:
+    at precision 43, 2 deg y_4 = 6 meets 43 // 13 + 2 = 5 and 2 deg y'_25 =
+    52 meets precision + 1 + deg P."""
     cf, rel, precision = perfect.generate_perfect_expansion(RESIDUAL_SPEC, 80), RESIDUAL_SPEC.relation(), 43
-    return cf, rel, precision, certifying_length(cf, rel, precision)
+    return (cf, rel, precision, *certifying_prefixes(cf, rel, precision))
 
 
 def residual_reads_exactly_m():
     """At the boundary case relation_residual agrees with the full-length
-    oracle and reads exactly the m quotients that certify its floors."""
-    cf, rel, precision, m = residual_boundary_case()
+    oracle and reads exactly a_1 .. a_m for alpha and a_7 .. a_m' for its
+    tail, each quotient in one leaf: no matrix of the head a_1 .. a_6."""
+    cf, rel, precision, m, mt = residual_boundary_case()
     try:
-        return quotients_read(cf, rel, precision) == (full_length_residual(cf, rel, precision), m)
+        want = full_length_residual(cf, rel, precision), [(0, m), (rel.l, mt)], m + mt - rel.l
+        return residual_reads(cf, rel, precision) == want
     except (ArithmeticError, ValueError):  # InsufficientExpansion is a ValueError
         return False
+
+
+def residual_at_the_floor():
+    """(cf, relation, precision) whose sides' convergents differ at exactly
+    T^(-precision - 1): a_25 + 1 moves the tail's convergent by T^-52, the
+    tail floor at precision 43, and P (degree 8) lifts that to T^-44.  The
+    whole expansion's sides agree down to T^-43, so the residual is -inf."""
+    cf, rel, precision, _, mt = residual_boundary_case()
+    qs = list(cf.quotients)
+    qs[mt - 1] = qs[mt - 1] + Polynomial.one(cf.field)
+    return ContinuedFraction(cf.field, qs), rel, precision
+
+
+def residual_ignores_the_floor_term():
+    """At residual_at_the_floor both routes give -inf."""
+    case = residual_at_the_floor()
+    return perfect.relation_residual(*case) == full_length_residual(*case) == float("-inf")
 
 
 def power_vectors_are_the_step_chain(p):
@@ -413,8 +444,8 @@ STAGE_FAULTS = {
     # (alpha^r - 1, alpha^(r+1) - alpha) is the relation with V - 1 for V, U kept
     "Q-shape": lambda: ("frobenius_vectors", _shift_vectors(
         lambda v0, v1, one: (v0._replace(d=v0.d - one), v1._replace(c=v1.c - one)))),
-    # an alpha with no part above T^-1: y_l alpha^r + c has too low a degree
-    "degree": lambda: ("alpha_series", lambda field, floor: Laurent.zero(field, floor)),
+    # an alpha with no polynomial part: y_l alpha^r + c has too low a degree
+    "degree": lambda: ("alpha_polynomial_part", Polynomial.zero),
 }
 
 

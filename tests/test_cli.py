@@ -399,6 +399,13 @@ class TestVerifyCommands:
         code, _ = run(["verify", "conj1", "--p", "11", "--n", "20"])
         assert code == 2
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_conj1_without_a_compared_quotient_is_usage_error(self, n, capsys):
+        # it printed PASS with "compared terms: 0" for --n 0
+        code, out = run(["verify", "conj1", "--p", "7", "--n", n])
+        assert code == 2 and out == ""
+        assert f"n must be >= 1, got {n}" in capsys.readouterr().err
+
 
 class TestExponentCommand:
     def test_p7_json(self):

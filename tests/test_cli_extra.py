@@ -107,6 +107,18 @@ class TestGenerateValidation:
         ])
         assert code == 2 and out == ""
 
+    def test_generated_tower_past_the_cap_before_any_array(self, no_tower, monkeypatch, capsys):
+        # the (7, 3, 2) spec reaches A_(10,2) by n = 8,000,000; the top index
+        # is refused in closed form, before the three int64 arrays of n
+        # entries (about 190 MB) are made
+        monkeypatch.setattr(perfect.np, "zeros", None)
+        code, out = run([
+            "generate", "--p", "7", "--n", "8000000", "--l", "3", "--k", "2",
+            "--e1", "3", "--e2", "5", "--lambdas", "2,6,6",
+        ])
+        assert code == 2 and out == ""
+        assert "index 10 asks for A_(10,k) past degree" in capsys.readouterr().err
+
 
 class TestExponentDerivesOnce:
     def test_relation_derived_once(self, monkeypatch):

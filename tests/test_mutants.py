@@ -17,6 +17,7 @@ import inspect
 import json
 import random
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,8 +33,8 @@ from support import (STAGE_FAULTS, all_top_case, boundaries_refused, cap_refuses
                      closed_form_names_the_built_levels, corrupt_v_k, corruption_raises, doubled_t, edited,
                      euclid_oracle, is_the_generic_tower, lead_on_t, poly, power_vectors_are_the_step_chain,
                      predict_as, prop1_case, prop2_case, prop2_disagreements, prop2_sides,
-                     quartic_p13_names_a6_not_a7, render_shapes, rescaled, residual_reads_exactly_m,
-                     sextic_matches_direct)
+                     quartic_p13_names_a6_not_a7, render_shapes, rescaled, residual_ignores_the_floor_term,
+                     residual_reads_exactly_m, sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 T7, T13 = Polynomial.x(F7), Polynomial.x(F13)
@@ -136,6 +137,14 @@ def tower_cap_refuses(mp):
     refused before any level is divided."""
     mp.setitem(perfect.a_sequence.__globals__, "_frobenius_divmod_pk", sentinel)
     return raises(ValueError, "past degree", perfect.a_sequence, GF(1009), 1, 3)
+
+
+def generator_cap_refuses(mp):
+    """The type (7, 3, 2) CI spec at n = 10^9, whose top level A_(13,2) is
+    past the cap, is refused before the generator makes an array."""
+    mp.setitem(perfect.generate_perfect_expansion.__globals__, "np", SimpleNamespace(zeros=sentinel, int64=np.int64))
+    return raises(ValueError, "index 13 asks for A_(13,k)", perfect.generate_perfect_expansion,
+                  perfect.ExpansionSpec(F7, 3, 2, 3, 5, (2, 6, 6)), 10**9)
 
 
 def tower_remainder_checked(mp):
@@ -367,6 +376,8 @@ MUTANTS = {
                                          "True", split_refused),
     # -- the A-tower and the generator
     "A-tower cap dropped": (perfect, "a_sequence", "_check_a_index(p, k, count)", "pass", tower_cap_refuses),
+    "generator's cap dropped": (perfect, "generate_perfect_expansion", "_check_a_index(p, k, top)", "pass",
+                                generator_cap_refuses),
     "A-tower remainder unchecked": (perfect, "a_sequence", "if rem != Q.scaled(", "if False and rem != Q.scaled(",
                                     tower_remainder_checked),
     "block fill's u and 1/u swapped": (perfect, "generate_perfect_expansion", "w = u_inv if i % 2 else u",
@@ -400,15 +411,25 @@ MUTANTS = {
                       "b.degree * rel.r >= MAX_A_DEGREE", lambda mp: cap_refuses_at_the_boundary()),
     "twist by p, not r": (perfect, "expand_from_relation", "b.pow_frobenius(rel.r)", "b.pow_frobenius()",
                           lambda mp: quartic_matches_direct(5)),
-    "residual twists alpha by p": (perfect, "relation_residual", ".frobenius(rel.r)", ".frobenius(cf.field.p)",
+    "residual twists alpha by p": (perfect, "relation_residual", "x.pow_frobenius(rel.r), y.pow_frobenius(rel.r)",
+                                   "x.pow_frobenius(cf.field.p), y.pow_frobenius(cf.field.p)",
                                    lambda mp: residual_agrees_at_5()),
-    # the residual's prefix: one quotient short of m cannot certify the
-    # floors, and one past it certifies them with a quotient it need not read
-    "residual cut one quotient early": (perfect, "_certifying_length", "return m", "return m - 1",
-                                        lambda mp: residual_reads_exactly_m()),
-    "residual reads one quotient past the tail floor": (perfect, "_certifying_length", "2 * deg_yt >= -floor_tail",
-                                                        "2 * deg_yt > -floor_tail",
-                                                        lambda mp: residual_reads_exactly_m()),
+    "residual twists x alone by p": (perfect, "relation_residual", "x.pow_frobenius(rel.r)",
+                                     "x.pow_frobenius(cf.field.p)", lambda mp: residual_agrees_at_5()),
+    # a difference of the convergents at T^(-precision - 1) is below the
+    # checked range, where the whole expansion's sides may agree
+    ">= at the comparison floor": (perfect, "relation_residual", "d > floor_cmp", "d >= floor_cmp",
+                                   lambda mp: residual_ignores_the_floor_term()),
+    # the residual's prefixes: one quotient short of m cannot certify the
+    # floors, and one past it certifies them with a quotient it need not read;
+    # at precision 43 alpha's floor 43 // 13 + 2 = 5 is odd, so T^-4 is met
+    # one quotient earlier
+    "residual cut one quotient early": (perfect, "_certifying_prefix", "enumerate(totals, start + 1)",
+                                        "enumerate(totals, start)", lambda mp: residual_reads_exactly_m()),
+    "residual reads one quotient past the tail floor": (perfect, "_certifying_prefix", "2 * d >= -floor",
+                                                        "2 * d > -floor", lambda mp: residual_reads_exactly_m()),
+    "alpha's floor one term short": (perfect, "relation_residual", "precision // max(rel.r, 1) + 2",
+                                     "precision // max(rel.r, 1) + 1", lambda mp: residual_reads_exactly_m()),
     # the power basis on int64 arrays, against the _alpha_step chain
     "power basis leaves c + 12a unreduced": (quartic, "power_vectors", "c[: n + 2] %= p", "pass",
                                         lambda mp: all(map(power_vectors_are_the_step_chain, (5, 7, 13, 31)))),
@@ -423,8 +444,13 @@ MUTANTS = {
                                     prefix_refuses_l_10_at_11),
     "b-compat dropped": (quartic, "derive_frobenius_relation", "if yl * v1.b != xl * v0.b:", "if False:",
                          refused_at("b-compat", STAGE_FAULTS["b-compat"], 5)),
-    "degree stage dropped": (quartic, "derive_frobenius_relation", "if lhs.truncate(top).degree() is None:",
+    "degree stage dropped": (quartic, "derive_frobenius_relation",
+                             "if (yl * alpha_polynomial_part(field).pow_frobenius(p**e) + c).degree <= top:",
                              "if False:", refused_at("degree", STAGE_FAULTS["degree"], 7)),
+    # [alpha](T^p) is [alpha](T^r) only where r = p: at p = 5, r = 25, it
+    # falls below deg y_l + deg U = deg y_l + 16
+    "degree stage twists [alpha] by p": (quartic, "derive_frobenius_relation", ".pow_frobenius(p**e) + c",
+                                         ".pow_frobenius(p) + c", lambda mp: quartic.verify_conjecture2(5).passed),
     "W-shape's form check dropped": (
         quartic, "derive_frobenius_relation",
         'raise DerivationError("W-shape", "eps1*P is not of the form eps1*(T^2+a)^k")', "pass",

@@ -31,12 +31,12 @@ from hqcf.perfect import (
 from hqcf.polynomials import Polynomial
 from hqcf.quartic import quartic_index, quartic_state
 from hqcf.rootcf import expand_root
-from support import (boundaries_refused, cap_refuses_at_the_boundary, certifying_length,
+from support import (boundaries_refused, cap_refuses_at_the_boundary, certifying_prefixes,
                      closed_form_names_the_built_levels, corrupt_v_k, corruption_raises, doubled_t, edited,
                      euclid_oracle, full_length_residual, is_the_generic_tower, lead_on_t, poly, predict_as,
                      prop1_case, prop2_case, prop2_disagreements, prop2_predicted, prop2_sides,
-                     quartic_p13_names_a6_not_a7, quotients_read, reference_tower, rescaled, residual_boundary_case,
-                     residual_reads_exactly_m, sextic_matches_direct)
+                     quartic_p13_names_a6_not_a7, reference_tower, rescaled, residual_at_the_floor,
+                     residual_boundary_case, residual_reads, residual_reads_exactly_m, sextic_matches_direct)
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -412,13 +412,22 @@ def referenced(spec, n):
     return tuple(lam[1:]), tuple(idx[1:]), max(idx[1:], default=0)
 
 
+def stub_tower(monkeypatch):
+    """Stand a tower of count + 1 levels T in for a_sequence, which records
+    the level the generator asks for.  Its levels stand in for ones past the
+    A-tower cap too (A_2 at p = 999983), so the generator's cap is lifted
+    with it: the top the generator computes in closed form then sizes the
+    tower of every case, and the fill is compared past the cap."""
+    monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [Polynomial.x(field)] * (count + 1))
+    monkeypatch.setattr(perfect, "_check_a_index", lambda p, k, i: None)
+
+
 class TestBlockFill:
     """generate_perfect_expansion against reference_generation."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31, 43])
     def test_matches_reference(self, p, monkeypatch):
-        # the stub tower, count + 1 levels T, records the level the generator asks for
-        monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [Polynomial.x(field)] * (count + 1))
+        stub_tower(monkeypatch)
         rng = random.Random(f"block fill {p}")
         seen = set()
         for k in range(1, (p - 1) // 2 + 1):
@@ -454,7 +463,7 @@ class TestBlockFill:
         # products the int64 fill takes pass 2^32 (both factors past 2^16);
         # each stays below p^2 < 2^40
         p = 999983
-        monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [Polynomial.x(field)] * (count + 1))
+        stub_tower(monkeypatch)
         rng = random.Random(f"block fill {p} {k}")
         for l in (1, 3):
             specs = random_specs(rng, p, k, l, index_choices=(0, 1))
@@ -464,6 +473,18 @@ class TestBlockFill:
                     assert generation_outcome(generated, spec, n) == want, (spec, n)
             lambdas = generated(specs[0], 3000)[0]
             assert sum(x >= 2**16 for x in lambdas) > 0.9 * len(lambdas)
+
+    def test_top_level_in_closed_form_at_the_cap(self, monkeypatch):
+        # the (7, 3, 2) CI spec: f(m) = 5m - 1 takes a_1 to index 8 at
+        # f^8(1) = 292,969 and to 9 at f^9(1) = 1,464,844, and deg A_(9,2) =
+        # 13,451,203 is past the cap; the closed-form top sizes the tower one
+        # position before and refuses it at that position
+        monkeypatch.setattr(perfect, "a_sequence", lambda field, k, count: [Polynomial.x(field)] * (count + 1))
+        spec = CI_SPECS[0]
+        cf = generate_perfect_expansion(spec, 1_464_843)
+        assert len(cf.tower) - 1 == max(cf.indices) == 8 and cf.indices[292_968] == 8
+        with pytest.raises(ValueError, match=r"^index 9 asks for A_\(9,k\) past degree 10000000$"):
+            generate_perfect_expansion(spec, 1_464_844)
 
     @pytest.mark.parametrize("i", [1, 2, 5, 8])
     def test_zero_v_is_an_internal_contradiction(self, i, monkeypatch):
@@ -1105,13 +1126,13 @@ class TestRelationResidual:
             relation_residual(cf, spec.relation(), 500)
 
     def test_each_quotient_enters_one_leaf(self):
-        # the prefix is joined from the head and tail trees, not built again,
-        # and is cut to the shortest one that certifies the floors: m = 25 of
-        # the 200 quotients at precision 40 (2 deg y'_25 = 52 >= 49)
+        # alpha's convergent is read off a_1 .. a_4 and its tail's off
+        # a_7 .. a_25, the shortest prefixes that certify their floors at
+        # precision 40 (2 deg y_4 = 6 >= 5, 2 deg y'_25 = 52 >= 49) of the 200
+        # quotients; no matrix of the head a_1 .. a_6 is built
         spec, cf = self.make_gen(200)
-        m = certifying_length(cf, spec.relation(), 40)
-        assert m == 25
-        assert quotients_read(cf, spec.relation(), 40) == (float("-inf"), m)
+        assert certifying_prefixes(cf, spec.relation(), 40) == (4, 25)
+        assert residual_reads(cf, spec.relation(), 40) == (float("-inf"), [(0, 4), (6, 25)], 4 + 19)
 
     @pytest.mark.parametrize("precision", [1, 40, 100])
     @pytest.mark.parametrize("n", [80, 200])
@@ -1120,23 +1141,52 @@ class TestRelationResidual:
         for rel in (spec.relation(), spec.relation()._replace(eps2=spec.relation().eps2 + 1)):
             assert relation_residual(cf, rel, precision) == full_length_residual(cf, rel, precision)
 
+    @pytest.mark.parametrize("n", [40, 80])
+    def test_equals_the_series_oracle_on_both_sides_of_each_floor(self, n):
+        # every precision from 1 to 120 crosses both floors many times; at
+        # n = 40 the larger ones are refused by both routes
+        spec, cf = self.make_gen(n)
+        rel = spec.relation()
+        corrupted = [rel, rel._replace(eps1=rel.eps1 + 1), rel._replace(eps2=rel.eps2 + 1),
+                     rel._replace(Q=rel.Q + Polynomial.one(F13)), rel._replace(r=rel.r * 13)]
+        for precision in range(1, 121):
+            for bent in corrupted:
+                outcomes = []
+                for residual in (relation_residual, full_length_residual):
+                    try:
+                        outcomes.append(residual(cf, bent, precision))
+                    except InsufficientExpansion as exc:
+                        outcomes.append(str(exc))
+                assert outcomes[0] == outcomes[1], (precision, bent)
+
+    def test_a_difference_at_the_floor_is_not_reported(self):
+        # the sides' convergents differ at T^(-precision - 1) exactly: below
+        # the checked range, so -inf on both routes
+        cf, rel, precision = residual_at_the_floor()
+        assert relation_residual(cf, rel, precision) == full_length_residual(cf, rel, precision) == float("-inf")
+        # one coefficient further, both see it
+        assert relation_residual(cf, rel, precision + 1) == full_length_residual(cf, rel, precision + 1) == -44
+
     def test_tail_floor_met_exactly_at_m(self):
-        cf, rel, precision, m = residual_boundary_case()
+        cf, rel, precision, m, mt = residual_boundary_case()
         degrees = cf.degrees()
-        assert 2 * sum(degrees[rel.l + 1 : m]) == precision + 1 + rel.P.degree
-        assert 2 * sum(degrees[rel.l + 1 : m - 1]) < precision + 1 + rel.P.degree
+        assert 2 * sum(degrees[1:m]) == precision // rel.r + 3  # one past the odd alpha floor
+        assert 2 * sum(degrees[1 : m - 1]) < precision // rel.r + 2
+        assert 2 * sum(degrees[rel.l + 1 : mt]) == precision + 1 + rel.P.degree
+        assert 2 * sum(degrees[rel.l + 1 : mt - 1]) < precision + 1 + rel.P.degree
         assert residual_reads_exactly_m()
 
     def test_a_quotient_of_degree_0_reads_all(self):
-        # a_8 = 1 after the first: a sum of degrees overstates deg y, so all
-        # n quotients are read, and both routes agree
+        # a_8 = 1 after the first: a sum of degrees overstates deg y, so both
+        # convergents read through all n quotients, and both routes agree
         spec, cf = self.make_gen()
         qs = list(cf.quotients)
         qs[7] = Polynomial.one(F13)
         bent = ContinuedFraction(F13, qs)
         for precision in (1, 40):
-            got = quotients_read(bent, spec.relation(), precision)
-            assert got == (full_length_residual(bent, spec.relation(), precision), len(bent))
+            got = residual_reads(bent, spec.relation(), precision)
+            n = len(bent)
+            assert got == (full_length_residual(bent, spec.relation(), precision), [(0, n), (6, n)], 2 * n - 6)
 
 
 # -- the relation-driven expansion ---------------------------------------------

@@ -13,6 +13,7 @@ from hqcf import quartic
 from hqcf.quartic import (
     DerivationError,
     RelationVerdict,
+    alpha_series,
     approximation_exponent,
     beta_quotient_to_alpha,
     derive_frobenius_relation,
@@ -27,7 +28,7 @@ from hqcf.quartic import (
     verify_conjecture2,
 )
 from hqcf.rootcf import expand_root
-from support import STAGE_FAULTS, poly, power_vectors_are_the_step_chain, run
+from support import STAGE_FAULTS, full_length_residual, poly, power_vectors_are_the_step_chain, run
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -252,6 +253,49 @@ class TestDerivation:
         assert relation_residual(cf, flipped, 60) != float("-inf")
 
 
+PRIMES_BELOW_54 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
+# the primes tier-1 derives a relation at: PRIMES_BELOW_54 and test_sweeps.py's past 53
+TIER1_PRIMES = PRIMES_BELOW_54 + [61, 67, 73, 79, 97, 103, 109, 127, 139, 151, 157, 163, 181, 193, 199, 211]
+
+
+class TestResidualAgainstTheSeriesOracle:
+    """relation_residual, one polynomial identity, against full_length_residual,
+    the relation's two sides as Laurent series, on the quartic's relations."""
+
+    @staticmethod
+    def agree(cf, rel, precision=100):
+        """Both routes' residual on rel and on rel corrupted in eps1, eps2, Q
+        and r; each corruption must show."""
+        p = cf.field.p
+        bent = [rel._replace(eps1=(rel.eps1 + 1) % p), rel._replace(eps2=(rel.eps2 + 1) % p),
+                rel._replace(Q=rel.Q + Polynomial.one(cf.field)), rel._replace(r=rel.r * p)]
+        got = [relation_residual(cf, r, precision) for r in [rel, *bent]]
+        assert got == [full_length_residual(cf, r, precision) for r in [rel, *bent]]
+        assert got[0] == float("-inf") and float("-inf") not in got[1:]
+
+    @pytest.mark.parametrize("p", [p for p in TIER1_PRIMES if p % 3 == 1])
+    def test_conj1_relation(self, p):
+        # beta's generated expansion, as verify_conjecture1 checks it; the
+        # tail floor T^-(101 + deg P) needs at most (101 + deg P) / 2 quotients past l + 1
+        spec = normalize_to_beta(derive_frobenius_relation(p))
+        cf = generate_perfect_expansion(spec, spec.l + p + 60)
+        self.agree(cf, spec.relation())
+
+    @pytest.mark.parametrize("p, n", [(5, 30), (11, 120), (17, 250)])
+    def test_conj2_relation(self, p, n):
+        self.agree(expand_root(quartic_state(GF(p)), n), derive_frobenius_relation(p).relation)
+
+    @pytest.mark.parametrize("p", TIER1_PRIMES)
+    def test_polynomial_part_of_alpha(self, p):
+        # the degree stage's [alpha] is the root expansion's a_1 and the
+        # polynomial part of alpha's series
+        F = GF(p)
+        part = quartic.alpha_polynomial_part(F)
+        series = alpha_series(F, -1)
+        assert part == expand_root(quartic_state(F), 1)[0] == Polynomial(F, [0, -12])
+        assert part == Polynomial(F, [series.coefficient(e) for e in range(series.degree() + 1)])
+
+
 class TestNormalization:
     def test_p13_published_transform(self):
         tr = derive_frobenius_relation(13)
@@ -359,12 +403,20 @@ class TestConjecture1:
         assert verify_conjecture1(13, 4).passed
         assert calls == [(1, 7), (4, 4)]
 
-    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("n", [1, 5])
     def test_n_below_l_is_a_verdict(self, n):
         # l = 6 at p = 13: nothing past the compared quotients is asked of n
         v, ref = verify_conjecture1(13, n), verify_conjecture1(13, 60)
         assert (v.passed, v.stage, v.compared_terms) == (True, "", n)
         assert (v.eps1, v.eps2, v.a, v.spec) == (ref.eps1, ref.eps2, ref.a, ref.spec)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_n_below_one_is_refused(self, n, monkeypatch):
+        # a verdict that compared no quotient certifies nothing: n < 1 is
+        # refused before the relation is derived
+        monkeypatch.setattr(quartic, "derive_frobenius_relation", None)
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            verify_conjecture1(13, n)
 
     def test_oddness_along_the_way(self):
         cf = expand_root(quartic_state(F13), 120)
@@ -438,10 +490,6 @@ class TestConjecture2:
     def test_nonpositive_l_rejected(self, l):
         with pytest.raises(ValueError, match="l must be >= 1"):
             verify_conjecture2(5, l_override=l)
-
-
-
-PRIMES_BELOW_54 = [5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53]
 
 
 @pytest.mark.parametrize("p", PRIMES_BELOW_54)
