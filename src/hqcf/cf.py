@@ -201,12 +201,17 @@ class ContinuedFraction:
     @staticmethod
     def from_json_dict(d: dict) -> "ContinuedFraction":
         """The inverse of to_json_dict: the field is GF(d["p"]), every
-        quotient must lie over it, and an empty "pq" is the empty expansion."""
+        quotient must lie over it in the form Polynomial.from_json_dict
+        accepts, and an empty "pq" is the empty expansion."""
         field = GF(d["p"])
-        qs = [Polynomial.from_json_dict(q) for q in d["pq"]]
-        for n, q in enumerate(qs, start=1):
-            if q.field != field:
-                raise ValueError(f"quotient a_{n} lies over F_{q.field.p}, not F_{field.p}")
+        qs = []
+        for n, q in enumerate(d["pq"], start=1):
+            try:
+                qs.append(Polynomial.from_json_dict(q))
+            except ValueError as exc:
+                raise ValueError(f"quotient a_{n}: {exc}") from None
+            if qs[-1].field != field:
+                raise ValueError(f"quotient a_{n} lies over F_{qs[-1].field.p}, not F_{field.p}")
         return ContinuedFraction(field, qs)
 
 

@@ -16,7 +16,7 @@ import ast
 import json
 import operator
 import sys
-from itertools import groupby
+from itertools import groupby, islice
 
 from .cf import ContinuedFraction
 from .fields import GF, PrimeField
@@ -146,6 +146,10 @@ def _annotation_top(p: int, k: int | None, max_deg: int) -> int:
     return top
 
 
+# the text lines _print_expansion joins into one write
+_LINES = 1 << 12
+
+
 def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     """Write cf once: one JSON object, or lines "a_n = q" with q annotated
     "[= c*A[j,k]]" when it is c*A_(j,k).
@@ -160,8 +164,9 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
     == A_j, tested first as L is A_j and L == A_j, so that no generated
     level is compared in full or scaled (at 2k = p - 1 each of its levels
     is a T of its own).  A generated expansion names its own tower's
-    levels; any other builds them with one a_sequence call.  The output
-    goes to out in pieces, one per quotient.
+    levels; any other builds them with one a_sequence call.  The JSON
+    goes to out in one write per quotient, the text lines in one join and
+    one write per _LINES quotients.
     """
     field, tower = cf.field, cf.tower
     max_deg = max((tower[i].degree for i in set(cf.indices)), default=1)
@@ -177,22 +182,24 @@ def _print_expansion(cf: ContinuedFraction, as_json: bool, k: int | None, out):
             j = None
         terms = None if as_json else level.terms()
         for _, c in pairs:
-            text = level.to_json_text(c) if as_json else level.format(c, terms)
+            text = f", {level.to_json_text(c)}" if as_json else level.format(c, terms)
             if j is not None:
                 text += f"  [= {c * level.leading_coefficient() % field.p}*A[{j},k]]"
             texts[i, c] = text
     parts = map(texts.__getitem__, zip(cf.indices, cf.lambdas))
-    write = out.write
     if as_json:
-        write(f'{{"p": {field.p}, "pq": [')
-        for n, text in enumerate(parts):
-            if n:
-                write(", ")
+        # each text carries the ", " before it, cut from the first quotient's:
+        # one write per quotient and no join, which would copy whole levels
+        # (2.9 MB for A_(9,1) at p = 5) and raise the peak memory
+        write = out.write
+        write(f'{{"p": {field.p}, "pq": [{next(parts, ", ")[2:]}')
+        for text in parts:
             write(text)
         write("]}\n")
     else:
-        for n, text in enumerate(parts, start=1):
-            write(f"a_{n} = {text}\n")
+        for start in range(0, len(cf), _LINES):
+            lines = zip(range(start + 1, start + _LINES + 1), islice(parts, _LINES))
+            out.write("".join([f"a_{n} = {text}\n" for n, text in lines]))
 
 
 # -- subcommands ------------------------------------------------------------------

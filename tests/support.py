@@ -8,7 +8,7 @@ import io
 import numpy as np
 import pytest
 
-from hqcf import cli, perfect, quartic, rootcf
+from hqcf import cli, perfect, polynomials, quartic, rootcf
 import hqcf.cf as cf_module
 from hqcf.cf import ContinuedFraction, matrix_product, rational_to_cf, running_scalar_cf
 from hqcf.fields import GF
@@ -30,14 +30,28 @@ def run(argv):
 
 # -- the printer ------------------------------------------------------------------
 
+# (p, coeffs, message): coefficient lists that Polynomial.from_json_dict
+# refuses, as no renderer writes them
+NON_CANONICAL = [
+    (5, [1.0, 2], "coefficient 0 is 1.0, not an int in [0, 5)"),
+    (5, [-1, True], "coefficient 0 is -1, not an int in [0, 5)"),
+    (5, [1, True], "coefficient 1 is True, not an int in [0, 5)"),
+    (5, [7, 5], "coefficient 0 is 7, not an int in [0, 5)"),
+    (13, [0, 13], "coefficient 1 is 13, not an int in [0, 13)"),
+    (5, [1, 2, 0], "coefficient 2 is a trailing zero"),
+]
+NON_CANONICAL_IDS = ["float", "negative", "bool", "past p", "p itself", "trailing zero"]
+
 
 def render_shapes(field, rng):
     """The polynomials the scaled renderers are compared on: zero, two
     constants, T, coefficient-1 terms, lone and adjacent monomials, two
-    random ones below degree 41, a sparse one of degree 3000 with a nonzero
-    constant term, and a sparse one longer than p with none.  The last is a
-    multiple of 2^16 plus one long, so to_json_text's chunked join ends on a
-    chunk of one digit."""
+    random ones below degree 41, one just below to_json_text's numpy
+    cutoff and one at it, a sparse one of degree 3000 with a nonzero
+    constant term, and a sparse one longer than p with none.  The two at
+    the cutoff hold both ends of every decimal width below p and p - 1 on
+    top.  The last is a multiple of 2^16 plus one long, so that
+    to_json_text's last chunk holds one digit."""
     p = field.p
     u = [rng.randrange(1, p) for _ in range(9)]
     sparse = [0] * 3001
@@ -56,6 +70,9 @@ def render_shapes(field, rng):
     for _ in range(2):
         degree = max(rng.randrange(-1, 41), 0)
         shapes.append(Polynomial(field, [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]))
+    edges = [0, 1] + [b for k in range(1, len(str(p))) for b in (10**k - 1, 10**k)]
+    for n in (polynomials._JSON_CUTOFF - 1, polynomials._JSON_CUTOFF):
+        shapes.append(Polynomial(field, edges + [rng.randrange(p) for _ in range(n - len(edges) - 1)] + [p - 1]))
     long = [0] * (((p >> 16) + 1 << 16) + 1)
     for n in (1, (1 << 16) - 1, 1 << 16, len(long) - 1):
         long[n] = rng.randrange(1, p)

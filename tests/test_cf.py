@@ -18,7 +18,7 @@ from hqcf.fields import GF
 from hqcf.cli import _print_expansion
 from hqcf.perfect import ExpansionSpec, a_sequence, generate_perfect_expansion, pq_polynomials
 from hqcf.polynomials import Polynomial
-from support import poly
+from support import NON_CANONICAL, NON_CANONICAL_IDS, poly
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -320,6 +320,13 @@ class TestSerialization:
         d = {"p": 13, "pq": [poly(F13, 0, 1).to_json_dict(), poly(F7, 0, 6).to_json_dict()]}
         with pytest.raises(ValueError, match="a_2 lies over F_7"):
             ContinuedFraction.from_json_dict(d)
+
+    @pytest.mark.parametrize("p, coeffs, message", NON_CANONICAL, ids=NON_CANONICAL_IDS)
+    def test_only_canonical_quotients_are_read(self, p, coeffs, message):
+        d = {"p": p, "pq": [{"p": p, "ext": False, "coeffs": [0, 1]}, {"p": p, "ext": False, "coeffs": coeffs}]}
+        with pytest.raises(ValueError) as err:
+            ContinuedFraction.from_json_dict(d)
+        assert str(err.value) == f"quotient a_2: {message}"
 
     def test_empty_expansion(self):
         cf = ContinuedFraction.from_json_dict({"p": 13, "pq": []})

@@ -71,12 +71,20 @@ def sentinel(*args):
 # -- the printer ---------------------------------------------------------------------
 
 
-def json_text_is_the_scaled_dump(mp):
-    """to_json_text(3) is json.dumps of f.scaled(3)'s dict on every render
-    shape at p = 13, as TestScaledRender asserts; the shapes are rebuilt
-    with the module's Polynomial, which is the mutant's class."""
-    shapes = [polynomials.Polynomial(F13, f.coeffs) for f in render_shapes(F13, random.Random(13))]
-    return all(f.to_json_text(3) == json.dumps(f.scaled(3).to_json_dict()) for f in shapes)
+def json_text_is_the_scaled_dump(field):
+    """A check: to_json_text(3) is json.dumps of f.scaled(3)'s dict on every
+    render shape over field, as TestScaledRender asserts, and raises no
+    ValueError.  The shapes are rebuilt with the module's Polynomial, which
+    is the mutant's class."""
+
+    def check(mp):
+        shapes = [polynomials.Polynomial(field, f.coeffs) for f in render_shapes(field, random.Random(field.p))]
+        try:
+            return all(f.to_json_text(3) == json.dumps(f.scaled(3).to_json_dict()) for f in shapes)
+        except ValueError:  # bytes() of a residue past 255
+            return False
+
+    return check
 
 
 # -- the Prop. 1/2 certificates -------------------------------------------------------
@@ -340,8 +348,13 @@ def joins_are_checked(mp):
 # of its source that occurs once, its replacement, check(monkeypatch))
 MUTANTS = {
     # -- the printer
-    "on-demand digit ignores c": (polynomials, "Polynomial", "str(a * c % p)", "str(a)",
-                                  json_text_is_the_scaled_dump),
+    "on-demand digit ignores c": (polynomials, "_decimal_chunks", "a *= c", "pass", json_text_is_the_scaled_dump(F13)),
+    "leading zero printed": (polynomials, "_decimal_chunks", "digit *= a >= 10 ** (width - 1 - j)", "pass",
+                             json_text_is_the_scaled_dump(F13)),
+    "one-byte read at p = 257": (polynomials, "_decimal_chunks", "np.uint8) if p <= 256", "np.uint8) if p <= 257",
+                                 json_text_is_the_scaled_dump(GF(257))),
+    "last chunk keeps its separator": (polynomials, "Polynomial", "texts[-1] = texts[-1][:-2]", "pass",
+                                       json_text_is_the_scaled_dump(F13)),
     "every level of a named degree named": (cli, "_print_expansion", "level.monic() == a", "True",
                                             lambda mp: quartic_p13_names_a6_not_a7()),
     "< in the closed form": (cli, "_annotation_top", "a_degree(p, k, top + 1) <= max_deg",

@@ -10,7 +10,7 @@ from hqcf.cf import ContinuedFraction
 from hqcf.fields import GF
 from hqcf.polynomials import Polynomial, formal_integral
 from hqcf.quartic import beta_quotient_to_alpha, derive_frobenius_relation, normalize_to_beta
-from support import poly, render_shapes
+from support import NON_CANONICAL, NON_CANONICAL_IDS, poly, render_shapes
 
 F5, F7, F13 = GF(5), GF(7), GF(13)
 
@@ -355,6 +355,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match="extension"):
             Polynomial.from_json_dict({"p": 13, "ext": True, "coeffs": [[1, 2], [0, 3]]})
 
+    @pytest.mark.parametrize("p, coeffs, message", NON_CANONICAL, ids=NON_CANONICAL_IDS)
+    def test_only_the_canonical_form_is_read(self, p, coeffs, message):
+        # reducing or stripping any of these would hide a wrong digit
+        with pytest.raises(ValueError) as err:
+            Polynomial.from_json_dict({"p": p, "ext": False, "coeffs": coeffs})
+        assert str(err.value) == message
+
 
 def reference_format(f):
     """The term-by-term formatter that Polynomial.format replaced."""
@@ -375,7 +382,8 @@ class TestScaledRender:
     """format(c=c) and to_json_text(c) write c*f without building it; they
     must read exactly like the text and JSON of f.scaled(c)."""
 
-    @pytest.mark.parametrize("p", [5, 7, 13, 997, 999983])
+    # 251 and 257 lie on both sides of to_json_text's one-byte read
+    @pytest.mark.parametrize("p", [5, 7, 13, 251, 257, 997, 999983])
     def test_matches_the_scaled_polynomial(self, p):
         field, rng = GF(p), random.Random(p)
         for f in render_shapes(field, rng):
@@ -424,7 +432,9 @@ class TestScaledRender:
 
     def test_memory_bounded_by_distinct_values_not_by_p(self):
         # a table over F_p at p = 999983 would hold a million strings (tens
-        # of MB); the renderer holds one string per distinct coefficient
+        # of MB); format holds one string per distinct coefficient, and
+        # to_json_text's numpy path the arrays of one chunk, at most 2^16
+        # coefficients (here the 3001 of f), next to four bytes per residue
         import tracemalloc
 
         field = GF(999983)
